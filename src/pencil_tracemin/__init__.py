@@ -22,7 +22,12 @@ from .matcore import (
     random_congruence,
     validate_hermitian,
 )
-from .definiteness import DefinitenessReport, definiteness_interval, lambda_min_shift
+from .definiteness import (
+    DefinitenessReport,
+    definiteness_from_spectrum,
+    definiteness_interval,
+    lambda_min_shift,
+)
 from .spectral import (
     CongruentDiagonalization,
     TypedEigenvalue,

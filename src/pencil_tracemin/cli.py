@@ -1,6 +1,7 @@
 """Command-line front end: JSON matrix files in, JSON reports out.
 
-Exit codes: 0 success; 2 invalid input file; 3 not Hermitian; 4 infimum is
+Exit codes: 0 success; 2 invalid input file (malformed JSON or matrix
+object, non-square or non-finite matrix); 3 not Hermitian; 4 infimum is
 -infinity (verdict still printed); 5 empty feasible set; 6 minimizer not
 attainable; 7 no witness constructible; 8 certification failed.
 """
@@ -20,6 +21,7 @@ from .errors import (
     CertificationFailedError,
     EmptyFeasibleSetError,
     InvalidSpecError,
+    NonFiniteError,
     NoWitnessConstructibleError,
     NotAttainableError,
     NotHermitianError,
@@ -42,7 +44,6 @@ from .tracemin import (
     feasibility_residual,
     infimum,
     minimizer,
-    pair_semidefiniteness,
 )
 from .witness import build_witness, certify_unbounded
 
@@ -103,9 +104,11 @@ def _definiteness_obj(rep):
         "is_nsd_pair": rep.is_nsd_pair,
         "psd_interval": _interval(rep.psd_interval),
         "nsd_interval": _interval(rep.nsd_interval),
-        "max_fmin": rep.max_fmin,
-        "argmax_shift": rep.argmax_shift,
-        "bracket_overflow": rep.bracket_overflow,
+        "psd_shift": rep.psd_shift,
+        "psd_lam_min": rep.psd_lam_min,
+        "nsd_shift": rep.nsd_shift,
+        "nsd_lam_min": rep.nsd_lam_min,
+        "tolerance": rep.tolerance,
     }
 
 
@@ -138,22 +141,21 @@ def cmd_analyze(args) -> int:
     pair = load_pair(args.pair_file, tols.herm_tol)
     defl = deflate_common_nullspace(pair, tols.rank_tol)
     spec = typed_spectrum(defl.reduced, tols, deflated_dims=defl.deflated_dims)
-    verdict = pair_semidefiniteness(pair, tols)
     rep_def = definiteness_interval(pair, tols)
     report = _base_report("analyze", args)
     report.update(
         {
             "inertia_A": list(inertia(pair.A, tols.rank_tol).as_tuple()),
             "inertia_B": list(inertia(pair.B, tols.rank_tol).as_tuple()),
-            "is_psd_pair": verdict.is_psd,
-            "is_nsd_pair": verdict.is_nsd,
+            "is_psd_pair": rep_def.is_psd_pair,
+            "is_nsd_pair": rep_def.is_nsd_pair,
             "definiteness": _definiteness_obj(rep_def),
             "typed_spectrum": _spectrum_obj(spec),
         }
     )
     lines = [
         f"inertia(A) = {report['inertia_A']}, inertia(B) = {report['inertia_B']}",
-        f"psd pair: {verdict.is_psd}, nsd pair: {verdict.is_nsd}",
+        f"psd pair: {rep_def.is_psd_pair}, nsd pair: {rep_def.is_nsd_pair}",
     ]
     return _emit(report, args, EXIT_OK, lines)
 
@@ -389,7 +391,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError, InvalidSpecError, NotSquareError) as exc:
+    except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError,
+            InvalidSpecError, NotSquareError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except NotHermitianError as exc:

@@ -1,31 +1,62 @@
-"""Semidefiniteness of a Hermitian pair via the concave shift function.
+"""Semidefiniteness of a Hermitian pair, read off its typed spectrum.
 
-A pair (A, B) is positive semidefinite when some real shift lam0 makes
-A - lam0*B positive semidefinite.  f(lam0) = lam_min(A - lam0*B) is concave,
-so the verdict reduces to maximizing f over an adaptively expanded bracket
-and the admissible shifts form an interval.
+A pair (A, B) is positive (negative) semidefinite when some real shift t
+makes A - t*B positive (negative) semidefinite.  For nonsingular B and a real
+spectrum the admissible shifts are exactly
+
+    PSD:  [max negative-type eigenvalue, min positive-type eigenvalue]
+    NSD:  [max positive-type eigenvalue, min negative-type eigenvalue]
+
+(Kovac-Striko & Veselic, LAA 216, 1995; Liang, Li & Bai, LAA 438, 2013).  A
+side with no eigenvalues leaves a half-line: B is definite.  A boundary Jordan
+eigenvalue sits in both lists (the two-copy convention of ``typed_spectrum``),
+which pins the interval to that value.  Non-real eigenvalues exclude both
+verdicts.  The endpoints may cross by ``psd_tol`` relative to their size.
+Each interval the spectrum admits is confirmed by one evaluation of
+lam_min(A - t*B) at an interior shift (the single point, for a pinned
+interval): the side holds iff it is >= -psd_tol * (1 + |A|_F + |B|_F).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matcore import MatrixPair, ToleranceSet, DEFAULT_TOLS, eigvalsh, spectral_norm
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+from .matcore import DEFAULT_TOLS, MatrixPair, ToleranceSet, eigvalsh, pair_from_arrays
+from .spectral import (
+    INF_COUPLED,
+    INF_MINUS,
+    INF_NONE,
+    INF_PLUS,
+    TypedSpectrum,
+    deflate_common_nullspace,
+    split_infinite,
+    typed_spectrum,
+)
 
 
 @dataclass(frozen=True)
 class DefinitenessReport:
+    """PSD/NSD verdicts of a pair, their shift intervals and the confirming evaluations.
+
+    ``psd_shift`` is the shift at which the PSD interval was confirmed and
+    ``psd_lam_min`` is lam_min(A - psd_shift*B) there; ``nsd_shift`` and
+    ``nsd_lam_min`` = lam_min(nsd_shift*B - A) do the same for the NSD side.
+    A side holds iff its lam_min >= -``tolerance``, so lam_min + tolerance is
+    the verdict's margin.  Both are None when the spectrum already excludes
+    the side.
+    """
+
     is_psd_pair: bool
     is_nsd_pair: bool
     psd_interval: tuple | None
     nsd_interval: tuple | None
-    max_fmin: float
-    argmax_shift: float
-    bracket_overflow: bool = False
+    psd_shift: float | None = None
+    psd_lam_min: float | None = None
+    nsd_shift: float | None = None
+    nsd_lam_min: float | None = None
+    tolerance: float = 0.0
 
     def psd_contains(self, shift: float, slack: float = 0.0) -> bool:
         if self.psd_interval is None:
@@ -45,131 +76,91 @@ def lambda_min_shift(pair: MatrixPair, shift: float) -> float:
     return float(eigvalsh(pair.A.entries - shift * pair.B.entries)[0])
 
 
-def _maximize_concave(f, lo, hi, iters, width_target):
-    """Golden-section maximization of a concave function on [lo, hi]."""
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if b - a <= width_target:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+def _confirmed_side(pair, lower, upper, tols, tol):
+    """Interval [max lower, min upper] of shifts with A - t*B >= 0, confirmed at one shift.
 
-
-def _bisect_threshold(f, inside, outside, thr, iters=100):
-    """Locate the crossing of f(t) = thr between an inside and an outside point."""
-    for _ in range(iters):
-        mid = 0.5 * (inside + outside)
-        if f(mid) >= thr:
-            inside = mid
-        else:
-            outside = mid
-    return inside
-
-
-def _psd_analysis(pair: MatrixPair, tols: ToleranceSet, golden_iters, expansion_limit):
-    """Maximize f(lam0)=lam_min(A - lam0 B); return verdict, interval, diagnostics."""
-    nA = spectral_norm(pair.A.entries)
-    nB = spectral_norm(pair.B.entries)
-    scale = 1.0 + nA + nB
-    thr = -tols.psd_tol * scale
-
-    if nB <= tols.rank_tol * scale:
-        # B is (numerically) zero: f is constant in the shift.
-        f0 = lambda_min_shift(pair, 0.0)
-        ok = f0 >= thr
-        itv = (-np.inf, np.inf) if ok else None
-        return ok, itv, f0, 0.0, False
-
-    f = lambda t: lambda_min_shift(pair, t)
-
-    svals = np.abs(eigvalsh(pair.B.entries))
-    pos = svals[svals > tols.rank_tol * nB]
-    smin = float(np.min(pos)) if pos.size else tols.rank_tol
-    rho = nA / max(smin, tols.rank_tol)
-    lo, hi = -1.0 - rho, 1.0 + rho
-    cap = 1.0 / tols.rank_tol
-
-    flo, fhi = f(lo), f(hi)
-    fmid = f(0.5 * (lo + hi))
-    best = max(flo, fhi, fmid)
-    overflow = False
-    for _ in range(expansion_limit):
-        done_lo = flo < best
-        done_hi = fhi < best
-        if done_lo and done_hi:
-            break
-        if abs(lo) >= cap and abs(hi) >= cap:
-            overflow = True
-            break
-        if not done_lo:
-            lo = max(-cap, 2.0 * lo)
-            flo = f(lo)
-        if not done_hi:
-            hi = min(cap, 2.0 * hi)
-            fhi = f(hi)
-        best = max(best, flo, fhi)
-
-    width_target = 1e-12 * max(1.0, abs(lo), abs(hi))
-    t_star, f_star = _maximize_concave(f, lo, hi, golden_iters, width_target)
-    if flo > f_star:
-        t_star, f_star = lo, flo
-    if fhi > f_star:
-        t_star, f_star = hi, fhi
-
-    if f_star < thr:
-        return False, None, f_star, t_star, overflow
-
-    # Interval endpoints of {f >= thr}; a flat capped end reports as unbounded.
-    if flo >= thr:
-        left = -np.inf if abs(lo) >= cap else lo
+    Returns (interval or None, confirming shift, lam_min there); the shift and
+    lam_min are None when the endpoints are out of order.
+    """
+    lo = float(np.max(lower)) if lower.size else -np.inf
+    hi = float(np.min(upper)) if upper.size else np.inf
+    ends = [abs(x) for x in (lo, hi) if np.isfinite(x)]
+    if lo > hi + tols.psd_tol * (1.0 + max(ends, default=0.0)):
+        return None, None, None
+    if lo > hi:
+        lo = hi = 0.5 * (lo + hi)
+    if np.isfinite(lo) and np.isfinite(hi):
+        shift = 0.5 * (lo + hi)
+    elif np.isfinite(lo):
+        shift = lo + 1.0 + abs(lo)
+    elif np.isfinite(hi):
+        shift = hi - 1.0 - abs(hi)
     else:
-        left = _bisect_threshold(f, t_star, lo, thr)
-    if fhi >= thr:
-        right = np.inf if abs(hi) >= cap else hi
-    else:
-        right = _bisect_threshold(f, t_star, hi, thr)
-    return True, (float(left), float(right)), f_star, t_star, overflow
+        shift = 0.0
+    f = lambda_min_shift(pair, shift)
+    return ((lo, hi) if f >= -tol else None), shift, f
+
+
+def definiteness_from_spectrum(
+    pair: MatrixPair, spec: TypedSpectrum, tols: ToleranceSet = DEFAULT_TOLS
+) -> DefinitenessReport:
+    """PSD/NSD verdicts of a pair with nonsingular B from its typed spectrum ``spec``.
+
+    Makes at most two eigenvalue solves, one per side the spectrum admits.
+    """
+    tol = tols.psd_tol * pair.scale
+    if spec.has_complex:
+        return DefinitenessReport(False, False, None, None, tolerance=tol)
+    pos, neg = spec.pos_values, spec.neg_values
+    psd_itv, psd_t, psd_f = _confirmed_side(pair, neg, pos, tols, tol)
+    # A - t*B <= 0 iff (-A) - t*(-B) >= 0: the NSD side swaps the lists.
+    negated = pair_from_arrays(-pair.A.entries, -pair.B.entries, herm_tol=np.inf)
+    nsd_itv, nsd_t, nsd_f = _confirmed_side(negated, pos, neg, tols, tol)
+    return DefinitenessReport(
+        is_psd_pair=psd_itv is not None,
+        is_nsd_pair=nsd_itv is not None,
+        psd_interval=psd_itv,
+        nsd_interval=nsd_itv,
+        psd_shift=psd_t,
+        psd_lam_min=psd_f,
+        nsd_shift=nsd_t,
+        nsd_lam_min=nsd_f,
+        tolerance=tol,
+    )
 
 
 def definiteness_interval(
-    pair: MatrixPair,
-    tols: ToleranceSet = DEFAULT_TOLS,
-    golden_iters: int = 200,
-    expansion_limit: int = 60,
+    pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS
 ) -> DefinitenessReport:
     """Decide PSD/NSD pair status and compute the admissible shift intervals.
 
-    The NSD analysis runs the PSD machinery on (-A, B); its shift variable s
-    satisfies A + s*B <= 0, so the NSD interval in lam0 is the negated, swapped
-    PSD interval of (-A, B).
+    The common nullspace of A and B is deflated first.  A singular B splits
+    the pair into a finite part, judged by ``definiteness_from_spectrum``,
+    and A on N(B): the pair is PSD (NSD) iff the finite part is and A is
+    positive (negative) definite on N(B).  Chained structure on N(B) admits
+    neither.  With B = 0 the shift is free: the verdict is the sign of A and
+    the interval is the whole line.
     """
-    psd_ok, psd_itv, fmax, argmax, ovf1 = _psd_analysis(
-        pair, tols, golden_iters, expansion_limit
-    )
-    from .matcore import pair_from_arrays
-
-    mirrored = pair_from_arrays(-pair.A.entries, pair.B.entries, herm_tol=np.inf)
-    nsd_ok, itv2, _, _, ovf2 = _psd_analysis(mirrored, tols, golden_iters, expansion_limit)
-    nsd_itv = (-itv2[1], -itv2[0]) if itv2 is not None else None
-
-    return DefinitenessReport(
-        is_psd_pair=psd_ok,
-        is_nsd_pair=nsd_ok,
-        psd_interval=psd_itv,
-        nsd_interval=nsd_itv,
-        max_fmin=float(fmax),
-        argmax_shift=float(argmax),
-        bracket_overflow=bool(ovf1 or ovf2),
+    reduced = deflate_common_nullspace(pair, tols.rank_tol).reduced
+    spec = typed_spectrum(reduced, tols)
+    sign = spec.infinite_definite_sign
+    if sign == INF_NONE:
+        return definiteness_from_spectrum(reduced, spec, tols)
+    tol = tols.psd_tol * reduced.scale
+    if sign == INF_COUPLED:
+        return DefinitenessReport(False, False, None, None, tolerance=tol)
+    finite_pair = split_infinite(reduced, tols).finite_pair
+    if finite_pair is None:
+        line = (-np.inf, np.inf)
+        rep = DefinitenessReport(True, True, line, line, tolerance=tol)
+    else:
+        rep = definiteness_from_spectrum(finite_pair, spec, tols)
+    psd = rep.is_psd_pair and sign == INF_PLUS
+    nsd = rep.is_nsd_pair and sign == INF_MINUS
+    return replace(
+        rep,
+        is_psd_pair=psd,
+        is_nsd_pair=nsd,
+        psd_interval=rep.psd_interval if psd else None,
+        nsd_interval=rep.nsd_interval if nsd else None,
     )

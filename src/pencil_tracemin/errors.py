@@ -9,6 +9,10 @@ class NotSquareError(PencilError):
     """Raw matrix input is not square."""
 
 
+class NonFiniteError(PencilError):
+    """Raw matrix input holds a NaN or infinite entry."""
+
+
 class NotHermitianError(PencilError):
     """Hermiticity residual exceeds the configured tolerance."""
 

@@ -8,6 +8,7 @@ not re-check Hermiticity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import (
     EmptyFeasibleSetError,
     KernelFailureError,
+    NonFiniteError,
     NotHermitianError,
     NotSquareError,
 )
@@ -91,6 +93,11 @@ class MatrixPair:
     def n(self) -> int:
         return self.A.n
 
+    @property
+    def scale(self) -> float:
+        """1 + |A|_F + |B|_F: the size that absolute tolerances on the pair multiply."""
+        return 1.0 + float(np.linalg.norm(self.A.entries) + np.linalg.norm(self.B.entries))
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -116,15 +123,20 @@ class ProblemInstance:
 def validate_hermitian(raw, herm_tol: float = DEFAULT_TOLS.herm_tol) -> HermitianMatrix:
     """Validate and symmetrize a raw square array into a HermitianMatrix.
 
-    Raises NotSquareError / NotHermitianError when the input is not square or
-    its Hermiticity residual max|M - M^H| exceeds ``herm_tol``.
+    Raises NotSquareError / NonFiniteError / NotHermitianError when the input
+    is not square, holds a NaN or infinite entry, or its Hermiticity residual
+    max|M - M^H| exceeds ``herm_tol``.
     """
     M = np.asarray(raw, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSquareError(f"expected square matrix, got shape {M.shape}")
     if M.shape[0] < 1:
         raise NotSquareError("matrix dimension must be at least 1")
-    residual = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
+    residual = float(np.max(np.abs(M - M.conj().T)))
+    # NaN or infinite entries, and only those, make the residual non-finite
+    # (barring overflow of M - M^H near the largest float).
+    if not math.isfinite(residual):
+        raise NonFiniteError("matrix entries must be finite (no NaN or infinity)")
     if residual > herm_tol:
         raise NotHermitianError(
             f"Hermiticity residual {residual:.3e} exceeds tolerance {herm_tol:.3e}"
@@ -244,37 +256,33 @@ def matrix_to_json(M: np.ndarray) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ValueError("matrix object must carry 'n' and 'entries'")
-    n = int(obj["n"])
-    m = int(obj.get("m", n))
-    entries = obj["entries"]
-    if len(entries) != n * m:
-        raise ValueError(f"expected {n * m} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    try:
+        n = int(obj["n"])
+        m = int(obj.get("m", n))
+        flat = np.array([complex(re, im) for re, im in obj["entries"]], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"matrix entries must be [re, im] pairs of numbers ({exc})") from exc
+    if flat.size != n * m:
+        raise ValueError(f"expected {n * m} entries, got {flat.size}")
     return flat.reshape(n, m)
 
 
-def load_pair(path, herm_tol: float = DEFAULT_TOLS.herm_tol) -> MatrixPair:
+def _load_matrices(path, names, herm_tol):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return MatrixPair(
-        validate_hermitian(matrix_from_json(obj["A"]), herm_tol),
-        validate_hermitian(matrix_from_json(obj["B"]), herm_tol),
-    )
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object of matrices")
+    return [validate_hermitian(matrix_from_json(obj[k]), herm_tol) for k in names]
+
+
+def load_pair(path, herm_tol: float = DEFAULT_TOLS.herm_tol) -> MatrixPair:
+    return MatrixPair(*_load_matrices(path, ("A", "B"), herm_tol))
 
 
 def load_problem(path, tols: ToleranceSet = DEFAULT_TOLS) -> ProblemInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    A, B, Ahat, Bhat = _load_matrices(path, ("A", "B", "Ahat", "Bhat"), tols.herm_tol)
     return ProblemInstance(
-        pair=MatrixPair(
-            validate_hermitian(matrix_from_json(obj["A"]), tols.herm_tol),
-            validate_hermitian(matrix_from_json(obj["B"]), tols.herm_tol),
-        ),
-        hat_pair=MatrixPair(
-            validate_hermitian(matrix_from_json(obj["Ahat"]), tols.herm_tol),
-            validate_hermitian(matrix_from_json(obj["Bhat"]), tols.herm_tol),
-        ),
-        tolerances=tols,
+        pair=MatrixPair(A, B), hat_pair=MatrixPair(Ahat, Bhat), tolerances=tols
     )
 
 

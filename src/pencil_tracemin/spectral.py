@@ -25,6 +25,7 @@ from .matcore import (
     HermitianMatrix,
     MatrixPair,
     ToleranceSet,
+    eigvalsh,
     inertia,
     pair_from_arrays,
     spectral_norm,
@@ -203,10 +204,9 @@ def _classify_infinite(d_inf: np.ndarray) -> str:
     return INF_MIXED
 
 
-def _typed_finite(pair: MatrixPair, tols: ToleranceSet):
-    """Type the finite eigenvalues of a pair with nonsingular B."""
+def _typed_finite(pair: MatrixPair, tols: ToleranceSet, nB: float):
+    """Type the finite eigenvalues of a pair with nonsingular B of spectral norm nB."""
     A, B = pair.A.entries, pair.B.entries
-    nB = spectral_norm(B)
     w, vr = scipy.linalg.eig(A, B)
     pos, neg, cvals, isotropic = [], [], [], []
     for k in range(len(w)):
@@ -229,17 +229,17 @@ def _typed_finite(pair: MatrixPair, tols: ToleranceSet):
 
     iso_defect = False
     if isotropic:
-        from .definiteness import definiteness_interval
-
-        rep = definiteness_interval(pair, tols)
-        if rep.is_psd_pair or rep.is_nsd_pair:
-            isotropic.sort(key=lambda vb: vb[0])
-            while len(isotropic) >= 2:
-                (v1, _), (v2, _) = isotropic[0], isotropic[1]
-                val = 0.5 * (v1 + v2)
-                pos.append(TypedEigenvalue(val, POSITIVE, 0.0, jordan_pair=True))
-                neg.append(TypedEigenvalue(val, NEGATIVE, 0.0, jordan_pair=True))
-                isotropic = isotropic[2:]
+        # An isotropic (Jordan) eigenvalue pins every shift t with A - t*B
+        # semidefinite to its value, so the isotropic copies pair up, at their
+        # common value, iff A - t*B is semidefinite there.
+        shift = float(np.mean([v for v, _ in isotropic]))
+        f = eigvalsh(A - shift * B)
+        tol = tols.psd_tol * pair.scale
+        if f[0] >= -tol or f[-1] <= tol:
+            for _ in range(len(isotropic) // 2):
+                pos.append(TypedEigenvalue(shift, POSITIVE, 0.0, jordan_pair=True))
+                neg.append(TypedEigenvalue(shift, NEGATIVE, 0.0, jordan_pair=True))
+            isotropic = isotropic[2 * (len(isotropic) // 2):]
         if isotropic:
             iso_defect = True
             for v, b in isotropic:
@@ -260,9 +260,10 @@ def typed_spectrum(
 
     Precondition: the pair carries no common nullspace (deflate first).
     """
-    ib = inertia(pair.B, tols.rank_tol)
-    if ib.n_zero == 0:
-        pos, neg, cvals, iso = _typed_finite(pair, tols)
+    d = np.abs(eigvalsh(pair.B.entries))
+    nB = float(np.max(d))
+    if np.all(d > tols.rank_tol * nB):  # B nonsingular, with inertia's zero rule
+        pos, neg, cvals, iso = _typed_finite(pair, tols, nB)
         return TypedSpectrum(pos, neg, deflated_dims, INF_NONE, cvals, iso)
 
     sp = split_infinite(pair, tols)
@@ -271,7 +272,8 @@ def typed_spectrum(
         return TypedSpectrum(pos, neg, deflated_dims, INF_COUPLED, cvals, iso)
     if sp.finite_pair is None:
         return TypedSpectrum((), (), deflated_dims, _classify_infinite(sp.d_inf))
-    pos, neg, cvals, iso = _typed_finite(sp.finite_pair, tols)
+    # The finite part's B is B on its range, with the same spectral norm.
+    pos, neg, cvals, iso = _typed_finite(sp.finite_pair, tols, nB)
     return TypedSpectrum(pos, neg, deflated_dims, _classify_infinite(sp.d_inf), cvals, iso)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .definiteness import DefinitenessReport, definiteness_interval
+from .definiteness import DefinitenessReport, definiteness_from_spectrum, definiteness_interval
 from .errors import (
     EmptyFeasibleSetError,
     InertiaViolationError,
@@ -205,50 +205,23 @@ def properness(
 
 @dataclass(frozen=True)
 class SemidefiniteVerdict:
-    """Structure-aware semidefiniteness of a pair.
+    """Structure-aware semidefiniteness of a pair, from ``definiteness_interval``.
 
-    The shift function f(lam0) = lam_min(A - lam0 B) of a pair with chained
-    structure on N(B) can approach zero asymptotically without attaining it,
-    so the verdict combines the finite block's shift analysis with the
-    classification of A on N(B): chained structure excludes semidefiniteness,
-    a definite restriction must match the orientation.
+    Chained structure on N(B) excludes semidefiniteness, and a definite
+    restriction of A to N(B) must match the orientation; ``report`` holds the
+    intervals and the confirming evaluations.
     """
 
     is_psd: bool
     is_nsd: bool
-    finite_report: DefinitenessReport
-    infinite_sign: str
+    report: DefinitenessReport
 
 
 def pair_semidefiniteness(
     pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS
 ) -> SemidefiniteVerdict:
-    defl = deflate_common_nullspace(pair, tols.rank_tol)
-    reduced = defl.reduced
-    sp = split_infinite(reduced, tols)
-    if not sp.has_infinite:
-        rep = definiteness_interval(reduced, tols)
-        return SemidefiniteVerdict(rep.is_psd_pair, rep.is_nsd_pair, rep, INF_NONE)
-    if sp.coupled:
-        rep = definiteness_interval(reduced, tols)
-        return SemidefiniteVerdict(False, False, rep, INF_COUPLED)
-    if np.all(sp.d_inf > 0):
-        sign = INF_PLUS
-    elif np.all(sp.d_inf < 0):
-        sign = INF_MINUS
-    else:
-        sign = INF_MIXED
-    if sp.finite_pair is None:
-        # B is numerically zero: f is constant, the plain analysis is exact.
-        rep = definiteness_interval(reduced, tols)
-        return SemidefiniteVerdict(rep.is_psd_pair, rep.is_nsd_pair, rep, sign)
-    rep = definiteness_interval(sp.finite_pair, tols)
-    return SemidefiniteVerdict(
-        rep.is_psd_pair and sign == INF_PLUS,
-        rep.is_nsd_pair and sign == INF_MINUS,
-        rep,
-        sign,
-    )
+    rep = definiteness_interval(pair, tols)
+    return SemidefiniteVerdict(rep.is_psd_pair, rep.is_nsd_pair, rep)
 
 
 def pad_problem(problem: ProblemInstance) -> ProblemInstance:
@@ -315,13 +288,6 @@ def _formula_terms(big: TypedSpectrum, hat: TypedSpectrum, prop: PropernessRepor
     return tuple(terms)
 
 
-def _contains_zero(interval, slack: float) -> bool:
-    if interval is None:
-        return False
-    lo, hi = interval
-    return lo - slack <= 0.0 <= hi + slack
-
-
 def infimum(problem: ProblemInstance, tols: ToleranceSet | None = None) -> InfimumResult:
     """Full pipeline: excluded cases, deflation, structure gates, properness, value.
 
@@ -356,29 +322,27 @@ def infimum(problem: ProblemInstance, tols: ToleranceSet | None = None) -> Infim
 
     inf_sign = spec_big.infinite_definite_sign
     infinite = inf_sign in (INF_PLUS, INF_MINUS, INF_MIXED)
+    fin_pair = big_pair
     if infinite:
-        sp = split_infinite(big_pair, tols)
-        if sp.finite_pair is None:  # pragma: no cover - blocked by feasibility
+        fin_pair = split_infinite(big_pair, tols).finite_pair
+        if fin_pair is None:  # pragma: no cover - blocked by feasibility
             raise EmptyFeasibleSetError("B has no nonzero eigenvalues")
-        rep_fin = definiteness_interval(sp.finite_pair, tols)
-    else:
-        rep_fin = definiteness_interval(big_pair, tols)
-    rep_hat = definiteness_interval(hat_pair, tols)
+    # Both spectra were typed above; definiteness reads them without a new eigensolve.
+    rep_fin = definiteness_from_spectrum(fin_pair, spec_big, tols)
+    rep_hat = definiteness_from_spectrum(hat_pair, spec_hat, tols)
     base.update(definiteness=rep_fin, hat_definiteness=rep_hat)
 
-    nAh = spectral_norm(hat_pair.A.entries)
-    nBh = spectral_norm(hat_pair.B.entries)
-    slack = tols.psd_tol * (1.0 + nAh + nBh)
     # Semidefiniteness of the full pair = finite part plus a definite nullspace
     # block of the matching orientation; a singular B additionally pins the
     # hat shift to zero (the hat matrix itself must be semidefinite).
+    slack = rep_hat.tolerance
     big_psd = rep_fin.is_psd_pair and inf_sign in (INF_NONE, INF_PLUS)
     big_nsd = rep_fin.is_nsd_pair and inf_sign in (INF_NONE, INF_MINUS)
     psd_ok = big_psd and rep_hat.is_psd_pair and (
-        not infinite or _contains_zero(rep_hat.psd_interval, slack)
+        not infinite or rep_hat.psd_contains(0.0, slack)
     )
     nsd_ok = big_nsd and rep_hat.is_nsd_pair and (
-        not infinite or _contains_zero(rep_hat.nsd_interval, slack)
+        not infinite or rep_hat.nsd_contains(0.0, slack)
     )
 
     if not psd_ok and not nsd_ok:

@@ -45,6 +45,10 @@ def test_analyze_golden_pair(tmp_path, capsys):
     lo, hi = rep["definiteness"]["psd_interval"]
     assert lo == pytest.approx(-2.0, abs=1e-6)
     assert hi == pytest.approx(1.0, abs=1e-6)
+    # The confirming evaluation: inside the interval, with its margin to the tolerance.
+    assert lo <= rep["definiteness"]["psd_shift"] <= hi
+    assert rep["definiteness"]["psd_lam_min"] >= -rep["definiteness"]["tolerance"]
+    assert rep["definiteness"]["nsd_shift"] is None
     assert rep["typed_spectrum"]["pos"][0]["value"] == pytest.approx(1.0, abs=1e-9)
     assert rep["typed_spectrum"]["neg"][0]["value"] == pytest.approx(-2.0, abs=1e-9)
 
@@ -66,6 +70,30 @@ def test_analyze_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"A": {"n": 1, "entries": [1.0]}, "B": {"n": 1, "entries": [[1.0, 0.0]]}}',
+        '[1, 2]',
+    ],
+)
+def test_analyze_malformed_matrix_object(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_non_finite_entry(tmp_path, capsys):
+    # json reads the NaN literal, so the check must sit in the library.
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"A": {"n": 1, "entries": [[NaN, 0.0]]}, "B": {"n": 1, "entries": [[1.0, 0.0]]}}'
+    )
+    assert main(["analyze", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_analyze_not_hermitian(tmp_path, capsys):

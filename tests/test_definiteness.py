@@ -3,6 +3,7 @@ import pytest
 
 import pencil_tracemin as pt
 from pencil_tracemin.definiteness import definiteness_interval, lambda_min_shift
+from pencil_tracemin.genpairs import BlockSpec, assemble
 
 from conftest import rand_hermitian
 
@@ -100,3 +101,93 @@ def test_zero_b_pair():
     assert rep.is_psd_pair and not rep.is_nsd_pair
     rep2 = definiteness_interval(pt.pair_from_arrays(np.diag([1.0, -2.0]), np.zeros((2, 2))))
     assert not rep2.is_psd_pair and not rep2.is_nsd_pair
+
+
+def _count_eigen_kernels(monkeypatch):
+    """Count dense eigen-kernel calls: numpy eigvalsh/eigh and scipy eig."""
+    import scipy.linalg
+
+    calls = []
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (scipy.linalg, "eig")):
+        fn = getattr(owner, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "B",
+    [np.diag([1.0, 1.0, -1.0, -1.0]), np.diag([1.0, 2.0, 3.0, 4.0])],
+    ids=["indefinite", "definite"],
+)
+def test_definiteness_kernel_count(monkeypatch, B):
+    # One eigvalsh of B and one eig for the typed spectrum, then one eigvalsh
+    # per side the spectrum admits (both sides only for definite B).
+    A = np.diag([2.0, 3.0, 1.0, 0.5])
+    pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), 3, 5.0)
+    calls = _count_eigen_kernels(monkeypatch)
+    rep = definiteness_interval(pair)
+    assert rep.is_psd_pair
+    assert len(calls) <= 4, calls
+    assert calls.count("eig") == 1
+
+
+def _semidefinite_specs(rng):
+    """Tr p=1/p=2 and Tc blocks; mostly ordered around a shared shift, so both verdicts occur."""
+    shift = float(rng.uniform(-1.0, 1.0))
+    orient = 1 if rng.random() < 0.5 else -1  # +1 favours PSD, -1 NSD
+    specs = []
+    for _ in range(int(rng.integers(1, 5))):
+        eta = 1 if rng.random() < 0.5 else -1
+        u = rng.random()
+        if u < 0.6:
+            off = float(rng.uniform(0.1, 2.0))
+            specs.append(BlockSpec("Tr", p=1, alpha=shift + orient * eta * off, eta=eta))
+        elif u < 0.75:
+            specs.append(BlockSpec("Tr", p=2, alpha=shift, eta=orient))
+        elif u < 0.9:
+            specs.append(BlockSpec("Tr", p=1, alpha=float(rng.uniform(-2.0, 2.0)), eta=eta))
+        else:
+            alpha, beta = float(rng.uniform(-1, 1)), float(rng.uniform(0.3, 1.5))
+            specs.append(BlockSpec("Tc", p=1, alpha=alpha, beta=beta))
+    return specs
+
+
+def test_intervals_hold_inside_and_fail_outside():
+    rng = np.random.default_rng(2024)
+    seen = {"psd": 0, "nsd": 0, "neither": 0}
+    pinned = 0  # semidefinite at a Jordan eigenvalue only
+    for trial in range(120):
+        specs = _semidefinite_specs(rng)
+        cap = 2.5 if any(s.p == 2 for s in specs) else 5.0
+        pair, truth = assemble(specs, scramble_seed=trial, conditioning_cap=cap)
+        rep = definiteness_interval(pair)
+        assert (rep.is_psd_pair, rep.is_nsd_pair) == (truth.psd, truth.nsd), specs
+        seen["psd"] += truth.psd
+        seen["nsd"] += truth.nsd
+        seen["neither"] += not (truth.psd or truth.nsd)
+        pinned += bool(truth.jordan_values) and (truth.psd or truth.nsd)
+        tol = 1e-8 * (1.0 + pair.A.norm() + pair.B.norm())
+        for sign, itv in ((1.0, rep.psd_interval), (-1.0, rep.nsd_interval)):
+            if itv is None:
+                continue
+            # lam_min of sign*(A - t*B): >= 0 on the interval, < 0 beyond it.
+            A, B = sign * pair.A.entries, sign * pair.B.entries
+            f = lambda t: float(np.linalg.eigvalsh(A - t * B)[0])
+            lo, hi = itv
+            if np.isfinite(lo) and np.isfinite(hi):
+                grid = np.linspace(lo, hi, 7)
+            elif np.isfinite(lo):
+                grid = lo + np.array([0.0, 0.5, 2.0, 8.0])
+            else:
+                grid = hi - np.array([0.0, 0.5, 2.0, 8.0])
+            for t in grid:
+                assert f(t) >= -tol, (specs, t, itv)
+            for edge, step in ((lo, -0.05), (hi, 0.05)):
+                if np.isfinite(edge):
+                    assert f(edge + step) < 0.0, (specs, edge, itv)
+    assert min(seen.values()) >= 10 and pinned >= 5, (seen, pinned)

@@ -6,6 +6,7 @@ import pytest
 import pencil_tracemin as pt
 from pencil_tracemin.errors import (
     EmptyFeasibleSetError,
+    NonFiniteError,
     NotHermitianError,
     NotSquareError,
 )
@@ -34,6 +35,15 @@ def test_validate_rejects_non_hermitian():
 def test_validate_rejects_non_square():
     with pytest.raises(NotSquareError):
         pt.validate_hermitian(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_validate_rejects_non_finite(bad):
+    # A NaN residual compares false against herm_tol, so finiteness is checked first.
+    with pytest.raises(NonFiniteError):
+        pt.validate_hermitian([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(NonFiniteError):
+        pt.pair_from_arrays(np.eye(2), [[bad, 0.0], [0.0, 1.0]], herm_tol=np.inf)
 
 
 def test_symmetrization_idempotent():
@@ -89,6 +99,22 @@ def test_matrix_json_round_trip():
     assert obj["n"] == 3 and len(obj["entries"]) == 9
     back = matrix_from_json(json.loads(json.dumps(obj)))
     np.testing.assert_array_equal(back, M)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 1, "entries": [1.0]},
+        {"n": 1, "entries": [[1.0, 0.0, 2.0]]},
+        {"n": 1, "entries": [["1", 0.0]]},
+        {"n": 1, "entries": 5},
+        {"n": None, "entries": [[1.0, 0.0]]},
+        {"n": 2, "entries": [[1.0, 0.0]]},
+    ],
+)
+def test_matrix_from_json_rejects_malformed_entries(obj):
+    with pytest.raises(ValueError):
+        matrix_from_json(obj)
 
 
 def test_pair_and_problem_files(tmp_path):
