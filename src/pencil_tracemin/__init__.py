@@ -24,14 +24,18 @@ from .matcore import (
 )
 from .definiteness import (
     DefinitenessReport,
+    analysis_definiteness,
     definiteness_from_spectrum,
     definiteness_interval,
     lambda_min_shift,
 )
 from .spectral import (
+    ClusteredFrame,
     CongruentDiagonalization,
+    PairAnalysis,
     TypedEigenvalue,
     TypedSpectrum,
+    analyze_pair,
     congruent_diagonalize,
     deflate_common_nullspace,
     eigh,

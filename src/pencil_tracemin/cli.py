@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .definiteness import definiteness_interval
+from .definiteness import analysis_definiteness
 from .errors import (
     CertificationFailedError,
     EmptyFeasibleSetError,
@@ -36,9 +36,8 @@ from .matcore import (
     matrix_to_json,
     save_pair,
 )
-from .spectral import deflate_common_nullspace, typed_spectrum
+from .spectral import analyze_pair
 from .tracemin import (
-    FINITE,
     NEG_INFINITE,
     FeasibleSampler,
     feasibility_residual,
@@ -83,15 +82,12 @@ def _interval(itv):
 
 
 def _spectrum_obj(spec):
+    typed = lambda es: [
+        {"value": e.value, "b_form": e.b_form, "jordan_pair": e.jordan_pair} for e in es
+    ]
     return {
-        "pos": [
-            {"value": e.value, "b_form": e.b_form, "jordan_pair": e.jordan_pair}
-            for e in spec.pos
-        ],
-        "neg": [
-            {"value": e.value, "b_form": e.b_form, "jordan_pair": e.jordan_pair}
-            for e in spec.neg
-        ],
+        "pos": typed(spec.pos),
+        "neg": typed(spec.neg),
         "deflated_dims": spec.deflated_dims,
         "infinite_definite_sign": spec.infinite_definite_sign,
         "complex_values": [[z.real, z.imag] for z in spec.complex_values],
@@ -139,18 +135,17 @@ def _base_report(command, args):
 def cmd_analyze(args) -> int:
     tols = _tols_from_args(args)
     pair = load_pair(args.pair_file, tols.herm_tol)
-    defl = deflate_common_nullspace(pair, tols.rank_tol)
-    spec = typed_spectrum(defl.reduced, tols, deflated_dims=defl.deflated_dims)
-    rep_def = definiteness_interval(pair, tols)
+    analysis = analyze_pair(pair, tols)
+    rep_def = analysis_definiteness(analysis)
     report = _base_report("analyze", args)
     report.update(
         {
             "inertia_A": list(inertia(pair.A, tols.rank_tol).as_tuple()),
-            "inertia_B": list(inertia(pair.B, tols.rank_tol).as_tuple()),
+            "inertia_B": list(analysis.b_inertia.as_tuple()),
             "is_psd_pair": rep_def.is_psd_pair,
             "is_nsd_pair": rep_def.is_nsd_pair,
             "definiteness": _definiteness_obj(rep_def),
-            "typed_spectrum": _spectrum_obj(spec),
+            "typed_spectrum": _spectrum_obj(analysis.spectrum),
         }
     )
     lines = [
@@ -213,16 +208,14 @@ def cmd_minimize(args) -> int:
     tols = _tols_from_args(args)
     problem = load_problem(args.problem_file, tols)
     result = infimum(problem, tols)
+    report = _base_report("minimize", args)
+    report["infimum"] = _infimum_obj(result)
     if result.verdict == NEG_INFINITE:
-        report = _base_report("minimize", args)
-        report["infimum"] = _infimum_obj(result)
         return _emit(report, args, EXIT_NEG_INFINITE, [f"verdict: {result.verdict}"])
     X, achieved = minimizer(problem, tols)
     residual = feasibility_residual(problem, X)
     with open(args.out_file, "w", encoding="utf-8") as fh:
         json.dump(matrix_to_json(X), fh)
-    report = _base_report("minimize", args)
-    report["infimum"] = _infimum_obj(result)
     report["minimizer"] = {
         "achieved": achieved,
         "feasibility_residual": residual,
@@ -386,30 +379,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Library errors and the exit code each maps to, tried in order.
+EXIT_CODES = (
+    ((json.JSONDecodeError, FileNotFoundError, KeyError, ValueError,
+      InvalidSpecError, NotSquareError, NonFiniteError), EXIT_BAD_INPUT),
+    ((NotHermitianError,), EXIT_NOT_HERMITIAN),
+    ((EmptyFeasibleSetError,), EXIT_EMPTY_FEASIBLE),
+    ((NotAttainableError,), EXIT_NOT_ATTAINABLE),
+    ((NoWitnessConstructibleError,), EXIT_NO_WITNESS),
+    ((CertificationFailedError,), EXIT_CERTIFICATION),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError,
-            InvalidSpecError, NotSquareError, NonFiniteError) as exc:
+    except tuple(cls for classes, _ in EXIT_CODES for cls in classes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except NotHermitianError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_HERMITIAN
-    except EmptyFeasibleSetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_FEASIBLE
-    except NotAttainableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_ATTAINABLE
-    except NoWitnessConstructibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_WITNESS
-    except CertificationFailedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+        return next(code for classes, code in EXIT_CODES if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

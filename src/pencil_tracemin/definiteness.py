@@ -29,10 +29,9 @@ from .spectral import (
     INF_MINUS,
     INF_NONE,
     INF_PLUS,
+    PairAnalysis,
     TypedSpectrum,
-    deflate_common_nullspace,
-    split_infinite,
-    typed_spectrum,
+    analyze_pair,
 )
 
 
@@ -129,27 +128,23 @@ def definiteness_from_spectrum(
     )
 
 
-def definiteness_interval(
-    pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS
-) -> DefinitenessReport:
-    """Decide PSD/NSD pair status and compute the admissible shift intervals.
+def analysis_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
+    """Structure-aware PSD/NSD verdicts of an analysed pair.
 
-    The common nullspace of A and B is deflated first.  A singular B splits
-    the pair into a finite part, judged by ``definiteness_from_spectrum``,
-    and A on N(B): the pair is PSD (NSD) iff the finite part is and A is
-    positive (negative) definite on N(B).  Chained structure on N(B) admits
-    neither.  With B = 0 the shift is free: the verdict is the sign of A and
-    the interval is the whole line.
+    A singular B splits the pair into a finite part, judged by
+    ``definiteness_from_spectrum``, and A on N(B): the pair is PSD (NSD) iff
+    the finite part is and A is positive (negative) definite on N(B).
+    Chained structure on N(B) admits neither.  With B = 0 the shift is free:
+    the verdict is the sign of A and the interval is the whole line.
     """
-    reduced = deflate_common_nullspace(pair, tols.rank_tol).reduced
-    spec = typed_spectrum(reduced, tols)
+    spec, tols = analysis.spectrum, analysis.tols
+    finite_pair = analysis.split.finite_pair
     sign = spec.infinite_definite_sign
     if sign == INF_NONE:
-        return definiteness_from_spectrum(reduced, spec, tols)
-    tol = tols.psd_tol * reduced.scale
+        return definiteness_from_spectrum(finite_pair, spec, tols)
+    tol = tols.psd_tol * analysis.deflation.reduced.scale
     if sign == INF_COUPLED:
         return DefinitenessReport(False, False, None, None, tolerance=tol)
-    finite_pair = split_infinite(reduced, tols).finite_pair
     if finite_pair is None:
         line = (-np.inf, np.inf)
         rep = DefinitenessReport(True, True, line, line, tolerance=tol)
@@ -164,3 +159,14 @@ def definiteness_interval(
         psd_interval=rep.psd_interval if psd else None,
         nsd_interval=rep.nsd_interval if nsd else None,
     )
+
+
+def definiteness_interval(
+    pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS
+) -> DefinitenessReport:
+    """Decide PSD/NSD pair status and compute the admissible shift intervals.
+
+    The pair is analysed once (``analyze_pair``, which also removes any
+    common nullspace of A and B) and judged by ``analysis_definiteness``.
+    """
+    return analysis_definiteness(analyze_pair(pair, tols))

@@ -220,8 +220,12 @@ def check_feasibility(problem: ProblemInstance) -> None:
     i_pm(Bhat) <= i_pm(B).
     """
     rt = problem.tolerances.rank_tol
-    ib = inertia(problem.pair.B, rt)
-    ibh = inertia(problem.hat_pair.B, rt)
+    check_inertias(inertia(problem.pair.B, rt), inertia(problem.hat_pair.B, rt))
+
+
+def check_inertias(ib: Inertia, ibh: Inertia) -> None:
+    """Raise EmptyFeasibleSetError unless Bhat (inertia ibh) is nonsingular and
+    its inertia fits inside the inertia ib of B."""
     if ibh.n_zero > 0:
         raise EmptyFeasibleSetError("Bhat is singular; the constraint has no solution")
     if ibh.n_plus > ib.n_plus or ibh.n_minus > ib.n_minus:
@@ -242,15 +246,10 @@ def check_feasibility(problem: ProblemInstance) -> None:
 def matrix_to_json(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=complex)
     n, m = M.shape
-    flat = M.reshape(-1)
-    return {
-        "n": int(n),
-        "m": int(m),
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    } if n != m else {
-        "n": int(n),
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    obj = {"n": int(n), "entries": [[float(z.real), float(z.imag)] for z in M.reshape(-1)]}
+    if n != m:
+        obj["m"] = int(m)
+    return obj
 
 
 def matrix_from_json(obj) -> np.ndarray:

@@ -11,26 +11,25 @@ congruent-diagonalizable, and diagnose the divergence mechanism otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .definiteness import DefinitenessReport, definiteness_from_spectrum, definiteness_interval
 from .errors import (
-    EmptyFeasibleSetError,
     InertiaViolationError,
     LengthMismatchError,
     NotAttainableError,
     NotDiagonalizableError,
-    IllConditionedError,
 )
+from .hyperbolic import SignatureJ, sample_feasible
 from .matcore import (
     DEFAULT_TOLS,
     Inertia,
     MatrixPair,
     ProblemInstance,
     ToleranceSet,
-    check_feasibility,
+    check_inertias,
     inertia,
     pair_from_arrays,
     spectral_norm,
@@ -41,11 +40,9 @@ from .spectral import (
     INF_MIXED,
     INF_NONE,
     INF_PLUS,
+    PairAnalysis,
     TypedSpectrum,
-    congruent_diagonalize,
-    deflate_common_nullspace,
-    split_infinite,
-    typed_spectrum,
+    analyze_pair,
 )
 
 # Verdicts
@@ -105,6 +102,8 @@ class Term:
 
 @dataclass(frozen=True)
 class InfimumResult:
+    """Verdict and value of the infimum, with the analyses of both pairs it was read from."""
+
     verdict: str
     value: float | None = None
     sign_case: str | None = None
@@ -118,6 +117,9 @@ class InfimumResult:
     hat_spectrum: TypedSpectrum | None = None
     definiteness: DefinitenessReport | None = None
     hat_definiteness: DefinitenessReport | None = None
+    # The analyses the verdict was read from; frames for minimizer and witness.
+    analysis: PairAnalysis | None = field(default=None, compare=False, repr=False)
+    hat_analysis: PairAnalysis | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_finite(self) -> bool:
@@ -138,23 +140,24 @@ def check_excluded(problem: ProblemInstance, tols: ToleranceSet | None = None):
     if spectral_norm(Ah) <= tols.rank_tol * (1.0 + spectral_norm(Bh)):
         return ExcludedCase("AhatZero", 0.0)
 
-    nA = np.linalg.norm(A)
-    denom = np.linalg.norm(B) ** 2
-    if denom > 0:
-        mu = float(np.real(np.trace(B.conj().T @ A)) / denom)
-        if np.linalg.norm(A - mu * B) <= 1e-9 * max(nA, 1e-300):
-            const = mu * float(np.real(np.trace(Ah @ np.linalg.inv(Bh))))
-            return ExcludedCase("AEqualsMuB", const, mu)
-
-    if problem.n == problem.nhat:
-        nAh = np.linalg.norm(Ah)
-        denom_h = np.linalg.norm(Bh) ** 2
-        if denom_h > 0:
-            muh = float(np.real(np.trace(Bh.conj().T @ Ah)) / denom_h)
-            if np.linalg.norm(Ah - muh * Bh) <= 1e-9 * max(nAh, 1e-300):
-                const = muh * float(np.real(np.trace(np.linalg.solve(B, A))))
-                return ExcludedCase("AhatEqualsMuhatBhat", const, muh)
+    mu = _proportional(A, B)
+    if mu is not None:
+        const = mu * float(np.real(np.trace(Ah @ np.linalg.inv(Bh))))
+        return ExcludedCase("AEqualsMuB", const, mu)
+    muh = _proportional(Ah, Bh) if problem.n == problem.nhat else None
+    if muh is not None:
+        const = muh * float(np.real(np.trace(np.linalg.solve(B, A))))
+        return ExcludedCase("AhatEqualsMuhatBhat", const, muh)
     return None
+
+
+def _proportional(M: np.ndarray, N: np.ndarray) -> float | None:
+    """The least-squares mu with M = mu*N, if it holds to 1e-9 relative to |M|_F."""
+    denom = np.linalg.norm(N) ** 2
+    if denom == 0:
+        return None
+    mu = float(np.real(np.trace(N.conj().T @ M)) / denom)
+    return mu if np.linalg.norm(M - mu * N) <= 1e-9 * max(np.linalg.norm(M), 1e-300) else None
 
 
 def properness(
@@ -288,26 +291,32 @@ def _formula_terms(big: TypedSpectrum, hat: TypedSpectrum, prop: PropernessRepor
     return tuple(terms)
 
 
+def _analyses(problem: ProblemInstance, tols: ToleranceSet):
+    """Analyses of both pairs; EmptyFeasibleSetError unless the constraint can be met.
+
+    Directions deflated from the hat pair lie in N(Bhat), so they count as
+    zeros of its inertia.
+    """
+    big, hat = analyze_pair(problem.pair, tols), analyze_pair(problem.hat_pair, tols)
+    check_inertias(big.b_inertia, hat.b_inertia)
+    return big, hat
+
+
 def infimum(problem: ProblemInstance, tols: ToleranceSet | None = None) -> InfimumResult:
     """Full pipeline: excluded cases, deflation, structure gates, properness, value.
 
     Raises EmptyFeasibleSetError when the constraint set is empty.
     """
     tols = tols or problem.tolerances
-    check_feasibility(problem)
+    big, hat = _analyses(problem, tols)
+    base = dict(analysis=big, hat_analysis=hat)
 
     exc = check_excluded(problem, tols)
     if exc is not None:
-        return InfimumResult(verdict=EXCLUDED_CONSTANT, value=exc.constant, excluded=exc)
+        return InfimumResult(verdict=EXCLUDED_CONSTANT, value=exc.constant, excluded=exc, **base)
 
-    defl = deflate_common_nullspace(problem.pair, tols.rank_tol)
-    big_pair = defl.reduced
-    hat_pair = problem.hat_pair
-
-    spec_big = typed_spectrum(big_pair, tols, deflated_dims=defl.deflated_dims)
-    spec_hat = typed_spectrum(hat_pair, tols)
-
-    base = dict(spectrum=spec_big, hat_spectrum=spec_hat)
+    spec_big, spec_hat = big.spectrum, hat.spectrum
+    base.update(spectrum=spec_big, hat_spectrum=spec_hat)
 
     # Chained infinite structure forces divergence for any nonzero Ahat.
     if spec_big.infinite_definite_sign == INF_COUPLED:
@@ -320,16 +329,11 @@ def infimum(problem: ProblemInstance, tols: ToleranceSet | None = None) -> Infim
             verdict=NEG_INFINITE, reason=COMPLEX_EIGENVALUES, **base
         )
 
+    # Feasibility leaves B a nonzero range, so the finite part exists.
     inf_sign = spec_big.infinite_definite_sign
-    infinite = inf_sign in (INF_PLUS, INF_MINUS, INF_MIXED)
-    fin_pair = big_pair
-    if infinite:
-        fin_pair = split_infinite(big_pair, tols).finite_pair
-        if fin_pair is None:  # pragma: no cover - blocked by feasibility
-            raise EmptyFeasibleSetError("B has no nonzero eigenvalues")
-    # Both spectra were typed above; definiteness reads them without a new eigensolve.
-    rep_fin = definiteness_from_spectrum(fin_pair, spec_big, tols)
-    rep_hat = definiteness_from_spectrum(hat_pair, spec_hat, tols)
+    infinite = big.split.has_infinite
+    rep_fin = definiteness_from_spectrum(big.split.finite_pair, spec_big, tols)
+    rep_hat = definiteness_from_spectrum(hat.split.finite_pair, spec_hat, tols)
     base.update(definiteness=rep_fin, hat_definiteness=rep_hat)
 
     # Semidefiniteness of the full pair = finite part plus a definite nullspace
@@ -361,8 +365,7 @@ def infimum(problem: ProblemInstance, tols: ToleranceSet | None = None) -> Infim
             verdict=NEG_INFINITE, reason=reason, reason_detail=detail, **base
         )
 
-    ib = inertia(problem.pair.B, tols.rank_tol)
-    ibh = inertia(hat_pair.B, tols.rank_tol)
+    ib, ibh = big.b_inertia, hat.b_inertia
     if psd_ok:
         sign_case = PSD_PAIRS
         sb, sh = spec_big, spec_hat
@@ -422,37 +425,28 @@ def minimizer(problem: ProblemInstance, tols: ToleranceSet | None = None):
     result = infimum(problem, tols)
     if result.verdict == NEG_INFINITE:
         raise NotAttainableError(f"infimum is -infinity ({result.reason})")
+    big, hat = result.analysis, result.hat_analysis
     if result.verdict == EXCLUDED_CONSTANT:
-        X = feasible_point(problem, tols)
+        X = _feasible_point(big, hat)
         return X, _objective(problem, X)
     if result.attainable != ATTAINABLE_YES:
         raise NotAttainableError("attainability unknown for this instance")
 
-    defl = deflate_common_nullspace(problem.pair, tols.rank_tol)
     try:
-        cd_big = congruent_diagonalize(defl.reduced, tols)
-        cd_hat = congruent_diagonalize(problem.hat_pair, tols)
-    except (NotDiagonalizableError, IllConditionedError) as exc:
+        f_big, f_hat = big.frame, hat.frame
+    except NotDiagonalizableError as exc:
         raise NotAttainableError(str(exc)) from exc
 
-    mirror = result.sign_case == NSD_PAIRS
-    Xt = np.zeros((cd_big.n, cd_hat.n), dtype=complex)
+    Xt = np.zeros((f_big.n, f_hat.n), dtype=complex)
     # Frame direction lists sorted ascending by eigenvalue, matching the
     # index convention of the recorded terms (mirrored lists swap the roles).
-    big_pos = list(cd_big.pos_dirs)
-    big_neg = list(cd_big.neg_dirs)
-    hat_pos = list(cd_hat.pos_dirs)
-    hat_neg = list(cd_hat.neg_dirs)
-    if mirror:
-        big_pos, big_neg = big_neg, big_pos
-        hat_pos, hat_neg = hat_neg, hat_pos
+    dirs = {True: (f_big.plus_dirs, f_hat.plus_dirs), False: (f_big.minus_dirs, f_hat.minus_dirs)}
+    mirror = result.sign_case == NSD_PAIRS
     for t in result.terms:
-        if t.eig_type == "positive":
-            Xt[big_pos[t.big_index], hat_pos[t.hat_index]] = 1.0
-        else:
-            Xt[big_neg[t.big_index], hat_neg[t.hat_index]] = 1.0
+        big_dirs, hat_dirs = dirs[(t.eig_type == "positive") != mirror]
+        Xt[big_dirs[t.big_index], hat_dirs[t.hat_index]] = 1.0
 
-    X = defl.keep @ (cd_big.yinv @ Xt @ cd_hat.yinv.conj().T)
+    X = big.deflation.keep @ (f_big.T @ Xt @ f_hat.T.conj().T)
     return X, _objective(problem, X)
 
 
@@ -469,57 +463,29 @@ def feasibility_residual(problem: ProblemInstance, X: np.ndarray) -> float:
     return float(np.linalg.norm(G, 2))
 
 
-def _b_frame(pair: MatrixPair, tols: ToleranceSet):
-    """T with T^H B T = diag(+1.., -1.., 0..); returns (T, n_plus, n_minus, n_zero)."""
-    d, V = np.linalg.eigh(pair.B.entries)
-    nB = float(np.max(np.abs(d))) if d.size else 0.0
-    thr = tols.rank_tol * nB if nB > 0 else np.inf
-    pos = np.where(d > thr)[0]
-    neg = np.where(d < -thr)[0]
-    zero = np.where(np.abs(d) <= thr)[0]
-    order = np.concatenate([pos, neg, zero]).astype(int)
-    scale = np.ones(len(d))
-    nz = np.concatenate([pos, neg]).astype(int)
-    scale[nz] = 1.0 / np.sqrt(np.abs(d[nz]))
-    T = V[:, order] * scale[order]
-    return T, len(pos), len(neg), len(zero)
+def _feasible_point(big: PairAnalysis, hat: PairAnalysis) -> np.ndarray:
+    cols = big.paired_columns(hat)
+    return big.deflation.keep @ big.b_frame[:, cols] @ hat.b_frame.conj().T
 
 
 def feasible_point(problem: ProblemInstance, tols: ToleranceSet | None = None) -> np.ndarray:
     """A deterministic feasible X built from B-frames alone (no A involved)."""
-    tols = tols or problem.tolerances
-    check_feasibility(problem)
-    defl = deflate_common_nullspace(problem.pair, tols.rank_tol)
-    T, npl, nmi, _ = _b_frame(defl.reduced, tols)
-    Th, hpl, hmi, _ = _b_frame(problem.hat_pair, tols)
-    sel = np.zeros((defl.reduced.n, problem.nhat), dtype=complex)
-    for c in range(hpl):
-        sel[c, c] = 1.0
-    for c in range(hmi):
-        sel[npl + c, hpl + c] = 1.0
-    return defl.keep @ (T @ sel @ Th.conj().T)
+    return _feasible_point(*_analyses(problem, tols or problem.tolerances))
 
 
 class FeasibleSampler:
     """Draw random feasible points; the congruence frames are built once."""
 
     def __init__(self, problem: ProblemInstance, tols: ToleranceSet | None = None):
-        from .hyperbolic import SignatureJ
-
-        tols = tols or problem.tolerances
-        check_feasibility(problem)
-        defl = deflate_common_nullspace(problem.pair, tols.rank_tol)
-        T, npl, nmi, _ = _b_frame(defl.reduced, tols)
-        Th, hpl, hmi, _ = _b_frame(problem.hat_pair, tols)
+        big, hat = _analyses(problem, tols or problem.tolerances)
+        ib, ibh = big.b_inertia, hat.b_inertia
         self.problem = problem
-        self.left = defl.keep @ T[:, : npl + nmi]
-        self.right = Th.conj().T
-        self.sig = SignatureJ(npl, nmi)
-        self.sig_hat = SignatureJ(hpl, hmi)
+        self.left = big.deflation.keep @ big.b_frame[:, : ib.rank]
+        self.right = hat.b_frame.conj().T
+        self.sig = SignatureJ(ib.n_plus, ib.n_minus)
+        self.sig_hat = SignatureJ(ibh.n_plus, ibh.n_minus)
 
     def sample(self, spread: float, rng: np.random.Generator) -> np.ndarray:
-        from .hyperbolic import sample_feasible
-
         Xs = sample_feasible(self.sig, self.sig_hat, spread, rng)
         return self.left @ Xs @ self.right
 

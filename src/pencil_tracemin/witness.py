@@ -13,30 +13,31 @@ roundoff that grows no faster than (1 + t^2).  Three mechanisms:
   adverse eigendirection of the hat objective (diagonal infinite structure),
   or a chained null direction whose coupling into the finite part drives the
   cross term (2x2 chained structure).
+
+Builders read the clustered frames and B-frames of the ``PairAnalysis``
+objects that ``infimum`` carries on its result; no pair is analysed again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CertificationFailedError,
     NoWitnessConstructibleError,
     NotDiagonalizableError,
-    IllConditionedError,
 )
-from .matcore import MatrixPair, ProblemInstance, ToleranceSet
-from .spectral import deflate_common_nullspace, split_infinite
+from .matcore import ProblemInstance, ToleranceSet
+from .spectral import ClusteredFrame, PairAnalysis
 from .tracemin import (
     COMPLEX_EIGENVALUES,
     COUPLED_INFINITE,
     MIXED_SIGNS,
     NEG_INFINITE,
     InfimumResult,
-    _b_frame,
+    feasibility_residual,
 )
 
 MIXED_SIGN_SLOPE = "MixedSignSlope"
@@ -91,10 +92,7 @@ def evaluate_witness(family: WitnessFamily, t: float):
 
 
 def witness_feasibility(family: WitnessFamily, X: np.ndarray) -> float:
-    B = family.problem.pair.B.entries
-    Bh = family.problem.hat_pair.B.entries
-    G = Bh @ X.conj().T @ B @ X - np.eye(family.problem.nhat)
-    return float(np.linalg.norm(G, 2))
+    return feasibility_residual(family.problem, X)
 
 
 @dataclass(frozen=True)
@@ -136,166 +134,19 @@ def certify_unbounded(
 
 
 # ---------------------------------------------------------------------------
-# Pseudo-canonical frames: real typed directions plus 2x2 conjugate blocks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PseudoFrame:
-    """T with T^H B T = diag(j) and T^H A T block-diagonal: real entries on
-    typed directions, [[alpha, -i beta], [i beta, -alpha]] on conjugate blocks,
-    +/-1 on infinite directions."""
-
-    T: np.ndarray
-    j_diag: np.ndarray
-    real_pos: tuple  # ((dir, value), ...) ascending by value
-    real_neg: tuple
-    blocks: tuple  # ((dir_plus, dir_minus, alpha, beta), ...)
-    zero_dirs: tuple
-
-    @property
-    def n(self) -> int:
-        return self.T.shape[1]
-
-    @property
-    def plus_dirs(self):
-        return [d for d, _ in self.real_pos] + [b[0] for b in self.blocks]
-
-    @property
-    def minus_dirs(self):
-        return [d for d, _ in self.real_neg] + [b[1] for b in self.blocks]
-
-
-def _pseudo_canonical(pair: MatrixPair, tols: ToleranceSet) -> PseudoFrame:
-    sp = split_infinite(pair, tols)
-    if sp.coupled:
-        raise NotDiagonalizableError("chained infinite structure")
-    if sp.has_infinite:
-        fin = sp.finite_pair
-        if fin is None:
-            raise NotDiagonalizableError("no finite part")
-    else:
-        fin = pair
-
-    A, B = fin.A.entries, fin.B.entries
-    nf = fin.n
-    w, vr = scipy.linalg.eig(A, B)
-    real_mask = np.abs(w.imag) <= tols.type_tol * (1.0 + np.abs(w.real))
-
-    cols = []
-    col_j = []
-    real_pos, real_neg, blocks = [], [], []
-
-    # Real part: cluster and B-orthonormalize.
-    ridx = np.where(real_mask)[0]
-    if ridx.size:
-        vals = w[ridx].real
-        order = np.argsort(vals)
-        ridx, vals = ridx[order], vals[order]
-        ctol = tols.type_tol * (1.0 + float(np.max(np.abs(vals))))
-        start = 0
-        for k in range(1, len(vals) + 1):
-            if k == len(vals) or vals[k] - vals[k - 1] > ctol:
-                Zc = vr[:, ridx[start:k]]
-                G = Zc.conj().T @ B @ Zc
-                G = (G + G.conj().T) / 2.0
-                g, U = np.linalg.eigh(G)
-                if np.any(np.abs(g) <= tols.type_tol):
-                    raise NotDiagonalizableError("Jordan structure in the real part")
-                Xc = Zc @ U @ np.diag(1.0 / np.sqrt(np.abs(g)))
-                mu = float(np.mean(vals[start:k]))
-                for i in range(Xc.shape[1]):
-                    d = len(cols)
-                    cols.append(Xc[:, i])
-                    if g[i] > 0:
-                        col_j.append(1.0)
-                        real_pos.append((d, mu))
-                    else:
-                        col_j.append(-1.0)
-                        real_neg.append((d, mu))
-                start = k
-
-    # Complex part: conjugate pairing, normalized 2x2 sub-frames.
-    cidx = [int(k) for k in np.where(~real_mask)[0]]
-    used = set()
-    root_half = 1.0 / np.sqrt(2.0)
-    for k in cidx:
-        if k in used or w[k].imag >= 0:
-            continue
-        # k carries the Im < 0 eigenvalue; among the conjugate candidates,
-        # prefer the partner with the strongest cross form (repeated complex
-        # eigenvalues admit many bases of the same eigenspace).
-        target = np.conj(w[k])
-        cand = [
-            l
-            for l in cidx
-            if l != k and l not in used and w[l].imag > 0
-            and abs(w[l] - target) <= tols.type_tol * 100.0 * (1.0 + abs(target))
-        ]
-        if not cand:
-            cand = [l for l in cidx if l != k and l not in used and w[l].imag > 0]
-        if not cand:
-            raise NotDiagonalizableError("unpaired complex eigenvalue")
-        forms = [abs(complex(vr[:, l].conj() @ (B @ vr[:, k]))) for l in cand]
-        best = cand[int(np.argmax(forms))]
-        used.add(k)
-        used.add(best)
-        x = vr[:, k]
-        y = vr[:, best]
-        gamma = complex(y.conj() @ (B @ x))
-        if abs(gamma) <= tols.type_tol:
-            raise NotDiagonalizableError("chained complex structure")
-        phase = gamma / abs(gamma)
-        xp = x / (phase * np.sqrt(abs(gamma)))
-        yp = y / np.sqrt(abs(gamma))
-        c1 = root_half * (xp + yp)
-        c2 = root_half * (xp - yp)
-        A2 = np.array(
-            [
-                [c1.conj() @ (A @ c1), c1.conj() @ (A @ c2)],
-                [c2.conj() @ (A @ c1), c2.conj() @ (A @ c2)],
-            ]
-        )
-        alpha = float(np.real(A2[0, 0]))
-        beta = float(np.imag(A2[1, 0]))
-        if beta < 0:
-            c2 = -c2
-            beta = -beta
-        d = len(cols)
-        cols.append(c1)
-        col_j.append(1.0)
-        cols.append(c2)
-        col_j.append(-1.0)
-        blocks.append((d, d + 1, alpha, beta))
-
-    T_fin = np.column_stack(cols) if cols else np.zeros((nf, 0), dtype=complex)
-    j_fin = np.array(col_j)
-
-    if sp.has_infinite:
-        T = np.hstack([sp.finite_frame() @ T_fin, sp.null_frame()])
-        j_diag = np.concatenate([j_fin, np.zeros(sp.n0)])
-        zero_dirs = tuple(range(nf, nf + sp.n0))
-    else:
-        T, j_diag, zero_dirs = T_fin, j_fin, ()
-
-    real_pos.sort(key=lambda dv: dv[1])
-    real_neg.sort(key=lambda dv: dv[1])
-    return PseudoFrame(
-        T=T,
-        j_diag=j_diag,
-        real_pos=tuple(real_pos),
-        real_neg=tuple(real_neg),
-        blocks=tuple(blocks),
-        zero_dirs=zero_dirs,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
 
 
-def _static_assignment(big: PseudoFrame, hat: PseudoFrame, reserved_big, reserved_hat):
+def _frames(big: PairAnalysis, hat: PairAnalysis):
+    """The clustered frames of both pairs, or NoWitnessConstructibleError."""
+    try:
+        return big.frame, hat.frame
+    except NotDiagonalizableError as exc:
+        raise NoWitnessConstructibleError(str(exc)) from exc
+
+
+def _static_assignment(big: ClusteredFrame, hat: ClusteredFrame, reserved_big, reserved_hat):
     """Injective type-preserving map hat dir -> big dir avoiding reservations."""
     assign = {}
     for sign in (+1, -1):
@@ -310,32 +161,30 @@ def _static_assignment(big: PseudoFrame, hat: PseudoFrame, reserved_big, reserve
     return assign
 
 
-def _finish_family(
-    kind, problem, tols, keep, big, hat, assign, rot, slope, sigma_map, selectors
-):
-    """Assemble x_base and rank-one updates from an assignment plus a rotation.
+def _finish_family(kind, problem, keep, big, hat, rot, slope, sigma_map, selectors):
+    """Assemble x_base and rank-one updates from a rotation plus a static assignment.
 
-    ``rot`` is None or (p, m, phat, mhat, a11, a21, a12, a22): columns phat /
-    mhat of the canonical X(t) are a11*c e_p + a21*s e_m and
-    a12*s e_p + a22*c e_m (phat or mhat may be None for padded hat values).
+    ``rot`` is (p, m, phat, mhat, a11, a21, a12, a22): columns phat / mhat of
+    the canonical X(t) are a11*c e_p + a21*s e_m and a12*s e_p + a22*c e_m
+    (phat or mhat may be None for padded hat values).  The other hat
+    directions map to unreserved big directions of the same type.
     """
+    p, m, phat, mhat, a11, a21, a12, a22 = rot
+    assign = _static_assignment(big, hat, {p, m}, {d for d in (phat, mhat) if d is not None})
     Mbig = keep @ big.T
-    n_hat = problem.nhat
-    Xt0 = np.zeros((big.n, n_hat), dtype=complex)
+    Xt0 = np.zeros((big.n, problem.nhat), dtype=complex)
     for hd, bd in assign.items():
         Xt0[bd, hd] = 1.0
 
     upd_cosh, upd_sinh = [], []
-    if rot is not None:
-        p, m, phat, mhat, a11, a21, a12, a22 = rot
-        if phat is not None:
-            Xt0[p, phat] = a11
-            upd_cosh.append((a11 * Mbig[:, p], hat.T[:, phat]))
-            upd_sinh.append((a21 * Mbig[:, m], hat.T[:, phat]))
-        if mhat is not None:
-            Xt0[m, mhat] = a22
-            upd_cosh.append((a22 * Mbig[:, m], hat.T[:, mhat]))
-            upd_sinh.append((a12 * Mbig[:, p], hat.T[:, mhat]))
+    if phat is not None:
+        Xt0[p, phat] = a11
+        upd_cosh.append((a11 * Mbig[:, p], hat.T[:, phat]))
+        upd_sinh.append((a21 * Mbig[:, m], hat.T[:, phat]))
+    if mhat is not None:
+        Xt0[m, mhat] = a22
+        upd_cosh.append((a22 * Mbig[:, m], hat.T[:, mhat]))
+        upd_sinh.append((a12 * Mbig[:, p], hat.T[:, mhat]))
 
     x_base = Mbig @ Xt0 @ hat.T.conj().T
     family = WitnessFamily(
@@ -357,25 +206,7 @@ def _finish_family(
         },
         selectors=selectors,
     )
-    _, offset = evaluate_witness(family, 0.0)
-    return _with_offset(family, offset)
-
-
-def _with_offset(family: WitnessFamily, offset: float) -> WitnessFamily:
-    return WitnessFamily(
-        kind=family.kind,
-        slope=family.slope,
-        offset=float(offset),
-        trend_power=family.trend_power,
-        sigma_map=family.sigma_map,
-        x_base=family.x_base,
-        upd_cosh=family.upd_cosh,
-        upd_sinh=family.upd_sinh,
-        upd_power=family.upd_power,
-        problem=family.problem,
-        frame=family.frame,
-        selectors=family.selectors,
-    )
+    return replace(family, offset=evaluate_witness(family, 0.0)[1])
 
 
 def _padded_values(hat_vals, count):
@@ -387,12 +218,8 @@ def _padded_values(hat_vals, count):
     return out
 
 
-def _mixed_sign_witness(problem, tols, keep, big_pair):
-    try:
-        big = _pseudo_canonical(big_pair, tols)
-        hat = _pseudo_canonical(problem.hat_pair, tols)
-    except (NotDiagonalizableError, IllConditionedError) as exc:
-        raise NoWitnessConstructibleError(str(exc)) from exc
+def _mixed_sign_witness(problem, tols, big_a, hat_a):
+    big, hat = _frames(big_a, hat_a)
     if big.blocks or hat.blocks:
         raise NoWitnessConstructibleError("conjugate blocks need the complex builder")
 
@@ -420,25 +247,18 @@ def _mixed_sign_witness(problem, tols, keep, big_pair):
         raise NoWitnessConstructibleError("no opposing eigenvalue gaps found")
     slope, phat, mhat, p, m, hv, gv, bv_p, bv_m = best
 
-    assign = _static_assignment(
-        big, hat, reserved_big={p, m}, reserved_hat={d for d in (phat, mhat) if d is not None}
-    )
     rot = (p, m, phat, mhat, 1.0, 1.0, 1.0, 1.0)
     selectors = {
         "hat_plus": hv, "hat_minus": gv, "big_plus": bv_p, "big_minus": bv_m,
     }
     return _finish_family(
-        MIXED_SIGN_SLOPE, problem, tols, keep, big, hat, assign, rot,
+        MIXED_SIGN_SLOPE, problem, big_a.deflation.keep, big, hat, rot,
         slope, SIGMA_IDENTITY, selectors,
     )
 
 
-def _complex_witness(problem, tols, keep, big_pair):
-    try:
-        big = _pseudo_canonical(big_pair, tols)
-        hat = _pseudo_canonical(problem.hat_pair, tols)
-    except (NotDiagonalizableError, IllConditionedError) as exc:
-        raise NoWitnessConstructibleError(str(exc)) from exc
+def _complex_witness(problem, tols, big_a, hat_a):
+    big, hat = _frames(big_a, hat_a)
 
     if hat.blocks and big.blocks:
         # Both sides carry a conjugate block: phase pi/2 against -pi/2.
@@ -449,23 +269,16 @@ def _complex_witness(problem, tols, keep, big_pair):
         a11, a21 = 1.0, np.exp(1j * theta)
         a12, a22 = np.exp(-1j * theta_hat), np.exp(1j * (theta - theta_hat))
         rot = (bb[0], bb[1], hb[0], hb[1], a11, a21, a12, a22)
-        assign = _static_assignment(big, hat, {bb[0], bb[1]}, {hb[0], hb[1]})
+        sigma_map = SIGMA_IDENTITY
         selectors = {"alpha": bb[2], "beta": bb[3], "alpha_hat": hb[2], "beta_hat": hb[3]}
-        return _finish_family(
-            COMPLEX_BLOCK_SLOPE, problem, tols, keep, big, hat, assign, rot,
-            slope, SIGMA_IDENTITY, selectors,
-        )
-
-    if hat.blocks and big.real_pos and big.real_neg:
+    elif hat.blocks and big.real_pos and big.real_neg:
         # Hat block against two real directions of opposite type.
         hb = max(hat.blocks, key=lambda b: b[3])
-        bd_p, bv_p = max(big.real_pos, key=lambda dv: dv[1])
-        bd_m, bv_m = min(big.real_neg, key=lambda dv: dv[1])
+        # The largest gap max(pos) - min(neg); if it vanishes, every gap is
+        # <= 0 and the largest in size is min(pos) - max(neg).
+        (bd_p, bv_p), (bd_m, bv_m) = big.real_pos[-1], big.real_neg[0]
         if abs(bv_p - bv_m) <= tols.type_tol * (1.0 + abs(bv_p) + abs(bv_m)):
-            for dp, vp in big.real_pos:
-                for dm, vm in big.real_neg:
-                    if abs(vp - vm) > abs(bv_p - bv_m):
-                        bd_p, bv_p, bd_m, bv_m = dp, vp, dm, vm
+            (bd_p, bv_p), (bd_m, bv_m) = big.real_pos[0], big.real_neg[-1]
         gap = bv_p - bv_m
         if abs(gap) <= tols.type_tol * (1.0 + abs(bv_p) + abs(bv_m)):
             raise NoWitnessConstructibleError("no eigenvalue gap to drive the slope")
@@ -473,24 +286,13 @@ def _complex_witness(problem, tols, keep, big_pair):
         slope = 2.0 * gap * hb[3] * np.sin(theta_hat)
         ph = np.exp(-1j * theta_hat)
         rot = (bd_p, bd_m, hb[0], hb[1], 1.0, 1.0, ph, ph)
-        assign = _static_assignment(big, hat, {bd_p, bd_m}, {hb[0], hb[1]})
+        sigma_map = SIGMA_QUARTIC
         selectors = {"beta_hat": hb[3], "big_plus": bv_p, "big_minus": bv_m}
-        return _finish_family(
-            COMPLEX_BLOCK_SLOPE, problem, tols, keep, big, hat, assign, rot,
-            slope, SIGMA_QUARTIC, selectors,
-        )
-
-    if big.blocks:
+    elif big.blocks:
         # Big block against two (possibly padded) hat values.
         bb = max(big.blocks, key=lambda b: b[3])
-        npl = len(big.real_pos) + len(big.blocks)
-        nmi = len(big.real_neg) + len(big.blocks)
-        hp = _padded_values(hat.real_pos, npl)
-        hm = _padded_values(hat.real_neg, nmi)
-        if not hp or not hm:
-            raise NoWitnessConstructibleError("no hat values available")
-        hv, phat = max(hp, key=lambda vd: vd[0])
-        gv, mhat = min(hm, key=lambda vd: vd[0])
+        hp = _padded_values(hat.real_pos, len(big.plus_dirs))
+        hm = _padded_values(hat.real_neg, len(big.minus_dirs))
         cand = [(abs(a - b), a, da, b, db) for a, da in hp for b, db in hm
                 if not (da is None and db is None)]
         if not cand:
@@ -503,36 +305,46 @@ def _complex_witness(problem, tols, keep, big_pair):
         slope = 2.0 * gap * bb[3] * np.sin(theta)
         ph = np.exp(1j * theta)
         rot = (bb[0], bb[1], phat, mhat, 1.0, ph, 1.0, ph)
-        assign = _static_assignment(
-            big, hat, {bb[0], bb[1]}, {d for d in (phat, mhat) if d is not None}
-        )
+        sigma_map = SIGMA_QUARTIC
         selectors = {"beta": bb[3], "hat_plus": hv, "hat_minus": gv}
-        return _finish_family(
-            COMPLEX_BLOCK_SLOPE, problem, tols, keep, big, hat, assign, rot,
-            slope, SIGMA_QUARTIC, selectors,
-        )
+    else:
+        raise NoWitnessConstructibleError("no conjugate block arrangement applies")
+    return _finish_family(
+        COMPLEX_BLOCK_SLOPE, problem, big_a.deflation.keep, big, hat, rot,
+        slope, sigma_map, selectors,
+    )
 
-    raise NoWitnessConstructibleError("no conjugate block arrangement applies")
+
+def _ray_family(problem, slope, x_base, u, v, power, d_inf, selectors):
+    """The family X(t) = x_base + t^power u v^H through a null direction of B."""
+    family = WitnessFamily(
+        kind=INFINITE_BLOCK_RAY,
+        slope=float(slope),
+        offset=0.0,
+        trend_power=2,
+        sigma_map=SIGMA_IDENTITY,
+        x_base=x_base,
+        upd_cosh=(),
+        upd_sinh=(),
+        upd_power=((u, v, power),),
+        problem=problem,
+        frame={"d_inf": d_inf},
+        selectors=selectors,
+    )
+    return replace(family, offset=evaluate_witness(family, 0.0)[1])
 
 
-def _ray_witness(problem, tols, keep, big_pair):
-    sp = split_infinite(big_pair, tols)
+def _ray_witness(problem, tols, big, hat):
+    sp = big.split
     if not sp.has_infinite or sp.coupled or sp.finite_pair is None:
         raise NoWitnessConstructibleError("no diagonal infinite structure")
 
-    S_fin, npl, nmi, _ = _b_frame(sp.finite_pair, tols)
-    Th, hpl, hmi, _ = _b_frame(problem.hat_pair, tols)
-    if hpl > npl or hmi > nmi:
-        raise NoWitnessConstructibleError("hat inertia exceeds the finite block")
-    sel = np.zeros((sp.finite_pair.n, problem.nhat), dtype=complex)
-    for c in range(hpl):
-        sel[c, c] = 1.0
-    for c in range(hmi):
-        sel[npl + c, hpl + c] = 1.0
-    X0 = keep @ (sp.finite_frame() @ S_fin @ sel @ Th.conj().T)
+    # R + N K is A-orthogonal to N(B), so the ray adds no cross term.
+    keep = big.deflation.keep
+    Th = hat.b_frame
+    X0 = keep @ sp.finite_frame()[:, big.paired_columns(hat)] @ Th.conj().T
 
-    Ah = problem.hat_pair.A.entries
-    Mh = Th.conj().T @ Ah @ Th
+    Mh = Th.conj().T @ problem.hat_pair.A.entries @ Th
     Mh = (Mh + Mh.conj().T) / 2.0
     lam_hat, Wh = np.linalg.eigh(Mh)
 
@@ -547,88 +359,50 @@ def _ray_witness(problem, tols, keep, big_pair):
     if best is None or best[0] >= -tols.type_tol * scale:
         raise NoWitnessConstructibleError("infinite block is sign-compatible")
     slope, i, k = best
-    u = keep @ sp.null_frame()[:, i]
-    v = Th @ Wh[:, k]
-
-    family = WitnessFamily(
-        kind=INFINITE_BLOCK_RAY,
-        slope=float(slope),
-        offset=0.0,
-        trend_power=2,
-        sigma_map=SIGMA_IDENTITY,
-        x_base=X0,
-        upd_cosh=(),
-        upd_sinh=(),
-        upd_power=((u, v, 1),),
-        problem=problem,
-        frame={"d_inf": sp.d_inf},
-        selectors={"infinite_sign": float(signs[i]), "hat_eigenvalue": float(lam_hat[k])},
+    selectors = {"infinite_sign": float(signs[i]), "hat_eigenvalue": float(lam_hat[k])}
+    return _ray_family(
+        problem, slope, X0, keep @ sp.null_frame()[:, i], Th @ Wh[:, k], 1, sp.d_inf, selectors
     )
-    _, offset = evaluate_witness(family, 0.0)
-    return _with_offset(family, offset)
 
 
-def _chain_witness(problem, tols, keep, big_pair):
-    sp = split_infinite(big_pair, tols)
+def _chain_witness(problem, tols, big, hat):
+    sp = big.split
     if not sp.has_infinite:
         raise NoWitnessConstructibleError("no infinite structure to chain against")
-    A = big_pair.A.entries
-    nA = float(np.linalg.norm(A, 2))
-    null_thr = tols.rank_tol * max(nA, 1.0)
-    cand = [i for i in range(len(sp.d_inf)) if abs(sp.d_inf[i]) <= null_thr * 10]
-    if not cand:
+    cand = np.flatnonzero(np.abs(sp.d_inf) <= sp.null_tol)
+    if not cand.size:
         raise NoWitnessConstructibleError("no A-null direction in the B-nullspace")
-
     if sp.R.shape[1] == 0:
         raise NoWitnessConstructibleError("no finite block to couple against")
-    from .matcore import pair_from_arrays
 
-    B11 = sp.R.conj().T @ big_pair.B.entries @ sp.R
-    fin_b = pair_from_arrays(np.zeros_like(B11), B11, herm_tol=np.inf)
-    S_B, npl, nmi, _ = _b_frame(fin_b, tols)
-    Th, hpl, hmi, _ = _b_frame(problem.hat_pair, tols)
-    if hpl > npl or hmi > nmi:
-        raise NoWitnessConstructibleError("hat inertia exceeds the finite block")
-    sel = np.zeros((B11.shape[0], problem.nhat), dtype=complex)
-    for c in range(hpl):
-        sel[c, c] = 1.0
-    for c in range(hmi):
-        sel[npl + c, hpl + c] = 1.0
-    X0_d = sp.R @ S_B @ sel @ Th.conj().T
-    X0 = keep @ X0_d
-
+    # X0 pairs hat B-frame direction k with a big one, w_k; moving along a
+    # chained null direction z changes the trace at the rate 2 Re(r v) with
+    # r = sum_k (z^H A w_k) (row k of Th^H Ah).  A phase on w_k keeps X0
+    # feasible, so each term is turned to add to the largest one.
+    A = big.deflation.reduced.A.entries
     Ah = problem.hat_pair.A.entries
+    Wc, Th = big.b_frame[:, big.paired_columns(hat)], hat.b_frame
+    M = Th.conj().T @ Ah
     best = None
     for i in cand:
         z = sp.N @ sp.Q_inf[:, i]
-        r = (z.conj() @ (A @ X0_d)) @ Ah  # row: slope(v) = 2 Re(r v)
+        terms = (z.conj() @ A @ Wc)[:, None] * M
+        largest = terms[np.argmax(np.linalg.norm(terms, axis=1))]
+        phases = np.exp(1j * np.angle(terms.conj() @ largest))
+        r = phases @ terms
         norm_r = float(np.linalg.norm(r))
         if best is None or norm_r > best[0]:
-            best = (norm_r, z, r)
-    norm_r, z, r = best
+            best = (norm_r, z, r, phases)
+    norm_r, z, r, phases = best
+    X0_d = (Wc * phases) @ Th.conj().T
     scale = 1.0 + float(np.linalg.norm(Ah, 2))
     if norm_r <= tols.type_tol * scale:
         raise NoWitnessConstructibleError("coupling does not reach the objective")
-    v = -r.conj() / norm_r
-    slope = -2.0 * norm_r
-    u = keep @ z
-
-    family = WitnessFamily(
-        kind=INFINITE_BLOCK_RAY,
-        slope=float(slope),
-        offset=0.0,
-        trend_power=2,
-        sigma_map=SIGMA_IDENTITY,
-        x_base=X0,
-        upd_cosh=(),
-        upd_sinh=(),
-        upd_power=((u, v, 2),),
-        problem=problem,
-        frame={"d_inf": sp.d_inf},
-        selectors={"chained": True, "coupling_norm": norm_r},
+    keep = big.deflation.keep
+    selectors = {"chained": True, "coupling_norm": norm_r}
+    return _ray_family(
+        problem, -2.0 * norm_r, keep @ X0_d, keep @ z, -r.conj() / norm_r, 2, sp.d_inf, selectors
     )
-    _, offset = evaluate_witness(family, 0.0)
-    return _with_offset(family, offset)
 
 
 def build_witness(
@@ -641,10 +415,7 @@ def build_witness(
     if infimum_diag.verdict != NEG_INFINITE:
         raise NoWitnessConstructibleError("verdict is not NegInfinite")
 
-    defl = deflate_common_nullspace(problem.pair, tols.rank_tol)
-    keep = defl.keep
-    big_pair = defl.reduced
-
+    big, hat = infimum_diag.analysis, infimum_diag.hat_analysis
     reason = infimum_diag.reason
     detail = infimum_diag.reason_detail or ""
     if reason == COUPLED_INFINITE:
@@ -662,7 +433,7 @@ def build_witness(
     errors = []
     for builder in order:
         try:
-            fam = builder(problem, tols, keep, big_pair)
+            fam = builder(problem, tols, big, hat)
         except NoWitnessConstructibleError as exc:
             errors.append(f"{builder.__name__}: {exc}")
             continue

@@ -46,6 +46,22 @@ def diag_problem(big_pos, big_neg, hat_pos, hat_neg, scramble=None, cap=6.0):
     return pt.problem_from_arrays(A, B, Ah, Bh)
 
 
+def count_eigen_kernels(monkeypatch):
+    """Record the name of every numpy eigvalsh/eigh and scipy eig call from now on."""
+    import scipy.linalg
+
+    calls = []
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (scipy.linalg, "eig")):
+        fn = getattr(owner, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def k2_pair(lam0):
     """The 2x2 Jordan pair at the boundary shift lam0."""
     A = np.array([[0.0, lam0], [lam0, 1.0]])

@@ -7,7 +7,7 @@ import pencil_tracemin as pt
 from pencil_tracemin.cli import main
 from pencil_tracemin.matcore import matrix_to_json, save_problem
 
-from conftest import golden_hat_matrix
+from conftest import count_eigen_kernels, golden_hat_matrix
 
 
 def write_problem(path, A, B, Ah, Bh):
@@ -51,6 +51,24 @@ def test_analyze_golden_pair(tmp_path, capsys):
     assert rep["definiteness"]["nsd_shift"] is None
     assert rep["typed_spectrum"]["pos"][0]["value"] == pytest.approx(1.0, abs=1e-9)
     assert rep["typed_spectrum"]["neg"][0]["value"] == pytest.approx(-2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "B", [np.diag([1.0, -1.0, 2.0]), np.diag([1.0, 0.0, -2.0])], ids=["nonsingular", "singular"]
+)
+def test_analyze_solves_the_pencil_once(tmp_path, capsys, monkeypatch, B):
+    # The typed spectrum and the definiteness block come from one analysis.
+    path = str(tmp_path / "pair.json")
+    pair, _ = pt.random_congruence(pt.pair_from_arrays(np.diag([1.0, 3.0, -1.0]), B), 2, 4.0)
+    pt.matcore.save_pair(path, pair)
+    calls = count_eigen_kernels(monkeypatch)
+    code, rep = run_json(capsys, ["--json", "analyze", path])
+    assert code == 0
+    assert calls.count("eig") == 1, calls
+    assert rep["is_psd_pair"] == rep["definiteness"]["is_psd_pair"]
+    assert len(rep["typed_spectrum"]["pos"]) + len(rep["typed_spectrum"]["neg"]) == int(
+        np.sum(np.diag(B) != 0)
+    )
 
 
 def test_analyze_jordan_pair(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pencil_tracemin as pt
 from pencil_tracemin.definiteness import definiteness_interval, lambda_min_shift
 from pencil_tracemin.genpairs import BlockSpec, assemble
 
-from conftest import rand_hermitian
+from conftest import count_eigen_kernels, rand_hermitian
 
 
 @pytest.fixture
@@ -103,22 +103,6 @@ def test_zero_b_pair():
     assert not rep2.is_psd_pair and not rep2.is_nsd_pair
 
 
-def _count_eigen_kernels(monkeypatch):
-    """Count dense eigen-kernel calls: numpy eigvalsh/eigh and scipy eig."""
-    import scipy.linalg
-
-    calls = []
-    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (scipy.linalg, "eig")):
-        fn = getattr(owner, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "B",
     [np.diag([1.0, 1.0, -1.0, -1.0]), np.diag([1.0, 2.0, 3.0, 4.0])],
@@ -129,7 +113,7 @@ def test_definiteness_kernel_count(monkeypatch, B):
     # per side the spectrum admits (both sides only for definite B).
     A = np.diag([2.0, 3.0, 1.0, 0.5])
     pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), 3, 5.0)
-    calls = _count_eigen_kernels(monkeypatch)
+    calls = count_eigen_kernels(monkeypatch)
     rep = definiteness_interval(pair)
     assert rep.is_psd_pair
     assert len(calls) <= 4, calls

@@ -14,6 +14,8 @@ from pencil_tracemin.spectral import (
     typed_spectrum,
 )
 
+from pencil_tracemin.genpairs import BlockSpec, assemble
+
 from conftest import golden_hat_matrix, k2_pair, rand_hermitian
 
 
@@ -212,3 +214,51 @@ def test_typed_spectrum_counts_match_inertia():
         ib = pt.inertia(scr.B)
         assert len(spec.pos) == ib.n_plus
         assert len(spec.neg) == ib.n_minus
+
+
+def test_clustered_frame_real_conjugate_and_null_directions():
+    # One frame holds typed, conjugate-block and B-null directions:
+    # T^H B T = diag(j) and T^H A T is the block diagonal the frame records.
+    specs = [
+        BlockSpec("Tr", p=1, alpha=0.7, eta=1),
+        BlockSpec("Tr", p=1, alpha=-1.3, eta=-1),
+        BlockSpec("Tc", p=1, alpha=0.4, beta=0.9),
+        BlockSpec("Tinf", p=1, eta=-1),
+    ]
+    for seed in range(6):
+        pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=5.0)
+        a = pt.analyze_pair(pair)
+        f = a.frame
+        assert a.deflation.deflated_dims == 0
+        np.testing.assert_allclose(f.pos_values, truth.pos, rtol=1e-8)
+        np.testing.assert_allclose(f.neg_values, truth.neg, rtol=1e-8)
+        np.testing.assert_allclose(f.null_signs, truth.infinite_signs)
+        (dp, dm, alpha, beta), = f.blocks
+        z = truth.complex_values[-1]
+        assert alpha == pytest.approx(z.real, abs=1e-8)
+        assert beta == pytest.approx(abs(z.imag), abs=1e-8)
+        want = np.diag(np.concatenate([f.pos_values, -f.neg_values, [alpha, -alpha], f.null_signs]))
+        want = want.astype(complex)
+        want[dp, dm], want[dm, dp] = -1j * beta, 1j * beta
+        T = f.T
+        scale = 1 + pair.A.norm() + pair.B.norm()
+        assert np.linalg.norm(T.conj().T @ pair.B.entries @ T - np.diag(f.j_diag), 2) <= 1e-8 * scale
+        assert np.linalg.norm(T.conj().T @ pair.A.entries @ T - want, 2) <= 1e-8 * scale
+
+
+def test_views_read_one_analysis():
+    # The typed spectrum, the split and the frame of a pair are the analysis's.
+    pair, _ = pt.random_congruence(
+        pt.pair_from_arrays(np.diag([3.0, 1.0, -2.0]), np.diag([1.0, 0.0, -1.0])), 4, 5.0
+    )
+    a = pt.analyze_pair(pair)
+    assert a.b_inertia.as_tuple() == pt.inertia(pair.B).as_tuple()
+    assert typed_spectrum(pair) == a.spectrum
+    np.testing.assert_allclose(a.spectrum.pos_values, [3.0], rtol=1e-8)
+    np.testing.assert_allclose(a.spectrum.neg_values, [2.0], rtol=1e-8)
+    assert a.spectrum.infinite_definite_sign == INF_PLUS
+    np.testing.assert_allclose(a.b_frame.conj().T @ pair.B.entries @ a.b_frame,
+                               np.diag([1.0, -1.0, 0.0]), atol=1e-10)
+    cd = congruent_diagonalize(pair)
+    np.testing.assert_allclose(cd.yinv, a.frame.T)
+    assert cd.res_a <= 1e-8 and cd.res_b <= 1e-8

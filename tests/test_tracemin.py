@@ -27,7 +27,7 @@ from pencil_tracemin.tracemin import (
     properness,
 )
 
-from conftest import diag_problem, golden_hat_matrix, k2_pair, rand_hermitian
+from conftest import count_eigen_kernels, diag_problem, golden_hat_matrix, k2_pair, rand_hermitian
 
 
 # --- excluded cases ---------------------------------------------------------
@@ -379,6 +379,42 @@ def test_minimizer_signed_permutation_oracle():
         mags = np.sort(np.abs(X), axis=0)
         np.testing.assert_allclose(mags[-1, :], 1.0, atol=1e-9)
         np.testing.assert_allclose(mags[:-1, :], 0.0, atol=1e-9)
+
+
+def test_mixed_type_repeated_eigenvalue():
+    # The eigenvalue 2 has one positive-type and one negative-type copy.  A
+    # congruence mixes their eigenvectors, which then look B-isotropic one by
+    # one; the cluster's Gram matrix still has one + and one - eigenvalue.
+    base = pt.pair_from_arrays(np.diag([2.0, -2.0, 5.0]), np.diag([1.0, -1.0, 1.0]))
+    hat = pt.pair_from_arrays(np.array([[1.0]]), np.array([[1.0]]))
+    for seed in range(50):
+        pair, _ = pt.random_congruence(base, seed, 6.0)
+        spec = typed_spectrum(pair)
+        np.testing.assert_allclose(spec.pos_values, [2.0, 5.0], rtol=1e-7)
+        np.testing.assert_allclose(spec.neg_values, [2.0], rtol=1e-7)
+        assert not spec.has_jordan and not spec.isotropic_defect
+        prob = pt.ProblemInstance(pair=pair, hat_pair=hat)
+        res = infimum(prob)
+        assert res.verdict == FINITE, f"seed {seed}: {res.verdict} ({res.reason})"
+        assert res.value == pytest.approx(2.0, rel=1e-7)
+        X, achieved = minimizer(prob)
+        assert achieved == pytest.approx(2.0, rel=1e-7)
+        assert pt.feasibility_residual(prob, X) <= 1e-8
+
+
+def test_minimizer_kernel_count(monkeypatch):
+    # minimizer runs infimum, which analyses each pair once, and then reads
+    # the clustered frames off the result: one eig per pair.
+    rng = np.random.default_rng(5)
+    prob = diag_problem(
+        rng.uniform(1.0, 2.0, 4), rng.uniform(-2.0, -1.0, 4),
+        rng.uniform(0.5, 1.0, 2), rng.uniform(-1.0, -0.5, 2), scramble=(6, 7),
+    )
+    calls = count_eigen_kernels(monkeypatch)
+    X, achieved = minimizer(prob)
+    assert calls.count("eig") == 2, calls
+    assert achieved == pytest.approx(infimum(prob).value, rel=1e-8)
+    assert pt.feasibility_residual(prob, X) <= 1e-8
 
 
 def test_minimizer_jordan_not_attainable():

@@ -15,7 +15,7 @@ from pencil_tracemin.witness import (
     witness_feasibility,
 )
 
-from conftest import diag_problem, k2_pair
+from conftest import count_eigen_kernels, diag_problem, k2_pair
 
 
 def _trend_ok(family, ts=(0.0, 1.0, 10.0, 100.0)):
@@ -37,6 +37,26 @@ def test_mixed_sign_slope_value():
     assert fam.kind == MIXED_SIGN_SLOPE
     assert fam.slope == pytest.approx(-9.0, abs=1e-10)
     _trend_ok(fam)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_infimum_witness_kernel_count(monkeypatch, n):
+    # build_witness reads the frames infimum built: one eig per pair, and an
+    # eigh only for B and for clusters of more than one eigenvalue.
+    rng = np.random.default_rng(n)
+    npl, nmi = n // 2, n - n // 2
+    prob = diag_problem(
+        rng.uniform(0.5, 2.0, npl), rng.uniform(-2.0, -0.5, nmi),
+        -rng.uniform(0.5, 2.0, npl), rng.uniform(0.5, 2.0, nmi), scramble=(n, n + 1),
+    )
+    calls = count_eigen_kernels(monkeypatch)
+    res = infimum(prob)
+    fam = build_witness(prob, res)
+    assert res.verdict == NEG_INFINITE
+    assert calls.count("eig") == 2, calls
+    assert calls.count("eigh") <= 4, calls
+    assert fam.kind == MIXED_SIGN_SLOPE
+    _trend_ok(fam, ts=(0.0, 1.0, 10.0))
 
 
 def test_mixed_sign_witness_t_evaluation():
