@@ -40,9 +40,9 @@ from .spectral import analyze_pair
 from .tracemin import (
     NEG_INFINITE,
     FeasibleSampler,
+    _minimizer_from,
     feasibility_residual,
     infimum,
-    minimizer,
 )
 from .witness import build_witness, certify_unbounded
 
@@ -212,7 +212,7 @@ def cmd_minimize(args) -> int:
     report["infimum"] = _infimum_obj(result)
     if result.verdict == NEG_INFINITE:
         return _emit(report, args, EXIT_NEG_INFINITE, [f"verdict: {result.verdict}"])
-    X, achieved = minimizer(problem, tols)
+    X, achieved = _minimizer_from(problem, result)
     residual = feasibility_residual(problem, X)
     with open(args.out_file, "w", encoding="utf-8") as fh:
         json.dump(matrix_to_json(X), fh)

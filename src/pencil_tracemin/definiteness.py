@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matcore import DEFAULT_TOLS, MatrixPair, ToleranceSet, eigvalsh, pair_from_arrays
+from .matcore import DEFAULT_TOLS, MatrixPair, ToleranceSet, eigvalsh
 from .spectral import (
     INF_COUPLED,
     INF_MINUS,
@@ -75,8 +75,8 @@ def lambda_min_shift(pair: MatrixPair, shift: float) -> float:
     return float(eigvalsh(pair.A.entries - shift * pair.B.entries)[0])
 
 
-def _confirmed_side(pair, lower, upper, tols, tol):
-    """Interval [max lower, min upper] of shifts with A - t*B >= 0, confirmed at one shift.
+def _confirmed_side(lam_min, lower, upper, tols, tol):
+    """Interval [max lower, min upper] of shifts t with lam_min(t) >= 0, confirmed at one shift.
 
     Returns (interval or None, confirming shift, lam_min there); the shift and
     lam_min are None when the endpoints are out of order.
@@ -96,7 +96,7 @@ def _confirmed_side(pair, lower, upper, tols, tol):
         shift = hi - 1.0 - abs(hi)
     else:
         shift = 0.0
-    f = lambda_min_shift(pair, shift)
+    f = lam_min(shift)
     return ((lo, hi) if f >= -tol else None), shift, f
 
 
@@ -111,10 +111,14 @@ def definiteness_from_spectrum(
     if spec.has_complex:
         return DefinitenessReport(False, False, None, None, tolerance=tol)
     pos, neg = spec.pos_values, spec.neg_values
-    psd_itv, psd_t, psd_f = _confirmed_side(pair, neg, pos, tols, tol)
-    # A - t*B <= 0 iff (-A) - t*(-B) >= 0: the NSD side swaps the lists.
-    negated = pair_from_arrays(-pair.A.entries, -pair.B.entries, herm_tol=np.inf)
-    nsd_itv, nsd_t, nsd_f = _confirmed_side(negated, pos, neg, tols, tol)
+    A, B = pair.A.entries, pair.B.entries
+    psd_itv, psd_t, psd_f = _confirmed_side(
+        lambda t: lambda_min_shift(pair, t), neg, pos, tols, tol
+    )
+    # A - t*B <= 0 iff t*B - A >= 0: the NSD side swaps the lists.
+    nsd_itv, nsd_t, nsd_f = _confirmed_side(
+        lambda t: float(eigvalsh(t * B - A)[0]), pos, neg, tols, tol
+    )
     return DefinitenessReport(
         is_psd_pair=psd_itv is not None,
         is_nsd_pair=nsd_itv is not None,

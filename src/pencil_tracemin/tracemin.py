@@ -32,7 +32,6 @@ from .matcore import (
     check_inertias,
     inertia,
     pair_from_arrays,
-    spectral_norm,
 )
 from .spectral import (
     INF_COUPLED,
@@ -137,7 +136,8 @@ def check_excluded(problem: ProblemInstance, tols: ToleranceSet | None = None):
     A, B = problem.pair.A.entries, problem.pair.B.entries
     Ah, Bh = problem.hat_pair.A.entries, problem.hat_pair.B.entries
 
-    if spectral_norm(Ah) <= tols.rank_tol * (1.0 + spectral_norm(Bh)):
+    # Frobenius norms, as in MatrixPair.scale: no eigensolve.
+    if np.linalg.norm(Ah) <= tols.rank_tol * (1.0 + np.linalg.norm(Bh)):
         return ExcludedCase("AhatZero", 0.0)
 
     mu = _proportional(A, B)
@@ -421,8 +421,11 @@ def minimizer(problem: ProblemInstance, tols: ToleranceSet | None = None):
     is not established (Jordan pairs, chained structure, non-real spectrum,
     or a NegInfinite verdict).
     """
-    tols = tols or problem.tolerances
-    result = infimum(problem, tols)
+    return _minimizer_from(problem, infimum(problem, tols or problem.tolerances))
+
+
+def _minimizer_from(problem: ProblemInstance, result: InfimumResult):
+    """``minimizer`` read off the ``infimum`` result of ``problem``."""
     if result.verdict == NEG_INFINITE:
         raise NotAttainableError(f"infimum is -infinity ({result.reason})")
     big, hat = result.analysis, result.hat_analysis

@@ -20,7 +20,8 @@ objects that ``infimum`` carries on its result; no pair is analysed again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .spectral import ClusteredFrame, PairAnalysis
 from .tracemin import (
     COMPLEX_EIGENVALUES,
     COUPLED_INFINITE,
-    MIXED_SIGNS,
     NEG_INFINITE,
     InfimumResult,
     feasibility_residual,
@@ -60,8 +60,6 @@ class WitnessFamily:
     upd_sinh: tuple  # ((u, v), ...): coefficient sigma
     upd_power: tuple  # ((u, v, k), ...): coefficient t^k
     problem: ProblemInstance
-    frame: dict = field(default_factory=dict)
-    selectors: dict = field(default_factory=dict)
 
 
 def _sigma(family: WitnessFamily, t: float) -> float:
@@ -161,7 +159,7 @@ def _static_assignment(big: ClusteredFrame, hat: ClusteredFrame, reserved_big, r
     return assign
 
 
-def _finish_family(kind, problem, keep, big, hat, rot, slope, sigma_map, selectors):
+def _finish_family(kind, problem, keep, big, hat, rot, slope, sigma_map):
     """Assemble x_base and rank-one updates from a rotation plus a static assignment.
 
     ``rot`` is (p, m, phat, mhat, a11, a21, a12, a22): columns phat / mhat of
@@ -198,24 +196,34 @@ def _finish_family(kind, problem, keep, big, hat, rot, slope, sigma_map, selecto
         upd_sinh=tuple(upd_sinh),
         upd_power=(),
         problem=problem,
-        frame={
-            "yinv_big": Mbig,
-            "yinv_hat": hat.T,
-            "j_big": big.j_diag,
-            "j_hat": hat.j_diag,
-        },
-        selectors=selectors,
     )
     return replace(family, offset=evaluate_witness(family, 0.0)[1])
 
 
 def _padded_values(hat_vals, count):
-    """Hat-side values with virtual zeros for the inertia surplus.
+    """Hat (direction, value) items, padded with zeros (direction None) to ``count``."""
+    return list(hat_vals) + [(None, 0.0)] * (count - len(hat_vals))
 
-    Returns [(value, hat_dir_or_None), ...]."""
-    out = [(float(v), d) for d, v in hat_vals]
-    out.extend((0.0, None) for _ in range(count - len(out)))
-    return out
+
+def _gap_extremes(xs, ys):
+    """The least and the greatest gap a - b over (direction, value) items a of xs, b of ys.
+
+    A pair of two padded zeros (both directions None) is no gap.  Every other
+    pair has a real item on one side, so each extreme pairs an extreme real
+    item of one list with an extreme item of the other.  Returns
+    ((gap, a, b) least, (gap, a, b) greatest).
+    """
+    value = itemgetter(1)
+    ends = []
+    for a, b in (([x for x in xs if x[0] is not None], ys),
+                 (xs, [y for y in ys if y[0] is not None])):
+        if a and b:
+            ends.append((min(a, key=value), max(b, key=value)))
+            ends.append((max(a, key=value), min(b, key=value)))
+    if not ends:
+        raise NoWitnessConstructibleError("no eigenvalue pair to form a gap")
+    gaps = [(a[1] - b[1], a, b) for a, b in ends]
+    return min(gaps, key=itemgetter(0)), max(gaps, key=itemgetter(0))
 
 
 def _mixed_sign_witness(problem, tols, big_a, hat_a):
@@ -223,38 +231,33 @@ def _mixed_sign_witness(problem, tols, big_a, hat_a):
     if big.blocks or hat.blocks:
         raise NoWitnessConstructibleError("conjugate blocks need the complex builder")
 
-    npl, nmi = len(big.real_pos), len(big.real_neg)
-    hp = _padded_values(hat.real_pos, npl)
-    hm = _padded_values(hat.real_neg, nmi)
-    if not hp or not hm or not big.real_pos or not big.real_neg:
-        raise NoWitnessConstructibleError("a typed direction is missing on one side")
-
-    best = None
-    for hv, hd in hp:
-        for gv, gd in hm:
-            dhat = hv - gv
-            if hd is None and gd is None:
-                continue
-            for bd_p, bv_p in big.real_pos:
-                for bd_m, bv_m in big.real_neg:
-                    s = dhat * (bv_p - bv_m)
-                    if best is None or s < best[0]:
-                        best = (s, hd, gd, bd_p, bd_m, hv, gv, bv_p, bv_m)
-    scale = 1.0 + max(abs(v) for v, _ in hp + hm) + max(
+    hp = _padded_values(hat.real_pos, len(big.real_pos))
+    hm = _padded_values(hat.real_neg, len(big.real_neg))
+    # slope = dhat * dbig over hat gaps dhat and big gaps dbig: a product
+    # is least at one of the four pairings of their extremes.
+    hat_gaps = _gap_extremes(hp, hm)
+    big_gaps = _gap_extremes(big.real_pos, big.real_neg)
+    slope, (_, (phat, _), (mhat, _)), (_, (p, _), (m, _)) = min(
+        ((dh[0] * db[0], dh, db) for dh in hat_gaps for db in big_gaps), key=itemgetter(0)
+    )
+    scale = 1.0 + max(abs(v) for _, v in hp + hm) + max(
         abs(v) for _, v in big.real_pos + big.real_neg
     )
-    if best is None or best[0] >= -tols.type_tol * scale:
+    if slope >= -tols.type_tol * scale:
         raise NoWitnessConstructibleError("no opposing eigenvalue gaps found")
-    slope, phat, mhat, p, m, hv, gv, bv_p, bv_m = best
 
     rot = (p, m, phat, mhat, 1.0, 1.0, 1.0, 1.0)
-    selectors = {
-        "hat_plus": hv, "hat_minus": gv, "big_plus": bv_p, "big_minus": bv_m,
-    }
     return _finish_family(
-        MIXED_SIGN_SLOPE, problem, big_a.deflation.keep, big, hat, rot,
-        slope, SIGMA_IDENTITY, selectors,
+        MIXED_SIGN_SLOPE, problem, big_a.deflation.keep, big, hat, rot, slope, SIGMA_IDENTITY
     )
+
+
+def _widest_gap(xs, ys, tols):
+    """The gap (gap, a, b) of largest size; NoWitnessConstructibleError if it vanishes."""
+    gap, a, b = max(_gap_extremes(xs, ys), key=lambda g: abs(g[0]))
+    if abs(gap) <= tols.type_tol * (1.0 + abs(a[1]) + abs(b[1])):
+        raise NoWitnessConstructibleError("no eigenvalue gap to drive the slope")
+    return gap, a[0], b[0]
 
 
 def _complex_witness(problem, tols, big_a, hat_a):
@@ -270,52 +273,34 @@ def _complex_witness(problem, tols, big_a, hat_a):
         a12, a22 = np.exp(-1j * theta_hat), np.exp(1j * (theta - theta_hat))
         rot = (bb[0], bb[1], hb[0], hb[1], a11, a21, a12, a22)
         sigma_map = SIGMA_IDENTITY
-        selectors = {"alpha": bb[2], "beta": bb[3], "alpha_hat": hb[2], "beta_hat": hb[3]}
     elif hat.blocks and big.real_pos and big.real_neg:
         # Hat block against two real directions of opposite type.
         hb = max(hat.blocks, key=lambda b: b[3])
-        # The largest gap max(pos) - min(neg); if it vanishes, every gap is
-        # <= 0 and the largest in size is min(pos) - max(neg).
-        (bd_p, bv_p), (bd_m, bv_m) = big.real_pos[-1], big.real_neg[0]
-        if abs(bv_p - bv_m) <= tols.type_tol * (1.0 + abs(bv_p) + abs(bv_m)):
-            (bd_p, bv_p), (bd_m, bv_m) = big.real_pos[0], big.real_neg[-1]
-        gap = bv_p - bv_m
-        if abs(gap) <= tols.type_tol * (1.0 + abs(bv_p) + abs(bv_m)):
-            raise NoWitnessConstructibleError("no eigenvalue gap to drive the slope")
+        gap, p, m = _widest_gap(big.real_pos, big.real_neg, tols)
         theta_hat = -np.sign(gap) * np.pi / 2.0
         slope = 2.0 * gap * hb[3] * np.sin(theta_hat)
         ph = np.exp(-1j * theta_hat)
-        rot = (bd_p, bd_m, hb[0], hb[1], 1.0, 1.0, ph, ph)
+        rot = (p, m, hb[0], hb[1], 1.0, 1.0, ph, ph)
         sigma_map = SIGMA_QUARTIC
-        selectors = {"beta_hat": hb[3], "big_plus": bv_p, "big_minus": bv_m}
     elif big.blocks:
         # Big block against two (possibly padded) hat values.
         bb = max(big.blocks, key=lambda b: b[3])
         hp = _padded_values(hat.real_pos, len(big.plus_dirs))
         hm = _padded_values(hat.real_neg, len(big.minus_dirs))
-        cand = [(abs(a - b), a, da, b, db) for a, da in hp for b, db in hm
-                if not (da is None and db is None)]
-        if not cand:
-            raise NoWitnessConstructibleError("only padded hat values available")
-        _, hv, phat, gv, mhat = max(cand, key=lambda c: c[0])
-        gap = hv - gv
-        if abs(gap) <= tols.type_tol * (1.0 + abs(hv) + abs(gv)):
-            raise NoWitnessConstructibleError("no hat eigenvalue gap")
+        gap, phat, mhat = _widest_gap(hp, hm, tols)
         theta = -np.sign(gap) * np.pi / 2.0  # slope = 2 (hv-gv) beta sin(theta)
         slope = 2.0 * gap * bb[3] * np.sin(theta)
         ph = np.exp(1j * theta)
         rot = (bb[0], bb[1], phat, mhat, 1.0, ph, 1.0, ph)
         sigma_map = SIGMA_QUARTIC
-        selectors = {"beta": bb[3], "hat_plus": hv, "hat_minus": gv}
     else:
         raise NoWitnessConstructibleError("no conjugate block arrangement applies")
     return _finish_family(
-        COMPLEX_BLOCK_SLOPE, problem, big_a.deflation.keep, big, hat, rot,
-        slope, sigma_map, selectors,
+        COMPLEX_BLOCK_SLOPE, problem, big_a.deflation.keep, big, hat, rot, slope, sigma_map
     )
 
 
-def _ray_family(problem, slope, x_base, u, v, power, d_inf, selectors):
+def _ray_family(problem, slope, x_base, u, v, power):
     """The family X(t) = x_base + t^power u v^H through a null direction of B."""
     family = WitnessFamily(
         kind=INFINITE_BLOCK_RAY,
@@ -328,8 +313,6 @@ def _ray_family(problem, slope, x_base, u, v, power, d_inf, selectors):
         upd_sinh=(),
         upd_power=((u, v, power),),
         problem=problem,
-        frame={"d_inf": d_inf},
-        selectors=selectors,
     )
     return replace(family, offset=evaluate_witness(family, 0.0)[1])
 
@@ -348,21 +331,16 @@ def _ray_witness(problem, tols, big, hat):
     Mh = (Mh + Mh.conj().T) / 2.0
     lam_hat, Wh = np.linalg.eigh(Mh)
 
+    # slope = sign(d_inf[i]) * lam_hat[k], least at a pairing of extremes.
     signs = np.sign(sp.d_inf)
-    best = None
-    for i, s in enumerate(signs):
-        for k, lh in enumerate(lam_hat):
-            prod = float(s * lh)
-            if best is None or prod < best[0]:
-                best = (prod, i, k)
-    scale = 1.0 + float(np.max(np.abs(lam_hat))) if lam_hat.size else 1.0
-    if best is None or best[0] >= -tols.type_tol * scale:
-        raise NoWitnessConstructibleError("infinite block is sign-compatible")
-    slope, i, k = best
-    selectors = {"infinite_sign": float(signs[i]), "hat_eigenvalue": float(lam_hat[k])}
-    return _ray_family(
-        problem, slope, X0, keep @ sp.null_frame()[:, i], Th @ Wh[:, k], 1, sp.d_inf, selectors
+    slope, i, k = min(
+        (float(signs[i] * lam_hat[k]), int(i), int(k))
+        for i in (np.argmin(signs), np.argmax(signs))
+        for k in (np.argmin(lam_hat), np.argmax(lam_hat))
     )
+    if slope >= -tols.type_tol * (1.0 + float(np.max(np.abs(lam_hat)))):
+        raise NoWitnessConstructibleError("infinite block is sign-compatible")
+    return _ray_family(problem, slope, X0, keep @ sp.null_frame()[:, i], Th @ Wh[:, k], 1)
 
 
 def _chain_witness(problem, tols, big, hat):
@@ -399,10 +377,7 @@ def _chain_witness(problem, tols, big, hat):
     if norm_r <= tols.type_tol * scale:
         raise NoWitnessConstructibleError("coupling does not reach the objective")
     keep = big.deflation.keep
-    selectors = {"chained": True, "coupling_norm": norm_r}
-    return _ray_family(
-        problem, -2.0 * norm_r, keep @ X0_d, keep @ z, -r.conj() / norm_r, 2, sp.d_inf, selectors
-    )
+    return _ray_family(problem, -2.0 * norm_r, keep @ X0_d, keep @ z, -r.conj() / norm_r, 2)
 
 
 def build_witness(
@@ -416,22 +391,18 @@ def build_witness(
         raise NoWitnessConstructibleError("verdict is not NegInfinite")
 
     big, hat = infimum_diag.analysis, infimum_diag.hat_analysis
-    reason = infimum_diag.reason
-    detail = infimum_diag.reason_detail or ""
-    if reason == COUPLED_INFINITE:
-        order = [_chain_witness]
-    elif reason == COMPLEX_EIGENVALUES:
-        order = [_complex_witness]
-    elif reason == MIXED_SIGNS and detail.startswith("infinite"):
-        order = [_ray_witness, _mixed_sign_witness]
-    else:  # MixedSigns (finite), NotSemidefinitePair, Improper
-        order = [_mixed_sign_witness, _ray_witness]
+    if infimum_diag.reason == COUPLED_INFINITE:
+        builders = [_chain_witness]
+    elif infimum_diag.reason == COMPLEX_EIGENVALUES:
+        builders = [_complex_witness]
+    else:  # MixedSigns, NotSemidefinitePair, Improper
+        builders = [_mixed_sign_witness, _ray_witness]
 
     # Several mechanisms may apply at once; keep the steepest family so the
     # certification threshold is reached at the smallest t.
     best = None
     errors = []
-    for builder in order:
+    for builder in builders:
         try:
             fam = builder(problem, tols, big, hat)
         except NoWitnessConstructibleError as exc:

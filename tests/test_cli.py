@@ -71,6 +71,14 @@ def test_analyze_solves_the_pencil_once(tmp_path, capsys, monkeypatch, B):
     )
 
 
+def test_minimize_solves_each_pencil_once(golden_file, tmp_path, capsys, monkeypatch):
+    # The minimizer reads the frames of the infimum result the report prints.
+    calls = count_eigen_kernels(monkeypatch)
+    code, _ = run_json(capsys, ["--json", "minimize", golden_file, str(tmp_path / "x.json")])
+    assert code == 0
+    assert calls.count("eig") == 2, calls
+
+
 def test_analyze_jordan_pair(tmp_path, capsys):
     path = str(tmp_path / "pair.json")
     pair = pt.pair_from_arrays(

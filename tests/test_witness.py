@@ -55,8 +55,50 @@ def test_infimum_witness_kernel_count(monkeypatch, n):
     assert res.verdict == NEG_INFINITE
     assert calls.count("eig") == 2, calls
     assert calls.count("eigh") <= 4, calls
+    assert calls.count("eigvalsh") == 2, calls
     assert fam.kind == MIXED_SIGN_SLOPE
     _trend_ok(fam, ts=(0.0, 1.0, 10.0))
+
+
+def _padded(typed, count):
+    """(value, is_real) items of a hat list padded with zeros to ``count``."""
+    return [(v, True) for _, v in typed] + [(0.0, False)] * (count - len(typed))
+
+
+def test_mixed_sign_slope_matches_brute_force():
+    # The least dhat * (bv_p - bv_m) by exhaustive search over hat pairs (two
+    # padded zeros make no pair) and big pairs of typed values.
+    rng = np.random.default_rng(4)
+    checked = 0
+    for trial in range(100):
+        npl, nmi = (int(k) for k in rng.integers(1, 4, size=2))
+        hpl, hmi = int(rng.integers(0, npl + 1)), int(rng.integers(0, nmi + 1))
+        if hpl + hmi == 0:
+            hpl = 1
+        prob = diag_problem(
+            rng.uniform(-2.0, 2.0, npl), rng.uniform(-2.0, 2.0, nmi),
+            rng.uniform(-2.0, 2.0, hpl), rng.uniform(-2.0, 2.0, hmi),
+            scramble=(trial, trial + 1000),
+        )
+        res = infimum(prob)
+        if res.verdict != NEG_INFINITE:
+            continue
+        big, hat = res.analysis.frame, res.hat_analysis.frame
+        hp = _padded(hat.real_pos, len(big.real_pos))
+        hm = _padded(hat.real_neg, len(big.real_neg))
+        brute = min(
+            (hv - gv) * (bv_p - bv_m)
+            for hv, h_real in hp
+            for gv, g_real in hm
+            if h_real or g_real
+            for _, bv_p in big.real_pos
+            for _, bv_m in big.real_neg
+        )
+        fam = build_witness(prob, res)
+        assert fam.kind == MIXED_SIGN_SLOPE
+        assert fam.slope == pytest.approx(brute, rel=1e-9), trial
+        checked += 1
+    assert checked >= 30
 
 
 def test_mixed_sign_witness_t_evaluation():
@@ -108,6 +150,19 @@ def test_complex_block_one_sided():
     assert fam2.kind == COMPLEX_BLOCK_SLOPE
     assert fam2.slope < 0
     _trend_ok(fam2)
+
+
+def test_complex_hat_block_takes_the_widest_gap():
+    # The big gaps pos - neg are 0 - 0.8 and 1 - 0.8; the slope -2 |gap| beta_hat
+    # (beta_hat = 1 for Tc against F2) is steepest at the wider one, -0.8.
+    Tc = np.array([[0.0, 1j], [-1j, 0.0]])
+    F2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    big = diag_problem([0.0, 1.0], [0.8], [1.0], [-0.5], scramble=(3, 4)).pair
+    prob = pt.ProblemInstance(pair=big, hat_pair=pt.pair_from_arrays(Tc, F2))
+    fam = build_witness(prob, infimum(prob))
+    assert fam.kind == COMPLEX_BLOCK_SLOPE
+    assert fam.slope == pytest.approx(-1.6, rel=1e-9)
+    _trend_ok(fam)
 
 
 def test_infinite_ray_slope():
