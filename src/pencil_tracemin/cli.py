@@ -3,7 +3,8 @@
 Exit codes: 0 success; 2 invalid input file (malformed JSON or matrix
 object, non-square or non-finite matrix); 3 not Hermitian; 4 infimum is
 -infinity (verdict still printed); 5 empty feasible set; 6 minimizer not
-attainable; 7 no witness constructible; 8 certification failed.
+attainable; 7 no witness constructible; 8 certification failed; 9 a dense
+kernel (LAPACK eigen/QR/SVD) failed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     CertificationFailedError,
     EmptyFeasibleSetError,
     InvalidSpecError,
+    KernelFailureError,
     NonFiniteError,
     NoWitnessConstructibleError,
     NotAttainableError,
@@ -41,6 +43,7 @@ from .tracemin import (
     NEG_INFINITE,
     FeasibleSampler,
     _minimizer_from,
+    _objective,
     feasibility_residual,
     infimum,
 )
@@ -54,6 +57,10 @@ EXIT_EMPTY_FEASIBLE = 5
 EXIT_NOT_ATTAINABLE = 6
 EXIT_NO_WITNESS = 7
 EXIT_CERTIFICATION = 8
+EXIT_KERNEL_FAILURE = 9
+
+# Complex entries (16 MB) in one n x n stack of verify samples: bounds memory.
+SAMPLE_BLOCK_ENTRIES = 1 << 20
 
 
 def _tols_from_args(args) -> ToleranceSet:
@@ -256,19 +263,23 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be a positive integer, got {args.samples}")
     tols = _tols_from_args(args)
     problem = load_problem(args.problem_file, tols)
     result = infimum(problem, tols)
     sampler = FeasibleSampler(problem, tols)
-    traces = np.empty(args.samples)
-    worst_residual = 0.0
-    A = problem.pair.A.entries
-    Ah = problem.hat_pair.A.entries
-    for k in range(args.samples):
-        rng = np.random.default_rng([args.seed, k])
-        X = sampler.sample(args.spread, rng)
-        traces[k] = float(np.real(np.trace(Ah @ X.conj().T @ A @ X)))
-        worst_residual = max(worst_residual, feasibility_residual(problem, X))
+    # Sample k is drawn from default_rng([seed, k]) whatever block it falls in.
+    block = max(1, SAMPLE_BLOCK_ENTRIES // problem.n**2)
+    traces, residuals = [], []
+    for start in range(0, args.samples, block):
+        stop = min(start + block, args.samples)
+        rngs = [np.random.default_rng([args.seed, k]) for k in range(start, stop)]
+        X = sampler.sample(args.spread, rngs)
+        traces.append(_objective(problem, X))
+        residuals.append(feasibility_residual(problem, X))
+    traces = np.concatenate(traces)
+    worst_residual = float(np.max(np.concatenate(residuals)))
     report = _base_report("verify", args)
     report["infimum"] = _infimum_obj(result)
     stats = {
@@ -381,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Library errors and the exit code each maps to, tried in order.
 EXIT_CODES = (
+    # A LinAlgError is a ValueError: its row comes before the bad-input row.
+    ((KernelFailureError, np.linalg.LinAlgError), EXIT_KERNEL_FAILURE),
     ((json.JSONDecodeError, FileNotFoundError, KeyError, ValueError,
       InvalidSpecError, NotSquareError, NonFiniteError), EXIT_BAD_INPUT),
     ((NotHermitianError,), EXIT_NOT_HERMITIAN),

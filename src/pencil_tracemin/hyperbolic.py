@@ -4,6 +4,11 @@ With J = diag(I_{n+}, -I_{n-}), a matrix X is J-unitary when X^H J X = J.
 Every such X factors as a Hermitian hyperbolic polar part, parametrized by an
 arbitrary n+ x n- block W, times a block-diagonal unitary; refining the polar
 part by an SVD of W yields the ChSh form with a single diagonal stretch.
+
+Sampling works on stacks: given a sequence of K Generators instead of one,
+``sample_j_unitary``/``sample_feasible`` return a (K, ...) stack whose slice k
+is the matrix ``rng[k]`` alone gives (W, then V+, then V- from one draw), at
+one stacked QR per unitary factor and one stacked eigh per square root.
 """
 
 from __future__ import annotations
@@ -12,8 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InertiaViolationError, NotJUnitaryError
-from .matcore import haar_unitary
+from .errors import (
+    DegenerateInputError,
+    InertiaViolationError,
+    KernelFailureError,
+    NotJUnitaryError,
+)
+from .matcore import complex_normal, unitary_factor
 
 
 @dataclass(frozen=True)
@@ -60,30 +70,33 @@ class ChShFactors:
         return left @ middle @ right
 
 
+def _ct(M):
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return M.conj().swapaxes(-1, -2)
+
+
 def _blockdiag(P, M):
-    n1, n2 = P.shape[0], M.shape[0]
-    out = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-    out[:n1, :n1] = P
-    out[n1:, n1:] = M
+    n1, n2 = P.shape[-1], M.shape[-1]
+    out = np.zeros(P.shape[:-2] + (n1 + n2, n1 + n2), dtype=complex)
+    out[..., :n1, :n1] = P
+    out[..., n1:, n1:] = M
     return out
 
 
 def _psd_sqrt(M):
-    vals, vecs = np.linalg.eigh((M + M.conj().T) / 2.0)
-    vals = np.clip(vals, 0.0, None)
-    return vecs @ np.diag(np.sqrt(vals)) @ vecs.conj().T
+    try:
+        vals, vecs = np.linalg.eigh((M + _ct(M)) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise KernelFailureError(str(exc)) from exc
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ _ct(vecs)
 
 
 def _polar_middle(W):
-    npl, nmi = W.shape
-    top = _psd_sqrt(np.eye(npl) + W @ W.conj().T)
-    bot = _psd_sqrt(np.eye(nmi) + W.conj().T @ W)
-    out = np.zeros((npl + nmi, npl + nmi), dtype=complex)
-    out[:npl, :npl] = top
-    out[:npl, npl:] = W
-    out[npl:, :npl] = W.conj().T
-    out[npl:, npl:] = bot
-    return out
+    npl, nmi = W.shape[-2:]
+    Wh = _ct(W)
+    top = _psd_sqrt(np.eye(npl) + W @ Wh)
+    bot = _psd_sqrt(np.eye(nmi) + Wh @ W)
+    return np.block([[top, W], [Wh, bot]])
 
 
 def j_residual(X: np.ndarray, J: SignatureJ) -> float:
@@ -134,29 +147,26 @@ def chsh_decompose(X: np.ndarray, J: SignatureJ, tol: float = 1e-8) -> ChShFacto
     return ChShFactors(U_plus, U_minus, V_plus, V_minus, np.asarray(s, dtype=float))
 
 
-def sample_j_unitary(J: SignatureJ, spread: float, rng: np.random.Generator) -> np.ndarray:
+def sample_j_unitary(J: SignatureJ, spread: float, rng) -> np.ndarray:
     """Draw a random J-unitary: W with independent entries of scale ``spread``,
-    Haar unitary factors.  Deterministic given the generator state."""
+    Haar unitary factors.  Deterministic given the generator state; a sequence
+    of K Generators gives a (K, n, n) stack, slice k drawn from ``rng[k]``."""
     if spread < 0:
         raise ValueError("spread must be nonnegative")
     npl, nmi = J.n_plus, J.n_minus
-    W = spread * (
-        rng.standard_normal((npl, nmi)) + 1j * rng.standard_normal((npl, nmi))
-    ) / np.sqrt(2.0)
-    V_plus = haar_unitary(npl, rng) if npl else np.zeros((0, 0))
-    V_minus = haar_unitary(nmi, rng) if nmi else np.zeros((0, 0))
-    return polar_from_W(W, V_plus, V_minus)
+    W, Z_plus, Z_minus = complex_normal(rng, (npl, nmi), (npl, npl), (nmi, nmi))
+    W = spread * W / np.sqrt(2.0)
+    return polar_from_W(W, unitary_factor(Z_plus), unitary_factor(Z_minus))
 
 
-def sample_feasible(
-    J: SignatureJ, Jhat: SignatureJ, spread: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample X (n x nhat) with X^H J X = Jhat by column selection from a J-unitary."""
+def sample_feasible(J: SignatureJ, Jhat: SignatureJ, spread: float, rng) -> np.ndarray:
+    """Sample X (n x nhat) with X^H J X = Jhat by column selection from a J-unitary;
+    a sequence of K Generators gives a (K, n, nhat) stack."""
     if Jhat.n_plus > J.n_plus or Jhat.n_minus > J.n_minus:
         raise InertiaViolationError("hat signature exceeds the ambient signature")
     G = sample_j_unitary(J, spread, rng)
     cols = list(range(Jhat.n_plus)) + list(range(J.n_plus, J.n_plus + Jhat.n_minus))
-    return G[:, cols]
+    return G[..., cols]
 
 
 def complete_j_basis(X_partial: np.ndarray, J: SignatureJ, tol: float = 1e-8) -> np.ndarray:

@@ -204,13 +204,38 @@ def random_congruence(pair: MatrixPair, seed, conditioning_cap: float = 10.0):
     return pair_from_arrays(A2, B2, herm_tol=np.inf), Y
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian with phase-fixed R."""
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R).copy()
+def complex_normal(rng, *shapes) -> list:
+    """Complex standard normal arrays of the given shapes, one draw per Generator,
+    each taking its real then its imaginary parts as separate draws would; a
+    sequence of K Generators gives (K, *shape) stacks, slice k from ``rng[k]``."""
+    sizes = [math.prod(shape) for shape in shapes]
+    total = 2 * sum(sizes)
+    if isinstance(rng, np.random.Generator):
+        g = rng.standard_normal(total)
+    else:
+        g = np.stack([r.standard_normal(total) for r in rng])
+    out, at = [], 0
+    for shape, m in zip(shapes, sizes):
+        z = g[..., at : at + m] + 1j * g[..., at + m : at + 2 * m]
+        out.append(z.reshape(g.shape[:-1] + tuple(shape)))
+        at += 2 * m
+    return out
+
+
+def haar_unitary(n: int, rng) -> np.ndarray:
+    """Haar-distributed unitary; a sequence of Generators gives a (K, n, n) stack."""
+    return unitary_factor(*complex_normal(rng, (n, n)))
+
+
+def unitary_factor(Z: np.ndarray) -> np.ndarray:
+    """Q of the QR of each complex Gaussian Z, with R's diagonal phases fixed: Haar."""
+    try:
+        Q, R = np.linalg.qr(Z)
+    except np.linalg.LinAlgError as exc:
+        raise KernelFailureError(str(exc)) from exc
+    d = np.diagonal(R, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    return Q * (d / np.abs(d))
+    return Q * (d / np.abs(d))[..., None, :]
 
 
 def check_feasibility(problem: ProblemInstance) -> None:

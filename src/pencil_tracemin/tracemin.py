@@ -453,17 +453,25 @@ def _minimizer_from(problem: ProblemInstance, result: InfimumResult):
     return X, _objective(problem, X)
 
 
-def _objective(problem: ProblemInstance, X: np.ndarray) -> float:
+def _per_matrix(values: np.ndarray):
+    """A float for one matrix, the array of values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _objective(problem: ProblemInstance, X: np.ndarray):
+    """trace(Ahat X^H A X); an array of traces for a (K, n, nhat) stack of X."""
     A = problem.pair.A.entries
     Ah = problem.hat_pair.A.entries
-    return float(np.real(np.trace(Ah @ X.conj().T @ A @ X)))
+    Xh = X.conj().swapaxes(-1, -2)
+    return _per_matrix(np.real(np.trace(Ah @ Xh @ A @ X, axis1=-2, axis2=-1)))
 
 
-def feasibility_residual(problem: ProblemInstance, X: np.ndarray) -> float:
+def feasibility_residual(problem: ProblemInstance, X: np.ndarray):
+    """||Bhat X^H B X - I||_2; an array of residuals for a stack of X."""
     B = problem.pair.B.entries
     Bh = problem.hat_pair.B.entries
-    G = Bh @ X.conj().T @ B @ X - np.eye(problem.nhat)
-    return float(np.linalg.norm(G, 2))
+    G = Bh @ X.conj().swapaxes(-1, -2) @ B @ X - np.eye(problem.nhat)
+    return _per_matrix(np.linalg.norm(G, 2, axis=(-2, -1)))
 
 
 def _feasible_point(big: PairAnalysis, hat: PairAnalysis) -> np.ndarray:
@@ -477,7 +485,9 @@ def feasible_point(problem: ProblemInstance, tols: ToleranceSet | None = None) -
 
 
 class FeasibleSampler:
-    """Draw random feasible points; the congruence frames are built once."""
+    """Draw random feasible points; the congruence frames are built once.
+
+    A sequence of K Generators gives a (K, n, nhat) stack, slice k as ``rng[k]`` alone."""
 
     def __init__(self, problem: ProblemInstance, tols: ToleranceSet | None = None):
         big, hat = _analyses(problem, tols or problem.tolerances)
@@ -488,14 +498,14 @@ class FeasibleSampler:
         self.sig = SignatureJ(ib.n_plus, ib.n_minus)
         self.sig_hat = SignatureJ(ibh.n_plus, ibh.n_minus)
 
-    def sample(self, spread: float, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, spread: float, rng) -> np.ndarray:
         Xs = sample_feasible(self.sig, self.sig_hat, spread, rng)
         return self.left @ Xs @ self.right
 
 
 def sample_feasible_original(
-    problem: ProblemInstance, spread: float, rng: np.random.Generator,
-    tols: ToleranceSet | None = None,
+    problem: ProblemInstance, spread: float, rng, tols: ToleranceSet | None = None,
 ) -> np.ndarray:
-    """Random feasible X in original coordinates (finite part sampled J-unitarily)."""
+    """Random feasible X in original coordinates (finite part sampled J-unitarily);
+    a sequence of Generators gives a stack, as in ``FeasibleSampler.sample``."""
     return FeasibleSampler(problem, tols).sample(spread, rng)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pencil_tracemin as pt
+from pencil_tracemin import cli
 from pencil_tracemin.cli import main
 from pencil_tracemin.matcore import matrix_to_json, save_problem
 
@@ -267,6 +268,72 @@ def test_verify_seed_reproducible(golden_file, capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# min_trace and mean_trace of ``--seed 3 verify golden --samples 200`` from the
+# per-sample loop that drew one feasible point at a time.
+@pytest.mark.parametrize(
+    "spread, min_trace, mean_trace",
+    [("1.0", 1.419652231073079, 5.333841541430911), ("2.0", 1.5029378449122741, 16.3300745438639)],
+)
+def test_verify_golden_figures_pinned(golden_file, capsys, spread, min_trace, mean_trace):
+    code, rep = run_json(
+        capsys, ["--json", "--seed", "3", "verify", golden_file, "--samples", "200", "--spread", spread]
+    )
+    assert code == 0
+    s = rep["sampling"]
+    assert s["min_trace"] == pytest.approx(min_trace, rel=1e-12, abs=0)
+    assert s["mean_trace"] == pytest.approx(mean_trace, rel=1e-12, abs=0)
+
+
+def test_verify_output_independent_of_block_split(golden_file, capsys, monkeypatch):
+    argv = ["--json", "--seed", "5", "verify", golden_file, "--samples", "10", "--spread", "2.0"]
+    code, whole = run_json(capsys, argv)
+    assert code == 0
+    # Seven 2 x 2 samples per block: the same ten samples split 7 + 3.
+    monkeypatch.setattr(cli, "SAMPLE_BLOCK_ENTRIES", 7 * 4)
+    code, split = run_json(capsys, argv)
+    assert code == 0
+    assert split["sampling"] == whole["sampling"]
+
+
+def test_verify_kernel_calls_independent_of_sample_count(golden_file, capsys, monkeypatch):
+    # A per-sample loop would make kernel calls in proportion to --samples.
+    counts = []
+    for samples in ("50", "200"):
+        calls = count_eigen_kernels(monkeypatch)
+        code = main(["--json", "verify", golden_file, "--samples", samples])
+        capsys.readouterr()
+        assert code == 0
+        counts.append({name: calls.count(name) for name in ("qr", "eigh", "svd")})
+        monkeypatch.undo()
+    assert counts[0] == counts[1], counts
+    assert counts[0]["qr"] == 2, counts
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_bad_sample_count(golden_file, capsys, samples):
+    code = main(["verify", golden_file, "--samples", samples])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--samples" in err
+
+
+@pytest.mark.parametrize("stacked_only", [True, False], ids=["sampler", "every_call"])
+def test_verify_kernel_failure_exit_code(golden_file, capsys, monkeypatch, stacked_only):
+    # A LAPACK failure exits with its own code and a one-line message.
+    eigh = np.linalg.eigh
+
+    def failing(a, *args, **kwargs):
+        if stacked_only and np.ndim(a) < 3:
+            return eigh(a, *args, **kwargs)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    code = main(["verify", golden_file, "--samples", "20"])
+    err = capsys.readouterr().err
+    assert code == 9
+    assert err.startswith("error: ") and "did not converge" in err
 
 
 def test_gen_analyze_round_trip(tmp_path, capsys):

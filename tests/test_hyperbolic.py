@@ -172,3 +172,46 @@ def test_trace_sandwich_bounds():
         lower = float(l0 @ l1) * s[-1] ** 2
         upper = float(l0 @ l1[::-1]) * s[0] ** 2
         assert lower - 1e-8 * (1 + abs(lower)) <= tr <= upper + 1e-8 * (1 + abs(upper))
+
+
+@pytest.mark.parametrize("npl, nmi", [(3, 0), (0, 2), (2, 3), (1, 1)])
+def test_stacked_j_unitaries_match_per_generator_draws(npl, nmi):
+    J = SignatureJ(npl, nmi)
+    stack = sample_j_unitary(J, 1.3, [np.random.default_rng([5, k]) for k in range(6)])
+    assert stack.shape == (6, J.n, J.n)
+    for k in range(6):
+        X = sample_j_unitary(J, 1.3, np.random.default_rng([5, k]))
+        assert np.linalg.norm(stack[k] - X) <= 1e-12 * np.linalg.norm(X)
+        assert j_residual(stack[k], J) <= 1e-9
+
+
+def test_stacked_draw_keeps_the_single_generator_stream():
+    # One draw per generator reads W (real, then imaginary), then the Gaussians
+    # of V+, then those of V-: the order of separate standard_normal calls.
+    from pencil_tracemin.matcore import complex_normal, haar_unitary
+
+    rng = np.random.default_rng(44)
+    W = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    V_plus = haar_unitary(2, rng)
+    V_minus = haar_unitary(3, rng)
+    np.testing.assert_allclose(
+        sample_j_unitary(SignatureJ(2, 3), 1.0, np.random.default_rng(44)),
+        polar_from_W(W / np.sqrt(2.0), V_plus, V_minus),
+        rtol=0,
+        atol=1e-13,
+    )
+    (Z,) = complex_normal([np.random.default_rng(44)], (2, 3))
+    np.testing.assert_array_equal(Z[0], W)
+
+
+@pytest.mark.parametrize("kernel", ["qr", "eigh"])
+def test_sampler_kernel_failure_is_typed(monkeypatch, kernel):
+    from pencil_tracemin.errors import KernelFailureError
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, kernel, failing)
+    rngs = [np.random.default_rng([1, k]) for k in range(3)]
+    with pytest.raises(KernelFailureError):
+        sample_j_unitary(SignatureJ(2, 1), 1.0, rngs)

@@ -517,19 +517,62 @@ def test_nsd_branch_minimizer_and_padding():
 
 def test_sampled_lower_bound(golden_problem):
     res = infimum(golden_problem)
-    worst = np.inf
-    for k in range(200):
-        rng = np.random.default_rng([17, k])
-        X = pt.sample_feasible_original(golden_problem, 2.0, rng)
-        tr = float(
-            np.real(
-                np.trace(
-                    golden_problem.hat_pair.A.entries
-                    @ X.conj().T
-                    @ golden_problem.pair.A.entries
-                    @ X
-                )
-            )
+    rngs = [np.random.default_rng([17, k]) for k in range(200)]
+    X = pt.sample_feasible_original(golden_problem, 2.0, rngs)
+    Xh = X.conj().swapaxes(-1, -2)
+    traces = np.real(
+        np.trace(
+            golden_problem.hat_pair.A.entries @ Xh @ golden_problem.pair.A.entries @ X,
+            axis1=-2,
+            axis2=-1,
         )
-        worst = min(worst, tr)
+    )
+    worst = float(np.min(traces))
     assert worst >= res.value - 1e-6 * (1 + abs(res.value))
+
+
+# --- stacked feasible sampling ----------------------------------------------
+
+
+def _singular_b_problem():
+    """genpairs pair with an infinite block (B singular, rank 3), hat pair of order 2."""
+    specs = [
+        BlockSpec("Tr", p=1, alpha=1.0, eta=1),
+        BlockSpec("Tr", p=1, alpha=2.0, eta=1),
+        BlockSpec("Tr", p=1, alpha=-1.0, eta=-1),
+        BlockSpec("Tinf", p=1, eta=1),
+    ]
+    pair, truth = assemble(specs, scramble_seed=8, conditioning_cap=4.0)
+    assert truth.inertia_B.n_zero == 1
+    hat = pt.problem_from_arrays(np.eye(2), np.eye(2), np.diag([0.5, 1.5]), np.diag([1.0, -1.0]))
+    return pt.ProblemInstance(pair=pair, hat_pair=hat.hat_pair)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: diag_problem([0.5, 1.0, 2.0], [], [0.3, 0.7, 1.1], [], scramble=(1, 2)),
+        lambda: diag_problem([], [1.0, 2.0], [], [0.4, 0.9], scramble=(3, 4)),
+        lambda: diag_problem([0.5, 2.0], [1.0, 3.0], [0.8], [0.6], scramble=(5, 6)),
+        _singular_b_problem,
+    ],
+    ids=["n_minus_zero", "n_plus_zero", "nhat_below_n", "singular_B"],
+)
+def test_stacked_sample_matches_per_generator_draw(make):
+    # Slice k of a stack is the single draw from default_rng([seed, k]), and the
+    # stacked objective and residual are the per-sample values.
+    prob = make()
+    sampler = pt.FeasibleSampler(prob)
+    stack = sampler.sample(1.7, [np.random.default_rng([29, k]) for k in range(12)])
+    assert stack.shape == (12, prob.n, prob.nhat)
+    traces = pt.tracemin._objective(prob, stack)
+    residuals = pt.feasibility_residual(prob, stack)
+    assert traces.shape == residuals.shape == (12,)
+    for k in range(12):
+        X = sampler.sample(1.7, np.random.default_rng([29, k]))
+        assert X.shape == (prob.n, prob.nhat)
+        assert np.linalg.norm(stack[k] - X) <= 1e-12 * np.linalg.norm(X)
+        tr = pt.tracemin._objective(prob, X)
+        assert isinstance(tr, float)
+        assert abs(traces[k] - tr) <= 1e-12 * (1.0 + abs(tr))
+        assert residuals[k] <= 1e-8 and pt.feasibility_residual(prob, X) <= 1e-8
