@@ -9,12 +9,7 @@ import numpy as np
 
 import pencil_tracemin as pt
 from pencil_tracemin.genpairs import BlockSpec, assemble
-from pencil_tracemin.witness import (
-    build_witness,
-    certify_unbounded,
-    evaluate_witness,
-    witness_feasibility,
-)
+from pencil_tracemin.witness import build_witness, certify_unbounded, evaluate_witness
 
 
 def show(name, problem, threshold=-1e6):
@@ -27,7 +22,7 @@ def show(name, problem, threshold=-1e6):
     print(f"  witness  : {fam.kind}, trend {fam.slope:+.4f} t^2 {fam.offset:+.4f}")
     for t in (0.0, 1.0, 10.0):
         X, tr = evaluate_witness(fam, t)
-        print(f"    t = {t:>5}: trace {tr:+12.4f}, residual {witness_feasibility(fam, X):.1e}")
+        print(f"    t = {t:>5}: trace {tr:+12.4f}, residual {pt.feasibility_residual(problem, X):.1e}")
     print(f"  certified: trace {cert.trace_value:.3e} at t = {cert.t:.1f} "
           f"(residual {cert.feas_residual:.1e})")
 

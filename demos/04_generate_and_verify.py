@@ -25,12 +25,12 @@ specs = [
 pair, truth = assemble(specs, scramble_seed=11, conditioning_cap=5.0)
 print("ground truth:", truth.pos, truth.neg, "psd =", truth.psd)
 
-spec = pt.typed_spectrum(pt.deflate_common_nullspace(pair).reduced)
+spec = pt.analyze_pair(pair).spectrum
 print("recovered   :", spec.pos_values, spec.neg_values,
       "infinite sign =", spec.infinite_definite_sign)
 
-verdict = pt.pair_semidefiniteness(pair)
-print("psd pair    :", verdict.is_psd, " nsd pair:", verdict.is_nsd)
+verdict = pt.definiteness_interval(pair)
+print("psd pair    :", verdict.is_psd_pair, " nsd pair:", verdict.is_nsd_pair)
 
 # Pose a trace-minimization problem against a compatible hat pair; Ahat must
 # be positive semidefinite itself because B is singular.

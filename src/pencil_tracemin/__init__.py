@@ -13,7 +13,6 @@ from .matcore import (
     MatrixPair,
     ProblemInstance,
     ToleranceSet,
-    check_feasibility,
     inertia,
     load_pair,
     load_problem,
@@ -31,21 +30,16 @@ from .definiteness import (
 )
 from .spectral import (
     ClusteredFrame,
-    CongruentDiagonalization,
     PairAnalysis,
     TypedEigenvalue,
     TypedSpectrum,
     analyze_pair,
-    congruent_diagonalize,
     deflate_common_nullspace,
     eigh,
     typed_spectrum,
 )
 from .hyperbolic import (
-    ChShFactors,
     SignatureJ,
-    chsh_decompose,
-    complete_j_basis,
     polar_from_W,
     sample_feasible,
     sample_j_unitary,
@@ -56,7 +50,6 @@ from .tracemin import (
     FeasibleSampler,
     InfimumResult,
     PropernessReport,
-    SemidefiniteVerdict,
     check_excluded,
     fan_min_product,
     feasibility_residual,
@@ -64,9 +57,7 @@ from .tracemin import (
     equal_inertia_value,
     minimizer,
     pad_problem,
-    pair_semidefiniteness,
     properness,
-    sample_feasible_original,
 )
 from .witness import (
     CertificationReport,

@@ -25,10 +25,6 @@ class NotDiagonalizableError(PencilError):
     """Pair is not congruent-diagonalizable with real spectrum."""
 
 
-class IllConditionedError(PencilError):
-    """Congruence scaling would exceed the conditioning cap."""
-
-
 class InertiaViolationError(PencilError):
     """Inertia counts are incompatible (empty feasible set upstream)."""
 
@@ -43,14 +39,6 @@ class LengthMismatchError(PencilError):
 
 class NotAttainableError(PencilError):
     """A minimizer cannot be constructed (infimum not known attainable)."""
-
-
-class NotJUnitaryError(PencilError):
-    """Matrix fails the X^H J X = J test at the requested tolerance."""
-
-
-class DegenerateInputError(PencilError):
-    """A column is J-neutral and cannot seed a J-orthonormal extension."""
 
 
 class NoWitnessConstructibleError(PencilError):

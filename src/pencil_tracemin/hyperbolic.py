@@ -1,9 +1,9 @@
-"""J-unitary matrices: hyperbolic polar form, ChSh factors, feasible sampling.
+"""J-unitary matrices: hyperbolic polar form and feasible sampling.
 
 With J = diag(I_{n+}, -I_{n-}), a matrix X is J-unitary when X^H J X = J.
 Every such X factors as a Hermitian hyperbolic polar part, parametrized by an
-arbitrary n+ x n- block W, times a block-diagonal unitary; refining the polar
-part by an SVD of W yields the ChSh form with a single diagonal stretch.
+arbitrary n+ x n- block W, times a block-diagonal unitary (Higham,
+*J-orthogonal matrices: properties and generation*, SIAM Review 45, 2003).
 
 Sampling works on stacks: given a sequence of K Generators instead of one,
 ``sample_j_unitary``/``sample_feasible`` return a (K, ...) stack whose slice k
@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    InertiaViolationError,
-    KernelFailureError,
-    NotJUnitaryError,
-)
+from .errors import InertiaViolationError, KernelFailureError
 from .matcore import complex_normal, unitary_factor
 
 
@@ -46,28 +41,6 @@ class SignatureJ:
     @property
     def matrix(self) -> np.ndarray:
         return np.diag(self.diag)
-
-
-@dataclass(frozen=True)
-class ChShFactors:
-    U_plus: np.ndarray
-    U_minus: np.ndarray
-    V_plus: np.ndarray
-    V_minus: np.ndarray
-    sigma: np.ndarray  # descending, length min(n+, n-)
-
-    def assemble(self, J: SignatureJ) -> np.ndarray:
-        npl, nmi = J.n_plus, J.n_minus
-        k = min(npl, nmi)
-        sig_tilde = np.zeros((npl, nmi))
-        if npl >= nmi:
-            sig_tilde[npl - k :, :] = np.diag(self.sigma)
-        else:
-            sig_tilde[:, nmi - k :] = np.diag(self.sigma)
-        middle = _polar_middle(sig_tilde)
-        left = _blockdiag(self.U_plus, self.U_minus)
-        right = _blockdiag(self.V_plus, self.V_minus)
-        return left @ middle @ right
 
 
 def _ct(M):
@@ -99,52 +72,10 @@ def _polar_middle(W):
     return np.block([[top, W], [Wh, bot]])
 
 
-def j_residual(X: np.ndarray, J: SignatureJ) -> float:
-    return float(np.linalg.norm(X.conj().T @ np.diag(J.diag) @ X - J.matrix, 2))
-
-
 def polar_from_W(W: np.ndarray, V_plus: np.ndarray, V_minus: np.ndarray) -> np.ndarray:
     """Assemble the J-unitary matrix with polar block W and unitary factors V+-."""
     W = np.atleast_2d(np.asarray(W, dtype=complex))
     return _polar_middle(W) @ _blockdiag(np.asarray(V_plus), np.asarray(V_minus))
-
-
-def chsh_decompose(X: np.ndarray, J: SignatureJ, tol: float = 1e-8) -> ChShFactors:
-    """Factor a J-unitary X into unitaries and a single diagonal stretch.
-
-    The polar factor H = (X X^H)^{1/2} is itself J-unitary with off-diagonal
-    block W; the SVD of W supplies the stretch parameters.
-    """
-    X = np.asarray(X, dtype=complex)
-    if j_residual(X, J) > tol:
-        raise NotJUnitaryError("X^H J X - J exceeds the requested tolerance")
-    npl, nmi = J.n_plus, J.n_minus
-    H = _psd_sqrt(X @ X.conj().T)
-    V0 = np.linalg.solve(H, X)  # block-diagonal unitary
-    W = H[:npl, npl:]
-    k = min(npl, nmi)
-    if k == 0:
-        return ChShFactors(
-            np.eye(npl, dtype=complex),
-            np.eye(nmi, dtype=complex),
-            V0[:npl, :npl],
-            V0[npl:, npl:],
-            np.zeros(0),
-        )
-
-    P, s, Qh = np.linalg.svd(W)  # full SVD: P is n+ x n+, Qh is n- x n-
-    s = s[:k]
-    if npl >= nmi:
-        # U+ = [null-of-W^H basis | P_compact], sigma block sits at the bottom.
-        U_plus = np.column_stack([P[:, k:], P[:, :k]])
-        U_minus = Qh.conj().T
-    else:
-        U_plus = P
-        U_minus = np.column_stack([Qh.conj().T[:, k:], Qh.conj().T[:, :k]])
-    # Re-order so sigma is descending inside its block and factors stay consistent.
-    V_plus = U_plus.conj().T @ V0[:npl, :npl]
-    V_minus = U_minus.conj().T @ V0[npl:, npl:]
-    return ChShFactors(U_plus, U_minus, V_plus, V_minus, np.asarray(s, dtype=float))
 
 
 def sample_j_unitary(J: SignatureJ, spread: float, rng) -> np.ndarray:
@@ -168,40 +99,3 @@ def sample_feasible(J: SignatureJ, Jhat: SignatureJ, spread: float, rng) -> np.n
     cols = list(range(Jhat.n_plus)) + list(range(J.n_plus, J.n_plus + Jhat.n_minus))
     return G[..., cols]
 
-
-def complete_j_basis(X_partial: np.ndarray, J: SignatureJ, tol: float = 1e-8) -> np.ndarray:
-    """Extend J-orthonormal columns to a full J-unitary matrix (up to column order).
-
-    Input columns must satisfy u_i^H J u_j = +/- delta_ij within tol; a
-    J-neutral column is not extendable and raises DegenerateInputError.
-    The completion spans the J-orthogonal complement, normalized to +/-1 forms,
-    ordered +1 block first.
-    """
-    n = J.n
-    Jm = J.matrix
-    U = np.asarray(X_partial, dtype=complex).reshape(n, -1)
-    k = U.shape[1]
-    if k:
-        G = U.conj().T @ Jm @ U
-        if np.any(np.abs(np.abs(np.diagonal(G)) - 1.0) > tol) or np.any(
-            np.abs(G - np.diag(np.diagonal(G))) > tol
-        ):
-            if np.any(np.abs(np.diagonal(G)) < tol):
-                raise DegenerateInputError("a column is J-neutral")
-            raise DegenerateInputError("columns are not J-orthonormal within tol")
-    if k == n:
-        return U
-    if k == 0:
-        return np.eye(n, dtype=complex)
-    # Orthogonal complement in the J-inner product = null space of U^H J.
-    _, svals, Vh = np.linalg.svd(U.conj().T @ Jm)
-    Z = Vh.conj().T[:, k:]
-    S = Z.conj().T @ Jm @ Z
-    S = (S + S.conj().T) / 2.0
-    g, Q = np.linalg.eigh(S)
-    if np.any(np.abs(g) < tol):
-        raise DegenerateInputError("J-degenerate complement; cannot normalize")
-    order = np.argsort(-np.sign(g))  # +1 forms first
-    g, Q = g[order], Q[:, order]
-    Wc = Z @ Q @ np.diag(1.0 / np.sqrt(np.abs(g)))
-    return np.hstack([U, Wc])

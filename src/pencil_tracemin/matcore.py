@@ -57,7 +57,7 @@ class HermitianMatrix:
 
     def norm(self) -> float:
         """Spectral norm (largest absolute eigenvalue)."""
-        return spectral_norm(self.entries)
+        return float(np.max(np.abs(eigvalsh(self.entries))))
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,11 @@ def validate_hermitian(raw, herm_tol: float = DEFAULT_TOLS.herm_tol) -> Hermitia
         raise NotSquareError(f"expected square matrix, got shape {M.shape}")
     if M.shape[0] < 1:
         raise NotSquareError("matrix dimension must be at least 1")
-    residual = float(np.max(np.abs(M - M.conj().T)))
     # NaN or infinite entries, and only those, make the residual non-finite
-    # (barring overflow of M - M^H near the largest float).
+    # (barring overflow of M - M^H near the largest float); inf - inf is
+    # reported below as NonFiniteError, not as a numpy warning.
+    with np.errstate(invalid="ignore"):
+        residual = float(np.max(np.abs(M - M.conj().T)))
     if not math.isfinite(residual):
         raise NonFiniteError("matrix entries must be finite (no NaN or infinity)")
     if residual > herm_tol:
@@ -162,12 +164,6 @@ def eigvalsh(M: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise KernelFailureError(str(exc)) from exc
-
-
-def spectral_norm(M: np.ndarray) -> float:
-    if M.size == 0:
-        return 0.0
-    return float(np.max(np.abs(eigvalsh(M))))
 
 
 def inertia(M: HermitianMatrix, rank_tol: float = DEFAULT_TOLS.rank_tol) -> Inertia:
@@ -236,16 +232,6 @@ def unitary_factor(Z: np.ndarray) -> np.ndarray:
     d = np.diagonal(R, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
     return Q * (d / np.abs(d))[..., None, :]
-
-
-def check_feasibility(problem: ProblemInstance) -> None:
-    """Raise EmptyFeasibleSetError unless the constraint set can be nonempty.
-
-    The constraint Bhat X^H B X = I forces Bhat nonsingular and
-    i_pm(Bhat) <= i_pm(B).
-    """
-    rt = problem.tolerances.rank_tol
-    check_inertias(inertia(problem.pair.B, rt), inertia(problem.hat_pair.B, rt))
 
 
 def check_inertias(ib: Inertia, ibh: Inertia) -> None:

@@ -8,8 +8,8 @@ part once and clusters its eigenvectors into one congruence frame:
 real typed directions B-orthonormalized per cluster, 2x2 blocks for
 conjugate eigenvalue pairs, and the null directions of B (the canonical
 form of Lancaster & Rodman, SIAM Review 47, 2005).  The typed spectrum,
-definiteness, congruent diagonalization, minimizers, feasible points and
-divergence witnesses are all read from it.
+definiteness, minimizers, feasible points, sampling and divergence
+witnesses are all read from it; ``typed_spectrum(pair)`` is its spectrum.
 
 Finite eigenvalues carry a type: the sign of the B-form on their eigenspace.
 Eigenvalues closer than ``type_tol`` form a cluster, typed by the inertia of
@@ -23,7 +23,7 @@ N(B) is classified separately; a degenerate restriction signals chained
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -492,103 +492,7 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     )
 
 
-def split_infinite(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> InfiniteSplit:
-    """The split of a deflated pair along N(B) (``analyze_pair(pair).split``)."""
-    return analyze_pair(pair, tols).split
-
-
-def typed_spectrum(
-    pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS, deflated_dims: int = 0
-) -> TypedSpectrum:
-    """Finite eigenvalues with types plus the classification of A on N(B).
-
-    ``deflated_dims`` counts directions the caller already deflated; the
-    spectrum adds any common nullspace it removes itself.
-    """
-    spec = analyze_pair(pair, tols).spectrum
-    return replace(spec, deflated_dims=spec.deflated_dims + deflated_dims)
-
-
-@dataclass(frozen=True)
-class CongruentDiagonalization:
-    """Frames with B = Y^H J Y and A = Y^H Lambda Y, both diagonal right sides.
-
-    ``yinv`` (= Y^{-1}) maps canonical coordinates to original ones:
-    yinv^H B yinv = J.  Directions are ordered +1 block, -1 block, 0 block,
-    with eigenvalues ascending inside each signed block.
-    """
-
-    Y: np.ndarray
-    yinv: np.ndarray
-    j_diag: np.ndarray  # entries +1 / -1 / 0
-    lam_diag: np.ndarray  # matrix diagonal (negative-type dirs carry -eigenvalue)
-    res_b: float
-    res_a: float
-    pos_values: np.ndarray  # pencil eigenvalues, ascending
-    neg_values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.j_diag)
-
-    @property
-    def n_plus(self) -> int:
-        return int(np.sum(self.j_diag > 0))
-
-    @property
-    def n_minus(self) -> int:
-        return int(np.sum(self.j_diag < 0))
-
-    @property
-    def n_zero(self) -> int:
-        return int(np.sum(self.j_diag == 0))
-
-    @property
-    def pos_dirs(self) -> np.ndarray:
-        return np.where(self.j_diag > 0)[0]
-
-    @property
-    def neg_dirs(self) -> np.ndarray:
-        return np.where(self.j_diag < 0)[0]
-
-    @property
-    def zero_dirs(self) -> np.ndarray:
-        return np.where(self.j_diag == 0)[0]
-
-    @property
-    def J(self) -> np.ndarray:
-        return np.diag(self.j_diag.astype(float))
-
-    @property
-    def Lambda(self) -> np.ndarray:
-        return np.diag(self.lam_diag)
-
-
-def congruent_diagonalize(
-    pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS
-) -> CongruentDiagonalization:
-    """Simultaneously diagonalize a deflated pair by congruence: its clustered frame.
-
-    Raises NotDiagonalizableError when the pencil has non-real eigenvalues,
-    Jordan structure, or chained infinite structure.
-    """
-    a = analyze_pair(pair, tols)
-    f = a.frame
-    if f.blocks:
-        raise NotDiagonalizableError("pencil has non-real eigenvalues")
-    j_diag = f.j_diag
-    lam = np.concatenate([f.pos_values, -f.neg_values, f.null_signs])
-    Y = np.linalg.inv(f.T)
-    red = a.deflation.reduced
-    res_b = float(np.linalg.norm(Y.conj().T @ (j_diag[:, None] * Y) - red.B.entries, 2))
-    res_a = float(np.linalg.norm(Y.conj().T @ (lam[:, None] * Y) - red.A.entries, 2))
-    return CongruentDiagonalization(
-        Y=Y,
-        yinv=f.T,
-        j_diag=j_diag,
-        lam_diag=lam,
-        res_b=res_b,
-        res_a=res_a,
-        pos_values=f.pos_values,
-        neg_values=f.neg_values,
-    )
+def typed_spectrum(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> TypedSpectrum:
+    """Finite eigenvalues with types plus the classification of A on N(B)
+    (``analyze_pair(pair).spectrum``)."""
+    return analyze_pair(pair, tols).spectrum

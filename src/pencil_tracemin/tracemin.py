@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .definiteness import DefinitenessReport, definiteness_from_spectrum, definiteness_interval
+from .definiteness import DefinitenessReport, definiteness_from_spectrum
 from .errors import (
     InertiaViolationError,
     LengthMismatchError,
@@ -204,27 +204,6 @@ def properness(
     if ok_pos and ok_neg:
         return PropernessReport(True, "iv", 0, 0)
     return PropernessReport(False, "improper", 0, 0)
-
-
-@dataclass(frozen=True)
-class SemidefiniteVerdict:
-    """Structure-aware semidefiniteness of a pair, from ``definiteness_interval``.
-
-    Chained structure on N(B) excludes semidefiniteness, and a definite
-    restriction of A to N(B) must match the orientation; ``report`` holds the
-    intervals and the confirming evaluations.
-    """
-
-    is_psd: bool
-    is_nsd: bool
-    report: DefinitenessReport
-
-
-def pair_semidefiniteness(
-    pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS
-) -> SemidefiniteVerdict:
-    rep = definiteness_interval(pair, tols)
-    return SemidefiniteVerdict(rep.is_psd_pair, rep.is_nsd_pair, rep)
 
 
 def pad_problem(problem: ProblemInstance) -> ProblemInstance:
@@ -479,11 +458,6 @@ def _feasible_point(big: PairAnalysis, hat: PairAnalysis) -> np.ndarray:
     return big.deflation.keep @ big.b_frame[:, cols] @ hat.b_frame.conj().T
 
 
-def feasible_point(problem: ProblemInstance, tols: ToleranceSet | None = None) -> np.ndarray:
-    """A deterministic feasible X built from B-frames alone (no A involved)."""
-    return _feasible_point(*_analyses(problem, tols or problem.tolerances))
-
-
 class FeasibleSampler:
     """Draw random feasible points; the congruence frames are built once.
 
@@ -502,10 +476,3 @@ class FeasibleSampler:
         Xs = sample_feasible(self.sig, self.sig_hat, spread, rng)
         return self.left @ Xs @ self.right
 
-
-def sample_feasible_original(
-    problem: ProblemInstance, spread: float, rng, tols: ToleranceSet | None = None,
-) -> np.ndarray:
-    """Random feasible X in original coordinates (finite part sampled J-unitarily);
-    a sequence of Generators gives a stack, as in ``FeasibleSampler.sample``."""
-    return FeasibleSampler(problem, tols).sample(spread, rng)

@@ -89,10 +89,6 @@ def evaluate_witness(family: WitnessFamily, t: float):
     return X, trace
 
 
-def witness_feasibility(family: WitnessFamily, X: np.ndarray) -> float:
-    return feasibility_residual(family.problem, X)
-
-
 @dataclass(frozen=True)
 class CertificationReport:
     t: float
@@ -123,7 +119,7 @@ def certify_unbounded(
             return CertificationReport(
                 t=float(t),
                 trace_value=trace,
-                feas_residual=witness_feasibility(family, X),
+                feas_residual=feasibility_residual(family.problem, X),
                 threshold=float(threshold),
                 t_max=float(t_max),
             )

@@ -121,6 +121,15 @@ def test_analyze_non_finite_entry(tmp_path, capsys):
     )
     assert main(["analyze", str(path)]) == 2
     assert "finite" in capsys.readouterr().err
+    # Infinity - Infinity in the Hermiticity residual is NaN: no numpy warning
+    # may precede the one error line.
+    path = tmp_path / "inf.json"
+    path.write_text(
+        '{"A": {"n": 1, "entries": [[Infinity, 0.0]]}, "B": {"n": 1, "entries": [[1.0, 0.0]]}}'
+    )
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
 
 def test_analyze_not_hermitian(tmp_path, capsys):

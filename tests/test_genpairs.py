@@ -156,12 +156,11 @@ def test_analyzer_agreement_random_assemblies():
         pair, truth = assemble(specs, scramble_seed=trial, conditioning_cap=cap)
         assert pt.inertia(pair.B).as_tuple() == truth.inertia_B.as_tuple()
 
-        verdict = pt.pair_semidefiniteness(pair)
-        assert verdict.is_psd == truth.psd, f"psd mismatch: {specs}"
-        assert verdict.is_nsd == truth.nsd, f"nsd mismatch: {specs}"
+        verdict = pt.definiteness_interval(pair)
+        assert verdict.is_psd_pair == truth.psd, f"psd mismatch: {specs}"
+        assert verdict.is_nsd_pair == truth.nsd, f"nsd mismatch: {specs}"
 
-        defl = pt.deflate_common_nullspace(pair)
-        spec = typed_spectrum(defl.reduced, deflated_dims=defl.deflated_dims)
+        spec = pt.analyze_pair(pair).spectrum
         if truth.coupled:
             assert spec.infinite_definite_sign == INF_COUPLED
             continue

@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
 
-from pencil_tracemin.errors import (
-    DegenerateInputError,
-    InertiaViolationError,
-    NotJUnitaryError,
-)
+from pencil_tracemin.errors import InertiaViolationError
 from pencil_tracemin.hyperbolic import (
     SignatureJ,
-    chsh_decompose,
-    complete_j_basis,
-    j_residual,
     polar_from_W,
     sample_feasible,
     sample_j_unitary,
 )
 
 from conftest import rand_hermitian
+
+
+def j_residual(X, J):
+    """||X^H J X - J||_2: how far X is from J-unitary."""
+    return float(np.linalg.norm(X.conj().T @ J.matrix @ X - J.matrix, 2))
 
 
 def test_polar_identity():
@@ -41,37 +39,6 @@ def test_polar_random_residual():
     W = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     X = polar_from_W(W, haar_unitary(3, rng), haar_unitary(2, rng))
     assert j_residual(X, SignatureJ(3, 2)) <= 1e-10 * 5
-
-
-def test_chsh_identity():
-    J = SignatureJ(2, 1)
-    fac = chsh_decompose(np.eye(3), J)
-    np.testing.assert_allclose(fac.sigma, [0.0], atol=1e-12)
-    np.testing.assert_allclose(fac.assemble(J), np.eye(3), atol=1e-10)
-
-
-def test_chsh_sigma_matches_svd_of_w():
-    rng = np.random.default_rng(9)
-    W = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    X = polar_from_W(W, np.eye(3), np.eye(2))
-    fac = chsh_decompose(X, SignatureJ(3, 2))
-    np.testing.assert_allclose(fac.sigma, np.linalg.svd(W, compute_uv=False), atol=1e-10)
-
-
-def test_chsh_rejects_non_j_unitary():
-    with pytest.raises(NotJUnitaryError):
-        chsh_decompose(2.0 * np.eye(3), SignatureJ(2, 1))
-
-
-def test_chsh_round_trip():
-    rng = np.random.default_rng(12)
-    for npl, nmi in ((2, 2), (3, 2), (2, 3), (1, 4)):
-        J = SignatureJ(npl, nmi)
-        X = sample_j_unitary(J, 1.0, rng)
-        fac = chsh_decompose(X, J, tol=1e-7)
-        recon = fac.assemble(J)
-        assert np.linalg.norm(recon - X, 2) <= 1e-8 * (1 + np.linalg.norm(X, 2))
-        assert np.all(np.diff(fac.sigma) <= 1e-12)  # descending
 
 
 def test_sample_spread_zero_is_block_unitary():
@@ -114,41 +81,6 @@ def test_sample_feasible_full_and_selected():
 def test_sample_feasible_inertia_violation():
     with pytest.raises(InertiaViolationError):
         sample_feasible(SignatureJ(1, 1), SignatureJ(2, 0), 1.0, np.random.default_rng(0))
-
-
-def test_complete_j_basis_examples():
-    J = SignatureJ(1, 1)
-    full = complete_j_basis(np.eye(2)[:, :1], J)
-    G = full.conj().T @ J.matrix @ full
-    np.testing.assert_allclose(G, np.diag([1.0, -1.0]), atol=1e-12)
-
-    full = complete_j_basis(np.zeros((2, 0)), J)
-    np.testing.assert_allclose(full, np.eye(2))
-
-    J = SignatureJ(2, 1)
-    full = complete_j_basis(np.eye(3)[:, :1], J)
-    G = full.conj().T @ J.matrix @ full
-    assert np.allclose(np.abs(np.diagonal(G)), 1.0, atol=1e-12)
-    assert sorted(np.round(np.real(np.diagonal(G))).astype(int)) == [-1, 1, 1]
-
-
-def test_complete_j_basis_from_sampled_columns():
-    rng = np.random.default_rng(4)
-    J = SignatureJ(2, 2)
-    X = sample_j_unitary(J, 1.0, rng)[:, :2]
-    full = complete_j_basis(X, J, tol=1e-7)
-    G = full.conj().T @ J.matrix @ full
-    off = G - np.diag(np.diagonal(G))
-    assert np.linalg.norm(off, 2) <= 1e-7
-    diag = np.real(np.diagonal(G))
-    assert int(np.sum(diag > 0)) == 2 and int(np.sum(diag < 0)) == 2
-
-
-def test_complete_j_basis_rejects_neutral():
-    J = SignatureJ(1, 1)
-    neutral = np.array([[1.0], [1.0]]) / np.sqrt(2)
-    with pytest.raises(DegenerateInputError):
-        complete_j_basis(neutral, J)
 
 
 def test_trace_sandwich_bounds():

@@ -136,16 +136,16 @@ def test_check_feasibility():
     ok = pt.problem_from_arrays(
         np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), np.diag([1.0]), np.diag([1.0])
     )
-    pt.check_feasibility(ok)
+    pt.infimum(ok)
 
     singular_bhat = pt.problem_from_arrays(
         np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), np.diag([1.0]), np.diag([0.0])
     )
     with pytest.raises(EmptyFeasibleSetError):
-        pt.check_feasibility(singular_bhat)
+        pt.infimum(singular_bhat)
 
     too_much_minus = pt.problem_from_arrays(
         np.diag([1.0, 2.0]), np.diag([1.0, 1.0]), np.diag([1.0]), np.diag([-1.0])
     )
     with pytest.raises(EmptyFeasibleSetError):
-        pt.check_feasibility(too_much_minus)
+        pt.infimum(too_much_minus)

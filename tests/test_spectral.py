@@ -8,15 +8,27 @@ from pencil_tracemin.spectral import (
     INF_MIXED,
     INF_NONE,
     INF_PLUS,
-    congruent_diagonalize,
     deflate_common_nullspace,
-    split_infinite,
     typed_spectrum,
 )
 
 from pencil_tracemin.genpairs import BlockSpec, assemble
 
 from conftest import golden_hat_matrix, k2_pair, rand_hermitian
+
+
+def diagonal_frame(pair):
+    """The clustered frame T of a pair with real spectrum, its diagonal Lambda
+    (negative-type directions carry -eigenvalue) and the residuals
+    ||T^H A T - Lambda||_2, ||T^H B T - J||_2 in the deflated coordinates."""
+    a = pt.analyze_pair(pair)
+    f = a.frame
+    assert not f.blocks
+    lam = np.concatenate([f.pos_values, -f.neg_values, f.null_signs])
+    red, T = a.deflation.reduced, f.T
+    res_a = float(np.linalg.norm(T.conj().T @ red.A.entries @ T - np.diag(lam), 2))
+    res_b = float(np.linalg.norm(T.conj().T @ red.B.entries @ T - np.diag(f.j_diag), 2))
+    return f, lam, res_a, res_b
 
 
 def test_eigh_examples():
@@ -139,7 +151,7 @@ def test_split_infinite_classification():
     pair = pt.pair_from_arrays(
         np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.0, 1.0])
     )
-    sp = split_infinite(pair, tols)
+    sp = pt.analyze_pair(pair, tols).split
     assert sp.coupled
     assert typed_spectrum(pair).infinite_definite_sign == INF_COUPLED
 
@@ -156,30 +168,26 @@ def test_split_infinite_schur_reduction_invariant():
 
 def test_congruent_diagonalize_already_canonical():
     pair = pt.pair_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, -1.0]))
-    cd = congruent_diagonalize(pair)
-    np.testing.assert_allclose(cd.j_diag, [1.0, -1.0])
-    np.testing.assert_allclose(cd.lam_diag, [1.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(cd.pos_values, [1.0], atol=1e-12)
-    np.testing.assert_allclose(cd.neg_values, [-2.0], atol=1e-12)
-    assert cd.res_a <= 1e-10 and cd.res_b <= 1e-10
+    f, lam, res_a, res_b = diagonal_frame(pair)
+    np.testing.assert_allclose(f.j_diag, [1.0, -1.0])
+    np.testing.assert_allclose(lam, [1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(f.pos_values, [1.0], atol=1e-12)
+    np.testing.assert_allclose(f.neg_values, [-2.0], atol=1e-12)
+    assert res_a <= 1e-10 and res_b <= 1e-10
 
 
 def test_congruent_diagonalize_golden_hat():
     pair = pt.pair_from_arrays(golden_hat_matrix(), np.diag([1.0, -1.0]))
-    cd = congruent_diagonalize(pair)
-    np.testing.assert_allclose(cd.j_diag, [1.0, -1.0])
-    np.testing.assert_allclose(
-        cd.lam_diag, [np.sqrt(2) / 2, np.sqrt(2) / 4], atol=1e-10
-    )
-    B = pair.B.entries
-    A = pair.A.entries
-    assert np.linalg.norm(cd.Y.conj().T @ cd.J @ cd.Y - B, 2) < 1e-10
-    assert np.linalg.norm(cd.Y.conj().T @ cd.Lambda @ cd.Y - A, 2) < 1e-10
+    f, lam, res_a, res_b = diagonal_frame(pair)
+    np.testing.assert_allclose(f.j_diag, [1.0, -1.0])
+    np.testing.assert_allclose(lam, [np.sqrt(2) / 2, np.sqrt(2) / 4], atol=1e-10)
+    assert res_b < 1e-10
+    assert res_a < 1e-10
 
 
 def test_congruent_diagonalize_rejects_jordan():
     with pytest.raises(NotDiagonalizableError):
-        congruent_diagonalize(k2_pair(0.0))
+        pt.analyze_pair(k2_pair(0.0)).frame
 
 
 def test_congruent_diagonalize_scrambled_round_trip():
@@ -191,13 +199,13 @@ def test_congruent_diagonalize_scrambled_round_trip():
     )
     for seed in range(8):
         scr, _ = pt.random_congruence(base, seed, 8.0)
-        cd = congruent_diagonalize(scr)
+        f, _, res_a, res_b = diagonal_frame(scr)
         scale_b = 1 + scr.B.norm()
         scale_a = 1 + scr.A.norm()
-        assert cd.res_b <= 1e-8 * scale_b
-        assert cd.res_a <= 1e-8 * scale_a
-        np.testing.assert_allclose(cd.pos_values, [0.3, 1.5], rtol=1e-7)
-        np.testing.assert_allclose(cd.neg_values, [-2.0, -0.7], rtol=1e-7)
+        assert res_b <= 1e-8 * scale_b
+        assert res_a <= 1e-8 * scale_a
+        np.testing.assert_allclose(f.pos_values, [0.3, 1.5], rtol=1e-7)
+        np.testing.assert_allclose(f.neg_values, [-2.0, -0.7], rtol=1e-7)
 
 
 def test_typed_spectrum_counts_match_inertia():
@@ -247,7 +255,7 @@ def test_clustered_frame_real_conjugate_and_null_directions():
 
 
 def test_views_read_one_analysis():
-    # The typed spectrum, the split and the frame of a pair are the analysis's.
+    # The typed spectrum is the analysis's, and its frame diagonalizes the pair.
     pair, _ = pt.random_congruence(
         pt.pair_from_arrays(np.diag([3.0, 1.0, -2.0]), np.diag([1.0, 0.0, -1.0])), 4, 5.0
     )
@@ -259,6 +267,5 @@ def test_views_read_one_analysis():
     assert a.spectrum.infinite_definite_sign == INF_PLUS
     np.testing.assert_allclose(a.b_frame.conj().T @ pair.B.entries @ a.b_frame,
                                np.diag([1.0, -1.0, 0.0]), atol=1e-10)
-    cd = congruent_diagonalize(pair)
-    np.testing.assert_allclose(cd.yinv, a.frame.T)
-    assert cd.res_a <= 1e-8 and cd.res_b <= 1e-8
+    _, _, res_a, res_b = diagonal_frame(pair)
+    assert res_a <= 1e-8 and res_b <= 1e-8

@@ -518,7 +518,7 @@ def test_nsd_branch_minimizer_and_padding():
 def test_sampled_lower_bound(golden_problem):
     res = infimum(golden_problem)
     rngs = [np.random.default_rng([17, k]) for k in range(200)]
-    X = pt.sample_feasible_original(golden_problem, 2.0, rngs)
+    X = pt.FeasibleSampler(golden_problem).sample(2.0, rngs)
     Xh = X.conj().swapaxes(-1, -2)
     traces = np.real(
         np.trace(

@@ -12,7 +12,6 @@ from pencil_tracemin.witness import (
     build_witness,
     certify_unbounded,
     evaluate_witness,
-    witness_feasibility,
 )
 
 from conftest import count_eigen_kernels, diag_problem, k2_pair
@@ -23,7 +22,7 @@ def _trend_ok(family, ts=(0.0, 1.0, 10.0, 100.0)):
         X, tr = evaluate_witness(family, t)
         want = family.slope * t * t + family.offset
         assert abs(tr - want) <= 1e-6 * (1 + abs(family.slope) * t * t + abs(family.offset))
-        resid = witness_feasibility(family, X)
+        resid = pt.feasibility_residual(family.problem, X)
         assert resid <= 1e-6 * (1 + t * t)
 
 
