@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -63,14 +64,13 @@ EXIT_KERNEL_FAILURE = 9
 SAMPLE_BLOCK_ENTRIES = 1 << 20
 
 
+def _tol_values(args) -> dict:
+    """The ``--tol-*`` flag values, keyed by ToleranceSet field name."""
+    return {f.name: getattr(args, f.name) for f in fields(ToleranceSet)}
+
+
 def _tols_from_args(args) -> ToleranceSet:
-    return ToleranceSet(
-        herm_tol=args.tol_herm,
-        rank_tol=args.tol_rank,
-        psd_tol=args.tol_psd,
-        type_tol=args.tol_type,
-        feas_tol=args.tol_feas,
-    )
+    return ToleranceSet(**_tol_values(args))
 
 
 def _finite(x):
@@ -129,13 +129,7 @@ def _base_report(command, args):
         "command": command,
         "version": __version__,
         "seed": args.seed,
-        "tolerances": {
-            "herm_tol": args.tol_herm,
-            "rank_tol": args.tol_rank,
-            "psd_tol": args.tol_psd,
-            "type_tol": args.tol_type,
-            "feas_tol": args.tol_feas,
-        },
+        "tolerances": _tol_values(args),
     }
 
 
@@ -349,11 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=int(os.environ.get("PENCIL_TRACEMIN_SEED", "0")),
         help="sampling seed (default: PENCIL_TRACEMIN_SEED or 0)",
     )
-    parser.add_argument("--tol-herm", type=float, default=1e-10)
-    parser.add_argument("--tol-rank", type=float, default=1e-10)
-    parser.add_argument("--tol-psd", type=float, default=1e-8)
-    parser.add_argument("--tol-type", type=float, default=1e-7)
-    parser.add_argument("--tol-feas", type=float, default=1e-8)
+    for f in fields(ToleranceSet):  # herm_tol -> --tol-herm
+        flag = "--tol-" + f.name.removesuffix("_tol")
+        parser.add_argument(flag, dest=f.name, type=float, default=f.default)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

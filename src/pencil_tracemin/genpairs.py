@@ -88,23 +88,6 @@ def block(spec: BlockSpec) -> MatrixPair:
     return pair_from_arrays(A, B)
 
 
-def tc_diag_b_form(spec: BlockSpec) -> MatrixPair:
-    """Congruent form of a Tc block with B = diag(F_p, -F_p)."""
-    if spec.kind != "Tc":
-        raise InvalidSpecError("only Tc blocks have the diagonal-B form")
-    p = spec.p
-    F = F_block(p)
-    A = np.zeros((2 * p, 2 * p), dtype=complex)
-    A[:p, :p] = K_block(p, spec.alpha)
-    A[:p, p:] = -1j * spec.beta * F
-    A[p:, :p] = 1j * spec.beta * F
-    A[p:, p:] = -K_block(p, spec.alpha)
-    B = np.zeros((2 * p, 2 * p), dtype=complex)
-    B[:p, :p] = F
-    B[p:, p:] = -F
-    return pair_from_arrays(A, B)
-
-
 def _f_inertia(p: int, eta: int) -> tuple:
     plus, minus = (p + 1) // 2, p // 2
     return (plus, 0, minus) if eta > 0 else (minus, 0, plus)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,9 +33,9 @@ class ToleranceSet:
     feas_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("herm_tol", "rank_tol", "psd_tol", "type_tol", "feas_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be strictly positive")
 
 
 DEFAULT_TOLS = ToleranceSet()

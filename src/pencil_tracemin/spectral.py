@@ -83,23 +83,6 @@ class TypedSpectrum:
     def has_complex(self) -> bool:
         return len(self.complex_values) > 0
 
-    def mirrored(self) -> "TypedSpectrum":
-        """Spectrum of (-A, -B): same values, types swapped."""
-        flip = {INF_PLUS: INF_MINUS, INF_MINUS: INF_PLUS}
-        swap = lambda es, t: tuple(
-            TypedEigenvalue(e.value, t, -e.b_form, e.jordan_pair) for e in es
-        )
-        return TypedSpectrum(
-            pos=swap(self.neg, POSITIVE),
-            neg=swap(self.pos, NEGATIVE),
-            deflated_dims=self.deflated_dims,
-            infinite_definite_sign=flip.get(
-                self.infinite_definite_sign, self.infinite_definite_sign
-            ),
-            complex_values=self.complex_values,
-            isotropic_defect=self.isotropic_defect,
-        )
-
 
 def eigh(H: HermitianMatrix):
     """Eigendecomposition of a Hermitian matrix: ascending values, orthonormal columns."""

@@ -39,6 +39,8 @@ from .spectral import (
     INF_MIXED,
     INF_NONE,
     INF_PLUS,
+    NEGATIVE,
+    POSITIVE,
     PairAnalysis,
     TypedSpectrum,
     analyze_pair,
@@ -85,7 +87,7 @@ class Term:
     """One product lambda_hat * lambda of the closed-form value.
 
     ``hat_index``/``big_index`` locate the eigenvalues inside the ascending
-    typed lists of the branch spectra (mirrored lists for the NSD branch).
+    typed lists of the two pairs, of type ``eig_type``, on either branch.
     """
 
     eig_type: str  # "positive" | "negative"
@@ -166,44 +168,41 @@ def properness(
     inertia_Bhat: Inertia,
     tols: ToleranceSet = DEFAULT_TOLS,
 ) -> PropernessReport:
-    """Properness of the triplet (B, Ahat, Bhat) for a PSD hat pair.
-
-    Callers handle the NSD branch by mirroring all inputs first.
-    Counting ranges run over the nhat-side eigenvalue lists (the pair has no
-    further eigenvalues to index).
-    """
+    """Properness of the triplet (B, Ahat, Bhat) for a PSD hat pair."""
     if inertia_Bhat.n_plus > inertia_B.n_plus or inertia_Bhat.n_minus > inertia_B.n_minus:
         raise InertiaViolationError("inertia of Bhat exceeds inertia of B")
-
-    pos = hat_spectrum.pos_values
-    neg = hat_spectrum.neg_values
-    zero = tols.type_tol * (
-        1.0 + max(np.max(np.abs(pos)) if pos.size else 0.0,
-                  np.max(np.abs(neg)) if neg.size else 0.0)
+    return _properness(
+        hat_spectrum.pos_values,
+        hat_spectrum.neg_values,
+        inertia_Bhat.n_plus < inertia_B.n_plus,
+        inertia_Bhat.n_minus < inertia_B.n_minus,
+        tols,
     )
-    eq_plus = inertia_Bhat.n_plus == inertia_B.n_plus
-    eq_minus = inertia_Bhat.n_minus == inertia_B.n_minus
-    min_pos = pos[0] if pos.size else None  # lambda_1^{+up}
-    max_neg = neg[-1] if neg.size else None  # lambda_1^{-down}
 
-    if eq_plus and eq_minus:
-        return PropernessReport(True, "i", 0, 0)
-    if eq_plus and not eq_minus:
-        if min_pos is None or min_pos >= -zero:
-            d_minus = int(np.sum(neg > zero))
-            return PropernessReport(True, "ii", 0, d_minus)
+
+def _properness(upper, lower, pad_upper, pad_lower, tols) -> PropernessReport:
+    """Properness of a semidefinite hat pair zero-padded to the inertia of B.
+
+    ``upper``/``lower`` are the hat values that bound the shift from above and
+    below (positive/negative type for a PSD pair, swapped for NSD); a padded
+    side gains a zero.  Proper iff the padded lists still admit a shift,
+    max(lower + [0 if pad_lower]) <= min(upper + [0 if pad_upper]).  That
+    max(lower) <= min(upper) is the semidefiniteness the caller established
+    with its own tolerance, so only a padded zero is tested here.
+    d_plus (d_minus) counts the upper (lower) values beyond zero.
+    """
+    zero = tols.type_tol * (1.0 + np.max(np.abs(np.concatenate([upper, lower])), initial=0.0))
+    hi = np.min(upper, initial=np.inf)
+    lo = np.max(lower, initial=-np.inf)
+    if (pad_lower and hi < -zero) or (pad_upper and lo > zero):
         return PropernessReport(False, "improper", 0, 0)
-    if not eq_plus and eq_minus:
-        if max_neg is None or max_neg <= zero:
-            d_plus = int(np.sum(pos < -zero))
-            return PropernessReport(True, "iii", d_plus, 0)
-        return PropernessReport(False, "improper", 0, 0)
-    # both strictly smaller: need the hat matrix itself semidefinite (shift 0)
-    ok_pos = min_pos is None or min_pos >= -zero
-    ok_neg = max_neg is None or max_neg <= zero
-    if ok_pos and ok_neg:
+    if pad_upper and pad_lower:
         return PropernessReport(True, "iv", 0, 0)
-    return PropernessReport(False, "improper", 0, 0)
+    if pad_upper:
+        return PropernessReport(True, "iii", int(np.sum(upper < -zero)), 0)
+    if pad_lower:
+        return PropernessReport(True, "ii", 0, int(np.sum(lower > zero)))
+    return PropernessReport(True, "i", 0, 0)
 
 
 def pad_problem(problem: ProblemInstance) -> ProblemInstance:
@@ -245,28 +244,22 @@ def fan_min_product(lambda0, lambda1) -> float:
     return float(np.sort(l0)[::-1] @ np.sort(l1))
 
 
-def _formula_terms(big: TypedSpectrum, hat: TypedSpectrum, prop: PropernessReport):
-    """Pair typed eigenvalues per the closed form and record index pairing."""
-    terms = []
-    bp = big.pos_values
-    bn = big.neg_values
-    hp = hat.pos_values
-    hn = hat.neg_values
-    mp, mn = len(hp), len(hn)
-    dp, dm = prop.d_plus, prop.d_minus
+def _formula_terms(big: TypedSpectrum, hat: TypedSpectrum):
+    """The closed-form products, type by type (Fan 1949; Kovac-Striko & Veselic 1995).
 
-    for i in range(mp - dp):
-        hi = mp - 1 - i  # descending hat positive-type
-        terms.append(Term("positive", float(hp[hi]), float(bp[i]), hi, i))
-    for i in range(dp):
-        bi = len(bp) - 1 - i  # descending big positive-type
-        terms.append(Term("positive", float(hp[i]), float(bp[bi]), i, bi))
-    for j in range(dm):
-        hj = mn - 1 - j  # descending hat negative-type (positive entries first)
-        terms.append(Term("negative", float(hn[hj]), float(bn[j]), hj, j))
-    for j in range(mn - dm):
-        bj = len(bn) - 1 - j
-        terms.append(Term("negative", float(hn[j]), float(bn[bj]), j, bj))
+    The hat values, zero-padded to the length of the big list, pair in
+    descending order with the big values in ascending order; a padded zero
+    gives no term.  Indices refer to the ascending typed lists of each pair.
+    """
+    terms = []
+    for eig_type, bv, hv in (
+        (POSITIVE, big.pos_values, hat.pos_values),
+        (NEGATIVE, big.neg_values, hat.neg_values),
+    ):
+        padded = np.concatenate([hv, np.zeros(max(len(bv) - len(hv), 0))])
+        for bi, hi in enumerate(np.argsort(padded, kind="stable")[::-1]):
+            if hi < len(hv):
+                terms.append(Term(eig_type, float(hv[hi]), float(bv[bi]), int(hi), bi))
     return tuple(terms)
 
 
@@ -344,26 +337,22 @@ def infimum(problem: ProblemInstance, tols: ToleranceSet | None = None) -> Infim
             verdict=NEG_INFINITE, reason=reason, reason_detail=detail, **base
         )
 
+    # Negating all four matrices swaps the types and keeps every value, so
+    # only properness depends on the branch: the NSD hat shift is bounded
+    # from above by its negative-type values.
     ib, ibh = big.b_inertia, hat.b_inertia
-    if psd_ok:
-        sign_case = PSD_PAIRS
-        sb, sh = spec_big, spec_hat
-        ib_b = Inertia(ib.n_plus, 0, ib.n_minus)
-        ib_h = ibh
-    else:
-        sign_case = NSD_PAIRS
-        sb, sh = spec_big.mirrored(), spec_hat.mirrored()
-        ib_b = Inertia(ib.n_minus, 0, ib.n_plus)
-        ib_h = Inertia(ibh.n_minus, 0, ibh.n_plus)
-
-    prop = properness(ib_b, sh, ib_h, tols)
+    pos = (spec_hat.pos_values, ibh.n_plus < ib.n_plus)
+    neg = (spec_hat.neg_values, ibh.n_minus < ib.n_minus)
+    sign_case = PSD_PAIRS if psd_ok else NSD_PAIRS
+    (upper, pad_upper), (lower, pad_lower) = (pos, neg) if psd_ok else (neg, pos)
+    prop = _properness(upper, lower, pad_upper, pad_lower, tols)
     if not prop.is_proper:
         return InfimumResult(
             verdict=NEG_INFINITE, reason=IMPROPER, properness=prop,
             sign_case=sign_case, **base
         )
 
-    terms = _formula_terms(sb, sh, prop)
+    terms = _formula_terms(spec_big, spec_hat)
     value = float(sum(t.product for t in terms))
     attainable = (
         ATTAINABLE_YES
@@ -420,12 +409,12 @@ def _minimizer_from(problem: ProblemInstance, result: InfimumResult):
         raise NotAttainableError(str(exc)) from exc
 
     Xt = np.zeros((f_big.n, f_hat.n), dtype=complex)
-    # Frame direction lists sorted ascending by eigenvalue, matching the
-    # index convention of the recorded terms (mirrored lists swap the roles).
-    dirs = {True: (f_big.plus_dirs, f_hat.plus_dirs), False: (f_big.minus_dirs, f_hat.minus_dirs)}
-    mirror = result.sign_case == NSD_PAIRS
+    # Frame direction lists sorted ascending by eigenvalue, as the typed
+    # lists that the term indices refer to.
+    dirs = {POSITIVE: (f_big.plus_dirs, f_hat.plus_dirs),
+            NEGATIVE: (f_big.minus_dirs, f_hat.minus_dirs)}
     for t in result.terms:
-        big_dirs, hat_dirs = dirs[(t.eig_type == "positive") != mirror]
+        big_dirs, hat_dirs = dirs[t.eig_type]
         Xt[big_dirs[t.big_index], hat_dirs[t.hat_index]] = 1.0
 
     X = big.deflation.keep @ (f_big.T @ Xt @ f_hat.T.conj().T)

@@ -1,8 +1,13 @@
 """Explicit feasible families X(t) certifying an infinite infimum.
 
-Each builder returns a family whose trace trend is exactly
-slope * t^2 + offset with slope < 0, while Bhat X(t)^H B X(t) = I holds up to
-roundoff that grows no faster than (1 + t^2).  Three mechanisms:
+Every family has one form,
+
+    X(t) = x_base + (c - 1) d_cosh + sigma d_sinh,   c = sqrt(1 + sigma^2),
+
+with sigma = sigma(t) one of three maps and d_cosh, d_sinh sums of at most
+two rank-one terms.  Each builder returns a family whose trace trend is
+exactly slope * t^2 + offset with slope < 0, while Bhat X(t)^H B X(t) = I
+holds up to roundoff that grows no faster than (1 + t^2).  Three mechanisms:
 
 * ``MixedSignSlope``   - a hyperbolic rotation mixing a positive-type and a
   negative-type direction whose eigenvalue gaps have opposite signs on the
@@ -45,6 +50,7 @@ COMPLEX_BLOCK_SLOPE = "ComplexBlockSlope"
 INFINITE_BLOCK_RAY = "InfiniteBlockRay"
 
 SIGMA_IDENTITY = "identity"  # sigma(t) = t
+SIGMA_SQUARE = "square"  # sigma(t) = t^2
 SIGMA_QUARTIC = "quartic"  # sigma(t) with sigma*sqrt(1+sigma^2) = t^2
 
 
@@ -56,15 +62,16 @@ class WitnessFamily:
     trend_power: int
     sigma_map: str
     x_base: np.ndarray
-    upd_cosh: tuple  # ((u, v), ...): coefficient cosh-part c(sigma) - 1
-    upd_sinh: tuple  # ((u, v), ...): coefficient sigma
-    upd_power: tuple  # ((u, v, k), ...): coefficient t^k
+    d_cosh: np.ndarray  # coefficient c(sigma) - 1
+    d_sinh: np.ndarray  # coefficient sigma
     problem: ProblemInstance
 
 
 def _sigma(family: WitnessFamily, t: float) -> float:
     if family.sigma_map == SIGMA_IDENTITY:
         return float(t)
+    if family.sigma_map == SIGMA_SQUARE:
+        return float(t) ** 2
     # sigma^2 (1 + sigma^2) = t^4  =>  exact quadratic trend for the rotation
     q = 0.5 * (np.sqrt(1.0 + 4.0 * t**4) - 1.0)
     return float(np.sqrt(q))
@@ -74,15 +81,8 @@ def evaluate_witness(family: WitnessFamily, t: float):
     """Materialize X(t) and return (X, trace value)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    X = family.x_base.copy()
     s = _sigma(family, t)
-    c = np.sqrt(1.0 + s * s)
-    for u, v in family.upd_cosh:
-        X += (c - 1.0) * np.outer(u, v.conj())
-    for u, v in family.upd_sinh:
-        X += s * np.outer(u, v.conj())
-    for u, v, k in family.upd_power:
-        X += (t**k) * np.outer(u, v.conj())
+    X = family.x_base + (np.sqrt(1.0 + s * s) - 1.0) * family.d_cosh + s * family.d_sinh
     A = family.problem.pair.A.entries
     Ah = family.problem.hat_pair.A.entries
     trace = float(np.real(np.trace(Ah @ X.conj().T @ A @ X)))
@@ -156,7 +156,7 @@ def _static_assignment(big: ClusteredFrame, hat: ClusteredFrame, reserved_big, r
 
 
 def _finish_family(kind, problem, keep, big, hat, rot, slope, sigma_map):
-    """Assemble x_base and rank-one updates from a rotation plus a static assignment.
+    """Assemble x_base, d_cosh and d_sinh from a rotation plus a static assignment.
 
     ``rot`` is (p, m, phat, mhat, a11, a21, a12, a22): columns phat / mhat of
     the canonical X(t) are a11*c e_p + a21*s e_m and a12*s e_p + a22*c e_m
@@ -170,29 +170,22 @@ def _finish_family(kind, problem, keep, big, hat, rot, slope, sigma_map):
     for hd, bd in assign.items():
         Xt0[bd, hd] = 1.0
 
-    upd_cosh, upd_sinh = [], []
-    if phat is not None:
-        Xt0[p, phat] = a11
-        upd_cosh.append((a11 * Mbig[:, p], hat.T[:, phat]))
-        upd_sinh.append((a21 * Mbig[:, m], hat.T[:, phat]))
-    if mhat is not None:
-        Xt0[m, mhat] = a22
-        upd_cosh.append((a22 * Mbig[:, m], hat.T[:, mhat]))
-        upd_sinh.append((a12 * Mbig[:, p], hat.T[:, mhat]))
+    d_cosh = np.zeros((Mbig.shape[0], problem.nhat), dtype=complex)
+    d_sinh = np.zeros_like(d_cosh)
+    for hd, cosh_dir, sinh_dir, a_cosh, a_sinh in ((phat, p, m, a11, a21), (mhat, m, p, a22, a12)):
+        if hd is not None:
+            Xt0[cosh_dir, hd] = a_cosh
+            v = hat.T[:, hd].conj()
+            d_cosh += a_cosh * np.outer(Mbig[:, cosh_dir], v)
+            d_sinh += a_sinh * np.outer(Mbig[:, sinh_dir], v)
 
     x_base = Mbig @ Xt0 @ hat.T.conj().T
-    family = WitnessFamily(
-        kind=kind,
-        slope=float(slope),
-        offset=0.0,
-        trend_power=2,
-        sigma_map=sigma_map,
-        x_base=x_base,
-        upd_cosh=tuple(upd_cosh),
-        upd_sinh=tuple(upd_sinh),
-        upd_power=(),
-        problem=problem,
-    )
+    return _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh)
+
+
+def _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh):
+    """The WitnessFamily of these parts, trend power 2; its offset is the trace at t = 0."""
+    family = WitnessFamily(kind, float(slope), 0.0, 2, sigma_map, x_base, d_cosh, d_sinh, problem)
     return replace(family, offset=evaluate_witness(family, 0.0)[1])
 
 
@@ -296,21 +289,11 @@ def _complex_witness(problem, tols, big_a, hat_a):
     )
 
 
-def _ray_family(problem, slope, x_base, u, v, power):
-    """The family X(t) = x_base + t^power u v^H through a null direction of B."""
-    family = WitnessFamily(
-        kind=INFINITE_BLOCK_RAY,
-        slope=float(slope),
-        offset=0.0,
-        trend_power=2,
-        sigma_map=SIGMA_IDENTITY,
-        x_base=x_base,
-        upd_cosh=(),
-        upd_sinh=(),
-        upd_power=((u, v, power),),
-        problem=problem,
-    )
-    return replace(family, offset=evaluate_witness(family, 0.0)[1])
+def _ray_family(problem, slope, x_base, u, v, sigma_map):
+    """The family X(t) = x_base + sigma(t) u v^H through a null direction of B."""
+    d_sinh = np.outer(u, v.conj())
+    d_cosh = np.zeros_like(d_sinh)
+    return _family(INFINITE_BLOCK_RAY, problem, slope, sigma_map, x_base, d_cosh, d_sinh)
 
 
 def _ray_witness(problem, tols, big, hat):
@@ -336,7 +319,8 @@ def _ray_witness(problem, tols, big, hat):
     )
     if slope >= -tols.type_tol * (1.0 + float(np.max(np.abs(lam_hat)))):
         raise NoWitnessConstructibleError("infinite block is sign-compatible")
-    return _ray_family(problem, slope, X0, keep @ sp.null_frame()[:, i], Th @ Wh[:, k], 1)
+    u, v = keep @ sp.null_frame()[:, i], Th @ Wh[:, k]
+    return _ray_family(problem, slope, X0, u, v, SIGMA_IDENTITY)
 
 
 def _chain_witness(problem, tols, big, hat):
@@ -373,7 +357,8 @@ def _chain_witness(problem, tols, big, hat):
     if norm_r <= tols.type_tol * scale:
         raise NoWitnessConstructibleError("coupling does not reach the objective")
     keep = big.deflation.keep
-    return _ray_family(problem, -2.0 * norm_r, keep @ X0_d, keep @ z, -r.conj() / norm_r, 2)
+    u, v = keep @ z, -r.conj() / norm_r
+    return _ray_family(problem, -2.0 * norm_r, keep @ X0_d, u, v, SIGMA_SQUARE)
 
 
 def build_witness(

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -147,6 +148,30 @@ def test_infimum_golden(golden_file, capsys):
     assert code == 0
     assert rep["infimum"]["verdict"] == "Finite"
     assert rep["infimum"]["value"] == pytest.approx(np.sqrt(2.0), abs=1e-8)
+
+
+def test_infimum_nsd_term_types_match_analyze(tmp_path, capsys):
+    # The golden problem with all four matrices negated lands on the NSD
+    # branch; each term carries the type that analyze gives its eigenvalue.
+    A, B = -np.diag([1.0, 2.0]), -np.diag([1.0, -1.0])
+    pair_path = str(tmp_path / "pair.json")
+    pt.matcore.save_pair(pair_path, pt.pair_from_arrays(A, B))
+    _, rep = run_json(capsys, ["--json", "analyze", pair_path])
+    typed = {
+        eig_type: [e["value"] for e in rep["typed_spectrum"][key]]
+        for eig_type, key in (("positive", "pos"), ("negative", "neg"))
+    }
+    assert typed["positive"] == pytest.approx([-2.0], abs=1e-12)
+    assert typed["negative"] == pytest.approx([1.0], abs=1e-12)
+
+    path = str(tmp_path / "mirrored.json")
+    write_problem(path, A, B, -golden_hat_matrix(), -np.diag([1.0, -1.0]))
+    code, rep = run_json(capsys, ["--json", "infimum", path])
+    assert code == 0 and rep["infimum"]["sign_case"] == "NSD_pairs"
+    terms = rep["infimum"]["terms"]
+    assert len(terms) == 2
+    for term in terms:
+        assert term["lambda"] == pytest.approx(typed[term["eig_type"]][0], abs=1e-12)
 
 
 def test_infimum_mixed_exit_code(tmp_path, capsys):
@@ -385,6 +410,12 @@ def test_tolerance_flag_override(golden_file, capsys):
     assert code == 0
     assert rep["tolerances"]["psd_tol"] == 1e-6
     assert rep["tolerances"]["rank_tol"] == 1e-10
+
+
+def test_tolerance_defaults_are_the_tolerance_set(golden_file, capsys):
+    code, rep = run_json(capsys, ["--json", "infimum", golden_file])
+    assert code == 0
+    assert rep["tolerances"] == asdict(pt.ToleranceSet())
 
 
 def test_minimize_excluded_constant(tmp_path, capsys):

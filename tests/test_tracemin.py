@@ -28,6 +28,7 @@ from pencil_tracemin.tracemin import (
 )
 
 from conftest import count_eigen_kernels, diag_problem, golden_hat_matrix, k2_pair, rand_hermitian
+from test_acceptance import _hat_pair, _random_specs
 
 
 # --- excluded cases ---------------------------------------------------------
@@ -101,6 +102,20 @@ def test_properness_inertia_violation():
     spec = typed_spectrum(pt.pair_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, -1.0])))
     with pytest.raises(InertiaViolationError):
         properness(pt.Inertia(0, 0, 1), spec, pt.Inertia(1, 0, 1))
+
+
+def test_properness_leaves_semidefiniteness_to_its_tolerance():
+    # The hat's negative-type value exceeds its positive-type one by 5e-7: a
+    # PSD pair under psd_tol = 1e-6, beyond type_tol.  Properness tests only
+    # the padded zeros, so the semidefiniteness verdict stands.
+    tols = pt.ToleranceSet(psd_tol=1e-6)
+    prob = pt.ProblemInstance(
+        pair=pt.pair_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, -1.0])),
+        hat_pair=pt.pair_from_arrays(np.diag([1.0, -(1.0 + 5e-7)]), np.diag([1.0, -1.0])),
+        tolerances=tols,
+    )
+    res = infimum(prob)
+    assert res.verdict == FINITE and res.properness.case_label == "i"
 
 
 # --- padding ----------------------------------------------------------------
@@ -263,6 +278,49 @@ def test_infimum_nsd_branch():
     assert res.verdict == FINITE
     assert res.sign_case == "NSD_pairs"
     assert res.value == pytest.approx(np.sqrt(2.0), abs=1e-10)
+
+
+def _criterion_7_problems():
+    """The problems of acceptance criterion 7 with rank B > 0, drawn the same way."""
+    rng = np.random.default_rng(707)
+    for trial in range(500):
+        specs = _random_specs(rng)
+        cap = 2.5 if any(s.kind == "Tr" and s.p == 2 for s in specs) else 5.0
+        pair, truth = assemble(specs, scramble_seed=trial, conditioning_cap=cap)
+        ib = truth.inertia_B
+        if ib.rank == 0:
+            continue
+        hpl, hmi = 0, 0
+        while hpl + hmi == 0:
+            hpl = int(rng.integers(0, ib.n_plus + 1))
+            hmi = int(rng.integers(0, ib.n_minus + 1))
+        hp = np.sort(rng.uniform(-1.5, 1.5, size=hpl))
+        hn = np.sort(rng.uniform(-1.5, 1.5, size=hmi))
+        yield pt.ProblemInstance(pair=pair, hat_pair=_hat_pair(rng, hp, hn, trial + 31337))
+
+
+def test_negation_duality():
+    # Negating all four matrices keeps the objective, the constraint and every
+    # eigenvalue, and swaps the types: the verdict, reason and value stay, and
+    # the terms stay with their types flipped.
+    negate = lambda p: pt.pair_from_arrays(-p.A.entries, -p.B.entries)
+    flip = {"positive": "negative", "negative": "positive"}
+    counts = {"problems": 0, FINITE: 0}
+    for prob in _criterion_7_problems():
+        res = infimum(prob)
+        neg = infimum(pt.ProblemInstance(pair=negate(prob.pair), hat_pair=negate(prob.hat_pair)))
+        assert (neg.verdict, neg.reason) == (res.verdict, res.reason)
+        if res.value is not None:
+            assert neg.value == pytest.approx(res.value, rel=1e-10, abs=1e-10)
+        terms = sorted((t.eig_type, t.lam_hat, t.lam) for t in res.terms)
+        flipped = sorted((flip[t.eig_type], t.lam_hat, t.lam) for t in neg.terms)
+        assert [t[0] for t in flipped] == [t[0] for t in terms]
+        np.testing.assert_allclose(
+            [t[1:] for t in flipped], [t[1:] for t in terms], rtol=1e-9, atol=1e-12
+        )
+        counts["problems"] += 1
+        counts[FINITE] += res.verdict == FINITE
+    assert counts == {"problems": 482, FINITE: 32}
 
 
 def test_equal_inertia_closed_form_equivalence():
