@@ -103,7 +103,8 @@ def _confirmed_side(lam_min, lower, upper, tols, tol):
 def definiteness_from_spectrum(
     pair: MatrixPair, spec: TypedSpectrum, tols: ToleranceSet = DEFAULT_TOLS
 ) -> DefinitenessReport:
-    """PSD/NSD verdicts of a pair with nonsingular B from its typed spectrum ``spec``.
+    """PSD/NSD verdicts of a finite part (Ã, J), J = diag(+1.., -1..), from its
+    typed spectrum ``spec``; tolerance and lam_min are in its coordinates.
 
     Makes at most two eigenvalue solves, one per side the spectrum admits.
     """
@@ -135,17 +136,15 @@ def definiteness_from_spectrum(
 def analysis_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
     """Structure-aware PSD/NSD verdicts of an analysed pair.
 
-    A singular B splits the pair into a finite part, judged by
-    ``definiteness_from_spectrum``, and A on N(B): the pair is PSD (NSD) iff
-    the finite part is and A is positive (negative) definite on N(B).
-    Chained structure on N(B) admits neither.  With B = 0 the shift is free:
-    the verdict is the sign of A and the interval is the whole line.
+    The pair is PSD (NSD) iff its finite part (Ã, J) is, as judged by
+    ``definiteness_from_spectrum``, and A is positive (negative) definite on
+    N(B), vacuously so for nonsingular B.  Chained structure on N(B) admits
+    neither.  With B = 0 the shift is free: the verdict is the sign of A and
+    the interval is the whole line.
     """
     spec, tols = analysis.spectrum, analysis.tols
     finite_pair = analysis.split.finite_pair
     sign = spec.infinite_definite_sign
-    if sign == INF_NONE:
-        return definiteness_from_spectrum(finite_pair, spec, tols)
     tol = tols.psd_tol * analysis.deflation.reduced.scale
     if sign == INF_COUPLED:
         return DefinitenessReport(False, False, None, None, tolerance=tol)
@@ -154,8 +153,8 @@ def analysis_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
         rep = DefinitenessReport(True, True, line, line, tolerance=tol)
     else:
         rep = definiteness_from_spectrum(finite_pair, spec, tols)
-    psd = rep.is_psd_pair and sign == INF_PLUS
-    nsd = rep.is_nsd_pair and sign == INF_MINUS
+    psd = rep.is_psd_pair and sign in (INF_NONE, INF_PLUS)
+    nsd = rep.is_nsd_pair and sign in (INF_NONE, INF_MINUS)
     return replace(
         rep,
         is_psd_pair=psd,

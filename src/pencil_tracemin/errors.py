@@ -21,6 +21,10 @@ class KernelFailureError(PencilError):
     """An underlying dense eigen/SVD kernel did not converge."""
 
 
+class TypeCountError(KernelFailureError):
+    """Typed eigenvalue counts disagree with the inertia of B (inaccurate eigensolve)."""
+
+
 class NotDiagonalizableError(PencilError):
     """Pair is not congruent-diagonalizable with real spectrum."""
 

@@ -121,10 +121,6 @@ class GroundTruth:
     diagonalizable: bool  # pencil semisimple: only To / Tr(1) / Tinf(1) / Tc(1)
     coupled: bool  # Ts or Tinf(p >= 2) present
 
-    @property
-    def real_diagonalizable(self) -> bool:
-        return self.diagonalizable and not self.complex_values
-
 
 def _truth(specs) -> GroundTruth:
     pos, neg, jordan, cvals, inf_signs = [], [], [], [], []

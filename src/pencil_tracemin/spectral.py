@@ -1,24 +1,27 @@
 """Pair analysis: the one place a Hermitian pair (A, B) is analysed.
 
 ``analyze_pair(pair, tols)`` builds a frozen :class:`PairAnalysis` once per
-pair.  It eigendecomposes B (inertia with the relative zero rule, the norm
-of B, and the +1/-1/0 B-frame), deflates the common nullspace of A and B and
-splits off N(B) when B is singular, solves the eigenproblem of the finite
-part once and clusters its eigenvectors into one congruence frame:
-real typed directions B-orthonormalized per cluster, 2x2 blocks for
-conjugate eigenvalue pairs, and the null directions of B (the canonical
-form of Lancaster & Rodman, SIAM Review 47, 2005).  The typed spectrum,
+pair.  It eigendecomposes B (inertia with the relative zero rule and the
++1/-1/0 B-frame), deflates the common nullspace of A and B and splits off
+N(B) when B is singular.  The finite part left is always posed in B-frame
+coordinates, (Ã, J) with J = diag(+1.., -1..); its eigenproblem is solved
+once and its eigenvectors are clustered into one congruence frame: real
+typed directions J-orthonormalized per cluster, 2x2 blocks for conjugate
+eigenvalue pairs, and the null directions of B (the canonical form of
+Lancaster & Rodman, SIAM Review 47, 2005).  The typed spectrum,
 definiteness, minimizers, feasible points, sampling and divergence
 witnesses are all read from it; ``typed_spectrum(pair)`` is its spectrum.
 
-Finite eigenvalues carry a type: the sign of the B-form on their eigenspace.
-Eigenvalues closer than ``type_tol`` form a cluster, typed by the inertia of
-the Gram matrix Z^H B Z of its eigenvectors, so a repeated eigenvalue of
-both types gets one copy of each type.  A B-isotropic direction signals a
-Jordan block; at the boundary shift of a semidefinite pair its two copies
-count once with each type (the two-copy convention).  The structure of A on
-N(B) is classified separately; a degenerate restriction signals chained
-(non-diagonalizable) infinite structure.
+Finite eigenvalues carry a type: the sign of the B-form on their eigenspace,
+measured in B-frame coordinates, where B has unit scale.  Eigenvalues closer
+than ``type_tol`` form a cluster, typed by the inertia of the Gram matrix
+Z^H J Z of its eigenvectors, so a repeated eigenvalue of both types gets one
+copy of each type.  A J-isotropic direction signals a Jordan block; at the
+boundary shift of a semidefinite pair its two copies count once with each
+type (the two-copy convention).  The structure of A on N(B) is classified
+separately; a degenerate restriction signals chained (non-diagonalizable)
+infinite structure, which leaves no finite part: the spectrum of a chained
+pair is untyped (``isotropic_defect`` set) and costs no eigensolve.
 """
 
 from __future__ import annotations
@@ -131,29 +134,30 @@ def deflate_common_nullspace(
 class InfiniteSplit:
     """Split of a pair along N(B), with the coupling to the range of B eliminated.
 
-    ``R`` holds the B-frame on the range of B (R^H B R = diag(+1.., -1..)),
-    ``N`` an orthonormal basis of N(B).  When A restricted to N(B) has no
-    eigenvalue within ``null_tol`` of zero, the congruence
-    [R + N K, N Q_inf s] block-diagonalizes the pair into a finite part (the
-    Schur complement, with B block diag(+1.., -1..)) and +/-1 infinite
+    ``R`` holds the B-frame on the range of B (R^H B R = J = diag(+1.., -1..)),
+    ``N`` an orthonormal basis of N(B) (no columns for nonsingular B).  When
+    A restricted to N(B) has no eigenvalue within ``null_tol`` of zero, the
+    congruence [R + N K, N Q_inf s] block-diagonalizes the pair into the
+    finite part (Ã, J), Ã = (R + N K)^H A (R + N K), and +/-1 infinite
     directions.  A singular restriction means chained structure: no such
-    elimination exists.  With B nonsingular there is nothing to split and
-    the finite part is the pair itself.
+    elimination exists, and ``K`` and the finite part are None.
     """
 
-    has_infinite: bool
     coupled: bool
-    R: np.ndarray | None
-    N: np.ndarray | None
+    R: np.ndarray
+    N: np.ndarray
     K: np.ndarray | None
-    d_inf: np.ndarray | None
-    Q_inf: np.ndarray | None
+    d_inf: np.ndarray
+    Q_inf: np.ndarray
     finite_pair: MatrixPair | None
     null_tol: float = 0.0
 
-    def finite_frame(self) -> np.ndarray | None:
-        if not self.has_infinite:
-            return None
+    @property
+    def has_infinite(self) -> bool:
+        return self.N.shape[1] > 0
+
+    def finite_frame(self) -> np.ndarray:
+        """The map from the finite part's coordinates back to the pair's."""
         return self.R + self.N @ self.K
 
     def null_frame(self) -> np.ndarray:
@@ -163,21 +167,20 @@ class InfiniteSplit:
 def _split(pair: MatrixPair, W: np.ndarray, j: np.ndarray, tols: ToleranceSet) -> InfiniteSplit:
     """Split ``pair`` along N(B), given its B-frame W whose first columns carry the signs j."""
     rank = len(j)
-    if rank == pair.n:
-        return InfiniteSplit(False, False, None, None, None, None, None, pair)
     R, N = W[:, :rank], W[:, rank:]
     A = pair.A.entries
-    A_NN = N.conj().T @ A @ N
-    d_inf, Q_inf = np.linalg.eigh((A_NN + A_NN.conj().T) / 2.0)
-    null_tol = tols.rank_tol * max(float(np.linalg.norm(A)), 1.0)
-    if np.min(np.abs(d_inf)) <= null_tol:
-        return InfiniteSplit(True, True, R, N, None, d_inf, Q_inf, None, null_tol)
-    A12 = R.conj().T @ A @ N
-    K = -np.linalg.solve(A_NN, A12.conj().T)
+    K, d_inf, Q_inf, null_tol = np.zeros((0, rank)), np.zeros(0), np.zeros((0, 0)), 0.0
+    if N.shape[1]:
+        A_NN = N.conj().T @ A @ N
+        d_inf, Q_inf = np.linalg.eigh((A_NN + A_NN.conj().T) / 2.0)
+        null_tol = tols.rank_tol * max(float(np.linalg.norm(A)), 1.0)
+        if np.min(np.abs(d_inf)) <= null_tol:
+            return InfiniteSplit(True, R, N, None, d_inf, Q_inf, None, null_tol)
+        K = -np.linalg.solve(A_NN, N.conj().T @ A @ R)
     fin = None
     if rank:
-        fin = pair_from_arrays(R.conj().T @ A @ R + A12 @ K, np.diag(j), herm_tol=np.inf)
-    return InfiniteSplit(True, False, R, N, K, d_inf, Q_inf, fin, null_tol)
+        fin = pair_from_arrays(R.conj().T @ A @ (R + N @ K), np.diag(j), herm_tol=np.inf)
+    return InfiniteSplit(False, R, N, K, d_inf, Q_inf, fin, null_tol)
 
 
 def _infinite_sign(sp: InfiniteSplit) -> str:
@@ -241,23 +244,24 @@ class ClusteredFrame:
         return [d for d, _ in self.real_neg] + [b[1] for b in self.blocks]
 
 
-def _cluster(B, w, Z, nB, tols):
+def _cluster(j, w, Z, tols):
     """Cluster the real eigenvalues w (eigenvectors Z) and type each cluster.
 
-    Each cluster is typed by the inertia of its Gram matrix Z^H B Z (a 1x1
+    Z is in B-frame coordinates, where B = J = diag(j): a B-form is sum j|z|^2.
+    Each cluster is typed by the inertia of its Gram matrix Z^H J Z (a 1x1
     Gram is read directly).  Returns (typed, isotropic, complex indices):
-    typed holds (value, b_form, B-normalized direction), isotropic holds
-    (value, b_form) for directions with |b_form| <= type_tol * nB.
+    typed holds (value, b_form, J-normalized direction), isotropic holds
+    (value, b_form) for directions with |b_form| <= type_tol.
     """
-    real = np.isfinite(w) & (np.abs(w.imag) <= tols.type_tol * (1.0 + np.abs(w.real)))
+    real = np.abs(w.imag) <= tols.type_tol * (1.0 + np.abs(w.real))
     cidx = np.flatnonzero(~real)
     ridx = np.flatnonzero(real)
     ridx = ridx[np.argsort(w[ridx].real)]
     vals, Zr = w[ridx].real, Z[:, ridx]
     if not vals.size:
         return [], [], cidx
-    BZ = B @ Zr
-    forms = np.real(np.einsum("ij,ij->j", Zr.conj(), BZ))
+    JZ = j[:, None] * Zr
+    forms = np.real(np.einsum("ij,ij->j", Zr.conj(), JZ))
     ctol = tols.type_tol * (1.0 + float(np.max(np.abs(vals))))
     bounds = [0, *(np.flatnonzero(np.diff(vals) > ctol) + 1).tolist(), len(vals)]
     typed, isotropic = [], []
@@ -266,19 +270,19 @@ def _cluster(B, w, Z, nB, tols):
         if end - start == 1:
             g, mu = forms[start:end], float(vals[start])
         else:
-            G = X.conj().T @ BZ[:, start:end]
+            G = X.conj().T @ JZ[:, start:end]
             g, U = np.linalg.eigh((G + G.conj().T) / 2.0)
             X, mu = X @ U, float(np.mean(vals[start:end]))
         for i, gi in enumerate(g.tolist()):
-            if abs(gi) <= tols.type_tol * nB:
+            if abs(gi) <= tols.type_tol:
                 isotropic.append((mu, gi))
             else:
                 typed.append((mu, gi, X[:, i] / np.sqrt(abs(gi))))
     return typed, isotropic, cidx
 
 
-def _conjugate_blocks(A, B, w, Z, cidx, nB, tols):
-    """Pair conjugate eigenvalues into B-normalized 2x2 frames.
+def _conjugate_blocks(A, j, w, Z, cidx, tols):
+    """Pair conjugate eigenvalues into J-normalized 2x2 frames, J = diag(j).
 
     Returns ([(c_plus, c_minus, alpha, beta), ...], error message or None).
     """
@@ -301,12 +305,12 @@ def _conjugate_blocks(A, B, w, Z, cidx, nB, tols):
             cand = [l for l in cidx if l != k and l not in used and w[l].imag > 0]
         if not cand:
             return blocks, "unpaired complex eigenvalue"
-        forms = [abs(complex(Z[:, l].conj() @ (B @ Z[:, k]))) for l in cand]
-        best = cand[int(np.argmax(forms))]
+        x = Z[:, k]
+        best = cand[int(np.argmax(np.abs(Z[:, cand].conj().T @ (j * x))))]
         used.update((k, best))
-        x, y = Z[:, k], Z[:, best]
-        gamma = complex(y.conj() @ (B @ x))
-        if abs(gamma) <= tols.type_tol * nB:
+        y = Z[:, best]
+        gamma = complex(y.conj() @ (j * x))
+        if abs(gamma) <= tols.type_tol:
             return blocks, "chained complex structure"
         xp = x / (gamma / abs(gamma) * np.sqrt(abs(gamma)))
         yp = y / np.sqrt(abs(gamma))
@@ -324,16 +328,16 @@ class PairAnalysis:
     """Everything derived from one Hermitian pair, each piece computed once.
 
     The deflation, the eigendecomposition of B and the split along N(B) are
-    computed by ``analyze_pair``; the eigenproblem of the finite part, the
-    typed spectrum and the clustered frame on first use, so consumers that
-    only need the B-frame (feasible points, sampling) never pay for it.
-    All frames are in the coordinates of ``deflation.reduced``.
+    computed by ``analyze_pair``; the eigenproblem of the finite part
+    (Ã, J), the typed spectrum and the clustered frame on first use, so
+    consumers that only need the B-frame (feasible points, sampling) never
+    pay for it.  ``b_form`` values are in B-frame coordinates; a chained
+    pair's spectrum is untyped.  Frames are in ``deflation.reduced``'s coordinates.
     """
 
     tols: ToleranceSet
     deflation: DeflationResult
     b_inertia: Inertia  # of B, deflated directions counted as zeros
-    b_norm: float  # spectral norm of B
     b_frame: np.ndarray  # W^H B W = diag(+1.., -1.., 0..)
     split: InfiniteSplit
 
@@ -343,35 +347,30 @@ class PairAnalysis:
         sp, tols = self.split, self.tols
         sign = _infinite_sign(sp)
         dims = self.deflation.deflated_dims
-        null_signs = np.sign(sp.d_inf) if sp.has_infinite else np.zeros(0)
-        # A chained pair has no finite part to split off: its finite
-        # eigenvalues are typed, best effort, on the whole pair, and its
-        # isotropic directions are left out.
-        fin = self.deflation.reduced if sp.coupled else sp.finite_pair
+        if sp.coupled:
+            spec = TypedSpectrum((), (), dims, sign, isotropic_defect=True)
+            return spec, None, "chained structure on the nullspace of B"
+        null_signs = np.sign(sp.d_inf)
+        fin = sp.finite_pair
         if fin is None:  # B = 0 after deflation
             frame = ClusteredFrame(sp.null_frame(), np.zeros(0), np.zeros(0), (), null_signs)
             return TypedSpectrum((), (), dims, sign), frame, None
-        A, B = fin.A.entries, fin.B.entries
-        nB = self.b_norm if fin is self.deflation.reduced else 1.0
-        if sp.coupled:
-            (alpha, beta), Z = scipy.linalg.eig(A, B, homogeneous_eigvals=True)
-            finite = np.abs(beta) > tols.rank_tol * (np.abs(alpha) + np.abs(beta) + 1e-300)
-            w, Z = alpha[finite] / beta[finite], Z[:, finite]
-        else:
-            w, Z = scipy.linalg.eig(A, B)
-        typed, isotropic, cidx = _cluster(B, w, Z, nB, tols)
+        A, J = fin.A.entries, fin.B.entries
+        j = np.real(np.diag(J))
+        w, Z = scipy.linalg.eig(A, J)
+        typed, isotropic, cidx = _cluster(j, w, Z, tols)
         plus = [t for t in typed if t[1] > 0]  # ascending, as clusters are
         minus = [t for t in typed if t[1] < 0]
 
         pos = [TypedEigenvalue(v, POSITIVE, g) for v, g, _ in plus]
         neg = [TypedEigenvalue(v, NEGATIVE, g) for v, g, _ in minus]
-        defect = sp.coupled
-        if isotropic and not sp.coupled:
+        defect = False
+        if isotropic:
             # An isotropic (Jordan) eigenvalue pins every shift t with A - t*B
             # semidefinite to its value, so the isotropic copies pair up, at
             # their common value, iff A - t*B is semidefinite there.
             shift = float(np.mean([v for v, _ in isotropic]))
-            f = eigvalsh(A - shift * B)
+            f = eigvalsh(A - shift * J)
             tol = tols.psd_tol * fin.scale
             pairs = len(isotropic) // 2 if f[0] >= -tol or f[-1] <= tol else 0
             for _ in range(pairs):
@@ -386,22 +385,16 @@ class PairAnalysis:
         cvals = tuple(complex(z) for z in w[cidx])
         spec = TypedSpectrum(tuple(pos), tuple(neg), dims, sign, cvals, defect)
 
-        if sp.coupled:
-            return spec, None, "chained structure on the nullspace of B"
         if isotropic:
             return spec, None, "degenerate B-form on an eigenspace (Jordan structure)"
-        if not np.all(np.isfinite(w)):
-            return spec, None, "infinite eigenvalue in the finite part"
-        blocks, error = _conjugate_blocks(A, B, w, Z, cidx, nB, tols)
+        blocks, error = _conjugate_blocks(A, j, w, Z, cidx, tols)
         if error:
             return spec, None, error
         cols = [x for _, _, x in plus + minus] + [c for b in blocks for c in b[:2]]
         T = np.column_stack(cols) if cols else np.zeros((fin.n, 0), dtype=complex)
-        if sp.has_infinite:
-            T = np.hstack([sp.finite_frame() @ T, sp.null_frame()])
         base = len(plus) + len(minus)
         frame = ClusteredFrame(
-            T=T,
+            T=np.hstack([sp.finite_frame() @ T, sp.null_frame()]),
             pos_values=np.array([v for v, _, _ in plus]),
             neg_values=np.array([v for v, _, _ in minus]),
             blocks=tuple(
@@ -439,8 +432,8 @@ class PairAnalysis:
 
 def _zero_threshold(d: np.ndarray, tols: ToleranceSet) -> float:
     """Inertia's relative zero rule for the eigenvalues d of B."""
-    nB = float(np.max(np.abs(d)))
-    return tols.rank_tol * nB if nB > 0 else np.inf
+    top = float(np.max(np.abs(d)))
+    return tols.rank_tol * top if top > 0 else np.inf
 
 
 def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAnalysis:
@@ -457,7 +450,6 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
         defl = deflate_common_nullspace(pair, tols.rank_tol)
         if defl.deflated_dims:
             d, V = eigh(defl.reduced.B)
-    nB = float(np.max(np.abs(d)))
     thr = _zero_threshold(d, tols)
     pos, neg = np.flatnonzero(d > thr), np.flatnonzero(d < -thr)
     zero = np.flatnonzero(np.abs(d) <= thr)
@@ -469,7 +461,6 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
         tols=tols,
         deflation=defl,
         b_inertia=Inertia(len(pos), len(zero) + defl.deflated_dims, len(neg)),
-        b_norm=nB,
         b_frame=W,
         split=_split(defl.reduced, W, j, tols),
     )

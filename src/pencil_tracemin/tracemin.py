@@ -21,6 +21,7 @@ from .errors import (
     LengthMismatchError,
     NotAttainableError,
     NotDiagonalizableError,
+    TypeCountError,
 )
 from .hyperbolic import SignatureJ, sample_feasible
 from .matcore import (
@@ -122,10 +123,6 @@ class InfimumResult:
     analysis: PairAnalysis | None = field(default=None, compare=False, repr=False)
     hat_analysis: PairAnalysis | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.verdict == FINITE
-
 
 def check_excluded(problem: ProblemInstance, tols: ToleranceSet | None = None):
     """Detect the constant-objective cases; returns ExcludedCase or None.
@@ -180,28 +177,29 @@ def properness(
     )
 
 
-def _properness(upper, lower, pad_upper, pad_lower, tols) -> PropernessReport:
-    """Properness of a semidefinite hat pair zero-padded to the inertia of B.
+def _properness(pos, neg, pad_plus, pad_minus, tols) -> PropernessReport:
+    """Properness of a PSD hat pair zero-padded to the inertia of B.
 
-    ``upper``/``lower`` are the hat values that bound the shift from above and
-    below (positive/negative type for a PSD pair, swapped for NSD); a padded
-    side gains a zero.  Proper iff the padded lists still admit a shift,
-    max(lower + [0 if pad_lower]) <= min(upper + [0 if pad_upper]).  That
-    max(lower) <= min(upper) is the semidefiniteness the caller established
-    with its own tolerance, so only a padded zero is tested here.
-    d_plus (d_minus) counts the upper (lower) values beyond zero.
+    ``pos``/``neg`` are its typed values (an NSD pair passes them negated),
+    which bound the shift from above/below; padding a side of B
+    (``pad_plus``/``pad_minus``) adds a zero to that list.  Proper iff the
+    padded lists still admit a shift, max(neg + [0 if pad_minus]) <=
+    min(pos + [0 if pad_plus]).  That max(neg) <= min(pos) is the
+    semidefiniteness the caller established with its own tolerance, so only a
+    padded zero is tested here.  d_plus (d_minus) counts the values beyond
+    the zero padded on the positive (negative) side of B, case "iii" ("ii").
     """
-    zero = tols.type_tol * (1.0 + np.max(np.abs(np.concatenate([upper, lower])), initial=0.0))
-    hi = np.min(upper, initial=np.inf)
-    lo = np.max(lower, initial=-np.inf)
-    if (pad_lower and hi < -zero) or (pad_upper and lo > zero):
+    zero = tols.type_tol * (1.0 + np.max(np.abs(np.concatenate([pos, neg])), initial=0.0))
+    hi = np.min(pos, initial=np.inf)
+    lo = np.max(neg, initial=-np.inf)
+    if (pad_minus and hi < -zero) or (pad_plus and lo > zero):
         return PropernessReport(False, "improper", 0, 0)
-    if pad_upper and pad_lower:
+    if pad_plus and pad_minus:
         return PropernessReport(True, "iv", 0, 0)
-    if pad_upper:
-        return PropernessReport(True, "iii", int(np.sum(upper < -zero)), 0)
-    if pad_lower:
-        return PropernessReport(True, "ii", 0, int(np.sum(lower > zero)))
+    if pad_plus:
+        return PropernessReport(True, "iii", int(np.sum(pos < -zero)), 0)
+    if pad_minus:
+        return PropernessReport(True, "ii", 0, int(np.sum(neg > zero)))
     return PropernessReport(True, "i", 0, 0)
 
 
@@ -256,11 +254,18 @@ def _formula_terms(big: TypedSpectrum, hat: TypedSpectrum):
         (POSITIVE, big.pos_values, hat.pos_values),
         (NEGATIVE, big.neg_values, hat.neg_values),
     ):
-        padded = np.concatenate([hv, np.zeros(max(len(bv) - len(hv), 0))])
+        padded = np.concatenate([hv, np.zeros(len(bv) - len(hv))])
         for bi, hi in enumerate(np.argsort(padded, kind="stable")[::-1]):
             if hi < len(hv):
                 terms.append(Term(eig_type, float(hv[hi]), float(bv[bi]), int(hi), bi))
     return tuple(terms)
+
+
+def _check_type_counts(analysis: PairAnalysis) -> None:
+    """TypeCountError unless a real spectrum has one typed value per sign of its J."""
+    spec, ib = analysis.spectrum, analysis.b_inertia
+    if (len(spec.pos), len(spec.neg)) != (ib.n_plus, ib.n_minus):
+        raise TypeCountError(f"{len(spec.pos)}/{len(spec.neg)} typed values, B inertia {ib}")
 
 
 def _analyses(problem: ProblemInstance, tols: ToleranceSet):
@@ -337,33 +342,27 @@ def infimum(problem: ProblemInstance, tols: ToleranceSet | None = None) -> Infim
             verdict=NEG_INFINITE, reason=reason, reason_detail=detail, **base
         )
 
-    # Negating all four matrices swaps the types and keeps every value, so
-    # only properness depends on the branch: the NSD hat shift is bounded
-    # from above by its negative-type values.
+    # A - t*B <= 0 iff (-A) - (-t)*B >= 0, and (-A, B) has the negated
+    # values with the same types: so the NSD branch is the PSD rule on
+    # negated values, and both name the case and counts by B's side.
     ib, ibh = big.b_inertia, hat.b_inertia
-    pos = (spec_hat.pos_values, ibh.n_plus < ib.n_plus)
-    neg = (spec_hat.neg_values, ibh.n_minus < ib.n_minus)
-    sign_case = PSD_PAIRS if psd_ok else NSD_PAIRS
-    (upper, pad_upper), (lower, pad_lower) = (pos, neg) if psd_ok else (neg, pos)
-    prop = _properness(upper, lower, pad_upper, pad_lower, tols)
+    sign_case, s = (PSD_PAIRS, 1.0) if psd_ok else (NSD_PAIRS, -1.0)
+    prop = _properness(
+        s * spec_hat.pos_values, s * spec_hat.neg_values,
+        ibh.n_plus < ib.n_plus, ibh.n_minus < ib.n_minus, tols,
+    )
     if not prop.is_proper:
         return InfimumResult(
             verdict=NEG_INFINITE, reason=IMPROPER, properness=prop,
             sign_case=sign_case, **base
         )
 
+    _check_type_counts(big)
+    _check_type_counts(hat)
     terms = _formula_terms(spec_big, spec_hat)
     value = float(sum(t.product for t in terms))
-    attainable = (
-        ATTAINABLE_YES
-        if not (
-            spec_big.has_jordan
-            or spec_hat.has_jordan
-            or spec_big.isotropic_defect
-            or spec_hat.isotropic_defect
-        )
-        else ATTAINABLE_UNKNOWN
-    )
+    exact = not any(s.has_jordan or s.isotropic_defect for s in (spec_big, spec_hat))
+    attainable = ATTAINABLE_YES if exact else ATTAINABLE_UNKNOWN
     return InfimumResult(
         verdict=FINITE,
         value=value,

@@ -42,6 +42,7 @@ from .tracemin import (
     COUPLED_INFINITE,
     NEG_INFINITE,
     InfimumResult,
+    _objective,
     feasibility_residual,
 )
 
@@ -83,10 +84,7 @@ def evaluate_witness(family: WitnessFamily, t: float):
         raise ValueError("t must be nonnegative")
     s = _sigma(family, t)
     X = family.x_base + (np.sqrt(1.0 + s * s) - 1.0) * family.d_cosh + s * family.d_sinh
-    A = family.problem.pair.A.entries
-    Ah = family.problem.hat_pair.A.entries
-    trace = float(np.real(np.trace(Ah @ X.conj().T @ A @ X)))
-    return X, trace
+    return X, _objective(family.problem, X)
 
 
 @dataclass(frozen=True)

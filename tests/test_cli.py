@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -351,6 +351,26 @@ def test_verify_rejects_bad_sample_count(golden_file, capsys, samples):
     err = capsys.readouterr().err
     assert code == 2
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**32)])
+def test_verify_rejects_seed_outside_uint32(golden_file, capsys, seed):
+    code = main(["--seed", seed, "verify", golden_file, "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "--seed" in err
+
+
+def test_infimum_type_count_mismatch_exit_code(golden_file, capsys, monkeypatch):
+    # Typed lists longer than the inertia of B allows exit like a kernel
+    # failure, with a message instead of a traceback.
+    spectrum = pt.PairAnalysis.spectrum.fget
+    doubled = lambda self: replace(spectrum(self), pos=spectrum(self).pos * 2)
+    monkeypatch.setattr(pt.PairAnalysis, "spectrum", property(doubled))
+    code = main(["infimum", golden_file])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_KERNEL_FAILURE
+    assert err.startswith("error: ") and "typed values" in err
 
 
 @pytest.mark.parametrize("stacked_only", [True, False], ids=["sampler", "every_call"])

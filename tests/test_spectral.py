@@ -14,7 +14,7 @@ from pencil_tracemin.spectral import (
 
 from pencil_tracemin.genpairs import BlockSpec, assemble
 
-from conftest import golden_hat_matrix, k2_pair, rand_hermitian
+from conftest import count_eigen_kernels, golden_hat_matrix, k2_pair, rand_hermitian
 
 
 def diagonal_frame(pair):
@@ -120,7 +120,11 @@ def test_typed_spectrum_congruence_invariant():
     ref = typed_spectrum(base)
     for seed in range(12):
         scr, _ = pt.random_congruence(base, seed, 8.0)
-        spec = typed_spectrum(scr)
+        a = pt.analyze_pair(scr)
+        # The finite part is posed in the B-frame: its B is diag(+-1) exactly.
+        J = a.split.finite_pair.B.entries
+        np.testing.assert_array_equal(J, np.diag([1.0, 1.0, -1.0, -1.0]))
+        spec = a.spectrum
         np.testing.assert_allclose(spec.pos_values, ref.pos_values, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(spec.neg_values, ref.neg_values, rtol=1e-6, atol=1e-8)
 
@@ -154,6 +158,16 @@ def test_split_infinite_classification():
     sp = pt.analyze_pair(pair, tols).split
     assert sp.coupled
     assert typed_spectrum(pair).infinite_definite_sign == INF_COUPLED
+
+
+def test_chained_pair_is_untyped_without_an_eigensolve(monkeypatch):
+    # No finite part splits off a chained pair, so nothing is typed or solved.
+    pair = pt.pair_from_arrays(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.0, 1.0]))
+    calls = count_eigen_kernels(monkeypatch)
+    spec = pt.analyze_pair(pair).spectrum
+    assert calls.count("eig") == 0, calls
+    assert spec.pos == spec.neg == spec.complex_values == ()
+    assert spec.isotropic_defect and spec.infinite_definite_sign == INF_COUPLED
 
 
 def test_split_infinite_schur_reduction_invariant():

@@ -323,6 +323,79 @@ def test_negation_duality():
     assert counts == {"problems": 482, FINITE: 32}
 
 
+def _equal_inertia_sweep(cap, count=100):
+    """Equal-inertia PSD diagonal problems of order 2-8 under congruences of
+    condition number up to ``cap``, each with its sorted-product value."""
+    rng = np.random.default_rng(5)
+    for k in range(count):
+        n = int(rng.integers(2, 9))
+        npl = int(rng.integers(1, n))
+        cut, hcut = rng.uniform(-1.0, 1.0, size=2)
+        bp, bn = cut + rng.uniform(0.1, 2.0, npl), cut - rng.uniform(0.1, 2.0, n - npl)
+        hp, hn = hcut + rng.uniform(0.1, 2.0, npl), hcut - rng.uniform(0.1, 2.0, n - npl)
+        value = fan_min_product(hp, bp) + fan_min_product(hn, bn)
+        yield diag_problem(bp, bn, hp, hn, scramble=(k, k + 1000), cap=cap), value
+
+
+@pytest.mark.parametrize("cap", [1e4, 1e5])
+def test_verdict_independent_of_congruence_conditioning(cap):
+    # Typed in the B-frame, where B has unit scale, the eigenvalues of an
+    # ill-conditioned congruence keep their types: every problem stays
+    # Finite and attainable, with the sorted-product value.
+    for prob, value in _equal_inertia_sweep(cap):
+        res = infimum(prob)
+        assert (res.verdict, res.attainable) == (FINITE, ATTAINABLE_YES)
+        assert res.value == pytest.approx(value, rel=1e-6)
+
+
+def test_minimizer_with_a_tiny_entry_of_b():
+    # (diag(1, 2), diag(1, 1e-8)) has the positive-type eigenvalues 1 and 2e8;
+    # the small B-form of the second is no Jordan structure.
+    prob = pt.problem_from_arrays(
+        np.diag([1.0, 2.0]), np.diag([1.0, 1e-8]), np.diag([1.0, 3.0]), np.eye(2)
+    )
+    X, achieved = minimizer(prob)
+    assert achieved == pytest.approx(2e8 + 3.0, rel=1e-12)
+    assert pt.feasibility_residual(prob, X) <= 1e-8
+
+
+def test_type_counts_match_the_signs_of_j():
+    # _formula_terms indexes a big typed list by the positions of the hat
+    # list: safe iff each list holds one value per sign of its pair's J, a
+    # conjugate block counting once per type.
+    def check(pair):
+        a = pt.analyze_pair(pair)
+        spec, ib = a.spectrum, a.b_inertia
+        blocks = len(spec.complex_values) // 2
+        assert (len(spec.pos) + blocks, len(spec.neg) + blocks) == (ib.n_plus, ib.n_minus)
+
+    checked = 0
+    for prob in _criterion_7_problems():
+        if not pt.analyze_pair(prob.pair).split.coupled:
+            check(prob.pair)
+            checked += 1
+    assert checked == 233
+    for cap in (1e4, 1e5):
+        for prob, _ in _equal_inertia_sweep(cap):
+            check(prob.pair)
+            check(prob.hat_pair)
+
+
+def test_nsd_properness_named_by_the_padded_side_of_b():
+    # Negated, B has two +1 signs and Bhat one: the positive side of B is
+    # padded (case "iii"), and the hat's positive-type value 0.2 lies beyond
+    # that zero on the NSD branch.  The PSD original pads the negative side.
+    mats = [np.diag([2.0, 1.0, 3.0]), np.diag([1.0, -1.0, -1.0]),
+            np.diag([1.0, -0.2]), np.diag([1.0, -1.0])]
+    nsd = infimum(pt.problem_from_arrays(*[-M for M in mats]))
+    psd = infimum(pt.problem_from_arrays(*mats))
+    assert nsd.sign_case == "NSD_pairs" and psd.sign_case == "PSD_pairs"
+    label = lambda p: (p.case_label, p.d_plus, p.d_minus)
+    assert label(nsd.properness) == ("iii", 1, 0)
+    assert label(psd.properness) == ("ii", 0, 1)
+    assert nsd.value == pytest.approx(psd.value, abs=1e-12)
+
+
 def test_equal_inertia_closed_form_equivalence():
     rng = np.random.default_rng(12)
     for seed in range(20):
