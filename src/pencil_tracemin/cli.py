@@ -191,12 +191,18 @@ def _infimum_obj(result):
     return obj
 
 
-def cmd_infimum(args) -> int:
-    tols = _tols_from_args(args)
-    problem = load_problem(args.problem_file, tols)
-    result = infimum(problem, tols)
-    report = _base_report("infimum", args)
+def _solve(command, args):
+    """Load the problem file, run ``infimum`` on it and start the report with
+    its ``infimum`` object; returns (problem, result, report)."""
+    problem = load_problem(args.problem_file, _tols_from_args(args))
+    result = infimum(problem)
+    report = _base_report(command, args)
     report["infimum"] = _infimum_obj(result)
+    return problem, result, report
+
+
+def cmd_infimum(args) -> int:
+    _, result, report = _solve("infimum", args)
     code = EXIT_NEG_INFINITE if result.verdict == NEG_INFINITE else EXIT_OK
     lines = [f"verdict: {result.verdict}"]
     if result.value is not None:
@@ -207,11 +213,7 @@ def cmd_infimum(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    tols = _tols_from_args(args)
-    problem = load_problem(args.problem_file, tols)
-    result = infimum(problem, tols)
-    report = _base_report("minimize", args)
-    report["infimum"] = _infimum_obj(result)
+    problem, result, report = _solve("minimize", args)
     if result.verdict == NEG_INFINITE:
         return _emit(report, args, EXIT_NEG_INFINITE, [f"verdict: {result.verdict}"])
     X, achieved = _minimizer_from(problem, result)
@@ -228,15 +230,11 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    tols = _tols_from_args(args)
-    problem = load_problem(args.problem_file, tols)
-    result = infimum(problem, tols)
-    report = _base_report("witness", args)
-    report["infimum"] = _infimum_obj(result)
+    problem, result, report = _solve("witness", args)
     if result.verdict != NEG_INFINITE:
         report["witness"] = None
         return _emit(report, args, EXIT_OK, [f"verdict: {result.verdict}; no witness needed"])
-    family = build_witness(problem, result, tols)
+    family = build_witness(problem, result)
     cert = certify_unbounded(family, args.threshold, args.tmax)
     report["witness"] = {
         "kind": family.kind,
@@ -262,10 +260,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--samples must be a positive integer, got {args.samples}")
     if not 0 <= args.seed < 2**32:
         raise ValueError(f"--seed must lie in [0, 2**32) for verify, got {args.seed}")
-    tols = _tols_from_args(args)
-    problem = load_problem(args.problem_file, tols)
-    result = infimum(problem, tols)
-    sampler = FeasibleSampler(problem, tols)
+    problem, result, report = _solve("verify", args)
+    sampler = FeasibleSampler._from_result(problem, result)
     # Sample k is drawn from default_rng([seed, k]) whatever block it falls in;
     # a uint32 array key seeds the same stream as that list, only faster.
     block = max(1, SAMPLE_BLOCK_ENTRIES // problem.n**2)
@@ -278,8 +274,6 @@ def cmd_verify(args) -> int:
         residuals.append(feasibility_residual(problem, X))
     traces = np.concatenate(traces)
     worst_residual = float(np.max(np.concatenate(residuals)))
-    report = _base_report("verify", args)
-    report["infimum"] = _infimum_obj(result)
     stats = {
         "samples": args.samples,
         "spread": args.spread,

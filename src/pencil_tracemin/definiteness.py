@@ -145,7 +145,7 @@ def analysis_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
     spec, tols = analysis.spectrum, analysis.tols
     finite_pair = analysis.split.finite_pair
     sign = spec.infinite_definite_sign
-    tol = tols.psd_tol * analysis.deflation.reduced.scale
+    tol = tols.psd_tol * analysis.pair.scale
     if sign == INF_COUPLED:
         return DefinitenessReport(False, False, None, None, tolerance=tol)
     if finite_pair is None:

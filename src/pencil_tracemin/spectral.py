@@ -1,14 +1,15 @@
 """Pair analysis: the one place a Hermitian pair (A, B) is analysed.
 
 ``analyze_pair(pair, tols)`` builds a frozen :class:`PairAnalysis` once per
-pair.  It eigendecomposes B (inertia with the relative zero rule and the
-+1/-1/0 B-frame), deflates the common nullspace of A and B and splits off
-N(B) when B is singular.  The finite part left is always posed in B-frame
-coordinates, (Ã, J) with J = diag(+1.., -1..); its eigenproblem is solved
-once and its eigenvectors are clustered into one congruence frame: real
-typed directions J-orthonormalized per cluster, 2x2 blocks for conjugate
-eigenvalue pairs, and the null directions of B (the canonical form of
-Lancaster & Rodman, SIAM Review 47, 2005).  The typed spectrum,
+pair.  It eigendecomposes B once (inertia with the relative zero rule and
+the +1/-1/0 B-frame), drops the common nullspace of A and B from N(B) and
+splits off the rest of N(B).  The finite part left is always posed in
+B-frame coordinates, (Ã, J) with J = diag(+1.., -1..); its eigenproblem is
+solved once and its eigenvectors are clustered into one congruence frame:
+real typed directions J-orthonormalized per cluster, 2x2 blocks for
+conjugate eigenvalue pairs, and the null directions of B (the canonical
+form of Lancaster & Rodman, SIAM Review 47, 2005), all in the pair's own
+coordinates.  The typed spectrum,
 definiteness, minimizers, feasible points, sampling and divergence
 witnesses are all read from it; ``typed_spectrum(pair)`` is its spectrum.
 
@@ -198,7 +199,7 @@ def _infinite_sign(sp: InfiniteSplit) -> str:
 
 @dataclass(frozen=True)
 class ClusteredFrame:
-    """Congruence frame T (reduced coordinates) with T^H B T = diag(j_diag).
+    """Congruence frame T, n x (n - deflated dims), with T^H B T = diag(j_diag).
 
     Directions are ordered: positive-type (ascending), negative-type
     (ascending), conjugate blocks (a +1 and a -1 direction each), null
@@ -327,18 +328,20 @@ def _conjugate_blocks(A, j, w, Z, cidx, tols):
 class PairAnalysis:
     """Everything derived from one Hermitian pair, each piece computed once.
 
-    The deflation, the eigendecomposition of B and the split along N(B) are
-    computed by ``analyze_pair``; the eigenproblem of the finite part
-    (Ã, J), the typed spectrum and the clustered frame on first use, so
-    consumers that only need the B-frame (feasible points, sampling) never
-    pay for it.  ``b_form`` values are in B-frame coordinates; a chained
-    pair's spectrum is untyped.  Frames are in ``deflation.reduced``'s coordinates.
+    The eigendecomposition of B and the split along N(B), less the
+    ``deflated_dims`` directions that A also annihilates, are computed by
+    ``analyze_pair``; the eigenproblem of the finite part (Ã, J), the typed
+    spectrum and the clustered frame on first use, so consumers that only
+    need the B-frame (feasible points, sampling) never pay for it.
+    ``b_form`` values are in B-frame coordinates; a chained pair's spectrum
+    is untyped.  Frames are in ``pair``'s coordinates, without those directions.
     """
 
     tols: ToleranceSet
-    deflation: DeflationResult
+    pair: MatrixPair
+    deflated_dims: int
     b_inertia: Inertia  # of B, deflated directions counted as zeros
-    b_frame: np.ndarray  # W^H B W = diag(+1.., -1.., 0..)
+    b_frame: np.ndarray  # n x (n - deflated_dims), W^H B W = diag(+1.., -1.., 0..)
     split: InfiniteSplit
 
     @cached_property
@@ -346,13 +349,13 @@ class PairAnalysis:
         """(typed spectrum, clustered frame or None, why there is no frame)."""
         sp, tols = self.split, self.tols
         sign = _infinite_sign(sp)
-        dims = self.deflation.deflated_dims
+        dims = self.deflated_dims
         if sp.coupled:
             spec = TypedSpectrum((), (), dims, sign, isotropic_defect=True)
             return spec, None, "chained structure on the nullspace of B"
         null_signs = np.sign(sp.d_inf)
         fin = sp.finite_pair
-        if fin is None:  # B = 0 after deflation
+        if fin is None:  # B = 0
             frame = ClusteredFrame(sp.null_frame(), np.zeros(0), np.zeros(0), (), null_signs)
             return TypedSpectrum((), (), dims, sign), frame, None
         A, J = fin.A.entries, fin.B.entries
@@ -430,39 +433,38 @@ class PairAnalysis:
         return np.r_[0:hp, npl:npl + hm]
 
 
-def _zero_threshold(d: np.ndarray, tols: ToleranceSet) -> float:
-    """Inertia's relative zero rule for the eigenvalues d of B."""
-    top = float(np.max(np.abs(d)))
-    return tols.rank_tol * top if top > 0 else np.inf
-
-
 def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAnalysis:
-    """Decompose B, deflate when B is singular and split off N(B); see :class:`PairAnalysis`.
+    """Decompose B once, drop the common nullspace of A and B and split off
+    the rest of N(B); see :class:`PairAnalysis`.
 
-    A common nullspace of A and B lies in N(B), so a pair with nonsingular B
-    is never deflated; B is decomposed again only after a deflation that
-    removed directions.
+    A common null vector of A and B lies in N(B), so with N an orthonormal
+    basis of N(B) the common nullspace is N times the null space of A N.
+    N is rotated only when a direction is dropped.
     """
-    eye = np.eye(pair.n, dtype=complex)
-    defl = DeflationResult(pair, eye[:, :0], eye, 0)
+    A = pair.A.entries
     d, V = eigh(pair.B)
-    if np.any(np.abs(d) <= _zero_threshold(d, tols)):
-        defl = deflate_common_nullspace(pair, tols.rank_tol)
-        if defl.deflated_dims:
-            d, V = eigh(defl.reduced.B)
-    thr = _zero_threshold(d, tols)
+    top = float(np.max(np.abs(d)))
+    thr = tols.rank_tol * top if top > 0 else np.inf  # inertia's relative zero rule
     pos, neg = np.flatnonzero(d > thr), np.flatnonzero(d < -thr)
-    zero = np.flatnonzero(np.abs(d) <= thr)
-    order = np.concatenate([pos, neg, zero])
+    N = V[:, np.abs(d) <= thr]
+    deflated = 0
+    if N.shape[1]:
+        _, s, Vh = np.linalg.svd(A @ N, full_matrices=False)
+        live = int(np.sum(s > tols.rank_tol * max(top, float(np.linalg.norm(A)))))
+        deflated = N.shape[1] - live
+        if deflated:
+            N = N @ Vh[:live].conj().T
     # Unit B-form on the range of B; null directions keep unit length.
-    W = V[:, order] / np.sqrt(np.where(np.abs(d) > thr, np.abs(d), 1.0))[order]
+    order = np.concatenate([pos, neg])
+    W = np.hstack([V[:, order] / np.sqrt(np.abs(d[order])), N])
     j = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
     return PairAnalysis(
         tols=tols,
-        deflation=defl,
-        b_inertia=Inertia(len(pos), len(zero) + defl.deflated_dims, len(neg)),
+        pair=pair,
+        deflated_dims=deflated,
+        b_inertia=Inertia(len(pos), pair.n - len(pos) - len(neg), len(neg)),
         b_frame=W,
-        split=_split(defl.reduced, W, j, tols),
+        split=_split(pair, W, j, tols),
     )
 
 

@@ -115,8 +115,6 @@ class InfimumResult:
     attainable: str | None = None
     excluded: ExcludedCase | None = None
     properness: PropernessReport | None = None
-    spectrum: TypedSpectrum | None = None
-    hat_spectrum: TypedSpectrum | None = None
     definiteness: DefinitenessReport | None = None
     hat_definiteness: DefinitenessReport | None = None
     # The analyses the verdict was read from; frames for minimizer and witness.
@@ -124,14 +122,14 @@ class InfimumResult:
     hat_analysis: PairAnalysis | None = field(default=None, compare=False, repr=False)
 
 
-def check_excluded(problem: ProblemInstance, tols: ToleranceSet | None = None):
+def check_excluded(problem: ProblemInstance):
     """Detect the constant-objective cases; returns ExcludedCase or None.
 
     Ahat = 0 gives 0; A = mu*B makes the objective identically
     mu*trace(Ahat Bhat^{-1}); Ahat = muhat*Bhat with n = nhat gives
     muhat*trace(B^{-1} A).
     """
-    tols = tols or problem.tolerances
+    tols = problem.tolerances
     A, B = problem.pair.A.entries, problem.pair.B.entries
     Ah, Bh = problem.hat_pair.A.entries, problem.hat_pair.B.entries
 
@@ -268,32 +266,33 @@ def _check_type_counts(analysis: PairAnalysis) -> None:
         raise TypeCountError(f"{len(spec.pos)}/{len(spec.neg)} typed values, B inertia {ib}")
 
 
-def _analyses(problem: ProblemInstance, tols: ToleranceSet):
+def _analyses(problem: ProblemInstance):
     """Analyses of both pairs; EmptyFeasibleSetError unless the constraint can be met.
 
     Directions deflated from the hat pair lie in N(Bhat), so they count as
     zeros of its inertia.
     """
+    tols = problem.tolerances
     big, hat = analyze_pair(problem.pair, tols), analyze_pair(problem.hat_pair, tols)
     check_inertias(big.b_inertia, hat.b_inertia)
     return big, hat
 
 
-def infimum(problem: ProblemInstance, tols: ToleranceSet | None = None) -> InfimumResult:
-    """Full pipeline: excluded cases, deflation, structure gates, properness, value.
+def infimum(problem: ProblemInstance) -> InfimumResult:
+    """Full pipeline: pair analyses, excluded cases, structure gates, properness, value.
 
-    Raises EmptyFeasibleSetError when the constraint set is empty.
+    Every gate reads ``problem.tolerances``.  Raises EmptyFeasibleSetError
+    when the constraint set is empty.
     """
-    tols = tols or problem.tolerances
-    big, hat = _analyses(problem, tols)
+    tols = problem.tolerances
+    big, hat = _analyses(problem)
     base = dict(analysis=big, hat_analysis=hat)
 
-    exc = check_excluded(problem, tols)
+    exc = check_excluded(problem)
     if exc is not None:
         return InfimumResult(verdict=EXCLUDED_CONSTANT, value=exc.constant, excluded=exc, **base)
 
     spec_big, spec_hat = big.spectrum, hat.spectrum
-    base.update(spectrum=spec_big, hat_spectrum=spec_hat)
 
     # Chained infinite structure forces divergence for any nonzero Ahat.
     if spec_big.infinite_definite_sign == INF_COUPLED:
@@ -381,14 +380,14 @@ def equal_inertia_value(big: TypedSpectrum, hat: TypedSpectrum) -> float:
     )
 
 
-def minimizer(problem: ProblemInstance, tols: ToleranceSet | None = None):
+def minimizer(problem: ProblemInstance):
     """Construct an optimal X for a finite, attainable instance.
 
     Returns (X_opt, achieved).  Raises NotAttainableError when attainability
     is not established (Jordan pairs, chained structure, non-real spectrum,
     or a NegInfinite verdict).
     """
-    return _minimizer_from(problem, infimum(problem, tols or problem.tolerances))
+    return _minimizer_from(problem, infimum(problem))
 
 
 def _minimizer_from(problem: ProblemInstance, result: InfimumResult):
@@ -416,7 +415,7 @@ def _minimizer_from(problem: ProblemInstance, result: InfimumResult):
         big_dirs, hat_dirs = dirs[t.eig_type]
         Xt[big_dirs[t.big_index], hat_dirs[t.hat_index]] = 1.0
 
-    X = big.deflation.keep @ (f_big.T @ Xt @ f_hat.T.conj().T)
+    X = f_big.T @ Xt @ f_hat.T.conj().T
     return X, _objective(problem, X)
 
 
@@ -443,7 +442,7 @@ def feasibility_residual(problem: ProblemInstance, X: np.ndarray):
 
 def _feasible_point(big: PairAnalysis, hat: PairAnalysis) -> np.ndarray:
     cols = big.paired_columns(hat)
-    return big.deflation.keep @ big.b_frame[:, cols] @ hat.b_frame.conj().T
+    return big.b_frame[:, cols] @ hat.b_frame.conj().T
 
 
 class FeasibleSampler:
@@ -451,11 +450,20 @@ class FeasibleSampler:
 
     A sequence of K Generators gives a (K, n, nhat) stack, slice k as ``rng[k]`` alone."""
 
-    def __init__(self, problem: ProblemInstance, tols: ToleranceSet | None = None):
-        big, hat = _analyses(problem, tols or problem.tolerances)
+    def __init__(self, problem: ProblemInstance):
+        self._bind(problem, *_analyses(problem))
+
+    @classmethod
+    def _from_result(cls, problem: ProblemInstance, result: InfimumResult):
+        """The sampler on the analyses that ``problem``'s ``infimum`` result carries."""
+        sampler = cls.__new__(cls)
+        sampler._bind(problem, result.analysis, result.hat_analysis)
+        return sampler
+
+    def _bind(self, problem, big, hat):
         ib, ibh = big.b_inertia, hat.b_inertia
         self.problem = problem
-        self.left = big.deflation.keep @ big.b_frame[:, : ib.rank]
+        self.left = big.b_frame[:, : ib.rank]
         self.right = hat.b_frame.conj().T
         self.sig = SignatureJ(ib.n_plus, ib.n_minus)
         self.sig_hat = SignatureJ(ibh.n_plus, ibh.n_minus)

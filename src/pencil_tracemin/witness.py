@@ -35,7 +35,7 @@ from .errors import (
     NoWitnessConstructibleError,
     NotDiagonalizableError,
 )
-from .matcore import ProblemInstance, ToleranceSet
+from .matcore import ProblemInstance
 from .spectral import ClusteredFrame, PairAnalysis
 from .tracemin import (
     COMPLEX_EIGENVALUES,
@@ -153,7 +153,7 @@ def _static_assignment(big: ClusteredFrame, hat: ClusteredFrame, reserved_big, r
     return assign
 
 
-def _finish_family(kind, problem, keep, big, hat, rot, slope, sigma_map):
+def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
     """Assemble x_base, d_cosh and d_sinh from a rotation plus a static assignment.
 
     ``rot`` is (p, m, phat, mhat, a11, a21, a12, a22): columns phat / mhat of
@@ -163,21 +163,20 @@ def _finish_family(kind, problem, keep, big, hat, rot, slope, sigma_map):
     """
     p, m, phat, mhat, a11, a21, a12, a22 = rot
     assign = _static_assignment(big, hat, {p, m}, {d for d in (phat, mhat) if d is not None})
-    Mbig = keep @ big.T
     Xt0 = np.zeros((big.n, problem.nhat), dtype=complex)
     for hd, bd in assign.items():
         Xt0[bd, hd] = 1.0
 
-    d_cosh = np.zeros((Mbig.shape[0], problem.nhat), dtype=complex)
+    d_cosh = np.zeros((problem.n, problem.nhat), dtype=complex)
     d_sinh = np.zeros_like(d_cosh)
     for hd, cosh_dir, sinh_dir, a_cosh, a_sinh in ((phat, p, m, a11, a21), (mhat, m, p, a22, a12)):
         if hd is not None:
             Xt0[cosh_dir, hd] = a_cosh
             v = hat.T[:, hd].conj()
-            d_cosh += a_cosh * np.outer(Mbig[:, cosh_dir], v)
-            d_sinh += a_sinh * np.outer(Mbig[:, sinh_dir], v)
+            d_cosh += a_cosh * np.outer(big.T[:, cosh_dir], v)
+            d_sinh += a_sinh * np.outer(big.T[:, sinh_dir], v)
 
-    x_base = Mbig @ Xt0 @ hat.T.conj().T
+    x_base = big.T @ Xt0 @ hat.T.conj().T
     return _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh)
 
 
@@ -213,7 +212,7 @@ def _gap_extremes(xs, ys):
     return min(gaps, key=itemgetter(0)), max(gaps, key=itemgetter(0))
 
 
-def _mixed_sign_witness(problem, tols, big_a, hat_a):
+def _mixed_sign_witness(problem, big_a, hat_a):
     big, hat = _frames(big_a, hat_a)
     if big.blocks or hat.blocks:
         raise NoWitnessConstructibleError("conjugate blocks need the complex builder")
@@ -230,13 +229,11 @@ def _mixed_sign_witness(problem, tols, big_a, hat_a):
     scale = 1.0 + max(abs(v) for _, v in hp + hm) + max(
         abs(v) for _, v in big.real_pos + big.real_neg
     )
-    if slope >= -tols.type_tol * scale:
+    if slope >= -big_a.tols.type_tol * scale:
         raise NoWitnessConstructibleError("no opposing eigenvalue gaps found")
 
     rot = (p, m, phat, mhat, 1.0, 1.0, 1.0, 1.0)
-    return _finish_family(
-        MIXED_SIGN_SLOPE, problem, big_a.deflation.keep, big, hat, rot, slope, SIGMA_IDENTITY
-    )
+    return _finish_family(MIXED_SIGN_SLOPE, problem, big, hat, rot, slope, SIGMA_IDENTITY)
 
 
 def _widest_gap(xs, ys, tols):
@@ -247,7 +244,7 @@ def _widest_gap(xs, ys, tols):
     return gap, a[0], b[0]
 
 
-def _complex_witness(problem, tols, big_a, hat_a):
+def _complex_witness(problem, big_a, hat_a):
     big, hat = _frames(big_a, hat_a)
 
     if hat.blocks and big.blocks:
@@ -263,7 +260,7 @@ def _complex_witness(problem, tols, big_a, hat_a):
     elif hat.blocks and big.real_pos and big.real_neg:
         # Hat block against two real directions of opposite type.
         hb = max(hat.blocks, key=lambda b: b[3])
-        gap, p, m = _widest_gap(big.real_pos, big.real_neg, tols)
+        gap, p, m = _widest_gap(big.real_pos, big.real_neg, big_a.tols)
         theta_hat = -np.sign(gap) * np.pi / 2.0
         slope = 2.0 * gap * hb[3] * np.sin(theta_hat)
         ph = np.exp(-1j * theta_hat)
@@ -274,7 +271,7 @@ def _complex_witness(problem, tols, big_a, hat_a):
         bb = max(big.blocks, key=lambda b: b[3])
         hp = _padded_values(hat.real_pos, len(big.plus_dirs))
         hm = _padded_values(hat.real_neg, len(big.minus_dirs))
-        gap, phat, mhat = _widest_gap(hp, hm, tols)
+        gap, phat, mhat = _widest_gap(hp, hm, big_a.tols)
         theta = -np.sign(gap) * np.pi / 2.0  # slope = 2 (hv-gv) beta sin(theta)
         slope = 2.0 * gap * bb[3] * np.sin(theta)
         ph = np.exp(1j * theta)
@@ -282,9 +279,7 @@ def _complex_witness(problem, tols, big_a, hat_a):
         sigma_map = SIGMA_QUARTIC
     else:
         raise NoWitnessConstructibleError("no conjugate block arrangement applies")
-    return _finish_family(
-        COMPLEX_BLOCK_SLOPE, problem, big_a.deflation.keep, big, hat, rot, slope, sigma_map
-    )
+    return _finish_family(COMPLEX_BLOCK_SLOPE, problem, big, hat, rot, slope, sigma_map)
 
 
 def _ray_family(problem, slope, x_base, u, v, sigma_map):
@@ -294,15 +289,14 @@ def _ray_family(problem, slope, x_base, u, v, sigma_map):
     return _family(INFINITE_BLOCK_RAY, problem, slope, sigma_map, x_base, d_cosh, d_sinh)
 
 
-def _ray_witness(problem, tols, big, hat):
+def _ray_witness(problem, big, hat):
     sp = big.split
     if not sp.has_infinite or sp.coupled or sp.finite_pair is None:
         raise NoWitnessConstructibleError("no diagonal infinite structure")
 
     # R + N K is A-orthogonal to N(B), so the ray adds no cross term.
-    keep = big.deflation.keep
     Th = hat.b_frame
-    X0 = keep @ sp.finite_frame()[:, big.paired_columns(hat)] @ Th.conj().T
+    X0 = sp.finite_frame()[:, big.paired_columns(hat)] @ Th.conj().T
 
     Mh = Th.conj().T @ problem.hat_pair.A.entries @ Th
     Mh = (Mh + Mh.conj().T) / 2.0
@@ -315,13 +309,13 @@ def _ray_witness(problem, tols, big, hat):
         for i in (np.argmin(signs), np.argmax(signs))
         for k in (np.argmin(lam_hat), np.argmax(lam_hat))
     )
-    if slope >= -tols.type_tol * (1.0 + float(np.max(np.abs(lam_hat)))):
+    if slope >= -big.tols.type_tol * (1.0 + float(np.max(np.abs(lam_hat)))):
         raise NoWitnessConstructibleError("infinite block is sign-compatible")
-    u, v = keep @ sp.null_frame()[:, i], Th @ Wh[:, k]
+    u, v = sp.null_frame()[:, i], Th @ Wh[:, k]
     return _ray_family(problem, slope, X0, u, v, SIGMA_IDENTITY)
 
 
-def _chain_witness(problem, tols, big, hat):
+def _chain_witness(problem, big, hat):
     sp = big.split
     if not sp.has_infinite:
         raise NoWitnessConstructibleError("no infinite structure to chain against")
@@ -335,7 +329,7 @@ def _chain_witness(problem, tols, big, hat):
     # chained null direction z changes the trace at the rate 2 Re(r v) with
     # r = sum_k (z^H A w_k) (row k of Th^H Ah).  A phase on w_k keeps X0
     # feasible, so each term is turned to add to the largest one.
-    A = big.deflation.reduced.A.entries
+    A = big.pair.A.entries
     Ah = problem.hat_pair.A.entries
     Wc, Th = big.b_frame[:, big.paired_columns(hat)], hat.b_frame
     M = Th.conj().T @ Ah
@@ -352,20 +346,18 @@ def _chain_witness(problem, tols, big, hat):
     norm_r, z, r, phases = best
     X0_d = (Wc * phases) @ Th.conj().T
     scale = 1.0 + float(np.linalg.norm(Ah, 2))
-    if norm_r <= tols.type_tol * scale:
+    if norm_r <= big.tols.type_tol * scale:
         raise NoWitnessConstructibleError("coupling does not reach the objective")
-    keep = big.deflation.keep
-    u, v = keep @ z, -r.conj() / norm_r
-    return _ray_family(problem, -2.0 * norm_r, keep @ X0_d, u, v, SIGMA_SQUARE)
+    u, v = z, -r.conj() / norm_r
+    return _ray_family(problem, -2.0 * norm_r, X0_d, u, v, SIGMA_SQUARE)
 
 
-def build_witness(
-    problem: ProblemInstance,
-    infimum_diag: InfimumResult,
-    tols: ToleranceSet | None = None,
-) -> WitnessFamily:
-    """Construct a divergent feasible family matching the NegInfinite diagnosis."""
-    tols = tols or problem.tolerances
+def build_witness(problem: ProblemInstance, infimum_diag: InfimumResult) -> WitnessFamily:
+    """Construct a divergent feasible family matching the NegInfinite diagnosis.
+
+    The family is gated by the tolerances its frames were built under, those
+    of the analyses on ``infimum_diag``.
+    """
     if infimum_diag.verdict != NEG_INFINITE:
         raise NoWitnessConstructibleError("verdict is not NegInfinite")
 
@@ -383,7 +375,7 @@ def build_witness(
     errors = []
     for builder in builders:
         try:
-            fam = builder(problem, tols, big, hat)
+            fam = builder(problem, big, hat)
         except NoWitnessConstructibleError as exc:
             errors.append(f"{builder.__name__}: {exc}")
             continue

@@ -56,17 +56,26 @@ def test_analyze_golden_pair(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "B", [np.diag([1.0, -1.0, 2.0]), np.diag([1.0, 0.0, -2.0])], ids=["nonsingular", "singular"]
+    "A,B,eighs",
+    [
+        (np.diag([1.0, 3.0, -1.0]), np.diag([1.0, -1.0, 2.0]), 1),
+        (np.diag([1.0, 3.0, -1.0]), np.diag([1.0, 0.0, -2.0]), 2),
+        (np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 0.0, -2.0]), 1),
+    ],
+    ids=["nonsingular", "singular", "shared_null"],
 )
-def test_analyze_solves_the_pencil_once(tmp_path, capsys, monkeypatch, B):
-    # The typed spectrum and the definiteness block come from one analysis.
+def test_analyze_solves_the_pencil_once(tmp_path, capsys, monkeypatch, A, B, eighs):
+    # The typed spectrum and the definiteness block come from one analysis, and
+    # B is decomposed once: the common null vector is found inside N(B), and A
+    # on N(B) takes one more eigh only when N(B) keeps a direction.
     path = str(tmp_path / "pair.json")
-    pair, _ = pt.random_congruence(pt.pair_from_arrays(np.diag([1.0, 3.0, -1.0]), B), 2, 4.0)
+    pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), 2, 4.0)
     pt.matcore.save_pair(path, pair)
     calls = count_eigen_kernels(monkeypatch)
     code, rep = run_json(capsys, ["--json", "analyze", path])
     assert code == 0
     assert calls.count("eig") == 1, calls
+    assert calls.count("eigh") == eighs, calls
     assert rep["is_psd_pair"] == rep["definiteness"]["is_psd_pair"]
     assert len(rep["typed_spectrum"]["pos"]) + len(rep["typed_spectrum"]["neg"]) == int(
         np.sum(np.diag(B) != 0)
@@ -79,6 +88,20 @@ def test_minimize_solves_each_pencil_once(golden_file, tmp_path, capsys, monkeyp
     code, _ = run_json(capsys, ["--json", "minimize", golden_file, str(tmp_path / "x.json")])
     assert code == 0
     assert calls.count("eig") == 2, calls
+
+
+def test_verify_analyses_each_pair_once(golden_file, capsys, monkeypatch):
+    # The sampler reads the B-frames of the infimum result the report prints.
+    calls = []
+
+    def counted(*args, _fn=pt.tracemin.analyze_pair, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(pt.tracemin, "analyze_pair", counted)
+    code, _ = run_json(capsys, ["--json", "verify", golden_file, "--samples", "20"])
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_analyze_jordan_pair(tmp_path, capsys):

@@ -101,6 +101,13 @@ def test_zero_b_pair():
     assert rep.is_psd_pair and not rep.is_nsd_pair
     rep2 = definiteness_interval(pt.pair_from_arrays(np.diag([1.0, -2.0]), np.zeros((2, 2))))
     assert not rep2.is_psd_pair and not rep2.is_nsd_pair
+    # A = B = 0: every direction is common nullspace, so any shift is admissible.
+    zero = pt.pair_from_arrays(np.zeros((3, 3)), np.zeros((3, 3)))
+    rep3 = definiteness_interval(zero)
+    assert rep3.is_psd_pair and rep3.is_nsd_pair
+    assert rep3.psd_interval == rep3.nsd_interval == (-np.inf, np.inf)
+    spec = pt.typed_spectrum(zero)
+    assert spec.deflated_dims == 3 and spec.infinite_definite_sign == "none"
 
 
 @pytest.mark.parametrize(
