@@ -15,12 +15,14 @@ witnesses are all read from it; ``typed_spectrum(pair)`` is its spectrum.
 
 Finite eigenvalues carry a type: the sign of the B-form on their eigenspace,
 measured in B-frame coordinates, where B has unit scale.  Eigenvalues closer
-than ``type_tol`` form a cluster, typed by the inertia of the Gram matrix
-Z^H J Z of its eigenvectors, so a repeated eigenvalue of both types gets one
-copy of each type.  A J-isotropic direction signals a Jordan block; at the
-boundary shift of a semidefinite pair its two copies count once with each
-type (the two-copy convention).  The structure of A on N(B) is classified
-separately; a degenerate restriction signals chained (non-diagonalizable)
+than ``type_tol`` times the Frobenius norm of the finite part's A form a
+cluster, typed by the inertia of the Gram matrix Z^H J Z of its
+eigenvectors, so a repeated eigenvalue of both types gets one copy of each
+type.  A J-isotropic direction signals a Jordan block; at the boundary shift
+of a semidefinite pair its two copies count once with each type (the
+two-copy convention).  The structure of A on N(B) is classified separately,
+with one threshold for "A vanishes there": ``rank_tol`` times the Frobenius
+norm of A.  A degenerate restriction signals chained (non-diagonalizable)
 infinite structure, which leaves no finite part: the spectrum of a chained
 pair is untyped (``isotropic_defect`` set) and costs no eigensolve.
 """
@@ -165,16 +167,15 @@ class InfiniteSplit:
         return (self.N @ self.Q_inf) / np.sqrt(np.abs(self.d_inf))
 
 
-def _split(pair: MatrixPair, W: np.ndarray, j: np.ndarray, tols: ToleranceSet) -> InfiniteSplit:
+def _split(pair: MatrixPair, W: np.ndarray, j: np.ndarray, null_tol: float) -> InfiniteSplit:
     """Split ``pair`` along N(B), given its B-frame W whose first columns carry the signs j."""
     rank = len(j)
     R, N = W[:, :rank], W[:, rank:]
     A = pair.A.entries
-    K, d_inf, Q_inf, null_tol = np.zeros((0, rank)), np.zeros(0), np.zeros((0, 0)), 0.0
+    K, d_inf, Q_inf = np.zeros((0, rank)), np.zeros(0), np.zeros((0, 0))
     if N.shape[1]:
         A_NN = N.conj().T @ A @ N
         d_inf, Q_inf = np.linalg.eigh((A_NN + A_NN.conj().T) / 2.0)
-        null_tol = tols.rank_tol * max(float(np.linalg.norm(A)), 1.0)
         if np.min(np.abs(d_inf)) <= null_tol:
             return InfiniteSplit(True, R, N, None, d_inf, Q_inf, None, null_tol)
         K = -np.linalg.solve(A_NN, N.conj().T @ A @ R)
@@ -245,16 +246,19 @@ class ClusteredFrame:
         return [d for d, _ in self.real_neg] + [b[1] for b in self.blocks]
 
 
-def _cluster(j, w, Z, tols):
+def _cluster(j, w, Z, tols, scale):
     """Cluster the real eigenvalues w (eigenvectors Z) and type each cluster.
 
     Z is in B-frame coordinates, where B = J = diag(j): a B-form is sum j|z|^2.
+    An eigenvalue is real, and two real ones share a cluster, within
+    ``type_tol * scale``, with ``scale`` the size of the finite part's A.
     Each cluster is typed by the inertia of its Gram matrix Z^H J Z (a 1x1
     Gram is read directly).  Returns (typed, isotropic, complex indices):
     typed holds (value, b_form, J-normalized direction), isotropic holds
     (value, b_form) for directions with |b_form| <= type_tol.
     """
-    real = np.abs(w.imag) <= tols.type_tol * (1.0 + np.abs(w.real))
+    tol = tols.type_tol * scale
+    real = np.abs(w.imag) <= tol
     cidx = np.flatnonzero(~real)
     ridx = np.flatnonzero(real)
     ridx = ridx[np.argsort(w[ridx].real)]
@@ -263,8 +267,7 @@ def _cluster(j, w, Z, tols):
         return [], [], cidx
     JZ = j[:, None] * Zr
     forms = np.real(np.einsum("ij,ij->j", Zr.conj(), JZ))
-    ctol = tols.type_tol * (1.0 + float(np.max(np.abs(vals))))
-    bounds = [0, *(np.flatnonzero(np.diff(vals) > ctol) + 1).tolist(), len(vals)]
+    bounds = [0, *(np.flatnonzero(np.diff(vals) > tol) + 1).tolist(), len(vals)]
     typed, isotropic = [], []
     for start, end in zip(bounds, bounds[1:]):
         X = Zr[:, start:end]
@@ -361,7 +364,8 @@ class PairAnalysis:
         A, J = fin.A.entries, fin.B.entries
         j = np.real(np.diag(J))
         w, Z = scipy.linalg.eig(A, J)
-        typed, isotropic, cidx = _cluster(j, w, Z, tols)
+        # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
+        typed, isotropic, cidx = _cluster(j, w, Z, tols, float(np.linalg.norm(A)) or 1.0)
         plus = [t for t in typed if t[1] > 0]  # ascending, as clusters are
         minus = [t for t in typed if t[1] < 0]
 
@@ -447,10 +451,12 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     thr = tols.rank_tol * top if top > 0 else np.inf  # inertia's relative zero rule
     pos, neg = np.flatnonzero(d > thr), np.flatnonzero(d < -thr)
     N = V[:, np.abs(d) <= thr]
+    # "A vanishes on N(B)" relative to A alone: no scale of B or of the pair moves it.
+    null_tol = tols.rank_tol * float(np.linalg.norm(A))
     deflated = 0
     if N.shape[1]:
         _, s, Vh = np.linalg.svd(A @ N, full_matrices=False)
-        live = int(np.sum(s > tols.rank_tol * max(top, float(np.linalg.norm(A)))))
+        live = int(np.sum(s > null_tol))
         deflated = N.shape[1] - live
         if deflated:
             N = N @ Vh[:live].conj().T
@@ -464,7 +470,7 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
         deflated_dims=deflated,
         b_inertia=Inertia(len(pos), pair.n - len(pos) - len(neg), len(neg)),
         b_frame=W,
-        split=_split(pair, W, j, tols),
+        split=_split(pair, W, j, null_tol),
     )
 
 

@@ -133,28 +133,29 @@ def check_excluded(problem: ProblemInstance):
     A, B = problem.pair.A.entries, problem.pair.B.entries
     Ah, Bh = problem.hat_pair.A.entries, problem.hat_pair.B.entries
 
-    # Frobenius norms, as in MatrixPair.scale: no eigensolve.
-    if np.linalg.norm(Ah) <= tols.rank_tol * (1.0 + np.linalg.norm(Bh)):
+    # Frobenius norms, as in MatrixPair.scale: no eigensolve.  Relative to
+    # Bhat, since scaling Ahat and Bhat together leaves the infimum unchanged.
+    if np.linalg.norm(Ah) <= tols.rank_tol * np.linalg.norm(Bh):
         return ExcludedCase("AhatZero", 0.0)
 
-    mu = _proportional(A, B)
+    mu = _proportional(A, B, tols.rank_tol)
     if mu is not None:
         const = mu * float(np.real(np.trace(Ah @ np.linalg.inv(Bh))))
         return ExcludedCase("AEqualsMuB", const, mu)
-    muh = _proportional(Ah, Bh) if problem.n == problem.nhat else None
+    muh = _proportional(Ah, Bh, tols.rank_tol) if problem.n == problem.nhat else None
     if muh is not None:
         const = muh * float(np.real(np.trace(np.linalg.solve(B, A))))
         return ExcludedCase("AhatEqualsMuhatBhat", const, muh)
     return None
 
 
-def _proportional(M: np.ndarray, N: np.ndarray) -> float | None:
-    """The least-squares mu with M = mu*N, if it holds to 1e-9 relative to |M|_F."""
+def _proportional(M: np.ndarray, N: np.ndarray, tol: float) -> float | None:
+    """The least-squares mu with M = mu*N, if it holds to ``tol`` relative to |M|_F."""
     denom = np.linalg.norm(N) ** 2
     if denom == 0:
         return None
     mu = float(np.real(np.trace(N.conj().T @ M)) / denom)
-    return mu if np.linalg.norm(M - mu * N) <= 1e-9 * max(np.linalg.norm(M), 1e-300) else None
+    return mu if np.linalg.norm(M - mu * N) <= tol * max(np.linalg.norm(M), 1e-300) else None
 
 
 def properness(

@@ -7,17 +7,18 @@ Every family has one form,
 with sigma = sigma(t) one of three maps and d_cosh, d_sinh sums of at most
 two rank-one terms.  Each builder returns a family whose trace trend is
 exactly slope * t^2 + offset with slope < 0, while Bhat X(t)^H B X(t) = I
-holds up to roundoff that grows no faster than (1 + t^2).  Three mechanisms:
+holds up to roundoff that grows no faster than (1 + t^2).  Three builders:
 
-* ``MixedSignSlope``   - a hyperbolic rotation mixing a positive-type and a
-  negative-type direction whose eigenvalue gaps have opposite signs on the
-  two sides (after zero-padding the hat values when nhat < rank B).
-* ``ComplexBlockSlope`` - a rotation through a 2x2 conjugate-eigenvalue block
-  with a tuned phase.
-* ``InfiniteBlockRay``  - scaling either a B-null direction against an
-  adverse eigendirection of the hat objective (diagonal infinite structure),
-  or a chained null direction whose coupling into the finite part drives the
-  cross term (2x2 chained structure).
+* ``_rotation_witness`` - a hyperbolic rotation of a (+1, -1) plane of the
+  big pair's frame against one of the hat pair's (zero-padded when
+  nhat < rank B).  A plane is two real directions of opposite type or a
+  2x2 conjugate-eigenvalue block; the family is a ``ComplexBlockSlope``
+  when a block takes part and a ``MixedSignSlope`` otherwise.
+* ``_ray_witness``, ``_chain_witness`` - an ``InfiniteBlockRay``: scaling
+  either a B-null direction against an adverse eigendirection of the hat
+  objective (diagonal infinite structure), or a chained null direction
+  whose coupling into the finite part drives the cross term (2x2 chained
+  structure).
 
 Builders read the clustered frames and B-frames of the ``PairAnalysis``
 objects that ``infimum`` carries on its result; no pair is analysed again.
@@ -26,6 +27,7 @@ objects that ``infimum`` carries on its result; no pair is analysed again.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from operator import itemgetter
 
 import numpy as np
@@ -38,8 +40,6 @@ from .errors import (
 from .matcore import ProblemInstance
 from .spectral import ClusteredFrame, PairAnalysis
 from .tracemin import (
-    COMPLEX_EIGENVALUES,
-    COUPLED_INFINITE,
     NEG_INFINITE,
     InfimumResult,
     _objective,
@@ -156,12 +156,11 @@ def _static_assignment(big: ClusteredFrame, hat: ClusteredFrame, reserved_big, r
 def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
     """Assemble x_base, d_cosh and d_sinh from a rotation plus a static assignment.
 
-    ``rot`` is (p, m, phat, mhat, a11, a21, a12, a22): columns phat / mhat of
-    the canonical X(t) are a11*c e_p + a21*s e_m and a12*s e_p + a22*c e_m
-    (phat or mhat may be None for padded hat values).  The other hat
-    directions map to unreserved big directions of the same type.
+    ``rot`` is (p, m, phat, mhat, u, w), as in ``_rotation_witness`` (phat
+    or mhat is None for a padded hat value).  The other hat directions map
+    to unreserved big directions of the same type.
     """
-    p, m, phat, mhat, a11, a21, a12, a22 = rot
+    p, m, phat, mhat, u, w = rot
     assign = _static_assignment(big, hat, {p, m}, {d for d in (phat, mhat) if d is not None})
     Xt0 = np.zeros((big.n, problem.nhat), dtype=complex)
     for hd, bd in assign.items():
@@ -169,7 +168,9 @@ def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
 
     d_cosh = np.zeros((problem.n, problem.nhat), dtype=complex)
     d_sinh = np.zeros_like(d_cosh)
-    for hd, cosh_dir, sinh_dir, a_cosh, a_sinh in ((phat, p, m, a11, a21), (mhat, m, p, a22, a12)):
+    for hd, cosh_dir, sinh_dir, a_cosh, a_sinh in (
+        (phat, p, m, 1.0, u), (mhat, m, p, w, w * u.conjugate())
+    ):
         if hd is not None:
             Xt0[cosh_dir, hd] = a_cosh
             v = hat.T[:, hd].conj()
@@ -186,18 +187,13 @@ def _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh):
     return replace(family, offset=evaluate_witness(family, 0.0)[1])
 
 
-def _padded_values(hat_vals, count):
-    """Hat (direction, value) items, padded with zeros (direction None) to ``count``."""
-    return list(hat_vals) + [(None, 0.0)] * (count - len(hat_vals))
-
-
 def _gap_extremes(xs, ys):
     """The least and the greatest gap a - b over (direction, value) items a of xs, b of ys.
 
     A pair of two padded zeros (both directions None) is no gap.  Every other
     pair has a real item on one side, so each extreme pairs an extreme real
     item of one list with an extreme item of the other.  Returns
-    ((gap, a, b) least, (gap, a, b) greatest).
+    ((gap, a, b) least, (gap, a, b) greatest), or () when no pair forms a gap.
     """
     value = itemgetter(1)
     ends = []
@@ -207,79 +203,71 @@ def _gap_extremes(xs, ys):
             ends.append((min(a, key=value), max(b, key=value)))
             ends.append((max(a, key=value), min(b, key=value)))
     if not ends:
-        raise NoWitnessConstructibleError("no eigenvalue pair to form a gap")
+        return ()
     gaps = [(a[1] - b[1], a, b) for a, b in ends]
     return min(gaps, key=itemgetter(0)), max(gaps, key=itemgetter(0))
 
 
-def _mixed_sign_witness(problem, big_a, hat_a):
-    big, hat = _frames(big_a, hat_a)
-    if big.blocks or hat.blocks:
-        raise NoWitnessConstructibleError("conjugate blocks need the complex builder")
+def _planes(frame, pos, neg):
+    """Candidate planes (p, m, a, b, d) of one frame, with A-form [[a, b], [conj b, d]].
 
-    hp = _padded_values(hat.real_pos, len(big.real_pos))
-    hm = _padded_values(hat.real_neg, len(big.real_neg))
-    # slope = dhat * dbig over hat gaps dhat and big gaps dbig: a product
-    # is least at one of the four pairings of their extremes.
-    hat_gaps = _gap_extremes(hp, hm)
-    big_gaps = _gap_extremes(big.real_pos, big.real_neg)
-    slope, (_, (phat, _), (mhat, _)), (_, (p, _), (m, _)) = min(
-        ((dh[0] * db[0], dh, db) for dh in hat_gaps for db in big_gaps), key=itemgetter(0)
-    )
-    scale = 1.0 + max(abs(v) for _, v in hp + hm) + max(
-        abs(v) for _, v in big.real_pos + big.real_neg
-    )
+    They are the real pairs of least and greatest gap over the (direction,
+    value) lists ``pos`` and ``neg``, A-form diag(value_p, -value_m), and the
+    conjugate block of largest beta, [[alpha, -i beta], [i beta, -alpha]]:
+    a slope is linear in the gap a + d and in beta, so no other plane is
+    steeper.
+    """
+    planes = [(p, m, vp, 0j, -vm) for _, (p, vp), (m, vm) in _gap_extremes(pos, neg)]
+    if frame.blocks:
+        p, m, alpha, beta = max(frame.blocks, key=itemgetter(3))
+        planes.append((p, m, alpha, -1j * beta, -alpha))
+    return planes
+
+
+PHASES = (1.0, 1j, -1.0, -1j)
+
+
+def _rotation_witness(problem, big_a, hat_a):
+    """The steepest hyperbolic rotation of a big plane against a hat plane.
+
+    The rotation (p, m, phat, mhat, u, w), |u| = |w| = 1, maps the columns
+    phat -> c e_p + s u e_m and mhat -> w (s conj(u) e_p + c e_m) of the
+    canonical X, with c^2 = 1 + s^2.  The trace is const + k2 s^2 + k3 c s:
+
+        k2 = (ah + dh)(a + d) + 2 Re(bh conj(w) (b u^2 + conj(b))),
+        k3 = 2 Re(u b)(ah + dh) + 2 Re(bh conj(w) (a + d) u).
+
+    A real plane has b = 0 and a block a + d = 0, so k2 or k3 vanishes: k2
+    is the slope under sigma = t, k3 under the quartic sigma (one block).
+    With b = 0 the slope depends on u only through conj(w) u, and with
+    bh = 0 not on w, so the phases are searched on a block's side alone.
+    """
+    big, hat = _frames(big_a, hat_a)
+    # The hat pair zero-padded to the inertia of B, as in pad_problem.
+    pad = [(None, 0.0)]
+    hp = list(hat.real_pos) + pad * (len(big.plus_dirs) - len(hat.plus_dirs))
+    hm = list(hat.real_neg) + pad * (len(big.minus_dirs) - len(hat.minus_dirs))
+    big_planes = _planes(big, big.real_pos, big.real_neg)
+    hat_planes = _planes(hat, hp, hm)
+
+    best = None
+    for (p, m, a, b, d), (phat, mhat, ah, bh, dh) in product(big_planes, hat_planes):
+        for u, w in product(PHASES if b else PHASES[:1], PHASES if bh else PHASES[:1]):
+            bw = bh * w.conjugate()
+            k2 = (ah + dh) * (a + d) + 2.0 * (bw * (b * u * u + b.conjugate())).real
+            k3 = 2.0 * (u * b).real * (ah + dh) + 2.0 * (bw * (a + d) * u).real
+            for slope, sigma_map in ((k2, SIGMA_IDENTITY), (k3, SIGMA_QUARTIC)):
+                if best is None or slope < best[0]:
+                    best = (slope, sigma_map, bool(b or bh), (p, m, phat, mhat, u, w))
+    if best is None:
+        raise NoWitnessConstructibleError("no plane pair to rotate")
+    slope, sigma_map, uses_block, rot = best
+    scale = 1.0 + sum(max(abs(x) for pl in planes for x in pl[2:])
+                      for planes in (big_planes, hat_planes))
     if slope >= -big_a.tols.type_tol * scale:
         raise NoWitnessConstructibleError("no opposing eigenvalue gaps found")
-
-    rot = (p, m, phat, mhat, 1.0, 1.0, 1.0, 1.0)
-    return _finish_family(MIXED_SIGN_SLOPE, problem, big, hat, rot, slope, SIGMA_IDENTITY)
-
-
-def _widest_gap(xs, ys, tols):
-    """The gap (gap, a, b) of largest size; NoWitnessConstructibleError if it vanishes."""
-    gap, a, b = max(_gap_extremes(xs, ys), key=lambda g: abs(g[0]))
-    if abs(gap) <= tols.type_tol * (1.0 + abs(a[1]) + abs(b[1])):
-        raise NoWitnessConstructibleError("no eigenvalue gap to drive the slope")
-    return gap, a[0], b[0]
-
-
-def _complex_witness(problem, big_a, hat_a):
-    big, hat = _frames(big_a, hat_a)
-
-    if hat.blocks and big.blocks:
-        # Both sides carry a conjugate block: phase pi/2 against -pi/2.
-        hb = max(hat.blocks, key=lambda b: b[3])
-        bb = max(big.blocks, key=lambda b: b[3])
-        slope = -4.0 * bb[3] * hb[3]
-        theta, theta_hat = np.pi / 2.0, -np.pi / 2.0
-        a11, a21 = 1.0, np.exp(1j * theta)
-        a12, a22 = np.exp(-1j * theta_hat), np.exp(1j * (theta - theta_hat))
-        rot = (bb[0], bb[1], hb[0], hb[1], a11, a21, a12, a22)
-        sigma_map = SIGMA_IDENTITY
-    elif hat.blocks and big.real_pos and big.real_neg:
-        # Hat block against two real directions of opposite type.
-        hb = max(hat.blocks, key=lambda b: b[3])
-        gap, p, m = _widest_gap(big.real_pos, big.real_neg, big_a.tols)
-        theta_hat = -np.sign(gap) * np.pi / 2.0
-        slope = 2.0 * gap * hb[3] * np.sin(theta_hat)
-        ph = np.exp(-1j * theta_hat)
-        rot = (p, m, hb[0], hb[1], 1.0, 1.0, ph, ph)
-        sigma_map = SIGMA_QUARTIC
-    elif big.blocks:
-        # Big block against two (possibly padded) hat values.
-        bb = max(big.blocks, key=lambda b: b[3])
-        hp = _padded_values(hat.real_pos, len(big.plus_dirs))
-        hm = _padded_values(hat.real_neg, len(big.minus_dirs))
-        gap, phat, mhat = _widest_gap(hp, hm, big_a.tols)
-        theta = -np.sign(gap) * np.pi / 2.0  # slope = 2 (hv-gv) beta sin(theta)
-        slope = 2.0 * gap * bb[3] * np.sin(theta)
-        ph = np.exp(1j * theta)
-        rot = (bb[0], bb[1], phat, mhat, 1.0, ph, 1.0, ph)
-        sigma_map = SIGMA_QUARTIC
-    else:
-        raise NoWitnessConstructibleError("no conjugate block arrangement applies")
-    return _finish_family(COMPLEX_BLOCK_SLOPE, problem, big, hat, rot, slope, sigma_map)
+    kind = COMPLEX_BLOCK_SLOPE if uses_block else MIXED_SIGN_SLOPE
+    return _finish_family(kind, problem, big, hat, rot, slope, sigma_map)
 
 
 def _ray_family(problem, slope, x_base, u, v, sigma_map):
@@ -298,9 +286,8 @@ def _ray_witness(problem, big, hat):
     Th = hat.b_frame
     X0 = sp.finite_frame()[:, big.paired_columns(hat)] @ Th.conj().T
 
-    Mh = Th.conj().T @ problem.hat_pair.A.entries @ Th
-    Mh = (Mh + Mh.conj().T) / 2.0
-    lam_hat, Wh = np.linalg.eigh(Mh)
+    # Bhat is nonsingular, so the hat finite part is Th^H Ahat Th.
+    lam_hat, Wh = np.linalg.eigh(hat.split.finite_pair.A.entries)
 
     # slope = sign(d_inf[i]) * lam_hat[k], least at a pairing of extremes.
     signs = np.sign(sp.d_inf)
@@ -345,7 +332,7 @@ def _chain_witness(problem, big, hat):
             best = (norm_r, z, r, phases)
     norm_r, z, r, phases = best
     X0_d = (Wc * phases) @ Th.conj().T
-    scale = 1.0 + float(np.linalg.norm(Ah, 2))
+    scale = 1.0 + float(np.linalg.norm(Ah))
     if norm_r <= big.tols.type_tol * scale:
         raise NoWitnessConstructibleError("coupling does not reach the objective")
     u, v = z, -r.conj() / norm_r
@@ -353,27 +340,21 @@ def _chain_witness(problem, big, hat):
 
 
 def build_witness(problem: ProblemInstance, infimum_diag: InfimumResult) -> WitnessFamily:
-    """Construct a divergent feasible family matching the NegInfinite diagnosis.
+    """Construct a divergent feasible family for a NegInfinite verdict.
 
-    The family is gated by the tolerances its frames were built under, those
-    of the analyses on ``infimum_diag``.
+    Every builder is tried, whatever the verdict's reason: each raises at
+    once where its structure is absent, and several may apply at once, so
+    the steepest family is kept and the certification threshold is reached
+    at the smallest t.  The family is gated by the tolerances its frames
+    were built under, those of the analyses on ``infimum_diag``.
     """
     if infimum_diag.verdict != NEG_INFINITE:
         raise NoWitnessConstructibleError("verdict is not NegInfinite")
 
     big, hat = infimum_diag.analysis, infimum_diag.hat_analysis
-    if infimum_diag.reason == COUPLED_INFINITE:
-        builders = [_chain_witness]
-    elif infimum_diag.reason == COMPLEX_EIGENVALUES:
-        builders = [_complex_witness]
-    else:  # MixedSigns, NotSemidefinitePair, Improper
-        builders = [_mixed_sign_witness, _ray_witness]
-
-    # Several mechanisms may apply at once; keep the steepest family so the
-    # certification threshold is reached at the smallest t.
     best = None
     errors = []
-    for builder in builders:
+    for builder in (_rotation_witness, _ray_witness, _chain_witness):
         try:
             fam = builder(problem, big, hat)
         except NoWitnessConstructibleError as exc:

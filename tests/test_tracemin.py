@@ -449,6 +449,29 @@ def test_positive_scaling():
     assert v2 == pytest.approx(c * v1, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "a, b, hat, factor",
+    [
+        (1e-11, 1e-11, 1.0, 1.0),  # A on N(B) must not read as chained
+        (1.0, 1e12, 1.0, 1e-12),  # the direction where A = 2 must not be deflated
+        (1.0, 1e8, 1.0, 1e-8),  # the eigenvalues 3e-8 and -1e-8 must not cluster
+        (1.0, 1.0, 1e-11, 1.0),  # Ahat must not read as zero
+    ],
+    ids=["pair", "B", "B-cluster", "hat-pair"],
+)
+def test_verdict_independent_of_scale(a, b, hat, factor):
+    # A = diag(3, 2, 1), B = diag(1, 0, -1), Ahat = diag(0.5, 0.3), Bhat =
+    # diag(1, -1) has infimum 3 * 0.5 + (-1)(-0.3) = 1.8.  Scaling B by b
+    # scales it by 1/b; scaling A with B, or Ahat with Bhat, leaves it alone.
+    prob = pt.problem_from_arrays(
+        a * np.diag([3.0, 2.0, 1.0]), b * np.diag([1.0, 0.0, -1.0]),
+        hat * np.diag([0.5, 0.3]), hat * np.diag([1.0, -1.0]),
+    )
+    res = infimum(prob)
+    assert res.verdict == FINITE
+    assert res.value == pytest.approx(1.8 * factor, rel=1e-9)
+
+
 def test_congruence_invariance_of_value():
     prob = diag_problem([0.5, 1.5], [-1.0, -0.2], [0.4, 0.9], [-0.8])
     ref = infimum(prob).value

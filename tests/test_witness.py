@@ -164,6 +164,132 @@ def test_complex_hat_block_takes_the_widest_gap():
     _trend_ok(fam)
 
 
+PHASES = (1.0, 1j, -1.0, -1j)
+
+
+def _every_plane(frame, pos, neg):
+    """Every (+1, -1) plane of a frame: all real pairs (a padded zero has
+    direction None; two padded zeros make no pair) and all conjugate blocks."""
+    planes = [(p, m) for p, _ in pos for m, _ in neg if p is not None or m is not None]
+    return planes + [(b[0], b[1]) for b in frame.blocks]
+
+
+def _plane_form(H, plane):
+    """The 2x2 restriction of H to a plane; a padded direction has zero rows."""
+    F = np.zeros((2, 2), dtype=complex)
+    for i, a in enumerate(plane):
+        for k, b in enumerate(plane):
+            if a is not None and b is not None:
+                F[i, k] = H[a, b]
+    return F
+
+
+def _rotation_coefficients(F, Fh, u, w):
+    """(k2, k3) with trace(Fh M^H F M) = const + k2 s^2 + k3 c s, fitted at s = 1, 2,
+    for M = [[c, w s conj(u)], [s u, w c]] and c = sqrt(1 + s^2)."""
+
+    def trace(s):
+        c = np.sqrt(1.0 + s * s)
+        M = np.array([[c, w * s * np.conj(u)], [s * u, w * c]])
+        return float(np.real(np.trace(Fh @ M.conj().T @ F @ M)))
+
+    lhs = np.array([[1.0, np.sqrt(2.0)], [4.0, 2.0 * np.sqrt(5.0)]])
+    return np.linalg.solve(lhs, [trace(1.0) - trace(0.0), trace(2.0) - trace(0.0)])
+
+
+def _block_specs(rng, blocks, plus, minus):
+    """Random Tc blocks and +1 / -1 real Tr(1) blocks."""
+    return (
+        [BlockSpec("Tc", p=1, alpha=float(rng.uniform(-1, 1)), beta=float(rng.uniform(0.2, 1.5)))
+         for _ in range(blocks)]
+        + [BlockSpec("Tr", p=1, alpha=float(rng.uniform(-2, 2)), eta=1) for _ in range(plus)]
+        + [BlockSpec("Tr", p=1, alpha=float(rng.uniform(-2, 2)), eta=-1) for _ in range(minus)]
+    )
+
+
+def test_rotation_slope_matches_brute_force():
+    # The least slope over every big plane, every hat plane and all 16
+    # phases, each fitted from the trace of the 2x2 rotation itself.
+    rng = np.random.default_rng(10)
+    checked = 0
+    for trial in range(60):
+        nb, npl, nmi = (int(k) for k in rng.integers(1, 3, size=3))
+        hb = int(rng.integers(0, nb + 1))
+        hpl, hmi = int(rng.integers(0, npl + 1)), int(rng.integers(0, nmi + 1))
+        if hb + hpl + hmi == 0:
+            hpl = 1
+        pair, _ = assemble(_block_specs(rng, nb, npl, nmi), trial, 4.0)
+        hat, _ = assemble(_block_specs(rng, hb, hpl, hmi), trial + 500, 4.0)
+        prob = pt.ProblemInstance(pair=pair, hat_pair=hat)
+        res = infimum(prob)
+        assert res.reason == "ComplexEigenvalues"
+        try:
+            big, hf = res.analysis.frame, res.hat_analysis.frame
+        except pt.errors.NotDiagonalizableError:
+            continue
+        H = big.T.conj().T @ pair.A.entries @ big.T
+        Hh = hf.T.conj().T @ hat.A.entries @ hf.T
+        # The hat pair zero-padded to the inertia of B.
+        hp = list(hf.real_pos) + [(None, 0.0)] * (len(big.plus_dirs) - len(hf.plus_dirs))
+        hm = list(hf.real_neg) + [(None, 0.0)] * (len(big.minus_dirs) - len(hf.minus_dirs))
+        brute = np.inf
+        for plane in _every_plane(big, big.real_pos, big.real_neg):
+            F = _plane_form(H, plane)
+            for hat_plane in _every_plane(hf, hp, hm):
+                Fh = _plane_form(Hh, hat_plane)
+                for u in PHASES:
+                    for w in PHASES:
+                        k2, k3 = _rotation_coefficients(F, Fh, u, w)
+                        # One of the two always vanishes, so the rotation's
+                        # trend is exactly quadratic in t under its sigma map.
+                        assert min(abs(k2), abs(k3)) <= 1e-9 * (1 + abs(k2) + abs(k3))
+                        brute = min(brute, k2, k3)
+        fam = build_witness(prob, res)
+        assert fam.slope == pytest.approx(brute, rel=1e-9), trial
+        _trend_ok(fam)
+        checked += 1
+    assert checked >= 40
+
+
+def test_ray_under_complex_eigenvalues():
+    # A chained conjugate block (Tc of order 4) leaves no clustered frame, but
+    # its +1 infinite direction against the hat value -0.5 still diverges.
+    pair, _ = assemble(
+        [BlockSpec("Tc", p=2, alpha=0.3, beta=1.0), BlockSpec("Tinf", p=1, eta=1)], 3, 4.0
+    )
+    prob = pt.ProblemInstance(
+        pair=pair, hat_pair=pt.pair_from_arrays(np.array([[-0.5]]), np.array([[1.0]]))
+    )
+    res = infimum(prob)
+    assert res.reason == "ComplexEigenvalues"
+    fam = build_witness(prob, res)
+    assert fam.kind == INFINITE_BLOCK_RAY
+    assert fam.slope == pytest.approx(-0.5, rel=1e-9)
+    _trend_ok(fam)
+
+
+def test_real_pair_beats_a_conjugate_block():
+    # Big: a block of beta 0.1 and the real pair 2 / -2 (gap 4); hat gap
+    # -1 - 1 = -2.  The real planes give 4 * (-2) = -8, the block against the
+    # hat pair only -2 * 0.1 * 2 = -0.4.
+    pair, _ = assemble(
+        [BlockSpec("Tc", p=1, alpha=0.0, beta=0.1),
+         BlockSpec("Tr", p=1, alpha=2.0, eta=1),
+         BlockSpec("Tr", p=1, alpha=-2.0, eta=-1)],
+        5,
+        4.0,
+    )
+    prob = pt.ProblemInstance(
+        pair=pair, hat_pair=pt.pair_from_arrays(np.diag([-1.0, -1.0]), np.diag([1.0, -1.0]))
+    )
+    res = infimum(prob)
+    assert res.reason == "ComplexEigenvalues"
+    fam = build_witness(prob, res)
+    assert fam.kind == MIXED_SIGN_SLOPE
+    assert fam.slope == pytest.approx(-8.0, rel=1e-9)
+    _trend_ok(fam)
+
+
 def test_infinite_ray_slope():
     # B-nullspace block +1 against a negative hat eigenvalue -mu: slope -mu.
     mu = 0.7
