@@ -14,17 +14,18 @@ definiteness, minimizers, feasible points, sampling and divergence
 witnesses are all read from it; ``typed_spectrum(pair)`` is its spectrum.
 
 Finite eigenvalues carry a type: the sign of the B-form on their eigenspace,
-measured in B-frame coordinates, where B has unit scale.  Eigenvalues closer
-than ``type_tol`` times the Frobenius norm of the finite part's A form a
-cluster, typed by the inertia of the Gram matrix Z^H J Z of its
-eigenvectors, so a repeated eigenvalue of both types gets one copy of each
-type.  A J-isotropic direction signals a Jordan block; at the boundary shift
-of a semidefinite pair its two copies count once with each type (the
-two-copy convention).  The structure of A on N(B) is classified separately,
-with one threshold for "A vanishes there": ``rank_tol`` times the Frobenius
-norm of A.  A degenerate restriction signals chained (non-diagonalizable)
-infinite structure, which leaves no finite part: the spectrum of a chained
-pair is untyped (``isotropic_defect`` set) and costs no eigensolve.
+measured in B-frame coordinates, where B has unit scale.  Real eigenvalues
+closer than ``type_tol`` relative to the spectrum, or split from one Jordan
+block by roundoff, form a cluster, typed by the inertia of the Gram matrix
+Z^H J Z of its eigenvectors, so a repeated eigenvalue of both types gets one
+copy of each type.  A J-isotropic direction signals a Jordan block; at the
+boundary shift of a semidefinite pair its two copies count once with each
+type (the two-copy convention).  The structure of A on N(B) is classified
+separately, with one threshold for "A vanishes there": ``rank_tol`` times
+the Frobenius norm of A.  A degenerate restriction signals chained
+(non-diagonalizable) infinite structure, which leaves no finite part: the
+spectrum of a chained pair is untyped (``isotropic_defect`` set) and costs
+no eigensolve.
 """
 
 from __future__ import annotations
@@ -246,28 +247,53 @@ class ClusteredFrame:
         return [d for d, _ in self.real_neg] + [b[1] for b in self.blocks]
 
 
+def _split_off_jordan(j, Z, cols, tol):
+    """Which eigenvectors Z[:, cols] are J-orthogonal, to sqrt(tol), to every eigenvector?
+
+    A simple real eigenvalue has a nonzero B-form and a conjugate pair a
+    nonzero cross form; the eigenvalues that roundoff splits a Jordan block
+    into have neither, as their eigenvectors all lie near its isotropic one.
+    """
+    Zn = Z / np.linalg.norm(Z, axis=0)
+    forms = Zn.conj().T @ (j[:, None] * Zn[:, cols])
+    return np.max(np.abs(forms), axis=0) <= np.sqrt(tol)
+
+
 def _cluster(j, w, Z, tols, scale):
     """Cluster the real eigenvalues w (eigenvectors Z) and type each cluster.
 
     Z is in B-frame coordinates, where B = J = diag(j): a B-form is sum j|z|^2.
-    An eigenvalue is real, and two real ones share a cluster, within
-    ``type_tol * scale``, with ``scale`` the size of the finite part's A.
+    With ``scale`` the size of the finite part's A, w is real if |Im w| <=
+    type_tol * |w| + rank_tol * scale, and two real ones share a cluster
+    within type_tol * max|w| + rank_tol * scale.  The copies of a Jordan
+    block that roundoff splits further, up to type_tol * scale, are still
+    real and share a cluster (``_split_off_jordan``).
     Each cluster is typed by the inertia of its Gram matrix Z^H J Z (a 1x1
     Gram is read directly).  Returns (typed, isotropic, complex indices):
     typed holds (value, b_form, J-normalized direction), isotropic holds
     (value, b_form) for directions with |b_form| <= type_tol.
     """
-    tol = tols.type_tol * scale
-    real = np.abs(w.imag) <= tol
+    floor, split_tol = tols.rank_tol * scale, tols.type_tol * scale
+    im = np.abs(w.imag)
+    real = im <= tols.type_tol * np.abs(w) + floor
+    split = np.flatnonzero(~real & (im <= split_tol))
+    if split.size:
+        real[split] = _split_off_jordan(j, Z, split, tols.type_tol)
     cidx = np.flatnonzero(~real)
     ridx = np.flatnonzero(real)
     ridx = ridx[np.argsort(w[ridx].real)]
     vals, Zr = w[ridx].real, Z[:, ridx]
     if not vals.size:
         return [], [], cidx
+    gaps = np.diff(vals)
+    apart = gaps > tols.type_tol * float(np.max(np.abs(vals))) + floor
+    near = np.flatnonzero(apart & (gaps <= split_tol))
+    if near.size:
+        jordan = _split_off_jordan(j, Z, ridx, tols.type_tol)
+        apart[near] = ~(jordan[near] & jordan[near + 1])
     JZ = j[:, None] * Zr
     forms = np.real(np.einsum("ij,ij->j", Zr.conj(), JZ))
-    bounds = [0, *(np.flatnonzero(np.diff(vals) > tol) + 1).tolist(), len(vals)]
+    bounds = [0, *(np.flatnonzero(apart) + 1).tolist(), len(vals)]
     typed, isotropic = [], []
     for start, end in zip(bounds, bounds[1:]):
         X = Zr[:, start:end]

@@ -38,7 +38,6 @@ from .errors import (
     NotDiagonalizableError,
 )
 from .matcore import ProblemInstance
-from .spectral import ClusteredFrame, PairAnalysis
 from .tracemin import (
     NEG_INFINITE,
     InfimumResult,
@@ -130,29 +129,6 @@ def certify_unbounded(
 # ---------------------------------------------------------------------------
 
 
-def _frames(big: PairAnalysis, hat: PairAnalysis):
-    """The clustered frames of both pairs, or NoWitnessConstructibleError."""
-    try:
-        return big.frame, hat.frame
-    except NotDiagonalizableError as exc:
-        raise NoWitnessConstructibleError(str(exc)) from exc
-
-
-def _static_assignment(big: ClusteredFrame, hat: ClusteredFrame, reserved_big, reserved_hat):
-    """Injective type-preserving map hat dir -> big dir avoiding reservations."""
-    assign = {}
-    for sign in (+1, -1):
-        hat_dirs = [d for d in (hat.plus_dirs if sign > 0 else hat.minus_dirs)
-                    if d not in reserved_hat]
-        big_dirs = [d for d in (big.plus_dirs if sign > 0 else big.minus_dirs)
-                    if d not in reserved_big]
-        if len(hat_dirs) > len(big_dirs):
-            raise NoWitnessConstructibleError("insufficient directions for assignment")
-        for hd, bd in zip(hat_dirs, big_dirs):
-            assign[hd] = bd
-    return assign
-
-
 def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
     """Assemble x_base, d_cosh and d_sinh from a rotation plus a static assignment.
 
@@ -161,10 +137,13 @@ def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
     to unreserved big directions of the same type.
     """
     p, m, phat, mhat, u, w = rot
-    assign = _static_assignment(big, hat, {p, m}, {d for d in (phat, mhat) if d is not None})
     Xt0 = np.zeros((big.n, problem.nhat), dtype=complex)
-    for hd, bd in assign.items():
-        Xt0[bd, hd] = 1.0
+    for hat_dirs, big_dirs in ((hat.plus_dirs, big.plus_dirs), (hat.minus_dirs, big.minus_dirs)):
+        hat_dirs = [d for d in hat_dirs if d not in (phat, mhat)]
+        big_dirs = [d for d in big_dirs if d not in (p, m)]
+        if len(hat_dirs) > len(big_dirs):
+            raise NoWitnessConstructibleError("insufficient directions for assignment")
+        Xt0[big_dirs[: len(hat_dirs)], hat_dirs] = 1.0
 
     d_cosh = np.zeros((problem.n, problem.nhat), dtype=complex)
     d_sinh = np.zeros_like(d_cosh)
@@ -242,7 +221,10 @@ def _rotation_witness(problem, big_a, hat_a):
     With b = 0 the slope depends on u only through conj(w) u, and with
     bh = 0 not on w, so the phases are searched on a block's side alone.
     """
-    big, hat = _frames(big_a, hat_a)
+    try:
+        big, hat = big_a.frame, hat_a.frame
+    except NotDiagonalizableError as exc:
+        raise NoWitnessConstructibleError(str(exc)) from exc
     # The hat pair zero-padded to the inertia of B, as in pad_problem.
     pad = [(None, 0.0)]
     hp = list(hat.real_pos) + pad * (len(big.plus_dirs) - len(hat.plus_dirs))

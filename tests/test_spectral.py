@@ -143,6 +143,45 @@ def test_diagonal_psd_criterion_matches_definiteness():
         assert rep.is_nsd_pair == bool(pos.max() <= neg.min() + 1e-12)
 
 
+
+@pytest.mark.parametrize("lam0", [0.0, 1e-4, 0.3])
+@pytest.mark.parametrize("big", [10.0, 1e6])
+def test_jordan_pair_beside_a_large_eigenvalue(lam0, big):
+    # eig splits the Jordan block at lam0 by about sqrt(eps) times the
+    # pencil's size, into real or conjugate copies; they still count as one
+    # real copy of each type, whatever the size of the other eigenvalue.
+    A = np.array([[0.0, lam0, 0.0], [lam0, 1.0, 0.0], [0.0, 0.0, big]])
+    B = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    for seed in range(3):
+        pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), seed, 4.0)
+        spec = typed_spectrum(pair)
+        assert not spec.has_complex
+        np.testing.assert_allclose(spec.pos_values, [lam0, big], rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(spec.neg_values, [lam0], rtol=0, atol=1e-9)
+
+
+def test_jordan_pair_in_a_tiny_spectrum_shares_one_cluster():
+    # Jordan block at 0 beside a simple eigenvalue 7.6e-7: roundoff splits
+    # the block by up to 1e-8, far beyond type_tol relative to the spectrum,
+    # yet its two copies form one cluster at their mean.
+    specs = [BlockSpec("Tr", p=2, alpha=0.0, eta=1), BlockSpec("Tr", p=1, alpha=7.6e-7, eta=-1)]
+    for seed in range(4):
+        pair, _ = assemble(specs, scramble_seed=seed, conditioning_cap=2.5)
+        spec = typed_spectrum(pair)
+        np.testing.assert_allclose(spec.pos_values, [0.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spec.neg_values, [0.0, 7.6e-7], rtol=1e-8, atol=1e-12)
+
+def test_close_eigenvalues_of_a_large_pencil_stay_distinct():
+    # 80 eigenvalues in [1, 2], two of them 5e-7 apart.  The cluster gap is
+    # relative to the largest eigenvalue, not to the Frobenius norm of the
+    # finite part, which grows with sqrt(n) and would merge the two.
+    vals = np.linspace(1.0, 2.0, 80)
+    vals[1] = vals[0] + 5e-7
+    pair, _ = pt.random_congruence(pt.pair_from_arrays(np.diag(vals), np.eye(80)), 0, 2.0)
+    spec = typed_spectrum(pair)
+    assert len(spec.pos) == 80
+    np.testing.assert_allclose(spec.pos_values[:2], vals[:2], rtol=0, atol=1e-10)
+
 def test_split_infinite_classification():
     tols = pt.ToleranceSet()
     # Diagonal infinite block, positive orientation.

@@ -14,6 +14,7 @@ from pencil_tracemin.genpairs import BlockSpec, assemble
 from pencil_tracemin.spectral import typed_spectrum
 from pencil_tracemin.tracemin import (
     ATTAINABLE_YES,
+    COMPLEX_EIGENVALUES,
     EXCLUDED_CONSTANT,
     FINITE,
     MIXED_SIGNS,
@@ -70,6 +71,20 @@ def test_excluded_ahat_equals_muhat_bhat():
     assert exc.which == "AhatEqualsMuhatBhat"
     assert exc.constant == pytest.approx(-6.0, abs=1e-10)
 
+
+
+@pytest.mark.parametrize("rel", [3e-10, 8e-10])
+def test_nearly_proportional_a_takes_the_general_path(rel):
+    # A = 2B off by rel (relative): beyond rank_tol = 1e-10, so no AEqualsMuB
+    # exclusion.  The general path finds the constant 2 trace(Ahat Bhat^-1)
+    # = 0.4 up to the perturbation's size.
+    B, E = np.diag([1.0, 1.0, -1.0]), np.diag([1.0, -1.0, 0.5])
+    A = 2.0 * B + rel * np.linalg.norm(2.0 * B) * E / np.linalg.norm(E)
+    prob = pt.problem_from_arrays(A, B, np.diag([0.5, 0.3]), np.diag([1.0, -1.0]))
+    assert check_excluded(prob) is None
+    res = infimum(prob)
+    assert res.verdict == FINITE
+    assert res.value == pytest.approx(0.4, abs=1e-8)
 
 # --- properness -------------------------------------------------------------
 
@@ -471,6 +486,21 @@ def test_verdict_independent_of_scale(a, b, hat, factor):
     assert res.verdict == FINITE
     assert res.value == pytest.approx(1.8 * factor, rel=1e-9)
 
+
+
+def test_small_conjugate_pair_beside_a_large_eigenvalue():
+    # Eigenvalues +-0.05i and 1e6: realness is judged relative to each
+    # eigenvalue, so the pair stays complex beside the large one.
+    A = np.array([[0.0, 0.05, 0.0], [0.05, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    prob = pt.problem_from_arrays(
+        A, np.diag([1.0, -1.0, 1e-6]), np.diag([0.5, 0.3]), np.diag([1.0, -1.0])
+    )
+    spec = typed_spectrum(prob.pair)
+    assert sorted(z.imag for z in spec.complex_values) == pytest.approx([-0.05, 0.05], abs=1e-9)
+    np.testing.assert_allclose(spec.pos_values, [1e6], rtol=1e-12)
+    assert not spec.neg
+    res = infimum(prob)
+    assert (res.verdict, res.reason) == (NEG_INFINITE, COMPLEX_EIGENVALUES)
 
 def test_congruence_invariance_of_value():
     prob = diag_problem([0.5, 1.5], [-1.0, -0.2], [0.4, 0.9], [-0.8])
