@@ -8,13 +8,14 @@ spectrum the admissible shifts are exactly
     NSD:  [max positive-type eigenvalue, min negative-type eigenvalue]
 
 (Kovac-Striko & Veselic, LAA 216, 1995; Liang, Li & Bai, LAA 438, 2013).  A
-side with no eigenvalues leaves a half-line: B is definite.  A boundary Jordan
-eigenvalue sits in both lists (the two-copy convention of ``typed_spectrum``),
-which pins the interval to that value.  Non-real eigenvalues exclude both
-verdicts.  The endpoints may cross by ``psd_tol`` relative to their size.
-Each interval the spectrum admits is confirmed by one evaluation of
-lam_min(A - t*B) at an interior shift (the single point, for a pinned
-interval): the side holds iff it is >= -psd_tol * (1 + |A|_F + |B|_F).
+side with no eigenvalues leaves a half-line: B is definite.  Non-real
+eigenvalues exclude both verdicts.  The endpoints may cross by ``psd_tol``
+relative to their size.  Each interval the spectrum admits is confirmed by
+one evaluation of lam_min(A - t*B) at an interior shift: the side holds iff
+it is >= -psd_tol * (1 + |A|_F + |B|_F).  A Jordan eigenvalue sits in both
+lists (the two-copy convention of ``typed_spectrum``), which pins the
+interval to that value; the confirming lam_min there decides whether the
+pair is semidefinite at it, which the spectrum itself does not say.
 """
 
 from __future__ import annotations

@@ -14,13 +14,16 @@ definiteness, minimizers, feasible points, sampling and divergence
 witnesses are all read from it; ``typed_spectrum(pair)`` is its spectrum.
 
 Finite eigenvalues carry a type: the sign of the B-form on their eigenspace,
-measured in B-frame coordinates, where B has unit scale.  Real eigenvalues
-closer than ``type_tol`` relative to the spectrum, or split from one Jordan
-block by roundoff, form a cluster, typed by the inertia of the Gram matrix
-Z^H J Z of its eigenvectors, so a repeated eigenvalue of both types gets one
-copy of each type.  A J-isotropic direction signals a Jordan block; at the
-boundary shift of a semidefinite pair its two copies count once with each
-type (the two-copy convention).  The structure of A on N(B) is classified
+measured in B-frame coordinates, where B has unit scale.  Eigenvectors are
+B-orthogonal unless their eigenvalues are conjugate, so one Gram matrix
+G = Z^H J Z of the eigenvectors Z, formed once per finite part, holds every
+B-form that typing reads: real eigenvalues closer than ``type_tol`` relative
+to the spectrum, or split from one Jordan block by roundoff, form a cluster
+C, typed by the inertia of G[C, C], so a repeated eigenvalue of both types
+gets one copy of each type; conjugate pairs are J-normalized from the
+blocks of G between them.  A J-isotropic direction signals a Jordan block;
+its copies pair up within their cluster and count once with each type (the
+two-copy convention).  The structure of A on N(B) is classified
 separately, with one threshold for "A vanishes there": ``rank_tol`` times
 the Frobenius norm of A.  A degenerate restriction signals chained
 (non-diagonalizable) infinite structure, which leaves no finite part: the
@@ -43,7 +46,6 @@ from .matcore import (
     Inertia,
     MatrixPair,
     ToleranceSet,
-    eigvalsh,
     pair_from_arrays,
 )
 
@@ -247,109 +249,108 @@ class ClusteredFrame:
         return [d for d, _ in self.real_neg] + [b[1] for b in self.blocks]
 
 
-def _split_off_jordan(j, Z, cols, tol):
-    """Which eigenvectors Z[:, cols] are J-orthogonal, to sqrt(tol), to every eigenvector?
-
-    A simple real eigenvalue has a nonzero B-form and a conjugate pair a
-    nonzero cross form; the eigenvalues that roundoff splits a Jordan block
-    into have neither, as their eigenvectors all lie near its isotropic one.
-    """
-    Zn = Z / np.linalg.norm(Z, axis=0)
-    forms = Zn.conj().T @ (j[:, None] * Zn[:, cols])
-    return np.max(np.abs(forms), axis=0) <= np.sqrt(tol)
-
-
-def _cluster(j, w, Z, tols, scale):
+def _cluster(w, Z, G, tols, scale):
     """Cluster the real eigenvalues w (eigenvectors Z) and type each cluster.
 
-    Z is in B-frame coordinates, where B = J = diag(j): a B-form is sum j|z|^2.
+    Z has unit columns in B-frame coordinates, B = J = diag(j), and G = Z^H J Z.
     With ``scale`` the size of the finite part's A, w is real if |Im w| <=
     type_tol * |w| + rank_tol * scale, and two real ones share a cluster
     within type_tol * max|w| + rank_tol * scale.  The copies of a Jordan
     block that roundoff splits further, up to type_tol * scale, are still
-    real and share a cluster (``_split_off_jordan``).
-    Each cluster is typed by the inertia of its Gram matrix Z^H J Z (a 1x1
-    Gram is read directly).  Returns (typed, isotropic, complex indices):
-    typed holds (value, b_form, J-normalized direction), isotropic holds
-    (value, b_form) for directions with |b_form| <= type_tol.
+    real and share a cluster: their columns of G vanish to sqrt(type_tol).
+    Each cluster C is typed by the inertia of G[C, C]; its isotropic
+    directions (|b_form| <= type_tol) pair up at its value as ``jordan_pair``
+    copies of both types, and an odd one left over takes its b_form's sign.
+    Returns (typed, isotropic, complex indices): typed holds (value, b_form,
+    J-normalized direction), isotropic the TypedEigenvalue copies.
     """
     floor, split_tol = tols.rank_tol * scale, tols.type_tol * scale
+    root = np.sqrt(tols.type_tol)
     im = np.abs(w.imag)
     real = im <= tols.type_tol * np.abs(w) + floor
     split = np.flatnonzero(~real & (im <= split_tol))
     if split.size:
-        real[split] = _split_off_jordan(j, Z, split, tols.type_tol)
+        real[split] = np.max(np.abs(G[:, split]), axis=0) <= root
     cidx = np.flatnonzero(~real)
     ridx = np.flatnonzero(real)
     ridx = ridx[np.argsort(w[ridx].real)]
-    vals, Zr = w[ridx].real, Z[:, ridx]
+    vals = w[ridx].real
     if not vals.size:
         return [], [], cidx
     gaps = np.diff(vals)
     apart = gaps > tols.type_tol * float(np.max(np.abs(vals))) + floor
     near = np.flatnonzero(apart & (gaps <= split_tol))
     if near.size:
-        jordan = _split_off_jordan(j, Z, ridx, tols.type_tol)
+        jordan = np.max(np.abs(G[:, ridx]), axis=0) <= root
         apart[near] = ~(jordan[near] & jordan[near + 1])
-    JZ = j[:, None] * Zr
-    forms = np.real(np.einsum("ij,ij->j", Zr.conj(), JZ))
+    Zr, forms = Z[:, ridx], np.real(G.diagonal()[ridx])
     bounds = [0, *(np.flatnonzero(apart) + 1).tolist(), len(vals)]
     typed, isotropic = [], []
     for start, end in zip(bounds, bounds[1:]):
-        X = Zr[:, start:end]
-        if end - start == 1:
-            g, mu = forms[start:end], float(vals[start])
-        else:
-            G = X.conj().T @ JZ[:, start:end]
-            g, U = np.linalg.eigh((G + G.conj().T) / 2.0)
+        X, g, mu = Zr[:, start:end], forms[start:end], float(vals[start])
+        if end - start > 1:
+            GC = G[np.ix_(ridx[start:end], ridx[start:end])]
+            g, U = np.linalg.eigh((GC + GC.conj().T) / 2.0)
             X, mu = X @ U, float(np.mean(vals[start:end]))
+        iso = []
         for i, gi in enumerate(g.tolist()):
             if abs(gi) <= tols.type_tol:
-                isotropic.append((mu, gi))
+                iso.append(gi)
             else:
                 typed.append((mu, gi, X[:, i] / np.sqrt(abs(gi))))
+        for kind in (POSITIVE, NEGATIVE) * (len(iso) // 2):
+            isotropic.append(TypedEigenvalue(mu, kind, 0.0, jordan_pair=True))
+        if len(iso) % 2:
+            isotropic.append(TypedEigenvalue(mu, POSITIVE if iso[-1] >= 0 else NEGATIVE, iso[-1]))
     return typed, isotropic, cidx
 
 
-def _conjugate_blocks(A, j, w, Z, cidx, tols):
-    """Pair conjugate eigenvalues into J-normalized 2x2 frames, J = diag(j).
+def _conjugate_blocks(A, w, Z, G, cidx, tols):
+    """J-normalized 2x2 frames for the conjugate eigenvalues w[cidx], G = Z^H J Z.
+
+    The cross forms M = G[plus, minus] link the Im > 0 and Im < 0
+    eigenvectors of conjugate eigenvalues; entries |M| > type_tol group them.
+    Each group is J-normalized through the SVD of its block, M_g = U S V^H:
+    x = Z_minus V / sqrt(s) and y = Z_plus U / sqrt(s) have y^H J x = I, so
+    the (x +- y) / sqrt(2) are +1 and -1 directions, also for a repeated
+    eigenvalue; the conjugate counterpart of the eigh that types a real
+    cluster.  A group with unequal sides, or with a singular value
+    <= type_tol, is a complex Jordan block and leaves no frame.
 
     Returns ([(c_plus, c_minus, alpha, beta), ...], error message or None).
     """
-    blocks, used = [], set()
-    root_half = 1.0 / np.sqrt(2.0)
-    for k in cidx:
-        if k in used or w[k].imag >= 0:
-            continue
-        # k carries the Im < 0 eigenvalue; among the conjugate candidates,
-        # prefer the partner with the strongest cross form (repeated complex
-        # eigenvalues admit many bases of the same eigenspace).
-        target = np.conj(w[k])
-        cand = [
-            l
-            for l in cidx
-            if l != k and l not in used and w[l].imag > 0
-            and abs(w[l] - target) <= tols.type_tol * 100.0 * (1.0 + abs(target))
-        ]
-        if not cand:
-            cand = [l for l in cidx if l != k and l not in used and w[l].imag > 0]
-        if not cand:
-            return blocks, "unpaired complex eigenvalue"
-        x = Z[:, k]
-        best = cand[int(np.argmax(np.abs(Z[:, cand].conj().T @ (j * x))))]
-        used.update((k, best))
-        y = Z[:, best]
-        gamma = complex(y.conj() @ (j * x))
-        if abs(gamma) <= tols.type_tol:
-            return blocks, "chained complex structure"
-        xp = x / (gamma / abs(gamma) * np.sqrt(abs(gamma)))
-        yp = y / np.sqrt(abs(gamma))
-        c1, c2 = root_half * (xp + yp), root_half * (xp - yp)
-        alpha = float(np.real(c1.conj() @ (A @ c1)))
-        beta = float(np.imag(c2.conj() @ (A @ c1)))
-        if beta < 0:
-            c2, beta = -c2, -beta
-        blocks.append((c1, c2, alpha, beta))
+    if not cidx.size:
+        return [], None
+    minus, plus = cidx[w[cidx].imag < 0], cidx[w[cidx].imag > 0]
+    if len(plus) != len(minus):
+        return [], "chained complex structure"
+    M = G[np.ix_(plus, minus)]
+    link = np.abs(M) > tols.type_tol
+    left, blocks = np.ones(len(minus), dtype=bool), []
+    while left.any():
+        cols = np.arange(len(minus)) == np.argmax(left)
+        while True:  # grow to the connected group of the first column left
+            rows = link[:, cols].any(axis=1)
+            grown = cols | link[rows].any(axis=0)
+            if np.array_equal(grown, cols):
+                break
+            cols = grown
+        left &= ~cols
+        rows, cols = np.flatnonzero(rows), np.flatnonzero(cols)
+        if len(rows) != len(cols):
+            return [], "chained complex structure"
+        U, s, Vh = np.linalg.svd(M[np.ix_(rows, cols)])
+        if s[-1] <= tols.type_tol:
+            return [], "chained complex structure"
+        X = Z[:, minus[cols]] @ Vh.conj().T / np.sqrt(s)
+        Y = Z[:, plus[rows]] @ U / np.sqrt(s)
+        for x, y in zip(X.T, Y.T):
+            c1, c2 = (x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0)
+            alpha = float(np.real(c1.conj() @ (A @ c1)))
+            beta = float(np.imag(c2.conj() @ (A @ c1)))
+            if beta < 0:
+                c2, beta = -c2, -beta
+            blocks.append((c1, c2, alpha, beta))
     return blocks, None
 
 
@@ -390,37 +391,22 @@ class PairAnalysis:
         A, J = fin.A.entries, fin.B.entries
         j = np.real(np.diag(J))
         w, Z = scipy.linalg.eig(A, J)
+        G = Z.conj().T @ (j[:, None] * Z)  # every B-form the typing reads
         # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
-        typed, isotropic, cidx = _cluster(j, w, Z, tols, float(np.linalg.norm(A)) or 1.0)
+        typed, isotropic, cidx = _cluster(w, Z, G, tols, float(np.linalg.norm(A)) or 1.0)
         plus = [t for t in typed if t[1] > 0]  # ascending, as clusters are
         minus = [t for t in typed if t[1] < 0]
-
         pos = [TypedEigenvalue(v, POSITIVE, g) for v, g, _ in plus]
         neg = [TypedEigenvalue(v, NEGATIVE, g) for v, g, _ in minus]
-        defect = False
-        if isotropic:
-            # An isotropic (Jordan) eigenvalue pins every shift t with A - t*B
-            # semidefinite to its value, so the isotropic copies pair up, at
-            # their common value, iff A - t*B is semidefinite there.
-            shift = float(np.mean([v for v, _ in isotropic]))
-            f = eigvalsh(A - shift * J)
-            tol = tols.psd_tol * fin.scale
-            pairs = len(isotropic) // 2 if f[0] >= -tol or f[-1] <= tol else 0
-            for _ in range(pairs):
-                pos.append(TypedEigenvalue(shift, POSITIVE, 0.0, jordan_pair=True))
-                neg.append(TypedEigenvalue(shift, NEGATIVE, 0.0, jordan_pair=True))
-            rest = isotropic[2 * pairs:]
-            defect = bool(rest)
-            pos += [TypedEigenvalue(v, POSITIVE, g) for v, g in rest if g >= 0]
-            neg += [TypedEigenvalue(v, NEGATIVE, g) for v, g in rest if g < 0]
-        pos.sort(key=lambda e: e.value)
-        neg.sort(key=lambda e: e.value)
+        pos = sorted(pos + [e for e in isotropic if e.eig_type == POSITIVE], key=lambda e: e.value)
+        neg = sorted(neg + [e for e in isotropic if e.eig_type == NEGATIVE], key=lambda e: e.value)
         cvals = tuple(complex(z) for z in w[cidx])
+        defect = not all(e.jordan_pair for e in isotropic)
         spec = TypedSpectrum(tuple(pos), tuple(neg), dims, sign, cvals, defect)
 
         if isotropic:
             return spec, None, "degenerate B-form on an eigenspace (Jordan structure)"
-        blocks, error = _conjugate_blocks(A, j, w, Z, cidx, tols)
+        blocks, error = _conjugate_blocks(A, w, Z, G, cidx, tols)
         if error:
             return spec, None, error
         cols = [x for _, _, x in plus + minus] + [c for b in blocks for c in b[:2]]

@@ -104,7 +104,13 @@ class Term:
 
 @dataclass(frozen=True)
 class InfimumResult:
-    """Verdict and value of the infimum, with the analyses of both pairs it was read from."""
+    """Verdict and value of the infimum, with the analyses of both pairs it was read from.
+
+    ``definiteness`` and ``hat_definiteness`` judge the finite parts (Ã, J)
+    only, without the sign of A on N(B): on a MixedSigns "infinite-orientation"
+    pair ``definiteness.is_psd_pair`` can read True.  ``analysis_definiteness``
+    judges the whole pair.
+    """
 
     verdict: str
     value: float | None = None

@@ -1,0 +1,206 @@
+"""Replay the criterion-7 generator and record the outcome of every problem.
+
+    python tests/replay.py --out outcomes.json
+    python tests/replay.py --compare old.json new.json
+
+``--out`` runs the 482 non-empty assemblies of ``test_criterion_7`` (seed
+707) and four scaled copies of each: (A*1e6, Ahat*1e-6), (A*1e-6, Ahat*1e6),
+Ahat*1e-8 and A*1e-8, where A and Ahat are the objective matrices of the
+pair and the hat pair.  Each outcome records the verdict, reason, detail,
+value and attainability of ``infimum``, the flags of both typed spectra,
+and for a NegInfinite verdict the witness kind, slope and certified
+residual (``certify_unbounded(-1e6, 1e4)``), or the exception raised.
+
+``--compare`` prints every difference between two such files (values to
+1e-10 relative, slopes to 1e-9), a summary of each, and the scaled flips
+of each: scaled copies whose verdict, reason or scaled value (1e-6
+relative) differs from the unscaled problem.  The file name does not match
+``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import pencil_tracemin as pt  # noqa: E402
+from pencil_tracemin.errors import PencilError  # noqa: E402
+from pencil_tracemin.genpairs import assemble  # noqa: E402
+from pencil_tracemin.tracemin import EXCLUDED_CONSTANT, NEG_INFINITE, infimum  # noqa: E402
+from pencil_tracemin.witness import build_witness, certify_unbounded  # noqa: E402
+
+from test_acceptance import _hat_pair, _random_specs  # noqa: E402
+
+# label -> (factor on A, factor on Ahat); the value scales by their product.
+SCALES = {
+    "A*1e6,Ahat*1e-6": (1e6, 1e-6),
+    "A*1e-6,Ahat*1e6": (1e-6, 1e6),
+    "Ahat*1e-8": (1.0, 1e-8),
+    "A*1e-8": (1e-8, 1.0),
+}
+VALUE_RTOL, SLOPE_RTOL, FLIP_RTOL = 1e-10, 1e-9, 1e-6
+BAD_RESIDUAL = 1e-4
+
+
+def problems():
+    """(trial, problem) for the non-empty assemblies of criterion 7, in its order."""
+    rng = np.random.default_rng(707)
+    for trial in range(500):
+        specs = _random_specs(rng)
+        cap = 2.5 if any(s.kind == "Tr" and s.p == 2 for s in specs) else 5.0
+        pair, truth = assemble(specs, scramble_seed=trial, conditioning_cap=cap)
+        ib = truth.inertia_B
+        if ib.rank == 0:
+            continue
+        hpl, hmi = 0, 0
+        while hpl + hmi == 0:
+            hpl = int(rng.integers(0, ib.n_plus + 1))
+            hmi = int(rng.integers(0, ib.n_minus + 1))
+        hp = np.sort(rng.uniform(-1.5, 1.5, size=hpl))
+        hn = np.sort(rng.uniform(-1.5, 1.5, size=hmi))
+        hat = _hat_pair(rng, hp, hn, trial + 31337)
+        yield trial, pt.ProblemInstance(pair=pair, hat_pair=hat)
+
+
+def scaled(problem, a, ahat):
+    big, hat = problem.pair, problem.hat_pair
+    return pt.ProblemInstance(
+        pair=pt.pair_from_arrays(a * big.A.entries, big.B.entries),
+        hat_pair=pt.pair_from_arrays(ahat * hat.A.entries, hat.B.entries),
+    )
+
+
+def _flags(spec):
+    return {
+        "has_jordan": spec.has_jordan,
+        "isotropic_defect": spec.isotropic_defect,
+        "has_complex": spec.has_complex,
+    }
+
+
+def outcome(problem):
+    try:
+        res = infimum(problem)
+    except PencilError as exc:
+        return {"error": type(exc).__name__}
+    out = {
+        "verdict": res.verdict,
+        "reason": res.reason,
+        "detail": res.reason_detail,
+        "value": res.value,
+        "attainable": res.attainable,
+    }
+    if res.verdict == EXCLUDED_CONSTANT:
+        return out
+    out["spectrum"] = _flags(res.analysis.spectrum)
+    out["hat_spectrum"] = _flags(res.hat_analysis.spectrum)
+    if res.verdict == NEG_INFINITE:
+        try:
+            fam = build_witness(problem, res)
+            rep = certify_unbounded(fam, -1e6, 1e4)
+            out["witness"] = {
+                "kind": fam.kind, "slope": fam.slope, "residual": rep.feas_residual,
+            }
+        except PencilError as exc:
+            out["witness"] = {"error": type(exc).__name__}
+    return out
+
+
+def record(path):
+    rows = []
+    for trial, prob in problems():
+        row = {"trial": trial, "": outcome(prob)}
+        for label, (a, ahat) in SCALES.items():
+            row[label] = outcome(scaled(prob, a, ahat))
+        rows.append(row)
+    Path(path).write_text(json.dumps(rows, indent=1))
+    print(f"{len(rows)} problems, {len(rows) * len(SCALES)} scaled copies -> {path}")
+
+
+def _close(x, y, rtol):
+    if x is None or y is None:
+        return x is y
+    return abs(x - y) <= rtol * max(abs(x), abs(y))
+
+
+def _diff(old, new):
+    """The fields in which two outcomes differ."""
+    out = []
+    for key in ("error", "verdict", "reason", "detail", "attainable", "spectrum", "hat_spectrum"):
+        if old.get(key) != new.get(key):
+            out.append(f"{key}: {old.get(key)} -> {new.get(key)}")
+    if not _close(old.get("value"), new.get("value"), VALUE_RTOL):
+        out.append(f"value: {old.get('value')} -> {new.get('value')}")
+    wo, wn = old.get("witness", {}), new.get("witness", {})
+    for key in ("error", "kind"):
+        if wo.get(key) != wn.get(key):
+            out.append(f"witness {key}: {wo.get(key)} -> {wn.get(key)}")
+    if not _close(wo.get("slope"), wn.get("slope"), SLOPE_RTOL):
+        out.append(f"witness slope: {wo.get('slope')} -> {wn.get('slope')}")
+    return out
+
+
+def _flipped(base, copy, factor):
+    if base.get("error") or copy.get("error"):
+        return base.get("error") != copy.get("error")
+    if (base["verdict"], base["reason"]) != (copy["verdict"], copy["reason"]):
+        return True
+    value = None if copy["value"] is None else copy["value"] / factor
+    return not _close(base["value"], value, FLIP_RTOL)
+
+
+def summary(rows):
+    base = [r[""] for r in rows]
+    verdicts = Counter(o.get("verdict", o.get("error")) for o in base)
+    witnesses = [o["witness"] for o in base if "witness" in o]
+    unwitnessed = sum("error" in w for w in witnesses)
+    bad = sum(w.get("residual", 0.0) > BAD_RESIDUAL for w in witnesses)
+    flips = Counter(
+        label
+        for r in rows
+        for label, (a, ahat) in SCALES.items()
+        if _flipped(r[""], r[label], a * ahat)
+    )
+    return (
+        f"verdicts {dict(verdicts)}; no witness {unwitnessed}; "
+        f"residual > {BAD_RESIDUAL:g}: {bad}; scaled flips {sum(flips.values())} {dict(flips)}"
+    )
+
+
+def compare(old_path, new_path):
+    old = json.loads(Path(old_path).read_text())
+    new = json.loads(Path(new_path).read_text())
+    if [r["trial"] for r in old] != [r["trial"] for r in new]:
+        sys.exit("the two files replay different problems")
+    changed = 0
+    for ro, rn in zip(old, new):
+        for label in ("", *SCALES):
+            for line in _diff(ro[label], rn[label]):
+                changed += 1
+                print(f"trial {ro['trial']} [{label or 'unscaled'}] {line}")
+    print(f"{changed} differences")
+    print(f"old: {summary(old)}")
+    print(f"new: {summary(new)}")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = ap.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", metavar="FILE", help="replay and write the outcomes as JSON")
+    group.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="print the differences")
+    args = ap.parse_args(argv)
+    if args.out:
+        record(args.out)
+    else:
+        compare(*args.compare)
+
+
+if __name__ == "__main__":
+    main()

@@ -105,16 +105,25 @@ def test_verify_analyses_each_pair_once(golden_file, capsys, monkeypatch):
 
 
 def test_analyze_jordan_pair(tmp_path, capsys):
+    # A Jordan pair at the boundary shift of a PSD pair, and two opposite
+    # Jordan blocks at one value, which leave the pair neither PSD nor NSD:
+    # the isotropic copies pair up either way.
     path = str(tmp_path / "pair.json")
-    pair = pt.pair_from_arrays(
+    boundary = pt.pair_from_arrays(
         np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
     )
-    pt.matcore.save_pair(path, pair)
-    code, rep = run_json(capsys, ["--json", "analyze", path])
-    assert code == 0
-    assert rep["definiteness"]["is_psd_pair"] is True
-    assert rep["typed_spectrum"]["pos"][0]["jordan_pair"] is True
-    assert rep["typed_spectrum"]["pos"][0]["value"] == pytest.approx(0.0, abs=1e-7)
+    opposite, _ = pt.assemble(
+        [pt.BlockSpec("Tr", p=2, alpha=0.3, eta=1), pt.BlockSpec("Tr", p=2, alpha=0.3, eta=-1)],
+        scramble_seed=0, conditioning_cap=2.5,
+    )
+    for pair, value, psd in ((boundary, 0.0, True), (opposite, 0.3, False)):
+        pt.matcore.save_pair(path, pair)
+        code, rep = run_json(capsys, ["--json", "analyze", path])
+        assert code == 0
+        assert rep["definiteness"]["is_psd_pair"] is psd
+        assert rep["definiteness"]["is_nsd_pair"] is False
+        assert rep["typed_spectrum"]["pos"][0]["jordan_pair"] is True
+        assert rep["typed_spectrum"]["pos"][0]["value"] == pytest.approx(value, abs=1e-7)
 
 
 def test_analyze_malformed_file(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import pencil_tracemin as pt
 from pencil_tracemin.errors import NotDiagonalizableError
@@ -171,6 +174,42 @@ def test_jordan_pair_in_a_tiny_spectrum_shares_one_cluster():
         np.testing.assert_allclose(spec.pos_values, [0.0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(spec.neg_values, [0.0, 7.6e-7], rtol=1e-8, atol=1e-12)
 
+
+def _tr(p, alpha, eta):
+    return BlockSpec("Tr", p=p, alpha=alpha, eta=eta)
+
+
+@pytest.mark.parametrize(
+    "specs, verdict",
+    [
+        ([_tr(2, 0.3, 1), _tr(2, 0.3, -1)], ("NegInfinite", "NotSemidefinitePair")),
+        ([_tr(2, 0.3, 1), _tr(1, 0.0, 1)], ("NegInfinite", "NotSemidefinitePair")),
+        ([_tr(2, 0.3, 1), _tr(1, 0.8, 1), _tr(1, -0.2, -1)], ("Finite", None)),
+    ],
+    ids=["opposite-blocks", "indefinite", "boundary"],
+)
+def test_jordan_copies_pair_whatever_the_definiteness(monkeypatch, specs, verdict):
+    # The isotropic copies of a Jordan block pair up within their cluster,
+    # whether or not the pair is semidefinite there, without an eigenvalue
+    # solve of A - t*B; the definiteness gate alone decides the verdict.
+    for seed in range(4):
+        pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=2.5)
+        calls = count_eigen_kernels(monkeypatch)
+        spec = typed_spectrum(pair)
+        assert calls.count("eigvalsh") == 0, calls
+        monkeypatch.undo()
+        assert spec.has_jordan and not spec.isotropic_defect
+        rep = pt.definiteness_interval(pair)
+        assert (rep.is_psd_pair, rep.is_nsd_pair) == (truth.psd, truth.nsd)
+        ib = truth.inertia_B
+        hat = pt.pair_from_arrays(
+            np.diag([0.5] * ib.n_plus + [0.4] * ib.n_minus),
+            np.diag([1.0] * ib.n_plus + [-1.0] * ib.n_minus),
+        )
+        res = pt.infimum(pt.ProblemInstance(pair=pair, hat_pair=hat))
+        assert (res.verdict, res.reason) == verdict
+
+
 def test_close_eigenvalues_of_a_large_pencil_stay_distinct():
     # 80 eigenvalues in [1, 2], two of them 5e-7 apart.  The cluster gap is
     # relative to the largest eigenvalue, not to the Frobenius norm of the
@@ -279,14 +318,12 @@ def test_typed_spectrum_counts_match_inertia():
 
 def test_clustered_frame_real_conjugate_and_null_directions():
     # One frame holds typed, conjugate-block and B-null directions:
-    # T^H B T = diag(j) and T^H A T is the block diagonal the frame records.
-    specs = [
-        BlockSpec("Tr", p=1, alpha=0.7, eta=1),
-        BlockSpec("Tr", p=1, alpha=-1.3, eta=-1),
-        BlockSpec("Tc", p=1, alpha=0.4, beta=0.9),
-        BlockSpec("Tinf", p=1, eta=-1),
-    ]
-    for seed in range(6):
+    # T^H B T = diag(j) and T^H A T is the block diagonal the frame records,
+    # also when two identical conjugate blocks repeat an eigenvalue.
+    tr = [BlockSpec("Tr", p=1, alpha=0.7, eta=1), BlockSpec("Tr", p=1, alpha=-1.3, eta=-1)]
+    tc = BlockSpec("Tc", p=1, alpha=0.4, beta=0.9)
+    inputs = [tr + [tc, BlockSpec("Tinf", p=1, eta=-1)], [tc, tc, tr[0]]]
+    for specs, seed in itertools.product(inputs, range(6)):
         pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=5.0)
         a = pt.analyze_pair(pair)
         f = a.frame
@@ -294,13 +331,13 @@ def test_clustered_frame_real_conjugate_and_null_directions():
         np.testing.assert_allclose(f.pos_values, truth.pos, rtol=1e-8)
         np.testing.assert_allclose(f.neg_values, truth.neg, rtol=1e-8)
         np.testing.assert_allclose(f.null_signs, truth.infinite_signs)
-        (dp, dm, alpha, beta), = f.blocks
-        z = truth.complex_values[-1]
-        assert alpha == pytest.approx(z.real, abs=1e-8)
-        assert beta == pytest.approx(abs(z.imag), abs=1e-8)
-        want = np.diag(np.concatenate([f.pos_values, -f.neg_values, [alpha, -alpha], f.null_signs]))
-        want = want.astype(complex)
-        want[dp, dm], want[dm, dp] = -1j * beta, 1j * beta
+        upper = [(z.real, z.imag) for z in truth.complex_values if z.imag > 0]
+        np.testing.assert_allclose(sorted(b[2:] for b in f.blocks), upper, atol=1e-8)
+        want = np.diag(np.concatenate([f.pos_values, -f.neg_values])).astype(complex)
+        want = scipy.linalg.block_diag(
+            want, *([[alpha, -1j * beta], [1j * beta, -alpha]] for _, _, alpha, beta in f.blocks),
+            np.diag(f.null_signs),
+        )
         T = f.T
         scale = 1 + pair.A.norm() + pair.B.norm()
         assert np.linalg.norm(T.conj().T @ pair.B.entries @ T - np.diag(f.j_diag), 2) <= 1e-8 * scale

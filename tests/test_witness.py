@@ -290,6 +290,28 @@ def test_real_pair_beats_a_conjugate_block():
     _trend_ok(fam)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_repeated_conjugate_block_witness_certifies(seed):
+    # Two identical conjugate blocks (alpha 0.4, beta 0.9) share one
+    # eigenspace pair; its frame must still be a congruence.  Against the
+    # widest hat gap 0.9 - (-0.6) the slope is -2 * 0.9 * 1.5 = -2.7.
+    tc = BlockSpec("Tc", p=1, alpha=0.4, beta=0.9)
+    pair, _ = assemble([tc, tc, BlockSpec("Tr", p=1, alpha=0.7, eta=1)], seed, 5.0)
+    hat, _ = assemble(
+        [BlockSpec("Tr", p=1, alpha=a, eta=e) for a, e in ((0.5, 1), (0.9, 1), (-0.3, -1), (-0.6, -1))],
+        seed + 100,
+        5.0,
+    )
+    prob = pt.ProblemInstance(pair=pair, hat_pair=hat)
+    res = infimum(prob)
+    assert res.reason == "ComplexEigenvalues"
+    fam = build_witness(prob, res)
+    assert fam.kind == COMPLEX_BLOCK_SLOPE
+    assert fam.slope == pytest.approx(-2.7, rel=1e-9)
+    assert certify_unbounded(fam, -1e6, 1e4).feas_residual <= 1e-6
+    _trend_ok(fam)
+
+
 def test_infinite_ray_slope():
     # B-nullspace block +1 against a negative hat eigenvalue -mu: slope -mu.
     mu = 0.7
