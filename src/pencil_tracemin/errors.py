@@ -25,10 +25,6 @@ class TypeCountError(KernelFailureError):
     """Typed eigenvalue counts disagree with the inertia of B (inaccurate eigensolve)."""
 
 
-class NotDiagonalizableError(PencilError):
-    """Pair is not congruent-diagonalizable with real spectrum."""
-
-
 class InertiaViolationError(PencilError):
     """Inertia counts are incompatible (empty feasible set upstream)."""
 

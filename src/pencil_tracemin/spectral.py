@@ -9,7 +9,9 @@ solved once and its eigenvectors are clustered into one congruence frame:
 real typed directions J-orthonormalized per cluster, 2x2 blocks for
 conjugate eigenvalue pairs, and the null directions of B (the canonical
 form of Lancaster & Rodman, SIAM Review 47, 2005), all in the pair's own
-coordinates.  The typed spectrum,
+coordinates.  The canonical form is a direct sum, so the frame is always
+built: a Jordan block or a chained conjugate group gets no column and
+leaves the other directions in place.  The typed spectrum,
 definiteness, minimizers, feasible points, sampling and divergence
 witnesses are all read from it; ``typed_spectrum(pair)`` is its spectrum.
 
@@ -39,7 +41,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import KernelFailureError, NotDiagonalizableError
+from .errors import KernelFailureError
 from .matcore import (
     DEFAULT_TOLS,
     HermitianMatrix,
@@ -203,13 +205,17 @@ def _infinite_sign(sp: InfiniteSplit) -> str:
 
 @dataclass(frozen=True)
 class ClusteredFrame:
-    """Congruence frame T, n x (n - deflated dims), with T^H B T = diag(j_diag).
+    """Congruence frame T, n x k, with T^H B T = diag(j_diag).
 
-    Directions are ordered: positive-type (ascending), negative-type
-    (ascending), conjugate blocks (a +1 and a -1 direction each), null
-    directions of B.  T^H A T is block diagonal: lambda on positive-type and
-    -lambda on negative-type directions, [[alpha, -i beta], [i beta, -alpha]]
-    on a conjugate block, and +/-1 (``null_signs``) on null directions.
+    Its columns are the typed directions, the J-normalized conjugate blocks
+    and the null directions of B, ordered: positive-type (ascending),
+    negative-type (ascending), conjugate blocks (a +1 and a -1 direction
+    each), null directions.  T^H A T is block diagonal: lambda on
+    positive-type and -lambda on negative-type directions,
+    [[alpha, -i beta], [i beta, -alpha]] on a conjugate block, and +/-1
+    (``null_signs``) on null directions.  Jordan copies and chained groups
+    have no column, so k can be less than n - deflated dims; a chained
+    pair's frame has none at all.
     """
 
     T: np.ndarray
@@ -315,15 +321,14 @@ def _conjugate_blocks(A, w, Z, G, cidx, tols):
     the (x +- y) / sqrt(2) are +1 and -1 directions, also for a repeated
     eigenvalue; the conjugate counterpart of the eigh that types a real
     cluster.  A group with unequal sides, or with a singular value
-    <= type_tol, is a complex Jordan block and leaves no frame.
+    <= type_tol, is a complex Jordan block (chained) and is skipped.
 
-    Returns ([(c_plus, c_minus, alpha, beta), ...], error message or None).
+    Returns [(c_plus, c_minus, alpha, beta), ...] over the groups that
+    J-normalize.
     """
     if not cidx.size:
-        return [], None
+        return []
     minus, plus = cidx[w[cidx].imag < 0], cidx[w[cidx].imag > 0]
-    if len(plus) != len(minus):
-        return [], "chained complex structure"
     M = G[np.ix_(plus, minus)]
     link = np.abs(M) > tols.type_tol
     left, blocks = np.ones(len(minus), dtype=bool), []
@@ -338,10 +343,10 @@ def _conjugate_blocks(A, w, Z, G, cidx, tols):
         left &= ~cols
         rows, cols = np.flatnonzero(rows), np.flatnonzero(cols)
         if len(rows) != len(cols):
-            return [], "chained complex structure"
+            continue
         U, s, Vh = np.linalg.svd(M[np.ix_(rows, cols)])
         if s[-1] <= tols.type_tol:
-            return [], "chained complex structure"
+            continue
         X = Z[:, minus[cols]] @ Vh.conj().T / np.sqrt(s)
         Y = Z[:, plus[rows]] @ U / np.sqrt(s)
         for x, y in zip(X.T, Y.T):
@@ -351,7 +356,7 @@ def _conjugate_blocks(A, w, Z, G, cidx, tols):
             if beta < 0:
                 c2, beta = -c2, -beta
             blocks.append((c1, c2, alpha, beta))
-    return blocks, None
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -364,7 +369,9 @@ class PairAnalysis:
     spectrum and the clustered frame on first use, so consumers that only
     need the B-frame (feasible points, sampling) never pay for it.
     ``b_form`` values are in B-frame coordinates; a chained pair's spectrum
-    is untyped.  Frames are in ``pair``'s coordinates, without those directions.
+    is untyped.  Frames are in ``pair``'s coordinates, without those
+    directions.  Every pair has a frame; the spectrum lists the Jordan
+    copies it has no column for.
     """
 
     tols: ToleranceSet
@@ -376,18 +383,19 @@ class PairAnalysis:
 
     @cached_property
     def _structure(self):
-        """(typed spectrum, clustered frame or None, why there is no frame)."""
+        """(typed spectrum, clustered frame)."""
         sp, tols = self.split, self.tols
         sign = _infinite_sign(sp)
         dims = self.deflated_dims
+        none = np.zeros(0)
         if sp.coupled:
             spec = TypedSpectrum((), (), dims, sign, isotropic_defect=True)
-            return spec, None, "chained structure on the nullspace of B"
+            return spec, ClusteredFrame(np.zeros((self.pair.n, 0)), none, none, (), none)
         null_signs = np.sign(sp.d_inf)
         fin = sp.finite_pair
         if fin is None:  # B = 0
-            frame = ClusteredFrame(sp.null_frame(), np.zeros(0), np.zeros(0), (), null_signs)
-            return TypedSpectrum((), (), dims, sign), frame, None
+            frame = ClusteredFrame(sp.null_frame(), none, none, (), null_signs)
+            return TypedSpectrum((), (), dims, sign), frame
         A, J = fin.A.entries, fin.B.entries
         j = np.real(np.diag(J))
         w, Z = scipy.linalg.eig(A, J)
@@ -404,11 +412,7 @@ class PairAnalysis:
         defect = not all(e.jordan_pair for e in isotropic)
         spec = TypedSpectrum(tuple(pos), tuple(neg), dims, sign, cvals, defect)
 
-        if isotropic:
-            return spec, None, "degenerate B-form on an eigenspace (Jordan structure)"
-        blocks, error = _conjugate_blocks(A, w, Z, G, cidx, tols)
-        if error:
-            return spec, None, error
+        blocks = _conjugate_blocks(A, w, Z, G, cidx, tols)
         cols = [x for _, _, x in plus + minus] + [c for b in blocks for c in b[:2]]
         T = np.column_stack(cols) if cols else np.zeros((fin.n, 0), dtype=complex)
         base = len(plus) + len(minus)
@@ -421,7 +425,7 @@ class PairAnalysis:
             ),
             null_signs=null_signs,
         )
-        return spec, frame, None
+        return spec, frame
 
     @property
     def spectrum(self) -> TypedSpectrum:
@@ -429,12 +433,7 @@ class PairAnalysis:
 
     @property
     def frame(self) -> ClusteredFrame:
-        """The clustered frame; NotDiagonalizableError when Jordan or chained
-        structure (or an unpairable complex eigenvalue) leaves none."""
-        _, frame, error = self._structure
-        if frame is None:
-            raise NotDiagonalizableError(error)
-        return frame
+        return self._structure[1]
 
     def paired_columns(self, hat: "PairAnalysis") -> np.ndarray:
         """The B-frame columns that receive the hat pair's B-frame directions.

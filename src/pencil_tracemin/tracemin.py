@@ -20,7 +20,6 @@ from .errors import (
     InertiaViolationError,
     LengthMismatchError,
     NotAttainableError,
-    NotDiagonalizableError,
     TypeCountError,
 )
 from .hyperbolic import SignatureJ, sample_feasible
@@ -408,11 +407,7 @@ def _minimizer_from(problem: ProblemInstance, result: InfimumResult):
     if result.attainable != ATTAINABLE_YES:
         raise NotAttainableError("attainability unknown for this instance")
 
-    try:
-        f_big, f_hat = big.frame, hat.frame
-    except NotDiagonalizableError as exc:
-        raise NotAttainableError(str(exc)) from exc
-
+    f_big, f_hat = big.frame, hat.frame
     Xt = np.zeros((f_big.n, f_hat.n), dtype=complex)
     # Frame direction lists sorted ascending by eigenvalue, as the typed
     # lists that the term indices refer to.

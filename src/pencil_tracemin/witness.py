@@ -22,6 +22,10 @@ holds up to roundoff that grows no faster than (1 + t^2).  Three builders:
 
 Builders read the clustered frames and B-frames of the ``PairAnalysis``
 objects that ``infimum`` carries on its result; no pair is analysed again.
+A clustered frame has no column for a Jordan copy or a chained conjugate
+group, so the rotation uses only the typed and block planes the frames do
+hold, and it needs a column for every hat direction: a hat pair with
+Jordan or chained structure gets no rotation.
 """
 
 from __future__ import annotations
@@ -32,11 +36,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (
-    CertificationFailedError,
-    NoWitnessConstructibleError,
-    NotDiagonalizableError,
-)
+from .errors import CertificationFailedError, NoWitnessConstructibleError
 from .matcore import ProblemInstance
 from .tracemin import (
     NEG_INFINITE,
@@ -221,10 +221,9 @@ def _rotation_witness(problem, big_a, hat_a):
     With b = 0 the slope depends on u only through conj(w) u, and with
     bh = 0 not on w, so the phases are searched on a block's side alone.
     """
-    try:
-        big, hat = big_a.frame, hat_a.frame
-    except NotDiagonalizableError as exc:
-        raise NoWitnessConstructibleError(str(exc)) from exc
+    big, hat = big_a.frame, hat_a.frame
+    if hat.n < problem.nhat:
+        raise NoWitnessConstructibleError("hat Jordan or chained structure has no frame column")
     # The hat pair zero-padded to the inertia of B, as in pad_problem.
     pad = [(None, 0.0)]
     hp = list(hat.real_pos) + pad * (len(big.plus_dirs) - len(hat.plus_dirs))

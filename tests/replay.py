@@ -9,13 +9,17 @@ Ahat*1e-8 and A*1e-8, where A and Ahat are the objective matrices of the
 pair and the hat pair.  Each outcome records the verdict, reason, detail,
 value and attainability of ``infimum``, the flags of both typed spectra,
 and for a NegInfinite verdict the witness kind, slope and certified
-residual (``certify_unbounded(-1e6, 1e4)``), or the exception raised.
+residual (``certify_unbounded(-1e6, 1e4)``), or the type and message of
+the exception raised.
 
 ``--compare`` prints every difference between two such files (values to
-1e-10 relative, slopes to 1e-9), a summary of each, and the scaled flips
-of each: scaled copies whose verdict, reason or scaled value (1e-6
-relative) differs from the unscaled problem.  The file name does not match
-``test_*.py``, so pytest does not collect it.
+1e-10 relative, slopes to 1e-9; exception messages are not compared, so
+files recorded before messages were kept still compare), a summary of
+each, and the scaled flips of each: scaled copies whose verdict, reason or
+scaled value (1e-6 relative) differs from the unscaled problem.  For each
+file it also breaks the unscaled ``NoWitnessConstructibleError`` count
+down by verdict reason and by the message of ``_rotation_witness``.  The
+file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ def outcome(problem):
                 "kind": fam.kind, "slope": fam.slope, "residual": rep.feas_residual,
             }
         except PencilError as exc:
-            out["witness"] = {"error": type(exc).__name__}
+            out["witness"] = {"error": type(exc).__name__, "message": str(exc)}
     return out
 
 
@@ -174,6 +178,21 @@ def summary(rows):
     )
 
 
+def unwitnessed(rows):
+    """The unscaled NoWitnessConstructibleErrors, counted by verdict reason
+    and by the ``_rotation_witness`` part of their message."""
+    by_reason, by_rotation = Counter(), Counter()
+    for out in (r[""] for r in rows):
+        if out.get("witness", {}).get("error") != "NoWitnessConstructibleError":
+            continue
+        by_reason[out["reason"]] += 1
+        # build_witness joins "builder: message" parts with "; ".
+        parts = out["witness"].get("message", "").split("; ")
+        rotation = [p.split(": ", 1)[1] for p in parts if p.startswith("_rotation_witness: ")]
+        by_rotation[rotation[0] if rotation else "not recorded"] += 1
+    return f"no witness by reason {dict(by_reason)}; by rotation message {dict(by_rotation)}"
+
+
 def compare(old_path, new_path):
     old = json.loads(Path(old_path).read_text())
     new = json.loads(Path(new_path).read_text())
@@ -186,8 +205,9 @@ def compare(old_path, new_path):
                 changed += 1
                 print(f"trial {ro['trial']} [{label or 'unscaled'}] {line}")
     print(f"{changed} differences")
-    print(f"old: {summary(old)}")
-    print(f"new: {summary(new)}")
+    for label, rows in (("old", old), ("new", new)):
+        print(f"{label}: {summary(rows)}")
+        print(f"{label}: {unwitnessed(rows)}")
 
 
 def main(argv=None):

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 import pencil_tracemin as pt
-from pencil_tracemin.errors import NotDiagonalizableError
 from pencil_tracemin.spectral import (
     INF_COUPLED,
     INF_MIXED,
@@ -277,9 +276,22 @@ def test_congruent_diagonalize_golden_hat():
     assert res_a < 1e-10
 
 
-def test_congruent_diagonalize_rejects_jordan():
-    with pytest.raises(NotDiagonalizableError):
-        pt.analyze_pair(k2_pair(0.0)).frame
+@pytest.mark.parametrize("eta", (1, -1))
+def test_clustered_frame_beside_a_jordan_block(eta):
+    # A Jordan block gets no column; the typed directions beside it still
+    # form a congruence frame, and the spectrum keeps both Jordan copies.
+    specs = [BlockSpec("Tr", p=2, alpha=0.3, eta=eta),
+             BlockSpec("Tr", p=1, alpha=1.5, eta=1), BlockSpec("Tr", p=1, alpha=-0.7, eta=-1)]
+    for seed in range(6):
+        pair, _ = assemble(specs, scramble_seed=seed, conditioning_cap=2.5)
+        f, lam, res_a, res_b = diagonal_frame(pair)
+        assert f.n == 2
+        np.testing.assert_allclose(lam, [1.5, 0.7], rtol=1e-8)
+        assert res_a <= 1e-10 and res_b <= 1e-10
+        spec = pt.analyze_pair(pair).spectrum
+        jordan = [(e.value, e.eig_type) for e in spec.pos + spec.neg if e.jordan_pair]
+        assert sorted(t for _, t in jordan) == ["negative", "positive"]
+        np.testing.assert_allclose([v for v, _ in jordan], [0.3, 0.3], rtol=1e-6)
 
 
 def test_congruent_diagonalize_scrambled_round_trip():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pencil_tracemin as pt
+from pencil_tracemin.cli import EXIT_NO_WITNESS, main
 from pencil_tracemin.errors import CertificationFailedError, NoWitnessConstructibleError
 from pencil_tracemin.genpairs import BlockSpec, assemble, block
 from pencil_tracemin.tracemin import NEG_INFINITE, infimum
@@ -223,10 +224,7 @@ def test_rotation_slope_matches_brute_force():
         prob = pt.ProblemInstance(pair=pair, hat_pair=hat)
         res = infimum(prob)
         assert res.reason == "ComplexEigenvalues"
-        try:
-            big, hf = res.analysis.frame, res.hat_analysis.frame
-        except pt.errors.NotDiagonalizableError:
-            continue
+        big, hf = res.analysis.frame, res.hat_analysis.frame
         H = big.T.conj().T @ pair.A.entries @ big.T
         Hh = hf.T.conj().T @ hat.A.entries @ hf.T
         # The hat pair zero-padded to the inertia of B.
@@ -252,8 +250,8 @@ def test_rotation_slope_matches_brute_force():
 
 
 def test_ray_under_complex_eigenvalues():
-    # A chained conjugate block (Tc of order 4) leaves no clustered frame, but
-    # its +1 infinite direction against the hat value -0.5 still diverges.
+    # A chained conjugate block (Tc of order 4) has no column in the clustered
+    # frame, but the +1 infinite direction against the hat value -0.5 diverges.
     pair, _ = assemble(
         [BlockSpec("Tc", p=2, alpha=0.3, beta=1.0), BlockSpec("Tinf", p=1, eta=1)], 3, 4.0
     )
@@ -310,6 +308,45 @@ def test_repeated_conjugate_block_witness_certifies(seed):
     assert fam.slope == pytest.approx(-2.7, rel=1e-9)
     assert certify_unbounded(fam, -1e6, 1e4).feas_residual <= 1e-6
     _trend_ok(fam)
+
+
+@pytest.mark.parametrize("eta", (1, -1))
+def test_jordan_beside_conjugate_block_witness_certifies(eta):
+    # The Jordan block at 0.75 gets no frame column, but the conjugate block
+    # beside it (alpha 0.34, beta 0.9) still rotates against the padded hat
+    # value 0.99: slope -2 * 0.9 * 0.99.
+    pair_specs = [BlockSpec("Tr", p=2, alpha=0.75, eta=eta),
+                  BlockSpec("Tc", p=1, alpha=0.34, beta=0.9)]
+    for seed in range(10):
+        pair, _ = assemble(pair_specs, seed, 2.5)
+        hat, _ = assemble([BlockSpec("Tr", p=1, alpha=0.99, eta=-1)], seed, 2.5)
+        prob = pt.ProblemInstance(pair=pair, hat_pair=hat)
+        res = infimum(prob)
+        assert res.verdict == NEG_INFINITE
+        fam = build_witness(prob, res)
+        assert fam.kind == COMPLEX_BLOCK_SLOPE
+        assert fam.slope == pytest.approx(-2.0 * 0.9 * 0.99, rel=1e-8)
+        assert certify_unbounded(fam, -1e6, 1e4).feas_residual <= 1e-6
+        _trend_ok(fam)
+
+
+@pytest.mark.parametrize("eta", (1, -1))
+def test_jordan_hat_pair_gets_no_rotation(eta, tmp_path):
+    # The hat frame has no column for the hat's Jordan copies (at 0.3), so no
+    # rotation has a feasible base: the builder says so, and the CLI exits 7.
+    hat, _ = assemble([BlockSpec("Tr", p=2, alpha=0.3, eta=eta),
+                       BlockSpec("Tr", p=1, alpha=2.0, eta=1)], 1, 3.0)
+    pair, _ = assemble([BlockSpec("Tr", p=1, alpha=a, eta=e)
+                        for a, e in ((1.0, 1), (-1.5, 1), (3.0, 1), (0.5, -1), (2.5, -1))], 2, 3.0)
+    prob = pt.ProblemInstance(pair=pair, hat_pair=hat)
+    res = infimum(prob)
+    assert res.verdict == NEG_INFINITE
+    assert res.hat_analysis.frame.n < prob.nhat
+    with pytest.raises(NoWitnessConstructibleError, match="no frame column"):
+        build_witness(prob, res)
+    path = str(tmp_path / "problem.json")
+    pt.matcore.save_problem(path, prob)
+    assert main(["witness", path]) == EXIT_NO_WITNESS
 
 
 def test_infinite_ray_slope():
