@@ -10,7 +10,8 @@ class NotSquareError(PencilError):
 
 
 class NonFiniteError(PencilError):
-    """Raw matrix input holds a NaN or infinite entry."""
+    """Raw matrix input holds a NaN or infinite entry, or entries so large that
+    its Frobenius norm overflows."""
 
 
 class NotHermitianError(PencilError):

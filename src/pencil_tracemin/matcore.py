@@ -34,8 +34,8 @@ class ToleranceSet:
 
     def __post_init__(self):
         for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise ValueError(f"{f.name} must be strictly positive")
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and strictly positive")
 
 
 DEFAULT_TOLS = ToleranceSet()
@@ -124,7 +124,8 @@ def validate_hermitian(raw, herm_tol: float = DEFAULT_TOLS.herm_tol) -> Hermitia
     """Validate and symmetrize a raw square array into a HermitianMatrix.
 
     Raises NotSquareError / NonFiniteError / NotHermitianError when the input
-    is not square, holds a NaN or infinite entry, or its Hermiticity residual
+    is not square, holds a NaN or infinite entry or is too large for its
+    Frobenius norm to be a finite float, or its Hermiticity residual
     max|M - M^H| exceeds ``herm_tol``.
     """
     M = np.asarray(raw, dtype=complex)
@@ -132,18 +133,22 @@ def validate_hermitian(raw, herm_tol: float = DEFAULT_TOLS.herm_tol) -> Hermitia
         raise NotSquareError(f"expected square matrix, got shape {M.shape}")
     if M.shape[0] < 1:
         raise NotSquareError("matrix dimension must be at least 1")
-    # NaN or infinite entries, and only those, make the residual non-finite
-    # (barring overflow of M - M^H near the largest float); inf - inf is
-    # reported below as NonFiniteError, not as a numpy warning.
-    with np.errstate(invalid="ignore"):
+    # NaN or infinite entries make the residual non-finite, and entries whose
+    # squares overflow make the norm of the symmetrized matrix infinite; every
+    # gate reads that norm, so both are reported below as NonFiniteError, not
+    # as a numpy warning.
+    with np.errstate(invalid="ignore", over="ignore"):
         residual = float(np.max(np.abs(M - M.conj().T)))
+        sym = (M + M.conj().T) / 2.0
+        size = float(np.linalg.norm(sym))
     if not math.isfinite(residual):
         raise NonFiniteError("matrix entries must be finite (no NaN or infinity)")
+    if not math.isfinite(size):
+        raise NonFiniteError("matrix entries too large: their Frobenius norm overflows")
     if residual > herm_tol:
         raise NotHermitianError(
             f"Hermiticity residual {residual:.3e} exceeds tolerance {herm_tol:.3e}"
         )
-    sym = (M + M.conj().T) / 2.0
     return HermitianMatrix(entries=sym, herm_residual=residual)
 
 

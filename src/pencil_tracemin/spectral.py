@@ -4,8 +4,9 @@
 pair.  It eigendecomposes B once (inertia with the relative zero rule and
 the +1/-1/0 B-frame), drops the common nullspace of A and B from N(B) and
 splits off the rest of N(B).  The finite part left is always posed in
-B-frame coordinates, (Ã, J) with J = diag(+1.., -1..); its eigenproblem is
-solved once and its eigenvectors are clustered into one congruence frame:
+B-frame coordinates, (Ã, J) with J = diag(+1.., -1..): as J² = I, it is the
+one matrix J·Ã, selfadjoint in [x, y] = y^H J x.  One standard eigensolve of
+J·Ã gives its eigenvectors, clustered into one congruence frame:
 real typed directions J-orthonormalized per cluster, 2x2 blocks for
 conjugate eigenvalue pairs, and the null directions of B (the canonical
 form of Lancaster & Rodman, SIAM Review 47, 2005), all in the pair's own
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import KernelFailureError
 from .matcore import (
@@ -256,7 +256,7 @@ class ClusteredFrame:
 
 
 def _cluster(w, Z, G, tols, scale):
-    """Cluster the real eigenvalues w (eigenvectors Z) and type each cluster.
+    """Cluster the real eigenvalues w of J·Ã (eigenvectors Z) and type each cluster.
 
     Z has unit columns in B-frame coordinates, B = J = diag(j), and G = Z^H J Z.
     With ``scale`` the size of the finite part's A, w is real if |Im w| <=
@@ -365,7 +365,7 @@ class PairAnalysis:
 
     The eigendecomposition of B and the split along N(B), less the
     ``deflated_dims`` directions that A also annihilates, are computed by
-    ``analyze_pair``; the eigenproblem of the finite part (Ã, J), the typed
+    ``analyze_pair``; the eigensolve of the finite part's J·Ã, the typed
     spectrum and the clustered frame on first use, so consumers that only
     need the B-frame (feasible points, sampling) never pay for it.
     ``b_form`` values are in B-frame coordinates; a chained pair's spectrum
@@ -396,9 +396,8 @@ class PairAnalysis:
         if fin is None:  # B = 0
             frame = ClusteredFrame(sp.null_frame(), none, none, (), null_signs)
             return TypedSpectrum((), (), dims, sign), frame
-        A, J = fin.A.entries, fin.B.entries
-        j = np.real(np.diag(J))
-        w, Z = scipy.linalg.eig(A, J)
+        A, j = fin.A.entries, np.real(np.diag(fin.B.entries))
+        w, Z = np.linalg.eig(j[:, None] * A)  # J^2 = I: J Ã z = λz iff Ã z = λJz
         G = Z.conj().T @ (j[:, None] * Z)  # every B-form the typing reads
         # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
         typed, isotropic, cidx = _cluster(w, Z, G, tols, float(np.linalg.norm(A)) or 1.0)

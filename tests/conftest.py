@@ -47,17 +47,15 @@ def diag_problem(big_pos, big_neg, hat_pos, hat_neg, scramble=None, cap=6.0):
 
 
 def count_eigen_kernels(monkeypatch):
-    """Record the name of every numpy eigvalsh/eigh/qr/svd and scipy eig call from now on.
+    """Record the name of every numpy eigvalsh/eigh/eig/qr/svd call from now on.
 
     numpy's ``svd`` is counted in the module that defines it too, so the SVD
     that ``np.linalg.norm(X, 2)`` runs is counted.
     """
-    import scipy.linalg
-
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     calls = []
-    owners = [(np.linalg, name) for name in ("eigvalsh", "eigh", "qr", "svd")]
-    for owner, name in owners + [(impl, "svd"), (scipy.linalg, "eig")]:
+    owners = [(np.linalg, name) for name in ("eigvalsh", "eigh", "eig", "qr", "svd")]
+    for owner, name in owners + [(impl, "svd")]:
         fn = getattr(owner, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):

@@ -18,8 +18,10 @@ files recorded before messages were kept still compare), a summary of
 each, and the scaled flips of each: scaled copies whose verdict, reason or
 scaled value (1e-6 relative) differs from the unscaled problem.  For each
 file it also breaks the unscaled ``NoWitnessConstructibleError`` count
-down by verdict reason and by the message of ``_rotation_witness``.  The
-file name does not match ``test_*.py``, so pytest does not collect it.
+down by verdict reason and by the message of ``_rotation_witness``.  It
+exits 1 when it prints any difference.  ``test_replay.py`` runs the replay
+in-process and holds its counts as a ratchet.  The file name does not
+match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -117,13 +119,19 @@ def outcome(problem):
     return out
 
 
-def record(path):
+def replay():
+    """One row per problem: its trial and the outcome of it and of each scaled copy."""
     rows = []
     for trial, prob in problems():
         row = {"trial": trial, "": outcome(prob)}
         for label, (a, ahat) in SCALES.items():
             row[label] = outcome(scaled(prob, a, ahat))
         rows.append(row)
+    return rows
+
+
+def record(path):
+    rows = replay()
     Path(path).write_text(json.dumps(rows, indent=1))
     print(f"{len(rows)} problems, {len(rows) * len(SCALES)} scaled copies -> {path}")
 
@@ -160,7 +168,9 @@ def _flipped(base, copy, factor):
     return not _close(base["value"], value, FLIP_RTOL)
 
 
-def summary(rows):
+def tally(rows):
+    """(unscaled verdict counts, unscaled witnesses not built, certified
+    residuals above BAD_RESIDUAL, scaled flips per scale label)."""
     base = [r[""] for r in rows]
     verdicts = Counter(o.get("verdict", o.get("error")) for o in base)
     witnesses = [o["witness"] for o in base if "witness" in o]
@@ -172,6 +182,11 @@ def summary(rows):
         for label, (a, ahat) in SCALES.items()
         if _flipped(r[""], r[label], a * ahat)
     )
+    return verdicts, unwitnessed, bad, flips
+
+
+def summary(rows):
+    verdicts, unwitnessed, bad, flips = tally(rows)
     return (
         f"verdicts {dict(verdicts)}; no witness {unwitnessed}; "
         f"residual > {BAD_RESIDUAL:g}: {bad}; scaled flips {sum(flips.values())} {dict(flips)}"
@@ -208,6 +223,7 @@ def compare(old_path, new_path):
     for label, rows in (("old", old), ("new", new)):
         print(f"{label}: {summary(rows)}")
         print(f"{label}: {unwitnessed(rows)}")
+    return changed
 
 
 def main(argv=None):
@@ -218,8 +234,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.out:
         record(args.out)
-    else:
-        compare(*args.compare)
+    elif compare(*args.compare):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -163,6 +166,26 @@ def test_analyze_non_finite_entry(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+
+
+def test_infimum_entries_whose_norm_overflows(tmp_path, capsys):
+    # Squares of these entries overflow, so |A|_F is infinite and a relative
+    # gate such as |A - mu B| <= tol |A| would pass; the file is invalid input.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "A": matrix_to_json(1e154 * np.array([[2.0, 1.0], [1.0, 3.0]])),
+        "B": matrix_to_json(np.diag([1.0, -1.0])),
+        "Ahat": matrix_to_json([[0.5]]),
+        "Bhat": matrix_to_json([[1.0]]),
+    }))
+    assert main(["infimum", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Frobenius norm" in err and err.count("\n") == 1
+
+
+def test_infinite_tolerance_flag_is_invalid_input(golden_file, capsys):
+    assert main(["--tol-psd", "inf", "infimum", golden_file]) == 2
+    assert "psd_tol must be finite" in capsys.readouterr().err
 
 
 def test_analyze_not_hermitian(tmp_path, capsys):
@@ -486,3 +509,21 @@ def test_minimize_excluded_constant(tmp_path, capsys):
     assert rep["infimum"]["verdict"] == "ExcludedConstant"
     assert rep["minimizer"]["achieved"] == pytest.approx(4.0, abs=1e-9)
     assert rep["minimizer"]["feasibility_residual"] <= 1e-8
+
+
+def test_import_loads_numpy_only():
+    # In a fresh interpreter, so modules other tests imported cannot mask a
+    # load: importing the package and its command line adds no third-party
+    # package but numpy (the site hooks load theirs before).
+    code = (
+        "import sys\n"
+        "before = {m.split('.')[0] for m in sys.modules}\n"
+        "import pencil_tracemin, pencil_tracemin.cli\n"
+        "added = {m.split('.')[0] for m in sys.modules} - before\n"
+        "print(sorted(added - set(sys.stdlib_module_names)))\n"
+    )
+    src = os.path.join(os.path.dirname(pt.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "['numpy', 'pencil_tracemin']"

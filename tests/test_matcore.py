@@ -46,6 +46,28 @@ def test_validate_rejects_non_finite(bad):
         pt.pair_from_arrays(np.eye(2), [[bad, 0.0], [0.0, 1.0]], herm_tol=np.inf)
 
 
+def test_validate_rejects_entries_whose_norm_overflows():
+    # Squares above the largest float make |A|_F infinite, and a proportionality
+    # test |M - mu N| <= tol |M| then reads inf <= inf; the input is refused.
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    args = (np.diag([1.0, -1.0]), [[0.5]], [[1.0]])
+    res = pt.infimum(pt.problem_from_arrays(1e150 * A, *args))
+    assert res.verdict == "Finite"
+    assert res.value == pytest.approx(0.8956439237389597e150, rel=1e-12)
+    for s in (1e154, 1e160):
+        with pytest.raises(NonFiniteError, match="Frobenius norm"):
+            pt.problem_from_arrays(s * A, *args)
+    # Entries above half the largest float overflow M + M^H itself, without a warning.
+    with pytest.raises(NonFiniteError):
+        pt.validate_hermitian([[1e308, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("field", ["herm_tol", "rank_tol", "psd_tol", "type_tol", "feas_tol"])
+def test_tolerances_must_be_finite(field):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        pt.ToleranceSet(**{field: np.inf})
+
+
 def test_symmetrization_idempotent():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

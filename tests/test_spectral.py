@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import pencil_tracemin as pt
 from pencil_tracemin.spectral import (
@@ -17,6 +16,17 @@ from pencil_tracemin.spectral import (
 from pencil_tracemin.genpairs import BlockSpec, assemble
 
 from conftest import count_eigen_kernels, golden_hat_matrix, k2_pair, rand_hermitian
+
+
+def block_diag(*blocks):
+    """The complex block-diagonal matrix of the given square blocks."""
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
 
 
 def diagonal_frame(pair):
@@ -345,9 +355,9 @@ def test_clustered_frame_real_conjugate_and_null_directions():
         np.testing.assert_allclose(f.null_signs, truth.infinite_signs)
         upper = [(z.real, z.imag) for z in truth.complex_values if z.imag > 0]
         np.testing.assert_allclose(sorted(b[2:] for b in f.blocks), upper, atol=1e-8)
-        want = np.diag(np.concatenate([f.pos_values, -f.neg_values])).astype(complex)
-        want = scipy.linalg.block_diag(
-            want, *([[alpha, -1j * beta], [1j * beta, -alpha]] for _, _, alpha, beta in f.blocks),
+        want = block_diag(
+            np.diag(np.concatenate([f.pos_values, -f.neg_values])),
+            *([[alpha, -1j * beta], [1j * beta, -alpha]] for _, _, alpha, beta in f.blocks),
             np.diag(f.null_signs),
         )
         T = f.T
