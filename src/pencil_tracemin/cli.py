@@ -262,14 +262,13 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--seed must lie in [0, 2**32) for verify, got {args.seed}")
     problem, result, report = _solve("verify", args)
     sampler = FeasibleSampler._from_result(problem, result)
-    # Sample k is drawn from default_rng([seed, k]) whatever block it falls in;
-    # a uint32 array key seeds the same stream as that list, only faster.
+    # Sample k is drawn from default_rng([seed, k]) whatever block it falls in:
+    # the sampler seeds the stream of each key row [seed, k] exactly as that does.
     block = max(1, SAMPLE_BLOCK_ENTRIES // problem.n**2)
     traces, residuals = [], []
     for start in range(0, args.samples, block):
-        stop = min(start + block, args.samples)
-        keys = np.array([[args.seed, k] for k in range(start, stop)], dtype=np.uint32)
-        X = sampler.sample(args.spread, [np.random.default_rng(key) for key in keys])
+        k = np.arange(start, min(start + block, args.samples))
+        X = sampler.sample(args.spread, np.column_stack((np.full_like(k, args.seed), k)))
         traces.append(_objective(problem, X))
         residuals.append(feasibility_residual(problem, X))
     traces = np.concatenate(traces)
@@ -336,10 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="report-only output")
     parser.add_argument(
-        "--seed",
-        type=int,
-        default=int(os.environ.get("PENCIL_TRACEMIN_SEED", "0")),
-        help="sampling seed (default: PENCIL_TRACEMIN_SEED or 0)",
+        "--seed", type=int, help="sampling seed (default: PENCIL_TRACEMIN_SEED or 0)"
     )
     for f in fields(ToleranceSet):  # herm_tol -> --tol-herm
         flag = "--tol-" + f.name.removesuffix("_tol")
@@ -349,33 +345,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="inertia, definiteness, typed spectrum of a pair")
     p.add_argument("pair_file")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("infimum", help="finiteness verdict and closed-form value")
     p.add_argument("problem_file")
-    p.set_defaults(func=cmd_infimum)
 
     p = sub.add_parser("minimize", help="construct an optimal X")
     p.add_argument("problem_file")
     p.add_argument("out_file")
-    p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("witness", help="certify a -infinity verdict")
     p.add_argument("problem_file")
     p.add_argument("--threshold", type=float, default=-1e6)
     p.add_argument("--tmax", type=float, default=1e4)
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify", help="Monte-Carlo feasible sampling check")
     p.add_argument("problem_file")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--spread", type=float, default=1.0)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a pair from canonical block specs")
     p.add_argument("spec_file")
     p.add_argument("out_pair_file")
-    p.set_defaults(func=cmd_gen)
 
     return parser
 
@@ -394,11 +384,25 @@ EXIT_CODES = (
 )
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+# One parser per process, built on import: in-process callers of ``main`` do
+# not rebuild it per call.  It holds neither the seed variable nor the command
+# functions; ``main`` looks both up on every call.
+_PARSER = build_parser()
+
+
+def _env_seed() -> int:
     try:
-        return args.func(args)
+        return int(os.environ.get("PENCIL_TRACEMIN_SEED", "0"))
+    except ValueError:
+        raise ValueError("PENCIL_TRACEMIN_SEED must be an integer") from None
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
+    try:
+        if args.seed is None:
+            args.seed = _env_seed()
+        return globals()["cmd_" + args.command](args)
     except tuple(cls for classes, _ in EXIT_CODES for cls in classes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for classes, code in EXIT_CODES if isinstance(exc, classes))

@@ -5,10 +5,12 @@ Every such X factors as a Hermitian hyperbolic polar part, parametrized by an
 arbitrary n+ x n- block W, times a block-diagonal unitary (Higham,
 *J-orthogonal matrices: properties and generation*, SIAM Review 45, 2003).
 
-Sampling works on stacks: given a sequence of K Generators instead of one,
-``sample_j_unitary``/``sample_feasible`` return a (K, ...) stack whose slice k
-is the matrix ``rng[k]`` alone gives (W, then V+, then V- from one draw), at
-one stacked QR per unitary factor and one stacked eigh per square root.
+Sampling works on stacks: given a (K, m) array of integer keys instead of one
+Generator, ``sample_j_unitary``/``sample_feasible`` return a (K, ...) stack
+whose slice k is the matrix ``numpy.random.default_rng(keys[k])`` alone gives
+(W, then V+, then V- from one draw), at one stacked QR per unitary factor and
+one stacked eigh per square root.  The K streams are seeded in one vectorized
+pass (see ``matcore.complex_normal``).
 """
 
 from __future__ import annotations
@@ -80,10 +82,10 @@ def polar_from_W(W: np.ndarray, V_plus: np.ndarray, V_minus: np.ndarray) -> np.n
 
 def sample_j_unitary(J: SignatureJ, spread: float, rng) -> np.ndarray:
     """Draw a random J-unitary: W with independent entries of scale ``spread``,
-    Haar unitary factors.  Deterministic given the generator state; a sequence
-    of K Generators gives a (K, n, n) stack, slice k drawn from ``rng[k]``."""
-    if spread < 0:
-        raise ValueError("spread must be nonnegative")
+    Haar unitary factors.  Deterministic given the generator state; a (K, m)
+    key array gives a (K, n, n) stack, slice k drawn by ``default_rng(keys[k])``."""
+    if not 0 <= spread < np.inf:
+        raise ValueError(f"spread must be finite and nonnegative, got {spread}")
     npl, nmi = J.n_plus, J.n_minus
     W, Z_plus, Z_minus = complex_normal(rng, (npl, nmi), (npl, npl), (nmi, nmi))
     W = spread * W / np.sqrt(2.0)
@@ -92,7 +94,7 @@ def sample_j_unitary(J: SignatureJ, spread: float, rng) -> np.ndarray:
 
 def sample_feasible(J: SignatureJ, Jhat: SignatureJ, spread: float, rng) -> np.ndarray:
     """Sample X (n x nhat) with X^H J X = Jhat by column selection from a J-unitary;
-    a sequence of K Generators gives a (K, n, nhat) stack."""
+    a (K, m) key array gives a (K, n, nhat) stack."""
     if Jhat.n_plus > J.n_plus or Jhat.n_minus > J.n_minus:
         raise InertiaViolationError("hat signature exceeds the ambient signature")
     G = sample_j_unitary(J, spread, rng)

@@ -450,7 +450,9 @@ def _feasible_point(big: PairAnalysis, hat: PairAnalysis) -> np.ndarray:
 class FeasibleSampler:
     """Draw random feasible points; the congruence frames are built once.
 
-    A sequence of K Generators gives a (K, n, nhat) stack, slice k as ``rng[k]`` alone."""
+    ``sample`` takes one Generator, or a (K, m) array of integer keys in
+    [0, 2**32) for a (K, n, nhat) stack whose slice k is the draw of
+    ``numpy.random.default_rng(keys[k])`` alone."""
 
     def __init__(self, problem: ProblemInstance):
         self._bind(problem, *_analyses(problem))

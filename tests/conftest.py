@@ -11,6 +11,11 @@ def rand_hermitian(rng, n, scale=1.0):
     return scale * (M + M.conj().T) / 2.0
 
 
+def spectral_norm(H):
+    """Largest absolute eigenvalue of a HermitianMatrix, the scale of some tolerances."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(H.entries))))
+
+
 def golden_hat_matrix():
     """The worked 2x2 example's hat objective: Q^H diag(1, 1/4) Q."""
     sigma = np.sqrt(18.0 - 6.0 * np.sqrt(2.0)) / 6.0

@@ -416,6 +416,43 @@ def test_verify_rejects_seed_outside_uint32(golden_file, capsys, seed):
     assert err.startswith("error: ") and "--seed" in err
 
 
+@pytest.mark.parametrize("spread", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_spread(golden_file, capsys, spread):
+    code = main(["verify", golden_file, "--samples", "5", "--spread", spread])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "spread" in err
+
+
+def test_malformed_seed_variable_is_bad_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PENCIL_TRACEMIN_SEED", "abc")
+    code = main(["infimum", str(tmp_path / "missing.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: PENCIL_TRACEMIN_SEED must be an integer\n"
+
+
+def test_seed_variable_read_on_every_call(golden_file, capsys, monkeypatch):
+    # The parser is built once per process, so the variable must not be its default.
+    seeds = []
+    for value in ("5", "6"):
+        monkeypatch.setenv("PENCIL_TRACEMIN_SEED", value)
+        seeds.append(run_json(capsys, ["--json", "infimum", golden_file])[1]["seed"])
+    seeds.append(run_json(capsys, ["--json", "--seed", "8", "infimum", golden_file])[1]["seed"])
+    monkeypatch.delenv("PENCIL_TRACEMIN_SEED")
+    seeds.append(run_json(capsys, ["--json", "infimum", golden_file])[1]["seed"])
+    assert seeds == [5, 6, 8, 0]
+
+
+def test_main_dispatches_through_module_globals(golden_file, monkeypatch):
+    # main neither rebuilds the parser nor holds on to the command functions:
+    # a wrapper set on cli.cmd_* after import still receives the call.
+    calls = []
+    monkeypatch.setattr(cli, "build_parser", None)
+    monkeypatch.setattr(cli, "cmd_infimum", lambda args: calls.append(args.problem_file) or 0)
+    assert main(["infimum", golden_file]) == 0
+    assert calls == [golden_file]
+
+
 def test_infimum_type_count_mismatch_exit_code(golden_file, capsys, monkeypatch):
     # Typed lists longer than the inertia of B allows exit like a kernel
     # failure, with a message instead of a traceback.

@@ -5,7 +5,7 @@ import pencil_tracemin as pt
 from pencil_tracemin.definiteness import definiteness_interval, lambda_min_shift
 from pencil_tracemin.genpairs import BlockSpec, assemble
 
-from conftest import count_eigen_kernels, rand_hermitian
+from conftest import count_eigen_kernels, rand_hermitian, spectral_norm
 
 
 @pytest.fixture
@@ -59,7 +59,7 @@ def test_concavity_probe():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         pair = pt.pair_from_arrays(rand_hermitian(rng, n), rand_hermitian(rng, n))
-        scale = 1.0 + pair.A.norm() + pair.B.norm()
+        scale = 1.0 + spectral_norm(pair.A) + spectral_norm(pair.B)
         a, b = sorted(rng.uniform(-4, 4, size=2))
         t = rng.uniform(0.05, 0.95)
         mid = t * a + (1 - t) * b
@@ -90,7 +90,7 @@ def test_interval_matches_extreme_typed_eigenvalues():
         B = np.diag([1.0, 1.0, -1.0, -1.0])
         pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), seed, 6.0)
         rep = definiteness_interval(pair)
-        scale = 1.0 + pair.A.norm() + pair.B.norm()
+        scale = 1.0 + spectral_norm(pair.A) + spectral_norm(pair.B)
         assert rep.is_psd_pair
         assert abs(rep.psd_interval[0] - neg[-1]) <= 1e-6 * scale
         assert abs(rep.psd_interval[1] - pos[0]) <= 1e-6 * scale
@@ -162,7 +162,7 @@ def test_intervals_hold_inside_and_fail_outside():
         seen["nsd"] += truth.nsd
         seen["neither"] += not (truth.psd or truth.nsd)
         pinned += bool(truth.jordan_values) and (truth.psd or truth.nsd)
-        tol = 1e-8 * (1.0 + pair.A.norm() + pair.B.norm())
+        tol = 1e-8 * (1.0 + spectral_norm(pair.A) + spectral_norm(pair.B))
         for sign, itv in ((1.0, rep.psd_interval), (-1.0, rep.nsd_interval)):
             if itv is None:
                 continue

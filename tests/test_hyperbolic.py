@@ -109,7 +109,7 @@ def test_trace_sandwich_bounds():
 @pytest.mark.parametrize("npl, nmi", [(3, 0), (0, 2), (2, 3), (1, 1)])
 def test_stacked_j_unitaries_match_per_generator_draws(npl, nmi):
     J = SignatureJ(npl, nmi)
-    stack = sample_j_unitary(J, 1.3, [np.random.default_rng([5, k]) for k in range(6)])
+    stack = sample_j_unitary(J, 1.3, np.array([[5, k] for k in range(6)]))
     assert stack.shape == (6, J.n, J.n)
     for k in range(6):
         X = sample_j_unitary(J, 1.3, np.random.default_rng([5, k]))
@@ -132,8 +132,14 @@ def test_stacked_draw_keeps_the_single_generator_stream():
         rtol=0,
         atol=1e-13,
     )
-    (Z,) = complex_normal([np.random.default_rng(44)], (2, 3))
+    (Z,) = complex_normal(np.array([[44]]), (2, 3))
     np.testing.assert_array_equal(Z[0], W)
+
+
+@pytest.mark.parametrize("spread", [-1.0, np.nan, np.inf])
+def test_spread_must_be_finite_and_nonnegative(spread):
+    with pytest.raises(ValueError, match="spread"):
+        sample_j_unitary(SignatureJ(2, 1), spread, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kernel", ["qr", "eigh"])
@@ -144,6 +150,6 @@ def test_sampler_kernel_failure_is_typed(monkeypatch, kernel):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, kernel, failing)
-    rngs = [np.random.default_rng([1, k]) for k in range(3)]
+    keys = np.array([[1, k] for k in range(3)])
     with pytest.raises(KernelFailureError):
-        sample_j_unitary(SignatureJ(2, 1), 1.0, rngs)
+        sample_j_unitary(SignatureJ(2, 1), 1.0, keys)

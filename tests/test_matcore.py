@@ -10,7 +10,7 @@ from pencil_tracemin.errors import (
     NotHermitianError,
     NotSquareError,
 )
-from pencil_tracemin.matcore import matrix_from_json, matrix_to_json
+from pencil_tracemin.matcore import complex_normal, matrix_from_json, matrix_to_json
 
 from conftest import rand_hermitian
 
@@ -171,3 +171,40 @@ def test_check_feasibility():
     )
     with pytest.raises(EmptyFeasibleSetError):
         pt.infimum(too_much_minus)
+
+
+def _assert_keyed_draws_match_default_rng(keys):
+    shapes = (2, 3), (4,)
+    refs = [complex_normal(np.random.default_rng(key), *shapes) for key in keys]
+    for got, ref in zip(complex_normal(keys, *shapes), zip(*refs)):
+        assert np.array_equal(got, np.stack(ref))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+def test_key_streams_are_default_rng_streams(seed):
+    # Slice k of a keyed stack is, bit for bit, the draw of default_rng([seed, k]).
+    _assert_keyed_draws_match_default_rng(np.array([[seed, k] for k in range(1000)], dtype=np.uint32))
+
+
+@pytest.mark.parametrize("width", [1, 4, 6])
+def test_key_streams_of_other_widths(width):
+    # One-word keys, and keys as long as or longer than SeedSequence's 4-word pool.
+    keys = np.random.default_rng(width).integers(0, 2**32, size=(300, width))
+    keys[:3] = np.array([[0], [1], [2**32 - 1]])
+    _assert_keyed_draws_match_default_rng(keys)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.array([[2**32, 0]]),
+        np.array([[-1, 0]]),
+        np.array([[1.0, 2.0]]),
+        np.array([5, 0]),
+        [np.random.default_rng([5, 0]), np.random.default_rng([5, 1])],
+    ],
+    ids=["out_of_range", "negative", "float", "one_dimensional", "generators"],
+)
+def test_keys_outside_the_reproduced_form_are_rejected(keys):
+    with pytest.raises(ValueError, match="key"):
+        complex_normal(keys, (2, 2))

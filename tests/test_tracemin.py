@@ -701,8 +701,8 @@ def test_nsd_branch_minimizer_and_padding():
 
 def test_sampled_lower_bound(golden_problem):
     res = infimum(golden_problem)
-    rngs = [np.random.default_rng([17, k]) for k in range(200)]
-    X = pt.FeasibleSampler(golden_problem).sample(2.0, rngs)
+    keys = np.array([[17, k] for k in range(200)])
+    X = pt.FeasibleSampler(golden_problem).sample(2.0, keys)
     Xh = X.conj().swapaxes(-1, -2)
     traces = np.real(
         np.trace(
@@ -747,7 +747,7 @@ def test_stacked_sample_matches_per_generator_draw(make):
     # stacked objective and residual are the per-sample values.
     prob = make()
     sampler = pt.FeasibleSampler(prob)
-    stack = sampler.sample(1.7, [np.random.default_rng([29, k]) for k in range(12)])
+    stack = sampler.sample(1.7, np.array([[29, k] for k in range(12)]))
     assert stack.shape == (12, prob.n, prob.nhat)
     traces = pt.tracemin._objective(prob, stack)
     residuals = pt.feasibility_residual(prob, stack)
