@@ -300,6 +300,10 @@ def cmd_gen(args) -> int:
     specs = spec_from_json(obj)
     seed = obj.get("seed", args.seed)
     cap = obj.get("cap", 10.0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InvalidSpecError(f"'seed' must be an integer, got {seed!r}")
+    if isinstance(cap, bool) or not isinstance(cap, (int, float)):
+        raise InvalidSpecError(f"'cap' must be a number, got {cap!r}")
     pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=cap)
     save_pair(args.out_pair_file, pair)
     truth_obj = {

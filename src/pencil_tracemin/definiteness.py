@@ -25,15 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matcore import DEFAULT_TOLS, MatrixPair, ToleranceSet, eigvalsh
-from .spectral import (
-    INF_COUPLED,
-    INF_MINUS,
-    INF_NONE,
-    INF_PLUS,
-    PairAnalysis,
-    TypedSpectrum,
-    analyze_pair,
-)
+from .spectral import INF_MINUS, INF_NONE, INF_PLUS, PairAnalysis, analyze_pair
 
 
 @dataclass(frozen=True)
@@ -101,25 +93,25 @@ def _confirmed_side(lam_min, lower, upper, tols, tol):
     return ((lo, hi) if f >= -tol else None), shift, f
 
 
-def definiteness_from_spectrum(
-    pair: MatrixPair, spec: TypedSpectrum, tols: ToleranceSet = DEFAULT_TOLS
-) -> DefinitenessReport:
-    """PSD/NSD verdicts of a finite part (Ã, J), J = diag(+1.., -1..), from its
-    typed spectrum ``spec``; tolerance and lam_min are in its coordinates.
+def definiteness_from_spectrum(analysis: PairAnalysis) -> DefinitenessReport:
+    """PSD/NSD verdicts of the finite part (Ã, J) of a non-chained analysed pair
+    with nonzero B, from its typed spectrum; tolerance and lam_min are in the
+    finite part's coordinates, the tolerance psd_tol * (1 + |Ã|_F + |J|_F).
 
     Makes at most two eigenvalue solves, one per side the spectrum admits.
     """
-    tol = tols.psd_tol * pair.scale
+    A, J, tols = analysis.A_fin, np.diag(analysis.j), analysis.tols
+    tol = tols.psd_tol * (1.0 + float(np.linalg.norm(A) + np.linalg.norm(J)))
+    spec = analysis.spectrum
     if spec.has_complex:
         return DefinitenessReport(False, False, None, None, tolerance=tol)
     pos, neg = spec.pos_values, spec.neg_values
-    A, B = pair.A.entries, pair.B.entries
     psd_itv, psd_t, psd_f = _confirmed_side(
-        lambda t: lambda_min_shift(pair, t), neg, pos, tols, tol
+        lambda t: float(eigvalsh(A - t * J)[0]), neg, pos, tols, tol
     )
-    # A - t*B <= 0 iff t*B - A >= 0: the NSD side swaps the lists.
+    # A - t*J <= 0 iff t*J - A >= 0: the NSD side swaps the lists.
     nsd_itv, nsd_t, nsd_f = _confirmed_side(
-        lambda t: float(eigvalsh(t * B - A)[0]), pos, neg, tols, tol
+        lambda t: float(eigvalsh(t * J - A)[0]), pos, neg, tols, tol
     )
     return DefinitenessReport(
         is_psd_pair=psd_itv is not None,
@@ -143,17 +135,15 @@ def analysis_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
     neither.  With B = 0 the shift is free: the verdict is the sign of A and
     the interval is the whole line.
     """
-    spec, tols = analysis.spectrum, analysis.tols
-    finite_pair = analysis.split.finite_pair
-    sign = spec.infinite_definite_sign
-    tol = tols.psd_tol * analysis.pair.scale
-    if sign == INF_COUPLED:
+    sign = analysis.infinite_sign
+    tol = analysis.tols.psd_tol * analysis.pair.scale
+    if analysis.coupled:
         return DefinitenessReport(False, False, None, None, tolerance=tol)
-    if finite_pair is None:
+    if not len(analysis.j):
         line = (-np.inf, np.inf)
         rep = DefinitenessReport(True, True, line, line, tolerance=tol)
     else:
-        rep = definiteness_from_spectrum(finite_pair, spec, tols)
+        rep = definiteness_from_spectrum(analysis)
     psd = rep.is_psd_pair and sign in (INF_NONE, INF_PLUS)
     nsd = rep.is_nsd_pair and sign in (INF_NONE, INF_MINUS)
     return replace(

@@ -44,8 +44,8 @@ class BlockSpec:
     def __post_init__(self):
         if self.kind not in ("To", "Ts", "Tinf", "Tc", "Tr"):
             raise InvalidSpecError(f"unknown block kind {self.kind!r}")
-        if self.p < 1:
-            raise InvalidSpecError("p must be a positive integer")
+        if not isinstance(self.p, (int, np.integer)) or self.p < 1:
+            raise InvalidSpecError(f"p must be a positive integer, got {self.p!r}")
         if self.kind in ("Tinf", "Tr") and self.eta not in (1, -1):
             raise InvalidSpecError("eta must be +1 or -1")
         if self.kind == "Tc" and not self.beta > 0:

@@ -189,8 +189,8 @@ def random_congruence(pair: MatrixPair, seed, conditioning_cap: float = 10.0):
     Y is a Haar unitary times a diagonal with entries log-uniform in
     [1/sqrt(cap), sqrt(cap)]; deterministic per seed.  Returns (pair', Y).
     """
-    if not conditioning_cap > 1.0:
-        raise ValueError("conditioning_cap must exceed 1")
+    if not 1.0 < conditioning_cap < math.inf:
+        raise ValueError("conditioning_cap must be finite and exceed 1")
     n = pair.n
     rng = np.random.default_rng(seed)
     Y = haar_unitary(n, rng) @ np.diag(

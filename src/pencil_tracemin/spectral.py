@@ -1,20 +1,22 @@
 """Pair analysis: the one place a Hermitian pair (A, B) is analysed.
 
-``analyze_pair(pair, tols)`` builds a frozen :class:`PairAnalysis` once per
-pair.  It eigendecomposes B once (inertia with the relative zero rule and
-the +1/-1/0 B-frame), drops the common nullspace of A and B from N(B) and
-splits off the rest of N(B).  The finite part left is always posed in
-B-frame coordinates, (Ã, J) with J = diag(+1.., -1..): as J² = I, it is the
-one matrix J·Ã, selfadjoint in [x, y] = y^H J x.  One standard eigensolve of
-J·Ã gives its eigenvectors, clustered into one congruence frame:
-real typed directions J-orthonormalized per cluster, 2x2 blocks for
-conjugate eigenvalue pairs, and the null directions of B (the canonical
-form of Lancaster & Rodman, SIAM Review 47, 2005), all in the pair's own
-coordinates.  The canonical form is a direct sum, so the frame is always
-built: a Jordan block or a chained conjugate group gets no column and
-leaves the other directions in place.  The typed spectrum,
-definiteness, minimizers, feasible points, sampling and divergence
-witnesses are all read from it; ``typed_spectrum(pair)`` is its spectrum.
+``analyze_pair(pair, tols)`` builds one flat, frozen :class:`PairAnalysis`
+per pair.  It eigendecomposes B once (inertia with the relative zero rule
+and the +1/-1/0 B-frame), drops the common nullspace of A and B from N(B)
+and splits off the rest of N(B) in place: the record holds the eigenvalues
+of A there, the coupling K that eliminates it from the range of B, and the
+finite part Ã as an array, always posed in B-frame coordinates, (Ã, J) with
+J = diag(+1.., -1..).  As J² = I it is the one matrix J·Ã, selfadjoint in
+[x, y] = y^H J x.  One standard eigensolve of J·Ã gives its eigenvectors,
+clustered into one list of typed values, each with the J-normalized
+direction it owns, and one congruence frame: those directions, 2x2 blocks
+for conjugate eigenvalue pairs, and the null directions of B (the
+canonical form of Lancaster & Rodman, SIAM Review 47, 2005), all in the
+pair's own coordinates.  The canonical form is a direct sum, so the frame
+is always built: a Jordan block or a chained conjugate group gets no column
+and leaves the other directions in place.  Definiteness, minimizers,
+feasible points, sampling and divergence witnesses all read this one
+record; ``typed_spectrum(pair)`` is its spectrum.
 
 Finite eigenvalues carry a type: the sign of the B-form on their eigenspace,
 measured in B-frame coordinates, where B has unit scale.  Eigenvectors are
@@ -36,12 +38,12 @@ no eigensolve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import KernelFailureError
+from .errors import KernelFailureError, NonFiniteError
 from .matcore import (
     DEFAULT_TOLS,
     HermitianMatrix,
@@ -67,6 +69,9 @@ class TypedEigenvalue:
     eig_type: str
     b_form: float
     jordan_pair: bool = False
+    # The frame column it owns, J-normalized in the finite part's coordinates;
+    # a Jordan copy or an odd isotropic leftover owns none.
+    direction: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -139,71 +144,6 @@ def deflate_common_nullspace(
 
 
 @dataclass(frozen=True)
-class InfiniteSplit:
-    """Split of a pair along N(B), with the coupling to the range of B eliminated.
-
-    ``R`` holds the B-frame on the range of B (R^H B R = J = diag(+1.., -1..)),
-    ``N`` an orthonormal basis of N(B) (no columns for nonsingular B).  When
-    A restricted to N(B) has no eigenvalue within ``null_tol`` of zero, the
-    congruence [R + N K, N Q_inf s] block-diagonalizes the pair into the
-    finite part (Ã, J), Ã = (R + N K)^H A (R + N K), and +/-1 infinite
-    directions.  A singular restriction means chained structure: no such
-    elimination exists, and ``K`` and the finite part are None.
-    """
-
-    coupled: bool
-    R: np.ndarray
-    N: np.ndarray
-    K: np.ndarray | None
-    d_inf: np.ndarray
-    Q_inf: np.ndarray
-    finite_pair: MatrixPair | None
-    null_tol: float = 0.0
-
-    @property
-    def has_infinite(self) -> bool:
-        return self.N.shape[1] > 0
-
-    def finite_frame(self) -> np.ndarray:
-        """The map from the finite part's coordinates back to the pair's."""
-        return self.R + self.N @ self.K
-
-    def null_frame(self) -> np.ndarray:
-        return (self.N @ self.Q_inf) / np.sqrt(np.abs(self.d_inf))
-
-
-def _split(pair: MatrixPair, W: np.ndarray, j: np.ndarray, null_tol: float) -> InfiniteSplit:
-    """Split ``pair`` along N(B), given its B-frame W whose first columns carry the signs j."""
-    rank = len(j)
-    R, N = W[:, :rank], W[:, rank:]
-    A = pair.A.entries
-    K, d_inf, Q_inf = np.zeros((0, rank)), np.zeros(0), np.zeros((0, 0))
-    if N.shape[1]:
-        A_NN = N.conj().T @ A @ N
-        d_inf, Q_inf = np.linalg.eigh((A_NN + A_NN.conj().T) / 2.0)
-        if np.min(np.abs(d_inf)) <= null_tol:
-            return InfiniteSplit(True, R, N, None, d_inf, Q_inf, None, null_tol)
-        K = -np.linalg.solve(A_NN, N.conj().T @ A @ R)
-    fin = None
-    if rank:
-        fin = pair_from_arrays(R.conj().T @ A @ (R + N @ K), np.diag(j), herm_tol=np.inf)
-    return InfiniteSplit(False, R, N, K, d_inf, Q_inf, fin, null_tol)
-
-
-def _infinite_sign(sp: InfiniteSplit) -> str:
-    """The classification of A on N(B)."""
-    if not sp.has_infinite:
-        return INF_NONE
-    if sp.coupled:
-        return INF_COUPLED
-    if np.all(sp.d_inf > 0):
-        return INF_PLUS
-    if np.all(sp.d_inf < 0):
-        return INF_MINUS
-    return INF_MIXED
-
-
-@dataclass(frozen=True)
 class ClusteredFrame:
     """Congruence frame T, n x k, with T^H B T = diag(j_diag).
 
@@ -267,8 +207,8 @@ def _cluster(w, Z, G, tols, scale):
     Each cluster C is typed by the inertia of G[C, C]; its isotropic
     directions (|b_form| <= type_tol) pair up at its value as ``jordan_pair``
     copies of both types, and an odd one left over takes its b_form's sign.
-    Returns (typed, isotropic, complex indices): typed holds (value, b_form,
-    J-normalized direction), isotropic the TypedEigenvalue copies.
+    Returns (typed, complex indices): typed is one ascending list of
+    TypedEigenvalue, each cluster's directions before its isotropic copies.
     """
     floor, split_tol = tols.rank_tol * scale, tols.type_tol * scale
     root = np.sqrt(tols.type_tol)
@@ -282,7 +222,7 @@ def _cluster(w, Z, G, tols, scale):
     ridx = ridx[np.argsort(w[ridx].real)]
     vals = w[ridx].real
     if not vals.size:
-        return [], [], cidx
+        return [], cidx
     gaps = np.diff(vals)
     apart = gaps > tols.type_tol * float(np.max(np.abs(vals))) + floor
     near = np.flatnonzero(apart & (gaps <= split_tol))
@@ -291,7 +231,7 @@ def _cluster(w, Z, G, tols, scale):
         apart[near] = ~(jordan[near] & jordan[near + 1])
     Zr, forms = Z[:, ridx], np.real(G.diagonal()[ridx])
     bounds = [0, *(np.flatnonzero(apart) + 1).tolist(), len(vals)]
-    typed, isotropic = [], []
+    typed = []
     for start, end in zip(bounds, bounds[1:]):
         X, g, mu = Zr[:, start:end], forms[start:end], float(vals[start])
         if end - start > 1:
@@ -303,12 +243,13 @@ def _cluster(w, Z, G, tols, scale):
             if abs(gi) <= tols.type_tol:
                 iso.append(gi)
             else:
-                typed.append((mu, gi, X[:, i] / np.sqrt(abs(gi))))
+                kind = POSITIVE if gi > 0 else NEGATIVE
+                typed.append(TypedEigenvalue(mu, kind, gi, direction=X[:, i] / np.sqrt(abs(gi))))
         for kind in (POSITIVE, NEGATIVE) * (len(iso) // 2):
-            isotropic.append(TypedEigenvalue(mu, kind, 0.0, jordan_pair=True))
+            typed.append(TypedEigenvalue(mu, kind, 0.0, jordan_pair=True))
         if len(iso) % 2:
-            isotropic.append(TypedEigenvalue(mu, POSITIVE if iso[-1] >= 0 else NEGATIVE, iso[-1]))
-    return typed, isotropic, cidx
+            typed.append(TypedEigenvalue(mu, POSITIVE if iso[-1] >= 0 else NEGATIVE, iso[-1]))
+    return typed, cidx
 
 
 def _conjugate_blocks(A, w, Z, G, cidx, tols):
@@ -363,62 +304,104 @@ def _conjugate_blocks(A, w, Z, G, cidx, tols):
 class PairAnalysis:
     """Everything derived from one Hermitian pair, each piece computed once.
 
-    The eigendecomposition of B and the split along N(B), less the
-    ``deflated_dims`` directions that A also annihilates, are computed by
-    ``analyze_pair``; the eigensolve of the finite part's J·Ã, the typed
-    spectrum and the clustered frame on first use, so consumers that only
-    need the B-frame (feasible points, sampling) never pay for it.
-    ``b_form`` values are in B-frame coordinates; a chained pair's spectrum
-    is untyped.  Frames are in ``pair``'s coordinates, without those
-    directions.  Every pair has a frame; the spectrum lists the Jordan
-    copies it has no column for.
+    ``analyze_pair`` decomposes B and splits along N(B), less the
+    ``deflated_dims`` directions that A also annihilates.  The B-frame W =
+    [R, N] has R^H B R = J = diag(j), j = (+1.., -1..), and N an orthonormal
+    basis of the rest of N(B); ``R`` and ``N`` are its column slices.  A on
+    N(B) has eigenvalues ``d_inf`` (eigenvectors ``Q_inf`` in N's
+    coordinates).  When none is within ``null_tol`` of zero, the congruence
+    [R + N K, N Q_inf |d_inf|^(-1/2)] block-diagonalizes the pair into the
+    finite part (``A_fin`` = Ã = (R + N K)^H A (R + N K), J) and +/-1
+    infinite directions.  Otherwise the structure on N(B) is chained: no
+    such elimination exists, and ``K`` and ``A_fin`` are None.
+
+    The eigensolve of J·Ã, the typed spectrum and the clustered frame are
+    computed on first use, so consumers that only need the B-frame
+    (feasible points, sampling) never pay for it.  The spectrum lists each
+    typed value once, the frame's columns are the directions its entries
+    carry, and a chained pair's spectrum is untyped.  ``b_form`` values are
+    in B-frame coordinates; frames are in ``pair``'s coordinates, without
+    the deflated directions.
     """
 
     tols: ToleranceSet
     pair: MatrixPair
     deflated_dims: int
     b_inertia: Inertia  # of B, deflated directions counted as zeros
-    b_frame: np.ndarray  # n x (n - deflated_dims), W^H B W = diag(+1.., -1.., 0..)
-    split: InfiniteSplit
+    b_frame: np.ndarray  # n x (n - deflated_dims), W^H B W = diag(j, 0..)
+    j: np.ndarray
+    null_tol: float  # "A vanishes on N(B)": rank_tol * |A|_F
+    d_inf: np.ndarray
+    Q_inf: np.ndarray
+    K: np.ndarray | None
+    A_fin: np.ndarray | None
+
+    @property
+    def R(self) -> np.ndarray:
+        return self.b_frame[:, : len(self.j)]
+
+    @property
+    def N(self) -> np.ndarray:
+        return self.b_frame[:, len(self.j):]
+
+    @property
+    def coupled(self) -> bool:
+        return self.K is None
+
+    @property
+    def has_infinite(self) -> bool:
+        return len(self.d_inf) > 0
+
+    @property
+    def infinite_sign(self) -> str:
+        """The classification of A on N(B)."""
+        if not self.has_infinite:
+            return INF_NONE
+        if self.coupled:
+            return INF_COUPLED
+        if np.all(self.d_inf > 0):
+            return INF_PLUS
+        if np.all(self.d_inf < 0):
+            return INF_MINUS
+        return INF_MIXED
+
+    def finite_frame(self) -> np.ndarray:
+        """The map from the finite part's coordinates back to the pair's."""
+        return self.R + self.N @ self.K
+
+    def null_frame(self) -> np.ndarray:
+        return (self.N @ self.Q_inf) / np.sqrt(np.abs(self.d_inf))
 
     @cached_property
     def _structure(self):
         """(typed spectrum, clustered frame)."""
-        sp, tols = self.split, self.tols
-        sign = _infinite_sign(sp)
-        dims = self.deflated_dims
-        none = np.zeros(0)
-        if sp.coupled:
+        dims, sign, none = self.deflated_dims, self.infinite_sign, np.zeros(0)
+        if self.coupled:
             spec = TypedSpectrum((), (), dims, sign, isotropic_defect=True)
             return spec, ClusteredFrame(np.zeros((self.pair.n, 0)), none, none, (), none)
-        null_signs = np.sign(sp.d_inf)
-        fin = sp.finite_pair
-        if fin is None:  # B = 0
-            frame = ClusteredFrame(sp.null_frame(), none, none, (), null_signs)
+        null_signs = np.sign(self.d_inf)
+        if not len(self.j):  # B = 0
+            frame = ClusteredFrame(self.null_frame(), none, none, (), null_signs)
             return TypedSpectrum((), (), dims, sign), frame
-        A, j = fin.A.entries, np.real(np.diag(fin.B.entries))
+        A, j, tols = self.A_fin, self.j, self.tols
         w, Z = np.linalg.eig(j[:, None] * A)  # J^2 = I: J Ã z = λz iff Ã z = λJz
         G = Z.conj().T @ (j[:, None] * Z)  # every B-form the typing reads
         # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
-        typed, isotropic, cidx = _cluster(w, Z, G, tols, float(np.linalg.norm(A)) or 1.0)
-        plus = [t for t in typed if t[1] > 0]  # ascending, as clusters are
-        minus = [t for t in typed if t[1] < 0]
-        pos = [TypedEigenvalue(v, POSITIVE, g) for v, g, _ in plus]
-        neg = [TypedEigenvalue(v, NEGATIVE, g) for v, g, _ in minus]
-        pos = sorted(pos + [e for e in isotropic if e.eig_type == POSITIVE], key=lambda e: e.value)
-        neg = sorted(neg + [e for e in isotropic if e.eig_type == NEGATIVE], key=lambda e: e.value)
-        cvals = tuple(complex(z) for z in w[cidx])
-        defect = not all(e.jordan_pair for e in isotropic)
-        spec = TypedSpectrum(tuple(pos), tuple(neg), dims, sign, cvals, defect)
+        typed, cidx = _cluster(w, Z, G, tols, float(np.linalg.norm(A)) or 1.0)
+        pos = tuple(e for e in typed if e.eig_type == POSITIVE)
+        neg = tuple(e for e in typed if e.eig_type == NEGATIVE)
+        defect = any(e.direction is None and not e.jordan_pair for e in typed)
+        spec = TypedSpectrum(pos, neg, dims, sign, tuple(complex(z) for z in w[cidx]), defect)
 
+        plus, minus = ([e for e in es if e.direction is not None] for es in (pos, neg))
         blocks = _conjugate_blocks(A, w, Z, G, cidx, tols)
-        cols = [x for _, _, x in plus + minus] + [c for b in blocks for c in b[:2]]
-        T = np.column_stack(cols) if cols else np.zeros((fin.n, 0), dtype=complex)
+        cols = [e.direction for e in plus + minus] + [c for b in blocks for c in b[:2]]
+        T = np.column_stack(cols) if cols else np.zeros((len(j), 0), dtype=complex)
         base = len(plus) + len(minus)
         frame = ClusteredFrame(
-            T=np.hstack([sp.finite_frame() @ T, sp.null_frame()]),
-            pos_values=np.array([v for v, _, _ in plus]),
-            neg_values=np.array([v for v, _, _ in minus]),
+            T=np.hstack([self.finite_frame() @ T, self.null_frame()]),
+            pos_values=np.array([e.value for e in plus]),
+            neg_values=np.array([e.value for e in minus]),
             blocks=tuple(
                 (base + 2 * i, base + 2 * i + 1, b[2], b[3]) for i, b in enumerate(blocks)
             ),
@@ -453,7 +436,9 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
 
     A common null vector of A and B lies in N(B), so with N an orthonormal
     basis of N(B) the common nullspace is N times the null space of A N.
-    N is rotated only when a direction is dropped.
+    N is rotated only when a direction is dropped.  Raises NonFiniteError
+    when the finite part overflows: the entries of Ã grow like |A| over the
+    smallest nonzero |eigenvalue| of B.
     """
     A = pair.A.entries
     d, V = eigh(pair.B)
@@ -474,14 +459,25 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     order = np.concatenate([pos, neg])
     W = np.hstack([V[:, order] / np.sqrt(np.abs(d[order])), N])
     j = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
-    return PairAnalysis(
-        tols=tols,
-        pair=pair,
-        deflated_dims=deflated,
-        b_inertia=Inertia(len(pos), pair.n - len(pos) - len(neg), len(neg)),
-        b_frame=W,
-        split=_split(pair, W, j, null_tol),
-    )
+    R, N = W[:, : len(j)], W[:, len(j):]
+    K, d_inf, Q_inf, A_fin = np.zeros((0, len(j))), np.zeros(0), np.zeros((0, 0)), None
+    # Overflow in forming Ã is reported once, below, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if N.shape[1]:
+            A_NN = N.conj().T @ A @ N
+            d_inf, Q_inf = np.linalg.eigh((A_NN + A_NN.conj().T) / 2.0)
+            chained = np.min(np.abs(d_inf)) <= null_tol
+            K = None if chained else -np.linalg.solve(A_NN, N.conj().T @ A @ R)
+        if K is not None:
+            M = R.conj().T @ A @ (R + N @ K)
+            A_fin = (M + M.conj().T) / 2.0
+            if not np.isfinite(np.linalg.norm(A_fin)):
+                raise NonFiniteError(
+                    "the finite part of the pair overflows: A is too large for "
+                    "the smallest nonzero eigenvalue of B"
+                )
+    b_inertia = Inertia(len(pos), pair.n - len(pos) - len(neg), len(neg))
+    return PairAnalysis(tols, pair, deflated, b_inertia, W, j, null_tol, d_inf, Q_inf, K, A_fin)
 
 
 def typed_spectrum(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> TypedSpectrum:

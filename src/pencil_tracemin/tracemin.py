@@ -26,7 +26,6 @@ from .hyperbolic import SignatureJ, sample_feasible
 from .matcore import (
     DEFAULT_TOLS,
     Inertia,
-    MatrixPair,
     ProblemInstance,
     ToleranceSet,
     check_inertias,
@@ -313,9 +312,8 @@ def infimum(problem: ProblemInstance) -> InfimumResult:
 
     # Feasibility leaves B a nonzero range, so the finite part exists.
     inf_sign = spec_big.infinite_definite_sign
-    infinite = big.split.has_infinite
-    rep_fin = definiteness_from_spectrum(big.split.finite_pair, spec_big, tols)
-    rep_hat = definiteness_from_spectrum(hat.split.finite_pair, spec_hat, tols)
+    infinite = big.has_infinite
+    rep_fin, rep_hat = definiteness_from_spectrum(big), definiteness_from_spectrum(hat)
     base.update(definiteness=rep_fin, hat_definiteness=rep_hat)
 
     # Semidefiniteness of the full pair = finite part plus a definite nullspace

@@ -30,6 +30,7 @@ Jordan or chained structure gets no rotation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 from operator import itemgetter
@@ -95,18 +96,35 @@ class CertificationReport:
     t_max: float
 
 
+# The trend reaches the threshold exactly at t_star, where the computed
+# trace is as likely above it as below; the first try steps just past it.
+T_STAR_MARGIN = 1.000001
+# The first try is t_star * T_STAR_MARGIN + T_FLOOR, never 0, so each retry's
+# factor of T_GROWTH moves it even when t_star = 0 (the offset already meets
+# the threshold).
+T_FLOOR = 1e-9
+T_GROWTH = 1.25
+T_TRIES = 8
+
+
 def certify_unbounded(
     family: WitnessFamily, threshold: float, t_max: float
 ) -> CertificationReport:
-    """Find t <= t_max with trace(X(t)) <= threshold; report trace and residual."""
-    if threshold >= 0:
-        raise ValueError("threshold must be negative")
+    """Find t <= t_max with trace(X(t)) <= threshold; report trace and residual.
+
+    Raises ValueError unless the threshold is finite and negative and t_max
+    finite and nonnegative (the family's parameter t is nonnegative).
+    """
+    if not (math.isfinite(threshold) and threshold < 0):
+        raise ValueError("threshold must be finite and negative")
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError("t_max must be finite and nonnegative")
     if family.slope >= 0:
         raise CertificationFailedError("family has nonnegative slope")
     need = threshold - family.offset
     t_star = 0.0 if need >= 0 else float(np.sqrt(need / family.slope))
-    t = t_star * 1.000001 + 1e-9
-    for _ in range(8):
+    t = t_star * T_STAR_MARGIN + T_FLOOR
+    for _ in range(T_TRIES):
         if t > t_max:
             raise CertificationFailedError(
                 f"required t {t:.6g} exceeds t_max {t_max:.6g}"
@@ -120,7 +138,7 @@ def certify_unbounded(
                 threshold=float(threshold),
                 t_max=float(t_max),
             )
-        t *= 1.25
+        t *= T_GROWTH
     raise CertificationFailedError("trace did not cross the threshold numerically")
 
 
@@ -259,19 +277,18 @@ def _ray_family(problem, slope, x_base, u, v, sigma_map):
 
 
 def _ray_witness(problem, big, hat):
-    sp = big.split
-    if not sp.has_infinite or sp.coupled or sp.finite_pair is None:
+    if not big.has_infinite or big.coupled:
         raise NoWitnessConstructibleError("no diagonal infinite structure")
 
     # R + N K is A-orthogonal to N(B), so the ray adds no cross term.
     Th = hat.b_frame
-    X0 = sp.finite_frame()[:, big.paired_columns(hat)] @ Th.conj().T
+    X0 = big.finite_frame()[:, big.paired_columns(hat)] @ Th.conj().T
 
     # Bhat is nonsingular, so the hat finite part is Th^H Ahat Th.
-    lam_hat, Wh = np.linalg.eigh(hat.split.finite_pair.A.entries)
+    lam_hat, Wh = np.linalg.eigh(hat.A_fin)
 
     # slope = sign(d_inf[i]) * lam_hat[k], least at a pairing of extremes.
-    signs = np.sign(sp.d_inf)
+    signs = np.sign(big.d_inf)
     slope, i, k = min(
         (float(signs[i] * lam_hat[k]), int(i), int(k))
         for i in (np.argmin(signs), np.argmax(signs))
@@ -279,18 +296,17 @@ def _ray_witness(problem, big, hat):
     )
     if slope >= -big.tols.type_tol * (1.0 + float(np.max(np.abs(lam_hat)))):
         raise NoWitnessConstructibleError("infinite block is sign-compatible")
-    u, v = sp.null_frame()[:, i], Th @ Wh[:, k]
+    u, v = big.null_frame()[:, i], Th @ Wh[:, k]
     return _ray_family(problem, slope, X0, u, v, SIGMA_IDENTITY)
 
 
 def _chain_witness(problem, big, hat):
-    sp = big.split
-    if not sp.has_infinite:
+    if not big.has_infinite:
         raise NoWitnessConstructibleError("no infinite structure to chain against")
-    cand = np.flatnonzero(np.abs(sp.d_inf) <= sp.null_tol)
+    cand = np.flatnonzero(np.abs(big.d_inf) <= big.null_tol)
     if not cand.size:
         raise NoWitnessConstructibleError("no A-null direction in the B-nullspace")
-    if sp.R.shape[1] == 0:
+    if not len(big.j):
         raise NoWitnessConstructibleError("no finite block to couple against")
 
     # X0 pairs hat B-frame direction k with a big one, w_k; moving along a
@@ -303,7 +319,7 @@ def _chain_witness(problem, big, hat):
     M = Th.conj().T @ Ah
     best = None
     for i in cand:
-        z = sp.N @ sp.Q_inf[:, i]
+        z = big.N @ big.Q_inf[:, i]
         terms = (z.conj() @ A @ Wc)[:, None] * M
         largest = terms[np.argmax(np.linalg.norm(terms, axis=1))]
         phases = np.exp(1j * np.angle(terms.conj() @ largest))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -183,6 +184,23 @@ def test_infimum_entries_whose_norm_overflows(tmp_path, capsys):
     assert err.startswith("error: ") and "Frobenius norm" in err and err.count("\n") == 1
 
 
+def test_infimum_finite_part_that_overflows(tmp_path, capsys):
+    # Every entry and norm is finite, but B's eigenvalues of size 1e-160 scale
+    # the finite part by 1e160: invalid input, with no numpy warning.
+    path = tmp_path / "tiny_b.json"
+    path.write_text(json.dumps({
+        "A": matrix_to_json(np.diag([1e153, 2e153])),
+        "B": matrix_to_json(np.diag([1e-160, -1e-160])),
+        "Ahat": matrix_to_json([[1.0]]),
+        "Bhat": matrix_to_json([[1.0]]),
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["infimum", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite part" in err and err.count("\n") == 1
+
+
 def test_infinite_tolerance_flag_is_invalid_input(golden_file, capsys):
     assert main(["--tol-psd", "inf", "infimum", golden_file]) == 2
     assert "psd_tol must be finite" in capsys.readouterr().err
@@ -317,6 +335,23 @@ def test_witness_tmax_too_small(tmp_path, capsys):
         np.diag([1.0, -1.0]),
     )
     assert main(["--json", "witness", path, "--threshold", "-1", "--tmax", "0"]) == 8
+
+
+@pytest.mark.parametrize("flags", [
+    ["--threshold", "nan"], ["--threshold=-inf"],
+    ["--tmax", "nan"], ["--tmax", "inf"], ["--tmax", "-1"],
+])
+def test_witness_rejects_bad_bounds(tmp_path, capsys, flags):
+    path = str(tmp_path / "mixed.json")
+    write_problem(
+        path,
+        np.diag([1.0, 2.0]),
+        np.diag([1.0, -1.0]),
+        np.diag([-1.0, -2.0]),
+        np.diag([1.0, -1.0]),
+    )
+    assert main(["--json", "witness", path, *flags]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_witness_on_finite_problem(golden_file, capsys):
@@ -515,6 +550,20 @@ def test_gen_rejects_empty_blocks(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"blocks": []}))
     assert main(["--json", "gen", str(spec_path), str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    {"seed": "x"},
+    {"cap": "5"},
+    {"cap": float("inf")},
+    {"blocks": [{"kind": "Tr", "p": 2.5, "alpha": 1.0, "eta": 1}]},
+], ids=["seed", "cap", "infinite-cap", "p"])
+def test_gen_rejects_malformed_spec(tmp_path, capsys, spec):
+    obj = {"blocks": [{"kind": "Tr", "p": 1, "alpha": 1.0, "eta": 1}], **spec}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(obj))
+    assert main(["--json", "gen", str(spec_path), str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_tolerance_flag_override(golden_file, capsys):

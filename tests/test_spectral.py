@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pencil_tracemin.spectral import (
     typed_spectrum,
 )
 
+from pencil_tracemin.errors import NonFiniteError
 from pencil_tracemin.genpairs import BlockSpec, assemble
 
 from conftest import count_eigen_kernels, golden_hat_matrix, k2_pair, rand_hermitian, spectral_norm
@@ -134,8 +136,7 @@ def test_typed_spectrum_congruence_invariant():
         scr, _ = pt.random_congruence(base, seed, 8.0)
         a = pt.analyze_pair(scr)
         # The finite part is posed in the B-frame: its B is diag(+-1) exactly.
-        J = a.split.finite_pair.B.entries
-        np.testing.assert_array_equal(J, np.diag([1.0, 1.0, -1.0, -1.0]))
+        np.testing.assert_array_equal(a.j, [1.0, 1.0, -1.0, -1.0])
         spec = a.spectrum
         np.testing.assert_allclose(spec.pos_values, ref.pos_values, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(spec.neg_values, ref.neg_values, rtol=1e-6, atol=1e-8)
@@ -242,8 +243,7 @@ def test_split_infinite_classification():
     pair = pt.pair_from_arrays(
         np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.0, 1.0])
     )
-    sp = pt.analyze_pair(pair, tols).split
-    assert sp.coupled
+    assert pt.analyze_pair(pair, tols).coupled
     assert typed_spectrum(pair).infinite_definite_sign == INF_COUPLED
 
 
@@ -381,3 +381,35 @@ def test_views_read_one_analysis():
                                np.diag([1.0, -1.0, 0.0]), atol=1e-10)
     _, _, res_a, res_b = diagonal_frame(pair)
     assert res_a <= 1e-8 and res_b <= 1e-8
+
+
+@pytest.mark.parametrize("specs", [
+    [BlockSpec("Tr", p=2, alpha=0.3, eta=1), BlockSpec("Tc", p=1, alpha=0.4, beta=0.9),
+     BlockSpec("Tr", p=1, alpha=1.5, eta=1), BlockSpec("Tinf", p=1, eta=-1)],
+    [BlockSpec("Tr", p=2, alpha=-0.6, eta=-1), BlockSpec("Tr", p=1, alpha=-1.1, eta=-1),
+     BlockSpec("Tr", p=1, alpha=0.8, eta=1), BlockSpec("Tinf", p=1, eta=1)],
+], ids=["jordan-conjugate-null", "jordan-typed-null"])
+def test_one_typed_list_carries_the_frame_columns(specs):
+    # Each typed value is listed once: the frame's values are the spectrum's
+    # entries that carry a direction, in order, and a Jordan copy carries none.
+    for seed in range(4):
+        pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=2.5)
+        a = pt.analyze_pair(pair)
+        spec, f = a.spectrum, a.frame
+        for es, values in ((spec.pos, f.pos_values), (spec.neg, f.neg_values)):
+            assert [e.value for e in es if e.direction is not None] == values.tolist()
+        jordan = [e for e in spec.pos + spec.neg if e.jordan_pair]
+        assert len(jordan) == 2 and all(e.direction is None for e in jordan)
+        assert len(f.blocks) == len(truth.complex_values) // 2
+        assert len(f.null_signs) == len(truth.infinite_signs) == 1
+        assert pt.analyze_pair(pair).spectrum == spec
+
+
+def test_overflowing_finite_part_is_non_finite_error():
+    # Every entry is finite, but in B-frame coordinates A scales by
+    # 1/|d| = 1e160 and the finite part overflows: a typed error, no warning.
+    pair = pt.pair_from_arrays(np.diag([1e153, 2e153]), np.diag([1e-160, -1e-160]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="finite part of the pair overflows"):
+            pt.analyze_pair(pair)

@@ -386,7 +386,7 @@ def test_type_counts_match_the_signs_of_j():
 
     checked = 0
     for prob in _criterion_7_problems():
-        if not pt.analyze_pair(prob.pair).split.coupled:
+        if not pt.analyze_pair(prob.pair).coupled:
             check(prob.pair)
             checked += 1
     assert checked == 233

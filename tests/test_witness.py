@@ -430,6 +430,16 @@ def test_certify_examples():
         certify_unbounded(fam, -1e6, 0.0)
 
 
+@pytest.mark.parametrize("threshold,t_max", [
+    (np.nan, 1e4), (-np.inf, 1e4), (-1e6, np.nan), (-1e6, np.inf), (-1e6, -1.0),
+])
+def test_certify_rejects_bad_bounds(threshold, t_max):
+    prob = diag_problem([1.0], [-2.0], [-1.0], [2.0])
+    fam = build_witness(prob, infimum(prob))
+    with pytest.raises(ValueError, match="must be finite"):
+        certify_unbounded(fam, threshold, t_max)
+
+
 def test_witness_not_constructible_for_pure_jordan():
     # Improper instance whose big pair has only coincident two-copy values:
     # the builder has no strict gap to drive a slope.
