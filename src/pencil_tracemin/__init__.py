@@ -26,7 +26,6 @@ from .definiteness import (
     analysis_definiteness,
     definiteness_from_spectrum,
     definiteness_interval,
-    lambda_min_shift,
 )
 from .spectral import (
     ClusteredFrame,
@@ -34,8 +33,6 @@ from .spectral import (
     TypedEigenvalue,
     TypedSpectrum,
     analyze_pair,
-    deflate_common_nullspace,
-    eigh,
     typed_spectrum,
 )
 from .hyperbolic import (
@@ -51,13 +48,9 @@ from .tracemin import (
     InfimumResult,
     PropernessReport,
     check_excluded,
-    fan_min_product,
     feasibility_residual,
     infimum,
-    equal_inertia_value,
     minimizer,
-    pad_problem,
-    properness,
 )
 from .witness import (
     CertificationReport,

@@ -31,7 +31,7 @@ from .errors import (
     NotHermitianError,
     NotSquareError,
 )
-from .genpairs import assemble, spec_from_json
+from .genpairs import _finite_real, assemble, spec_from_json
 from .matcore import (
     ToleranceSet,
     inertia,
@@ -302,8 +302,8 @@ def cmd_gen(args) -> int:
     cap = obj.get("cap", 10.0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InvalidSpecError(f"'seed' must be an integer, got {seed!r}")
-    if isinstance(cap, bool) or not isinstance(cap, (int, float)):
-        raise InvalidSpecError(f"'cap' must be a number, got {cap!r}")
+    if not _finite_real(cap):
+        raise InvalidSpecError(f"'cap' must be a finite number, got {cap!r:.40}")
     pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=cap)
     save_pair(args.out_pair_file, pair)
     truth_obj = {

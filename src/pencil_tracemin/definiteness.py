@@ -63,11 +63,6 @@ class DefinitenessReport:
         return lo - slack <= shift <= hi + slack
 
 
-def lambda_min_shift(pair: MatrixPair, shift: float) -> float:
-    """Smallest eigenvalue of A - shift*B."""
-    return float(eigvalsh(pair.A.entries - shift * pair.B.entries)[0])
-
-
 def _confirmed_side(lam_min, lower, upper, tols, tol):
     """Interval [max lower, min upper] of shifts t with lam_min(t) >= 0, confirmed at one shift.
 

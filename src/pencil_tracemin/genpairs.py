@@ -8,6 +8,8 @@ analytically.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,16 @@ def F_block(p: int) -> np.ndarray:
     return np.eye(p, dtype=complex)[::-1].copy()
 
 
+def _finite_real(x) -> bool:
+    """A real number, not a boolean, that converts to a finite float."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class BlockSpec:
     kind: str  # "To" | "Ts" | "Tinf" | "Tc" | "Tr"
@@ -44,10 +56,15 @@ class BlockSpec:
     def __post_init__(self):
         if self.kind not in ("To", "Ts", "Tinf", "Tc", "Tr"):
             raise InvalidSpecError(f"unknown block kind {self.kind!r}")
-        if not isinstance(self.p, (int, np.integer)) or self.p < 1:
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)) or self.p < 1:
             raise InvalidSpecError(f"p must be a positive integer, got {self.p!r}")
-        if self.kind in ("Tinf", "Tr") and self.eta not in (1, -1):
-            raise InvalidSpecError("eta must be +1 or -1")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise InvalidSpecError(f"{name} must be a finite real number, got {value!r:.40}")
+        eta = self.eta
+        if isinstance(eta, bool) or not isinstance(eta, (int, np.integer)) or eta not in (1, -1):
+            raise InvalidSpecError(f"eta must be the integer +1 or -1, got {eta!r}")
         if self.kind == "Tc" and not self.beta > 0:
             raise InvalidSpecError("Tc blocks need beta > 0")
 

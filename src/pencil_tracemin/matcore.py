@@ -342,15 +342,34 @@ def matrix_to_json(M: np.ndarray) -> dict:
     return obj
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _dimension(obj: dict, key: str, default=None) -> int:
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"matrix field '{key}' must be a positive integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ValueError("matrix object must carry 'n' and 'entries'")
+    n = _dimension(obj, "n")
+    m = _dimension(obj, "m", n)
     try:
-        n = int(obj["n"])
-        m = int(obj.get("m", n))
-        flat = np.array([complex(re, im) for re, im in obj["entries"]], dtype=complex)
+        parts = [(re, im) for re, im in obj["entries"]]
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"matrix entries must be [re, im] pairs of numbers ({exc})") from exc
+        raise ValueError(f"matrix 'entries' must be [re, im] pairs ({exc})") from exc
+    for k, (re, im) in enumerate(parts):
+        if not (_is_number(re) and _is_number(im)):
+            raise ValueError(f"matrix 'entries'[{k}] must be two numbers, got [{re!r}, {im!r}]")
+    try:
+        flat = np.array([complex(re, im) for re, im in parts], dtype=complex)
+    except OverflowError as exc:
+        raise ValueError(f"matrix 'entries' hold an integer too large for a float ({exc})") from exc
     if flat.size != n * m:
         raise ValueError(f"expected {n * m} entries, got {flat.size}")
     return flat.reshape(n, m)

@@ -44,14 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import KernelFailureError, NonFiniteError
-from .matcore import (
-    DEFAULT_TOLS,
-    HermitianMatrix,
-    Inertia,
-    MatrixPair,
-    ToleranceSet,
-    pair_from_arrays,
-)
+from .matcore import DEFAULT_TOLS, Inertia, MatrixPair, ToleranceSet
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -98,49 +91,6 @@ class TypedSpectrum:
     @property
     def has_complex(self) -> bool:
         return len(self.complex_values) > 0
-
-
-def eigh(H: HermitianMatrix):
-    """Eigendecomposition of a Hermitian matrix: ascending values, orthonormal columns."""
-    try:
-        vals, vecs = np.linalg.eigh(H.entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise KernelFailureError(str(exc)) from exc
-    return vals, vecs
-
-
-@dataclass(frozen=True)
-class DeflationResult:
-    reduced: MatrixPair
-    basis: np.ndarray  # spans the removed common nullspace, n x d
-    keep: np.ndarray  # n x (n - d); reduced = keep^H (.) keep
-    deflated_dims: int
-
-
-def deflate_common_nullspace(
-    pair: MatrixPair, rank_tol: float = DEFAULT_TOLS.rank_tol
-) -> DeflationResult:
-    """Remove N(A) & N(B); the removed directions never affect the problem."""
-    n = pair.n
-    stacked = np.vstack([pair.A.entries, pair.B.entries])
-    _, svals, Vh = np.linalg.svd(stacked)
-    smax = svals[0] if svals.size else 0.0
-    if smax == 0.0:
-        # Entirely zero pair: keep a single direction so orders stay >= 1.
-        keep = np.eye(n, 1, dtype=complex)
-        basis = np.eye(n, dtype=complex)[:, 1:]
-        red = pair_from_arrays(np.zeros((1, 1)), np.zeros((1, 1)), herm_tol=np.inf)
-        return DeflationResult(red, basis, keep, n - 1)
-    rank = int(np.sum(svals > rank_tol * smax))
-    d = n - rank
-    if d == 0:
-        eye = np.eye(n, dtype=complex)
-        return DeflationResult(pair, eye[:, :0], eye, 0)
-    V = Vh.conj().T
-    keep, basis = V[:, :rank], V[:, rank:]
-    A_r = keep.conj().T @ pair.A.entries @ keep
-    B_r = keep.conj().T @ pair.B.entries @ keep
-    return DeflationResult(pair_from_arrays(A_r, B_r, herm_tol=np.inf), basis, keep, d)
 
 
 @dataclass(frozen=True)
@@ -441,7 +391,10 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     smallest nonzero |eigenvalue| of B.
     """
     A = pair.A.entries
-    d, V = eigh(pair.B)
+    try:
+        d, V = np.linalg.eigh(pair.B.entries)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise KernelFailureError(str(exc)) from exc
     top = float(np.max(np.abs(d)))
     thr = tols.rank_tol * top if top > 0 else np.inf  # inertia's relative zero rule
     pos, neg = np.flatnonzero(d > thr), np.flatnonzero(d < -thr)

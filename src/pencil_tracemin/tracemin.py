@@ -16,22 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .definiteness import DefinitenessReport, definiteness_from_spectrum
-from .errors import (
-    InertiaViolationError,
-    LengthMismatchError,
-    NotAttainableError,
-    TypeCountError,
-)
+from .errors import NotAttainableError, TypeCountError
 from .hyperbolic import SignatureJ, sample_feasible
-from .matcore import (
-    DEFAULT_TOLS,
-    Inertia,
-    ProblemInstance,
-    ToleranceSet,
-    check_inertias,
-    inertia,
-    pair_from_arrays,
-)
+from .matcore import ProblemInstance, check_inertias
 from .spectral import (
     INF_COUPLED,
     INF_MINUS,
@@ -162,24 +149,6 @@ def _proportional(M: np.ndarray, N: np.ndarray, tol: float) -> float | None:
     return mu if np.linalg.norm(M - mu * N) <= tol * max(np.linalg.norm(M), 1e-300) else None
 
 
-def properness(
-    inertia_B: Inertia,
-    hat_spectrum: TypedSpectrum,
-    inertia_Bhat: Inertia,
-    tols: ToleranceSet = DEFAULT_TOLS,
-) -> PropernessReport:
-    """Properness of the triplet (B, Ahat, Bhat) for a PSD hat pair."""
-    if inertia_Bhat.n_plus > inertia_B.n_plus or inertia_Bhat.n_minus > inertia_B.n_minus:
-        raise InertiaViolationError("inertia of Bhat exceeds inertia of B")
-    return _properness(
-        hat_spectrum.pos_values,
-        hat_spectrum.neg_values,
-        inertia_Bhat.n_plus < inertia_B.n_plus,
-        inertia_Bhat.n_minus < inertia_B.n_minus,
-        tols,
-    )
-
-
 def _properness(pos, neg, pad_plus, pad_minus, tols) -> PropernessReport:
     """Properness of a PSD hat pair zero-padded to the inertia of B.
 
@@ -204,45 +173,6 @@ def _properness(pos, neg, pad_plus, pad_minus, tols) -> PropernessReport:
     if pad_minus:
         return PropernessReport(True, "ii", 0, int(np.sum(neg > zero)))
     return PropernessReport(True, "i", 0, 0)
-
-
-def pad_problem(problem: ProblemInstance) -> ProblemInstance:
-    """Pad the hat pair to the rank of B: Ahat -> diag(Ahat, 0),
-    Bhat -> diag(Bhat, I_{c+}, -I_{c-}) with c_pm the inertia surpluses.
-
-    The padded problem has the same infimum as the original.
-    """
-    tols = problem.tolerances
-    ib = inertia(problem.pair.B, tols.rank_tol)
-    ibh = inertia(problem.hat_pair.B, tols.rank_tol)
-    if ibh.n_zero > 0 or ibh.n_plus > ib.n_plus or ibh.n_minus > ib.n_minus:
-        raise InertiaViolationError("padding requires nonsingular Bhat within inertia of B")
-    cp, cm = ib.n_plus - ibh.n_plus, ib.n_minus - ibh.n_minus
-    if cp == 0 and cm == 0:
-        return problem
-    nh = problem.nhat
-    m = nh + cp + cm
-    Ah = np.zeros((m, m), dtype=complex)
-    Bh = np.zeros((m, m), dtype=complex)
-    Ah[:nh, :nh] = problem.hat_pair.A.entries
-    Bh[:nh, :nh] = problem.hat_pair.B.entries
-    jc = np.concatenate([np.ones(cp), -np.ones(cm)])
-    Bh[nh:, nh:] = np.diag(jc)
-    return ProblemInstance(
-        pair=problem.pair,
-        hat_pair=pair_from_arrays(Ah, Bh, herm_tol=np.inf),
-        tolerances=tols,
-    )
-
-
-def fan_min_product(lambda0, lambda1) -> float:
-    """min over unitary alignments of sum lambda0_i * lambda1_{perm(i)}:
-    descending first list against ascending second list."""
-    l0 = np.asarray(lambda0, dtype=float)
-    l1 = np.asarray(lambda1, dtype=float)
-    if l0.shape != l1.shape or l0.ndim != 1:
-        raise LengthMismatchError("lists must be 1-d and of equal length")
-    return float(np.sort(l0)[::-1] @ np.sort(l1))
 
 
 def _formula_terms(big: TypedSpectrum, hat: TypedSpectrum):
@@ -374,13 +304,6 @@ def infimum(problem: ProblemInstance) -> InfimumResult:
         attainable=attainable,
         properness=prop,
         **base,
-    )
-
-
-def equal_inertia_value(big: TypedSpectrum, hat: TypedSpectrum) -> float:
-    """Equal-inertia closed form: descending hat values against ascending values."""
-    return fan_min_product(hat.pos_values, big.pos_values) + fan_min_product(
-        hat.neg_values, big.neg_values
     )
 
 

@@ -242,7 +242,8 @@ def _rotation_witness(problem, big_a, hat_a):
     big, hat = big_a.frame, hat_a.frame
     if hat.n < problem.nhat:
         raise NoWitnessConstructibleError("hat Jordan or chained structure has no frame column")
-    # The hat pair zero-padded to the inertia of B, as in pad_problem.
+    # The hat pair zero-padded to the inertia of B: each +1 (-1) direction the
+    # big frame has beyond the hat's adds a hat value 0 of that type.
     pad = [(None, 0.0)]
     hp = list(hat.real_pos) + pad * (len(big.plus_dirs) - len(hat.plus_dirs))
     hm = list(hat.real_neg) + pad * (len(big.minus_dirs) - len(hat.minus_dirs))

@@ -20,13 +20,12 @@ from pencil_tracemin.tracemin import (
     NEG_INFINITE,
     FeasibleSampler,
     infimum,
-    equal_inertia_value,
     minimizer,
-    pad_problem,
 )
 from pencil_tracemin.witness import build_witness, certify_unbounded
 
 from conftest import golden_hat_matrix, rand_hermitian, spectral_norm
+from reference import deflate_common_nullspace, equal_inertia_value, lambda_min_shift, pad_problem
 
 
 def _objective(problem, X):
@@ -121,7 +120,7 @@ def test_criterion_3_closed_form_oracle_equivalence():
         assert res.verdict == FINITE
 
         # (a) equal-inertia closed form
-        big = typed_spectrum(pt.deflate_common_nullspace(prob.pair).reduced)
+        big = typed_spectrum(deflate_common_nullspace(prob.pair).reduced)
         hat = typed_spectrum(prob.hat_pair)
         ref = equal_inertia_value(big, hat)
         assert abs(res.value - ref) <= 1e-12 * (1 + abs(ref))
@@ -381,8 +380,6 @@ def test_criterion_6_invariance_suite():
         assert tr <= upper + 1e-8 * (1 + abs(upper))
 
     # Concavity probes of the shift function.
-    from pencil_tracemin.definiteness import lambda_min_shift
-
     for _ in range(50):
         n = int(rng.integers(2, 7))
         pair = pt.pair_from_arrays(rand_hermitian(rng, n), rand_hermitian(rng, n))

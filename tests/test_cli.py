@@ -141,6 +141,10 @@ def test_analyze_malformed_file(tmp_path, capsys):
     [
         '{"A": {"n": 1, "entries": [1.0]}, "B": {"n": 1, "entries": [[1.0, 0.0]]}}',
         '[1, 2]',
+        '{"A": {"n": 2.5, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}, "B": {"n": 1, "entries": [[1, 0]]}}',
+        '{"A": {"n": true, "entries": [[1, 0]]}, "B": {"n": 1, "entries": [[1, 0]]}}',
+        '{"A": {"n": -1, "entries": [[1, 0]]}, "B": {"n": 1, "entries": [[1, 0]]}}',
+        '{"A": {"n": 1, "entries": [[true, 0]]}, "B": {"n": 1, "entries": [[1, 0]]}}',
     ],
 )
 def test_analyze_malformed_matrix_object(tmp_path, capsys, text):
@@ -552,18 +556,26 @@ def test_gen_rejects_empty_blocks(tmp_path):
     assert main(["--json", "gen", str(spec_path), str(tmp_path / "o.json")]) == 2
 
 
-@pytest.mark.parametrize("spec", [
-    {"seed": "x"},
-    {"cap": "5"},
-    {"cap": float("inf")},
-    {"blocks": [{"kind": "Tr", "p": 2.5, "alpha": 1.0, "eta": 1}]},
-], ids=["seed", "cap", "infinite-cap", "p"])
-def test_gen_rejects_malformed_spec(tmp_path, capsys, spec):
+@pytest.mark.parametrize("spec,field", [
+    ({"seed": "x"}, "seed"),
+    ({"cap": "5"}, "cap"),
+    ({"cap": float("inf")}, "cap"),
+    ({"cap": 10**400}, "cap"),
+    ({"blocks": [{"kind": "Tr", "p": 2.5, "alpha": 1.0, "eta": 1}]}, "p"),
+    ({"blocks": [{"kind": "Tr", "p": 1, "alpha": 1e400, "eta": 1}]}, "alpha"),
+    ({"blocks": [{"kind": "Tc", "p": 1, "alpha": 1.0, "beta": 1e400}]}, "beta"),
+    ({"blocks": [{"kind": "Tr", "p": 1, "alpha": True, "eta": True}]}, "alpha"),
+    ({"blocks": [{"kind": "Tr", "p": 1, "alpha": 1.0, "eta": 1.0}]}, "eta"),
+], ids=["seed", "cap", "infinite-cap", "huge-int-cap", "p", "infinite-alpha",
+        "infinite-beta", "bool-alpha-eta", "float-eta"])
+def test_gen_rejects_malformed_spec(tmp_path, capsys, spec, field):
+    # 1e400 is written as Infinity; json reads either as inf.
     obj = {"blocks": [{"kind": "Tr", "p": 1, "alpha": 1.0, "eta": 1}], **spec}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(obj))
     assert main(["--json", "gen", str(spec_path), str(tmp_path / "o.json")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and err.count("\n") == 1
 
 
 def test_tolerance_flag_override(golden_file, capsys):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import pencil_tracemin as pt
-from pencil_tracemin.definiteness import definiteness_interval, lambda_min_shift
+from pencil_tracemin.definiteness import definiteness_interval
 from pencil_tracemin.genpairs import BlockSpec, assemble
 
 from conftest import count_eigen_kernels, rand_hermitian, spectral_norm
+from reference import lambda_min_shift
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,29 @@ def test_matrix_json_round_trip():
 )
 def test_matrix_from_json_rejects_malformed_entries(obj):
     with pytest.raises(ValueError):
+        matrix_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj,field",
+    [
+        ({"n": 2.5, "entries": [[1.0, 0.0]] * 4}, "'n'"),
+        ({"n": 2.0, "entries": [[1.0, 0.0]] * 4}, "'n'"),
+        ({"n": True, "entries": [[1.0, 0.0]]}, "'n'"),
+        ({"n": "1", "entries": [[1.0, 0.0]]}, "'n'"),
+        ({"n": -1, "entries": [[1.0, 0.0]]}, "'n'"),
+        ({"n": 0, "entries": []}, "'n'"),
+        ({"n": 1, "m": True, "entries": [[1.0, 0.0]]}, "'m'"),
+        ({"n": 1, "m": 0, "entries": []}, "'m'"),
+        ({"n": 1, "entries": [[True, 0]]}, "'entries'[0]"),
+        ({"n": 2, "m": 1, "entries": [[1.0, 0.0], [0.0, None]]}, "'entries'[1]"),
+        ({"n": 1, "entries": [[10**400, 0]]}, "'entries'"),
+    ],
+)
+def test_matrix_from_json_names_the_bad_field(obj, field):
+    # Each of these was read silently, or failed inside numpy, before the
+    # fields were checked.
+    with pytest.raises(ValueError, match=re.escape(field)):
         matrix_from_json(obj)
 
 

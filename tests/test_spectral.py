@@ -10,7 +10,6 @@ from pencil_tracemin.spectral import (
     INF_MIXED,
     INF_NONE,
     INF_PLUS,
-    deflate_common_nullspace,
     typed_spectrum,
 )
 
@@ -18,6 +17,7 @@ from pencil_tracemin.errors import NonFiniteError
 from pencil_tracemin.genpairs import BlockSpec, assemble
 
 from conftest import count_eigen_kernels, golden_hat_matrix, k2_pair, rand_hermitian, spectral_norm
+from reference import deflate_common_nullspace
 
 
 def block_diag(*blocks):
@@ -45,26 +45,43 @@ def diagonal_frame(pair):
     return f, lam, res_a, res_b
 
 
+def b_frame_of(B):
+    """analyze_pair of (I, B) and the residual ||W^H B W - diag(j, 0)||_2 of its B-frame W."""
+    a = pt.analyze_pair(pt.pair_from_arrays(np.eye(len(B)), B))
+    W = a.b_frame
+    jd = np.concatenate([a.j, np.zeros(W.shape[1] - len(a.j))])
+    return a, float(np.linalg.norm(W.conj().T @ B @ W - np.diag(jd), 2))
+
+
 def test_eigh_examples():
-    vals, _ = pt.eigh(pt.validate_hermitian(np.diag([3.0, 1.0])))
-    np.testing.assert_allclose(vals, [1.0, 3.0])
+    a, res = b_frame_of(np.diag([3.0, 1.0]))
+    assert a.b_inertia == pt.Inertia(2, 0, 0) and res <= 1e-15
+    # Columns in ascending eigenvalue order: e2 (eigenvalue 1), then e1 / sqrt(3).
+    np.testing.assert_allclose(np.abs(a.b_frame), [[0.0, 1.0 / np.sqrt(3.0)], [1.0, 0.0]])
     # F_2: characteristic polynomial t^2 - 1.
-    vals, _ = pt.eigh(pt.validate_hermitian([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-15)
-    vals, vecs = pt.eigh(pt.validate_hermitian(np.eye(3)))
-    np.testing.assert_allclose(vals, [1.0, 1.0, 1.0])
-    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-14)
+    a, res = b_frame_of(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert a.b_inertia == pt.Inertia(1, 0, 1) and res <= 1e-15
+    np.testing.assert_array_equal(a.j, [1.0, -1.0])
+    a, res = b_frame_of(np.eye(3))
+    assert a.b_inertia == pt.Inertia(3, 0, 0)
+    np.testing.assert_allclose(a.b_frame.conj().T @ a.b_frame, np.eye(3), atol=1e-14)
+    # A singular B keeps its null direction, with unit length.
+    a, res = b_frame_of(np.diag([2.0, 0.0]))
+    assert a.b_inertia == pt.Inertia(1, 1, 0) and res <= 1e-15
+    np.testing.assert_allclose(np.abs(a.N[:, 0]), [0.0, 1.0])
 
 
 def test_eigh_reconstruction():
     rng = np.random.default_rng(7)
     for n in (2, 9, 32):
         H = pt.validate_hermitian(rand_hermitian(rng, n))
-        vals, vecs = pt.eigh(H)
-        recon = vecs @ np.diag(vals) @ vecs.conj().T
+        a, res = b_frame_of(H.entries)
+        vals = np.linalg.eigvalsh(H.entries)
+        assert a.b_inertia == pt.Inertia(int(np.sum(vals > 0)), 0, int(np.sum(vals < 0)))
+        W_inv = np.linalg.inv(a.b_frame)
+        recon = W_inv.conj().T @ np.diag(a.j) @ W_inv
         assert np.linalg.norm(recon - H.entries, 2) <= 1e-9 * (1 + spectral_norm(H))
-        res = H.entries @ vecs - vecs * vals
-        assert np.linalg.norm(res, 2) <= 1e-10 * (1 + spectral_norm(H))
+        assert res <= 1e-10 * np.linalg.norm(a.b_frame, 2) ** 2 * (1 + spectral_norm(H))
 
 
 def test_deflate_explicit_kernel():

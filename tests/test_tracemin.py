@@ -6,11 +6,11 @@ import pytest
 import pencil_tracemin as pt
 from pencil_tracemin.errors import (
     EmptyFeasibleSetError,
-    InertiaViolationError,
     LengthMismatchError,
     NotAttainableError,
 )
 from pencil_tracemin.genpairs import BlockSpec, assemble
+from pencil_tracemin.matcore import DEFAULT_TOLS, check_inertias
 from pencil_tracemin.spectral import typed_spectrum
 from pencil_tracemin.tracemin import (
     ATTAINABLE_YES,
@@ -19,16 +19,14 @@ from pencil_tracemin.tracemin import (
     FINITE,
     MIXED_SIGNS,
     NEG_INFINITE,
+    _properness,
     check_excluded,
-    fan_min_product,
     infimum,
-    equal_inertia_value,
     minimizer,
-    pad_problem,
-    properness,
 )
 
 from conftest import count_eigen_kernels, diag_problem, golden_hat_matrix, k2_pair, rand_hermitian
+from reference import deflate_common_nullspace, equal_inertia_value, fan_min_product, pad_problem
 from test_acceptance import _hat_pair, _random_specs
 
 
@@ -87,11 +85,14 @@ def test_nearly_proportional_a_takes_the_general_path(rel):
     assert res.value == pytest.approx(0.4, abs=1e-8)
 
 # --- properness -------------------------------------------------------------
+# _properness takes the hat's typed values and whether B has more positive
+# (pad_plus) or negative (pad_minus) directions than Bhat.
 
 
 def test_properness_case_i():
+    # Inertias (1, 0, 1) and (1, 0, 1): no padding.
     spec = typed_spectrum(pt.pair_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, -1.0])))
-    rep = properness(pt.Inertia(1, 0, 1), spec, pt.Inertia(1, 0, 1))
+    rep = _properness(spec.pos_values, spec.neg_values, False, False, DEFAULT_TOLS)
     assert rep.is_proper and rep.case_label == "i"
     assert (rep.d_plus, rep.d_minus) == (0, 0)
 
@@ -101,7 +102,8 @@ def test_properness_case_ii_counts_positive_negative_type():
     spec = typed_spectrum(pt.pair_from_arrays(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])))
     np.testing.assert_allclose(spec.pos_values, [1.0])
     np.testing.assert_allclose(spec.neg_values, [1.0])
-    rep = properness(pt.Inertia(1, 0, 2), spec, pt.Inertia(1, 0, 1))
+    # Inertias (1, 0, 2) and (1, 0, 1): B has one more negative direction.
+    rep = _properness(spec.pos_values, spec.neg_values, False, True, DEFAULT_TOLS)
     assert rep.is_proper and rep.case_label == "ii"
     assert rep.d_minus == 1 and rep.d_plus == 0
 
@@ -109,14 +111,15 @@ def test_properness_case_ii_counts_positive_negative_type():
 def test_properness_improper_case_iv():
     # Hat positive-type eigenvalue -1 < 0 violates case (iv).
     spec = typed_spectrum(pt.pair_from_arrays(np.diag([-1.0, 2.0]), np.diag([1.0, -1.0])))
-    rep = properness(pt.Inertia(2, 0, 2), spec, pt.Inertia(1, 0, 1))
+    # Inertias (2, 0, 2) and (1, 0, 1): both sides padded.
+    rep = _properness(spec.pos_values, spec.neg_values, True, True, DEFAULT_TOLS)
     assert not rep.is_proper and rep.case_label == "improper"
 
 
 def test_properness_inertia_violation():
-    spec = typed_spectrum(pt.pair_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, -1.0])))
-    with pytest.raises(InertiaViolationError):
-        properness(pt.Inertia(0, 0, 1), spec, pt.Inertia(1, 0, 1))
+    # Bhat's inertia (1, 0, 1) does not fit inside B's (0, 0, 1): no feasible X.
+    with pytest.raises(EmptyFeasibleSetError):
+        check_inertias(pt.Inertia(0, 0, 1), pt.Inertia(1, 0, 1))
 
 
 def test_properness_leaves_semidefiniteness_to_its_tolerance():
@@ -423,7 +426,7 @@ def test_equal_inertia_closed_form_equivalence():
         prob = diag_problem(bp, bn, hp, hn, scramble=(seed, seed + 1000), cap=6.0)
         res = infimum(prob)
         assert res.verdict == FINITE
-        big = typed_spectrum(pt.deflate_common_nullspace(prob.pair).reduced)
+        big = typed_spectrum(deflate_common_nullspace(prob.pair).reduced)
         hat = typed_spectrum(prob.hat_pair)
         ref = equal_inertia_value(big, hat)
         assert res.value == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
