@@ -24,7 +24,6 @@ from .matcore import (
 from .definiteness import (
     DefinitenessReport,
     analysis_definiteness,
-    definiteness_from_spectrum,
     definiteness_interval,
 )
 from .spectral import (
@@ -36,7 +35,6 @@ from .spectral import (
     typed_spectrum,
 )
 from .hyperbolic import (
-    SignatureJ,
     polar_from_W,
     sample_feasible,
     sample_j_unitary,

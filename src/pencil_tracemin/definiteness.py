@@ -67,7 +67,9 @@ def _confirmed_side(lam_min, lower, upper, tols, tol):
     """Interval [max lower, min upper] of shifts t with lam_min(t) >= 0, confirmed at one shift.
 
     Returns (interval or None, confirming shift, lam_min there); the shift and
-    lam_min are None when the endpoints are out of order.
+    lam_min are None when the endpoints are out of order.  At least one of
+    ``lower`` and ``upper`` is nonempty: a real spectrum of nonzero B has a
+    typed value.
     """
     lo = float(np.max(lower)) if lower.size else -np.inf
     hi = float(np.min(upper)) if upper.size else np.inf
@@ -80,15 +82,13 @@ def _confirmed_side(lam_min, lower, upper, tols, tol):
         shift = 0.5 * (lo + hi)
     elif np.isfinite(lo):
         shift = lo + 1.0 + abs(lo)
-    elif np.isfinite(hi):
-        shift = hi - 1.0 - abs(hi)
     else:
-        shift = 0.0
+        shift = hi - 1.0 - abs(hi)
     f = lam_min(shift)
     return ((lo, hi) if f >= -tol else None), shift, f
 
 
-def definiteness_from_spectrum(analysis: PairAnalysis) -> DefinitenessReport:
+def _definiteness_from_spectrum(analysis: PairAnalysis) -> DefinitenessReport:
     """PSD/NSD verdicts of the finite part (Ã, J) of a non-chained analysed pair
     with nonzero B, from its typed spectrum; tolerance and lam_min are in the
     finite part's coordinates, the tolerance psd_tol * (1 + |Ã|_F + |J|_F).
@@ -125,7 +125,7 @@ def analysis_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
     """Structure-aware PSD/NSD verdicts of an analysed pair.
 
     The pair is PSD (NSD) iff its finite part (Ã, J) is, as judged by
-    ``definiteness_from_spectrum``, and A is positive (negative) definite on
+    ``_definiteness_from_spectrum``, and A is positive (negative) definite on
     N(B), vacuously so for nonsingular B.  Chained structure on N(B) admits
     neither.  With B = 0 the shift is free: the verdict is the sign of A and
     the interval is the whole line.
@@ -138,7 +138,7 @@ def analysis_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
         line = (-np.inf, np.inf)
         rep = DefinitenessReport(True, True, line, line, tolerance=tol)
     else:
-        rep = definiteness_from_spectrum(analysis)
+        rep = _definiteness_from_spectrum(analysis)
     psd = rep.is_psd_pair and sign in (INF_NONE, INF_PLUS)
     nsd = rep.is_nsd_pair and sign in (INF_NONE, INF_MINUS)
     return replace(

@@ -26,16 +26,8 @@ class TypeCountError(KernelFailureError):
     """Typed eigenvalue counts disagree with the inertia of B (inaccurate eigensolve)."""
 
 
-class InertiaViolationError(PencilError):
-    """Inertia counts are incompatible (empty feasible set upstream)."""
-
-
 class EmptyFeasibleSetError(PencilError):
     """The constraint set {X : Bhat X^H B X = I} is empty."""
-
-
-class LengthMismatchError(PencilError):
-    """Paired lists have different lengths."""
 
 
 class NotAttainableError(PencilError):

@@ -4,6 +4,9 @@ With J = diag(I_{n+}, -I_{n-}), a matrix X is J-unitary when X^H J X = J.
 Every such X factors as a Hermitian hyperbolic polar part, parametrized by an
 arbitrary n+ x n- block W, times a block-diagonal unitary (Higham,
 *J-orthogonal matrices: properties and generation*, SIAM Review 45, 2003).
+A signature is given by its counts n+, n-, or by the ``matcore.Inertia`` of
+B, whose nonzero counts are the signature of B's frame; the columns of a
+J-unitary that ``matcore.paired_columns`` selects are a feasible point.
 
 Sampling works on stacks: given a (K, m) array of integer keys instead of one
 Generator, ``sample_j_unitary``/``sample_feasible`` return a (K, ...) stack
@@ -15,34 +18,10 @@ pass (see ``matcore.complex_normal``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InertiaViolationError, KernelFailureError
-from .matcore import complex_normal, unitary_factor
-
-
-@dataclass(frozen=True)
-class SignatureJ:
-    n_plus: int
-    n_minus: int
-
-    def __post_init__(self):
-        if self.n_plus < 0 or self.n_minus < 0 or self.n_plus + self.n_minus < 1:
-            raise ValueError("signature must have n_plus + n_minus >= 1")
-
-    @property
-    def n(self) -> int:
-        return self.n_plus + self.n_minus
-
-    @property
-    def diag(self) -> np.ndarray:
-        return np.concatenate([np.ones(self.n_plus), -np.ones(self.n_minus)])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diag)
+from .errors import KernelFailureError
+from .matcore import Inertia, check_inertias, complex_normal, paired_columns, unitary_factor
 
 
 def _ct(M):
@@ -80,24 +59,26 @@ def polar_from_W(W: np.ndarray, V_plus: np.ndarray, V_minus: np.ndarray) -> np.n
     return _polar_middle(W) @ _blockdiag(np.asarray(V_plus), np.asarray(V_minus))
 
 
-def sample_j_unitary(J: SignatureJ, spread: float, rng) -> np.ndarray:
-    """Draw a random J-unitary: W with independent entries of scale ``spread``,
-    Haar unitary factors.  Deterministic given the generator state; a (K, m)
-    key array gives a (K, n, n) stack, slice k drawn by ``default_rng(keys[k])``."""
+def sample_j_unitary(n_plus: int, n_minus: int, spread: float, rng) -> np.ndarray:
+    """Draw a random J-unitary, J = diag(I_{n_plus}, -I_{n_minus}): W with
+    independent entries of scale ``spread``, Haar unitary factors.
+    Deterministic given the generator state; a (K, m) key array gives a
+    (K, n, n) stack, slice k drawn by ``default_rng(keys[k])``."""
+    if n_plus < 0 or n_minus < 0 or n_plus + n_minus < 1:
+        raise ValueError(f"signature counts must be >= 0, sum >= 1; got {n_plus}, {n_minus}")
     if not 0 <= spread < np.inf:
         raise ValueError(f"spread must be finite and nonnegative, got {spread}")
-    npl, nmi = J.n_plus, J.n_minus
+    npl, nmi = n_plus, n_minus
     W, Z_plus, Z_minus = complex_normal(rng, (npl, nmi), (npl, npl), (nmi, nmi))
     W = spread * W / np.sqrt(2.0)
     return polar_from_W(W, unitary_factor(Z_plus), unitary_factor(Z_minus))
 
 
-def sample_feasible(J: SignatureJ, Jhat: SignatureJ, spread: float, rng) -> np.ndarray:
-    """Sample X (n x nhat) with X^H J X = Jhat by column selection from a J-unitary;
-    a (K, m) key array gives a (K, n, nhat) stack."""
-    if Jhat.n_plus > J.n_plus or Jhat.n_minus > J.n_minus:
-        raise InertiaViolationError("hat signature exceeds the ambient signature")
-    G = sample_j_unitary(J, spread, rng)
-    cols = list(range(Jhat.n_plus)) + list(range(J.n_plus, J.n_plus + Jhat.n_minus))
-    return G[..., cols]
-
+def sample_feasible(ib: Inertia, ibh: Inertia, spread: float, rng) -> np.ndarray:
+    """Sample X (rank B x nhat) with X^H J X = Jhat, J and Jhat the signatures
+    of the inertias ``ib`` of B and ``ibh`` of Bhat, by column selection from
+    a J-unitary; a (K, m) key array gives a (K, rank B, nhat) stack.  Raises
+    EmptyFeasibleSetError where ``check_inertias`` does."""
+    check_inertias(ib, ibh)
+    G = sample_j_unitary(ib.n_plus, ib.n_minus, spread, rng)
+    return G[..., paired_columns(ib, ibh)]

@@ -1,4 +1,4 @@
-"""Core matrix types: validated Hermitian matrices, inertia, congruences, JSON I/O.
+"""Core matrix types: Hermitian matrices, inertia and the signature rules, congruences, JSON I/O.
 
 Every matrix entering the library passes through :func:`validate_hermitian`
 exactly once; downstream modules receive already-symmetrized entries and do
@@ -24,7 +24,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class ToleranceSet:
-    """Numerical tolerances used throughout the pipeline (relative where noted)."""
+    """Numerical tolerances used throughout the pipeline (relative where noted).
+
+    No library code reads ``feas_tol`` (``--tol-feas``); the benchmark harness
+    reads it as the bound on a minimizer's feasibility residual.
+    """
 
     herm_tol: float = 1e-10
     rank_tol: float = 1e-10
@@ -167,20 +171,20 @@ def eigvalsh(M: np.ndarray) -> np.ndarray:
         raise KernelFailureError(str(exc)) from exc
 
 
-def inertia(M: HermitianMatrix, rank_tol: float = DEFAULT_TOLS.rank_tol) -> Inertia:
-    """Count eigenvalues above / below the relative zero threshold.
+def eigen_signs(vals: np.ndarray, rank_tol: float) -> np.ndarray:
+    """+1, 0 or -1 for each eigenvalue by the relative zero rule.
 
-    An eigenvalue is counted as zero iff |lam| <= rank_tol * max|lam|, which
-    makes the verdict invariant under positive rescaling of M.
+    An eigenvalue counts as zero iff |lam| <= rank_tol * max|lam|, which
+    makes the signs invariant under positive rescaling of the matrix.
     """
-    vals = eigvalsh(M.entries)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if scale == 0.0:
-        return Inertia(0, M.n, 0)
-    thr = rank_tol * scale
-    n_plus = int(np.sum(vals > thr))
-    n_minus = int(np.sum(vals < -thr))
-    return Inertia(n_plus, M.n - n_plus - n_minus, n_minus)
+    thr = rank_tol * float(np.max(np.abs(vals), initial=0.0))
+    return np.where(np.abs(vals) <= thr, 0, np.sign(vals)).astype(int)
+
+
+def inertia(M: HermitianMatrix, rank_tol: float = DEFAULT_TOLS.rank_tol) -> Inertia:
+    """Count eigenvalues above / below the relative zero threshold (``eigen_signs``)."""
+    signs = eigen_signs(eigvalsh(M.entries), rank_tol)
+    return Inertia(int(np.sum(signs > 0)), int(np.sum(signs == 0)), int(np.sum(signs < 0)))
 
 
 def random_congruence(pair: MatrixPair, seed, conditioning_cap: float = 10.0):
@@ -315,13 +319,26 @@ def unitary_factor(Z: np.ndarray) -> np.ndarray:
 
 def check_inertias(ib: Inertia, ibh: Inertia) -> None:
     """Raise EmptyFeasibleSetError unless Bhat (inertia ibh) is nonsingular and
-    its inertia fits inside the inertia ib of B."""
+    its inertia fits inside the inertia ib of B: then, and only then, some X
+    has Bhat X^H B X = I."""
     if ibh.n_zero > 0:
         raise EmptyFeasibleSetError("Bhat is singular; the constraint has no solution")
     if ibh.n_plus > ib.n_plus or ibh.n_minus > ib.n_minus:
         raise EmptyFeasibleSetError(
             f"inertia of Bhat {ibh.as_tuple()} exceeds inertia of B {ib.as_tuple()}"
         )
+
+
+def paired_columns(ib: Inertia, ibh: Inertia) -> np.ndarray:
+    """The columns of a frame of B, ordered (+1.., -1.., 0..), that receive
+    Bhat's +1 and -1 directions: the first ibh.n_plus +1 columns and the
+    first ibh.n_minus -1 columns.
+
+    For a frame F with F^H B F = diag(+1.., -1..) on these columns S and a
+    frame Fh with Fh^H Bhat Fh = diag(+1.., -1..), X = F[:, S] Fh^H
+    satisfies Bhat X^H B X = I.
+    """
+    return np.r_[0 : ibh.n_plus, ib.n_plus : ib.n_plus + ibh.n_minus]
 
 
 # ---------------------------------------------------------------------------

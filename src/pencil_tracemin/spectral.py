@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import KernelFailureError, NonFiniteError
-from .matcore import DEFAULT_TOLS, Inertia, MatrixPair, ToleranceSet
+from .matcore import DEFAULT_TOLS, Inertia, MatrixPair, ToleranceSet, eigen_signs
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -367,18 +367,6 @@ class PairAnalysis:
     def frame(self) -> ClusteredFrame:
         return self._structure[1]
 
-    def paired_columns(self, hat: "PairAnalysis") -> np.ndarray:
-        """The B-frame columns that receive the hat pair's B-frame directions.
-
-        They are the first hat.n_plus +1 and the first hat.n_minus -1
-        columns.  For a frame F ordered like the B-frame, with
-        F^H B F = diag(+1.., -1..) on these columns S,
-        X = F[:, S] @ hat.b_frame^H satisfies Bhat X^H B X = I.
-        """
-        hp, hm = hat.b_inertia.n_plus, hat.b_inertia.n_minus
-        npl = self.b_inertia.n_plus
-        return np.r_[0:hp, npl:npl + hm]
-
 
 def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAnalysis:
     """Decompose B once, drop the common nullspace of A and B and split off
@@ -395,10 +383,9 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
         d, V = np.linalg.eigh(pair.B.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise KernelFailureError(str(exc)) from exc
-    top = float(np.max(np.abs(d)))
-    thr = tols.rank_tol * top if top > 0 else np.inf  # inertia's relative zero rule
-    pos, neg = np.flatnonzero(d > thr), np.flatnonzero(d < -thr)
-    N = V[:, np.abs(d) <= thr]
+    signs = eigen_signs(d, tols.rank_tol)
+    pos, neg = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
+    N = V[:, signs == 0]
     # "A vanishes on N(B)" relative to A alone: no scale of B or of the pair moves it.
     null_tol = tols.rank_tol * float(np.linalg.norm(A))
     deflated = 0

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .definiteness import DefinitenessReport, definiteness_from_spectrum
+from .definiteness import _definiteness_from_spectrum
 from .errors import NotAttainableError, TypeCountError
-from .hyperbolic import SignatureJ, sample_feasible
-from .matcore import ProblemInstance, check_inertias
+from .hyperbolic import sample_feasible
+from .matcore import ProblemInstance, check_inertias, paired_columns
 from .spectral import (
     INF_COUPLED,
     INF_MINUS,
@@ -89,13 +89,7 @@ class Term:
 
 @dataclass(frozen=True)
 class InfimumResult:
-    """Verdict and value of the infimum, with the analyses of both pairs it was read from.
-
-    ``definiteness`` and ``hat_definiteness`` judge the finite parts (Ã, J)
-    only, without the sign of A on N(B): on a MixedSigns "infinite-orientation"
-    pair ``definiteness.is_psd_pair`` can read True.  ``analysis_definiteness``
-    judges the whole pair.
-    """
+    """Verdict and value of the infimum, with the analyses of both pairs it was read from."""
 
     verdict: str
     value: float | None = None
@@ -106,8 +100,6 @@ class InfimumResult:
     attainable: str | None = None
     excluded: ExcludedCase | None = None
     properness: PropernessReport | None = None
-    definiteness: DefinitenessReport | None = None
-    hat_definiteness: DefinitenessReport | None = None
     # The analyses the verdict was read from; frames for minimizer and witness.
     analysis: PairAnalysis | None = field(default=None, compare=False, repr=False)
     hat_analysis: PairAnalysis | None = field(default=None, compare=False, repr=False)
@@ -243,8 +235,7 @@ def infimum(problem: ProblemInstance) -> InfimumResult:
     # Feasibility leaves B a nonzero range, so the finite part exists.
     inf_sign = spec_big.infinite_definite_sign
     infinite = big.has_infinite
-    rep_fin, rep_hat = definiteness_from_spectrum(big), definiteness_from_spectrum(hat)
-    base.update(definiteness=rep_fin, hat_definiteness=rep_hat)
+    rep_fin, rep_hat = _definiteness_from_spectrum(big), _definiteness_from_spectrum(hat)
 
     # Semidefiniteness of the full pair = finite part plus a definite nullspace
     # block of the matching orientation; a singular B additionally pins the
@@ -364,16 +355,19 @@ def feasibility_residual(problem: ProblemInstance, X: np.ndarray):
 
 
 def _feasible_point(big: PairAnalysis, hat: PairAnalysis) -> np.ndarray:
-    cols = big.paired_columns(hat)
+    cols = paired_columns(big.b_inertia, hat.b_inertia)
     return big.b_frame[:, cols] @ hat.b_frame.conj().T
 
 
 class FeasibleSampler:
     """Draw random feasible points; the congruence frames are built once.
 
-    ``sample`` takes one Generator, or a (K, m) array of integer keys in
-    [0, 2**32) for a (K, n, nhat) stack whose slice k is the draw of
-    ``numpy.random.default_rng(keys[k])`` alone."""
+    A sample is left @ Xs @ right: ``left`` holds the +1 and -1 columns of
+    B's frame, ``right`` is Bhat's frame conjugate-transposed, and Xs is the
+    ``sample_feasible`` draw for the inertias ``ib`` of B and ``ibh`` of
+    Bhat, whose counts fix J and Jhat.  ``sample`` takes one Generator, or
+    a (K, m) array of integer keys in [0, 2**32) for a (K, n, nhat) stack
+    whose slice k is the draw of ``numpy.random.default_rng(keys[k])`` alone."""
 
     def __init__(self, problem: ProblemInstance):
         self._bind(problem, *_analyses(problem))
@@ -386,14 +380,12 @@ class FeasibleSampler:
         return sampler
 
     def _bind(self, problem, big, hat):
-        ib, ibh = big.b_inertia, hat.b_inertia
         self.problem = problem
-        self.left = big.b_frame[:, : ib.rank]
+        self.ib, self.ibh = big.b_inertia, hat.b_inertia
+        self.left = big.b_frame[:, : self.ib.rank]
         self.right = hat.b_frame.conj().T
-        self.sig = SignatureJ(ib.n_plus, ib.n_minus)
-        self.sig_hat = SignatureJ(ibh.n_plus, ibh.n_minus)
 
     def sample(self, spread: float, rng) -> np.ndarray:
-        Xs = sample_feasible(self.sig, self.sig_hat, spread, rng)
+        Xs = sample_feasible(self.ib, self.ibh, spread, rng)
         return self.left @ Xs @ self.right
 

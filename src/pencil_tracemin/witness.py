@@ -38,7 +38,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import CertificationFailedError, NoWitnessConstructibleError
-from .matcore import ProblemInstance
+from .matcore import ProblemInstance, paired_columns
 from .tracemin import (
     NEG_INFINITE,
     InfimumResult,
@@ -283,7 +283,7 @@ def _ray_witness(problem, big, hat):
 
     # R + N K is A-orthogonal to N(B), so the ray adds no cross term.
     Th = hat.b_frame
-    X0 = big.finite_frame()[:, big.paired_columns(hat)] @ Th.conj().T
+    X0 = big.finite_frame()[:, paired_columns(big.b_inertia, hat.b_inertia)] @ Th.conj().T
 
     # Bhat is nonsingular, so the hat finite part is Th^H Ahat Th.
     lam_hat, Wh = np.linalg.eigh(hat.A_fin)
@@ -316,7 +316,7 @@ def _chain_witness(problem, big, hat):
     # feasible, so each term is turned to add to the largest one.
     A = big.pair.A.entries
     Ah = problem.hat_pair.A.entries
-    Wc, Th = big.b_frame[:, big.paired_columns(hat)], hat.b_frame
+    Wc, Th = big.b_frame[:, paired_columns(big.b_inertia, hat.b_inertia)], hat.b_frame
     M = Th.conj().T @ Ah
     best = None
     for i in cand:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pencil_tracemin.errors import InertiaViolationError, LengthMismatchError
+from pencil_tracemin.errors import EmptyFeasibleSetError
 from pencil_tracemin.matcore import (
     DEFAULT_TOLS,
     MatrixPair,
@@ -70,7 +70,7 @@ def pad_problem(problem: ProblemInstance) -> ProblemInstance:
     ib = inertia(problem.pair.B, tols.rank_tol)
     ibh = inertia(problem.hat_pair.B, tols.rank_tol)
     if ibh.n_zero > 0 or ibh.n_plus > ib.n_plus or ibh.n_minus > ib.n_minus:
-        raise InertiaViolationError("padding requires nonsingular Bhat within inertia of B")
+        raise EmptyFeasibleSetError("padding requires nonsingular Bhat within inertia of B")
     cp, cm = ib.n_plus - ibh.n_plus, ib.n_minus - ibh.n_minus
     if cp == 0 and cm == 0:
         return problem
@@ -95,7 +95,7 @@ def fan_min_product(lambda0, lambda1) -> float:
     l0 = np.asarray(lambda0, dtype=float)
     l1 = np.asarray(lambda1, dtype=float)
     if l0.shape != l1.shape or l0.ndim != 1:
-        raise LengthMismatchError("lists must be 1-d and of equal length")
+        raise ValueError("lists must be 1-d and of equal length")
     return float(np.sort(l0)[::-1] @ np.sort(l1))
 
 

@@ -360,7 +360,7 @@ def test_criterion_6_invariance_suite():
         assert abs(rep.psd_interval[1] - pos[0]) <= 1e-6 * scale
 
     # Trace sandwich bounds on 200 random PSD triples, n <= 8.
-    from pencil_tracemin.hyperbolic import SignatureJ, sample_j_unitary
+    from pencil_tracemin.hyperbolic import sample_j_unitary
 
     for trial in range(200):
         npl = int(rng.integers(1, 5))
@@ -369,7 +369,7 @@ def test_criterion_6_invariance_suite():
         M0 = rand_hermitian(rng, n)
         M1 = rand_hermitian(rng, n)
         A0, A1 = M0 @ M0.conj().T, M1 @ M1.conj().T
-        X = sample_j_unitary(SignatureJ(npl, nmi), 1.0, rng)
+        X = sample_j_unitary(npl, nmi, 1.0, rng)
         tr = float(np.real(np.trace(A0 @ X.conj().T @ A1 @ X)))
         s = np.linalg.svd(X, compute_uv=False)
         l0 = np.sort(np.linalg.eigvalsh(A0))[::-1]

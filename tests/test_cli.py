@@ -312,6 +312,56 @@ def test_minimize_jordan_exit(tmp_path, capsys):
     assert main(["--json", "minimize", path, str(tmp_path / "x.json")]) == 6
 
 
+def test_minimize_neg_infinite_exit(tmp_path, capsys):
+    # The verdict is printed and no minimizer file is written.
+    path, out = str(tmp_path / "mixed.json"), tmp_path / "x.json"
+    write_problem(
+        path, np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), np.diag([-1.0, -2.0]), np.diag([1.0, -1.0])
+    )
+    code, rep = run_json(capsys, ["--json", "minimize", path, str(out)])
+    assert code == 4
+    assert rep["infimum"]["verdict"] == "NegInfinite"
+    assert "minimizer" not in rep and not out.exists()
+
+
+def test_minimize_rectangular_minimizer(tmp_path, capsys):
+    # nhat = 1 < n = 3: X is 3 x 1, and its file carries the column count "m".
+    path, out = str(tmp_path / "rect.json"), str(tmp_path / "x.json")
+    prob = write_problem(path, np.diag([3.0, 1.0, 2.0]), np.eye(3), np.diag([2.0]), np.diag([1.0]))
+    code, rep = run_json(capsys, ["--json", "minimize", path, out])
+    assert code == 0
+    assert rep["minimizer"]["achieved"] == pytest.approx(2.0, abs=1e-10)
+    with open(out) as fh:
+        obj = json.load(fh)
+    assert (obj["n"], obj["m"]) == (3, 1)
+    X = pt.matcore.matrix_from_json(obj)
+    assert X.shape == (3, 1)
+    assert pt.feasibility_residual(prob, X) <= 1e-12
+    assert pt.tracemin._objective(prob, X) == pytest.approx(2.0, abs=1e-10)
+
+
+def test_infimum_summary_lines_precede_the_report(golden_file, capsys):
+    # Without --json the human summary comes first, then the same JSON report.
+    assert main(["infimum", golden_file]) == 0
+    out = capsys.readouterr().out
+    summary, body = out[: out.index("{")], json.loads(out[out.index("{"):])
+    value = body["infimum"]["value"]
+    assert summary.splitlines() == ["verdict: Finite", f"value: {value!r}"]
+    assert value == pytest.approx(np.sqrt(2.0), abs=1e-10)
+
+
+def test_analyze_definite_b_prints_infinite_ends(tmp_path, capsys):
+    # B = I leaves each interval unbounded on one side, printed as "-inf" / "inf".
+    path = str(tmp_path / "pair.json")
+    pt.matcore.save_pair(path, pt.pair_from_arrays(np.diag([1.0, 2.0]), np.eye(2)))
+    code, rep = run_json(capsys, ["--json", "analyze", path])
+    assert code == 0
+    assert rep["is_psd_pair"] and rep["is_nsd_pair"]
+    psd, nsd = rep["definiteness"]["psd_interval"], rep["definiteness"]["nsd_interval"]
+    assert psd[0] == "-inf" and psd[1] == pytest.approx(1.0, abs=1e-12)
+    assert nsd[0] == pytest.approx(2.0, abs=1e-12) and nsd[1] == "inf"
+
+
 def test_witness_command(tmp_path, capsys):
     path = str(tmp_path / "mixed.json")
     write_problem(

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
-from pencil_tracemin.errors import InertiaViolationError
+from pencil_tracemin.errors import EmptyFeasibleSetError
 from pencil_tracemin.hyperbolic import (
-    SignatureJ,
     polar_from_W,
     sample_feasible,
     sample_j_unitary,
 )
+from pencil_tracemin.matcore import Inertia
 
 from conftest import rand_hermitian
 
 
-def j_residual(X, J):
+def signature(npl, nmi):
+    """J = diag(I_npl, -I_nmi)."""
+    return np.diag([1.0] * npl + [-1.0] * nmi)
+
+
+def j_residual(X, npl, nmi):
     """||X^H J X - J||_2: how far X is from J-unitary."""
-    return float(np.linalg.norm(X.conj().T @ J.matrix @ X - J.matrix, 2))
+    J = signature(npl, nmi)
+    return float(np.linalg.norm(X.conj().T @ J @ X - J, 2))
 
 
 def test_polar_identity():
@@ -27,9 +33,8 @@ def test_polar_1x1_algebraic_identity():
     X = polar_from_W(np.array([[s]]), np.eye(1), np.eye(1))
     expected = np.array([[np.sqrt(1 + s * s), s], [s, np.sqrt(1 + s * s)]])
     np.testing.assert_allclose(X, expected, atol=1e-15)
-    J = SignatureJ(1, 1)
     # (1 + s^2) - s^2 = 1 exactly.
-    assert j_residual(X, J) <= 1e-14
+    assert j_residual(X, 1, 1) <= 1e-14
 
 
 def test_polar_random_residual():
@@ -38,49 +43,44 @@ def test_polar_random_residual():
 
     W = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     X = polar_from_W(W, haar_unitary(3, rng), haar_unitary(2, rng))
-    assert j_residual(X, SignatureJ(3, 2)) <= 1e-10 * 5
+    assert j_residual(X, 3, 2) <= 1e-10 * 5
 
 
 def test_sample_spread_zero_is_block_unitary():
     rng = np.random.default_rng(3)
-    J = SignatureJ(2, 2)
-    X = sample_j_unitary(J, 0.0, rng)
-    assert j_residual(X, J) <= 1e-12
+    X = sample_j_unitary(2, 2, 0.0, rng)
+    assert j_residual(X, 2, 2) <= 1e-12
     assert np.linalg.norm(X[:2, 2:], 2) <= 1e-14
 
 
 def test_sample_deterministic_and_residual():
-    J = SignatureJ(3, 2)
-    X1 = sample_j_unitary(J, 1.0, np.random.default_rng(42))
-    X2 = sample_j_unitary(J, 1.0, np.random.default_rng(42))
+    X1 = sample_j_unitary(3, 2, 1.0, np.random.default_rng(42))
+    X2 = sample_j_unitary(3, 2, 1.0, np.random.default_rng(42))
     np.testing.assert_array_equal(X1, X2)
-    assert j_residual(X1, J) <= 1e-9
+    assert j_residual(X1, 3, 2) <= 1e-9
 
 
 def test_group_property():
     rng = np.random.default_rng(21)
-    J = SignatureJ(2, 3)
-    X = sample_j_unitary(J, 1.5, rng) @ sample_j_unitary(J, 0.5, rng)
-    assert j_residual(X, J) <= 1e-8
+    X = sample_j_unitary(2, 3, 1.5, rng) @ sample_j_unitary(2, 3, 0.5, rng)
+    assert j_residual(X, 2, 3) <= 1e-8
 
 
 def test_sample_feasible_full_and_selected():
     rng = np.random.default_rng(7)
-    J, Jh = SignatureJ(1, 1), SignatureJ(1, 0)
-    X = sample_feasible(J, Jh, 1.0, rng)
+    X = sample_feasible(Inertia(1, 0, 1), Inertia(1, 0, 0), 1.0, rng)
     assert X.shape == (2, 1)
-    form = X.conj().T @ J.matrix @ X
+    form = X.conj().T @ signature(1, 1) @ X
     np.testing.assert_allclose(form, [[1.0]], atol=1e-9)
 
-    J, Jh = SignatureJ(1, 2), SignatureJ(1, 1)
-    X = sample_feasible(J, Jh, 1.0, np.random.default_rng(7))
-    G = X.conj().T @ J.matrix @ X
+    X = sample_feasible(Inertia(1, 0, 2), Inertia(1, 0, 1), 1.0, np.random.default_rng(7))
+    G = X.conj().T @ signature(1, 2) @ X
     np.testing.assert_allclose(G, np.diag([1.0, -1.0]), atol=1e-9)
 
 
 def test_sample_feasible_inertia_violation():
-    with pytest.raises(InertiaViolationError):
-        sample_feasible(SignatureJ(1, 1), SignatureJ(2, 0), 1.0, np.random.default_rng(0))
+    with pytest.raises(EmptyFeasibleSetError):
+        sample_feasible(Inertia(1, 0, 1), Inertia(2, 0, 0), 1.0, np.random.default_rng(0))
 
 
 def test_trace_sandwich_bounds():
@@ -96,7 +96,7 @@ def test_trace_sandwich_bounds():
         M1 = rand_hermitian(rng, n)
         A0 = M0 @ M0.conj().T
         A1 = M1 @ M1.conj().T
-        X = sample_j_unitary(SignatureJ(npl, nmi), 1.0, rng)
+        X = sample_j_unitary(npl, nmi, 1.0, rng)
         tr = float(np.real(np.trace(A0 @ X.conj().T @ A1 @ X)))
         s = np.linalg.svd(X, compute_uv=False)
         l0 = np.sort(np.linalg.eigvalsh(A0))[::-1]
@@ -108,13 +108,12 @@ def test_trace_sandwich_bounds():
 
 @pytest.mark.parametrize("npl, nmi", [(3, 0), (0, 2), (2, 3), (1, 1)])
 def test_stacked_j_unitaries_match_per_generator_draws(npl, nmi):
-    J = SignatureJ(npl, nmi)
-    stack = sample_j_unitary(J, 1.3, np.array([[5, k] for k in range(6)]))
-    assert stack.shape == (6, J.n, J.n)
+    stack = sample_j_unitary(npl, nmi, 1.3, np.array([[5, k] for k in range(6)]))
+    assert stack.shape == (6, npl + nmi, npl + nmi)
     for k in range(6):
-        X = sample_j_unitary(J, 1.3, np.random.default_rng([5, k]))
+        X = sample_j_unitary(npl, nmi, 1.3, np.random.default_rng([5, k]))
         assert np.linalg.norm(stack[k] - X) <= 1e-12 * np.linalg.norm(X)
-        assert j_residual(stack[k], J) <= 1e-9
+        assert j_residual(stack[k], npl, nmi) <= 1e-9
 
 
 def test_stacked_draw_keeps_the_single_generator_stream():
@@ -127,7 +126,7 @@ def test_stacked_draw_keeps_the_single_generator_stream():
     V_plus = haar_unitary(2, rng)
     V_minus = haar_unitary(3, rng)
     np.testing.assert_allclose(
-        sample_j_unitary(SignatureJ(2, 3), 1.0, np.random.default_rng(44)),
+        sample_j_unitary(2, 3, 1.0, np.random.default_rng(44)),
         polar_from_W(W / np.sqrt(2.0), V_plus, V_minus),
         rtol=0,
         atol=1e-13,
@@ -139,7 +138,13 @@ def test_stacked_draw_keeps_the_single_generator_stream():
 @pytest.mark.parametrize("spread", [-1.0, np.nan, np.inf])
 def test_spread_must_be_finite_and_nonnegative(spread):
     with pytest.raises(ValueError, match="spread"):
-        sample_j_unitary(SignatureJ(2, 1), spread, np.random.default_rng(0))
+        sample_j_unitary(2, 1, spread, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("npl, nmi", [(-1, 2), (2, -1), (0, 0)])
+def test_signature_counts_must_be_nonnegative_and_nonempty(npl, nmi):
+    with pytest.raises(ValueError, match="signature counts"):
+        sample_j_unitary(npl, nmi, 1.0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kernel", ["qr", "eigh"])
@@ -152,4 +157,4 @@ def test_sampler_kernel_failure_is_typed(monkeypatch, kernel):
     monkeypatch.setattr(np.linalg, kernel, failing)
     keys = np.array([[1, k] for k in range(3)])
     with pytest.raises(KernelFailureError):
-        sample_j_unitary(SignatureJ(2, 1), 1.0, keys)
+        sample_j_unitary(2, 1, 1.0, keys)

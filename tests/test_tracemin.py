@@ -6,7 +6,6 @@ import pytest
 import pencil_tracemin as pt
 from pencil_tracemin.errors import (
     EmptyFeasibleSetError,
-    LengthMismatchError,
     NotAttainableError,
 )
 from pencil_tracemin.genpairs import BlockSpec, assemble
@@ -183,7 +182,7 @@ def test_pad_preserves_infimum():
 def test_fan_min_product_examples():
     assert fan_min_product([1.0, 2.0], [3.0, 4.0]) == pytest.approx(10.0)
     assert fan_min_product([2.0, 2.0, 2.0], [5.0, -1.0, 0.5]) == pytest.approx(9.0)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValueError):
         fan_min_product([1.0], [1.0, 2.0])
 
 
@@ -613,6 +612,13 @@ def test_minimizer_jordan_not_attainable():
     assert res.verdict == FINITE
     assert res.attainable == "Unknown"
     with pytest.raises(NotAttainableError):
+        minimizer(prob)
+
+
+def test_minimizer_neg_infinite_not_attainable():
+    prob = diag_problem([1.0], [-2.0], [-1.0], [2.0])
+    assert infimum(prob).verdict == NEG_INFINITE
+    with pytest.raises(NotAttainableError, match="-infinity"):
         minimizer(prob)
 
 

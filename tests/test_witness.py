@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import pencil_tracemin as pt
 from pencil_tracemin.cli import EXIT_NO_WITNESS, main
 from pencil_tracemin.errors import CertificationFailedError, NoWitnessConstructibleError
 from pencil_tracemin.genpairs import BlockSpec, assemble, block
-from pencil_tracemin.tracemin import NEG_INFINITE, infimum
+from pencil_tracemin.tracemin import FINITE, NEG_INFINITE, infimum
 from pencil_tracemin.witness import (
     COMPLEX_BLOCK_SLOPE,
     INFINITE_BLOCK_RAY,
@@ -438,6 +440,29 @@ def test_certify_rejects_bad_bounds(threshold, t_max):
     fam = build_witness(prob, infimum(prob))
     with pytest.raises(ValueError, match="must be finite"):
         certify_unbounded(fam, threshold, t_max)
+
+
+def test_certify_rejects_nonnegative_slope():
+    prob = diag_problem([1.0], [-2.0], [-1.0], [2.0])
+    fam = build_witness(prob, infimum(prob))
+    for slope in (0.0, 1.0):
+        with pytest.raises(CertificationFailedError, match="nonnegative slope"):
+            certify_unbounded(replace(fam, slope=slope), -1e6, 1e4)
+
+
+def test_evaluate_witness_rejects_negative_t():
+    prob = diag_problem([1.0], [-2.0], [-1.0], [2.0])
+    fam = build_witness(prob, infimum(prob))
+    with pytest.raises(ValueError, match="nonnegative"):
+        evaluate_witness(fam, -1.0)
+
+
+def test_no_witness_for_a_finite_verdict():
+    prob = diag_problem([1.0], [-2.0], [1.0], [-2.0])
+    res = infimum(prob)
+    assert res.verdict == FINITE
+    with pytest.raises(NoWitnessConstructibleError, match="not NegInfinite"):
+        build_witness(prob, res)
 
 
 def test_witness_not_constructible_for_pure_jordan():
