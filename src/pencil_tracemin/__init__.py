@@ -27,7 +27,6 @@ from .definiteness import (
     definiteness_interval,
 )
 from .spectral import (
-    ClusteredFrame,
     PairAnalysis,
     TypedEigenvalue,
     TypedSpectrum,

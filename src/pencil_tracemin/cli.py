@@ -1,7 +1,8 @@
 """Command-line front end: JSON matrix files in, JSON reports out.
 
-Exit codes: 0 success; 2 invalid input file (malformed JSON or matrix
-object, non-square or non-finite matrix); 3 not Hermitian; 4 infimum is
+Exit codes: 0 success; 2 invalid input (malformed JSON or matrix object,
+non-square or non-finite matrix, or a file path that cannot be read or
+written, such as a missing file or a directory); 3 not Hermitian; 4 infimum is
 -infinity (verdict still printed); 5 empty feasible set; 6 minimizer not
 attainable; 7 no witness constructible; 8 certification failed; 9 a dense
 kernel (LAPACK eigen/QR/SVD) failed, or its eigenvalues were too inaccurate
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 EXIT_CODES = (
     # A LinAlgError is a ValueError: its row comes before the bad-input row.
     ((KernelFailureError, np.linalg.LinAlgError), EXIT_KERNEL_FAILURE),
-    ((json.JSONDecodeError, FileNotFoundError, KeyError, ValueError,
+    ((json.JSONDecodeError, OSError, KeyError, ValueError,
       InvalidSpecError, NotSquareError, NonFiniteError), EXIT_BAD_INPUT),
     ((NotHermitianError,), EXIT_NOT_HERMITIAN),
     ((EmptyFeasibleSetError,), EXIT_EMPTY_FEASIBLE),

@@ -8,12 +8,12 @@ of A there, the coupling K that eliminates it from the range of B, and the
 finite part Ã as an array, always posed in B-frame coordinates, (Ã, J) with
 J = diag(+1.., -1..).  As J² = I it is the one matrix J·Ã, selfadjoint in
 [x, y] = y^H J x.  One standard eigensolve of J·Ã gives its eigenvectors,
-clustered into one list of typed values, each with the J-normalized
-direction it owns, and one congruence frame: those directions, 2x2 blocks
-for conjugate eigenvalue pairs, and the null directions of B (the
-canonical form of Lancaster & Rodman, SIAM Review 47, 2005), all in the
-pair's own coordinates.  The canonical form is a direct sum, so the frame
-is always built: a Jordan block or a chained conjugate group gets no column
+clustered into one list of typed values, each with the direction it owns,
+and a tuple of 2x2 blocks for the conjugate eigenvalue pairs.  These
+directions, with the null directions of B, form a congruence frame (the
+canonical form of Lancaster & Rodman, SIAM Review 47, 2005), each held
+once, as a vector in the pair's own coordinates.  The canonical form is a
+direct sum: a Jordan copy or a chained conjugate group owns no direction
 and leaves the other directions in place.  Definiteness, minimizers,
 feasible points, sampling and divergence witnesses all read this one
 record; ``typed_spectrum(pair)`` is its spectrum.
@@ -62,8 +62,8 @@ class TypedEigenvalue:
     eig_type: str
     b_form: float
     jordan_pair: bool = False
-    # The frame column it owns, J-normalized in the finite part's coordinates;
-    # a Jordan copy or an odd isotropic leftover owns none.
+    # The direction it owns, in the pair's coordinates, of B-form +1 or -1 by
+    # type; a Jordan copy or an odd isotropic leftover owns none.
     direction: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -93,62 +93,12 @@ class TypedSpectrum:
         return len(self.complex_values) > 0
 
 
-@dataclass(frozen=True)
-class ClusteredFrame:
-    """Congruence frame T, n x k, with T^H B T = diag(j_diag).
-
-    Its columns are the typed directions, the J-normalized conjugate blocks
-    and the null directions of B, ordered: positive-type (ascending),
-    negative-type (ascending), conjugate blocks (a +1 and a -1 direction
-    each), null directions.  T^H A T is block diagonal: lambda on
-    positive-type and -lambda on negative-type directions,
-    [[alpha, -i beta], [i beta, -alpha]] on a conjugate block, and +/-1
-    (``null_signs``) on null directions.  Jordan copies and chained groups
-    have no column, so k can be less than n - deflated dims; a chained
-    pair's frame has none at all.
-    """
-
-    T: np.ndarray
-    pos_values: np.ndarray
-    neg_values: np.ndarray
-    blocks: tuple  # ((dir_plus, dir_minus, alpha, beta), ...), beta > 0
-    null_signs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.T.shape[1]
-
-    @cached_property
-    def j_diag(self) -> np.ndarray:
-        nb = len(self.blocks)
-        return np.concatenate([
-            np.ones(len(self.pos_values)), -np.ones(len(self.neg_values)),
-            np.tile([1.0, -1.0], nb), np.zeros(len(self.null_signs)),
-        ])
-
-    @cached_property
-    def real_pos(self) -> tuple:
-        """((dir, value), ...) ascending by value."""
-        return tuple(enumerate(self.pos_values.tolist()))
-
-    @cached_property
-    def real_neg(self) -> tuple:
-        p = len(self.pos_values)
-        return tuple((p + i, v) for i, v in enumerate(self.neg_values.tolist()))
-
-    @cached_property
-    def plus_dirs(self) -> list:
-        return [d for d, _ in self.real_pos] + [b[0] for b in self.blocks]
-
-    @cached_property
-    def minus_dirs(self) -> list:
-        return [d for d, _ in self.real_neg] + [b[1] for b in self.blocks]
-
-
 def _cluster(w, Z, G, tols, scale):
-    """Cluster the real eigenvalues w of J·Ã (eigenvectors Z) and type each cluster.
+    """Cluster the real eigenvalues w of J·Ã and type each cluster.
 
-    Z has unit columns in B-frame coordinates, B = J = diag(j), and G = Z^H J Z.
+    G = V^H J V for the unit eigenvectors V in B-frame coordinates, B = J =
+    diag(j); Z = F V holds them mapped by some F into the coordinates that
+    each entry's direction is returned in.
     With ``scale`` the size of the finite part's A, w is real if |Im w| <=
     type_tol * |w| + rank_tol * scale, and two real ones share a cluster
     within type_tol * max|w| + rank_tol * scale.  The copies of a Jordan
@@ -215,7 +165,7 @@ def _conjugate_blocks(A, w, Z, G, cidx, tols):
     <= type_tol, is a complex Jordan block (chained) and is skipped.
 
     Returns [(c_plus, c_minus, alpha, beta), ...] over the groups that
-    J-normalize.
+    J-normalize, the directions in the finite part's coordinates.
     """
     if not cidx.size:
         return []
@@ -265,13 +215,14 @@ class PairAnalysis:
     infinite directions.  Otherwise the structure on N(B) is chained: no
     such elimination exists, and ``K`` and ``A_fin`` are None.
 
-    The eigensolve of J·Ã, the typed spectrum and the clustered frame are
-    computed on first use, so consumers that only need the B-frame
+    The eigensolve of J·Ã, the typed spectrum and the conjugate ``blocks``
+    are computed on first use, so consumers that only need the B-frame
     (feasible points, sampling) never pay for it.  The spectrum lists each
-    typed value once, the frame's columns are the directions its entries
-    carry, and a chained pair's spectrum is untyped.  ``b_form`` values are
-    in B-frame coordinates; frames are in ``pair``'s coordinates, without
-    the deflated directions.
+    typed value once with the direction it owns; those directions, the
+    blocks' and ``null_frame()`` make the congruence frame, and nothing else
+    holds a copy.  A chained pair's spectrum is untyped and it has no
+    blocks.  ``b_form`` values are in B-frame coordinates; directions are in
+    ``pair``'s coordinates, without the deflated directions.
     """
 
     tols: ToleranceSet
@@ -324,47 +275,32 @@ class PairAnalysis:
 
     @cached_property
     def _structure(self):
-        """(typed spectrum, clustered frame)."""
-        dims, sign, none = self.deflated_dims, self.infinite_sign, np.zeros(0)
+        """(typed spectrum, conjugate blocks)."""
+        dims, sign = self.deflated_dims, self.infinite_sign
         if self.coupled:
-            spec = TypedSpectrum((), (), dims, sign, isotropic_defect=True)
-            return spec, ClusteredFrame(np.zeros((self.pair.n, 0)), none, none, (), none)
-        null_signs = np.sign(self.d_inf)
+            return TypedSpectrum((), (), dims, sign, isotropic_defect=True), ()
         if not len(self.j):  # B = 0
-            frame = ClusteredFrame(self.null_frame(), none, none, (), null_signs)
-            return TypedSpectrum((), (), dims, sign), frame
-        A, j, tols = self.A_fin, self.j, self.tols
+            return TypedSpectrum((), (), dims, sign), ()
+        A, j, tols, F = self.A_fin, self.j, self.tols, self.finite_frame()
         w, Z = np.linalg.eig(j[:, None] * A)  # J^2 = I: J Ã z = λz iff Ã z = λJz
         G = Z.conj().T @ (j[:, None] * Z)  # every B-form the typing reads
         # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
-        typed, cidx = _cluster(w, Z, G, tols, float(np.linalg.norm(A)) or 1.0)
+        typed, cidx = _cluster(w, F @ Z, G, tols, float(np.linalg.norm(A)) or 1.0)
         pos = tuple(e for e in typed if e.eig_type == POSITIVE)
         neg = tuple(e for e in typed if e.eig_type == NEGATIVE)
         defect = any(e.direction is None and not e.jordan_pair for e in typed)
         spec = TypedSpectrum(pos, neg, dims, sign, tuple(complex(z) for z in w[cidx]), defect)
-
-        plus, minus = ([e for e in es if e.direction is not None] for es in (pos, neg))
         blocks = _conjugate_blocks(A, w, Z, G, cidx, tols)
-        cols = [e.direction for e in plus + minus] + [c for b in blocks for c in b[:2]]
-        T = np.column_stack(cols) if cols else np.zeros((len(j), 0), dtype=complex)
-        base = len(plus) + len(minus)
-        frame = ClusteredFrame(
-            T=np.hstack([self.finite_frame() @ T, self.null_frame()]),
-            pos_values=np.array([e.value for e in plus]),
-            neg_values=np.array([e.value for e in minus]),
-            blocks=tuple(
-                (base + 2 * i, base + 2 * i + 1, b[2], b[3]) for i, b in enumerate(blocks)
-            ),
-            null_signs=null_signs,
-        )
-        return spec, frame
+        return spec, tuple((F @ c1, F @ c2, alpha, beta) for c1, c2, alpha, beta in blocks)
 
     @property
     def spectrum(self) -> TypedSpectrum:
         return self._structure[0]
 
     @property
-    def frame(self) -> ClusteredFrame:
+    def blocks(self) -> tuple:
+        """((c_plus, c_minus, alpha, beta), ...): the conjugate blocks that
+        J-normalize, beta > 0, their directions in the pair's coordinates."""
         return self._structure[1]
 
 

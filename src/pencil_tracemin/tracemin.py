@@ -100,7 +100,8 @@ class InfimumResult:
     attainable: str | None = None
     excluded: ExcludedCase | None = None
     properness: PropernessReport | None = None
-    # The analyses the verdict was read from; frames for minimizer and witness.
+    # The analyses the verdict was read from; minimizer and witness read
+    # their typed directions and B-frames.
     analysis: PairAnalysis | None = field(default=None, compare=False, repr=False)
     hat_analysis: PairAnalysis | None = field(default=None, compare=False, repr=False)
 
@@ -319,17 +320,13 @@ def _minimizer_from(problem: ProblemInstance, result: InfimumResult):
     if result.attainable != ATTAINABLE_YES:
         raise NotAttainableError("attainability unknown for this instance")
 
-    f_big, f_hat = big.frame, hat.frame
-    Xt = np.zeros((f_big.n, f_hat.n), dtype=complex)
-    # Frame direction lists sorted ascending by eigenvalue, as the typed
-    # lists that the term indices refer to.
-    dirs = {POSITIVE: (f_big.plus_dirs, f_hat.plus_dirs),
-            NEGATIVE: (f_big.minus_dirs, f_hat.minus_dirs)}
-    for t in result.terms:
-        big_dirs, hat_dirs = dirs[t.eig_type]
-        Xt[big_dirs[t.big_index], hat_dirs[t.hat_index]] = 1.0
-
-    X = f_big.T @ Xt @ f_hat.T.conj().T
+    # X = L R^H maps each term's hat direction (a column of R) onto its big
+    # direction (of L); term indices refer to the ascending typed lists.
+    typed = {POSITIVE: (big.spectrum.pos, hat.spectrum.pos),
+             NEGATIVE: (big.spectrum.neg, hat.spectrum.neg)}
+    L = np.column_stack([typed[t.eig_type][0][t.big_index].direction for t in result.terms])
+    R = np.column_stack([typed[t.eig_type][1][t.hat_index].direction for t in result.terms])
+    X = L @ R.conj().T
     return X, _objective(problem, X)
 
 

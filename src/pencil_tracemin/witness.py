@@ -10,22 +10,22 @@ exactly slope * t^2 + offset with slope < 0, while Bhat X(t)^H B X(t) = I
 holds up to roundoff that grows no faster than (1 + t^2).  Three builders:
 
 * ``_rotation_witness`` - a hyperbolic rotation of a (+1, -1) plane of the
-  big pair's frame against one of the hat pair's (zero-padded when
-  nhat < rank B).  A plane is two real directions of opposite type or a
-  2x2 conjugate-eigenvalue block; the family is a ``ComplexBlockSlope``
-  when a block takes part and a ``MixedSignSlope`` otherwise.
+  big pair against one of the hat pair's (zero-padded when nhat < rank B).
+  A plane is two real directions of opposite type or a 2x2
+  conjugate-eigenvalue block; the family is a ``ComplexBlockSlope`` when a
+  block takes part and a ``MixedSignSlope`` otherwise.
 * ``_ray_witness``, ``_chain_witness`` - an ``InfiniteBlockRay``: scaling
   either a B-null direction against an adverse eigendirection of the hat
   objective (diagonal infinite structure), or a chained null direction
   whose coupling into the finite part drives the cross term (2x2 chained
   structure).
 
-Builders read the clustered frames and B-frames of the ``PairAnalysis``
-objects that ``infimum`` carries on its result; no pair is analysed again.
-A clustered frame has no column for a Jordan copy or a chained conjugate
-group, so the rotation uses only the typed and block planes the frames do
-hold, and it needs a column for every hat direction: a hat pair with
-Jordan or chained structure gets no rotation.
+Builders read the ``PairAnalysis`` objects that ``infimum`` carries on its
+result: the directions its typed entries and conjugate blocks own, and its
+B-frame; no pair is analysed again.  A Jordan copy or a chained conjugate
+group owns no direction, so the rotation uses only the typed and block
+planes there are, and it needs a direction for every hat dimension: a hat
+pair with Jordan or chained structure gets no rotation.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ def _sigma(family: WitnessFamily, t: float) -> float:
 
 
 def evaluate_witness(family: WitnessFamily, t: float):
-    """Materialize X(t) and return (X, trace value)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    """Materialize X(t) and return (X, trace value); t must be finite and nonnegative."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and nonnegative")
     s = _sigma(family, t)
     X = family.x_base + (np.sqrt(1.0 + s * s) - 1.0) * family.d_cosh + s * family.d_sinh
     return X, _objective(family.problem, X)
@@ -150,18 +150,21 @@ def certify_unbounded(
 def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
     """Assemble x_base, d_cosh and d_sinh from a rotation plus a static assignment.
 
-    ``rot`` is (p, m, phat, mhat, u, w), as in ``_rotation_witness`` (phat
-    or mhat is None for a padded hat value).  The other hat directions map
-    to unreserved big directions of the same type.
+    ``big`` and ``hat`` are the (+1 directions, -1 directions) of each pair
+    and ``rot`` is (p, m, phat, mhat, u, w), as in ``_rotation_witness``
+    (phat or mhat is None for a padded hat value).  The other hat directions
+    map to unreserved big directions of the same type.
     """
     p, m, phat, mhat, u, w = rot
-    Xt0 = np.zeros((big.n, problem.nhat), dtype=complex)
-    for hat_dirs, big_dirs in ((hat.plus_dirs, big.plus_dirs), (hat.minus_dirs, big.minus_dirs)):
-        hat_dirs = [d for d in hat_dirs if d not in (phat, mhat)]
-        big_dirs = [d for d in big_dirs if d not in (p, m)]
+    L, R = [], []  # x_base = L R^H, big directions against hat directions
+    # The plane's directions are objects of these lists, so identity tells them apart.
+    for hat_dirs, big_dirs in zip(hat, big):
+        hat_dirs = [d for d in hat_dirs if d is not phat and d is not mhat]
+        big_dirs = [d for d in big_dirs if d is not p and d is not m]
         if len(hat_dirs) > len(big_dirs):
             raise NoWitnessConstructibleError("insufficient directions for assignment")
-        Xt0[big_dirs[: len(hat_dirs)], hat_dirs] = 1.0
+        L += big_dirs[: len(hat_dirs)]
+        R += hat_dirs
 
     d_cosh = np.zeros((problem.n, problem.nhat), dtype=complex)
     d_sinh = np.zeros_like(d_cosh)
@@ -169,12 +172,12 @@ def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
         (phat, p, m, 1.0, u), (mhat, m, p, w, w * u.conjugate())
     ):
         if hd is not None:
-            Xt0[cosh_dir, hd] = a_cosh
-            v = hat.T[:, hd].conj()
-            d_cosh += a_cosh * np.outer(big.T[:, cosh_dir], v)
-            d_sinh += a_sinh * np.outer(big.T[:, sinh_dir], v)
+            L.append(a_cosh * cosh_dir)
+            R.append(hd)
+            d_cosh += a_cosh * np.outer(cosh_dir, hd.conj())
+            d_sinh += a_sinh * np.outer(sinh_dir, hd.conj())
 
-    x_base = big.T @ Xt0 @ hat.T.conj().T
+    x_base = np.column_stack(L) @ np.column_stack(R).conj().T
     return _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh)
 
 
@@ -205,8 +208,8 @@ def _gap_extremes(xs, ys):
     return min(gaps, key=itemgetter(0)), max(gaps, key=itemgetter(0))
 
 
-def _planes(frame, pos, neg):
-    """Candidate planes (p, m, a, b, d) of one frame, with A-form [[a, b], [conj b, d]].
+def _planes(blocks, pos, neg):
+    """Candidate planes (p, m, a, b, d) of one pair, with A-form [[a, b], [conj b, d]].
 
     They are the real pairs of least and greatest gap over the (direction,
     value) lists ``pos`` and ``neg``, A-form diag(value_p, -value_m), and the
@@ -215,10 +218,20 @@ def _planes(frame, pos, neg):
     steeper.
     """
     planes = [(p, m, vp, 0j, -vm) for _, (p, vp), (m, vm) in _gap_extremes(pos, neg)]
-    if frame.blocks:
-        p, m, alpha, beta = max(frame.blocks, key=itemgetter(3))
+    if blocks:
+        p, m, alpha, beta = max(blocks, key=itemgetter(3))
         planes.append((p, m, alpha, -1j * beta, -alpha))
     return planes
+
+
+def _sides(analysis):
+    """The +1 and the -1 side of a pair: each the (direction, value) list of
+    its typed entries that own a direction, and the list of its directions,
+    those then one of each conjugate block."""
+    spec, blocks = analysis.spectrum, analysis.blocks
+    typed = [[(e.direction, e.value) for e in entries if e.direction is not None]
+             for entries in (spec.pos, spec.neg)]
+    return [(t, [d for d, _ in t] + [b[k] for b in blocks]) for k, t in enumerate(typed)]
 
 
 PHASES = (1.0, 1j, -1.0, -1j)
@@ -227,9 +240,9 @@ PHASES = (1.0, 1j, -1.0, -1j)
 def _rotation_witness(problem, big_a, hat_a):
     """The steepest hyperbolic rotation of a big plane against a hat plane.
 
-    The rotation (p, m, phat, mhat, u, w), |u| = |w| = 1, maps the columns
-    phat -> c e_p + s u e_m and mhat -> w (s conj(u) e_p + c e_m) of the
-    canonical X, with c^2 = 1 + s^2.  The trace is const + k2 s^2 + k3 c s:
+    The rotation (p, m, phat, mhat, u, w), |u| = |w| = 1, maps the hat
+    direction phat onto c p + s u m and mhat onto w (s conj(u) p + c m), all
+    direction vectors, with c^2 = 1 + s^2.  The trace is const + k2 s^2 + k3 c s:
 
         k2 = (ah + dh)(a + d) + 2 Re(bh conj(w) (b u^2 + conj(b))),
         k3 = 2 Re(u b)(ah + dh) + 2 Re(bh conj(w) (a + d) u).
@@ -239,16 +252,17 @@ def _rotation_witness(problem, big_a, hat_a):
     With b = 0 the slope depends on u only through conj(w) u, and with
     bh = 0 not on w, so the phases are searched on a block's side alone.
     """
-    big, hat = big_a.frame, hat_a.frame
-    if hat.n < problem.nhat:
+    (big_pos, big_plus), (big_neg, big_minus) = _sides(big_a)
+    (hat_pos, hat_plus), (hat_neg, hat_minus) = _sides(hat_a)
+    if len(hat_plus) + len(hat_minus) < problem.nhat:
         raise NoWitnessConstructibleError("hat Jordan or chained structure has no frame column")
     # The hat pair zero-padded to the inertia of B: each +1 (-1) direction the
-    # big frame has beyond the hat's adds a hat value 0 of that type.
+    # big pair has beyond the hat's adds a hat value 0 of that type.
     pad = [(None, 0.0)]
-    hp = list(hat.real_pos) + pad * (len(big.plus_dirs) - len(hat.plus_dirs))
-    hm = list(hat.real_neg) + pad * (len(big.minus_dirs) - len(hat.minus_dirs))
-    big_planes = _planes(big, big.real_pos, big.real_neg)
-    hat_planes = _planes(hat, hp, hm)
+    hp = hat_pos + pad * (len(big_plus) - len(hat_plus))
+    hm = hat_neg + pad * (len(big_minus) - len(hat_minus))
+    big_planes = _planes(big_a.blocks, big_pos, big_neg)
+    hat_planes = _planes(hat_a.blocks, hp, hm)
 
     best = None
     for (p, m, a, b, d), (phat, mhat, ah, bh, dh) in product(big_planes, hat_planes):
@@ -267,6 +281,7 @@ def _rotation_witness(problem, big_a, hat_a):
     if slope >= -big_a.tols.type_tol * scale:
         raise NoWitnessConstructibleError("no opposing eigenvalue gaps found")
     kind = COMPLEX_BLOCK_SLOPE if uses_block else MIXED_SIGN_SLOPE
+    big, hat = (big_plus, big_minus), (hat_plus, hat_minus)
     return _finish_family(kind, problem, big, hat, rot, slope, sigma_map)
 
 

@@ -13,15 +13,17 @@ residual (``certify_unbounded(-1e6, 1e4)``), or the type and message of
 the exception raised.
 
 ``--compare`` prints every difference between two such files (values to
-1e-10 relative, slopes to 1e-9; exception messages are not compared, so
-files recorded before messages were kept still compare), a summary of
-each, and the scaled flips of each: scaled copies whose verdict, reason or
-scaled value (1e-6 relative) differs from the unscaled problem.  For each
-file it also breaks the unscaled ``NoWitnessConstructibleError`` count
-down by verdict reason and by the message of ``_rotation_witness``.  It
-exits 1 when it prints any difference.  ``test_replay.py`` runs the replay
-in-process and holds its counts as a ratchet.  The file name does not
-match ``test_*.py``, so pytest does not collect it.
+1e-10 relative, slopes to 1e-9; a certified residual differs when one side
+exceeds both 10 times the other and 1e-9, so roundoff-level changes pass;
+exception messages are not compared, so files recorded before messages
+were kept still compare), a summary of each, and the scaled flips of
+each: scaled copies whose verdict, reason or scaled value (1e-6 relative)
+differs from the unscaled problem.  For each file it also breaks the
+unscaled ``NoWitnessConstructibleError`` count down by verdict reason and
+by the message of ``_rotation_witness``.  It exits 1 when it prints any
+difference.  ``test_replay.py`` runs the replay in-process and holds its
+counts as a ratchet.  The file name does not match ``test_*.py``, so
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ SCALES = {
     "A*1e-8": (1e-8, 1.0),
 }
 VALUE_RTOL, SLOPE_RTOL, FLIP_RTOL = 1e-10, 1e-9, 1e-6
+RESIDUAL_FACTOR, RESIDUAL_FLOOR = 10.0, 1e-9
 BAD_RESIDUAL = 1e-4
 
 
@@ -156,6 +159,11 @@ def _diff(old, new):
             out.append(f"witness {key}: {wo.get(key)} -> {wn.get(key)}")
     if not _close(wo.get("slope"), wn.get("slope"), SLOPE_RTOL):
         out.append(f"witness slope: {wo.get('slope')} -> {wn.get('slope')}")
+    ro, rn = wo.get("residual"), wn.get("residual")
+    if ro is not None and rn is not None and (
+        max(ro, rn) > max(RESIDUAL_FACTOR * min(ro, rn), RESIDUAL_FLOOR)
+    ):
+        out.append(f"witness residual: {ro} -> {rn}")
     return out
 
 

@@ -628,6 +628,22 @@ def test_gen_rejects_malformed_spec(tmp_path, capsys, spec, field):
     assert err.startswith("error: ") and field in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "minimize", "gen"])
+def test_directory_path_is_bad_input(tmp_path, golden_file, capsys, command):
+    # A directory given as an input or an output file exits 2 with one error
+    # line, not a traceback.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"blocks": [{"kind": "Tr", "p": 1, "alpha": 1.0, "eta": 1}]}))
+    argv = {
+        "analyze": ["analyze", str(tmp_path)],
+        "minimize": ["minimize", golden_file, str(tmp_path)],
+        "gen": ["gen", str(spec_path), str(tmp_path) + os.sep],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_tolerance_flag_override(golden_file, capsys):
     code, rep = run_json(capsys, ["--json", "--tol-psd", "1e-6", "infimum", golden_file])
     assert code == 0

@@ -32,17 +32,20 @@ def block_diag(*blocks):
 
 
 def diagonal_frame(pair):
-    """The clustered frame T of a pair with real spectrum, its diagonal Lambda
-    (negative-type directions carry -eigenvalue) and the residuals
-    ||T^H A T - Lambda||_2, ||T^H B T - J||_2 on the pair itself."""
+    """The analysis of a pair; the forms Lambda and diag(jd) that its congruence frame T,
+    the typed directions (+1, then -1), the blocks and null_frame(), gives A and B (a -1
+    direction carries -value); and ||T^H A T - Lambda||_2, ||T^H B T - diag(jd)||_2."""
     a = pt.analyze_pair(pair)
-    f = a.frame
-    assert not f.blocks
-    lam = np.concatenate([f.pos_values, -f.neg_values, f.null_signs])
-    T = f.T
-    res_a = float(np.linalg.norm(T.conj().T @ pair.A.entries @ T - np.diag(lam), 2))
-    res_b = float(np.linalg.norm(T.conj().T @ pair.B.entries @ T - np.diag(f.j_diag), 2))
-    return f, lam, res_a, res_b
+    typed = [e for e in a.spectrum.pos + a.spectrum.neg if e.direction is not None]
+    sign = [1.0 if e.eig_type == "positive" else -1.0 for e in typed]
+    T = np.column_stack([e.direction for e in typed] + [c for b in a.blocks for c in b[:2]]
+                        + list(a.null_frame().T))
+    lam = block_diag(np.diag([s * e.value for s, e in zip(sign, typed)]), *(
+        [[x, -1j * y], [1j * y, -x]] for *_, x, y in a.blocks), np.diag(np.sign(a.d_inf)))
+    jd = np.concatenate([sign, np.tile([1.0, -1.0], len(a.blocks)), np.zeros(len(a.d_inf))])
+    res = [float(np.linalg.norm(T.conj().T @ M.entries @ T - F, 2))
+           for M, F in ((pair.A, lam), (pair.B, np.diag(jd)))]
+    return (a, lam, jd, *res)
 
 
 def b_frame_of(B):
@@ -286,36 +289,36 @@ def test_split_infinite_schur_reduction_invariant():
 
 def test_congruent_diagonalize_already_canonical():
     pair = pt.pair_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, -1.0]))
-    f, lam, res_a, res_b = diagonal_frame(pair)
-    np.testing.assert_allclose(f.j_diag, [1.0, -1.0])
-    np.testing.assert_allclose(lam, [1.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(f.pos_values, [1.0], atol=1e-12)
-    np.testing.assert_allclose(f.neg_values, [-2.0], atol=1e-12)
+    a, lam, jd, res_a, res_b = diagonal_frame(pair)
+    np.testing.assert_allclose(jd, [1.0, -1.0])
+    np.testing.assert_allclose(np.diag(lam), [1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(a.spectrum.pos_values, [1.0], atol=1e-12)
+    np.testing.assert_allclose(a.spectrum.neg_values, [-2.0], atol=1e-12)
     assert res_a <= 1e-10 and res_b <= 1e-10
 
 
 def test_congruent_diagonalize_golden_hat():
     pair = pt.pair_from_arrays(golden_hat_matrix(), np.diag([1.0, -1.0]))
-    f, lam, res_a, res_b = diagonal_frame(pair)
-    np.testing.assert_allclose(f.j_diag, [1.0, -1.0])
-    np.testing.assert_allclose(lam, [np.sqrt(2) / 2, np.sqrt(2) / 4], atol=1e-10)
+    _, lam, jd, res_a, res_b = diagonal_frame(pair)
+    np.testing.assert_allclose(jd, [1.0, -1.0])
+    np.testing.assert_allclose(np.diag(lam), [np.sqrt(2) / 2, np.sqrt(2) / 4], atol=1e-10)
     assert res_b < 1e-10
     assert res_a < 1e-10
 
 
 @pytest.mark.parametrize("eta", (1, -1))
 def test_clustered_frame_beside_a_jordan_block(eta):
-    # A Jordan block gets no column; the typed directions beside it still
+    # A Jordan copy owns no direction; the typed directions beside it still
     # form a congruence frame, and the spectrum keeps both Jordan copies.
     specs = [BlockSpec("Tr", p=2, alpha=0.3, eta=eta),
              BlockSpec("Tr", p=1, alpha=1.5, eta=1), BlockSpec("Tr", p=1, alpha=-0.7, eta=-1)]
     for seed in range(6):
         pair, _ = assemble(specs, scramble_seed=seed, conditioning_cap=2.5)
-        f, lam, res_a, res_b = diagonal_frame(pair)
-        assert f.n == 2
-        np.testing.assert_allclose(lam, [1.5, 0.7], rtol=1e-8)
+        a, lam, jd, res_a, res_b = diagonal_frame(pair)
+        assert len(jd) == 2
+        np.testing.assert_allclose(np.diag(lam), [1.5, 0.7], rtol=1e-8)
         assert res_a <= 1e-10 and res_b <= 1e-10
-        spec = pt.analyze_pair(pair).spectrum
+        spec = a.spectrum
         jordan = [(e.value, e.eig_type) for e in spec.pos + spec.neg if e.jordan_pair]
         assert sorted(t for _, t in jordan) == ["negative", "positive"]
         np.testing.assert_allclose([v for v, _ in jordan], [0.3, 0.3], rtol=1e-6)
@@ -330,13 +333,13 @@ def test_congruent_diagonalize_scrambled_round_trip():
     )
     for seed in range(8):
         scr, _ = pt.random_congruence(base, seed, 8.0)
-        f, _, res_a, res_b = diagonal_frame(scr)
+        a, _, _, res_a, res_b = diagonal_frame(scr)
         scale_b = 1 + spectral_norm(scr.B)
         scale_a = 1 + spectral_norm(scr.A)
         assert res_b <= 1e-8 * scale_b
         assert res_a <= 1e-8 * scale_a
-        np.testing.assert_allclose(f.pos_values, [0.3, 1.5], rtol=1e-7)
-        np.testing.assert_allclose(f.neg_values, [-2.0, -0.7], rtol=1e-7)
+        np.testing.assert_allclose(a.spectrum.pos_values, [0.3, 1.5], rtol=1e-7)
+        np.testing.assert_allclose(a.spectrum.neg_values, [-2.0, -0.7], rtol=1e-7)
 
 
 def test_typed_spectrum_counts_match_inertia():
@@ -357,30 +360,23 @@ def test_typed_spectrum_counts_match_inertia():
 
 def test_clustered_frame_real_conjugate_and_null_directions():
     # One frame holds typed, conjugate-block and B-null directions:
-    # T^H B T = diag(j) and T^H A T is the block diagonal the frame records,
+    # T^H B T = diag(j) and T^H A T is the block diagonal the analysis records,
     # also when two identical conjugate blocks repeat an eigenvalue.
     tr = [BlockSpec("Tr", p=1, alpha=0.7, eta=1), BlockSpec("Tr", p=1, alpha=-1.3, eta=-1)]
     tc = BlockSpec("Tc", p=1, alpha=0.4, beta=0.9)
     inputs = [tr + [tc, BlockSpec("Tinf", p=1, eta=-1)], [tc, tc, tr[0]]]
     for specs, seed in itertools.product(inputs, range(6)):
         pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=5.0)
-        a = pt.analyze_pair(pair)
-        f = a.frame
+        a, _, _, res_a, res_b = diagonal_frame(pair)
         assert a.deflated_dims == 0
-        np.testing.assert_allclose(f.pos_values, truth.pos, rtol=1e-8)
-        np.testing.assert_allclose(f.neg_values, truth.neg, rtol=1e-8)
-        np.testing.assert_allclose(f.null_signs, truth.infinite_signs)
+        np.testing.assert_allclose(a.spectrum.pos_values, truth.pos, rtol=1e-8)
+        np.testing.assert_allclose(a.spectrum.neg_values, truth.neg, rtol=1e-8)
+        np.testing.assert_allclose(np.sign(a.d_inf), truth.infinite_signs)
         upper = [(z.real, z.imag) for z in truth.complex_values if z.imag > 0]
-        np.testing.assert_allclose(sorted(b[2:] for b in f.blocks), upper, atol=1e-8)
-        want = block_diag(
-            np.diag(np.concatenate([f.pos_values, -f.neg_values])),
-            *([[alpha, -1j * beta], [1j * beta, -alpha]] for _, _, alpha, beta in f.blocks),
-            np.diag(f.null_signs),
-        )
-        T = f.T
+        np.testing.assert_allclose(sorted(b[2:] for b in a.blocks), upper, atol=1e-8)
         scale = 1 + spectral_norm(pair.A) + spectral_norm(pair.B)
-        assert np.linalg.norm(T.conj().T @ pair.B.entries @ T - np.diag(f.j_diag), 2) <= 1e-8 * scale
-        assert np.linalg.norm(T.conj().T @ pair.A.entries @ T - want, 2) <= 1e-8 * scale
+        assert res_b <= 1e-8 * scale
+        assert res_a <= 1e-8 * scale
 
 
 def test_views_read_one_analysis():
@@ -396,7 +392,7 @@ def test_views_read_one_analysis():
     assert a.spectrum.infinite_definite_sign == INF_PLUS
     np.testing.assert_allclose(a.b_frame.conj().T @ pair.B.entries @ a.b_frame,
                                np.diag([1.0, -1.0, 0.0]), atol=1e-10)
-    _, _, res_a, res_b = diagonal_frame(pair)
+    *_, res_a, res_b = diagonal_frame(pair)
     assert res_a <= 1e-8 and res_b <= 1e-8
 
 
@@ -407,18 +403,20 @@ def test_views_read_one_analysis():
      BlockSpec("Tr", p=1, alpha=0.8, eta=1), BlockSpec("Tinf", p=1, eta=1)],
 ], ids=["jordan-conjugate-null", "jordan-typed-null"])
 def test_one_typed_list_carries_the_frame_columns(specs):
-    # Each typed value is listed once: the frame's values are the spectrum's
-    # entries that carry a direction, in order, and a Jordan copy carries none.
+    # Each typed value is listed once, with the frame column it owns: a
+    # direction of B-form +1 or -1 by type in the pair's coordinates; a
+    # Jordan copy owns none.
     for seed in range(4):
         pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=2.5)
         a = pt.analyze_pair(pair)
-        spec, f = a.spectrum, a.frame
-        for es, values in ((spec.pos, f.pos_values), (spec.neg, f.neg_values)):
-            assert [e.value for e in es if e.direction is not None] == values.tolist()
+        spec, B = a.spectrum, pair.B.entries
+        for es, sign in ((spec.pos, 1.0), (spec.neg, -1.0)):
+            for d in (e.direction for e in es if e.direction is not None):
+                assert abs(d.conj() @ B @ d - sign) <= 1e-8 * (1 + spectral_norm(pair.B))
         jordan = [e for e in spec.pos + spec.neg if e.jordan_pair]
         assert len(jordan) == 2 and all(e.direction is None for e in jordan)
-        assert len(f.blocks) == len(truth.complex_values) // 2
-        assert len(f.null_signs) == len(truth.infinite_signs) == 1
+        assert len(a.blocks) == len(truth.complex_values) // 2
+        assert len(a.d_inf) == len(truth.infinite_signs) == 1
         assert pt.analyze_pair(pair).spectrum == spec
 
 

@@ -590,7 +590,7 @@ def test_mixed_type_repeated_eigenvalue():
 
 def test_minimizer_kernel_count(monkeypatch):
     # minimizer runs infimum, which analyses each pair once, and then reads
-    # the clustered frames off the result: one eig per pair.
+    # the typed directions off the result: one eig per pair.
     rng = np.random.default_rng(5)
     prob = diag_problem(
         rng.uniform(1.0, 2.0, 4), rng.uniform(-2.0, -1.0, 4),

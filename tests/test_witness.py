@@ -62,6 +62,13 @@ def test_infimum_witness_kernel_count(monkeypatch, n):
     _trend_ok(fam, ts=(0.0, 1.0, 10.0))
 
 
+def _sides(analysis):
+    """The (direction, value) lists of a pair's +1 and -1 typed entries that own a direction."""
+    spec = analysis.spectrum
+    return [[(e.direction, e.value) for e in es if e.direction is not None]
+            for es in (spec.pos, spec.neg)]
+
+
 def _padded(typed, count):
     """(value, is_real) items of a hat list padded with zeros to ``count``."""
     return [(v, True) for _, v in typed] + [(0.0, False)] * (count - len(typed))
@@ -85,16 +92,17 @@ def test_mixed_sign_slope_matches_brute_force():
         res = infimum(prob)
         if res.verdict != NEG_INFINITE:
             continue
-        big, hat = res.analysis.frame, res.hat_analysis.frame
-        hp = _padded(hat.real_pos, len(big.real_pos))
-        hm = _padded(hat.real_neg, len(big.real_neg))
+        big_pos, big_neg = _sides(res.analysis)
+        hat_pos, hat_neg = _sides(res.hat_analysis)
+        hp = _padded(hat_pos, len(big_pos))
+        hm = _padded(hat_neg, len(big_neg))
         brute = min(
             (hv - gv) * (bv_p - bv_m)
             for hv, h_real in hp
             for gv, g_real in hm
             if h_real or g_real
-            for _, bv_p in big.real_pos
-            for _, bv_m in big.real_neg
+            for _, bv_p in big_pos
+            for _, bv_m in big_neg
         )
         fam = build_witness(prob, res)
         assert fam.kind == MIXED_SIGN_SLOPE
@@ -170,20 +178,21 @@ def test_complex_hat_block_takes_the_widest_gap():
 PHASES = (1.0, 1j, -1.0, -1j)
 
 
-def _every_plane(frame, pos, neg):
-    """Every (+1, -1) plane of a frame: all real pairs (a padded zero has
+def _every_plane(blocks, pos, neg):
+    """Every (+1, -1) plane of a pair: all real pairs (a padded zero has
     direction None; two padded zeros make no pair) and all conjugate blocks."""
     planes = [(p, m) for p, _ in pos for m, _ in neg if p is not None or m is not None]
-    return planes + [(b[0], b[1]) for b in frame.blocks]
+    return planes + [(b[0], b[1]) for b in blocks]
 
 
 def _plane_form(H, plane):
-    """The 2x2 restriction of H to a plane; a padded direction has zero rows."""
+    """The 2x2 form a^H H b of H on a plane of direction vectors; a padded
+    direction has zero rows."""
     F = np.zeros((2, 2), dtype=complex)
     for i, a in enumerate(plane):
         for k, b in enumerate(plane):
             if a is not None and b is not None:
-                F[i, k] = H[a, b]
+                F[i, k] = a.conj() @ H @ b
     return F
 
 
@@ -226,17 +235,18 @@ def test_rotation_slope_matches_brute_force():
         prob = pt.ProblemInstance(pair=pair, hat_pair=hat)
         res = infimum(prob)
         assert res.reason == "ComplexEigenvalues"
-        big, hf = res.analysis.frame, res.hat_analysis.frame
-        H = big.T.conj().T @ pair.A.entries @ big.T
-        Hh = hf.T.conj().T @ hat.A.entries @ hf.T
-        # The hat pair zero-padded to the inertia of B.
-        hp = list(hf.real_pos) + [(None, 0.0)] * (len(big.plus_dirs) - len(hf.plus_dirs))
-        hm = list(hf.real_neg) + [(None, 0.0)] * (len(big.minus_dirs) - len(hf.minus_dirs))
+        big, hf = res.analysis, res.hat_analysis
+        (big_pos, big_neg), (hat_pos, hat_neg) = _sides(big), _sides(hf)
+        # The hat pair zero-padded to the inertia of B; each block has a +1
+        # and a -1 direction.
+        extra = len(big.blocks) - len(hf.blocks)
+        hp = hat_pos + [(None, 0.0)] * (len(big_pos) - len(hat_pos) + extra)
+        hm = hat_neg + [(None, 0.0)] * (len(big_neg) - len(hat_neg) + extra)
         brute = np.inf
-        for plane in _every_plane(big, big.real_pos, big.real_neg):
-            F = _plane_form(H, plane)
-            for hat_plane in _every_plane(hf, hp, hm):
-                Fh = _plane_form(Hh, hat_plane)
+        for plane in _every_plane(big.blocks, big_pos, big_neg):
+            F = _plane_form(pair.A.entries, plane)
+            for hat_plane in _every_plane(hf.blocks, hp, hm):
+                Fh = _plane_form(hat.A.entries, hat_plane)
                 for u in PHASES:
                     for w in PHASES:
                         k2, k3 = _rotation_coefficients(F, Fh, u, w)
@@ -252,7 +262,7 @@ def test_rotation_slope_matches_brute_force():
 
 
 def test_ray_under_complex_eigenvalues():
-    # A chained conjugate block (Tc of order 4) has no column in the clustered
+    # A chained conjugate block (Tc of order 4) owns no direction in the
     # frame, but the +1 infinite direction against the hat value -0.5 diverges.
     pair, _ = assemble(
         [BlockSpec("Tc", p=2, alpha=0.3, beta=1.0), BlockSpec("Tinf", p=1, eta=1)], 3, 4.0
@@ -334,7 +344,7 @@ def test_jordan_beside_conjugate_block_witness_certifies(eta):
 
 @pytest.mark.parametrize("eta", (1, -1))
 def test_jordan_hat_pair_gets_no_rotation(eta, tmp_path):
-    # The hat frame has no column for the hat's Jordan copies (at 0.3), so no
+    # The hat's Jordan copies (at 0.3) own no frame column, so no
     # rotation has a feasible base: the builder says so, and the CLI exits 7.
     hat, _ = assemble([BlockSpec("Tr", p=2, alpha=0.3, eta=eta),
                        BlockSpec("Tr", p=1, alpha=2.0, eta=1)], 1, 3.0)
@@ -343,7 +353,8 @@ def test_jordan_hat_pair_gets_no_rotation(eta, tmp_path):
     prob = pt.ProblemInstance(pair=pair, hat_pair=hat)
     res = infimum(prob)
     assert res.verdict == NEG_INFINITE
-    assert res.hat_analysis.frame.n < prob.nhat
+    hat_pos, hat_neg = _sides(res.hat_analysis)
+    assert len(hat_pos) + len(hat_neg) + 2 * len(res.hat_analysis.blocks) < prob.nhat
     with pytest.raises(NoWitnessConstructibleError, match="no frame column"):
         build_witness(prob, res)
     path = str(tmp_path / "problem.json")
@@ -453,8 +464,9 @@ def test_certify_rejects_nonnegative_slope():
 def test_evaluate_witness_rejects_negative_t():
     prob = diag_problem([1.0], [-2.0], [-1.0], [2.0])
     fam = build_witness(prob, infimum(prob))
-    with pytest.raises(ValueError, match="nonnegative"):
-        evaluate_witness(fam, -1.0)
+    for t in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            evaluate_witness(fam, t)
 
 
 def test_no_witness_for_a_finite_verdict():
