@@ -23,14 +23,15 @@ problem = pt.problem_from_arrays(
 )
 
 print("== typed spectra ==")
-spec = pt.typed_spectrum(problem.pair)
-spec_hat = pt.typed_spectrum(problem.hat_pair)
-print(f"(A, B):       positive type {spec.pos_values}, negative type {spec.neg_values}")
-print(f"(Ahat, Bhat): positive type {spec_hat.pos_values}, negative type {spec_hat.neg_values}")
+# One analysis per pair holds its typed spectrum; every verdict reads it.
+big = pt.analyze_pair(problem.pair)
+hat = pt.analyze_pair(problem.hat_pair)
+print(f"(A, B):       positive type {big.pos_values}, negative type {big.neg_values}")
+print(f"(Ahat, Bhat): positive type {hat.pos_values}, negative type {hat.neg_values}")
 print(f"expected hat values: +{np.sqrt(2)/2:.12f}, {-np.sqrt(2)/4:.12f}")
 
 print("\n== admissible shifts ==")
-rep = pt.definiteness_interval(problem.pair)
+rep = pt.analysis_definiteness(big)
 print(f"(A, B) psd shift interval: {rep.psd_interval}")
 
 print("\n== infimum ==")

@@ -25,11 +25,11 @@ specs = [
 pair, truth = assemble(specs, scramble_seed=11, conditioning_cap=5.0)
 print("ground truth:", truth.pos, truth.neg, "psd =", truth.psd)
 
-spec = pt.analyze_pair(pair).spectrum
-print("recovered   :", spec.pos_values, spec.neg_values,
-      "infinite sign =", spec.infinite_definite_sign)
+analysis = pt.analyze_pair(pair)
+print("recovered   :", analysis.pos_values, analysis.neg_values,
+      "infinite sign =", analysis.infinite_sign)
 
-verdict = pt.definiteness_interval(pair)
+verdict = pt.analysis_definiteness(analysis)
 print("psd pair    :", verdict.is_psd_pair, " nsd pair:", verdict.is_nsd_pair)
 
 # Pose a trace-minimization problem against a compatible hat pair; Ahat must

@@ -21,18 +21,8 @@ from .matcore import (
     random_congruence,
     validate_hermitian,
 )
-from .definiteness import (
-    DefinitenessReport,
-    analysis_definiteness,
-    definiteness_interval,
-)
-from .spectral import (
-    PairAnalysis,
-    TypedEigenvalue,
-    TypedSpectrum,
-    analyze_pair,
-    typed_spectrum,
-)
+from .definiteness import DefinitenessReport, analysis_definiteness
+from .spectral import PairAnalysis, TypedEigenvalue, analyze_pair
 from .hyperbolic import (
     polar_from_W,
     sample_feasible,

@@ -50,7 +50,7 @@ from .tracemin import (
     feasibility_residual,
     infimum,
 )
-from .witness import build_witness, certify_unbounded
+from .witness import TREND_POWER, build_witness, certify_unbounded
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -90,16 +90,16 @@ def _interval(itv):
     return None if itv is None else [_finite(itv[0]), _finite(itv[1])]
 
 
-def _spectrum_obj(spec):
+def _spectrum_obj(analysis):
     typed = lambda es: [
         {"value": e.value, "b_form": e.b_form, "jordan_pair": e.jordan_pair} for e in es
     ]
     return {
-        "pos": typed(spec.pos),
-        "neg": typed(spec.neg),
-        "deflated_dims": spec.deflated_dims,
-        "infinite_definite_sign": spec.infinite_definite_sign,
-        "complex_values": [[z.real, z.imag] for z in spec.complex_values],
+        "pos": typed(analysis.pos),
+        "neg": typed(analysis.neg),
+        "deflated_dims": analysis.deflated_dims,
+        "infinite_definite_sign": analysis.infinite_sign,
+        "complex_values": [[z.real, z.imag] for z in analysis.complex_values],
     }
 
 
@@ -148,7 +148,7 @@ def cmd_analyze(args) -> int:
             "is_psd_pair": rep_def.is_psd_pair,
             "is_nsd_pair": rep_def.is_nsd_pair,
             "definiteness": _definiteness_obj(rep_def),
-            "typed_spectrum": _spectrum_obj(analysis.spectrum),
+            "typed_spectrum": _spectrum_obj(analysis),
         }
     )
     lines = [
@@ -241,7 +241,7 @@ def cmd_witness(args) -> int:
         "kind": family.kind,
         "slope": family.slope,
         "offset": family.offset,
-        "trend_power": family.trend_power,
+        "trend_power": TREND_POWER,
         "certification": {
             "t": cert.t,
             "trace": cert.trace_value,

@@ -11,11 +11,15 @@ spectrum the admissible shifts are exactly
 side with no eigenvalues leaves a half-line: B is definite.  Non-real
 eigenvalues exclude both verdicts.  The endpoints may cross by ``psd_tol``
 relative to their size.  Each interval the spectrum admits is confirmed by
-one evaluation of lam_min(A - t*B) at an interior shift: the side holds iff
-it is >= -psd_tol * (1 + |A|_F + |B|_F).  A Jordan eigenvalue sits in both
-lists (the two-copy convention of ``typed_spectrum``), which pins the
-interval to that value; the confirming lam_min there decides whether the
-pair is semidefinite at it, which the spectrum itself does not say.
+one evaluation of lam_min(Ã - t*J) on the finite part (Ã, J) of the
+``PairAnalysis`` at an interior shift: the side holds iff it is >=
+-psd_tol * (1 + |Ã|_F + |J|_F).  A chained pair or B = 0 makes no such
+evaluation, and its report carries the tolerance psd_tol *
+``MatrixPair.scale``.  A Jordan eigenvalue sits in both lists (the two-copy
+convention of ``PairAnalysis``), which pins the interval to that value;
+the confirming lam_min there decides whether the pair is semidefinite at
+it, which the spectrum itself does not say.  A pair's verdict is
+``analysis_definiteness(analyze_pair(pair))``.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matcore import DEFAULT_TOLS, MatrixPair, ToleranceSet, eigvalsh
-from .spectral import INF_MINUS, INF_NONE, INF_PLUS, PairAnalysis, analyze_pair
+from .matcore import eigvalsh
+from .spectral import INF_MINUS, INF_NONE, INF_PLUS, PairAnalysis
 
 
 @dataclass(frozen=True)
@@ -97,10 +101,9 @@ def _definiteness_from_spectrum(analysis: PairAnalysis) -> DefinitenessReport:
     """
     A, J, tols = analysis.A_fin, np.diag(analysis.j), analysis.tols
     tol = tols.psd_tol * (1.0 + float(np.linalg.norm(A) + np.linalg.norm(J)))
-    spec = analysis.spectrum
-    if spec.has_complex:
+    if analysis.has_complex:
         return DefinitenessReport(False, False, None, None, tolerance=tol)
-    pos, neg = spec.pos_values, spec.neg_values
+    pos, neg = analysis.pos_values, analysis.neg_values
     psd_itv, psd_t, psd_f = _confirmed_side(
         lambda t: float(eigvalsh(A - t * J)[0]), neg, pos, tols, tol
     )
@@ -149,13 +152,3 @@ def analysis_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
         nsd_interval=rep.nsd_interval if nsd else None,
     )
 
-
-def definiteness_interval(
-    pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS
-) -> DefinitenessReport:
-    """Decide PSD/NSD pair status and compute the admissible shift intervals.
-
-    The pair is analysed once (``analyze_pair``, which also removes any
-    common nullspace of A and B) and judged by ``analysis_definiteness``.
-    """
-    return analysis_definiteness(analyze_pair(pair, tols))

@@ -68,16 +68,6 @@ class BlockSpec:
         if self.kind == "Tc" and not self.beta > 0:
             raise InvalidSpecError("Tc blocks need beta > 0")
 
-    @property
-    def size(self) -> int:
-        return {
-            "To": 1,
-            "Ts": 2 * self.p + 1,
-            "Tinf": self.p,
-            "Tc": 2 * self.p,
-            "Tr": self.p,
-        }[self.kind]
-
 
 def block(spec: BlockSpec) -> MatrixPair:
     """Emit the exact canonical pair for one block."""

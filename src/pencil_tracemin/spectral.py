@@ -7,8 +7,9 @@ and splits off the rest of N(B) in place: the record holds the eigenvalues
 of A there, the coupling K that eliminates it from the range of B, and the
 finite part Ã as an array, always posed in B-frame coordinates, (Ã, J) with
 J = diag(+1.., -1..).  As J² = I it is the one matrix J·Ã, selfadjoint in
-[x, y] = y^H J x.  One standard eigensolve of J·Ã gives its eigenvectors,
-clustered into one list of typed values, each with the direction it owns,
+[x, y] = y^H J x.  One standard eigensolve of J·Ã, in ``_finite_spectrum``
+(the library's only ``numpy.linalg.eig``), gives its eigenvectors, clustered
+into the typed values ``pos`` and ``neg``, each with the direction it owns,
 and a tuple of 2x2 blocks for the conjugate eigenvalue pairs.  These
 directions, with the null directions of B, form a congruence frame (the
 canonical form of Lancaster & Rodman, SIAM Review 47, 2005), each held
@@ -16,7 +17,14 @@ once, as a vector in the pair's own coordinates.  The canonical form is a
 direct sum: a Jordan copy or a chained conjugate group owns no direction
 and leaves the other directions in place.  Definiteness, minimizers,
 feasible points, sampling and divergence witnesses all read this one
-record; ``typed_spectrum(pair)`` is its spectrum.
+record, which is the pair's typed spectrum.
+
+The analysis is eager: ``analyze_pair`` fills every field before it
+returns, so a pair with a finite part of order m always pays the O(m³)
+eigensolve, plus the Gram matrix and the clustering, even where a caller
+reads only the B-frame (a ``FeasibleSampler`` built from a problem alone,
+or an ``infimum`` that returns an excluded constant).  Every other caller
+reads the spectrum anyway, and no field is computed twice.
 
 Finite eigenvalues carry a type: the sign of the B-form on their eigenspace,
 measured in B-frame coordinates, where B has unit scale.  Eigenvectors are
@@ -39,7 +47,6 @@ no eigensolve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -65,32 +72,6 @@ class TypedEigenvalue:
     # The direction it owns, in the pair's coordinates, of B-form +1 or -1 by
     # type; a Jordan copy or an odd isotropic leftover owns none.
     direction: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class TypedSpectrum:
-    pos: tuple
-    neg: tuple
-    deflated_dims: int = 0
-    infinite_definite_sign: str = INF_NONE
-    complex_values: tuple = ()
-    isotropic_defect: bool = False
-
-    @property
-    def pos_values(self) -> np.ndarray:
-        return np.array([e.value for e in self.pos], dtype=float)
-
-    @property
-    def neg_values(self) -> np.ndarray:
-        return np.array([e.value for e in self.neg], dtype=float)
-
-    @property
-    def has_jordan(self) -> bool:
-        return any(e.jordan_pair for e in self.pos + self.neg)
-
-    @property
-    def has_complex(self) -> bool:
-        return len(self.complex_values) > 0
 
 
 def _cluster(w, Z, G, tols, scale):
@@ -200,6 +181,26 @@ def _conjugate_blocks(A, w, Z, G, cidx, tols):
     return blocks
 
 
+def _finite_spectrum(A, j, F, tols):
+    """The typed spectrum of the finite part (Ã, J), J = diag(j), of nonzero order.
+
+    One standard eigensolve of J·Ã, as J² = I: J Ã z = λz iff Ã z = λJz.  F
+    maps the finite part's coordinates into the pair's, where the directions
+    are returned.  Returns (pos, neg, complex values, isotropic defect,
+    conjugate blocks), the fields of ``PairAnalysis`` of those names.
+    """
+    w, Z = np.linalg.eig(j[:, None] * A)
+    G = Z.conj().T @ (j[:, None] * Z)  # every B-form the typing reads
+    # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
+    typed, cidx = _cluster(w, F @ Z, G, tols, float(np.linalg.norm(A)) or 1.0)
+    pos = tuple(e for e in typed if e.eig_type == POSITIVE)
+    neg = tuple(e for e in typed if e.eig_type == NEGATIVE)
+    defect = any(e.direction is None and not e.jordan_pair for e in typed)
+    blocks = _conjugate_blocks(A, w, Z, G, cidx, tols)
+    blocks = tuple((F @ c1, F @ c2, alpha, beta) for c1, c2, alpha, beta in blocks)
+    return pos, neg, tuple(complex(z) for z in w[cidx]), defect, blocks
+
+
 @dataclass(frozen=True)
 class PairAnalysis:
     """Everything derived from one Hermitian pair, each piece computed once.
@@ -215,14 +216,17 @@ class PairAnalysis:
     infinite directions.  Otherwise the structure on N(B) is chained: no
     such elimination exists, and ``K`` and ``A_fin`` are None.
 
-    The eigensolve of J·Ã, the typed spectrum and the conjugate ``blocks``
-    are computed on first use, so consumers that only need the B-frame
-    (feasible points, sampling) never pay for it.  The spectrum lists each
-    typed value once with the direction it owns; those directions, the
-    blocks' and ``null_frame()`` make the congruence frame, and nothing else
-    holds a copy.  A chained pair's spectrum is untyped and it has no
-    blocks.  ``b_form`` values are in B-frame coordinates; directions are in
-    ``pair``'s coordinates, without the deflated directions.
+    The typed spectrum is part of the record: ``pos`` and ``neg`` are the
+    ascending typed values of the finite part, ``complex_values`` its
+    non-real eigenvalues and ``blocks`` the conjugate blocks
+    ((c_plus, c_minus, alpha, beta), ...) that J-normalize, beta > 0.  Each
+    typed value is listed once with the direction it owns; those
+    directions, the blocks' and ``null_frame()`` make the congruence frame,
+    and nothing else holds a copy.  ``isotropic_defect`` is set when an odd
+    isotropic direction is left over, and always for a chained pair, whose
+    spectrum is untyped and which has no blocks.  ``b_form`` values are in
+    B-frame coordinates; directions are in ``pair``'s coordinates, without
+    the deflated directions.
     """
 
     tols: ToleranceSet
@@ -236,6 +240,11 @@ class PairAnalysis:
     Q_inf: np.ndarray
     K: np.ndarray | None
     A_fin: np.ndarray | None
+    pos: tuple
+    neg: tuple
+    complex_values: tuple
+    isotropic_defect: bool
+    blocks: tuple
 
     @property
     def R(self) -> np.ndarray:
@@ -266,42 +275,28 @@ class PairAnalysis:
             return INF_MINUS
         return INF_MIXED
 
+    @property
+    def pos_values(self) -> np.ndarray:
+        return np.array([e.value for e in self.pos], dtype=float)
+
+    @property
+    def neg_values(self) -> np.ndarray:
+        return np.array([e.value for e in self.neg], dtype=float)
+
+    @property
+    def has_jordan(self) -> bool:
+        return any(e.jordan_pair for e in self.pos + self.neg)
+
+    @property
+    def has_complex(self) -> bool:
+        return len(self.complex_values) > 0
+
     def finite_frame(self) -> np.ndarray:
         """The map from the finite part's coordinates back to the pair's."""
         return self.R + self.N @ self.K
 
     def null_frame(self) -> np.ndarray:
         return (self.N @ self.Q_inf) / np.sqrt(np.abs(self.d_inf))
-
-    @cached_property
-    def _structure(self):
-        """(typed spectrum, conjugate blocks)."""
-        dims, sign = self.deflated_dims, self.infinite_sign
-        if self.coupled:
-            return TypedSpectrum((), (), dims, sign, isotropic_defect=True), ()
-        if not len(self.j):  # B = 0
-            return TypedSpectrum((), (), dims, sign), ()
-        A, j, tols, F = self.A_fin, self.j, self.tols, self.finite_frame()
-        w, Z = np.linalg.eig(j[:, None] * A)  # J^2 = I: J Ã z = λz iff Ã z = λJz
-        G = Z.conj().T @ (j[:, None] * Z)  # every B-form the typing reads
-        # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
-        typed, cidx = _cluster(w, F @ Z, G, tols, float(np.linalg.norm(A)) or 1.0)
-        pos = tuple(e for e in typed if e.eig_type == POSITIVE)
-        neg = tuple(e for e in typed if e.eig_type == NEGATIVE)
-        defect = any(e.direction is None and not e.jordan_pair for e in typed)
-        spec = TypedSpectrum(pos, neg, dims, sign, tuple(complex(z) for z in w[cidx]), defect)
-        blocks = _conjugate_blocks(A, w, Z, G, cidx, tols)
-        return spec, tuple((F @ c1, F @ c2, alpha, beta) for c1, c2, alpha, beta in blocks)
-
-    @property
-    def spectrum(self) -> TypedSpectrum:
-        return self._structure[0]
-
-    @property
-    def blocks(self) -> tuple:
-        """((c_plus, c_minus, alpha, beta), ...): the conjugate blocks that
-        J-normalize, beta > 0, their directions in the pair's coordinates."""
-        return self._structure[1]
 
 
 def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAnalysis:
@@ -345,7 +340,8 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
             chained = np.min(np.abs(d_inf)) <= null_tol
             K = None if chained else -np.linalg.solve(A_NN, N.conj().T @ A @ R)
         if K is not None:
-            M = R.conj().T @ A @ (R + N @ K)
+            F = R + N @ K
+            M = R.conj().T @ A @ F
             A_fin = (M + M.conj().T) / 2.0
             if not np.isfinite(np.linalg.norm(A_fin)):
                 raise NonFiniteError(
@@ -353,10 +349,10 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
                     "the smallest nonzero eigenvalue of B"
                 )
     b_inertia = Inertia(len(pos), pair.n - len(pos) - len(neg), len(neg))
-    return PairAnalysis(tols, pair, deflated, b_inertia, W, j, null_tol, d_inf, Q_inf, K, A_fin)
-
-
-def typed_spectrum(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> TypedSpectrum:
-    """Finite eigenvalues with types plus the classification of A on N(B)
-    (``analyze_pair(pair).spectrum``)."""
-    return analyze_pair(pair, tols).spectrum
+    if K is None or not len(j):  # chained, or B = 0: no finite part to solve
+        spectrum = (), (), (), K is None, ()
+    else:
+        spectrum = _finite_spectrum(A_fin, j, F, tols)
+    return PairAnalysis(
+        tols, pair, deflated, b_inertia, W, j, null_tol, d_inf, Q_inf, K, A_fin, *spectrum
+    )

@@ -20,7 +20,6 @@ from .errors import NotAttainableError, TypeCountError
 from .hyperbolic import sample_feasible
 from .matcore import ProblemInstance, check_inertias, paired_columns
 from .spectral import (
-    INF_COUPLED,
     INF_MINUS,
     INF_MIXED,
     INF_NONE,
@@ -28,7 +27,6 @@ from .spectral import (
     NEGATIVE,
     POSITIVE,
     PairAnalysis,
-    TypedSpectrum,
     analyze_pair,
 )
 
@@ -168,7 +166,7 @@ def _properness(pos, neg, pad_plus, pad_minus, tols) -> PropernessReport:
     return PropernessReport(True, "i", 0, 0)
 
 
-def _formula_terms(big: TypedSpectrum, hat: TypedSpectrum):
+def _formula_terms(big: PairAnalysis, hat: PairAnalysis):
     """The closed-form products, type by type (Fan 1949; Kovac-Striko & Veselic 1995).
 
     The hat values, zero-padded to the length of the big list, pair in
@@ -189,9 +187,9 @@ def _formula_terms(big: TypedSpectrum, hat: TypedSpectrum):
 
 def _check_type_counts(analysis: PairAnalysis) -> None:
     """TypeCountError unless a real spectrum has one typed value per sign of its J."""
-    spec, ib = analysis.spectrum, analysis.b_inertia
-    if (len(spec.pos), len(spec.neg)) != (ib.n_plus, ib.n_minus):
-        raise TypeCountError(f"{len(spec.pos)}/{len(spec.neg)} typed values, B inertia {ib}")
+    n_pos, n_neg, ib = len(analysis.pos), len(analysis.neg), analysis.b_inertia
+    if (n_pos, n_neg) != (ib.n_plus, ib.n_minus):
+        raise TypeCountError(f"{n_pos}/{n_neg} typed values, B inertia {ib}")
 
 
 def _analyses(problem: ProblemInstance):
@@ -220,21 +218,19 @@ def infimum(problem: ProblemInstance) -> InfimumResult:
     if exc is not None:
         return InfimumResult(verdict=EXCLUDED_CONSTANT, value=exc.constant, excluded=exc, **base)
 
-    spec_big, spec_hat = big.spectrum, hat.spectrum
-
     # Chained infinite structure forces divergence for any nonzero Ahat.
-    if spec_big.infinite_definite_sign == INF_COUPLED:
+    if big.coupled:
         return InfimumResult(
             verdict=NEG_INFINITE, reason=COUPLED_INFINITE, **base
         )
     # Genuine complex eigenvalues on either side force divergence.
-    if spec_big.has_complex or spec_hat.has_complex:
+    if big.has_complex or hat.has_complex:
         return InfimumResult(
             verdict=NEG_INFINITE, reason=COMPLEX_EIGENVALUES, **base
         )
 
     # Feasibility leaves B a nonzero range, so the finite part exists.
-    inf_sign = spec_big.infinite_definite_sign
+    inf_sign = big.infinite_sign
     infinite = big.has_infinite
     rep_fin, rep_hat = _definiteness_from_spectrum(big), _definiteness_from_spectrum(hat)
 
@@ -273,7 +269,7 @@ def infimum(problem: ProblemInstance) -> InfimumResult:
     ib, ibh = big.b_inertia, hat.b_inertia
     sign_case, s = (PSD_PAIRS, 1.0) if psd_ok else (NSD_PAIRS, -1.0)
     prop = _properness(
-        s * spec_hat.pos_values, s * spec_hat.neg_values,
+        s * hat.pos_values, s * hat.neg_values,
         ibh.n_plus < ib.n_plus, ibh.n_minus < ib.n_minus, tols,
     )
     if not prop.is_proper:
@@ -284,9 +280,9 @@ def infimum(problem: ProblemInstance) -> InfimumResult:
 
     _check_type_counts(big)
     _check_type_counts(hat)
-    terms = _formula_terms(spec_big, spec_hat)
+    terms = _formula_terms(big, hat)
     value = float(sum(t.product for t in terms))
-    exact = not any(s.has_jordan or s.isotropic_defect for s in (spec_big, spec_hat))
+    exact = not any(a.has_jordan or a.isotropic_defect for a in (big, hat))
     attainable = ATTAINABLE_YES if exact else ATTAINABLE_UNKNOWN
     return InfimumResult(
         verdict=FINITE,
@@ -322,8 +318,7 @@ def _minimizer_from(problem: ProblemInstance, result: InfimumResult):
 
     # X = L R^H maps each term's hat direction (a column of R) onto its big
     # direction (of L); term indices refer to the ascending typed lists.
-    typed = {POSITIVE: (big.spectrum.pos, hat.spectrum.pos),
-             NEGATIVE: (big.spectrum.neg, hat.spectrum.neg)}
+    typed = {POSITIVE: (big.pos, hat.pos), NEGATIVE: (big.neg, hat.neg)}
     L = np.column_stack([typed[t.eig_type][0][t.big_index].direction for t in result.terms])
     R = np.column_stack([typed[t.eig_type][1][t.hat_index].direction for t in result.terms])
     X = L @ R.conj().T

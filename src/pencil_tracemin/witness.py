@@ -54,13 +54,15 @@ SIGMA_IDENTITY = "identity"  # sigma(t) = t
 SIGMA_SQUARE = "square"  # sigma(t) = t^2
 SIGMA_QUARTIC = "quartic"  # sigma(t) with sigma*sqrt(1+sigma^2) = t^2
 
+# Every family's trace trend is slope * t^TREND_POWER + offset.
+TREND_POWER = 2
+
 
 @dataclass(frozen=True)
 class WitnessFamily:
     kind: str
     slope: float
     offset: float
-    trend_power: int
     sigma_map: str
     x_base: np.ndarray
     d_cosh: np.ndarray  # coefficient c(sigma) - 1
@@ -182,8 +184,8 @@ def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
 
 
 def _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh):
-    """The WitnessFamily of these parts, trend power 2; its offset is the trace at t = 0."""
-    family = WitnessFamily(kind, float(slope), 0.0, 2, sigma_map, x_base, d_cosh, d_sinh, problem)
+    """The WitnessFamily of these parts; its offset is the trace at t = 0."""
+    family = WitnessFamily(kind, float(slope), 0.0, sigma_map, x_base, d_cosh, d_sinh, problem)
     return replace(family, offset=evaluate_witness(family, 0.0)[1])
 
 
@@ -228,10 +230,9 @@ def _sides(analysis):
     """The +1 and the -1 side of a pair: each the (direction, value) list of
     its typed entries that own a direction, and the list of its directions,
     those then one of each conjugate block."""
-    spec, blocks = analysis.spectrum, analysis.blocks
     typed = [[(e.direction, e.value) for e in entries if e.direction is not None]
-             for entries in (spec.pos, spec.neg)]
-    return [(t, [d for d, _ in t] + [b[k] for b in blocks]) for k, t in enumerate(typed)]
+             for entries in (analysis.pos, analysis.neg)]
+    return [(t, [d for d, _ in t] + [b[k] for b in analysis.blocks]) for k, t in enumerate(typed)]
 
 
 PHASES = (1.0, 1j, -1.0, -1j)
@@ -322,8 +323,6 @@ def _chain_witness(problem, big, hat):
     cand = np.flatnonzero(np.abs(big.d_inf) <= big.null_tol)
     if not cand.size:
         raise NoWitnessConstructibleError("no A-null direction in the B-nullspace")
-    if not len(big.j):
-        raise NoWitnessConstructibleError("no finite block to couple against")
 
     # X0 pairs hat B-frame direction k with a big one, w_k; moving along a
     # chained null direction z changes the trace at the rate 2 Re(r v) with

@@ -23,7 +23,7 @@ from pencil_tracemin.matcore import (
     inertia,
     pair_from_arrays,
 )
-from pencil_tracemin.spectral import TypedSpectrum
+from pencil_tracemin.spectral import PairAnalysis
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def fan_min_product(lambda0, lambda1) -> float:
     return float(np.sort(l0)[::-1] @ np.sort(l1))
 
 
-def equal_inertia_value(big: TypedSpectrum, hat: TypedSpectrum) -> float:
+def equal_inertia_value(big: PairAnalysis, hat: PairAnalysis) -> float:
     """Equal-inertia closed form: descending hat values against ascending values."""
     return fan_min_product(hat.pos_values, big.pos_values) + fan_min_product(
         hat.neg_values, big.neg_values

@@ -108,8 +108,8 @@ def outcome(problem):
     }
     if res.verdict == EXCLUDED_CONSTANT:
         return out
-    out["spectrum"] = _flags(res.analysis.spectrum)
-    out["hat_spectrum"] = _flags(res.hat_analysis.spectrum)
+    out["spectrum"] = _flags(res.analysis)
+    out["hat_spectrum"] = _flags(res.hat_analysis)
     if res.verdict == NEG_INFINITE:
         try:
             fam = build_witness(problem, res)

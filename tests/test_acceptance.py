@@ -14,7 +14,7 @@ import pytest
 import pencil_tracemin as pt
 from pencil_tracemin.cli import main
 from pencil_tracemin.genpairs import BlockSpec, assemble
-from pencil_tracemin.spectral import typed_spectrum
+from pencil_tracemin.spectral import analyze_pair
 from pencil_tracemin.tracemin import (
     FINITE,
     NEG_INFINITE,
@@ -66,7 +66,7 @@ def test_criterion_1_golden_example(tmp_path, capsys):
     assert code == 0
     assert abs(rep["infimum"]["value"] - np.sqrt(2.0)) <= 1e-8
 
-    spec = typed_spectrum(prob.hat_pair)
+    spec = analyze_pair(prob.hat_pair)
     assert abs(spec.pos_values[0] - np.sqrt(2.0) / 2.0) <= 1e-8
     assert abs(spec.neg_values[0] + np.sqrt(2.0) / 4.0) <= 1e-8
 
@@ -120,8 +120,8 @@ def test_criterion_3_closed_form_oracle_equivalence():
         assert res.verdict == FINITE
 
         # (a) equal-inertia closed form
-        big = typed_spectrum(deflate_common_nullspace(prob.pair).reduced)
-        hat = typed_spectrum(prob.hat_pair)
+        big = analyze_pair(deflate_common_nullspace(prob.pair).reduced)
+        hat = analyze_pair(prob.hat_pair)
         ref = equal_inertia_value(big, hat)
         assert abs(res.value - ref) <= 1e-12 * (1 + abs(ref))
 
@@ -353,7 +353,7 @@ def test_criterion_6_invariance_suite():
         A = np.diag(np.concatenate([pos, -neg]))
         B = np.diag([1.0, 1.0, -1.0, -1.0])
         pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), seed, 6.0)
-        rep = pt.definiteness_interval(pair)
+        rep = pt.analysis_definiteness(pt.analyze_pair(pair))
         scale = 1.0 + spectral_norm(pair.A) + spectral_norm(pair.B)
         assert rep.is_psd_pair
         assert abs(rep.psd_interval[0] - neg[-1]) <= 1e-6 * scale

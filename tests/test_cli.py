@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pencil_tracemin as pt
-from pencil_tracemin import cli
+from pencil_tracemin import cli, tracemin
 from pencil_tracemin.cli import main
 from pencil_tracemin.matcore import matrix_to_json, save_problem
 
@@ -145,12 +145,19 @@ def test_analyze_malformed_file(tmp_path, capsys):
         '{"A": {"n": true, "entries": [[1, 0]]}, "B": {"n": 1, "entries": [[1, 0]]}}',
         '{"A": {"n": -1, "entries": [[1, 0]]}, "B": {"n": 1, "entries": [[1, 0]]}}',
         '{"A": {"n": 1, "entries": [[true, 0]]}, "B": {"n": 1, "entries": [[1, 0]]}}',
+        '{"A": {"n": 1, "entries": [[1, 0]]}, "B": {"n": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}}',
+        '{"A": {"entries": [[1, 0]]}, "B": {"n": 1, "entries": [[1, 0]]}}',
+        '{"A": {"n": 1, "entries": [[1, 0]]}, "B": {"n": 1, "entries": [[1, 0]]}, '
+        '"Ahat": {"n": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}, '
+        '"Bhat": {"n": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}}',
     ],
 )
 def test_analyze_malformed_matrix_object(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    assert main(["analyze", str(path)]) == 2
+    # A problem file, which carries a hat pair, is read by infimum.
+    command = "infimum" if '"Ahat"' in text else "analyze"
+    assert main([command, str(path)]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -545,9 +552,11 @@ def test_main_dispatches_through_module_globals(golden_file, monkeypatch):
 def test_infimum_type_count_mismatch_exit_code(golden_file, capsys, monkeypatch):
     # Typed lists longer than the inertia of B allows exit like a kernel
     # failure, with a message instead of a traceback.
-    spectrum = pt.PairAnalysis.spectrum.fget
-    doubled = lambda self: replace(spectrum(self), pos=spectrum(self).pos * 2)
-    monkeypatch.setattr(pt.PairAnalysis, "spectrum", property(doubled))
+    def doubled(*args):
+        a = pt.analyze_pair(*args)
+        return replace(a, pos=a.pos * 2)
+
+    monkeypatch.setattr(tracemin, "analyze_pair", doubled)
     code = main(["infimum", golden_file])
     err = capsys.readouterr().err
     assert code == cli.EXIT_KERNEL_FAILURE
@@ -600,10 +609,14 @@ def test_gen_analyze_round_trip(tmp_path, capsys):
     np.testing.assert_allclose(neg, truth["neg"], atol=1e-7)
 
 
-def test_gen_rejects_empty_blocks(tmp_path):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"blocks": []}))
-    assert main(["--json", "gen", str(spec_path), str(tmp_path / "o.json")]) == 2
+def test_gen_rejects_empty_blocks(tmp_path, capsys):
+    # No block, no 'blocks' list, or a block without a 'kind'.
+    for obj in ({"blocks": []}, {"seed": 1}, {"blocks": [{"p": 1, "alpha": 1.0}]}):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(obj))
+        assert main(["--json", "gen", str(spec_path), str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("spec,field", [
@@ -611,12 +624,13 @@ def test_gen_rejects_empty_blocks(tmp_path):
     ({"cap": "5"}, "cap"),
     ({"cap": float("inf")}, "cap"),
     ({"cap": 10**400}, "cap"),
+    ({"cap": 1.0}, "cap"),
     ({"blocks": [{"kind": "Tr", "p": 2.5, "alpha": 1.0, "eta": 1}]}, "p"),
     ({"blocks": [{"kind": "Tr", "p": 1, "alpha": 1e400, "eta": 1}]}, "alpha"),
     ({"blocks": [{"kind": "Tc", "p": 1, "alpha": 1.0, "beta": 1e400}]}, "beta"),
     ({"blocks": [{"kind": "Tr", "p": 1, "alpha": True, "eta": True}]}, "alpha"),
     ({"blocks": [{"kind": "Tr", "p": 1, "alpha": 1.0, "eta": 1.0}]}, "eta"),
-], ids=["seed", "cap", "infinite-cap", "huge-int-cap", "p", "infinite-alpha",
+], ids=["seed", "cap", "infinite-cap", "huge-int-cap", "unit-cap", "p", "infinite-alpha",
         "infinite-beta", "bool-alpha-eta", "float-eta"])
 def test_gen_rejects_malformed_spec(tmp_path, capsys, spec, field):
     # 1e400 is written as Infinity; json reads either as inf.

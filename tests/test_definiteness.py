@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import pencil_tracemin as pt
-from pencil_tracemin.definiteness import definiteness_interval
+from pencil_tracemin.definiteness import analysis_definiteness
 from pencil_tracemin.genpairs import BlockSpec, assemble
+from pencil_tracemin.spectral import analyze_pair
 
 from conftest import count_eigen_kernels, rand_hermitian, spectral_norm
 from reference import lambda_min_shift
@@ -20,7 +21,7 @@ def test_lambda_min_shift(simple_pair, shift, expected):
 
 
 def test_interval_simple(simple_pair):
-    rep = definiteness_interval(simple_pair)
+    rep = analysis_definiteness(analyze_pair(simple_pair))
     assert rep.is_psd_pair
     lo, hi = rep.psd_interval
     assert lo == pytest.approx(-2.0, abs=1e-6)
@@ -30,7 +31,7 @@ def test_interval_simple(simple_pair):
 
 def test_a_equals_b_is_both(simple_pair):
     pair = pt.pair_from_arrays(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
-    rep = definiteness_interval(pair)
+    rep = analysis_definiteness(analyze_pair(pair))
     assert rep.is_psd_pair and rep.is_nsd_pair
     # A - lam0 B = (1 - lam0) B: PSD for lam0 <= 1, NSD for lam0 >= 1.
     assert rep.psd_interval[1] == pytest.approx(1.0, abs=1e-6)
@@ -41,13 +42,13 @@ def test_conjugate_block_is_neither():
     pair = pt.pair_from_arrays(
         np.array([[0.0, 1j], [-1j, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
     )
-    rep = definiteness_interval(pair)
+    rep = analysis_definiteness(analyze_pair(pair))
     assert not rep.is_psd_pair and not rep.is_nsd_pair
 
 
 def test_positive_definite_b_unbounded_interval():
     pair = pt.pair_from_arrays(np.diag([3.0, 5.0]), np.eye(2))
-    rep = definiteness_interval(pair)
+    rep = analysis_definiteness(analyze_pair(pair))
     assert rep.is_psd_pair and rep.is_nsd_pair
     assert rep.psd_interval[0] == -np.inf
     assert rep.psd_interval[1] == pytest.approx(3.0, abs=1e-6)
@@ -76,8 +77,8 @@ def test_negation_duality():
         n = int(rng.integers(1, 6))
         A = rand_hermitian(rng, n)
         B = rand_hermitian(rng, n)
-        rep = definiteness_interval(pt.pair_from_arrays(A, B))
-        mir = definiteness_interval(pt.pair_from_arrays(-A, -B))
+        rep = analysis_definiteness(analyze_pair(pt.pair_from_arrays(A, B)))
+        mir = analysis_definiteness(analyze_pair(pt.pair_from_arrays(-A, -B)))
         assert rep.is_psd_pair == mir.is_nsd_pair
         assert rep.is_nsd_pair == mir.is_psd_pair
 
@@ -90,7 +91,7 @@ def test_interval_matches_extreme_typed_eigenvalues():
         A = np.diag(np.concatenate([pos, -neg]))
         B = np.diag([1.0, 1.0, -1.0, -1.0])
         pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), seed, 6.0)
-        rep = definiteness_interval(pair)
+        rep = analysis_definiteness(analyze_pair(pair))
         scale = 1.0 + spectral_norm(pair.A) + spectral_norm(pair.B)
         assert rep.is_psd_pair
         assert abs(rep.psd_interval[0] - neg[-1]) <= 1e-6 * scale
@@ -98,17 +99,18 @@ def test_interval_matches_extreme_typed_eigenvalues():
 
 
 def test_zero_b_pair():
-    rep = definiteness_interval(pt.pair_from_arrays(np.diag([1.0, 2.0]), np.zeros((2, 2))))
+    zero_b = lambda a: pt.pair_from_arrays(np.diag(a), np.zeros((2, 2)))
+    rep = analysis_definiteness(analyze_pair(zero_b([1.0, 2.0])))
     assert rep.is_psd_pair and not rep.is_nsd_pair
-    rep2 = definiteness_interval(pt.pair_from_arrays(np.diag([1.0, -2.0]), np.zeros((2, 2))))
+    rep2 = analysis_definiteness(analyze_pair(zero_b([1.0, -2.0])))
     assert not rep2.is_psd_pair and not rep2.is_nsd_pair
     # A = B = 0: every direction is common nullspace, so any shift is admissible.
     zero = pt.pair_from_arrays(np.zeros((3, 3)), np.zeros((3, 3)))
-    rep3 = definiteness_interval(zero)
+    a = analyze_pair(zero)
+    rep3 = analysis_definiteness(a)
     assert rep3.is_psd_pair and rep3.is_nsd_pair
     assert rep3.psd_interval == rep3.nsd_interval == (-np.inf, np.inf)
-    spec = pt.typed_spectrum(zero)
-    assert spec.deflated_dims == 3 and spec.infinite_definite_sign == "none"
+    assert a.deflated_dims == 3 and a.infinite_sign == "none"
 
 
 @pytest.mark.parametrize(
@@ -122,7 +124,7 @@ def test_definiteness_kernel_count(monkeypatch, B):
     A = np.diag([2.0, 3.0, 1.0, 0.5])
     pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), 3, 5.0)
     calls = count_eigen_kernels(monkeypatch)
-    rep = definiteness_interval(pair)
+    rep = analysis_definiteness(analyze_pair(pair))
     assert rep.is_psd_pair
     assert len(calls) <= 4, calls
     assert calls.count("eig") == 1
@@ -157,7 +159,7 @@ def test_intervals_hold_inside_and_fail_outside():
         specs = _semidefinite_specs(rng)
         cap = 2.5 if any(s.p == 2 for s in specs) else 5.0
         pair, truth = assemble(specs, scramble_seed=trial, conditioning_cap=cap)
-        rep = definiteness_interval(pair)
+        rep = analysis_definiteness(analyze_pair(pair))
         assert (rep.is_psd_pair, rep.is_nsd_pair) == (truth.psd, truth.nsd), specs
         seen["psd"] += truth.psd
         seen["nsd"] += truth.nsd

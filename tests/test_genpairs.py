@@ -11,7 +11,7 @@ from pencil_tracemin.genpairs import (
     block,
     spec_from_json,
 )
-from pencil_tracemin.spectral import INF_COUPLED, typed_spectrum
+from pencil_tracemin.spectral import INF_COUPLED, analyze_pair
 
 
 def test_templates():
@@ -55,7 +55,7 @@ def test_assemble_two_tr_blocks():
     assert truth.neg == (-2.0,)
     assert truth.psd and not truth.nsd
     assert truth.inertia_B.as_tuple() == (1, 0, 1)
-    spec = typed_spectrum(pair)
+    spec = analyze_pair(pair)
     np.testing.assert_allclose(spec.pos_values, [1.0], rtol=1e-8)
     np.testing.assert_allclose(spec.neg_values, [-2.0], rtol=1e-8)
 
@@ -154,13 +154,13 @@ def test_analyzer_agreement_random_assemblies():
         pair, truth = assemble(specs, scramble_seed=trial, conditioning_cap=cap)
         assert pt.inertia(pair.B).as_tuple() == truth.inertia_B.as_tuple()
 
-        verdict = pt.definiteness_interval(pair)
+        spec = analyze_pair(pair)
+        verdict = pt.analysis_definiteness(spec)
         assert verdict.is_psd_pair == truth.psd, f"psd mismatch: {specs}"
         assert verdict.is_nsd_pair == truth.nsd, f"nsd mismatch: {specs}"
 
-        spec = pt.analyze_pair(pair).spectrum
         if truth.coupled:
-            assert spec.infinite_definite_sign == INF_COUPLED
+            assert spec.infinite_sign == INF_COUPLED
             continue
         if truth.complex_values:
             key = lambda z: (round(z.real, 6), round(z.imag, 6))

@@ -36,6 +36,8 @@ def test_validate_rejects_non_hermitian():
 def test_validate_rejects_non_square():
     with pytest.raises(NotSquareError):
         pt.validate_hermitian(np.zeros((2, 3)))
+    with pytest.raises(NotSquareError, match="at least 1"):
+        pt.validate_hermitian(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

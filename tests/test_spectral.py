@@ -10,7 +10,7 @@ from pencil_tracemin.spectral import (
     INF_MIXED,
     INF_NONE,
     INF_PLUS,
-    typed_spectrum,
+    analyze_pair,
 )
 
 from pencil_tracemin.errors import NonFiniteError
@@ -36,7 +36,7 @@ def diagonal_frame(pair):
     the typed directions (+1, then -1), the blocks and null_frame(), gives A and B (a -1
     direction carries -value); and ||T^H A T - Lambda||_2, ||T^H B T - diag(jd)||_2."""
     a = pt.analyze_pair(pair)
-    typed = [e for e in a.spectrum.pos + a.spectrum.neg if e.direction is not None]
+    typed = [e for e in a.pos + a.neg if e.direction is not None]
     sign = [1.0 if e.eig_type == "positive" else -1.0 for e in typed]
     T = np.column_stack([e.direction for e in typed] + [c for b in a.blocks for c in b[:2]]
                         + list(a.null_frame().T))
@@ -46,6 +46,11 @@ def diagonal_frame(pair):
     res = [float(np.linalg.norm(T.conj().T @ M.entries @ T - F, 2))
            for M, F in ((pair.A, lam), (pair.B, np.diag(jd)))]
     return (a, lam, jd, *res)
+
+
+def typed_values(a):
+    """The typed values of an analysis, as equality compares them (directions aside)."""
+    return a.pos, a.neg, a.complex_values
 
 
 def b_frame_of(B):
@@ -113,15 +118,15 @@ def test_deflate_scrambled():
 
 
 def test_typed_spectrum_diagonal():
-    spec = typed_spectrum(pt.pair_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, -1.0])))
+    spec = analyze_pair(pt.pair_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, -1.0])))
     np.testing.assert_allclose(spec.pos_values, [1.0])
     np.testing.assert_allclose(spec.neg_values, [-2.0])
-    assert spec.infinite_definite_sign == INF_NONE
+    assert spec.infinite_sign == INF_NONE
     assert not spec.has_complex
 
 
 def test_typed_spectrum_jordan_two_copy():
-    spec = typed_spectrum(k2_pair(0.3))
+    spec = analyze_pair(k2_pair(0.3))
     assert len(spec.pos) == 1 and len(spec.neg) == 1
     assert spec.pos[0].jordan_pair and spec.neg[0].jordan_pair
     assert spec.pos[0].value == pytest.approx(0.3, abs=1e-7)
@@ -130,7 +135,7 @@ def test_typed_spectrum_jordan_two_copy():
 
 def test_typed_spectrum_golden_hat():
     pair = pt.pair_from_arrays(golden_hat_matrix(), np.diag([1.0, -1.0]))
-    spec = typed_spectrum(pair)
+    spec = analyze_pair(pair)
     assert spec.pos_values[0] == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
     assert spec.neg_values[0] == pytest.approx(-np.sqrt(2) / 4, abs=1e-12)
 
@@ -139,7 +144,7 @@ def test_typed_spectrum_complex_detection():
     pair = pt.pair_from_arrays(
         np.array([[0.0, 1j], [-1j, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
     )
-    spec = typed_spectrum(pair)
+    spec = analyze_pair(pair)
     assert spec.has_complex
     vals = sorted(spec.complex_values, key=lambda z: z.imag)
     assert vals[0] == pytest.approx(-1j, abs=1e-10)
@@ -151,15 +156,14 @@ def test_typed_spectrum_congruence_invariant():
     base = pt.pair_from_arrays(
         np.diag([0.5, 2.0, -1.0, -3.0]), np.diag([1.0, 1.0, -1.0, -1.0])
     )
-    ref = typed_spectrum(base)
+    ref = analyze_pair(base)
     for seed in range(12):
         scr, _ = pt.random_congruence(base, seed, 8.0)
         a = pt.analyze_pair(scr)
         # The finite part is posed in the B-frame: its B is diag(+-1) exactly.
         np.testing.assert_array_equal(a.j, [1.0, 1.0, -1.0, -1.0])
-        spec = a.spectrum
-        np.testing.assert_allclose(spec.pos_values, ref.pos_values, rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(spec.neg_values, ref.neg_values, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(a.pos_values, ref.pos_values, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(a.neg_values, ref.neg_values, rtol=1e-6, atol=1e-8)
 
 
 def test_diagonal_psd_criterion_matches_definiteness():
@@ -171,7 +175,7 @@ def test_diagonal_psd_criterion_matches_definiteness():
         pair = pt.pair_from_arrays(
             np.diag(np.concatenate([pos, -neg])), np.diag([1.0, 1.0, -1.0, -1.0])
         )
-        rep = pt.definiteness_interval(pair)
+        rep = pt.analysis_definiteness(pt.analyze_pair(pair))
         assert rep.is_psd_pair == bool(pos.min() >= neg.max() - 1e-12)
         assert rep.is_nsd_pair == bool(pos.max() <= neg.min() + 1e-12)
 
@@ -187,7 +191,7 @@ def test_jordan_pair_beside_a_large_eigenvalue(lam0, big):
     B = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     for seed in range(3):
         pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), seed, 4.0)
-        spec = typed_spectrum(pair)
+        spec = analyze_pair(pair)
         assert not spec.has_complex
         np.testing.assert_allclose(spec.pos_values, [lam0, big], rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(spec.neg_values, [lam0], rtol=0, atol=1e-9)
@@ -200,7 +204,7 @@ def test_jordan_pair_in_a_tiny_spectrum_shares_one_cluster():
     specs = [BlockSpec("Tr", p=2, alpha=0.0, eta=1), BlockSpec("Tr", p=1, alpha=7.6e-7, eta=-1)]
     for seed in range(4):
         pair, _ = assemble(specs, scramble_seed=seed, conditioning_cap=2.5)
-        spec = typed_spectrum(pair)
+        spec = analyze_pair(pair)
         np.testing.assert_allclose(spec.pos_values, [0.0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(spec.neg_values, [0.0, 7.6e-7], rtol=1e-8, atol=1e-12)
 
@@ -225,11 +229,11 @@ def test_jordan_copies_pair_whatever_the_definiteness(monkeypatch, specs, verdic
     for seed in range(4):
         pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=2.5)
         calls = count_eigen_kernels(monkeypatch)
-        spec = typed_spectrum(pair)
+        spec = analyze_pair(pair)
         assert calls.count("eigvalsh") == 0, calls
         monkeypatch.undo()
         assert spec.has_jordan and not spec.isotropic_defect
-        rep = pt.definiteness_interval(pair)
+        rep = pt.analysis_definiteness(spec)
         assert (rep.is_psd_pair, rep.is_nsd_pair) == (truth.psd, truth.nsd)
         ib = truth.inertia_B
         hat = pt.pair_from_arrays(
@@ -247,7 +251,7 @@ def test_close_eigenvalues_of_a_large_pencil_stay_distinct():
     vals = np.linspace(1.0, 2.0, 80)
     vals[1] = vals[0] + 5e-7
     pair, _ = pt.random_congruence(pt.pair_from_arrays(np.diag(vals), np.eye(80)), 0, 2.0)
-    spec = typed_spectrum(pair)
+    spec = analyze_pair(pair)
     assert len(spec.pos) == 80
     np.testing.assert_allclose(spec.pos_values[:2], vals[:2], rtol=0, atol=1e-10)
 
@@ -255,26 +259,26 @@ def test_split_infinite_classification():
     tols = pt.ToleranceSet()
     # Diagonal infinite block, positive orientation.
     pair = pt.pair_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, 0.0]))
-    assert typed_spectrum(pair).infinite_definite_sign == INF_PLUS
+    assert analyze_pair(pair).infinite_sign == INF_PLUS
     # Mixed orientation.
     pair = pt.pair_from_arrays(np.diag([1.0, 2.0, -1.0]), np.diag([1.0, 0.0, 0.0]))
-    assert typed_spectrum(pair).infinite_definite_sign == INF_MIXED
+    assert analyze_pair(pair).infinite_sign == INF_MIXED
     # Chained: A restricted to N(B) is singular without a common kernel.
     pair = pt.pair_from_arrays(
         np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.0, 1.0])
     )
     assert pt.analyze_pair(pair, tols).coupled
-    assert typed_spectrum(pair).infinite_definite_sign == INF_COUPLED
+    assert analyze_pair(pair).infinite_sign == INF_COUPLED
 
 
 def test_chained_pair_is_untyped_without_an_eigensolve(monkeypatch):
     # No finite part splits off a chained pair, so nothing is typed or solved.
     pair = pt.pair_from_arrays(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.0, 1.0]))
     calls = count_eigen_kernels(monkeypatch)
-    spec = pt.analyze_pair(pair).spectrum
+    spec = pt.analyze_pair(pair)
     assert calls.count("eig") == 0, calls
     assert spec.pos == spec.neg == spec.complex_values == ()
-    assert spec.isotropic_defect and spec.infinite_definite_sign == INF_COUPLED
+    assert spec.isotropic_defect and spec.infinite_sign == INF_COUPLED
 
 
 def test_split_infinite_schur_reduction_invariant():
@@ -282,8 +286,8 @@ def test_split_infinite_schur_reduction_invariant():
     base = pt.pair_from_arrays(np.diag([3.0, 1.0]), np.diag([1.0, 0.0]))
     for seed in range(6):
         scr, _ = pt.random_congruence(base, seed, 6.0)
-        spec = typed_spectrum(scr)
-        assert spec.infinite_definite_sign == INF_PLUS
+        spec = analyze_pair(scr)
+        assert spec.infinite_sign == INF_PLUS
         np.testing.assert_allclose(spec.pos_values, [3.0], rtol=1e-8)
 
 
@@ -292,8 +296,8 @@ def test_congruent_diagonalize_already_canonical():
     a, lam, jd, res_a, res_b = diagonal_frame(pair)
     np.testing.assert_allclose(jd, [1.0, -1.0])
     np.testing.assert_allclose(np.diag(lam), [1.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(a.spectrum.pos_values, [1.0], atol=1e-12)
-    np.testing.assert_allclose(a.spectrum.neg_values, [-2.0], atol=1e-12)
+    np.testing.assert_allclose(a.pos_values, [1.0], atol=1e-12)
+    np.testing.assert_allclose(a.neg_values, [-2.0], atol=1e-12)
     assert res_a <= 1e-10 and res_b <= 1e-10
 
 
@@ -318,8 +322,7 @@ def test_clustered_frame_beside_a_jordan_block(eta):
         assert len(jd) == 2
         np.testing.assert_allclose(np.diag(lam), [1.5, 0.7], rtol=1e-8)
         assert res_a <= 1e-10 and res_b <= 1e-10
-        spec = a.spectrum
-        jordan = [(e.value, e.eig_type) for e in spec.pos + spec.neg if e.jordan_pair]
+        jordan = [(e.value, e.eig_type) for e in a.pos + a.neg if e.jordan_pair]
         assert sorted(t for _, t in jordan) == ["negative", "positive"]
         np.testing.assert_allclose([v for v, _ in jordan], [0.3, 0.3], rtol=1e-6)
 
@@ -338,8 +341,8 @@ def test_congruent_diagonalize_scrambled_round_trip():
         scale_a = 1 + spectral_norm(scr.A)
         assert res_b <= 1e-8 * scale_b
         assert res_a <= 1e-8 * scale_a
-        np.testing.assert_allclose(a.spectrum.pos_values, [0.3, 1.5], rtol=1e-7)
-        np.testing.assert_allclose(a.spectrum.neg_values, [-2.0, -0.7], rtol=1e-7)
+        np.testing.assert_allclose(a.pos_values, [0.3, 1.5], rtol=1e-7)
+        np.testing.assert_allclose(a.neg_values, [-2.0, -0.7], rtol=1e-7)
 
 
 def test_typed_spectrum_counts_match_inertia():
@@ -352,7 +355,7 @@ def test_typed_spectrum_counts_match_inertia():
         A = np.diag(np.concatenate([pos, -neg]))
         B = np.diag([1.0] * npl + [-1.0] * nmi)
         scr, _ = pt.random_congruence(pt.pair_from_arrays(A, B), seed, 8.0)
-        spec = typed_spectrum(scr)
+        spec = analyze_pair(scr)
         ib = pt.inertia(scr.B)
         assert len(spec.pos) == ib.n_plus
         assert len(spec.neg) == ib.n_minus
@@ -369,8 +372,8 @@ def test_clustered_frame_real_conjugate_and_null_directions():
         pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=5.0)
         a, _, _, res_a, res_b = diagonal_frame(pair)
         assert a.deflated_dims == 0
-        np.testing.assert_allclose(a.spectrum.pos_values, truth.pos, rtol=1e-8)
-        np.testing.assert_allclose(a.spectrum.neg_values, truth.neg, rtol=1e-8)
+        np.testing.assert_allclose(a.pos_values, truth.pos, rtol=1e-8)
+        np.testing.assert_allclose(a.neg_values, truth.neg, rtol=1e-8)
         np.testing.assert_allclose(np.sign(a.d_inf), truth.infinite_signs)
         upper = [(z.real, z.imag) for z in truth.complex_values if z.imag > 0]
         np.testing.assert_allclose(sorted(b[2:] for b in a.blocks), upper, atol=1e-8)
@@ -380,16 +383,17 @@ def test_clustered_frame_real_conjugate_and_null_directions():
 
 
 def test_views_read_one_analysis():
-    # The typed spectrum is the analysis's, and its frame diagonalizes the pair.
+    # Analysing the pair again gives the same typed values, and the frame
+    # diagonalizes the pair.
     pair, _ = pt.random_congruence(
         pt.pair_from_arrays(np.diag([3.0, 1.0, -2.0]), np.diag([1.0, 0.0, -1.0])), 4, 5.0
     )
     a = pt.analyze_pair(pair)
     assert a.b_inertia.as_tuple() == pt.inertia(pair.B).as_tuple()
-    assert typed_spectrum(pair) == a.spectrum
-    np.testing.assert_allclose(a.spectrum.pos_values, [3.0], rtol=1e-8)
-    np.testing.assert_allclose(a.spectrum.neg_values, [2.0], rtol=1e-8)
-    assert a.spectrum.infinite_definite_sign == INF_PLUS
+    assert typed_values(analyze_pair(pair)) == typed_values(a)
+    np.testing.assert_allclose(a.pos_values, [3.0], rtol=1e-8)
+    np.testing.assert_allclose(a.neg_values, [2.0], rtol=1e-8)
+    assert a.infinite_sign == INF_PLUS
     np.testing.assert_allclose(a.b_frame.conj().T @ pair.B.entries @ a.b_frame,
                                np.diag([1.0, -1.0, 0.0]), atol=1e-10)
     *_, res_a, res_b = diagonal_frame(pair)
@@ -409,15 +413,15 @@ def test_one_typed_list_carries_the_frame_columns(specs):
     for seed in range(4):
         pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=2.5)
         a = pt.analyze_pair(pair)
-        spec, B = a.spectrum, pair.B.entries
-        for es, sign in ((spec.pos, 1.0), (spec.neg, -1.0)):
+        B = pair.B.entries
+        for es, sign in ((a.pos, 1.0), (a.neg, -1.0)):
             for d in (e.direction for e in es if e.direction is not None):
                 assert abs(d.conj() @ B @ d - sign) <= 1e-8 * (1 + spectral_norm(pair.B))
-        jordan = [e for e in spec.pos + spec.neg if e.jordan_pair]
+        jordan = [e for e in a.pos + a.neg if e.jordan_pair]
         assert len(jordan) == 2 and all(e.direction is None for e in jordan)
         assert len(a.blocks) == len(truth.complex_values) // 2
         assert len(a.d_inf) == len(truth.infinite_signs) == 1
-        assert pt.analyze_pair(pair).spectrum == spec
+        assert typed_values(pt.analyze_pair(pair)) == typed_values(a)
 
 
 def test_overflowing_finite_part_is_non_finite_error():

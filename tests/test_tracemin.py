@@ -10,7 +10,7 @@ from pencil_tracemin.errors import (
 )
 from pencil_tracemin.genpairs import BlockSpec, assemble
 from pencil_tracemin.matcore import DEFAULT_TOLS, check_inertias
-from pencil_tracemin.spectral import typed_spectrum
+from pencil_tracemin.spectral import analyze_pair
 from pencil_tracemin.tracemin import (
     ATTAINABLE_YES,
     COMPLEX_EIGENVALUES,
@@ -90,7 +90,7 @@ def test_nearly_proportional_a_takes_the_general_path(rel):
 
 def test_properness_case_i():
     # Inertias (1, 0, 1) and (1, 0, 1): no padding.
-    spec = typed_spectrum(pt.pair_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, -1.0])))
+    spec = analyze_pair(pt.pair_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, -1.0])))
     rep = _properness(spec.pos_values, spec.neg_values, False, False, DEFAULT_TOLS)
     assert rep.is_proper and rep.case_label == "i"
     assert (rep.d_plus, rep.d_minus) == (0, 0)
@@ -98,7 +98,7 @@ def test_properness_case_i():
 
 def test_properness_case_ii_counts_positive_negative_type():
     # Hat pair (diag(1,-1), diag(1,-1)): eigenvalue 1 of both types.
-    spec = typed_spectrum(pt.pair_from_arrays(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])))
+    spec = analyze_pair(pt.pair_from_arrays(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])))
     np.testing.assert_allclose(spec.pos_values, [1.0])
     np.testing.assert_allclose(spec.neg_values, [1.0])
     # Inertias (1, 0, 2) and (1, 0, 1): B has one more negative direction.
@@ -109,7 +109,7 @@ def test_properness_case_ii_counts_positive_negative_type():
 
 def test_properness_improper_case_iv():
     # Hat positive-type eigenvalue -1 < 0 violates case (iv).
-    spec = typed_spectrum(pt.pair_from_arrays(np.diag([-1.0, 2.0]), np.diag([1.0, -1.0])))
+    spec = analyze_pair(pt.pair_from_arrays(np.diag([-1.0, 2.0]), np.diag([1.0, -1.0])))
     # Inertias (2, 0, 2) and (1, 0, 1): both sides padded.
     rep = _properness(spec.pos_values, spec.neg_values, True, True, DEFAULT_TOLS)
     assert not rep.is_proper and rep.case_label == "improper"
@@ -159,7 +159,7 @@ def test_pad_construction():
         padded.hat_pair.B.entries.real, np.diag([1.0, -1.0, -1.0])
     )
     # The padded hat pair gains one zero negative-type eigenvalue.
-    spec = typed_spectrum(padded.hat_pair)
+    spec = analyze_pair(padded.hat_pair)
     np.testing.assert_allclose(spec.neg_values, [-0.9, 0.0], atol=1e-12)
 
 
@@ -382,9 +382,9 @@ def test_type_counts_match_the_signs_of_j():
     # conjugate block counting once per type.
     def check(pair):
         a = pt.analyze_pair(pair)
-        spec, ib = a.spectrum, a.b_inertia
-        blocks = len(spec.complex_values) // 2
-        assert (len(spec.pos) + blocks, len(spec.neg) + blocks) == (ib.n_plus, ib.n_minus)
+        ib = a.b_inertia
+        blocks = len(a.complex_values) // 2
+        assert (len(a.pos) + blocks, len(a.neg) + blocks) == (ib.n_plus, ib.n_minus)
 
     checked = 0
     for prob in _criterion_7_problems():
@@ -425,8 +425,8 @@ def test_equal_inertia_closed_form_equivalence():
         prob = diag_problem(bp, bn, hp, hn, scramble=(seed, seed + 1000), cap=6.0)
         res = infimum(prob)
         assert res.verdict == FINITE
-        big = typed_spectrum(deflate_common_nullspace(prob.pair).reduced)
-        hat = typed_spectrum(prob.hat_pair)
+        big = analyze_pair(deflate_common_nullspace(prob.pair).reduced)
+        hat = analyze_pair(prob.hat_pair)
         ref = equal_inertia_value(big, hat)
         assert res.value == pytest.approx(ref, abs=1e-12 * (1 + abs(ref)))
 
@@ -497,7 +497,7 @@ def test_small_conjugate_pair_beside_a_large_eigenvalue():
     prob = pt.problem_from_arrays(
         A, np.diag([1.0, -1.0, 1e-6]), np.diag([0.5, 0.3]), np.diag([1.0, -1.0])
     )
-    spec = typed_spectrum(prob.pair)
+    spec = analyze_pair(prob.pair)
     assert sorted(z.imag for z in spec.complex_values) == pytest.approx([-0.05, 0.05], abs=1e-9)
     np.testing.assert_allclose(spec.pos_values, [1e6], rtol=1e-12)
     assert not spec.neg
@@ -575,7 +575,7 @@ def test_mixed_type_repeated_eigenvalue():
     hat = pt.pair_from_arrays(np.array([[1.0]]), np.array([[1.0]]))
     for seed in range(50):
         pair, _ = pt.random_congruence(base, seed, 6.0)
-        spec = typed_spectrum(pair)
+        spec = analyze_pair(pair)
         np.testing.assert_allclose(spec.pos_values, [2.0, 5.0], rtol=1e-7)
         np.testing.assert_allclose(spec.neg_values, [2.0], rtol=1e-7)
         assert not spec.has_jordan and not spec.isotropic_defect

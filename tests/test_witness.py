@@ -12,6 +12,7 @@ from pencil_tracemin.witness import (
     COMPLEX_BLOCK_SLOPE,
     INFINITE_BLOCK_RAY,
     MIXED_SIGN_SLOPE,
+    T_GROWTH,
     build_witness,
     certify_unbounded,
     evaluate_witness,
@@ -64,9 +65,8 @@ def test_infimum_witness_kernel_count(monkeypatch, n):
 
 def _sides(analysis):
     """The (direction, value) lists of a pair's +1 and -1 typed entries that own a direction."""
-    spec = analysis.spectrum
     return [[(e.direction, e.value) for e in es if e.direction is not None]
-            for es in (spec.pos, spec.neg)]
+            for es in (analysis.pos, analysis.neg)]
 
 
 def _padded(typed, count):
@@ -441,6 +441,24 @@ def test_certify_examples():
 
     with pytest.raises(CertificationFailedError):
         certify_unbounded(fam, -1e6, 0.0)
+
+
+def test_certify_grows_t_when_the_slope_overstates_the_trend():
+    # The first try steps just past t_star of the family's slope; when the
+    # trace has not crossed there, t grows by T_GROWTH per try, and a slope
+    # far too steep runs out of tries.
+    J = np.diag([1.0, -1.0])
+    prob = pt.problem_from_arrays(np.eye(2), J, -np.eye(2), J)
+    fam = build_witness(prob, infimum(prob))
+    assert fam.kind == MIXED_SIGN_SLOPE
+    assert (fam.slope, fam.offset) == pytest.approx((-4.0, -2.0))
+    # Slope -8 puts the first try at 500 / sqrt(2); the true trend crosses
+    # -1e6 at t = 500, after two growths.
+    cert = certify_unbounded(replace(fam, slope=2 * fam.slope), -1e6, 1e4)
+    assert cert.t == pytest.approx(500.0 * T_GROWTH**2 / np.sqrt(2.0), rel=1e-5)
+    assert cert.trace_value <= -1e6
+    with pytest.raises(CertificationFailedError, match="did not cross the threshold"):
+        certify_unbounded(replace(fam, slope=1000 * fam.slope), -1e6, 1e4)
 
 
 @pytest.mark.parametrize("threshold,t_max", [
