@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -76,8 +76,6 @@ def _tols_from_args(args) -> ToleranceSet:
 
 
 def _finite(x):
-    if x is None:
-        return None
     x = float(x)
     if np.isposinf(x):
         return "inf"
@@ -105,15 +103,9 @@ def _spectrum_obj(analysis):
 
 def _definiteness_obj(rep):
     return {
-        "is_psd_pair": rep.is_psd_pair,
-        "is_nsd_pair": rep.is_nsd_pair,
+        **asdict(rep),
         "psd_interval": _interval(rep.psd_interval),
         "nsd_interval": _interval(rep.nsd_interval),
-        "psd_shift": rep.psd_shift,
-        "psd_lam_min": rep.psd_lam_min,
-        "nsd_shift": rep.nsd_shift,
-        "nsd_lam_min": rep.nsd_lam_min,
-        "tolerance": rep.tolerance,
     }
 
 
@@ -177,18 +169,9 @@ def _infimum_obj(result):
         ],
     }
     if result.excluded is not None:
-        obj["excluded"] = {
-            "which": result.excluded.which,
-            "constant": result.excluded.constant,
-            "mu": result.excluded.mu,
-        }
+        obj["excluded"] = asdict(result.excluded)
     if result.properness is not None:
-        obj["properness"] = {
-            "is_proper": result.properness.is_proper,
-            "case_label": result.properness.case_label,
-            "d_plus": result.properness.d_plus,
-            "d_minus": result.properness.d_minus,
-        }
+        obj["properness"] = asdict(result.properness)
     return obj
 
 
@@ -262,7 +245,7 @@ def cmd_verify(args) -> int:
     if not 0 <= args.seed < 2**32:
         raise ValueError(f"--seed must lie in [0, 2**32) for verify, got {args.seed}")
     problem, result, report = _solve("verify", args)
-    sampler = FeasibleSampler._from_result(problem, result)
+    sampler = FeasibleSampler._from_result(result)
     # Sample k is drawn from default_rng([seed, k]) whatever block it falls in:
     # the sampler seeds the stream of each key row [seed, k] exactly as that does.
     block = max(1, SAMPLE_BLOCK_ENTRIES // problem.n**2)
@@ -308,16 +291,9 @@ def cmd_gen(args) -> int:
     pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=cap)
     save_pair(args.out_pair_file, pair)
     truth_obj = {
+        **asdict(truth),
         "inertia_B": list(truth.inertia_B.as_tuple()),
-        "pos": list(truth.pos),
-        "neg": list(truth.neg),
-        "jordan_values": list(truth.jordan_values),
         "complex_values": [[z.real, z.imag] for z in truth.complex_values],
-        "infinite_signs": list(truth.infinite_signs),
-        "psd": truth.psd,
-        "nsd": truth.nsd,
-        "diagonalizable": truth.diagonalizable,
-        "coupled": truth.coupled,
     }
     sidecar = args.out_pair_file + ".truth.json"
     with open(sidecar, "w", encoding="utf-8") as fh:

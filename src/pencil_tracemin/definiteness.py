@@ -54,18 +54,6 @@ class DefinitenessReport:
     nsd_lam_min: float | None = None
     tolerance: float = 0.0
 
-    def psd_contains(self, shift: float, slack: float = 0.0) -> bool:
-        if self.psd_interval is None:
-            return False
-        lo, hi = self.psd_interval
-        return lo - slack <= shift <= hi + slack
-
-    def nsd_contains(self, shift: float, slack: float = 0.0) -> bool:
-        if self.nsd_interval is None:
-            return False
-        lo, hi = self.nsd_interval
-        return lo - slack <= shift <= hi + slack
-
 
 def _confirmed_side(lam_min, lower, upper, tols, tol):
     """Interval [max lower, min upper] of shifts t with lam_min(t) >= 0, confirmed at one shift.
@@ -129,11 +117,10 @@ def analysis_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
 
     The pair is PSD (NSD) iff its finite part (Ã, J) is, as judged by
     ``_definiteness_from_spectrum``, and A is positive (negative) definite on
-    N(B), vacuously so for nonsingular B.  Chained structure on N(B) admits
+    N(B) (``_with_infinite_sign``).  Chained structure on N(B) admits
     neither.  With B = 0 the shift is free: the verdict is the sign of A and
     the interval is the whole line.
     """
-    sign = analysis.infinite_sign
     tol = analysis.tols.psd_tol * analysis.pair.scale
     if analysis.coupled:
         return DefinitenessReport(False, False, None, None, tolerance=tol)
@@ -142,6 +129,14 @@ def analysis_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
         rep = DefinitenessReport(True, True, line, line, tolerance=tol)
     else:
         rep = _definiteness_from_spectrum(analysis)
+    return _with_infinite_sign(analysis, rep)
+
+
+def _with_infinite_sign(analysis: PairAnalysis, rep: DefinitenessReport):
+    """The pair's verdicts from the report ``rep`` on its finite part: a side
+    holds iff it holds there and A is definite of that sign on N(B),
+    vacuously so for nonsingular B.  ``infimum`` applies it too."""
+    sign = analysis.infinite_sign
     psd = rep.is_psd_pair and sign in (INF_NONE, INF_PLUS)
     nsd = rep.is_nsd_pair and sign in (INF_NONE, INF_MINUS)
     return replace(

@@ -45,7 +45,7 @@ class ToleranceSet:
 DEFAULT_TOLS = ToleranceSet()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """Dense complex Hermitian matrix, stored symmetrized."""
 
@@ -78,7 +78,7 @@ class Inertia:
         return (self.n_plus, self.n_zero, self.n_minus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixPair:
     """Hermitian matrix pair (A, B) of equal order."""
 
@@ -99,7 +99,7 @@ class MatrixPair:
         return 1.0 + float(np.linalg.norm(self.A.entries) + np.linalg.norm(self.B.entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Four-matrix instance: minimize trace(Ahat X^H A X) s.t. Bhat X^H B X = I."""
 

@@ -201,7 +201,7 @@ def _finite_spectrum(A, j, F, tols):
     return pos, neg, tuple(complex(z) for z in w[cidx]), defect, blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairAnalysis:
     """Everything derived from one Hermitian pair, each piece computed once.
 

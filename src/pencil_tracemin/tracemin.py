@@ -15,15 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .definiteness import _definiteness_from_spectrum
+from .definiteness import _definiteness_from_spectrum, _with_infinite_sign
 from .errors import NotAttainableError, TypeCountError
 from .hyperbolic import sample_feasible
 from .matcore import ProblemInstance, check_inertias, paired_columns
 from .spectral import (
-    INF_MINUS,
     INF_MIXED,
-    INF_NONE,
-    INF_PLUS,
     NEGATIVE,
     POSITIVE,
     PairAnalysis,
@@ -230,22 +227,21 @@ def infimum(problem: ProblemInstance) -> InfimumResult:
         )
 
     # Feasibility leaves B a nonzero range, so the finite part exists.
-    inf_sign = big.infinite_sign
     infinite = big.has_infinite
     rep_fin, rep_hat = _definiteness_from_spectrum(big), _definiteness_from_spectrum(hat)
+    rep_big = _with_infinite_sign(big, rep_fin)
 
-    # Semidefiniteness of the full pair = finite part plus a definite nullspace
-    # block of the matching orientation; a singular B additionally pins the
-    # hat shift to zero (the hat matrix itself must be semidefinite).
+    # A side needs both pairs semidefinite on it; a singular B additionally
+    # pins the hat shift to zero (the hat matrix itself must be semidefinite).
     slack = rep_hat.tolerance
-    big_psd = rep_fin.is_psd_pair and inf_sign in (INF_NONE, INF_PLUS)
-    big_nsd = rep_fin.is_nsd_pair and inf_sign in (INF_NONE, INF_MINUS)
-    psd_ok = big_psd and rep_hat.is_psd_pair and (
-        not infinite or rep_hat.psd_contains(0.0, slack)
-    )
-    nsd_ok = big_nsd and rep_hat.is_nsd_pair and (
-        not infinite or rep_hat.nsd_contains(0.0, slack)
-    )
+
+    def side_ok(big_holds, hat_itv):
+        return big_holds and hat_itv is not None and (
+            not infinite or hat_itv[0] - slack <= 0.0 <= hat_itv[1] + slack
+        )
+
+    psd_ok = side_ok(rep_big.is_psd_pair, rep_hat.psd_interval)
+    nsd_ok = side_ok(rep_big.is_nsd_pair, rep_hat.nsd_interval)
 
     if not psd_ok and not nsd_ok:
         fin_semi = rep_fin.is_psd_pair or rep_fin.is_nsd_pair
@@ -254,7 +250,7 @@ def infimum(problem: ProblemInstance) -> InfimumResult:
             reason, detail = NOT_SEMIDEFINITE, None
         elif infinite:
             detail = (
-                "infinite-mixed" if inf_sign == INF_MIXED else "infinite-orientation"
+                "infinite-mixed" if big.infinite_sign == INF_MIXED else "infinite-orientation"
             )
             reason = MIXED_SIGNS
         else:
@@ -362,17 +358,16 @@ class FeasibleSampler:
     whose slice k is the draw of ``numpy.random.default_rng(keys[k])`` alone."""
 
     def __init__(self, problem: ProblemInstance):
-        self._bind(problem, *_analyses(problem))
+        self._bind(*_analyses(problem))
 
     @classmethod
-    def _from_result(cls, problem: ProblemInstance, result: InfimumResult):
-        """The sampler on the analyses that ``problem``'s ``infimum`` result carries."""
+    def _from_result(cls, result: InfimumResult):
+        """The sampler on the analyses that an ``infimum`` result carries."""
         sampler = cls.__new__(cls)
-        sampler._bind(problem, result.analysis, result.hat_analysis)
+        sampler._bind(result.analysis, result.hat_analysis)
         return sampler
 
-    def _bind(self, problem, big, hat):
-        self.problem = problem
+    def _bind(self, big, hat):
         self.ib, self.ibh = big.b_inertia, hat.b_inertia
         self.left = big.b_frame[:, : self.ib.rank]
         self.right = hat.b_frame.conj().T

@@ -7,7 +7,8 @@ Every family has one form,
 with sigma = sigma(t) one of three maps and d_cosh, d_sinh sums of at most
 two rank-one terms.  Each builder returns a family whose trace trend is
 exactly slope * t^2 + offset with slope < 0, while Bhat X(t)^H B X(t) = I
-holds up to roundoff that grows no faster than (1 + t^2).  Three builders:
+holds up to roundoff growing like (1 + t^2) * eps, or like t^4 * eps for
+the chained ``InfiniteBlockRay`` (sigma = t^2).  Three builders:
 
 * ``_rotation_witness`` - a hyperbolic rotation of a (+1, -1) plane of the
   big pair against one of the hat pair's (zero-padded when nhat < rank B).
@@ -58,7 +59,7 @@ SIGMA_QUARTIC = "quartic"  # sigma(t) with sigma*sqrt(1+sigma^2) = t^2
 TREND_POWER = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessFamily:
     kind: str
     slope: float
@@ -95,7 +96,6 @@ class CertificationReport:
     trace_value: float
     feas_residual: float
     threshold: float
-    t_max: float
 
 
 # The trend reaches the threshold exactly at t_star, where the computed
@@ -138,7 +138,6 @@ def certify_unbounded(
                 trace_value=trace,
                 feas_residual=feasibility_residual(family.problem, X),
                 threshold=float(threshold),
-                t_max=float(t_max),
             )
         t *= T_GROWTH
     raise CertificationFailedError("trace did not cross the threshold numerically")

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,10 @@ import pytest
 import pencil_tracemin as pt
 from pencil_tracemin import cli, tracemin
 from pencil_tracemin.cli import main
+from pencil_tracemin.definiteness import DefinitenessReport
+from pencil_tracemin.genpairs import assemble, spec_from_json
 from pencil_tracemin.matcore import matrix_to_json, save_problem
+from pencil_tracemin.tracemin import ExcludedCase, PropernessReport
 
 from conftest import count_eigen_kernels, golden_hat_matrix
 
@@ -55,6 +58,7 @@ def test_analyze_golden_pair(tmp_path, capsys):
     assert lo <= rep["definiteness"]["psd_shift"] <= hi
     assert rep["definiteness"]["psd_lam_min"] >= -rep["definiteness"]["tolerance"]
     assert rep["definiteness"]["nsd_shift"] is None
+    assert set(rep["definiteness"]) == {f.name for f in fields(DefinitenessReport)}
     assert rep["typed_spectrum"]["pos"][0]["value"] == pytest.approx(1.0, abs=1e-9)
     assert rep["typed_spectrum"]["neg"][0]["value"] == pytest.approx(-2.0, abs=1e-9)
 
@@ -232,6 +236,7 @@ def test_infimum_golden(golden_file, capsys):
     assert code == 0
     assert rep["infimum"]["verdict"] == "Finite"
     assert rep["infimum"]["value"] == pytest.approx(np.sqrt(2.0), abs=1e-8)
+    assert set(rep["infimum"]["properness"]) == {f.name for f in fields(PropernessReport)}
 
 
 def test_infimum_nsd_term_types_match_analyze(tmp_path, capsys):
@@ -599,6 +604,16 @@ def test_gen_analyze_round_trip(tmp_path, capsys):
     assert code == 0
     truth = rep["generated"]["truth"]
     assert truth["psd"] is True and truth["nsd"] is False
+    # The sidecar is the GroundTruth record, with what JSON cannot hold converted.
+    specs = spec_from_json(json.loads(spec_path.read_text()))
+    _, record = assemble(specs, scramble_seed=5, conditioning_cap=4.0)
+    expected = {
+        **asdict(record),
+        "inertia_B": list(record.inertia_B.as_tuple()),
+        "complex_values": [[z.real, z.imag] for z in record.complex_values],
+    }
+    with open(out_pair + ".truth.json", encoding="utf-8") as fh:
+        assert json.load(fh) == json.loads(json.dumps(expected))
 
     code, rep = run_json(capsys, ["--json", "analyze", out_pair])
     assert code == 0
@@ -685,6 +700,7 @@ def test_minimize_excluded_constant(tmp_path, capsys):
     code, rep = run_json(capsys, ["--json", "minimize", path, out])
     assert code == 0
     assert rep["infimum"]["verdict"] == "ExcludedConstant"
+    assert set(rep["infimum"]["excluded"]) == {f.name for f in fields(ExcludedCase)}
     assert rep["minimizer"]["achieved"] == pytest.approx(4.0, abs=1e-9)
     assert rep["minimizer"]["feasibility_residual"] <= 1e-8
 

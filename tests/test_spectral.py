@@ -432,3 +432,19 @@ def test_overflowing_finite_part_is_non_finite_error():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match="finite part of the pair overflows"):
             pt.analyze_pair(pair)
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # HermitianMatrix, MatrixPair, ProblemInstance, PairAnalysis and
+    # WitnessFamily hold arrays: equality is identity and each is hashable,
+    # also for equal-valued instances built separately.
+    def records():
+        problem = pt.problem_from_arrays(
+            np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), np.diag([-1.0, -1.0]), np.diag([1.0, -1.0])
+        )
+        family = pt.build_witness(problem, pt.infimum(problem))
+        return problem.pair.A, problem.pair, problem, pt.analyze_pair(problem.pair), family
+
+    for first, second in zip(records(), records()):
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
