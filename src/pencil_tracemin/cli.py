@@ -45,10 +45,10 @@ from .spectral import analyze_pair
 from .tracemin import (
     NEG_INFINITE,
     FeasibleSampler,
-    _minimizer_from,
     _objective,
     feasibility_residual,
     infimum,
+    minimizer,
 )
 from .witness import TREND_POWER, build_witness, certify_unbounded
 
@@ -200,7 +200,7 @@ def cmd_minimize(args) -> int:
     problem, result, report = _solve("minimize", args)
     if result.verdict == NEG_INFINITE:
         return _emit(report, args, EXIT_NEG_INFINITE, [f"verdict: {result.verdict}"])
-    X, achieved = _minimizer_from(problem, result)
+    X, achieved = minimizer(problem, result)
     residual = feasibility_residual(problem, X)
     with open(args.out_file, "w", encoding="utf-8") as fh:
         json.dump(matrix_to_json(X), fh)
@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
     if not 0 <= args.seed < 2**32:
         raise ValueError(f"--seed must lie in [0, 2**32) for verify, got {args.seed}")
     problem, result, report = _solve("verify", args)
-    sampler = FeasibleSampler._from_result(result)
+    sampler = FeasibleSampler(problem, result)
     # Sample k is drawn from default_rng([seed, k]) whatever block it falls in:
     # the sampler seeds the stream of each key row [seed, k] exactly as that does.
     block = max(1, SAMPLE_BLOCK_ENTRIES // problem.n**2)

@@ -6,42 +6,48 @@ and the +1/-1/0 B-frame), drops the common nullspace of A and B from N(B)
 and splits off the rest of N(B) in place: the record holds the eigenvalues
 of A there, the coupling K that eliminates it from the range of B, and the
 finite part Ã as an array, always posed in B-frame coordinates, (Ã, J) with
-J = diag(+1.., -1..).  As J² = I it is the one matrix J·Ã, selfadjoint in
-[x, y] = y^H J x.  One standard eigensolve of J·Ã, in ``_finite_spectrum``
-(the library's only ``numpy.linalg.eig``), gives its eigenvectors, clustered
+J = diag(+1.., -1..).  ``_finite_spectrum`` solves it by one of two routes
 into the typed values ``pos`` and ``neg``, each with the direction it owns,
-and a tuple of 2x2 blocks for the conjugate eigenvalue pairs.  These
-directions, with the null directions of B, form a congruence frame (the
-canonical form of Lancaster & Rodman, SIAM Review 47, 2005), each held
-once, as a vector in the pair's own coordinates.  The canonical form is a
-direct sum: a Jordan copy or a chained conjugate group owns no direction
-and leaves the other directions in place.  Definiteness, minimizers,
-feasible points, sampling and divergence witnesses all read this one
-record, which is the pair's typed spectrum.
+and a tuple of 2x2 blocks for the conjugate eigenvalue pairs.  A definite
+pair, where s·Ã - t·J is positive definite for a sign s and a shift t read
+off the diagonal of Ã, takes one Cholesky of it and one Hermitian
+eigensolve (``_definite_spectrum``): it has real eigenvalues, no Jordan
+block and types without a Gram matrix.  Every other pair, and a definite
+one whose guard finds an eigenvalue at the shift or two eigenvalues that
+would cluster, takes one standard eigensolve of J·Ã (the library's only
+``numpy.linalg.eig``), as J² = I makes it selfadjoint in [x, y] = y^H J x,
+and ``_cluster`` types it.  These directions, with the null directions of
+B, form a congruence frame (the canonical form of Lancaster & Rodman, SIAM
+Review 47, 2005), each held once, as a vector in the pair's own
+coordinates.  The canonical form is a direct sum: a Jordan copy or a
+chained conjugate group owns no direction and leaves the other directions
+in place.  Definiteness, minimizers, feasible points, sampling and
+divergence witnesses all read this one record, which is the pair's typed
+spectrum.
 
 The analysis is eager: ``analyze_pair`` fills every field before it
 returns, so a pair with a finite part of order m always pays the O(m³)
-eigensolve, plus the Gram matrix and the clustering, even where a caller
-reads only the B-frame (a ``FeasibleSampler`` built from a problem alone,
-or an ``infimum`` that returns an excluded constant).  Every other caller
-reads the spectrum anyway, and no field is computed twice.
+solve (on the ``eig`` route plus the Gram matrix and the clustering), even
+where a caller reads only the B-frame (a ``FeasibleSampler`` built from a
+problem alone, or an ``infimum`` that returns an excluded constant).  Every
+other caller reads the spectrum anyway, and no field is computed twice.
 
 Finite eigenvalues carry a type: the sign of the B-form on their eigenspace,
-measured in B-frame coordinates, where B has unit scale.  Eigenvectors are
-B-orthogonal unless their eigenvalues are conjugate, so one Gram matrix
-G = Z^H J Z of the eigenvectors Z, formed once per finite part, holds every
-B-form that typing reads: real eigenvalues closer than ``type_tol`` relative
-to the spectrum, or split from one Jordan block by roundoff, form a cluster
-C, typed by the inertia of G[C, C], so a repeated eigenvalue of both types
-gets one copy of each type; conjugate pairs are J-normalized from the
-blocks of G between them.  A J-isotropic direction signals a Jordan block;
-its copies pair up within their cluster and count once with each type (the
-two-copy convention).  The structure of A on N(B) is classified
-separately, with one threshold for "A vanishes there": ``rank_tol`` times
-the Frobenius norm of A.  A degenerate restriction signals chained
-(non-diagonalizable) infinite structure, which leaves no finite part: the
-spectrum of a chained pair is untyped (``isotropic_defect`` set) and costs
-no eigensolve.
+measured in B-frame coordinates, where B has unit scale.  On the ``eig``
+route, eigenvectors are B-orthogonal unless their eigenvalues are conjugate,
+so one Gram matrix G = Z^H J Z of the eigenvectors Z, formed once per
+finite part, holds every B-form that typing reads: real eigenvalues closer
+than ``type_tol`` relative to the spectrum, or split from one Jordan block
+by roundoff, form a cluster C, typed by the inertia of G[C, C], so a
+repeated eigenvalue of both types gets one copy of each type; conjugate
+pairs are J-normalized from the blocks of G between them.  A J-isotropic
+direction signals a Jordan block; its copies pair up within their cluster
+and count once with each type (the two-copy convention).  The structure of
+A on N(B) is classified separately, with one threshold for "A vanishes
+there": ``rank_tol`` times the Frobenius norm of A.  A degenerate
+restriction signals chained (non-diagonalizable) infinite structure, which
+leaves no finite part: the spectrum of a chained pair is untyped
+(``isotropic_defect`` set) and costs no eigensolve.
 """
 
 from __future__ import annotations
@@ -133,6 +139,69 @@ def _cluster(w, Z, G, tols, scale):
     return typed, cidx
 
 
+def _definite_spectrum(A, j, F, tols, scale):
+    """The ascending typed values of a definite finite part (Ã, J), or None.
+
+    (Ã, J) is definite when s·Ã - t·J is positive definite for a sign s and
+    a shift t; then it has real eigenvalues and no Jordan block, and needs
+    neither ``_cluster`` nor a Gram matrix.  Its diagonal must be positive,
+    which bounds t to an interval for each s; one Cholesky is tried at a
+    shift t inside each nonempty one, the midpoint, or beyond the end of a
+    half-line by |end| + |Ã|_F (``scale``).  The first that succeeds,
+    s·Ã - t·J = L L^H, solves the pair: for eigh(L⁻¹ J L⁻ᴴ) = (μ, Y), the
+    eigenvalues are s·(t + 1/μ), each of type sign μ, with unit B-form
+    direction x / sqrt|μ|, x = L⁻ᴴ y, and b_form μ / |x|², that of the unit
+    eigenvector, as ``_cluster`` reports it.
+
+    The result is None, and the caller falls back to the general
+    eigensolve, when no Cholesky succeeds, or when the solve shows one of
+    the cases that ``_cluster`` decides differently or that the Cholesky
+    factor cannot resolve: an eigenvalue within sqrt(type_tol)·(|Ã|_F +
+    |t|) of s·t (a Jordan pair there passes Cholesky by roundoff), or two
+    eigenvalues within the cluster rule's type_tol·max|λ| + rank_tol·|Ã|_F
+    (a cluster takes the mean of its values).  The first also keeps every
+    direction off the isotropy test of ``_cluster``: for M = s·Ã - t·J > 0
+    and a unit eigenvector v, |Mv|² <= |M|·v^H M v gives |b_form| >=
+    |λ - s·t| / |M|, above sqrt(type_tol).  Every bound scales with Ã, so
+    the route does not depend on how the pair is scaled.
+    """
+    d = np.real(A.diagonal())
+    for s in (1.0, -1.0):
+        # s·ã_ii - t·j_i > 0 bounds t above where j_i = +1 and below where j_i = -1.
+        lo = float(np.max(-s * d[j < 0], initial=-np.inf))
+        hi = float(np.min(s * d[j > 0], initial=np.inf))
+        if not lo < hi:
+            continue
+        if np.isfinite(lo) and np.isfinite(hi):
+            t = 0.5 * (lo + hi)
+        elif np.isfinite(lo):
+            t = lo + abs(lo) + scale
+        else:
+            t = hi - abs(hi) - scale
+        try:
+            L = np.linalg.cholesky(s * A - t * np.diag(j))
+        except np.linalg.LinAlgError:
+            continue
+        Li = np.linalg.inv(L)
+        mu, Y = np.linalg.eigh((Li * j) @ Li.conj().T)
+        # |λ - s·t| = 1/|μ|: the eigenvalue nearest the shift has the largest |μ|.
+        if np.max(np.abs(mu)) * np.sqrt(tols.type_tol) * (scale + abs(t)) >= 1.0:
+            return None
+        lam = s * (t + 1.0 / mu)
+        order = np.argsort(lam)
+        lam, mu, X = lam[order], mu[order], Li.conj().T @ Y[:, order]
+        forms = mu / np.sum(np.abs(X) ** 2, axis=0)
+        gap = tols.type_tol * float(np.max(np.abs(lam))) + tols.rank_tol * scale
+        if np.any(np.diff(lam) <= gap):
+            return None
+        D = (F @ X / np.sqrt(np.abs(mu))).T.copy()
+        return [
+            TypedEigenvalue(v, POSITIVE if g > 0 else NEGATIVE, g, direction=x)
+            for v, g, x in zip(lam.tolist(), forms.tolist(), D)
+        ]
+    return None
+
+
 def _conjugate_blocks(A, w, Z, G, cidx, tols):
     """J-normalized 2x2 frames for the conjugate eigenvalues w[cidx], G = Z^H J Z.
 
@@ -184,21 +253,29 @@ def _conjugate_blocks(A, w, Z, G, cidx, tols):
 def _finite_spectrum(A, j, F, tols):
     """The typed spectrum of the finite part (Ã, J), J = diag(j), of nonzero order.
 
-    One standard eigensolve of J·Ã, as J² = I: J Ã z = λz iff Ã z = λJz.  F
-    maps the finite part's coordinates into the pair's, where the directions
-    are returned.  Returns (pos, neg, complex values, isotropic defect,
-    conjugate blocks), the fields of ``PairAnalysis`` of those names.
+    A definite pair is solved by one Cholesky and one Hermitian eigensolve
+    (``_definite_spectrum``).  Any other, or a definite one that its guard
+    sends on, by one standard eigensolve of J·Ã, as J² = I: J Ã z = λz iff
+    Ã z = λJz, typed by ``_cluster``.  F maps the finite part's coordinates
+    into the pair's, where the directions are returned.  Returns (pos, neg,
+    complex values, isotropic defect, conjugate blocks), the fields of
+    ``PairAnalysis`` of those names.
     """
-    w, Z = np.linalg.eig(j[:, None] * A)
-    G = Z.conj().T @ (j[:, None] * Z)  # every B-form the typing reads
     # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
-    typed, cidx = _cluster(w, F @ Z, G, tols, float(np.linalg.norm(A)) or 1.0)
+    scale = float(np.linalg.norm(A)) or 1.0
+    typed = _definite_spectrum(A, j, F, tols, scale)
+    complex_values, blocks = (), ()
+    if typed is None:
+        w, Z = np.linalg.eig(j[:, None] * A)
+        G = Z.conj().T @ (j[:, None] * Z)  # every B-form the typing reads
+        typed, cidx = _cluster(w, F @ Z, G, tols, scale)
+        complex_values = tuple(complex(z) for z in w[cidx])
+        blocks = _conjugate_blocks(A, w, Z, G, cidx, tols)
+        blocks = tuple((F @ c1, F @ c2, alpha, beta) for c1, c2, alpha, beta in blocks)
     pos = tuple(e for e in typed if e.eig_type == POSITIVE)
     neg = tuple(e for e in typed if e.eig_type == NEGATIVE)
     defect = any(e.direction is None and not e.jordan_pair for e in typed)
-    blocks = _conjugate_blocks(A, w, Z, G, cidx, tols)
-    blocks = tuple((F @ c1, F @ c2, alpha, beta) for c1, c2, alpha, beta in blocks)
-    return pos, neg, tuple(complex(z) for z in w[cidx]), defect, blocks
+    return pos, neg, complex_values, defect, blocks
 
 
 @dataclass(frozen=True, eq=False)

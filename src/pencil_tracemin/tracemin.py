@@ -291,18 +291,24 @@ def infimum(problem: ProblemInstance) -> InfimumResult:
     )
 
 
-def minimizer(problem: ProblemInstance):
+def _checked(problem: ProblemInstance, result: InfimumResult) -> InfimumResult:
+    """``result``, an ``infimum`` result a caller passes back in; ValueError
+    unless its analyses were read from the pairs of ``problem`` themselves."""
+    pairs = [getattr(a, "pair", None) for a in (result.analysis, result.hat_analysis)]
+    if pairs[0] is not problem.pair or pairs[1] is not problem.hat_pair:
+        raise ValueError("the infimum result was not computed for this problem")
+    return result
+
+
+def minimizer(problem: ProblemInstance, result: InfimumResult | None = None):
     """Construct an optimal X for a finite, attainable instance.
 
-    Returns (X_opt, achieved).  Raises NotAttainableError when attainability
-    is not established (Jordan pairs, chained structure, non-real spectrum,
-    or a NegInfinite verdict).
+    Returns (X_opt, achieved).  ``result``, the ``infimum`` of ``problem``,
+    is read when given, and the pairs are not analysed again.  Raises
+    NotAttainableError when attainability is not established (Jordan pairs,
+    chained structure, non-real spectrum, or a NegInfinite verdict).
     """
-    return _minimizer_from(problem, infimum(problem))
-
-
-def _minimizer_from(problem: ProblemInstance, result: InfimumResult):
-    """``minimizer`` read off the ``infimum`` result of ``problem``."""
+    result = infimum(problem) if result is None else _checked(problem, result)
     if result.verdict == NEG_INFINITE:
         raise NotAttainableError(f"infimum is -infinity ({result.reason})")
     big, hat = result.analysis, result.hat_analysis
@@ -353,21 +359,18 @@ class FeasibleSampler:
     A sample is left @ Xs @ right: ``left`` holds the +1 and -1 columns of
     B's frame, ``right`` is Bhat's frame conjugate-transposed, and Xs is the
     ``sample_feasible`` draw for the inertias ``ib`` of B and ``ibh`` of
-    Bhat, whose counts fix J and Jhat.  ``sample`` takes one Generator, or
-    a (K, m) array of integer keys in [0, 2**32) for a (K, n, nhat) stack
-    whose slice k is the draw of ``numpy.random.default_rng(keys[k])`` alone."""
+    Bhat, whose counts fix J and Jhat.  The frames are read off ``result``,
+    the ``infimum`` of ``problem``, when it is given (as in ``minimizer``),
+    and off a fresh analysis of both pairs otherwise.  ``sample`` takes one
+    Generator, or a (K, m) array of integer keys in [0, 2**32) for a
+    (K, n, nhat) stack whose slice k is the draw of
+    ``numpy.random.default_rng(keys[k])`` alone."""
 
-    def __init__(self, problem: ProblemInstance):
-        self._bind(*_analyses(problem))
-
-    @classmethod
-    def _from_result(cls, result: InfimumResult):
-        """The sampler on the analyses that an ``infimum`` result carries."""
-        sampler = cls.__new__(cls)
-        sampler._bind(result.analysis, result.hat_analysis)
-        return sampler
-
-    def _bind(self, big, hat):
+    def __init__(self, problem: ProblemInstance, result: InfimumResult | None = None):
+        if result is None:
+            big, hat = _analyses(problem)
+        else:
+            big, hat = _checked(problem, result).analysis, result.hat_analysis
         self.ib, self.ibh = big.b_inertia, hat.b_inertia
         self.left = big.b_frame[:, : self.ib.rank]
         self.right = hat.b_frame.conj().T

@@ -52,23 +52,35 @@ def diag_problem(big_pos, big_neg, hat_pos, hat_neg, scramble=None, cap=6.0):
 
 
 def count_eigen_kernels(monkeypatch):
-    """Record the name of every numpy eigvalsh/eigh/eig/qr/svd call from now on.
+    """Record the name of every numpy eigvalsh/eigh/eig/qr/svd/cholesky call from now on.
 
     numpy's ``svd`` is counted in the module that defines it too, so the SVD
-    that ``np.linalg.norm(X, 2)`` runs is counted.
+    that ``np.linalg.norm(X, 2)`` runs is counted.  A Cholesky that fails
+    (the matrix is not positive definite) is recorded as "cholesky failed".
     """
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     calls = []
-    owners = [(np.linalg, name) for name in ("eigvalsh", "eigh", "eig", "qr", "svd")]
-    for owner, name in owners + [(impl, "svd")]:
+    names = ("eigvalsh", "eigh", "eig", "qr", "svd", "cholesky")
+    for owner, name in [(np.linalg, name) for name in names] + [(impl, "svd")]:
         fn = getattr(owner, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
+            try:
+                out = _fn(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                calls.append(f"{_name} failed")
+                raise
             calls.append(_name)
-            return _fn(*args, **kwargs)
+            return out
 
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def pencil_solves(calls):
+    """The pencil solves among kernel ``calls``: an ``eig`` of J·Ã, or a
+    Cholesky that succeeded, which ``spectral`` follows with one ``eigh``."""
+    return calls.count("eig") + calls.count("cholesky")
 
 
 def k2_pair(lam0):

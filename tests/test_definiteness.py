@@ -6,7 +6,7 @@ from pencil_tracemin.definiteness import analysis_definiteness
 from pencil_tracemin.genpairs import BlockSpec, assemble
 from pencil_tracemin.spectral import analyze_pair
 
-from conftest import count_eigen_kernels, rand_hermitian, spectral_norm
+from conftest import count_eigen_kernels, pencil_solves, rand_hermitian, spectral_norm
 from reference import lambda_min_shift
 
 
@@ -119,15 +119,17 @@ def test_zero_b_pair():
     ids=["indefinite", "definite"],
 )
 def test_definiteness_kernel_count(monkeypatch, B):
-    # One eigvalsh of B and one eig for the typed spectrum, then one eigvalsh
-    # per side the spectrum admits (both sides only for definite B).
+    # One eigh of B and one pencil solve for the typed spectrum (an eig, or a
+    # Cholesky and its eigh), then one eigvalsh per side the spectrum admits
+    # (both sides only for definite B).
     A = np.diag([2.0, 3.0, 1.0, 0.5])
     pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), 3, 5.0)
     calls = count_eigen_kernels(monkeypatch)
     rep = analysis_definiteness(analyze_pair(pair))
     assert rep.is_psd_pair
-    assert len(calls) <= 4, calls
-    assert calls.count("eig") == 1
+    # Besides the solve's own kernels (an eig, or a Cholesky and an eigh):
+    assert len(calls) - calls.count("eig") - 2 * calls.count("cholesky") <= 3, calls
+    assert pencil_solves(calls) == 1, calls
 
 
 def _semidefinite_specs(rng):

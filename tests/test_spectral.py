@@ -255,6 +255,113 @@ def test_close_eigenvalues_of_a_large_pencil_stay_distinct():
     assert len(spec.pos) == 80
     np.testing.assert_allclose(spec.pos_values[:2], vals[:2], rtol=0, atol=1e-10)
 
+
+def _solved(monkeypatch, pair):
+    """analyze_pair of ``pair``, the kernels it called and its route: "cholesky"
+    when one Cholesky solved the pencil with no eig, "eig" when an eig did."""
+    calls = count_eigen_kernels(monkeypatch)
+    a = analyze_pair(pair)
+    monkeypatch.undo()
+    route = "eig" if "eig" in calls else "cholesky" if "cholesky" in calls else None
+    return a, calls, route
+
+
+def _definite_pair(pos, neg, seed, cond):
+    """The pair of typed values ``pos`` and ``neg`` (a -1 direction carries
+    -value) under a congruence Y of condition ``cond``: Y = U diag(s) V, U and
+    V Haar unitaries and s log-spaced in [cond^-1/2, cond^1/2]."""
+    rng = np.random.default_rng(seed)
+    n = len(pos) + len(neg)
+    A = np.diag(list(pos) + [-v for v in neg]).astype(complex)
+    B = np.diag([1.0] * len(pos) + [-1.0] * len(neg)).astype(complex)
+    s = np.logspace(-0.5, 0.5, n) ** np.log10(cond)
+    Y = pt.matcore.haar_unitary(n, rng) @ np.diag(s) @ pt.matcore.haar_unitary(n, rng)
+    return pt.pair_from_arrays(Y.conj().T @ A @ Y, Y.conj().T @ B @ Y, herm_tol=np.inf)
+
+
+@pytest.mark.parametrize("pair", [
+    k2_pair(0.3),
+    k2_pair(1.0),
+    *(assemble([_tr(2, 0.3, 1)], scramble_seed=seed, conditioning_cap=2.5)[0] for seed in range(3)),
+], ids=["k2(0.3)", "k2(1)", "Tr2-seed0", "Tr2-seed1", "Tr2-seed2"])
+def test_jordan_pair_at_the_midpoint_shift_goes_to_eig(monkeypatch, pair):
+    # The diagonal of the finite part centres its shift interval on the Jordan
+    # value, where A - t*B is singular; Cholesky succeeds there by roundoff, and
+    # the eigenvalue at the shift sends the pair on to eig, which pairs the copies.
+    a, calls, route = _solved(monkeypatch, pair)
+    lam0 = 0.3 if np.allclose(a.pos_values, 0.3, atol=1e-6) else 1.0
+    assert "cholesky" in calls and route == "eig", calls
+    assert [e.jordan_pair for e in a.pos + a.neg] == [True, True]
+    np.testing.assert_allclose(np.concatenate([a.pos_values, a.neg_values]), lam0, atol=1e-6)
+
+
+def test_definite_pair_with_an_eigenvalue_at_the_shift_goes_to_eig(monkeypatch):
+    # Definite, but 1e-6 from the midpoint shift 0: inside sqrt(type_tol) *
+    # (|Ã|_F + |t|), where the Cholesky factor is too close to singular to trust.
+    pair = pt.pair_from_arrays(np.diag([1e-6, 1.0, 1e-6, 1.0]), np.diag([1.0, 1.0, -1.0, -1.0]))
+    a, calls, route = _solved(monkeypatch, pair)
+    assert "cholesky" in calls and route == "eig", calls
+    np.testing.assert_allclose(a.pos_values, [1e-6, 1.0], rtol=1e-12)
+    np.testing.assert_allclose(a.neg_values, [-1.0, -1e-6], rtol=1e-12)
+
+
+def test_definite_pair_with_a_cluster_goes_to_eig(monkeypatch):
+    # Two values 1e-9 apart share a cluster, which takes their mean on the eig
+    # route; the definite solve would keep them apart, so it sends the pair on.
+    pair = _definite_pair([1.0, 1.0 + 1e-9, 2.0], [-1.0], 0, 2.0)
+    a, calls, route = _solved(monkeypatch, pair)
+    assert "cholesky" in calls and route == "eig", calls
+    assert a.pos_values[0] == a.pos_values[1]
+    np.testing.assert_allclose(a.pos_values, [1.0, 1.0, 2.0], rtol=1e-8)
+
+
+def test_definite_pair_under_an_ill_conditioned_congruence_keeps_its_types(monkeypatch):
+    # The shift is read off the diagonal of the finite part, which a congruence
+    # of condition 1e4 can make a poor guide: then the Cholesky fails and the
+    # pair takes the eig route (seeds 0 and 1).  Either way the types hold.
+    pos, neg = [1.0, 1.5, 2.0], [-1.0, -0.5]
+    routes = {}
+    for seed in range(6):
+        pair = _definite_pair(pos, neg, seed, 1e4)
+        a, _, routes[seed] = _solved(monkeypatch, pair)
+        np.testing.assert_allclose(a.pos_values, pos, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(a.neg_values, neg, rtol=0, atol=1e-7)
+        for e in a.pos + a.neg:
+            form = np.real(e.direction.conj() @ pair.B.entries @ e.direction)
+            assert form == pytest.approx(1.0 if e.eig_type == "positive" else -1.0, abs=1e-6)
+    assert [s for s, r in routes.items() if r == "cholesky"] == [2, 3, 5], routes
+
+
+def test_close_eigenvalues_stay_distinct_on_the_cholesky_route(monkeypatch):
+    # 80 eigenvalues of both types, two of them 5e-7 apart: above the cluster
+    # gap type_tol * max|lam| + rank_tol * |Ã|_F, so the definite solve keeps them.
+    pos = np.linspace(1.0, 2.0, 40)
+    pos[1] = pos[0] + 5e-7
+    neg = np.linspace(-2.0, -1.0, 40)
+    pair = _definite_pair(pos, neg, 0, 2.0)
+    a, _, route = _solved(monkeypatch, pair)
+    assert route == "cholesky"
+    assert len(a.pos) == len(a.neg) == 40
+    np.testing.assert_allclose(a.pos_values[:2], pos[:2], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("factor", [1e-8, 1e-6, 1e6])
+def test_route_and_typed_values_scale_with_a(monkeypatch, factor):
+    # Every bound of the definite route scales with Ã, so scaling A keeps the
+    # route and scales the typed values; the Jordan pair stays on eig.
+    pairs = [_definite_pair([1.0, 1.5, 2.0], [-1.0, -0.5], seed, 6.0) for seed in range(3)]
+    pairs += [_definite_pair([0.5, 3.0], [], 3, 6.0), k2_pair(0.3)]
+    routes = []
+    for pair in pairs:
+        base, _, route = _solved(monkeypatch, pair)
+        scaled = pt.pair_from_arrays(factor * pair.A.entries, pair.B.entries)
+        a, _, scaled_route = _solved(monkeypatch, scaled)
+        assert scaled_route == route
+        routes.append(route)
+        for got, want in ((a.pos_values, base.pos_values), (a.neg_values, base.neg_values)):
+            np.testing.assert_allclose(got, factor * want, rtol=1e-12, atol=0)
+    assert routes == ["cholesky"] * 4 + ["eig"]
+
 def test_split_infinite_classification():
     tols = pt.ToleranceSet()
     # Diagonal infinite block, positive orientation.

@@ -24,7 +24,9 @@ from pencil_tracemin.tracemin import (
     minimizer,
 )
 
-from conftest import count_eigen_kernels, diag_problem, golden_hat_matrix, k2_pair, rand_hermitian
+from conftest import (
+    count_eigen_kernels, diag_problem, golden_hat_matrix, k2_pair, pencil_solves, rand_hermitian,
+)
 from reference import deflate_common_nullspace, equal_inertia_value, fan_min_product, pad_problem
 from test_acceptance import _hat_pair, _random_specs
 
@@ -590,7 +592,7 @@ def test_mixed_type_repeated_eigenvalue():
 
 def test_minimizer_kernel_count(monkeypatch):
     # minimizer runs infimum, which analyses each pair once, and then reads
-    # the typed directions off the result: one eig per pair.
+    # the typed directions off the result: one pencil solve per pair.
     rng = np.random.default_rng(5)
     prob = diag_problem(
         rng.uniform(1.0, 2.0, 4), rng.uniform(-2.0, -1.0, 4),
@@ -598,9 +600,33 @@ def test_minimizer_kernel_count(monkeypatch):
     )
     calls = count_eigen_kernels(monkeypatch)
     X, achieved = minimizer(prob)
-    assert calls.count("eig") == 2, calls
+    assert pencil_solves(calls) == 2, calls
     assert achieved == pytest.approx(infimum(prob).value, rel=1e-8)
     assert pt.feasibility_residual(prob, X) <= 1e-8
+
+
+def test_infimum_result_is_the_handle_for_minimizer_and_sampler(monkeypatch):
+    # An infimum result passed back in is read, not solved again: one pencil
+    # solve per pair for infimum, minimizer and sampler together.
+    rng = np.random.default_rng(5)
+    prob = diag_problem(
+        rng.uniform(1.0, 2.0, 4), rng.uniform(-2.0, -1.0, 4),
+        rng.uniform(0.5, 1.0, 2), rng.uniform(-1.0, -0.5, 2), scramble=(6, 7),
+    )
+    calls = count_eigen_kernels(monkeypatch)
+    res = infimum(prob)
+    X, achieved = minimizer(prob, res)
+    Xs = pt.FeasibleSampler(prob, res).sample(1.0, np.random.default_rng(0))
+    assert pencil_solves(calls) == 2, calls
+    assert achieved == pytest.approx(res.value, rel=1e-8)
+    assert pt.feasibility_residual(prob, X) <= 1e-8
+    assert pt.feasibility_residual(prob, Xs) <= 1e-8
+    # A result read from other pairs, even equal ones, is refused.
+    other = pt.ProblemInstance(pair=prob.pair, hat_pair=pt.pair_from_arrays(
+        prob.hat_pair.A.entries, prob.hat_pair.B.entries))
+    for use in (minimizer, pt.FeasibleSampler):
+        with pytest.raises(ValueError, match="not computed for this problem"):
+            use(other, res)
 
 
 def test_minimizer_jordan_not_attainable():
