@@ -98,6 +98,7 @@ def _spectrum_obj(analysis):
         "deflated_dims": analysis.deflated_dims,
         "infinite_definite_sign": analysis.infinite_sign,
         "complex_values": [[z.real, z.imag] for z in analysis.complex_values],
+        "route": analysis.route,
     }
 
 

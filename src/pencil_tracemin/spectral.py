@@ -1,29 +1,34 @@
 """Pair analysis: the one place a Hermitian pair (A, B) is analysed.
 
 ``analyze_pair(pair, tols)`` builds one flat, frozen :class:`PairAnalysis`
-per pair.  It eigendecomposes B once (inertia with the relative zero rule
-and the +1/-1/0 B-frame), drops the common nullspace of A and B from N(B)
-and splits off the rest of N(B) in place: the record holds the eigenvalues
-of A there, the coupling K that eliminates it from the range of B, and the
-finite part Ã as an array, always posed in B-frame coordinates, (Ã, J) with
-J = diag(+1.., -1..).  ``_finite_spectrum`` solves it by one of two routes
-into the typed values ``pos`` and ``neg``, each with the direction it owns,
-and a tuple of 2x2 blocks for the conjugate eigenvalue pairs.  A definite
-pair, where s·Ã - t·J is positive definite for a sign s and a shift t read
-off the diagonal of Ã, takes one Cholesky of it and one Hermitian
-eigensolve (``_definite_spectrum``): it has real eigenvalues, no Jordan
-block and types without a Gram matrix.  Every other pair, and a definite
-one whose guard finds an eigenvalue at the shift or two eigenvalues that
+per pair, and records in ``route`` how its pencil was solved.  A definite
+pair, where s·A - t·B is positive definite for a sign s and a shift t read
+off diag(A) / diag(B), with B nonsingular under the relative zero rule,
+takes one Cholesky of s·A - t·B and one Hermitian eigensolve in its own
+coordinates (``_definite_spectrum``, route "pair-cholesky"): it has real
+eigenvalues, no Jordan block and types without a Gram matrix, and its
+typed directions are themselves a B-frame, so B is never decomposed.
+Every other pair eigendecomposes B once (inertia with the relative zero
+rule and the +1/-1/0 B-frame), drops the common nullspace of A and B from
+N(B) and splits off the rest of N(B) in place: the record holds the
+eigenvalues of A there, the coupling K that eliminates it from the range
+of B, and the finite part Ã as an array, posed in B-frame coordinates,
+(Ã, J) with J = diag(+1.., -1..).  ``_finite_spectrum`` solves it by one
+of two routes into the typed values ``pos`` and ``neg``, each with the
+direction it owns, and a tuple of 2x2 blocks for the conjugate eigenvalue
+pairs.  A definite finite part takes the same Cholesky solve in B-frame
+coordinates ("frame-cholesky").  Every other one, and a definite one
+whose guard finds an eigenvalue at the shift or two eigenvalues that
 would cluster, takes one standard eigensolve of J·Ã (the library's only
-``numpy.linalg.eig``), as J² = I makes it selfadjoint in [x, y] = y^H J x,
-and ``_cluster`` types it.  These directions, with the null directions of
-B, form a congruence frame (the canonical form of Lancaster & Rodman, SIAM
-Review 47, 2005), each held once, as a vector in the pair's own
-coordinates.  The canonical form is a direct sum: a Jordan copy or a
-chained conjugate group owns no direction and leaves the other directions
-in place.  Definiteness, minimizers, feasible points, sampling and
-divergence witnesses all read this one record, which is the pair's typed
-spectrum.
+``numpy.linalg.eig``, route "eig"), as J² = I makes it selfadjoint in
+[x, y] = y^H J x, and ``_cluster`` types it.  These directions, with the
+null directions of B, form a congruence frame (the canonical form of
+Lancaster & Rodman, SIAM Review 47, 2005), each held once, as a vector in
+the pair's own coordinates.  The canonical form is a direct sum: a Jordan
+copy or a chained conjugate group owns no direction and leaves the other
+directions in place.  Definiteness, minimizers, feasible points, sampling
+and divergence witnesses all read this one record, which is the pair's
+typed spectrum.
 
 The analysis is eager: ``analyze_pair`` fills every field before it
 returns, so a pair with a finite part of order m always pays the O(m³)
@@ -33,7 +38,8 @@ problem alone, or an ``infimum`` that returns an excluded constant).  Every
 other caller reads the spectrum anyway, and no field is computed twice.
 
 Finite eigenvalues carry a type: the sign of the B-form on their eigenspace,
-measured in B-frame coordinates, where B has unit scale.  On the ``eig``
+measured in a B-frame, where B has unit scale: the typed frame on the
+pair route, B's eigenvector frame on the others.  On the ``eig``
 route, eigenvectors are B-orthogonal unless their eigenvalues are conjugate,
 so one Gram matrix G = Z^H J Z of the eigenvectors Z, formed once per
 finite part, holds every B-form that typing reads: real eigenvalues closer
@@ -139,67 +145,105 @@ def _cluster(w, Z, G, tols, scale):
     return typed, cidx
 
 
-def _definite_spectrum(A, j, F, tols, scale):
-    """The ascending typed values of a definite finite part (Ã, J), or None.
+def _definite_spectrum(A, B, tols):
+    """Solve a definite pencil (A, B) by one Cholesky and one eigh, or None.
 
-    (Ã, J) is definite when s·Ã - t·J is positive definite for a sign s and
-    a shift t; then it has real eigenvalues and no Jordan block, and needs
-    neither ``_cluster`` nor a Gram matrix.  Its diagonal must be positive,
-    which bounds t to an interval for each s; one Cholesky is tried at a
-    shift t inside each nonempty one, the midpoint, or beyond the end of a
-    half-line by |end| + |Ã|_F (``scale``).  The first that succeeds,
-    s·Ã - t·J = L L^H, solves the pair: for eigh(L⁻¹ J L⁻ᴴ) = (μ, Y), the
-    eigenvalues are s·(t + 1/μ), each of type sign μ, with unit B-form
-    direction x / sqrt|μ|, x = L⁻ᴴ y, and b_form μ / |x|², that of the unit
-    eigenvector, as ``_cluster`` reports it.
+    The pencil is definite when s·A - t·B is positive definite for a sign s
+    and a shift t; then it has real eigenvalues and no Jordan block, and
+    needs neither ``_cluster`` nor a Gram matrix.  The routine runs in two
+    coordinate systems: in the pair's own, (A, B) as given, and in
+    B-frame coordinates, (Ã, J) with J = diag(j).  The diagonal of s·A - t·B
+    must be positive, which bounds t by the ratios a_ii / b_ii: above where
+    b_ii > 0, below where b_ii < 0, and needs s·a_ii > 0 where b_ii = 0.
+    One Cholesky is tried at a shift t inside each nonempty interval with a
+    finite end: its midpoint, or beyond the end of a half-line by |end| +
+    |A|_F / max|b_ii| (|Ã|_F in the B-frame).  The first that succeeds,
+    s·A - t·B = L L^H, solves the pencil: for eigh(L⁻¹ B L⁻ᴴ) = (μ, Y), the
+    eigenvalues are λ = s·(t + 1/μ), each of type sign μ, with the direction
+    x = L⁻ᴴ y / sqrt|μ| of B-form sign μ.  These directions are a B-frame X
+    of the pencil, with X^H B X = diag(sign μ) and X^H A X = diag(sign μ · λ).
 
-    The result is None, and the caller falls back to the general
-    eigensolve, when no Cholesky succeeds, or when the solve shows one of
-    the cases that ``_cluster`` decides differently or that the Cholesky
-    factor cannot resolve: an eigenvalue within sqrt(type_tol)·(|Ã|_F +
-    |t|) of s·t (a Jordan pair there passes Cholesky by roundoff), or two
-    eigenvalues within the cluster rule's type_tol·max|λ| + rank_tol·|Ã|_F
-    (a cluster takes the mean of its values).  The first also keeps every
-    direction off the isotropy test of ``_cluster``: for M = s·Ã - t·J > 0
-    and a unit eigenvector v, |Mv|² <= |M|·v^H M v gives |b_form| >=
-    |λ - s·t| / |M|, above sqrt(type_tol).  Every bound scales with Ã, so
-    the route does not depend on how the pair is scaled.
+    B must be nonsingular under the zero rule of ``eigen_signs`` (an
+    eigenvalue |d| <= rank_tol·max|d| counts as zero).  By Ostrowski's
+    theorem each eigenvalue of B = L (L⁻¹ B L⁻ᴴ) L^H is μ_k times a number in
+    [σ_min(L)², σ_max(L)²], so every |d| >= min|μ| / |L⁻¹|_F²; the solve is
+    kept only when that exceeds rank_tol·|B|_F >= rank_tol·max|d|.  Then
+    the signs of μ are B's inertia (Sylvester), with no zeros, as
+    ``eigen_signs`` counts it.  In B-frame coordinates B = J of order m is
+    nonsingular by construction; there |L⁻¹|_F² = Σ |μ_k|·|x_k|², so the
+    certificate fails only for very long directions, Σ |μ_k / min|μ||·|x_k|²
+    >= 1 / (rank_tol·sqrt(m)).
+
+    The guards are stated in the frame X that the solve builds: there the
+    finite part X^H A X = diag(sign μ · λ) has Frobenius norm |λ|_2 in
+    whichever coordinates the routine ran, and every B-form is exactly ±1.
+    The result is None, and the caller falls back, when B fails the
+    certificate above, or when the solve shows a case that ``_cluster``
+    decides differently or that the Cholesky factor cannot resolve: an
+    eigenvalue within sqrt(type_tol)·(|λ|_2 + |t|) of s·t (a Jordan pair
+    there passes Cholesky by roundoff), since |λ - s·t| = 1/|μ|; or two
+    eigenvalues within the cluster rule's type_tol·max|λ| + rank_tol·|λ|_2
+    (a cluster takes the mean of its values).  No direction of X is
+    isotropic, so the isotropy test of ``_cluster`` has nothing to find
+    there.  Values that overflow fail the first guard.  Every bound scales
+    with A and with B, with no ``1 +`` floor, so neither the route nor the
+    types depend on how the pair is scaled.
+
+    Returns (λ, sign μ, X), ascending in λ, the columns of X the directions.
     """
-    d = np.real(A.diagonal())
-    for s in (1.0, -1.0):
-        # s·ã_ii - t·j_i > 0 bounds t above where j_i = +1 and below where j_i = -1.
-        lo = float(np.max(-s * d[j < 0], initial=-np.inf))
-        hi = float(np.min(s * d[j > 0], initial=np.inf))
-        if not lo < hi:
-            continue
-        if np.isfinite(lo) and np.isfinite(hi):
-            t = 0.5 * (lo + hi)
-        elif np.isfinite(lo):
-            t = lo + abs(lo) + scale
-        else:
-            t = hi - abs(hi) - scale
-        try:
-            L = np.linalg.cholesky(s * A - t * np.diag(j))
-        except np.linalg.LinAlgError:
-            continue
-        Li = np.linalg.inv(L)
-        mu, Y = np.linalg.eigh((Li * j) @ Li.conj().T)
-        # |λ - s·t| = 1/|μ|: the eigenvalue nearest the shift has the largest |μ|.
-        if np.max(np.abs(mu)) * np.sqrt(tols.type_tol) * (scale + abs(t)) >= 1.0:
-            return None
-        lam = s * (t + 1.0 / mu)
-        order = np.argsort(lam)
-        lam, mu, X = lam[order], mu[order], Li.conj().T @ Y[:, order]
-        forms = mu / np.sum(np.abs(X) ** 2, axis=0)
-        gap = tols.type_tol * float(np.max(np.abs(lam))) + tols.rank_tol * scale
-        if np.any(np.diff(lam) <= gap):
-            return None
-        D = (F @ X / np.sqrt(np.abs(mu))).T.copy()
-        return [
-            TypedEigenvalue(v, POSITIVE if g > 0 else NEGATIVE, g, direction=x)
-            for v, g, x in zip(lam.tolist(), forms.tolist(), D)
-        ]
+    a, b = np.real(A.diagonal()), np.real(B.diagonal())
+    margin = (float(np.linalg.norm(A)) or 1.0) / (float(np.max(np.abs(b))) or 1.0)
+    # A ratio or a value may overflow; a bound or a guard then rejects it.
+    with np.errstate(over="ignore"):
+        for s in (1.0, -1.0):
+            lo = float(np.max(s * a[b < 0] / b[b < 0], initial=-np.inf))
+            hi = float(np.min(s * a[b > 0] / b[b > 0], initial=np.inf))
+            if not lo < hi or np.any(s * a[b == 0] <= 0):
+                continue
+            if np.isfinite(lo) and np.isfinite(hi):
+                t = 0.5 * (lo + hi)
+            elif np.isfinite(lo):
+                t = lo + abs(lo) + margin
+            elif np.isfinite(hi):
+                t = hi - abs(hi) - margin
+            else:
+                continue
+            try:
+                L = np.linalg.cholesky(s * A - t * B)
+            except np.linalg.LinAlgError:
+                continue
+            Li = np.linalg.inv(L)
+            mu, Y = np.linalg.eigh(Li @ B @ Li.conj().T)
+            li2 = float(np.sum(np.abs(Li) ** 2))
+            if np.min(np.abs(mu)) <= tols.rank_tol * float(np.linalg.norm(B)) * li2:
+                return None
+            lam = s * (t + 1.0 / mu)
+            scale = float(np.linalg.norm(lam))
+            # |λ - s·t| = 1/|μ|: the eigenvalue nearest the shift has the largest |μ|.
+            if np.max(np.abs(mu)) * np.sqrt(tols.type_tol) * (scale + abs(t)) >= 1.0:
+                return None
+            order = np.argsort(lam)
+            lam, mu = lam[order], mu[order]
+            gap = tols.type_tol * float(np.max(np.abs(lam))) + tols.rank_tol * scale
+            if np.any(np.diff(lam) <= gap):
+                return None
+            return lam, np.sign(mu), Li.conj().T @ Y[:, order] / np.sqrt(np.abs(mu))
     return None
+
+
+def _typed(lam, forms, X):
+    """(pos, neg): the TypedEigenvalues of ascending values ``lam`` whose
+    b_forms are ``forms`` and whose directions are the columns of X."""
+    typed = [
+        TypedEigenvalue(v, POSITIVE if g > 0 else NEGATIVE, g, direction=x)
+        for v, g, x in zip(lam.tolist(), forms.tolist(), X.T.copy())
+    ]
+    return _split(typed)
+
+
+def _split(typed):
+    return (tuple(e for e in typed if e.eig_type == POSITIVE),
+            tuple(e for e in typed if e.eig_type == NEGATIVE))
 
 
 def _conjugate_blocks(A, w, Z, G, cidx, tols):
@@ -254,38 +298,40 @@ def _finite_spectrum(A, j, F, tols):
     """The typed spectrum of the finite part (Ã, J), J = diag(j), of nonzero order.
 
     A definite pair is solved by one Cholesky and one Hermitian eigensolve
-    (``_definite_spectrum``).  Any other, or a definite one that its guard
-    sends on, by one standard eigensolve of J·Ã, as J² = I: J Ã z = λz iff
-    Ã z = λJz, typed by ``_cluster``.  F maps the finite part's coordinates
-    into the pair's, where the directions are returned.  Returns (pos, neg,
-    complex values, isotropic defect, conjugate blocks), the fields of
-    ``PairAnalysis`` of those names.
+    (``_definite_spectrum`` in B-frame coordinates), each b_form that of the
+    unit eigenvector, sign μ / |x|².  Any other, or a definite one that its
+    guard sends on, by one standard eigensolve of J·Ã, as J² = I: J Ã z =
+    λJz iff Ã z = λJz, typed by ``_cluster``.  F maps the finite part's
+    coordinates into the pair's, where the directions are returned.
+    Returns (pos, neg, complex values, isotropic defect, conjugate blocks,
+    route), the fields of ``PairAnalysis`` of those names.
     """
+    solved = _definite_spectrum(A, np.diag(j), tols)
+    if solved is not None:
+        lam, sign, X = solved
+        pos, neg = _typed(lam, sign / np.sum(np.abs(X) ** 2, axis=0), F @ X)
+        return pos, neg, (), False, (), "frame-cholesky"
     # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
     scale = float(np.linalg.norm(A)) or 1.0
-    typed = _definite_spectrum(A, j, F, tols, scale)
-    complex_values, blocks = (), ()
-    if typed is None:
-        w, Z = np.linalg.eig(j[:, None] * A)
-        G = Z.conj().T @ (j[:, None] * Z)  # every B-form the typing reads
-        typed, cidx = _cluster(w, F @ Z, G, tols, scale)
-        complex_values = tuple(complex(z) for z in w[cidx])
-        blocks = _conjugate_blocks(A, w, Z, G, cidx, tols)
-        blocks = tuple((F @ c1, F @ c2, alpha, beta) for c1, c2, alpha, beta in blocks)
-    pos = tuple(e for e in typed if e.eig_type == POSITIVE)
-    neg = tuple(e for e in typed if e.eig_type == NEGATIVE)
+    w, Z = np.linalg.eig(j[:, None] * A)
+    G = Z.conj().T @ (j[:, None] * Z)  # every B-form the typing reads
+    typed, cidx = _cluster(w, F @ Z, G, tols, scale)
+    blocks = _conjugate_blocks(A, w, Z, G, cidx, tols)
+    blocks = tuple((F @ c1, F @ c2, alpha, beta) for c1, c2, alpha, beta in blocks)
     defect = any(e.direction is None and not e.jordan_pair for e in typed)
-    return pos, neg, complex_values, defect, blocks
+    complex_values = tuple(complex(z) for z in w[cidx])
+    return *_split(typed), complex_values, defect, blocks, "eig"
 
 
 @dataclass(frozen=True, eq=False)
 class PairAnalysis:
     """Everything derived from one Hermitian pair, each piece computed once.
 
-    ``analyze_pair`` decomposes B and splits along N(B), less the
-    ``deflated_dims`` directions that A also annihilates.  The B-frame W =
-    [R, N] has R^H B R = J = diag(j), j = (+1.., -1..), and N an orthonormal
-    basis of the rest of N(B); ``R`` and ``N`` are its column slices.  A on
+    Off the pair route, ``analyze_pair`` decomposes B and splits along
+    N(B), less the ``deflated_dims`` directions that A also annihilates.
+    The B-frame W = [R, N] has R^H B R = J = diag(j), j = (+1.., -1..), and
+    N an orthonormal basis of the rest of N(B); ``R`` and ``N`` are its
+    column slices.  A on
     N(B) has eigenvalues ``d_inf`` (eigenvectors ``Q_inf`` in N's
     coordinates).  When none is within ``null_tol`` of zero, the congruence
     [R + N K, N Q_inf |d_inf|^(-1/2)] block-diagonalizes the pair into the
@@ -304,6 +350,16 @@ class PairAnalysis:
     spectrum is untyped and which has no blocks.  ``b_form`` values are in
     B-frame coordinates; directions are in ``pair``'s coordinates, without
     the deflated directions.
+
+    ``route`` names how the pencil was solved: "pair-cholesky",
+    "frame-cholesky" or "eig", and None for a chained pair or B = 0, which
+    have no finite part to solve.  On the pair route B is nonsingular and
+    never decomposed: ``b_frame`` holds the typed directions themselves,
+    the +1 columns ascending in value, then the -1 columns, with ``j``
+    their signs and ``b_inertia`` the count of each; there is no null part
+    (``d_inf`` empty, ``K`` of no rows, so ``finite_frame()`` is
+    ``b_frame``); ``A_fin`` = W^H A W is diag(j · value) up to roundoff;
+    and every ``b_form`` is exactly +1 or -1, the B-form of its direction.
     """
 
     tols: ToleranceSet
@@ -322,6 +378,7 @@ class PairAnalysis:
     complex_values: tuple
     isotropic_defect: bool
     blocks: tuple
+    route: str | None  # "pair-cholesky", "frame-cholesky", "eig"; None: chained or B = 0
 
     @property
     def R(self) -> np.ndarray:
@@ -376,26 +433,51 @@ class PairAnalysis:
         return (self.N @ self.Q_inf) / np.sqrt(np.abs(self.d_inf))
 
 
-def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAnalysis:
-    """Decompose B once, drop the common nullspace of A and B and split off
-    the rest of N(B); see :class:`PairAnalysis`.
+def eigh_frame(B: np.ndarray, tols: ToleranceSet = DEFAULT_TOLS):
+    """B's frame from one eigendecomposition B = V diag(d) V^H: (R, N, j).
 
-    A common null vector of A and B lies in N(B), so with N an orthonormal
-    basis of N(B) the common nullspace is N times the null space of A N.
-    N is rotated only when a direction is dropped.  Raises NonFiniteError
-    when the finite part overflows: the entries of Ã grow like |A| over the
-    smallest nonzero |eigenvalue| of B.
+    R = V |d|^(-1/2) on the eigenvalues that are not zero under the rule of
+    ``eigen_signs``, the +1 columns before the -1 columns (each ascending in
+    d), so R^H B R = diag(j); N holds the unit eigenvectors of the zero ones.
+    The columns of R are orthogonal, which those of a typed frame need not be.
     """
-    A = pair.A.entries
     try:
-        d, V = np.linalg.eigh(pair.B.entries)
+        d, V = np.linalg.eigh(B)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise KernelFailureError(str(exc)) from exc
     signs = eigen_signs(d, tols.rank_tol)
-    pos, neg = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
-    N = V[:, signs == 0]
+    order = np.concatenate([np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)])
+    return V[:, order] / np.sqrt(np.abs(d[order])), V[:, signs == 0], signs[order].astype(float)
+
+
+def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAnalysis:
+    """The typed spectrum of a pair, solved in its own coordinates when it can
+    be, else after decomposing B; see :class:`PairAnalysis`.
+
+    A definite pair with nonsingular B is solved by ``_definite_spectrum`` on
+    (A, B) itself, with no decomposition of B.  Any other pair decomposes B
+    once, drops the common nullspace of A and B and splits off the rest of
+    N(B).  A common null vector of A and B lies in N(B), so with N an
+    orthonormal basis of N(B) the common nullspace is N times the null space
+    of A N.  N is rotated only when a direction is dropped.  Raises
+    NonFiniteError when the finite part overflows: the entries of Ã grow
+    like |A| over the smallest nonzero |eigenvalue| of B.
+    """
+    A = pair.A.entries
     # "A vanishes on N(B)" relative to A alone: no scale of B or of the pair moves it.
     null_tol = tols.rank_tol * float(np.linalg.norm(A))
+    solved = _definite_spectrum(A, pair.B.entries, tols)
+    if solved is not None:
+        lam, sign, X = solved
+        plus = sign > 0
+        W, j = np.hstack([X[:, plus], X[:, ~plus]]), np.concatenate([sign[plus], sign[~plus]])
+        M = W.conj().T @ A @ W
+        return PairAnalysis(
+            tols, pair, 0, Inertia(int(np.sum(plus)), 0, int(np.sum(~plus))), W, j, null_tol,
+            np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(j))), (M + M.conj().T) / 2.0,
+            *_typed(lam, sign, X), (), False, (), "pair-cholesky",
+        )
+    R, N, j = eigh_frame(pair.B.entries, tols)
     deflated = 0
     if N.shape[1]:
         _, s, Vh = np.linalg.svd(A @ N, full_matrices=False)
@@ -403,11 +485,7 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
         deflated = N.shape[1] - live
         if deflated:
             N = N @ Vh[:live].conj().T
-    # Unit B-form on the range of B; null directions keep unit length.
-    order = np.concatenate([pos, neg])
-    W = np.hstack([V[:, order] / np.sqrt(np.abs(d[order])), N])
-    j = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
-    R, N = W[:, : len(j)], W[:, len(j):]
+    W = np.hstack([R, N])
     K, d_inf, Q_inf, A_fin = np.zeros((0, len(j))), np.zeros(0), np.zeros((0, 0)), None
     # Overflow in forming Ã is reported once, below, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -425,9 +503,10 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
                     "the finite part of the pair overflows: A is too large for "
                     "the smallest nonzero eigenvalue of B"
                 )
-    b_inertia = Inertia(len(pos), pair.n - len(pos) - len(neg), len(neg))
+    n_plus = int(np.sum(j > 0))
+    b_inertia = Inertia(n_plus, pair.n - len(j), len(j) - n_plus)
     if K is None or not len(j):  # chained, or B = 0: no finite part to solve
-        spectrum = (), (), (), K is None, ()
+        spectrum = (), (), (), K is None, (), None
     else:
         spectrum = _finite_spectrum(A_fin, j, F, tols)
     return PairAnalysis(

@@ -23,7 +23,10 @@ the chained ``InfiniteBlockRay`` (sigma = t^2).  Three builders:
 
 Builders read the ``PairAnalysis`` objects that ``infimum`` carries on its
 result: the directions its typed entries and conjugate blocks own, and its
-B-frame; no pair is analysed again.  A Jordan copy or a chained conjugate
+B-frame; no pair is analysed again.  The ray builders, which run only where
+B has a null direction, take Bhat's eigenvector frame (``eigh_frame``)
+instead of the hat pair's, so their slope does not depend on the route
+that solved the hat pair.  A Jordan copy or a chained conjugate
 group owns no direction, so the rotation uses only the typed and block
 planes there are, and it needs a direction for every hat dimension: a hat
 pair with Jordan or chained structure gets no rotation.
@@ -40,6 +43,7 @@ import numpy as np
 
 from .errors import CertificationFailedError, NoWitnessConstructibleError
 from .matcore import ProblemInstance, paired_columns
+from .spectral import eigh_frame
 from .tracemin import (
     NEG_INFINITE,
     InfimumResult,
@@ -292,16 +296,29 @@ def _ray_family(problem, slope, x_base, u, v, sigma_map):
     return _family(INFINITE_BLOCK_RAY, problem, slope, sigma_map, x_base, d_cosh, d_sinh)
 
 
+def _hat_frame(problem, hat):
+    """(Th, Th^H Ahat Th): Bhat's B-frame of orthogonal columns (``eigh_frame``).
+
+    A ray or chain family pairs a unit direction of the hat's frame with a
+    null direction of B, so its slope is measured in that frame.  This one
+    has orthogonal columns and does not depend on the route that solved the
+    hat pair.  The typed frame of a definite hat pair can be far from
+    orthogonal, and the chained family, whose residual sits at its roundoff
+    floor, certifies worse there.  Bhat is nonsingular, so Th is square.
+    """
+    Th, _, _ = eigh_frame(problem.hat_pair.B.entries, hat.tols)
+    M = Th.conj().T @ problem.hat_pair.A.entries @ Th
+    return Th, (M + M.conj().T) / 2.0
+
+
 def _ray_witness(problem, big, hat):
     if not big.has_infinite or big.coupled:
         raise NoWitnessConstructibleError("no diagonal infinite structure")
 
     # R + N K is A-orthogonal to N(B), so the ray adds no cross term.
-    Th = hat.b_frame
+    Th, A_hat = _hat_frame(problem, hat)
     X0 = big.finite_frame()[:, paired_columns(big.b_inertia, hat.b_inertia)] @ Th.conj().T
-
-    # Bhat is nonsingular, so the hat finite part is Th^H Ahat Th.
-    lam_hat, Wh = np.linalg.eigh(hat.A_fin)
+    lam_hat, Wh = np.linalg.eigh(A_hat)
 
     # slope = sign(d_inf[i]) * lam_hat[k], least at a pairing of extremes.
     signs = np.sign(big.d_inf)
@@ -329,7 +346,8 @@ def _chain_witness(problem, big, hat):
     # feasible, so each term is turned to add to the largest one.
     A = big.pair.A.entries
     Ah = problem.hat_pair.A.entries
-    Wc, Th = big.b_frame[:, paired_columns(big.b_inertia, hat.b_inertia)], hat.b_frame
+    Wc = big.b_frame[:, paired_columns(big.b_inertia, hat.b_inertia)]
+    Th, _ = _hat_frame(problem, hat)
     M = Th.conj().T @ Ah
     best = None
     for i in cand:

@@ -5,7 +5,8 @@ These functions reach the same quantities another way: the common nullspace
 of A and B by one SVD of the stacked 2n x n pair, padding by explicit
 construction of the padded hat pair, the closed form by Fan's sorted-product
 rule on the typed value lists, and lam_min(A - t*B) by a direct eigenvalue
-solve.  They are not part of the library.
+solve, and the typed spectrum of a pair with nonsingular B by the B-frame
+route alone.  They are not part of the library.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pencil_tracemin.matcore import (
     inertia,
     pair_from_arrays,
 )
-from pencil_tracemin.spectral import PairAnalysis
+from pencil_tracemin.spectral import PairAnalysis, _finite_spectrum
 
 
 @dataclass(frozen=True)
@@ -109,3 +110,15 @@ def equal_inertia_value(big: PairAnalysis, hat: PairAnalysis) -> float:
 def lambda_min_shift(pair: MatrixPair, shift: float) -> float:
     """Smallest eigenvalue of A - shift*B."""
     return float(eigvalsh(pair.A.entries - shift * pair.B.entries)[0])
+
+
+def b_frame_spectrum(pair: MatrixPair, tols=DEFAULT_TOLS):
+    """(pos, neg) of a pair with nonsingular B, solved in B-frame coordinates:
+    eigh(B) = (d, V), R = V |d|^(-1/2) (+1 columns, then -1), and the typed
+    spectrum of (R^H A R, diag(sign d)) by ``_finite_spectrum``."""
+    d, V = np.linalg.eigh(pair.B.entries)
+    order = np.argsort(-np.sign(d), kind="stable")
+    R = V[:, order] / np.sqrt(np.abs(d[order]))
+    M = R.conj().T @ pair.A.entries @ R
+    pos, neg, *_ = _finite_spectrum((M + M.conj().T) / 2.0, np.sign(d[order]), R, tols)
+    return pos, neg

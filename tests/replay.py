@@ -7,7 +7,8 @@
 707) and four scaled copies of each: (A*1e6, Ahat*1e-6), (A*1e-6, Ahat*1e6),
 Ahat*1e-8 and A*1e-8, where A and Ahat are the objective matrices of the
 pair and the hat pair.  Each outcome records the verdict, reason, detail,
-value and attainability of ``infimum``, the flags of both typed spectra,
+value and attainability of ``infimum``, the route each pair was solved by
+(``PairAnalysis.route``), the flags of both typed spectra,
 and for a NegInfinite verdict the witness kind, slope and certified
 residual (``certify_unbounded(-1e6, 1e4)``), or the type and message of
 the exception raised.
@@ -20,9 +21,10 @@ were kept still compare), a summary of each, and the scaled flips of
 each: scaled copies whose verdict, reason or scaled value (1e-6 relative)
 differs from the unscaled problem.  For each file it also breaks the
 unscaled ``NoWitnessConstructibleError`` count down by verdict reason and
-by the message of ``_rotation_witness``.  It exits 1 when it prints any
-difference.  ``test_replay.py`` runs the replay in-process and holds its
-counts as a ratchet.  The file name does not match ``test_*.py``, so
+by the message of ``_rotation_witness``, and counts the routes of each
+file's pairs per scale label (routes are not compared).  It exits 1 when
+it prints any difference.  ``test_replay.py`` runs the replay in-process
+and holds its counts as a ratchet.  The file name does not match ``test_*.py``, so
 pytest does not collect it.
 """
 
@@ -105,6 +107,7 @@ def outcome(problem):
         "detail": res.reason_detail,
         "value": res.value,
         "attainable": res.attainable,
+        "routes": [res.analysis.route, res.hat_analysis.route],
     }
     if res.verdict == EXCLUDED_CONSTANT:
         return out
@@ -216,6 +219,16 @@ def unwitnessed(rows):
     return f"no witness by reason {dict(by_reason)}; by rotation message {dict(by_rotation)}"
 
 
+def routes(rows):
+    """How the pairs of each scale label were solved: route -> count, over
+    the pair and the hat pair of every problem that was analysed."""
+    out = {}
+    for label in ("", *SCALES):
+        count = Counter(str(r) for row in rows for r in row[label].get("routes", ()))
+        out[label or "unscaled"] = dict(sorted(count.items())) or "not recorded"
+    return f"routes {out}"
+
+
 def compare(old_path, new_path):
     old = json.loads(Path(old_path).read_text())
     new = json.loads(Path(new_path).read_text())
@@ -231,6 +244,7 @@ def compare(old_path, new_path):
     for label, rows in (("old", old), ("new", new)):
         print(f"{label}: {summary(rows)}")
         print(f"{label}: {unwitnessed(rows)}")
+        print(f"{label}: {routes(rows)}")
     return changed
 
 

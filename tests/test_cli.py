@@ -61,22 +61,26 @@ def test_analyze_golden_pair(tmp_path, capsys):
     assert set(rep["definiteness"]) == {f.name for f in fields(DefinitenessReport)}
     assert rep["typed_spectrum"]["pos"][0]["value"] == pytest.approx(1.0, abs=1e-9)
     assert rep["typed_spectrum"]["neg"][0]["value"] == pytest.approx(-2.0, abs=1e-9)
+    # A definite pair with nonsingular B is solved in its own coordinates.
+    assert rep["typed_spectrum"]["route"] == "pair-cholesky"
 
 
 @pytest.mark.parametrize(
     "A,B,eighs",
     [
-        (np.diag([1.0, 3.0, -1.0]), np.diag([1.0, -1.0, 2.0]), 1),
+        (np.diag([1.0, 3.0, -1.0]), np.diag([1.0, -1.0, 2.0]), 0),
         (np.diag([1.0, 3.0, -1.0]), np.diag([1.0, 0.0, -2.0]), 2),
         (np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 0.0, -2.0]), 1),
     ],
     ids=["nonsingular", "singular", "shared_null"],
 )
 def test_analyze_solves_the_pencil_once(tmp_path, capsys, monkeypatch, A, B, eighs):
-    # The typed spectrum and the definiteness block come from one analysis, and
-    # B is decomposed once: the common null vector is found inside N(B), and A
-    # on N(B) takes one more eigh only when N(B) keeps a direction.  The pencil
-    # is solved once, by an eig or by a Cholesky and its eigh.
+    # The typed spectrum and the definiteness block come from one analysis.
+    # The definite pair with nonsingular B is solved in its own coordinates,
+    # with no eigh of B.  Otherwise B is decomposed once: the common null
+    # vector is found inside N(B), and A on N(B) takes one more eigh only
+    # when N(B) keeps a direction.  The pencil is solved once, by an eig or
+    # by a Cholesky and its eigh.
     path = str(tmp_path / "pair.json")
     pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), 2, 4.0)
     pt.matcore.save_pair(path, pair)
@@ -85,6 +89,7 @@ def test_analyze_solves_the_pencil_once(tmp_path, capsys, monkeypatch, A, B, eig
     assert code == 0
     assert pencil_solves(calls) == 1, calls
     assert calls.count("eigh") == eighs + calls.count("cholesky"), calls
+    assert (rep["typed_spectrum"]["route"] == "pair-cholesky") == (eighs == 0)
     assert rep["is_psd_pair"] == rep["definiteness"]["is_psd_pair"]
     assert len(rep["typed_spectrum"]["pos"]) + len(rep["typed_spectrum"]["neg"]) == int(
         np.sum(np.diag(B) != 0)
@@ -461,11 +466,13 @@ def test_verify_seed_reproducible(golden_file, capsys):
     assert out1 == out2
 
 
-# min_trace and mean_trace of ``--seed 3 verify golden --samples 200`` from the
-# per-sample loop that drew one feasible point at a time.
+# min_trace and mean_trace of ``--seed 3 verify golden --samples 200`` from a
+# per-sample loop that drew one feasible point at a time, sample k from
+# default_rng([3, k]), in the typed frames of the two definite pairs.
 @pytest.mark.parametrize(
     "spread, min_trace, mean_trace",
-    [("1.0", 1.419652231073079, 5.333841541430911), ("2.0", 1.5029378449122741, 16.3300745438639)],
+    [("1.0", 1.4217040403955452, 4.538422324157434), ("2.0", 1.4441754744628943, 13.911048609510447)],
+    ids=["spread-1.0", "spread-2.0"],
 )
 def test_verify_golden_figures_pinned(golden_file, capsys, spread, min_trace, mean_trace):
     code, rep = run_json(

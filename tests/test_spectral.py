@@ -16,8 +16,11 @@ from pencil_tracemin.spectral import (
 from pencil_tracemin.errors import NonFiniteError
 from pencil_tracemin.genpairs import BlockSpec, assemble
 
-from conftest import count_eigen_kernels, golden_hat_matrix, k2_pair, rand_hermitian, spectral_norm
-from reference import deflate_common_nullspace
+from conftest import (
+    count_eigen_kernels, diag_problem, golden_hat_matrix, k2_pair, rand_hermitian, spectral_norm,
+)
+from reference import b_frame_spectrum, deflate_common_nullspace
+from test_tracemin import _criterion_7_problems
 
 
 def block_diag(*blocks):
@@ -64,8 +67,9 @@ def b_frame_of(B):
 def test_eigh_examples():
     a, res = b_frame_of(np.diag([3.0, 1.0]))
     assert a.b_inertia == pt.Inertia(2, 0, 0) and res <= 1e-15
-    # Columns in ascending eigenvalue order: e2 (eigenvalue 1), then e1 / sqrt(3).
-    np.testing.assert_allclose(np.abs(a.b_frame), [[0.0, 1.0 / np.sqrt(3.0)], [1.0, 0.0]])
+    # The typed frame of the definite pair (I, B), ascending in its values:
+    # e1 / sqrt(3) (value 1/3), then e2 (value 1).
+    np.testing.assert_allclose(np.abs(a.b_frame), [[1.0 / np.sqrt(3.0), 0.0], [0.0, 1.0]])
     # F_2: characteristic polynomial t^2 - 1.
     a, res = b_frame_of(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert a.b_inertia == pt.Inertia(1, 0, 1) and res <= 1e-15
@@ -257,13 +261,11 @@ def test_close_eigenvalues_of_a_large_pencil_stay_distinct():
 
 
 def _solved(monkeypatch, pair):
-    """analyze_pair of ``pair``, the kernels it called and its route: "cholesky"
-    when one Cholesky solved the pencil with no eig, "eig" when an eig did."""
+    """analyze_pair of ``pair``, the kernels it called and its route."""
     calls = count_eigen_kernels(monkeypatch)
     a = analyze_pair(pair)
     monkeypatch.undo()
-    route = "eig" if "eig" in calls else "cholesky" if "cholesky" in calls else None
-    return a, calls, route
+    return a, calls, a.route
 
 
 def _definite_pair(pos, neg, seed, cond):
@@ -316,9 +318,10 @@ def test_definite_pair_with_a_cluster_goes_to_eig(monkeypatch):
 
 
 def test_definite_pair_under_an_ill_conditioned_congruence_keeps_its_types(monkeypatch):
-    # The shift is read off the diagonal of the finite part, which a congruence
-    # of condition 1e4 can make a poor guide: then the Cholesky fails and the
-    # pair takes the eig route (seeds 0 and 1).  Either way the types hold.
+    # The shift is read off the diagonal of the pair, and then of its finite
+    # part, which a congruence of condition 1e4 can make a poor guide: then
+    # both Cholesky fail and the pair takes the eig route (seeds 0, 1 and 4).
+    # Either way the types hold.
     pos, neg = [1.0, 1.5, 2.0], [-1.0, -0.5]
     routes = {}
     for seed in range(6):
@@ -329,7 +332,7 @@ def test_definite_pair_under_an_ill_conditioned_congruence_keeps_its_types(monke
         for e in a.pos + a.neg:
             form = np.real(e.direction.conj() @ pair.B.entries @ e.direction)
             assert form == pytest.approx(1.0 if e.eig_type == "positive" else -1.0, abs=1e-6)
-    assert [s for s, r in routes.items() if r == "cholesky"] == [2, 3, 5], routes
+    assert [s for s, r in routes.items() if r != "eig"] == [2, 3, 5], routes
 
 
 def test_close_eigenvalues_stay_distinct_on_the_cholesky_route(monkeypatch):
@@ -340,14 +343,14 @@ def test_close_eigenvalues_stay_distinct_on_the_cholesky_route(monkeypatch):
     neg = np.linspace(-2.0, -1.0, 40)
     pair = _definite_pair(pos, neg, 0, 2.0)
     a, _, route = _solved(monkeypatch, pair)
-    assert route == "cholesky"
+    assert route == "pair-cholesky"
     assert len(a.pos) == len(a.neg) == 40
     np.testing.assert_allclose(a.pos_values[:2], pos[:2], rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("factor", [1e-8, 1e-6, 1e6])
 def test_route_and_typed_values_scale_with_a(monkeypatch, factor):
-    # Every bound of the definite route scales with Ã, so scaling A keeps the
+    # Every bound of the definite route scales with A, so scaling A keeps the
     # route and scales the typed values; the Jordan pair stays on eig.
     pairs = [_definite_pair([1.0, 1.5, 2.0], [-1.0, -0.5], seed, 6.0) for seed in range(3)]
     pairs += [_definite_pair([0.5, 3.0], [], 3, 6.0), k2_pair(0.3)]
@@ -360,7 +363,54 @@ def test_route_and_typed_values_scale_with_a(monkeypatch, factor):
         routes.append(route)
         for got, want in ((a.pos_values, base.pos_values), (a.neg_values, base.neg_values)):
             np.testing.assert_allclose(got, factor * want, rtol=1e-12, atol=0)
-    assert routes == ["cholesky"] * 4 + ["eig"]
+    assert routes == ["frame-cholesky", "pair-cholesky"] * 2 + ["eig"]
+
+
+def _diverge_certify_pairs():
+    """The pairs of mixed-sign problems shaped like the benchmark's
+    diverge-certify workload: orders 20, 40 and 80, congruences of condition 6."""
+    rng = np.random.default_rng(80)
+    for n in (20, 20, 40, 40, 80, 80):
+        npl, nmi = n // 2, n - n // 2
+        prob = diag_problem(
+            rng.uniform(0.5, 2.0, npl), rng.uniform(-2.0, -0.5, nmi),
+            -rng.uniform(0.5, 2.0, npl), rng.uniform(0.5, 2.0, nmi),
+            scramble=tuple(rng.integers(2**31, size=2)),
+        )
+        yield from (prob.pair, prob.hat_pair)
+
+
+def test_pair_route_matches_the_b_frame_route():
+    # Every pair solved in its own coordinates has the types and values of
+    # the B-frame route (eigh of B, then the finite part's own solve).
+    routes = []
+    problems = _criterion_7_problems()
+    for pair in itertools.chain(*((p.pair, p.hat_pair) for p in problems), _diverge_certify_pairs()):
+        a = analyze_pair(pair)
+        routes.append(a.route)
+        if a.route != "pair-cholesky":
+            continue
+        pos, neg = b_frame_spectrum(pair)
+        assert (len(a.pos), len(a.neg)) == (len(pos), len(neg))
+        got = np.concatenate([a.pos_values, a.neg_values])
+        want = np.array([e.value for e in pos + neg])
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert routes.count("pair-cholesky") == 449
+
+
+@pytest.mark.parametrize("ratio, route, inertia", [
+    (5e-11, "frame-cholesky", pt.Inertia(1, 1, 0)),
+    (1e-9, "pair-cholesky", pt.Inertia(2, 0, 0)),
+], ids=["below-rank_tol", "above-rank_tol"])
+def test_pair_route_keeps_the_zero_rule_of_b(ratio, route, inertia):
+    # The eigenvalue ratio of B = diag(1, ratio) is below rank_tol, or above it.
+    # The pair is definite either way, but below it B counts as singular: the
+    # nonsingularity certificate of the pair route fails, and the B-frame
+    # route splits off N(B), as the inertia of B alone says.
+    pair = pt.pair_from_arrays(np.diag([1.0, -1.0]), np.diag([1.0, ratio]))
+    a = analyze_pair(pair)
+    assert a.route == route
+    assert a.b_inertia == pt.inertia(pair.B) == inertia
 
 def test_split_infinite_classification():
     tols = pt.ToleranceSet()

@@ -367,6 +367,19 @@ def test_verdict_independent_of_congruence_conditioning(cap):
         assert res.value == pytest.approx(value, rel=1e-6)
 
 
+@pytest.mark.parametrize("cap, solved", [(1e4, 32), (1e5, 31)], ids=["cap-1e4", "cap-1e5"])
+def test_pair_route_value_under_an_ill_conditioned_congruence(cap, solved):
+    # Solved in their own coordinates, both pairs skip the B-frame and its
+    # eps * cond(B) roundoff: the value keeps 1e-12 relative accuracy.
+    pair_solved = 0
+    for prob, value in _equal_inertia_sweep(cap):
+        res = infimum(prob)
+        if res.analysis.route == res.hat_analysis.route == "pair-cholesky":
+            assert res.value == pytest.approx(value, rel=1e-12, abs=0)
+            pair_solved += 1
+    assert pair_solved == solved
+
+
 def test_minimizer_with_a_tiny_entry_of_b():
     # (diag(1, 2), diag(1, 1e-8)) has the positive-type eigenvalues 1 and 2e8;
     # the small B-form of the second is no Jordan structure.
