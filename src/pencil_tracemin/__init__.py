@@ -22,7 +22,7 @@ from .matcore import (
     validate_hermitian,
 )
 from .definiteness import DefinitenessReport, analysis_definiteness
-from .spectral import PairAnalysis, TypedEigenvalue, analyze_pair
+from .spectral import PairAnalysis, analyze_pair
 from .hyperbolic import (
     polar_from_W,
     sample_feasible,

@@ -14,8 +14,9 @@ N(B) and splits off the rest of N(B) in place: the record holds the
 eigenvalues of A there, the coupling K that eliminates it from the range
 of B, and the finite part Ã as an array, posed in B-frame coordinates,
 (Ã, J) with J = diag(+1.., -1..).  ``_finite_spectrum`` solves it by one
-of two routes into the typed values ``pos`` and ``neg``, each with the
-direction it owns, and a tuple of 2x2 blocks for the conjugate eigenvalue
+of two routes into the typed spectrum, arrays for each type (the ascending
+values, their B-forms, a Jordan mask and one matrix of the directions the
+entries own), and a tuple of 2x2 blocks for the conjugate eigenvalue
 pairs.  A definite finite part takes the same Cholesky solve in B-frame
 coordinates ("frame-cholesky").  Every other one, and a definite one
 whose guard finds an eigenvalue at the shift or two eigenvalues that
@@ -23,7 +24,7 @@ would cluster, takes one standard eigensolve of J·Ã (the library's only
 ``numpy.linalg.eig``, route "eig"), as J² = I makes it selfadjoint in
 [x, y] = y^H J x, and ``_cluster`` types it.  These directions, with the
 null directions of B, form a congruence frame (the canonical form of
-Lancaster & Rodman, SIAM Review 47, 2005), each held once, as a vector in
+Lancaster & Rodman, SIAM Review 47, 2005), each held once, as a column in
 the pair's own coordinates.  The canonical form is a direct sum: a Jordan
 copy or a chained conjugate group owns no direction and leaves the other
 directions in place.  Definiteness, minimizers, feasible points, sampling
@@ -58,15 +59,12 @@ leaves no finite part: the spectrum of a chained pair is untyped
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import KernelFailureError, NonFiniteError
 from .matcore import DEFAULT_TOLS, Inertia, MatrixPair, ToleranceSet, eigen_signs
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
 
 INF_NONE = "none"
 INF_PLUS = "plus"
@@ -75,33 +73,23 @@ INF_MIXED = "mixed"
 INF_COUPLED = "coupled"
 
 
-@dataclass(frozen=True)
-class TypedEigenvalue:
-    value: float
-    eig_type: str
-    b_form: float
-    jordan_pair: bool = False
-    # The direction it owns, in the pair's coordinates, of B-form +1 or -1 by
-    # type; a Jordan copy or an odd isotropic leftover owns none.
-    direction: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
 def _cluster(w, Z, G, tols, scale):
     """Cluster the real eigenvalues w of J·Ã and type each cluster.
 
     G = V^H J V for the unit eigenvectors V in B-frame coordinates, B = J =
     diag(j); Z = F V holds them mapped by some F into the coordinates that
-    each entry's direction is returned in.
+    the directions are returned in.
     With ``scale`` the size of the finite part's A, w is real if |Im w| <=
     type_tol * |w| + rank_tol * scale, and two real ones share a cluster
     within type_tol * max|w| + rank_tol * scale.  The copies of a Jordan
     block that roundoff splits further, up to type_tol * scale, are still
     real and share a cluster: their columns of G vanish to sqrt(type_tol).
-    Each cluster C is typed by the inertia of G[C, C]; its isotropic
-    directions (|b_form| <= type_tol) pair up at its value as ``jordan_pair``
-    copies of both types, and an odd one left over takes its b_form's sign.
-    Returns (typed, complex indices): typed is one ascending list of
-    TypedEigenvalue, each cluster's directions before its isotropic copies.
+    Each cluster C is typed by the inertia of G[C, C], a cluster of one by
+    its diagonal entry, all at once; its isotropic directions (|b_form| <=
+    type_tol) pair up at its value as Jordan copies of both types, and an odd
+    one left over takes its b_form's sign; neither owns a direction.
+    Returns (typed, complex indices), typed the arguments of ``_by_type``:
+    clusters ascending, each its directions in eigh order, then its copies.
     """
     floor, split_tol = tols.rank_tol * scale, tols.type_tol * scale
     root = np.sqrt(tols.type_tol)
@@ -114,35 +102,33 @@ def _cluster(w, Z, G, tols, scale):
     ridx = np.flatnonzero(real)
     ridx = ridx[np.argsort(w[ridx].real)]
     vals = w[ridx].real
-    if not vals.size:
-        return [], cidx
     gaps = np.diff(vals)
-    apart = gaps > tols.type_tol * float(np.max(np.abs(vals))) + floor
+    apart = gaps > tols.type_tol * float(np.max(np.abs(vals), initial=0.0)) + floor
     near = np.flatnonzero(apart & (gaps <= split_tol))
     if near.size:
         jordan = np.max(np.abs(G[:, ridx]), axis=0) <= root
         apart[near] = ~(jordan[near] & jordan[near + 1])
-    Zr, forms = Z[:, ridx], np.real(G.diagonal()[ridx])
-    bounds = [0, *(np.flatnonzero(apart) + 1).tolist(), len(vals)]
-    typed = []
-    for start, end in zip(bounds, bounds[1:]):
-        X, g, mu = Zr[:, start:end], forms[start:end], float(vals[start])
-        if end - start > 1:
-            GC = G[np.ix_(ridx[start:end], ridx[start:end])]
-            g, U = np.linalg.eigh((GC + GC.conj().T) / 2.0)
-            X, mu = X @ U, float(np.mean(vals[start:end]))
-        iso = []
-        for i, gi in enumerate(g.tolist()):
-            if abs(gi) <= tols.type_tol:
-                iso.append(gi)
-            else:
-                kind = POSITIVE if gi > 0 else NEGATIVE
-                typed.append(TypedEigenvalue(mu, kind, gi, direction=X[:, i] / np.sqrt(abs(gi))))
-        for kind in (POSITIVE, NEGATIVE) * (len(iso) // 2):
-            typed.append(TypedEigenvalue(mu, kind, 0.0, jordan_pair=True))
-        if len(iso) % 2:
-            typed.append(TypedEigenvalue(mu, POSITIVE if iso[-1] >= 0 else NEGATIVE, iso[-1]))
-    return typed, cidx
+    # A cluster's entries take its places in vals; a larger one is rewritten from its eigh.
+    X, forms = Z[:, ridx], np.real(G.diagonal()[ridx])
+    values, jordan = vals.copy(), np.zeros(len(vals), dtype=bool)
+    starts = np.flatnonzero(np.concatenate([[True], apart]))
+    ends = np.append(starts[1:], len(vals))
+    for start, end in zip(starts[ends - starts > 1].tolist(), ends[ends - starts > 1].tolist()):
+        GC = G[np.ix_(ridx[start:end], ridx[start:end])]
+        g, U = np.linalg.eigh((GC + GC.conj().T) / 2.0)
+        iso = np.abs(g) <= tols.type_tol
+        order, first = np.argsort(iso, kind="stable"), start + int(np.sum(~iso))
+        jordan[first:first + int(np.sum(iso)) // 2 * 2] = True
+        values[start:end] = float(np.mean(vals[start:end]))
+        forms[start:end] = g[order]
+        X[:, start:end] = (X[:, start:end] @ U)[:, order]
+    forms[jordan] = 0.0
+    owns = np.abs(forms) > tols.type_tol
+    plus = forms >= 0
+    plus[jordan] = np.arange(np.sum(jordan)) % 2 == 0  # one copy of each type, positive first
+    D = X[:, owns] / np.sqrt(np.abs(forms[owns]))
+    T = np.hstack([D[:, plus[owns]], D[:, ~plus[owns]]])
+    return (plus, values, forms, jordan, owns, T), cidx
 
 
 def _definite_spectrum(A, B, tols):
@@ -231,19 +217,14 @@ def _definite_spectrum(A, B, tols):
     return None
 
 
-def _typed(lam, forms, X):
-    """(pos, neg): the TypedEigenvalues of ascending values ``lam`` whose
-    b_forms are ``forms`` and whose directions are the columns of X."""
-    typed = [
-        TypedEigenvalue(v, POSITIVE if g > 0 else NEGATIVE, g, direction=x)
-        for v, g, x in zip(lam.tolist(), forms.tolist(), X.T.copy())
-    ]
-    return _split(typed)
-
-
-def _split(typed):
-    return (tuple(e for e in typed if e.eig_type == POSITIVE),
-            tuple(e for e in typed if e.eig_type == NEGATIVE))
+def _by_type(plus, values, forms, jordan, owns, T):
+    """The typed fields of ``PairAnalysis`` (pos_* before neg_* of each) from
+    entries in one ascending order, ``plus`` marking the positive ones; T
+    holds the directions of the positive entries that ``owns`` marks, then
+    of the negative ones, so each type's are a slice of T."""
+    k = int(np.sum(plus & owns))
+    return (*(x[side] for x in (values, forms, jordan) for side in (plus, ~plus)),
+            T[:, :k], T[:, k:], owns[plus], owns[~plus])
 
 
 def _conjugate_blocks(A, w, Z, G, cidx, tols):
@@ -303,14 +284,15 @@ def _finite_spectrum(A, j, F, tols):
     guard sends on, by one standard eigensolve of J·Ã, as J² = I: J Ã z =
     λJz iff Ã z = λJz, typed by ``_cluster``.  F maps the finite part's
     coordinates into the pair's, where the directions are returned.
-    Returns (pos, neg, complex values, isotropic defect, conjugate blocks,
-    route), the fields of ``PairAnalysis`` of those names.
+    Returns the fields of ``PairAnalysis`` from the typed ones to ``route``.
     """
     solved = _definite_spectrum(A, np.diag(j), tols)
     if solved is not None:
         lam, sign, X = solved
-        pos, neg = _typed(lam, sign / np.sum(np.abs(X) ** 2, axis=0), F @ X)
-        return pos, neg, (), False, (), "frame-cholesky"
+        plus, D, none = sign > 0, F @ X, np.zeros(len(lam), dtype=bool)
+        forms = sign / np.sum(np.abs(X) ** 2, axis=0)
+        typed = _by_type(plus, lam, forms, none, ~none, np.hstack([D[:, plus], D[:, ~plus]]))
+        return *typed, (), False, (), "frame-cholesky"
     # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
     scale = float(np.linalg.norm(A)) or 1.0
     w, Z = np.linalg.eig(j[:, None] * A)
@@ -318,9 +300,9 @@ def _finite_spectrum(A, j, F, tols):
     typed, cidx = _cluster(w, F @ Z, G, tols, scale)
     blocks = _conjugate_blocks(A, w, Z, G, cidx, tols)
     blocks = tuple((F @ c1, F @ c2, alpha, beta) for c1, c2, alpha, beta in blocks)
-    defect = any(e.direction is None and not e.jordan_pair for e in typed)
+    _, _, _, jordan, owns, _ = typed
     complex_values = tuple(complex(z) for z in w[cidx])
-    return *_split(typed), complex_values, defect, blocks, "eig"
+    return *_by_type(*typed), complex_values, bool(np.any(~owns & ~jordan)), blocks, "eig"
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,35 +313,43 @@ class PairAnalysis:
     N(B), less the ``deflated_dims`` directions that A also annihilates.
     The B-frame W = [R, N] has R^H B R = J = diag(j), j = (+1.., -1..), and
     N an orthonormal basis of the rest of N(B); ``R`` and ``N`` are its
-    column slices.  A on
-    N(B) has eigenvalues ``d_inf`` (eigenvectors ``Q_inf`` in N's
-    coordinates).  When none is within ``null_tol`` of zero, the congruence
-    [R + N K, N Q_inf |d_inf|^(-1/2)] block-diagonalizes the pair into the
-    finite part (``A_fin`` = Ã = (R + N K)^H A (R + N K), J) and +/-1
-    infinite directions.  Otherwise the structure on N(B) is chained: no
-    such elimination exists, and ``K`` and ``A_fin`` are None.
+    column slices.  A on N(B) has eigenvalues ``d_inf`` (eigenvectors
+    ``Q_inf`` in N's coordinates).  When none is within ``null_tol`` of
+    zero, the congruence [R + N K, N Q_inf |d_inf|^(-1/2)] block-diagonalizes
+    the pair into the finite part (``A_fin`` = Ã = (R + N K)^H A (R + N K),
+    J) and +/-1 infinite directions.  Otherwise the structure on N(B) is
+    chained: no such elimination exists, and ``K`` and ``A_fin`` are None.
 
-    The typed spectrum is part of the record: ``pos`` and ``neg`` are the
-    ascending typed values of the finite part, ``complex_values`` its
-    non-real eigenvalues and ``blocks`` the conjugate blocks
-    ((c_plus, c_minus, alpha, beta), ...) that J-normalize, beta > 0.  Each
-    typed value is listed once with the direction it owns; those
-    directions, the blocks' and ``null_frame()`` make the congruence frame,
-    and nothing else holds a copy.  ``isotropic_defect`` is set when an odd
-    isotropic direction is left over, and always for a chained pair, whose
-    spectrum is untyped and which has no blocks.  ``b_form`` values are in
-    B-frame coordinates; directions are in ``pair``'s coordinates, without
-    the deflated directions.
+    The typed spectrum is part of the record, as arrays for each type,
+    pos_* and neg_*: the ascending ``values`` of the finite part, their
+    ``b_forms``, a ``jordan`` mask of the Jordan copies (a Jordan block gives
+    one of each type), an ``owns`` mask of the entries that own a direction,
+    and ``dirs``, whose columns are those directions in entry order, in
+    ``pair``'s coordinates without the deflated directions.  A Jordan copy
+    owns none, nor does an odd isotropic direction left over in a cluster,
+    which sets ``isotropic_defect``, as does a chained pair, whose spectrum
+    is untyped (no entries).  ``complex_values`` are the non-real
+    eigenvalues and ``blocks`` the conjugate blocks ((c_plus, c_minus,
+    alpha, beta), ...) that J-normalize, beta > 0.  The typed directions,
+    the blocks' and ``null_frame()`` make the congruence frame, and nothing
+    else holds a copy.
 
     ``route`` names how the pencil was solved: "pair-cholesky",
     "frame-cholesky" or "eig", and None for a chained pair or B = 0, which
     have no finite part to solve.  On the pair route B is nonsingular and
     never decomposed: ``b_frame`` holds the typed directions themselves,
-    the +1 columns ascending in value, then the -1 columns, with ``j``
-    their signs and ``b_inertia`` the count of each; there is no null part
-    (``d_inf`` empty, ``K`` of no rows, so ``finite_frame()`` is
-    ``b_frame``); ``A_fin`` = W^H A W is diag(j · value) up to roundoff;
-    and every ``b_form`` is exactly +1 or -1, the B-form of its direction.
+    the +1 columns ascending in value, then the -1 columns, so ``pos_dirs``
+    and ``neg_dirs`` are its column slices, with ``j`` their signs and
+    ``b_inertia`` the count of each; there is no null part (``d_inf`` empty,
+    ``K`` of no rows, so ``finite_frame()`` is ``b_frame``); and ``A_fin`` =
+    W^H A W is diag(j · value) up to roundoff.
+
+    No library code reads a b_form.  On the pair route it is the B-form of
+    the B-normalized direction, exactly +1 or -1.  On the other routes it is
+    the B-form of the unit eigenvector x in B's eigenvector frame: sign μ /
+    |x|² on "frame-cholesky"; on "eig" the diagonal entry of G = Z^H J Z for
+    a cluster of one, an eigenvalue of G[C, C] for a larger cluster C, and 0
+    for a Jordan copy.
     """
 
     tols: ToleranceSet
@@ -373,8 +363,16 @@ class PairAnalysis:
     Q_inf: np.ndarray
     K: np.ndarray | None
     A_fin: np.ndarray | None
-    pos: tuple
-    neg: tuple
+    pos_values: np.ndarray
+    neg_values: np.ndarray
+    pos_b_forms: np.ndarray
+    neg_b_forms: np.ndarray
+    pos_jordan: np.ndarray
+    neg_jordan: np.ndarray
+    pos_dirs: np.ndarray  # n x (number of entries that own a direction)
+    neg_dirs: np.ndarray
+    pos_owns: np.ndarray
+    neg_owns: np.ndarray
     complex_values: tuple
     isotropic_defect: bool
     blocks: tuple
@@ -410,16 +408,8 @@ class PairAnalysis:
         return INF_MIXED
 
     @property
-    def pos_values(self) -> np.ndarray:
-        return np.array([e.value for e in self.pos], dtype=float)
-
-    @property
-    def neg_values(self) -> np.ndarray:
-        return np.array([e.value for e in self.neg], dtype=float)
-
-    @property
     def has_jordan(self) -> bool:
-        return any(e.jordan_pair for e in self.pos + self.neg)
+        return bool(np.any(self.pos_jordan) or np.any(self.neg_jordan))
 
     @property
     def has_complex(self) -> bool:
@@ -469,13 +459,13 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     solved = _definite_spectrum(A, pair.B.entries, tols)
     if solved is not None:
         lam, sign, X = solved
-        plus = sign > 0
+        plus, none = sign > 0, np.zeros(len(lam), dtype=bool)
         W, j = np.hstack([X[:, plus], X[:, ~plus]]), np.concatenate([sign[plus], sign[~plus]])
         M = W.conj().T @ A @ W
         return PairAnalysis(
             tols, pair, 0, Inertia(int(np.sum(plus)), 0, int(np.sum(~plus))), W, j, null_tol,
             np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(j))), (M + M.conj().T) / 2.0,
-            *_typed(lam, sign, X), (), False, (), "pair-cholesky",
+            *_by_type(plus, lam, sign, none, ~none, W), (), False, (), "pair-cholesky",
         )
     R, N, j = eigh_frame(pair.B.entries, tols)
     deflated = 0
@@ -506,7 +496,9 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     n_plus = int(np.sum(j > 0))
     b_inertia = Inertia(n_plus, pair.n - len(j), len(j) - n_plus)
     if K is None or not len(j):  # chained, or B = 0: no finite part to solve
-        spectrum = (), (), (), K is None, (), None
+        none = np.zeros(0, dtype=bool)
+        untyped = _by_type(none, np.zeros(0), np.zeros(0), none, none, W[:, :0])
+        spectrum = *untyped, (), K is None, (), None
     else:
         spectrum = _finite_spectrum(A_fin, j, F, tols)
     return PairAnalysis(

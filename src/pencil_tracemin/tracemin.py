@@ -19,13 +19,11 @@ from .definiteness import _definiteness_from_spectrum, _with_infinite_sign
 from .errors import NotAttainableError, TypeCountError
 from .hyperbolic import sample_feasible
 from .matcore import ProblemInstance, check_inertias, paired_columns
-from .spectral import (
-    INF_MIXED,
-    NEGATIVE,
-    POSITIVE,
-    PairAnalysis,
-    analyze_pair,
-)
+from .spectral import INF_MIXED, PairAnalysis, analyze_pair
+
+# Types of a typed eigenvalue
+POSITIVE = "positive"
+NEGATIVE = "negative"
 
 # Verdicts
 FINITE = "Finite"
@@ -184,7 +182,7 @@ def _formula_terms(big: PairAnalysis, hat: PairAnalysis):
 
 def _check_type_counts(analysis: PairAnalysis) -> None:
     """TypeCountError unless a real spectrum has one typed value per sign of its J."""
-    n_pos, n_neg, ib = len(analysis.pos), len(analysis.neg), analysis.b_inertia
+    n_pos, n_neg, ib = len(analysis.pos_values), len(analysis.neg_values), analysis.b_inertia
     if (n_pos, n_neg) != (ib.n_plus, ib.n_minus):
         raise TypeCountError(f"{n_pos}/{n_neg} typed values, B inertia {ib}")
 
@@ -319,10 +317,12 @@ def minimizer(problem: ProblemInstance, result: InfimumResult | None = None):
         raise NotAttainableError("attainability unknown for this instance")
 
     # X = L R^H maps each term's hat direction (a column of R) onto its big
-    # direction (of L); term indices refer to the ascending typed lists.
-    typed = {POSITIVE: (big.pos, hat.pos), NEGATIVE: (big.neg, hat.neg)}
-    L = np.column_stack([typed[t.eig_type][0][t.big_index].direction for t in result.terms])
-    R = np.column_stack([typed[t.eig_type][1][t.hat_index].direction for t in result.terms])
+    # direction (of L).  Positive terms come first; with no Jordan copy and no
+    # isotropic leftover, each index into a typed list is also its column.
+    pos = np.array([t.eig_type == POSITIVE for t in result.terms])
+    big_at, hat_at = np.array([(t.big_index, t.hat_index) for t in result.terms]).T
+    L = np.hstack([big.pos_dirs[:, big_at[pos]], big.neg_dirs[:, big_at[~pos]]])
+    R = np.hstack([hat.pos_dirs[:, hat_at[pos]], hat.neg_dirs[:, hat_at[~pos]]])
     X = L @ R.conj().T
     return X, _objective(problem, X)
 

@@ -22,9 +22,10 @@ the chained ``InfiniteBlockRay`` (sigma = t^2).  Three builders:
   structure).
 
 Builders read the ``PairAnalysis`` objects that ``infimum`` carries on its
-result: the directions its typed entries and conjugate blocks own, and its
-B-frame; no pair is analysed again.  The ray builders, which run only where
-B has a null direction, take Bhat's eigenvector frame (``eigh_frame``)
+result: its typed values, the directions its typed entries and conjugate
+blocks own, named by their column in the +1 or the -1 side's matrix, and
+its B-frame; no pair is analysed again.  The ray builders, which run only
+where B has a null direction, take Bhat's eigenvector frame (``eigh_frame``)
 instead of the hat pair's, so their slope does not depend on the route
 that solved the hat pair.  A Jordan copy or a chained conjugate
 group owns no direction, so the rotation uses only the typed and block
@@ -155,28 +156,30 @@ def certify_unbounded(
 def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
     """Assemble x_base, d_cosh and d_sinh from a rotation plus a static assignment.
 
-    ``big`` and ``hat`` are the (+1 directions, -1 directions) of each pair
-    and ``rot`` is (p, m, phat, mhat, u, w), as in ``_rotation_witness``
-    (phat or mhat is None for a padded hat value).  The other hat directions
-    map to unreserved big directions of the same type.
+    ``big`` and ``hat`` are the (+1 directions, -1 directions) matrices of
+    each pair and ``rot`` is (p, m, phat, mhat, u, w), as in
+    ``_rotation_witness``: columns of those matrices (phat or mhat is None
+    for a padded hat value).  The other hat columns map, in order, to the
+    unreserved big columns of the same type.
     """
     p, m, phat, mhat, u, w = rot
     L, R = [], []  # x_base = L R^H, big directions against hat directions
-    # The plane's directions are objects of these lists, so identity tells them apart.
-    for hat_dirs, big_dirs in zip(hat, big):
-        hat_dirs = [d for d in hat_dirs if d is not phat and d is not mhat]
-        big_dirs = [d for d in big_dirs if d is not p and d is not m]
-        if len(hat_dirs) > len(big_dirs):
+    for hat_dirs, big_dirs, hat_col, big_col in zip(hat, big, (phat, mhat), (p, m)):
+        hat_cols = np.delete(np.arange(hat_dirs.shape[1]), [] if hat_col is None else hat_col)
+        big_cols = np.delete(np.arange(big_dirs.shape[1]), big_col)
+        if len(hat_cols) > len(big_cols):
             raise NoWitnessConstructibleError("insufficient directions for assignment")
-        L += big_dirs[: len(hat_dirs)]
-        R += hat_dirs
+        L.append(big_dirs[:, big_cols[: len(hat_cols)]])
+        R.append(hat_dirs[:, hat_cols])
 
     d_cosh = np.zeros((problem.n, problem.nhat), dtype=complex)
     d_sinh = np.zeros_like(d_cosh)
-    for hd, cosh_dir, sinh_dir, a_cosh, a_sinh in (
-        (phat, p, m, 1.0, u), (mhat, m, p, w, w * u.conjugate())
+    p_dir, m_dir = big[0][:, p], big[1][:, m]
+    for hat_dirs, hat_col, cosh_dir, sinh_dir, a_cosh, a_sinh in (
+        (hat[0], phat, p_dir, m_dir, 1.0, u), (hat[1], mhat, m_dir, p_dir, w, w * u.conjugate())
     ):
-        if hd is not None:
+        if hat_col is not None:
+            hd = hat_dirs[:, hat_col]
             L.append(a_cosh * cosh_dir)
             R.append(hd)
             d_cosh += a_cosh * np.outer(cosh_dir, hd.conj())
@@ -192,50 +195,54 @@ def _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh):
     return replace(family, offset=evaluate_witness(family, 0.0)[1])
 
 
-def _gap_extremes(xs, ys):
-    """The least and the greatest gap a - b over (direction, value) items a of xs, b of ys.
+def _gap_extremes(xs, ys, nx, ny):
+    """The least and the greatest gap xs[i] - ys[k] over two value arrays
+    whose first nx and ny items are real and the rest padded zeros.
 
-    A pair of two padded zeros (both directions None) is no gap.  Every other
-    pair has a real item on one side, so each extreme pairs an extreme real
-    item of one list with an extreme item of the other.  Returns
-    ((gap, a, b) least, (gap, a, b) greatest), or () when no pair forms a gap.
+    A pair of two padded zeros is no gap.  Every other pair has a real item
+    on one side, so each extreme pairs an extreme real item of one array
+    with an extreme item of the other, the first of tied ones.  Returns
+    ((gap, i, k) least, (gap, i, k) greatest), or () when no pair forms a gap.
     """
-    value = itemgetter(1)
     ends = []
-    for a, b in (([x for x in xs if x[0] is not None], ys),
-                 (xs, [y for y in ys if y[0] is not None])):
-        if a and b:
-            ends.append((min(a, key=value), max(b, key=value)))
-            ends.append((max(a, key=value), min(b, key=value)))
-    if not ends:
-        return ()
-    gaps = [(a[1] - b[1], a, b) for a, b in ends]
-    return min(gaps, key=itemgetter(0)), max(gaps, key=itemgetter(0))
+    for a, b in ((xs[:nx], ys), (xs, ys[:ny])):
+        if len(a) and len(b):
+            ends += [(np.argmin(a), np.argmax(b)), (np.argmax(a), np.argmin(b))]
+    gaps = [(float(xs[i] - ys[k]), int(i), int(k)) for i, k in ends]
+    return (min(gaps, key=itemgetter(0)), max(gaps, key=itemgetter(0))) if gaps else ()
 
 
-def _planes(blocks, pos, neg):
+def _planes(blocks, pos, neg, pads=(0, 0)):
     """Candidate planes (p, m, a, b, d) of one pair, with A-form [[a, b], [conj b, d]].
 
-    They are the real pairs of least and greatest gap over the (direction,
-    value) lists ``pos`` and ``neg``, A-form diag(value_p, -value_m), and the
-    conjugate block of largest beta, [[alpha, -i beta], [i beta, -alpha]]:
-    a slope is linear in the gap a + d and in beta, so no other plane is
-    steeper.
+    p and m are columns of the +1 and -1 sides: those of the typed values
+    ``pos`` and ``neg``, then one per conjugate block; a padded zero (the
+    ``pads`` of each side, after its values) has column None.  The planes are
+    the real pairs of least and greatest gap, A-form diag(value_p, -value_m),
+    and the conjugate block of largest beta, [[alpha, -i beta], [i beta,
+    -alpha]]: a slope is linear in the gap a + d and in beta, so no other
+    plane is steeper.
     """
-    planes = [(p, m, vp, 0j, -vm) for _, (p, vp), (m, vm) in _gap_extremes(pos, neg)]
+    n_pos, n_neg = len(pos), len(neg)
+    pos, neg = (np.concatenate([v, np.zeros(k)]) for v, k in zip((pos, neg), pads))
+    planes = [
+        (i if i < n_pos else None, k if k < n_neg else None, float(pos[i]), 0j, -float(neg[k]))
+        for _, i, k in _gap_extremes(pos, neg, n_pos, n_neg)
+    ]
     if blocks:
-        p, m, alpha, beta = max(blocks, key=itemgetter(3))
-        planes.append((p, m, alpha, -1j * beta, -alpha))
+        i = max(range(len(blocks)), key=lambda b: blocks[b][3])
+        _, _, alpha, beta = blocks[i]
+        planes.append((n_pos + i, n_neg + i, alpha, -1j * beta, -alpha))
     return planes
 
 
 def _sides(analysis):
-    """The +1 and the -1 side of a pair: each the (direction, value) list of
-    its typed entries that own a direction, and the list of its directions,
-    those then one of each conjugate block."""
-    typed = [[(e.direction, e.value) for e in entries if e.direction is not None]
-             for entries in (analysis.pos, analysis.neg)]
-    return [(t, [d for d, _ in t] + [b[k] for b in analysis.blocks]) for k, t in enumerate(typed)]
+    """The +1 and the -1 side of a pair: each the values of its typed entries that own a
+    direction, and the matrix of its directions, those then one of each conjugate block."""
+    a = analysis
+    pos = a.pos_values[a.pos_owns], np.column_stack([a.pos_dirs, *(b[0] for b in a.blocks)])
+    neg = a.neg_values[a.neg_owns], np.column_stack([a.neg_dirs, *(b[1] for b in a.blocks)])
+    return pos, neg
 
 
 PHASES = (1.0, 1j, -1.0, -1j)
@@ -258,15 +265,14 @@ def _rotation_witness(problem, big_a, hat_a):
     """
     (big_pos, big_plus), (big_neg, big_minus) = _sides(big_a)
     (hat_pos, hat_plus), (hat_neg, hat_minus) = _sides(hat_a)
-    if len(hat_plus) + len(hat_minus) < problem.nhat:
+    if hat_plus.shape[1] + hat_minus.shape[1] < problem.nhat:
         raise NoWitnessConstructibleError("hat Jordan or chained structure has no frame column")
     # The hat pair zero-padded to the inertia of B: each +1 (-1) direction the
     # big pair has beyond the hat's adds a hat value 0 of that type.
-    pad = [(None, 0.0)]
-    hp = hat_pos + pad * (len(big_plus) - len(hat_plus))
-    hm = hat_neg + pad * (len(big_minus) - len(hat_minus))
+    pads = [max(0, b.shape[1] - h.shape[1])
+            for b, h in ((big_plus, hat_plus), (big_minus, hat_minus))]
     big_planes = _planes(big_a.blocks, big_pos, big_neg)
-    hat_planes = _planes(hat_a.blocks, hp, hm)
+    hat_planes = _planes(hat_a.blocks, hat_pos, hat_neg, pads)
 
     best = None
     for (p, m, a, b, d), (phat, mhat, ah, bh, dh) in product(big_planes, hat_planes):

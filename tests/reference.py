@@ -6,7 +6,8 @@ of A and B by one SVD of the stacked 2n x n pair, padding by explicit
 construction of the padded hat pair, the closed form by Fan's sorted-product
 rule on the typed value lists, and lam_min(A - t*B) by a direct eigenvalue
 solve, and the typed spectrum of a pair with nonsingular B by the B-frame
-route alone.  They are not part of the library.
+route alone, and the typing of ``_cluster`` by a loop over its clusters and
+entries.  They are not part of the library.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def lambda_min_shift(pair: MatrixPair, shift: float) -> float:
 
 
 def b_frame_spectrum(pair: MatrixPair, tols=DEFAULT_TOLS):
-    """(pos, neg) of a pair with nonsingular B, solved in B-frame coordinates:
+    """The (pos, neg) typed values of a pair with nonsingular B, solved in B-frame coordinates:
     eigh(B) = (d, V), R = V |d|^(-1/2) (+1 columns, then -1), and the typed
     spectrum of (R^H A R, diag(sign d)) by ``_finite_spectrum``."""
     d, V = np.linalg.eigh(pair.B.entries)
@@ -122,3 +123,53 @@ def b_frame_spectrum(pair: MatrixPair, tols=DEFAULT_TOLS):
     M = R.conj().T @ pair.A.entries @ R
     pos, neg, *_ = _finite_spectrum((M + M.conj().T) / 2.0, np.sign(d[order]), R, tols)
     return pos, neg
+
+
+def cluster_entries(w, Z, G, tols, scale):
+    """The typed entries of ``spectral._cluster``'s inputs, built one at a time.
+
+    The same clustering, then a loop over the clusters: a cluster of one
+    keeps its diagonal entry of G, a larger one takes the eigh of G[C, C] at
+    its mean value.  Each direction of b_form g (|g| > type_tol) is an entry
+    of type sign g, in eigh order; the isotropic ones then give one Jordan
+    copy of each type per two, and an odd one left over takes its b_form's
+    sign.  Returns [(value, positive, b_form, jordan, direction or None)],
+    clusters ascending.
+    """
+    floor, split_tol = tols.rank_tol * scale, tols.type_tol * scale
+    root = np.sqrt(tols.type_tol)
+    im = np.abs(w.imag)
+    real = im <= tols.type_tol * np.abs(w) + floor
+    split = np.flatnonzero(~real & (im <= split_tol))
+    if split.size:
+        real[split] = np.max(np.abs(G[:, split]), axis=0) <= root
+    ridx = np.flatnonzero(real)
+    ridx = ridx[np.argsort(w[ridx].real)]
+    vals = w[ridx].real
+    if not vals.size:
+        return []
+    gaps = np.diff(vals)
+    apart = gaps > tols.type_tol * float(np.max(np.abs(vals))) + floor
+    near = np.flatnonzero(apart & (gaps <= split_tol))
+    if near.size:
+        jordan = np.max(np.abs(G[:, ridx]), axis=0) <= root
+        apart[near] = ~(jordan[near] & jordan[near + 1])
+    Zr, forms = Z[:, ridx], np.real(G.diagonal()[ridx])
+    bounds = [0, *(np.flatnonzero(apart) + 1).tolist(), len(vals)]
+    entries = []
+    for start, end in zip(bounds, bounds[1:]):
+        X, g, mu = Zr[:, start:end], forms[start:end], float(vals[start])
+        if end - start > 1:
+            GC = G[np.ix_(ridx[start:end], ridx[start:end])]
+            g, U = np.linalg.eigh((GC + GC.conj().T) / 2.0)
+            X, mu = X @ U, float(np.mean(vals[start:end]))
+        iso = []
+        for i, gi in enumerate(g.tolist()):
+            if abs(gi) <= tols.type_tol:
+                iso.append(gi)
+            else:
+                entries.append((mu, gi > 0, gi, False, X[:, i] / np.sqrt(abs(gi))))
+        entries += [(mu, positive, 0.0, True, None) for positive in (True, False) * (len(iso) // 2)]
+        if len(iso) % 2:
+            entries.append((mu, iso[-1] >= 0, iso[-1], False, None))
+    return entries

@@ -61,8 +61,13 @@ def test_analyze_golden_pair(tmp_path, capsys):
     assert set(rep["definiteness"]) == {f.name for f in fields(DefinitenessReport)}
     assert rep["typed_spectrum"]["pos"][0]["value"] == pytest.approx(1.0, abs=1e-9)
     assert rep["typed_spectrum"]["neg"][0]["value"] == pytest.approx(-2.0, abs=1e-9)
-    # A definite pair with nonsingular B is solved in its own coordinates.
+    # A definite pair with nonsingular B is solved in its own coordinates,
+    # where each b_form is that of a B-normalized direction: exactly +1 or -1.
     assert rep["typed_spectrum"]["route"] == "pair-cholesky"
+    for key, sign in (("pos", 1.0), ("neg", -1.0)):
+        for entry in rep["typed_spectrum"][key]:
+            assert set(entry) == {"value", "b_form", "jordan_pair"}
+            assert entry["b_form"] == sign and entry["jordan_pair"] is False
 
 
 @pytest.mark.parametrize(
@@ -119,9 +124,11 @@ def test_verify_analyses_each_pair_once(golden_file, capsys, monkeypatch):
 
 
 def test_analyze_jordan_pair(tmp_path, capsys):
-    # A Jordan pair at the boundary shift of a PSD pair, and two opposite
-    # Jordan blocks at one value, which leave the pair neither PSD nor NSD:
-    # the isotropic copies pair up either way.
+    # A Jordan pair at the boundary shift of a PSD pair, two opposite Jordan
+    # blocks at one value, which leave the pair neither PSD nor NSD, and a
+    # Jordan block beside a value of each type: the isotropic copies pair up
+    # either way, each of b_form 0, and on the eig route every other b_form
+    # has the sign of its type.
     path = str(tmp_path / "pair.json")
     boundary = pt.pair_from_arrays(
         np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -130,14 +137,28 @@ def test_analyze_jordan_pair(tmp_path, capsys):
         [pt.BlockSpec("Tr", p=2, alpha=0.3, eta=1), pt.BlockSpec("Tr", p=2, alpha=0.3, eta=-1)],
         scramble_seed=0, conditioning_cap=2.5,
     )
-    for pair, value, psd in ((boundary, 0.0, True), (opposite, 0.3, False)):
+    beside, _ = pt.assemble(
+        [pt.BlockSpec("Tr", p=2, alpha=0.3, eta=1), pt.BlockSpec("Tr", p=1, alpha=1.5, eta=1),
+         pt.BlockSpec("Tr", p=1, alpha=-0.7, eta=-1)],
+        scramble_seed=0, conditioning_cap=2.5,
+    )
+    for pair, value, psd in ((boundary, 0.0, True), (opposite, 0.3, False), (beside, 0.3, True)):
         pt.matcore.save_pair(path, pair)
         code, rep = run_json(capsys, ["--json", "analyze", path])
         assert code == 0
         assert rep["definiteness"]["is_psd_pair"] is psd
         assert rep["definiteness"]["is_nsd_pair"] is False
         assert rep["typed_spectrum"]["pos"][0]["jordan_pair"] is True
+        assert rep["typed_spectrum"]["pos"][0]["b_form"] == 0.0
         assert rep["typed_spectrum"]["pos"][0]["value"] == pytest.approx(value, abs=1e-7)
+        assert rep["typed_spectrum"]["route"] == "eig"
+        for key, sign in (("pos", 1.0), ("neg", -1.0)):
+            for entry in rep["typed_spectrum"][key]:
+                assert set(entry) == {"value", "b_form", "jordan_pair"}
+                if entry["jordan_pair"]:
+                    assert entry["b_form"] == 0.0
+                else:
+                    assert np.sign(entry["b_form"]) == sign
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
@@ -567,7 +588,7 @@ def test_infimum_type_count_mismatch_exit_code(golden_file, capsys, monkeypatch)
     # failure, with a message instead of a traceback.
     def doubled(*args):
         a = pt.analyze_pair(*args)
-        return replace(a, pos=a.pos * 2)
+        return replace(a, pos_values=np.concatenate([a.pos_values, a.pos_values]))
 
     monkeypatch.setattr(tracemin, "analyze_pair", doubled)
     code = main(["infimum", golden_file])

@@ -10,6 +10,8 @@ from pencil_tracemin.spectral import (
     INF_MIXED,
     INF_NONE,
     INF_PLUS,
+    _by_type,
+    _cluster,
     analyze_pair,
 )
 
@@ -19,7 +21,7 @@ from pencil_tracemin.genpairs import BlockSpec, assemble
 from conftest import (
     count_eigen_kernels, diag_problem, golden_hat_matrix, k2_pair, rand_hermitian, spectral_norm,
 )
-from reference import b_frame_spectrum, deflate_common_nullspace
+from reference import b_frame_spectrum, cluster_entries, deflate_common_nullspace
 from test_tracemin import _criterion_7_problems
 
 
@@ -39,11 +41,11 @@ def diagonal_frame(pair):
     the typed directions (+1, then -1), the blocks and null_frame(), gives A and B (a -1
     direction carries -value); and ||T^H A T - Lambda||_2, ||T^H B T - diag(jd)||_2."""
     a = pt.analyze_pair(pair)
-    typed = [e for e in a.pos + a.neg if e.direction is not None]
-    sign = [1.0 if e.eig_type == "positive" else -1.0 for e in typed]
-    T = np.column_stack([e.direction for e in typed] + [c for b in a.blocks for c in b[:2]]
+    sign = np.concatenate([np.ones(a.pos_dirs.shape[1]), -np.ones(a.neg_dirs.shape[1])])
+    T = np.column_stack([a.pos_dirs, a.neg_dirs] + [c for b in a.blocks for c in b[:2]]
                         + list(a.null_frame().T))
-    lam = block_diag(np.diag([s * e.value for s, e in zip(sign, typed)]), *(
+    typed = np.concatenate([a.pos_values[a.pos_owns], -a.neg_values[a.neg_owns]])
+    lam = block_diag(np.diag(typed), *(
         [[x, -1j * y], [1j * y, -x]] for *_, x, y in a.blocks), np.diag(np.sign(a.d_inf)))
     jd = np.concatenate([sign, np.tile([1.0, -1.0], len(a.blocks)), np.zeros(len(a.d_inf))])
     res = [float(np.linalg.norm(T.conj().T @ M.entries @ T - F, 2))
@@ -52,8 +54,11 @@ def diagonal_frame(pair):
 
 
 def typed_values(a):
-    """The typed values of an analysis, as equality compares them (directions aside)."""
-    return a.pos, a.neg, a.complex_values
+    """The typed values of an analysis, with their b_forms, Jordan and ownership
+    flags, as lists that equality compares (directions aside)."""
+    typed = (a.pos_values, a.pos_b_forms, a.pos_jordan, a.pos_owns,
+             a.neg_values, a.neg_b_forms, a.neg_jordan, a.neg_owns)
+    return [x.tolist() for x in typed], a.complex_values
 
 
 def b_frame_of(B):
@@ -131,10 +136,23 @@ def test_typed_spectrum_diagonal():
 
 def test_typed_spectrum_jordan_two_copy():
     spec = analyze_pair(k2_pair(0.3))
-    assert len(spec.pos) == 1 and len(spec.neg) == 1
-    assert spec.pos[0].jordan_pair and spec.neg[0].jordan_pair
-    assert spec.pos[0].value == pytest.approx(0.3, abs=1e-7)
-    assert spec.neg[0].value == pytest.approx(0.3, abs=1e-7)
+    assert len(spec.pos_values) == 1 and len(spec.neg_values) == 1
+    assert spec.pos_jordan[0] and spec.neg_jordan[0]
+    assert spec.pos_values[0] == pytest.approx(0.3, abs=1e-7)
+    assert spec.neg_values[0] == pytest.approx(0.3, abs=1e-7)
+
+
+def test_odd_isotropic_leftover_owns_no_direction():
+    # Roundoff splits the Jordan block of order 3 into one real eigenvalue and
+    # a conjugate pair; the real one is isotropic, with no partner to pair up
+    # with: it keeps its b_form's sign, owns no direction and is no Jordan copy.
+    pair, _ = assemble([_tr(3, 0.5, 1)], scramble_seed=0, conditioning_cap=4.0)
+    a = analyze_pair(pair)
+    assert a.isotropic_defect and not a.has_jordan
+    assert len(a.neg_values) == 0
+    np.testing.assert_allclose(a.pos_values, [0.5], atol=1e-4)
+    assert a.pos_owns.tolist() == [False] and a.pos_jordan.tolist() == [False]
+    assert a.pos_dirs.shape == (pair.n, 0)
 
 
 def test_typed_spectrum_golden_hat():
@@ -256,7 +274,7 @@ def test_close_eigenvalues_of_a_large_pencil_stay_distinct():
     vals[1] = vals[0] + 5e-7
     pair, _ = pt.random_congruence(pt.pair_from_arrays(np.diag(vals), np.eye(80)), 0, 2.0)
     spec = analyze_pair(pair)
-    assert len(spec.pos) == 80
+    assert len(spec.pos_values) == 80
     np.testing.assert_allclose(spec.pos_values[:2], vals[:2], rtol=0, atol=1e-10)
 
 
@@ -293,7 +311,7 @@ def test_jordan_pair_at_the_midpoint_shift_goes_to_eig(monkeypatch, pair):
     a, calls, route = _solved(monkeypatch, pair)
     lam0 = 0.3 if np.allclose(a.pos_values, 0.3, atol=1e-6) else 1.0
     assert "cholesky" in calls and route == "eig", calls
-    assert [e.jordan_pair for e in a.pos + a.neg] == [True, True]
+    assert np.concatenate([a.pos_jordan, a.neg_jordan]).tolist() == [True, True]
     np.testing.assert_allclose(np.concatenate([a.pos_values, a.neg_values]), lam0, atol=1e-6)
 
 
@@ -329,9 +347,11 @@ def test_definite_pair_under_an_ill_conditioned_congruence_keeps_its_types(monke
         a, _, routes[seed] = _solved(monkeypatch, pair)
         np.testing.assert_allclose(a.pos_values, pos, rtol=0, atol=1e-7)
         np.testing.assert_allclose(a.neg_values, neg, rtol=0, atol=1e-7)
-        for e in a.pos + a.neg:
-            form = np.real(e.direction.conj() @ pair.B.entries @ e.direction)
-            assert form == pytest.approx(1.0 if e.eig_type == "positive" else -1.0, abs=1e-6)
+        for values, owns, dirs, sign in ((a.pos_values, a.pos_owns, a.pos_dirs, 1.0),
+                                         (a.neg_values, a.neg_owns, a.neg_dirs, -1.0)):
+            assert owns.all() and dirs.shape[1] == len(values)
+            for d in dirs.T:
+                assert np.real(d.conj() @ pair.B.entries @ d) == pytest.approx(sign, abs=1e-6)
     assert [s for s, r in routes.items() if r != "eig"] == [2, 3, 5], routes
 
 
@@ -344,7 +364,7 @@ def test_close_eigenvalues_stay_distinct_on_the_cholesky_route(monkeypatch):
     pair = _definite_pair(pos, neg, 0, 2.0)
     a, _, route = _solved(monkeypatch, pair)
     assert route == "pair-cholesky"
-    assert len(a.pos) == len(a.neg) == 40
+    assert len(a.pos_values) == len(a.neg_values) == 40
     np.testing.assert_allclose(a.pos_values[:2], pos[:2], rtol=0, atol=1e-10)
 
 
@@ -391,9 +411,9 @@ def test_pair_route_matches_the_b_frame_route():
         if a.route != "pair-cholesky":
             continue
         pos, neg = b_frame_spectrum(pair)
-        assert (len(a.pos), len(a.neg)) == (len(pos), len(neg))
+        assert (len(a.pos_values), len(a.neg_values)) == (len(pos), len(neg))
         got = np.concatenate([a.pos_values, a.neg_values])
-        want = np.array([e.value for e in pos + neg])
+        want = np.concatenate([pos, neg])
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     assert routes.count("pair-cholesky") == 449
 
@@ -434,7 +454,8 @@ def test_chained_pair_is_untyped_without_an_eigensolve(monkeypatch):
     calls = count_eigen_kernels(monkeypatch)
     spec = pt.analyze_pair(pair)
     assert calls.count("eig") == 0, calls
-    assert spec.pos == spec.neg == spec.complex_values == ()
+    assert len(spec.pos_values) == len(spec.neg_values) == 0 and spec.complex_values == ()
+    assert spec.pos_dirs.shape[1] == spec.neg_dirs.shape[1] == 0
     assert spec.isotropic_defect and spec.infinite_sign == INF_COUPLED
 
 
@@ -479,9 +500,10 @@ def test_clustered_frame_beside_a_jordan_block(eta):
         assert len(jd) == 2
         np.testing.assert_allclose(np.diag(lam), [1.5, 0.7], rtol=1e-8)
         assert res_a <= 1e-10 and res_b <= 1e-10
-        jordan = [(e.value, e.eig_type) for e in a.pos + a.neg if e.jordan_pair]
-        assert sorted(t for _, t in jordan) == ["negative", "positive"]
-        np.testing.assert_allclose([v for v, _ in jordan], [0.3, 0.3], rtol=1e-6)
+        # One Jordan copy of each type.
+        assert (int(np.sum(a.pos_jordan)), int(np.sum(a.neg_jordan))) == (1, 1)
+        jordan = np.concatenate([a.pos_values[a.pos_jordan], a.neg_values[a.neg_jordan]])
+        np.testing.assert_allclose(jordan, [0.3, 0.3], rtol=1e-6)
 
 
 def test_congruent_diagonalize_scrambled_round_trip():
@@ -514,8 +536,8 @@ def test_typed_spectrum_counts_match_inertia():
         scr, _ = pt.random_congruence(pt.pair_from_arrays(A, B), seed, 8.0)
         spec = analyze_pair(scr)
         ib = pt.inertia(scr.B)
-        assert len(spec.pos) == ib.n_plus
-        assert len(spec.neg) == ib.n_minus
+        assert len(spec.pos_values) == ib.n_plus
+        assert len(spec.neg_values) == ib.n_minus
 
 
 def test_clustered_frame_real_conjugate_and_null_directions():
@@ -564,21 +586,64 @@ def test_views_read_one_analysis():
      BlockSpec("Tr", p=1, alpha=0.8, eta=1), BlockSpec("Tinf", p=1, eta=1)],
 ], ids=["jordan-conjugate-null", "jordan-typed-null"])
 def test_one_typed_list_carries_the_frame_columns(specs):
-    # Each typed value is listed once, with the frame column it owns: a
-    # direction of B-form +1 or -1 by type in the pair's coordinates; a
-    # Jordan copy owns none.
+    # Each typed value is listed once, and each that owns a frame column has
+    # one column of its type's direction matrix: a direction of B-form +1 or
+    # -1 by type in the pair's coordinates; a Jordan copy owns none.
     for seed in range(4):
         pair, truth = assemble(specs, scramble_seed=seed, conditioning_cap=2.5)
         a = pt.analyze_pair(pair)
         B = pair.B.entries
-        for es, sign in ((a.pos, 1.0), (a.neg, -1.0)):
-            for d in (e.direction for e in es if e.direction is not None):
+        for owns, dirs, sign in ((a.pos_owns, a.pos_dirs, 1.0), (a.neg_owns, a.neg_dirs, -1.0)):
+            assert dirs.shape[1] == np.sum(owns)
+            for d in dirs.T:
                 assert abs(d.conj() @ B @ d - sign) <= 1e-8 * (1 + spectral_norm(pair.B))
-        jordan = [e for e in a.pos + a.neg if e.jordan_pair]
-        assert len(jordan) == 2 and all(e.direction is None for e in jordan)
+        jordan = np.concatenate([a.pos_jordan, a.neg_jordan])
+        owns = np.concatenate([a.pos_owns, a.neg_owns])
+        assert np.sum(jordan) == 2 and not np.any(jordan & owns)
         assert len(a.blocks) == len(truth.complex_values) // 2
         assert len(a.d_inf) == len(truth.infinite_signs) == 1
         assert typed_values(pt.analyze_pair(pair)) == typed_values(a)
+
+
+def test_cluster_types_as_the_per_entry_loop_does():
+    # On every eig-route pair of the criterion-7 problems and of Jordan,
+    # repeated, conjugate and odd-isotropic assemblies, the typed arrays hold
+    # exactly the entries a loop over clusters and entries builds: the same
+    # values, types, b_forms and flags in the same order, and the same
+    # directions, bit for bit.  A Jordan block beside a simple eigenvalue at
+    # its value makes one cluster of a direction and two copies.
+    specs = [[_tr(2, 0.3, 1), _tr(1, 1.5, 1), _tr(1, -0.7, -1)], [_tr(3, 0.5, 1)],
+             [_tr(2, 0.3, 1), _tr(2, 0.3, -1)], [_tr(1, 1.0, 1), _tr(1, 1.0, 1), _tr(1, 1.0, -1)],
+             [_tr(2, 0.3, 1), _tr(1, 0.3, 1), _tr(1, -1.0, -1)],
+             [_tr(2, 0.3, 1), _tr(1, 0.3, -1), _tr(1, 1.0, 1)],
+             [BlockSpec("Tc", p=1, alpha=0.4, beta=0.9), _tr(2, -0.6, -1), _tr(1, 0.8, 1)]]
+    assembled = (assemble(sp, scramble_seed=seed, conditioning_cap=4.0)[0]
+                 for sp in specs for seed in range(3))
+    problems = _criterion_7_problems()
+    checked = jordan = 0
+    for pair in itertools.chain(*((p.pair, p.hat_pair) for p in problems), assembled):
+        a = analyze_pair(pair)
+        if a.route != "eig":
+            continue
+        j = a.j
+        w, Z0 = np.linalg.eig(j[:, None] * a.A_fin)
+        G = Z0.conj().T @ (j[:, None] * Z0)
+        Z, scale = a.finite_frame() @ Z0, float(np.linalg.norm(a.A_fin)) or 1.0
+        typed, _ = _cluster(w, Z, G, a.tols, scale)
+        got = _by_type(*typed)
+        entries = cluster_entries(w, Z, G, a.tols, scale)
+        for k, positive in ((0, True), (1, False)):
+            want = [e for e in entries if e[1] is positive]
+            values, forms, flags, dirs, owns = got[k], got[2 + k], got[4 + k], got[6 + k], got[8 + k]
+            assert values.tolist() == [e[0] for e in want]
+            assert forms.tolist() == [e[2] for e in want]
+            assert flags.tolist() == [e[3] for e in want]
+            assert owns.tolist() == [e[4] is not None for e in want]
+            cols = [e[4] for e in want if e[4] is not None]
+            assert np.array_equal(dirs, np.column_stack(cols) if cols else dirs[:, :0])
+        checked += 1
+        jordan += any(e[3] for e in entries)
+    assert checked >= 200 and jordan >= 60, (checked, jordan)
 
 
 def test_overflowing_finite_part_is_non_finite_error():

@@ -399,7 +399,7 @@ def test_type_counts_match_the_signs_of_j():
         a = pt.analyze_pair(pair)
         ib = a.b_inertia
         blocks = len(a.complex_values) // 2
-        assert (len(a.pos) + blocks, len(a.neg) + blocks) == (ib.n_plus, ib.n_minus)
+        assert (len(a.pos_values) + blocks, len(a.neg_values) + blocks) == (ib.n_plus, ib.n_minus)
 
     checked = 0
     for prob in _criterion_7_problems():
@@ -515,7 +515,7 @@ def test_small_conjugate_pair_beside_a_large_eigenvalue():
     spec = analyze_pair(prob.pair)
     assert sorted(z.imag for z in spec.complex_values) == pytest.approx([-0.05, 0.05], abs=1e-9)
     np.testing.assert_allclose(spec.pos_values, [1e6], rtol=1e-12)
-    assert not spec.neg
+    assert not len(spec.neg_values)
     res = infimum(prob)
     assert (res.verdict, res.reason) == (NEG_INFINITE, COMPLEX_EIGENVALUES)
 

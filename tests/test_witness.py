@@ -71,8 +71,10 @@ def test_infimum_witness_kernel_count(monkeypatch, n):
 
 def _sides(analysis):
     """The (direction, value) lists of a pair's +1 and -1 typed entries that own a direction."""
-    return [[(e.direction, e.value) for e in es if e.direction is not None]
-            for es in (analysis.pos, analysis.neg)]
+    a = analysis
+    return [list(zip(dirs.T, values[owns].tolist()))
+            for values, owns, dirs in ((a.pos_values, a.pos_owns, a.pos_dirs),
+                                       (a.neg_values, a.neg_owns, a.neg_dirs))]
 
 
 def _padded(typed, count):
