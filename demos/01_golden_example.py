@@ -48,10 +48,9 @@ print("X_opt =")
 print(np.round(X, 6))
 
 print("\n== Monte-Carlo sanity: feasible samples never beat the value ==")
-# Sample k from its key [0, k], as default_rng([0, k]) would draw it; the
-# sampler draws all 2000 as one (2000, 2, 2) stack.
-keys = np.array([[0, k] for k in range(2000)])
-Xs = pt.FeasibleSampler(problem).sample(2.0, keys)
+# The sampler draws all 2000 as one (2000, 2, 2) stack from one generator:
+# the same points as 2000 single draws from it.
+Xs = pt.FeasibleSampler(problem).sample(2.0, np.random.default_rng(0), 2000)
 traces = np.real(
     np.trace(Ahat @ Xs.conj().swapaxes(1, 2) @ problem.pair.A.entries @ Xs, axis1=1, axis2=2)
 )

@@ -247,13 +247,13 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--seed must lie in [0, 2**32) for verify, got {args.seed}")
     problem, result, report = _solve("verify", args)
     sampler = FeasibleSampler(problem, result)
-    # Sample k is drawn from default_rng([seed, k]) whatever block it falls in:
-    # the sampler seeds the stream of each key row [seed, k] exactly as that does.
+    # One generator read in order: sample k is its k-th draw, whatever block it
+    # falls in and however many samples are asked for.
+    rng = np.random.default_rng(args.seed)
     block = max(1, SAMPLE_BLOCK_ENTRIES // problem.n**2)
     traces, residuals = [], []
     for start in range(0, args.samples, block):
-        k = np.arange(start, min(start + block, args.samples))
-        X = sampler.sample(args.spread, np.column_stack((np.full_like(k, args.seed), k)))
+        X = sampler.sample(args.spread, rng, min(block, args.samples - start))
         traces.append(_objective(problem, X))
         residuals.append(feasibility_residual(problem, X))
     traces = np.concatenate(traces)

@@ -8,12 +8,11 @@ A signature is given by its counts n+, n-, or by the ``matcore.Inertia`` of
 B, whose nonzero counts are the signature of B's frame; the columns of a
 J-unitary that ``matcore.paired_columns`` selects are a feasible point.
 
-Sampling works on stacks: given a (K, m) array of integer keys instead of one
-Generator, ``sample_j_unitary``/``sample_feasible`` return a (K, ...) stack
-whose slice k is the matrix ``numpy.random.default_rng(keys[k])`` alone gives
-(W, then V+, then V- from one draw), at one stacked QR per unitary factor and
-one stacked eigh per square root.  The K streams are seeded in one vectorized
-pass (see ``matcore.complex_normal``).
+Sampling reads one Generator in order: ``size=K`` makes
+``sample_j_unitary``/``sample_feasible`` return a (K, ...) stack equal to K
+successive single draws (each W, then V+, then V-), from one
+``standard_normal`` call, one stacked QR per unitary factor and one stacked
+eigh per square root (see ``matcore.complex_normal``).
 """
 
 from __future__ import annotations
@@ -59,26 +58,26 @@ def polar_from_W(W: np.ndarray, V_plus: np.ndarray, V_minus: np.ndarray) -> np.n
     return _polar_middle(W) @ _blockdiag(np.asarray(V_plus), np.asarray(V_minus))
 
 
-def sample_j_unitary(n_plus: int, n_minus: int, spread: float, rng) -> np.ndarray:
+def sample_j_unitary(n_plus: int, n_minus: int, spread: float, rng, size=None) -> np.ndarray:
     """Draw a random J-unitary, J = diag(I_{n_plus}, -I_{n_minus}): W with
     independent entries of scale ``spread``, Haar unitary factors.
-    Deterministic given the generator state; a (K, m) key array gives a
-    (K, n, n) stack, slice k drawn by ``default_rng(keys[k])``."""
+    Deterministic given the generator state; ``size=K`` gives a (K, n, n)
+    stack, the K draws that successive calls would make."""
     if n_plus < 0 or n_minus < 0 or n_plus + n_minus < 1:
         raise ValueError(f"signature counts must be >= 0, sum >= 1; got {n_plus}, {n_minus}")
     if not 0 <= spread < np.inf:
         raise ValueError(f"spread must be finite and nonnegative, got {spread}")
     npl, nmi = n_plus, n_minus
-    W, Z_plus, Z_minus = complex_normal(rng, (npl, nmi), (npl, npl), (nmi, nmi))
+    W, Z_plus, Z_minus = complex_normal(rng, (npl, nmi), (npl, npl), (nmi, nmi), size=size)
     W = spread * W / np.sqrt(2.0)
     return polar_from_W(W, unitary_factor(Z_plus), unitary_factor(Z_minus))
 
 
-def sample_feasible(ib: Inertia, ibh: Inertia, spread: float, rng) -> np.ndarray:
+def sample_feasible(ib: Inertia, ibh: Inertia, spread: float, rng, size=None) -> np.ndarray:
     """Sample X (rank B x nhat) with X^H J X = Jhat, J and Jhat the signatures
     of the inertias ``ib`` of B and ``ibh`` of Bhat, by column selection from
-    a J-unitary; a (K, m) key array gives a (K, rank B, nhat) stack.  Raises
+    a J-unitary; ``size=K`` gives a (K, rank B, nhat) stack.  Raises
     EmptyFeasibleSetError where ``check_inertias`` does."""
     check_inertias(ib, ibh)
-    G = sample_j_unitary(ib.n_plus, ib.n_minus, spread, rng)
+    G = sample_j_unitary(ib.n_plus, ib.n_minus, spread, rng, size)
     return G[..., paired_columns(ib, ibh)]

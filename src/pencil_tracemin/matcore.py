@@ -126,7 +126,8 @@ def validate_hermitian(raw, herm_tol: float = DEFAULT_TOLS.herm_tol) -> Hermitia
     Raises NotSquareError / NonFiniteError / NotHermitianError when the input
     is not square, holds a NaN or infinite entry or is too large for its
     Frobenius norm to be a finite float, or its Hermiticity residual
-    max|M - M^H| exceeds ``herm_tol``.
+    max|M - M^H| exceeds ``herm_tol * max|M|``; the test is relative, so it
+    does not depend on the scale of M.
     """
     M = np.asarray(raw, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -145,9 +146,10 @@ def validate_hermitian(raw, herm_tol: float = DEFAULT_TOLS.herm_tol) -> Hermitia
         raise NonFiniteError("matrix entries must be finite (no NaN or infinity)")
     if not math.isfinite(size):
         raise NonFiniteError("matrix entries too large: their Frobenius norm overflows")
-    if residual > herm_tol:
+    threshold = herm_tol * float(np.max(np.abs(M)))
+    if residual > threshold:
         raise NotHermitianError(
-            f"Hermiticity residual {residual:.3e} exceeds tolerance {herm_tol:.3e}"
+            f"Hermiticity residual {residual:.3e} exceeds herm_tol * max|M| = {threshold:.3e}"
         )
     return HermitianMatrix(entries=sym, herm_residual=residual)
 
@@ -205,94 +207,19 @@ def random_congruence(pair: MatrixPair, seed, conditioning_cap: float = 10.0):
     return pair_from_arrays(A2, B2, herm_tol=np.inf), Y
 
 
-# numpy's SeedSequence hash (NEP 19) and the PCG64 LCG multiplier.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+def complex_normal(rng, *shapes, size=None) -> list:
+    """Complex standard normal arrays of the given shapes, drawn in order from
+    one Generator, each taking its real then its imaginary parts as separate
+    draws would.
 
-
-def _hasher(hash_const: int, mult: int):
-    """SeedSequence's hash step on uint32 arrays; the constant advances per call."""
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> 16)
-
-    return hashmix
-
-
-def _mix(x, y):
-    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return r ^ (r >> 16)
-
-
-def _pcg64_states(keys: np.ndarray) -> list:
-    """(state, inc) of ``default_rng(row)``'s PCG64 for each row of a (K, m) uint32
-    key array: numpy's SeedSequence pool mix and ``generate_state(4, uint64)``,
-    run on all K rows at once, then ``pcg64_set_seed``'s two LCG steps."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    words = list(keys.T)
-    pool = [hashmix(words[i] if i < len(words) else np.zeros(len(keys), np.uint32))
-            for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    generate = _hasher(_INIT_B, _MULT_B)
-    out = [generate(pool[i % 4]) for i in range(8)]
-    states = []
-    # uint64 word j of the state is out[2j] | out[2j+1] << 32; seed = s0:s1, inc = s2:s3.
-    for w0, w1, w2, w3, w4, w5, w6, w7 in np.stack(out, axis=1).tolist():
-        inc = (((w5 << 32 | w4) << 64 | w7 << 32 | w6) << 1 | 1) & _MASK128
-        seed = (w1 << 32 | w0) << 64 | w3 << 32 | w2
-        states.append((((inc + seed) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
-
-
-def _keyed_normals(keys, total: int) -> np.ndarray:
-    """(K, total) standard normals, row k drawn by ``numpy.random.default_rng(keys[k])``."""
-    keys = np.asarray(keys)
-    if keys.ndim != 2 or not np.issubdtype(keys.dtype, np.integer):
-        raise ValueError("keys must be a 2-D integer array, one row per stream")
-    if keys.size and not (int(keys.min()) >= 0 and int(keys.max()) <= _MASK32):
-        raise ValueError("key entries must lie in [0, 2**32)")
-    from numpy.random import PCG64, Generator
-
-    bit_generator = PCG64(0)
-    gen = Generator(bit_generator)
-    g = np.empty((len(keys), total))
-    for (state, inc), row in zip(_pcg64_states(keys.astype(np.uint32)), g):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=row)
-    return g
-
-
-def complex_normal(rng, *shapes) -> list:
-    """Complex standard normal arrays of the given shapes, one draw per stream,
-    each taking its real then its imaginary parts as separate draws would.
-
-    ``rng`` is one Generator, or a (K, m) array of integer keys in [0, 2**32):
-    keys give (K, *shape) stacks whose slice k is, bit for bit, the draw of
-    ``numpy.random.default_rng(keys[k])``."""
+    ``size=K`` gives (K, *shape) stacks from one ``rng.standard_normal((K, m))``
+    call, row k holding sample k's draws in the order of one call: the stacks
+    equal, bit for bit, K successive calls with ``size=None``."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be one numpy.random.Generator, got {type(rng).__name__}")
     sizes = [math.prod(shape) for shape in shapes]
     total = 2 * sum(sizes)
-    if isinstance(rng, np.random.Generator):
-        g = rng.standard_normal(total)
-    else:
-        g = _keyed_normals(rng, total)
+    g = rng.standard_normal(total if size is None else (size, total))
     out, at = [], 0
     for shape, m in zip(shapes, sizes):
         z = g[..., at : at + m] + 1j * g[..., at + m : at + 2 * m]
@@ -302,7 +229,7 @@ def complex_normal(rng, *shapes) -> list:
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:
-    """Haar-distributed unitary; a (K, m) key array gives a (K, n, n) stack."""
+    """Haar-distributed unitary of order n, drawn from one Generator."""
     return unitary_factor(*complex_normal(rng, (n, n)))
 
 

@@ -361,10 +361,9 @@ class FeasibleSampler:
     ``sample_feasible`` draw for the inertias ``ib`` of B and ``ibh`` of
     Bhat, whose counts fix J and Jhat.  The frames are read off ``result``,
     the ``infimum`` of ``problem``, when it is given (as in ``minimizer``),
-    and off a fresh analysis of both pairs otherwise.  ``sample`` takes one
-    Generator, or a (K, m) array of integer keys in [0, 2**32) for a
-    (K, n, nhat) stack whose slice k is the draw of
-    ``numpy.random.default_rng(keys[k])`` alone."""
+    and off a fresh analysis of both pairs otherwise.  ``sample`` reads one
+    Generator in order; ``size=K`` gives a (K, n, nhat) stack equal to K
+    successive single samples."""
 
     def __init__(self, problem: ProblemInstance, result: InfimumResult | None = None):
         if result is None:
@@ -375,7 +374,7 @@ class FeasibleSampler:
         self.left = big.b_frame[:, : self.ib.rank]
         self.right = hat.b_frame.conj().T
 
-    def sample(self, spread: float, rng) -> np.ndarray:
-        Xs = sample_feasible(self.ib, self.ibh, spread, rng)
+    def sample(self, spread: float, rng, size=None) -> np.ndarray:
+        Xs = sample_feasible(self.ib, self.ibh, spread, rng, size)
         return self.left @ Xs @ self.right
 

@@ -132,8 +132,8 @@ def test_criterion_3_closed_form_oracle_equivalence():
         assert abs(res.value - brute) <= 1e-8 * (1 + abs(brute))
 
         # (c) Monte-Carlo lower bound, 2000 samples at spread 2, drawn as one stack
-        keys = np.array([[trial, k] for k in range(2000)])
-        worst = float(np.min(_objective(prob, FeasibleSampler(prob).sample(2.0, keys))))
+        draws = np.random.default_rng([trial, 1])
+        worst = float(np.min(_objective(prob, FeasibleSampler(prob).sample(2.0, draws, 2000))))
         assert worst >= res.value - 1e-6 * (1 + abs(res.value))
     print("PASS criterion 3: 100 equal-inertia instances vs closed form, brute force, MC")
 
@@ -463,8 +463,8 @@ def test_criterion_7_full_generality_no_contradictions():
         verdicts[res.verdict] += 1
 
         if res.verdict in (FINITE, "ExcludedConstant") and res.value is not None:
-            keys = np.array([[trial, k] for k in range(25)])
-            tr = float(np.min(_objective(prob, FeasibleSampler(prob).sample(1.5, keys))))
+            draws = np.random.default_rng([trial, 1])
+            tr = float(np.min(_objective(prob, FeasibleSampler(prob).sample(1.5, draws, 25))))
             assert tr >= res.value - 1e-6 * (1 + abs(res.value)), (
                 f"trial {trial}: sample {tr} below value {res.value}; specs {specs}"
             )

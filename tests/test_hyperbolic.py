@@ -108,10 +108,12 @@ def test_trace_sandwich_bounds():
 
 @pytest.mark.parametrize("npl, nmi", [(3, 0), (0, 2), (2, 3), (1, 1)])
 def test_stacked_j_unitaries_match_per_generator_draws(npl, nmi):
-    stack = sample_j_unitary(npl, nmi, 1.3, np.array([[5, k] for k in range(6)]))
+    # A stack of 6 is the 6 draws that successive calls on one generator make.
+    stack = sample_j_unitary(npl, nmi, 1.3, np.random.default_rng(5), size=6)
     assert stack.shape == (6, npl + nmi, npl + nmi)
+    rng = np.random.default_rng(5)
     for k in range(6):
-        X = sample_j_unitary(npl, nmi, 1.3, np.random.default_rng([5, k]))
+        X = sample_j_unitary(npl, nmi, 1.3, rng)
         assert np.linalg.norm(stack[k] - X) <= 1e-12 * np.linalg.norm(X)
         assert j_residual(stack[k], npl, nmi) <= 1e-9
 
@@ -131,7 +133,7 @@ def test_stacked_draw_keeps_the_single_generator_stream():
         rtol=0,
         atol=1e-13,
     )
-    (Z,) = complex_normal(np.array([[44]]), (2, 3))
+    (Z,) = complex_normal(np.random.default_rng(44), (2, 3), size=1)
     np.testing.assert_array_equal(Z[0], W)
 
 
@@ -155,6 +157,5 @@ def test_sampler_kernel_failure_is_typed(monkeypatch, kernel):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, kernel, failing)
-    keys = np.array([[1, k] for k in range(3)])
     with pytest.raises(KernelFailureError):
-        sample_j_unitary(2, 1, 1.0, keys)
+        sample_j_unitary(2, 1, 1.0, np.random.default_rng(1), size=3)

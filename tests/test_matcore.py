@@ -33,6 +33,23 @@ def test_validate_rejects_non_hermitian():
         pt.validate_hermitian([[0, 1], [0, 0]], herm_tol=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_validate_accepts_large_hermitian_roundoff(scale):
+    # Y^H D Y formed in floating point is Hermitian up to roundoff relative to
+    # its size; that residual exceeds herm_tol in absolute terms at these scales.
+    rng = np.random.default_rng(6)
+    Y = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    M = Y.conj().T @ np.diag(scale * rng.uniform(-1.0, 1.0, 6)) @ Y
+    H = pt.validate_hermitian(M)
+    assert H.herm_residual > pt.ToleranceSet().herm_tol
+
+
+def test_validate_rejects_small_non_hermitian():
+    # A matrix that is not Hermitian at all is refused however small it is.
+    with pytest.raises(NotHermitianError, match=r"herm_tol \* max\|M\| = 1\.000e-21"):
+        pt.validate_hermitian([[0, 1e-11], [0, 0]])
+
+
 def test_validate_rejects_non_square():
     with pytest.raises(NotSquareError):
         pt.validate_hermitian(np.zeros((2, 3)))
@@ -199,38 +216,43 @@ def test_check_feasibility():
         pt.infimum(too_much_minus)
 
 
-def _assert_keyed_draws_match_default_rng(keys):
-    shapes = (2, 3), (4,)
-    refs = [complex_normal(np.random.default_rng(key), *shapes) for key in keys]
-    for got, ref in zip(complex_normal(keys, *shapes), zip(*refs)):
+def _assert_stack_is_successive_draws(seed, shapes, size):
+    """complex_normal's size=K stacks equal K successive single draws, bit for bit."""
+    rng = np.random.default_rng(seed)
+    refs = [complex_normal(rng, *shapes) for _ in range(size)]
+    stacks = complex_normal(np.random.default_rng(seed), *shapes, size=size)
+    assert len(stacks) == len(shapes)
+    for got, shape, ref in zip(stacks, shapes, zip(*refs)):
+        assert got.shape == (size, *shape)
         assert np.array_equal(got, np.stack(ref))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
 def test_key_streams_are_default_rng_streams(seed):
-    # Slice k of a keyed stack is, bit for bit, the draw of default_rng([seed, k]).
-    _assert_keyed_draws_match_default_rng(np.array([[seed, k] for k in range(1000)], dtype=np.uint32))
+    # One stack of 1000 reads default_rng(seed)'s stream as 1000 single draws do.
+    _assert_stack_is_successive_draws(seed, ((2, 3), (4,)), 1000)
 
 
 @pytest.mark.parametrize("width", [1, 4, 6])
 def test_key_streams_of_other_widths(width):
-    # One-word keys, and keys as long as or longer than SeedSequence's 4-word pool.
-    keys = np.random.default_rng(width).integers(0, 2**32, size=(300, width))
-    keys[:3] = np.array([[0], [1], [2**32 - 1]])
-    _assert_keyed_draws_match_default_rng(keys)
+    # Other row widths, with an empty side: a (0, 2) shape draws nothing.
+    _assert_stack_is_successive_draws(width, ((0, 2), (width,), (2, width)), 300)
 
 
 @pytest.mark.parametrize(
     "keys",
     [
+        np.array([[5, 0]]),
         np.array([[2**32, 0]]),
         np.array([[-1, 0]]),
         np.array([[1.0, 2.0]]),
         np.array([5, 0]),
         [np.random.default_rng([5, 0]), np.random.default_rng([5, 1])],
+        5,
     ],
-    ids=["out_of_range", "negative", "float", "one_dimensional", "generators"],
+    ids=["key_array", "out_of_range", "negative", "float", "one_dimensional", "generators", "int"],
 )
 def test_keys_outside_the_reproduced_form_are_rejected(keys):
-    with pytest.raises(ValueError, match="key"):
+    # Only one Generator is a source of draws: key arrays, lists and ints are refused.
+    with pytest.raises(ValueError, match="numpy.random.Generator"):
         complex_normal(keys, (2, 2))

@@ -749,8 +749,7 @@ def test_nsd_branch_minimizer_and_padding():
 
 def test_sampled_lower_bound(golden_problem):
     res = infimum(golden_problem)
-    keys = np.array([[17, k] for k in range(200)])
-    X = pt.FeasibleSampler(golden_problem).sample(2.0, keys)
+    X = pt.FeasibleSampler(golden_problem).sample(2.0, np.random.default_rng(17), 200)
     Xh = X.conj().swapaxes(-1, -2)
     traces = np.real(
         np.trace(
@@ -780,7 +779,7 @@ def _singular_b_problem():
     return pt.ProblemInstance(pair=pair, hat_pair=hat.hat_pair)
 
 
-@pytest.mark.parametrize(
+stacked_problems = pytest.mark.parametrize(
     "make",
     [
         lambda: diag_problem([0.5, 1.0, 2.0], [], [0.3, 0.7, 1.1], [], scramble=(1, 2)),
@@ -790,21 +789,37 @@ def _singular_b_problem():
     ],
     ids=["n_minus_zero", "n_plus_zero", "nhat_below_n", "singular_B"],
 )
+
+
+@stacked_problems
 def test_stacked_sample_matches_per_generator_draw(make):
-    # Slice k of a stack is the single draw from default_rng([seed, k]), and the
-    # stacked objective and residual are the per-sample values.
+    # Slice k of a stack is the k-th of successive single draws from the same
+    # generator, and the stacked objective and residual are the per-sample values.
     prob = make()
     sampler = pt.FeasibleSampler(prob)
-    stack = sampler.sample(1.7, np.array([[29, k] for k in range(12)]))
+    stack = sampler.sample(1.7, np.random.default_rng(29), 12)
     assert stack.shape == (12, prob.n, prob.nhat)
     traces = pt.tracemin._objective(prob, stack)
     residuals = pt.feasibility_residual(prob, stack)
     assert traces.shape == residuals.shape == (12,)
+    rng = np.random.default_rng(29)
     for k in range(12):
-        X = sampler.sample(1.7, np.random.default_rng([29, k]))
+        X = sampler.sample(1.7, rng)
         assert X.shape == (prob.n, prob.nhat)
         assert np.linalg.norm(stack[k] - X) <= 1e-12 * np.linalg.norm(X)
         tr = pt.tracemin._objective(prob, X)
         assert isinstance(tr, float)
         assert abs(traces[k] - tr) <= 1e-12 * (1.0 + abs(tr))
         assert residuals[k] <= 1e-8 and pt.feasibility_residual(prob, X) <= 1e-8
+
+
+@stacked_problems
+def test_stacked_sample_prefix_and_split(make):
+    # Sample k does not depend on how many samples are drawn, nor on where a
+    # run of draws from one generator is split into stacks.
+    sampler = pt.FeasibleSampler(make())
+    whole = sampler.sample(1.7, np.random.default_rng(29), 12)
+    np.testing.assert_array_equal(sampler.sample(1.7, np.random.default_rng(29), 5), whole[:5])
+    rng = np.random.default_rng(29)
+    split = np.concatenate([sampler.sample(1.7, rng, 7), sampler.sample(1.7, rng, 5)])
+    np.testing.assert_array_equal(split, whole)
