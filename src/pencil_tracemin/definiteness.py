@@ -13,8 +13,13 @@ eigenvalues exclude both verdicts.  The endpoints may cross by ``psd_tol``
 relative to their size.  Each interval the spectrum admits is confirmed by
 one evaluation of lam_min(Ã - t*J) on the finite part (Ã, J) of the
 ``PairAnalysis`` at an interior shift: the side holds iff it is >=
--psd_tol * (1 + |Ã|_F + |J|_F).  A chained pair or B = 0 makes no such
-evaluation, and its report carries the tolerance psd_tol *
+-psd_tol * (1 + |Ã|_F + |J|_F).  With d the diagonal of H = Ã - t*J and e
+the Frobenius norm of the rest of H, Weyl's inequality puts lam_min(H) in
+[min d - e, min d + e]; when that interval decides the test, the evaluation
+is its lower end min d - e, with no eigensolve, and otherwise it is
+eigvalsh(H)[0].  On the pair route Ã = diag(j * value) up to roundoff, so
+the diagonal decides every side there.  A chained pair or B = 0 makes no
+such evaluation, and its report carries the tolerance psd_tol *
 ``MatrixPair.scale``.  A Jordan eigenvalue sits in both lists (the two-copy
 convention of ``PairAnalysis``), which pins the interval to that value;
 the confirming lam_min there decides whether the pair is semidefinite at
@@ -39,9 +44,12 @@ class DefinitenessReport:
     ``psd_shift`` is the shift at which the PSD interval was confirmed and
     ``psd_lam_min`` is lam_min(A - psd_shift*B) there; ``nsd_shift`` and
     ``nsd_lam_min`` = lam_min(nsd_shift*B - A) do the same for the NSD side.
-    A side holds iff its lam_min >= -``tolerance``, so lam_min + tolerance is
-    the verdict's margin.  Both are None when the spectrum already excludes
-    the side.
+    Both are taken of the finite part, Ã - t*J and t*J - Ã.  Each is the
+    Weyl lower bound min d - |offdiag|_F of that matrix when its diagonal d
+    decides the side, and its eigvalsh value otherwise.  Either way a side
+    holds iff its lam_min >= -``tolerance``, so lam_min + tolerance is the
+    verdict's margin.  Both are None when the spectrum already excludes the
+    side.
     """
 
     is_psd_pair: bool
@@ -80,12 +88,30 @@ def _confirmed_side(lam_min, lower, upper, tols, tol):
     return ((lo, hi) if f >= -tol else None), shift, f
 
 
+def _lam_min(H: np.ndarray, tol: float) -> float:
+    """lam_min(H) for the test lam_min(H) >= -tol, read off the diagonal when it decides.
+
+    With d = Re diag(H) and e = |H - diag(d)|_F, Weyl's inequality puts
+    lam_min(H) in [min d - e, min d + e].  When that interval lies on one
+    side of -tol the test is decided and the lower end min d - e is
+    returned, with no eigensolve; otherwise this is eigvalsh(H)[0].
+    """
+    d = np.real(np.diagonal(H))
+    low, e = float(np.min(d)), float(np.linalg.norm(H - np.diag(d)))
+    if low - e >= -tol or low + e < -tol:
+        return low - e
+    return float(eigvalsh(H)[0])
+
+
 def _definiteness_from_spectrum(analysis: PairAnalysis) -> DefinitenessReport:
     """PSD/NSD verdicts of the finite part (Ã, J) of a non-chained analysed pair
     with nonzero B, from its typed spectrum; tolerance and lam_min are in the
     finite part's coordinates, the tolerance psd_tol * (1 + |Ã|_F + |J|_F).
 
-    Makes at most two eigenvalue solves, one per side the spectrum admits.
+    Makes at most two eigenvalue solves, one per side that the spectrum
+    admits and the diagonal of its shifted Ã leaves undecided
+    (``_lam_min``).  On the pair route Ã is diagonal up to roundoff, so the
+    diagonal decides.
     """
     A, J, tols = analysis.A_fin, np.diag(analysis.j), analysis.tols
     tol = tols.psd_tol * (1.0 + float(np.linalg.norm(A) + np.linalg.norm(J)))
@@ -93,11 +119,11 @@ def _definiteness_from_spectrum(analysis: PairAnalysis) -> DefinitenessReport:
         return DefinitenessReport(False, False, None, None, tolerance=tol)
     pos, neg = analysis.pos_values, analysis.neg_values
     psd_itv, psd_t, psd_f = _confirmed_side(
-        lambda t: float(eigvalsh(A - t * J)[0]), neg, pos, tols, tol
+        lambda t: _lam_min(A - t * J, tol), neg, pos, tols, tol
     )
     # A - t*J <= 0 iff t*J - A >= 0: the NSD side swaps the lists.
     nsd_itv, nsd_t, nsd_f = _confirmed_side(
-        lambda t: float(eigvalsh(t * J - A)[0]), pos, neg, tols, tol
+        lambda t: _lam_min(t * J - A, tol), pos, neg, tols, tol
     )
     return DefinitenessReport(
         is_psd_pair=psd_itv is not None,

@@ -117,7 +117,7 @@ def check_excluded(problem: ProblemInstance):
 
     mu = _proportional(A, B, tols.rank_tol)
     if mu is not None:
-        const = mu * float(np.real(np.trace(Ah @ np.linalg.inv(Bh))))
+        const = mu * float(np.real(np.trace(np.linalg.solve(Bh, Ah))))
         return ExcludedCase("AEqualsMuB", const, mu)
     muh = _proportional(Ah, Bh, tols.rank_tol) if problem.n == problem.nhat else None
     if muh is not None:
@@ -131,7 +131,7 @@ def _proportional(M: np.ndarray, N: np.ndarray, tol: float) -> float | None:
     denom = np.linalg.norm(N) ** 2
     if denom == 0:
         return None
-    mu = float(np.real(np.trace(N.conj().T @ M)) / denom)
+    mu = float(np.real(np.vdot(N, M)) / denom)
     return mu if np.linalg.norm(M - mu * N) <= tol * max(np.linalg.norm(M), 1e-300) else None
 
 
@@ -333,11 +333,14 @@ def _per_matrix(values: np.ndarray):
 
 
 def _objective(problem: ProblemInstance, X: np.ndarray):
-    """trace(Ahat X^H A X); an array of traces for a (K, n, nhat) stack of X."""
+    """trace(Ahat X^H A X); an array of traces for a (K, n, nhat) stack of X.
+
+    Summed as sum((Ahat X^H) * (A X)^T): two products, no third for the trace.
+    """
     A = problem.pair.A.entries
     Ah = problem.hat_pair.A.entries
-    Xh = X.conj().swapaxes(-1, -2)
-    return _per_matrix(np.real(np.trace(Ah @ Xh @ A @ X, axis1=-2, axis2=-1)))
+    P = Ah @ X.conj().swapaxes(-1, -2)
+    return _per_matrix(np.real(np.sum(P * (A @ X).swapaxes(-1, -2), axis=(-2, -1))))
 
 
 def feasibility_residual(problem: ProblemInstance, X: np.ndarray):

@@ -7,7 +7,8 @@ construction of the padded hat pair, the closed form by Fan's sorted-product
 rule on the typed value lists, and lam_min(A - t*B) by a direct eigenvalue
 solve, and the typed spectrum of a pair with nonsingular B by the B-frame
 route alone, and the typing of ``_cluster`` by a loop over its clusters and
-entries.  They are not part of the library.
+entries, and the definiteness report of a finite part with every admitted
+side confirmed by an eigensolve.  They are not part of the library.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pencil_tracemin.definiteness import DefinitenessReport, _confirmed_side
 from pencil_tracemin.errors import EmptyFeasibleSetError
 from pencil_tracemin.matcore import (
     DEFAULT_TOLS,
@@ -111,6 +113,22 @@ def equal_inertia_value(big: PairAnalysis, hat: PairAnalysis) -> float:
 def lambda_min_shift(pair: MatrixPair, shift: float) -> float:
     """Smallest eigenvalue of A - shift*B."""
     return float(eigvalsh(pair.A.entries - shift * pair.B.entries)[0])
+
+
+def eigvalsh_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
+    """``definiteness._definiteness_from_spectrum`` with each side the spectrum
+    admits confirmed by eigvalsh of the shifted finite part, Ã - t*J or
+    t*J - Ã, never read off its diagonal."""
+    A, J, tols = analysis.A_fin, np.diag(analysis.j), analysis.tols
+    tol = tols.psd_tol * (1.0 + float(np.linalg.norm(A) + np.linalg.norm(J)))
+    if analysis.has_complex:
+        return DefinitenessReport(False, False, None, None, tolerance=tol)
+    pos, neg = analysis.pos_values, analysis.neg_values
+    psd = _confirmed_side(lambda t: float(eigvalsh(A - t * J)[0]), neg, pos, tols, tol)
+    nsd = _confirmed_side(lambda t: float(eigvalsh(t * J - A)[0]), pos, neg, tols, tol)
+    return DefinitenessReport(
+        psd[0] is not None, nsd[0] is not None, psd[0], nsd[0], *psd[1:], *nsd[1:], tol
+    )
 
 
 def b_frame_spectrum(pair: MatrixPair, tols=DEFAULT_TOLS):

@@ -9,9 +9,10 @@ Ahat*1e-8 and A*1e-8, where A and Ahat are the objective matrices of the
 pair and the hat pair.  Each outcome records the verdict, reason, detail,
 value and attainability of ``infimum``, the route each pair was solved by
 (``PairAnalysis.route``), the flags of both typed spectra,
-and for a NegInfinite verdict the witness kind, slope and certified
+for a NegInfinite verdict the witness kind, slope and certified
 residual (``certify_unbounded(-1e6, 1e4)``), or the type and message of
-the exception raised.
+the exception raised, and how many ``numpy.linalg.eigvalsh`` calls the
+outcome made (counted by ``conftest.count_eigen_kernels``).
 
 ``--compare`` prints every difference between two such files (values to
 1e-10 relative, slopes to 1e-9; a certified residual differs when one side
@@ -22,10 +23,11 @@ each: scaled copies whose verdict, reason or scaled value (1e-6 relative)
 differs from the unscaled problem.  For each file it also breaks the
 unscaled ``NoWitnessConstructibleError`` count down by verdict reason and
 by the message of ``_rotation_witness``, and counts the routes of each
-file's pairs per scale label (routes are not compared).  It exits 1 when
-it prints any difference.  ``test_replay.py`` runs the replay in-process
-and holds its counts as a ratchet.  The file name does not match ``test_*.py``, so
-pytest does not collect it.
+file's pairs and its ``eigvalsh`` calls per scale label (neither is
+compared; a file recorded before the calls were kept shows "not
+recorded").  It exits 1 when it prints any difference.  ``test_replay.py``
+runs the replay in-process and holds its counts as a ratchet.  The file
+name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -46,6 +49,7 @@ from pencil_tracemin.genpairs import assemble  # noqa: E402
 from pencil_tracemin.tracemin import EXCLUDED_CONSTANT, NEG_INFINITE, infimum  # noqa: E402
 from pencil_tracemin.witness import build_witness, certify_unbounded  # noqa: E402
 
+from conftest import count_eigen_kernels  # noqa: E402
 from test_acceptance import _hat_pair, _random_specs  # noqa: E402
 
 # label -> (factor on A, factor on Ahat); the value scales by their product.
@@ -97,6 +101,14 @@ def _flags(spec):
 
 
 def outcome(problem):
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_eigen_kernels(patch)
+        out = _outcome(problem)
+    out["eigvalsh"] = calls.count("eigvalsh")
+    return out
+
+
+def _outcome(problem):
     try:
         res = infimum(problem)
     except PencilError as exc:
@@ -229,6 +241,15 @@ def routes(rows):
     return f"routes {out}"
 
 
+def eigvalsh_calls(rows):
+    """The ``eigvalsh`` calls of each scale label's outcomes, summed."""
+    out = {}
+    for label in ("", *SCALES):
+        counts = [row[label].get("eigvalsh") for row in rows]
+        out[label or "unscaled"] = "not recorded" if None in counts else sum(counts)
+    return f"eigvalsh calls {out}"
+
+
 def compare(old_path, new_path):
     old = json.loads(Path(old_path).read_text())
     new = json.loads(Path(new_path).read_text())
@@ -244,7 +265,7 @@ def compare(old_path, new_path):
     for label, rows in (("old", old), ("new", new)):
         print(f"{label}: {summary(rows)}")
         print(f"{label}: {unwitnessed(rows)}")
-        print(f"{label}: {routes(rows)}")
+        print(f"{label}: {routes(rows)}; {eigvalsh_calls(rows)}")
     return changed
 
 

@@ -13,8 +13,8 @@ from pencil_tracemin import cli, tracemin
 from pencil_tracemin.cli import main
 from pencil_tracemin.definiteness import DefinitenessReport
 from pencil_tracemin.genpairs import assemble, spec_from_json
-from pencil_tracemin.matcore import matrix_to_json, save_problem
-from pencil_tracemin.tracemin import ExcludedCase, PropernessReport
+from pencil_tracemin.matcore import load_problem, matrix_to_json, save_problem
+from pencil_tracemin.tracemin import ExcludedCase, FeasibleSampler, PropernessReport, _objective
 
 from conftest import count_eigen_kernels, golden_hat_matrix, pencil_solves
 
@@ -538,12 +538,20 @@ def test_verify_rejects_bad_sample_count(golden_file, capsys, samples):
     assert "--samples" in err
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**32)])
-def test_verify_rejects_seed_outside_uint32(golden_file, capsys, seed):
-    code = main(["--seed", seed, "verify", golden_file, "--samples", "5"])
+def test_verify_rejects_negative_seed(golden_file, capsys):
+    code = main(["--seed", "-1", "verify", golden_file, "--samples", "5"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "--seed" in err
+
+
+def test_verify_accepts_seed_beyond_uint32(golden_file, capsys):
+    # default_rng draws from any nonnegative integer: sample 0 is its first draw.
+    code, rep = run_json(capsys, ["--json", "--seed", str(2**32), "verify", golden_file, "--samples", "1"])
+    assert code == 0
+    problem = load_problem(golden_file)
+    X = FeasibleSampler(problem).sample(1.0, np.random.default_rng(2**32))
+    assert rep["sampling"]["min_trace"] == pytest.approx(_objective(problem, X), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("spread", ["nan", "inf", "-1"])

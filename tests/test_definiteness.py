@@ -1,13 +1,21 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import pencil_tracemin as pt
-from pencil_tracemin.definiteness import analysis_definiteness
+from pencil_tracemin.definiteness import (
+    _definiteness_from_spectrum,
+    _lam_min,
+    analysis_definiteness,
+)
 from pencil_tracemin.genpairs import BlockSpec, assemble
 from pencil_tracemin.spectral import analyze_pair
 
-from conftest import count_eigen_kernels, pencil_solves, rand_hermitian, spectral_norm
-from reference import lambda_min_shift
+import replay
+from conftest import count_eigen_kernels, diag_problem, pencil_solves, rand_hermitian, spectral_norm
+from reference import eigvalsh_definiteness, lambda_min_shift
+from test_tracemin import _criterion_7_problems
 
 
 @pytest.fixture
@@ -120,16 +128,21 @@ def test_zero_b_pair():
 )
 def test_definiteness_kernel_count(monkeypatch, B):
     # One eigh of B and one pencil solve for the typed spectrum (an eig, or a
-    # Cholesky and its eigh), then one eigvalsh per side the spectrum admits
-    # (both sides only for definite B).
+    # Cholesky and its eigh), then at most one eigvalsh per side the spectrum
+    # admits (both sides only for definite B).  Both pairs are definite and
+    # solved in their own coordinates, where Ã is diagonal up to roundoff and
+    # its diagonal decides each side with no eigvalsh.
     A = np.diag([2.0, 3.0, 1.0, 0.5])
     pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), 3, 5.0)
     calls = count_eigen_kernels(monkeypatch)
-    rep = analysis_definiteness(analyze_pair(pair))
+    analysis = analyze_pair(pair)
+    rep = analysis_definiteness(analysis)
     assert rep.is_psd_pair
     # Besides the solve's own kernels (an eig, or a Cholesky and an eigh):
     assert len(calls) - calls.count("eig") - 2 * calls.count("cholesky") <= 3, calls
     assert pencil_solves(calls) == 1, calls
+    assert analysis.route == "pair-cholesky"
+    assert calls.count("eigvalsh") == 0, calls
 
 
 def _semidefinite_specs(rng):
@@ -187,3 +200,77 @@ def test_intervals_hold_inside_and_fail_outside():
                 if np.isfinite(edge):
                     assert f(edge + step) < 0.0, (specs, edge, itv)
     assert min(seen.values()) >= 10 and pinned >= 5, (seen, pinned)
+
+
+@pytest.mark.parametrize(
+    "H, expected, solves",
+    [
+        # The diagonal passes (min d = 1) but the off-diagonal part does not
+        # leave it decided: lam_min = -1 from eigvalsh.
+        ([[1.0, 2.0], [2.0, 1.0]], -1.0, 1),
+        # Decided by the diagonal: min d -/+ e = 2 -/+ 0.5*sqrt(2) both hold
+        # or both fail, and the lower end is returned.
+        ([[3.0, 0.5], [0.5, 2.0]], 2.0 - 0.5 * np.sqrt(2.0), 0),
+        ([[-3.0, 0.5], [0.5, 2.0]], -3.0 - 0.5 * np.sqrt(2.0), 0),
+    ],
+    ids=["undecided", "holds", "fails"],
+)
+def test_lam_min_reads_a_decided_diagonal(monkeypatch, H, expected, solves):
+    calls = count_eigen_kernels(monkeypatch)
+    assert _lam_min(np.array(H), 1e-12) == pytest.approx(expected, abs=1e-12)
+    assert calls.count("eigvalsh") == solves, calls
+
+
+def _screened_pairs():
+    """Every pair of the criterion-7 problems and of their scaled replay
+    copies, then both pairs of six diverge-certify-shaped problems (mixed
+    signs, scrambled typed frames) at n = 20, 40 and 80."""
+    for prob in _criterion_7_problems():
+        for a, ahat in [(1.0, 1.0), *replay.SCALES.values()]:
+            copy = replay.scaled(prob, a, ahat)
+            yield copy.pair
+            yield copy.hat_pair
+    for n in (20, 40, 80):
+        for seed in (n, n + 1):
+            rng = np.random.default_rng(seed)
+            npl, nmi = n // 2, n - n // 2
+            prob = diag_problem(
+                rng.uniform(0.5, 2.0, npl), rng.uniform(-2.0, -0.5, nmi),
+                -rng.uniform(0.5, 2.0, npl), rng.uniform(0.5, 2.0, nmi), scramble=(seed, seed + 100),
+            )
+            yield prob.pair
+            yield prob.hat_pair
+
+
+def test_diagonal_screen_matches_eigvalsh_confirmation(monkeypatch):
+    # Reading a decided side off the diagonal moves no verdict, interval or
+    # shift, and its lam_min is a lower bound on the eigvalsh value within
+    # 2|offdiag|_F of it, both up to eigvalsh's own roundoff, 8 eps |H|_F.
+    eps = np.finfo(float).eps
+    keys = ("is_psd_pair", "is_nsd_pair", "psd_interval", "nsd_interval",
+            "psd_shift", "nsd_shift", "tolerance")
+    calls = count_eigen_kernels(monkeypatch)
+    sides, solves = Counter(), Counter()
+    for pair in _screened_pairs():
+        a = analyze_pair(pair)
+        if a.route is None:  # chained or B = 0: no finite part to confirm
+            continue
+        calls.clear()
+        rep = _definiteness_from_spectrum(a)
+        solves[a.route] += calls.count("eigvalsh")
+        ref = eigvalsh_definiteness(a)
+        assert [getattr(rep, k) for k in keys] == [getattr(ref, k) for k in keys]
+        A, J = a.A_fin, np.diag(a.j)
+        for sign, t, f, f_ref in ((1.0, rep.psd_shift, rep.psd_lam_min, ref.psd_lam_min),
+                                  (-1.0, rep.nsd_shift, rep.nsd_lam_min, ref.nsd_lam_min)):
+            if t is None:
+                assert f is None and f_ref is None
+                continue
+            sides[a.route] += 1
+            H = sign * (A - t * J)
+            d = np.real(np.diagonal(H))
+            e, ulp = np.linalg.norm(H - np.diag(d)), 8 * eps * np.linalg.norm(H)
+            assert -ulp <= f_ref - f <= 2 * e + ulp, (a.route, f, f_ref, e)
+    # Ã is diagonal to roundoff on the pair route: its diagonal decides every side.
+    assert sides["pair-cholesky"] > 4000 and solves["pair-cholesky"] == 0, (sides, solves)
+    assert solves["frame-cholesky"] + solves["eig"] > 0, (sides, solves)

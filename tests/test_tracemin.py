@@ -28,7 +28,7 @@ from conftest import (
     count_eigen_kernels, diag_problem, golden_hat_matrix, k2_pair, pencil_solves, rand_hermitian,
 )
 from reference import deflate_common_nullspace, equal_inertia_value, fan_min_product, pad_problem
-from test_acceptance import _hat_pair, _random_specs
+from test_acceptance import _hat_pair, _objective, _random_specs
 
 
 # --- excluded cases ---------------------------------------------------------
@@ -795,6 +795,8 @@ stacked_problems = pytest.mark.parametrize(
 def test_stacked_sample_matches_per_generator_draw(make):
     # Slice k of a stack is the k-th of successive single draws from the same
     # generator, and the stacked objective and residual are the per-sample values.
+    # The objective's two-product sum agrees with trace(Ahat X^H A X) of three
+    # products up to the order of summation.
     prob = make()
     sampler = pt.FeasibleSampler(prob)
     stack = sampler.sample(1.7, np.random.default_rng(29), 12)
@@ -802,6 +804,8 @@ def test_stacked_sample_matches_per_generator_draw(make):
     traces = pt.tracemin._objective(prob, stack)
     residuals = pt.feasibility_residual(prob, stack)
     assert traces.shape == residuals.shape == (12,)
+    reference = _objective(prob, stack)
+    assert np.all(np.abs(traces - reference) <= 1e-12 * (1.0 + np.abs(reference)))
     rng = np.random.default_rng(29)
     for k in range(12):
         X = sampler.sample(1.7, rng)
