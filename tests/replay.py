@@ -25,9 +25,11 @@ unscaled ``NoWitnessConstructibleError`` count down by verdict reason and
 by the message of ``_rotation_witness``, and counts the routes of each
 file's pairs and its ``eigvalsh`` calls per scale label (neither is
 compared; a file recorded before the calls were kept shows "not
-recorded").  It exits 1 when it prints any difference.  ``test_replay.py``
-runs the replay in-process and holds its counts as a ratchet.  The file
-name does not match ``test_*.py``, so pytest does not collect it.
+recorded").  It exits 1 when it prints any difference.  ``compare`` returns
+the differences of two replays held in memory.  ``test_replay.py`` runs
+the replay in-process, holds its counts as a ratchet and compares it with
+the committed record ``replay_record.json``, written by ``--out``.  The
+file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -149,9 +151,16 @@ def replay():
 
 
 def record(path):
+    """Write a replay to ``path``, one trial per line with sorted keys, so a
+    diff of two records names the trials that moved."""
     rows = replay()
-    Path(path).write_text(json.dumps(rows, indent=1))
+    lines = ",\n".join(json.dumps(row, sort_keys=True) for row in rows)
+    Path(path).write_text(f"[\n{lines}\n]\n")
     print(f"{len(rows)} problems, {len(rows) * len(SCALES)} scaled copies -> {path}")
+
+
+def load(path):
+    return json.loads(Path(path).read_text())
 
 
 def _close(x, y, rtol):
@@ -250,18 +259,28 @@ def eigvalsh_calls(rows):
     return f"eigvalsh calls {out}"
 
 
-def compare(old_path, new_path):
-    old = json.loads(Path(old_path).read_text())
-    new = json.loads(Path(new_path).read_text())
+def compare(old, new):
+    """Every difference between two replays (lists of rows), one line each."""
     if [r["trial"] for r in old] != [r["trial"] for r in new]:
-        sys.exit("the two files replay different problems")
-    changed = 0
-    for ro, rn in zip(old, new):
-        for label in ("", *SCALES):
-            for line in _diff(ro[label], rn[label]):
-                changed += 1
-                print(f"trial {ro['trial']} [{label or 'unscaled'}] {line}")
-    print(f"{changed} differences")
+        raise ValueError("the two replays replay different problems")
+    return [
+        f"trial {ro['trial']} [{label or 'unscaled'}] {line}"
+        for ro, rn in zip(old, new)
+        for label in ("", *SCALES)
+        for line in _diff(ro[label], rn[label])
+    ]
+
+
+def _print_comparison(old_path, new_path):
+    """Print the differences of two files and a summary of each; returns the differences."""
+    old, new = load(old_path), load(new_path)
+    try:
+        changed = compare(old, new)
+    except ValueError as exc:
+        sys.exit(str(exc))
+    for line in changed:
+        print(line)
+    print(f"{len(changed)} differences")
     for label, rows in (("old", old), ("new", new)):
         print(f"{label}: {summary(rows)}")
         print(f"{label}: {unwitnessed(rows)}")
@@ -277,7 +296,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.out:
         record(args.out)
-    elif compare(*args.compare):
+    elif _print_comparison(*args.compare):
         sys.exit(1)
 
 

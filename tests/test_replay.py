@@ -1,18 +1,36 @@
-"""The criterion-7 replay (``replay.py``) as a ratchet.
+"""The criterion-7 replay (``replay.py``) as a ratchet and as a parity check.
 
 The unscaled verdict counts are pinned; the counts of unbuilt witnesses,
 poorly certified witnesses and scaled flips may only fall.  Lower a bound
-here when a change lowers its count.
+here when a change lowers its count.  Every outcome must match the
+committed record ``replay_record.json`` at the tolerances of ``replay.py
+--compare``; a change that moves an outcome on purpose re-records it with
+``python tests/replay.py --out tests/replay_record.json``.
 """
 
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 import replay
 
+RECORD = Path(__file__).with_name("replay_record.json")
 
-def test_replay_counts_only_tighten():
-    verdicts, unwitnessed, bad, flips = replay.tally(replay.replay())
+
+@pytest.fixture(scope="module")
+def rows():
+    return replay.replay()
+
+
+def test_replay_counts_only_tighten(rows):
+    verdicts, unwitnessed, bad, flips = replay.tally(rows)
     assert verdicts == Counter(NegInfinite=369, ExcludedConstant=81, Finite=32), verdicts
     assert unwitnessed <= 29
     assert bad <= 45
     assert sum(flips.values()) <= 41, flips
+
+
+def test_replay_matches_the_record(rows):
+    differences = replay.compare(replay.load(RECORD), rows)
+    assert not differences, "\n".join(differences[:20])
