@@ -99,6 +99,7 @@ def _spectrum_obj(analysis):
         "infinite_definite_sign": analysis.infinite_sign,
         "complex_values": [[z.real, z.imag] for z in analysis.complex_values],
         "route": analysis.route,
+        "crawford_bound": analysis.crawford_bound,
     }
 
 

@@ -15,9 +15,9 @@ one evaluation of lam_min(Ã - t*J) on the finite part (Ã, J) of the
 ``PairAnalysis`` at an interior shift: the side holds iff it is >=
 -psd_tol * (1 + |Ã|_F + |J|_F).  With d the diagonal of H = Ã - t*J and e
 the Frobenius norm of the rest of H, Weyl's inequality puts lam_min(H) in
-[min d - e, min d + e]; when that interval decides the test, the evaluation
-is its lower end min d - e, with no eigensolve, and otherwise it is
-eigvalsh(H)[0].  On the pair route Ã = diag(j * value) up to roundoff, so
+[min d - e, min d + e], and lam_min(H) <= min d; when min d - e or min d
+decides the test, the evaluation is the lower end min d - e, with no
+eigensolve, and otherwise it is eigvalsh(H)[0].  On the pair route Ã = diag(j * value) up to roundoff, so
 the diagonal decides every side there.  A chained pair or B = 0 makes no
 such evaluation, and its report carries the tolerance psd_tol *
 ``MatrixPair.scale``.  A Jordan eigenvalue sits in both lists (the two-copy
@@ -92,13 +92,15 @@ def _lam_min(H: np.ndarray, tol: float) -> float:
     """lam_min(H) for the test lam_min(H) >= -tol, read off the diagonal when it decides.
 
     With d = Re diag(H) and e = |H - diag(d)|_F, Weyl's inequality puts
-    lam_min(H) in [min d - e, min d + e].  When that interval lies on one
-    side of -tol the test is decided and the lower end min d - e is
-    returned, with no eigensolve; otherwise this is eigvalsh(H)[0].
+    lam_min(H) in [min d - e, min d + e], and lam_min(H) <= min d, the
+    Rayleigh quotient of a unit vector.  When min d - e >= -tol the test
+    holds, and when min d < -tol it fails; either way the lower end
+    min d - e is returned, with no eigensolve.  Otherwise this is
+    eigvalsh(H)[0].
     """
     d = np.real(np.diagonal(H))
     low, e = float(np.min(d)), float(np.linalg.norm(H - np.diag(d)))
-    if low - e >= -tol or low + e < -tol:
+    if low - e >= -tol or low < -tol:
         return low - e
     return float(eigvalsh(H)[0])
 

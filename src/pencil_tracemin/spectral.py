@@ -2,25 +2,37 @@
 
 ``analyze_pair(pair, tols)`` builds one flat, frozen :class:`PairAnalysis`
 per pair, and records in ``route`` how its pencil was solved.  A definite
-pair, where s·A - t·B is positive definite for a sign s and a shift t read
-off diag(A) / diag(B), with B nonsingular under the relative zero rule,
-takes one Cholesky of s·A - t·B and one Hermitian eigensolve in its own
-coordinates (``_definite_spectrum``, route "pair-cholesky"): it has real
-eigenvalues, no Jordan block and types without a Gram matrix, and its
-typed directions are themselves a B-frame, so B is never decomposed.
+pair, where s·A - t·B is positive definite for a sign s and a shift t, with
+B nonsingular under the relative zero rule, takes one Cholesky of s·A - t·B
+and one Hermitian eigensolve in its own coordinates
+(``_definite_spectrum``, route "pair-cholesky"): it has real eigenvalues,
+no Jordan block and types without a Gram matrix, and its typed directions
+are themselves a B-frame, so B is never decomposed.  Such an s·A - t·B
+names a line that leaves the field of values W(A + iB) on one side
+(Crawford & Moon, LAA 51, 1983).  The shift is read off the n diagonal
+points of W, diag(A) / diag(B); when the Cholesky there fails, every 2x2
+principal compression cuts the diagonal interval: its determinant is a
+quadratic in t, and since the positive definite cone is convex the shifts
+that keep it positive form one subinterval.  One more Cholesky is tried
+inside the intersection, found in one vectorized O(n²) pass with no kernel
+call (``_compression_cut``).  The solve also gives a lower bound on the
+Crawford number, 1 / (|L⁻¹|_F²·sqrt(1 + t²)), which the record keeps.
 Every other pair eigendecomposes B once (inertia with the relative zero
 rule and the +1/-1/0 B-frame), drops the common nullspace of A and B from
 N(B) and splits off the rest of N(B) in place: the record holds the
-eigenvalues of A there, the coupling K that eliminates it from the range
-of B, and the finite part Ã as an array, posed in B-frame coordinates,
-(Ã, J) with J = diag(+1.., -1..).  ``_finite_spectrum`` solves it by one
-of two routes into the typed spectrum, arrays for each type (the ascending
-values, their B-forms, a Jordan mask and one matrix of the directions the
-entries own), and a tuple of 2x2 blocks for the conjugate eigenvalue
-pairs.  A definite finite part takes the same Cholesky solve in B-frame
-coordinates ("frame-cholesky").  Every other one, and a definite one
-whose guard finds an eigenvalue at the shift or two eigenvalues that
-would cluster, takes one standard eigensolve of J·Ã (the library's only
+eigenvalues of A there, the coupling K that eliminates it from the range of
+B, and the finite part Ã as an array, posed in B-frame coordinates, (Ã, J)
+with J = diag(+1.., -1..).  ``_finite_spectrum`` solves it by one of two
+routes into the typed spectrum, arrays for each type (the ascending values,
+their B-forms, a Jordan mask and one matrix of the directions the entries
+own), and a tuple of 2x2 blocks for the conjugate eigenvalue pairs.  A
+definite finite part takes the same Cholesky solve in B-frame coordinates
+("frame-cholesky"), or, when the pair's own Cholesky passed and only B's
+nonsingularity certificate failed (B singular, A definite on N(B), perhaps
+a common nullspace), is read off that solve's columns, so the pencil is
+solved once (``_kept_spectrum``).  Every other one, and a definite one
+whose guard finds an eigenvalue at the shift or two eigenvalues that would
+cluster, takes one standard eigensolve of J·Ã (the library's only
 ``numpy.linalg.eig``, route "eig"), as J² = I makes it selfadjoint in
 [x, y] = y^H J x, and ``_cluster`` types it.  These directions, with the
 null directions of B, form a congruence frame (the canonical form of
@@ -131,23 +143,148 @@ def _cluster(w, Z, G, tols, scale):
     return (plus, values, forms, jordan, owns, T), cidx
 
 
+def _shift(lo, hi, margin):
+    """A shift inside the interval (lo, hi), or None when it is empty or the
+    whole line: its midpoint, or beyond the finite end of a half-line by
+    |end| + margin."""
+    if not lo < hi:
+        return None
+    if np.isfinite(lo) and np.isfinite(hi):
+        return 0.5 * (lo + hi)
+    if np.isfinite(lo):
+        return lo + abs(lo) + margin
+    if np.isfinite(hi):
+        return hi - abs(hi) - margin
+    return None
+
+
+def _factor(A, B, s, t):
+    """(L, t) with s·A - t·B = L L^H, or None when t is None or Cholesky fails."""
+    if t is None:
+        return None
+    try:
+        return np.linalg.cholesky(s * A - t * B), t
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _compression_cut(A, B, s, lo, hi):
+    """The diagonal interval (lo, hi) of s·A - t·B cut to the shifts t at
+    which every 2x2 principal compression is positive definite, as (lo, hi).
+
+    On (lo, hi) both diagonal entries of the compression on (i, j) are
+    positive, so it is positive definite iff its determinant, the quadratic
+    c2·t² + c1·t + c0, is.  The shifts that make it positive definite form
+    an interval, since the positive definite cone is convex and the
+    compression is affine in t, so their part of (lo, hi) is one interval:
+    between the roots where c2 < 0; where c2 >= 0 the determinant is <= 0
+    on [r1, r2], and (lo, hi) keeps the side of it that it reaches into.
+    The roots scale like the ratios a_ii / b_ii, with A and inversely with B.
+    """
+    # Roots are infinite where c2 = 0 and NaN where the entries overflow.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        i, k = np.triu_indices(len(A), 1)
+        a, b = np.real(A.diagonal()), np.real(B.diagonal())
+        aik, bik = A[i, k], B[i, k]
+        c2 = b[i] * b[k] - np.abs(bik) ** 2 + 0.0  # + 0.0 turns -0.0 into +0.0
+        c1 = -s * (a[i] * b[k] + a[k] * b[i] - 2.0 * np.real(aik * np.conj(bik)))
+        c0 = a[i] * a[k] - np.abs(aik) ** 2
+        disc = c1 * c1 - 4.0 * c2 * c0
+        # The stable pair of roots; where c2 = 0 one is infinite and the other -c0/c1.
+        q = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c1))
+        r1, r2 = np.fmin(q / c2, c0 / q), np.fmax(q / c2, c0 / q)
+        convex = c2 >= 0
+        # With no real root the determinant keeps the sign of c2: everywhere
+        # positive (no cut) or nowhere (an empty interval).
+        r1 = np.where(disc < 0, np.inf, r1)
+        r2 = np.where(disc < 0, np.where(convex, np.inf, -np.inf), r2)
+        low = np.where(convex, np.where(r1 <= lo, r2, -np.inf), r1)
+        high = np.where(convex, np.where(r2 >= hi, r1, np.inf), r2)
+    # A NaN bound, from an overflowing entry, cuts nothing; the Cholesky decides.
+    return float(np.fmax.reduce(low, initial=lo)), float(np.fmin.reduce(high, initial=hi))
+
+
+def _pencil_solve(A, B):
+    """One Cholesky s·A - t·B = L L^H and one eigh L⁻¹ B L⁻ᴴ = Y diag(μ) Y^H.
+
+    Returns (s, t, μ, X) with X = L⁻ᴴ Y, so X^H (s·A - t·B) X = I and
+    X^H B X = diag(μ), or None when no shift passes its Cholesky.  For each
+    sign s the diagonal of s·A - t·B must be positive, which bounds t by
+    the ratios s·a_ii / b_ii: above where b_ii > 0, below where b_ii < 0,
+    and needs s·a_ii > 0 where b_ii = 0.  The first Cholesky is tried at a
+    shift inside that interval (``_shift``); when it fails, or the interval
+    is the whole line, the interval is cut by the 2x2 principal
+    compressions (``_compression_cut``) and one more Cholesky is tried at a
+    shift inside what is left.  A pair that passes the first Cholesky pays
+    nothing for the cut.
+    """
+    a, b = np.real(A.diagonal()), np.real(B.diagonal())
+    margin = (float(np.linalg.norm(A)) or 1.0) / (float(np.max(np.abs(b))) or 1.0)
+    # A ratio may overflow; the Cholesky at an infinite shift then fails.
+    with np.errstate(over="ignore"):
+        for s in (1.0, -1.0):
+            lo = float(np.max(s * a[b < 0] / b[b < 0], initial=-np.inf))
+            hi = float(np.min(s * a[b > 0] / b[b > 0], initial=np.inf))
+            if not lo < hi or np.any(s * a[b == 0] <= 0):
+                continue
+            L = _factor(A, B, s, _shift(lo, hi, margin))
+            if L is None:
+                L = _factor(A, B, s, _shift(*_compression_cut(A, B, s, lo, hi), margin))
+            if L is not None:
+                L, t = L
+                Li = np.linalg.inv(L)
+                mu, Y = np.linalg.eigh(Li @ B @ Li.conj().T)
+                return s, t, mu, Li.conj().T @ Y
+    return None
+
+
+def _typed_solve(s, t, mu, X, tols):
+    """The typed columns of a pencil solve, or None when a guard sends it on.
+
+    With λ = s·(t + 1/μ) the guards reject an eigenvalue within
+    sqrt(type_tol)·(|λ|_2 + |t|) of s·t, since |λ - s·t| = 1/|μ|, and two
+    eigenvalues within the cluster rule's type_tol·max|λ| + rank_tol·|λ|_2.
+    Returns (λ, sign μ, X / sqrt|μ|), ascending in λ.
+    """
+    # A value may overflow; the first guard then rejects it.
+    with np.errstate(over="ignore"):
+        lam = s * (t + 1.0 / mu)
+        scale = float(np.linalg.norm(lam))
+        # |λ - s·t| = 1/|μ|: the eigenvalue nearest the shift has the largest |μ|.
+        if np.max(np.abs(mu)) * np.sqrt(tols.type_tol) * (scale + abs(t)) >= 1.0:
+            return None
+        order = np.argsort(lam)
+        lam, mu = lam[order], mu[order]
+        gap = tols.type_tol * float(np.max(np.abs(lam))) + tols.rank_tol * scale
+        if np.any(np.diff(lam) <= gap):
+            return None
+    return lam, np.sign(mu), X[:, order] / np.sqrt(np.abs(mu))
+
+
 def _definite_spectrum(A, B, tols):
-    """Solve a definite pencil (A, B) by one Cholesky and one eigh, or None.
+    """Solve a definite pencil (A, B) by one Cholesky and one eigh.
 
     The pencil is definite when s·A - t·B is positive definite for a sign s
     and a shift t; then it has real eigenvalues and no Jordan block, and
-    needs neither ``_cluster`` nor a Gram matrix.  The routine runs in two
+    needs neither ``_cluster`` nor a Gram matrix.  Geometrically, the line
+    that s·A - t·B > 0 names leaves the field of values W(A + iB) on one
+    side (Crawford & Moon, LAA 51, 1983).  The routine runs in two
     coordinate systems: in the pair's own, (A, B) as given, and in
-    B-frame coordinates, (Ã, J) with J = diag(j).  The diagonal of s·A - t·B
-    must be positive, which bounds t by the ratios a_ii / b_ii: above where
-    b_ii > 0, below where b_ii < 0, and needs s·a_ii > 0 where b_ii = 0.
-    One Cholesky is tried at a shift t inside each nonempty interval with a
-    finite end: its midpoint, or beyond the end of a half-line by |end| +
-    |A|_F / max|b_ii| (|Ã|_F in the B-frame).  The first that succeeds,
-    s·A - t·B = L L^H, solves the pencil: for eigh(L⁻¹ B L⁻ᴴ) = (μ, Y), the
-    eigenvalues are λ = s·(t + 1/μ), each of type sign μ, with the direction
-    x = L⁻ᴴ y / sqrt|μ| of B-form sign μ.  These directions are a B-frame X
-    of the pencil, with X^H B X = diag(sign μ) and X^H A X = diag(sign μ · λ).
+    B-frame coordinates, (Ã, J) with J = diag(j).  ``_pencil_solve`` reads
+    the shift off the n diagonal points e_i^H (A + iB) e_i of W: the diagonal
+    of s·A - t·B must be positive, and one Cholesky is tried at the
+    midpoint of the interval that leaves, or beyond the end of a half-line
+    by |end| + |A|_F / max|b_ii| (|Ã|_F in the B-frame).  After a
+    congruence the diagonal points are a poor inner picture of W, and
+    that Cholesky can fail on a definite pair; then every 2x2 principal
+    compression, whose field of values is an ellipse inside W, cuts the
+    interval (``_compression_cut``), and one more Cholesky is tried at the
+    midpoint of what is left.  The cut is homogeneous in A and in B.  The
+    first that succeeds, s·A - t·B = L L^H, solves the pencil: for
+    eigh(L⁻¹ B L⁻ᴴ) = (μ, Y), the eigenvalues are λ = s·(t + 1/μ), each of
+    type sign μ, with the direction x = L⁻ᴴ y / sqrt|μ| of B-form sign μ.
+    These directions are a B-frame X of the pencil, with X^H B X =
+    diag(sign μ) and X^H A X = diag(sign μ · λ).
 
     B must be nonsingular under the zero rule of ``eigen_signs`` (an
     eigenvalue |d| <= rank_tol·max|d| counts as zero).  By Ostrowski's
@@ -158,63 +295,93 @@ def _definite_spectrum(A, B, tols):
     ``eigen_signs`` counts it.  In B-frame coordinates B = J of order m is
     nonsingular by construction; there |L⁻¹|_F² = Σ |μ_k|·|x_k|², so the
     certificate fails only for very long directions, Σ |μ_k / min|μ||·|x_k|²
-    >= 1 / (rank_tol·sqrt(m)).
+    >= 1 / (rank_tol·sqrt(m)).  The same factor bounds the Crawford number
+    γ(A, B) = min over unit z of |z^H (A + iB) z| from below: s·A - t·B is
+    sqrt(1 + t²) times cos θ·A + sin θ·B for one angle θ, and its least
+    eigenvalue is σ_min(L)² >= 1 / |L⁻¹|_F², so γ >= 1 / (|L⁻¹|_F² ·
+    sqrt(1 + t²)), at no cost.
 
-    The guards are stated in the frame X that the solve builds: there the
-    finite part X^H A X = diag(sign μ · λ) has Frobenius norm |λ|_2 in
-    whichever coordinates the routine ran, and every B-form is exactly ±1.
-    The result is None, and the caller falls back, when B fails the
-    certificate above, or when the solve shows a case that ``_cluster``
-    decides differently or that the Cholesky factor cannot resolve: an
-    eigenvalue within sqrt(type_tol)·(|λ|_2 + |t|) of s·t (a Jordan pair
-    there passes Cholesky by roundoff), since |λ - s·t| = 1/|μ|; or two
-    eigenvalues within the cluster rule's type_tol·max|λ| + rank_tol·|λ|_2
-    (a cluster takes the mean of its values).  No direction of X is
-    isotropic, so the isotropy test of ``_cluster`` has nothing to find
-    there.  Values that overflow fail the first guard.  Every bound scales
-    with A and with B, with no ``1 +`` floor, so neither the route nor the
-    types depend on how the pair is scaled.
+    The guards (``_typed_solve``) are stated in the frame X that the solve
+    builds: there the finite part X^H A X = diag(sign μ · λ) has Frobenius
+    norm |λ|_2 in whichever coordinates the routine ran, and every B-form
+    is exactly ±1.  The solve is sent on when it shows a case that
+    ``_cluster`` decides differently or that the Cholesky factor cannot
+    resolve: an eigenvalue near s·t (a Jordan pair there passes Cholesky by
+    roundoff), or two eigenvalues that the cluster rule would merge (a
+    cluster takes the mean of its values).  No direction of X is isotropic,
+    so the isotropy test of ``_cluster`` has nothing to find there.  Values
+    that overflow fail the first guard.  Every bound scales with A and with
+    B, with no ``1 +`` floor, so neither the route nor the types depend on
+    how the pair is scaled.
 
-    Returns (λ, sign μ, X), ascending in λ, the columns of X the directions.
+    Returns (typed, rejected).  typed is (λ, sign μ, X, γ bound), ascending
+    in λ, the columns of X the directions, or None.  rejected is the solve
+    of ``_pencil_solve`` when B failed the certificate, which the B-frame
+    route reads instead of solving again (``_kept_spectrum``), else None.
     """
-    a, b = np.real(A.diagonal()), np.real(B.diagonal())
-    margin = (float(np.linalg.norm(A)) or 1.0) / (float(np.max(np.abs(b))) or 1.0)
-    # A ratio or a value may overflow; a bound or a guard then rejects it.
-    with np.errstate(over="ignore"):
-        for s in (1.0, -1.0):
-            lo = float(np.max(s * a[b < 0] / b[b < 0], initial=-np.inf))
-            hi = float(np.min(s * a[b > 0] / b[b > 0], initial=np.inf))
-            if not lo < hi or np.any(s * a[b == 0] <= 0):
-                continue
-            if np.isfinite(lo) and np.isfinite(hi):
-                t = 0.5 * (lo + hi)
-            elif np.isfinite(lo):
-                t = lo + abs(lo) + margin
-            elif np.isfinite(hi):
-                t = hi - abs(hi) - margin
-            else:
-                continue
-            try:
-                L = np.linalg.cholesky(s * A - t * B)
-            except np.linalg.LinAlgError:
-                continue
-            Li = np.linalg.inv(L)
-            mu, Y = np.linalg.eigh(Li @ B @ Li.conj().T)
-            li2 = float(np.sum(np.abs(Li) ** 2))
-            if np.min(np.abs(mu)) <= tols.rank_tol * float(np.linalg.norm(B)) * li2:
-                return None
-            lam = s * (t + 1.0 / mu)
-            scale = float(np.linalg.norm(lam))
-            # |λ - s·t| = 1/|μ|: the eigenvalue nearest the shift has the largest |μ|.
-            if np.max(np.abs(mu)) * np.sqrt(tols.type_tol) * (scale + abs(t)) >= 1.0:
-                return None
-            order = np.argsort(lam)
-            lam, mu = lam[order], mu[order]
-            gap = tols.type_tol * float(np.max(np.abs(lam))) + tols.rank_tol * scale
-            if np.any(np.diff(lam) <= gap):
-                return None
-            return lam, np.sign(mu), Li.conj().T @ Y[:, order] / np.sqrt(np.abs(mu))
-    return None
+    solve = _pencil_solve(A, B)
+    if solve is None:
+        return None, None
+    s, t, mu, X = solve
+    li2 = float(np.sum(np.abs(X) ** 2))  # |L⁻¹|_F², as Y is unitary
+    if np.min(np.abs(mu)) <= tols.rank_tol * float(np.linalg.norm(B)) * li2:
+        return None, solve
+    typed = _typed_solve(s, t, mu, X, tols)
+    if typed is None:
+        return None, None
+    return (*typed, 1.0 / (li2 * float(np.hypot(1.0, t)))), None
+
+
+def _kept_spectrum(solve, A, B, j, R, D, null_dims, tols):
+    """The finite part's typed spectrum read off a pair-coordinate solve whose
+    B failed the nonsingularity certificate, or None to solve it anew.
+
+    ``solve`` = (s, t, μ, X) of ``_pencil_solve`` on the pair, X^H M X = I
+    for M = s·A - t·B, X^H B X = diag(μ).  The B-frame route has found B's
+    frame R (R^H B R = J = diag(j)), the ``null_dims`` directions of N(B)
+    that it keeps and the orthonormal columns D of the common nullspace of
+    A and B that it drops.  Then M >= 0 vanishes on D, and is definite on
+    the rest, where A is definite of sign s on N(B); so the columns of X
+    split into three sets.  The len(D) longest nearly annihilate M: the
+    M-form 1 / |x|² of their unit direction is at most rank_tol·tr M, and
+    tr M = |L|_F² >= |M|_2.  Of the others, the ``null_dims`` of least |μ|
+    span N(B): B x = μ·L Y e_k, so |B z| <= |μ|·tr M for their unit z, which
+    must be at most rank_tol·|B|_F.  The rest are M-orthogonal to N(B), as
+    the finite frame R + N K of the split is, so they are the finite
+    part's directions, less their component in D; their μ must have the
+    signs of j and pass ``_typed_solve``.  Each b_form is that of the unit
+    eigenvector in B's eigenvector frame, sign μ / |v|², v = (R^H R)⁻¹ R^H x,
+    as on the route that solves the finite part itself.
+    """
+    s, t, mu, X = solve
+    trace = float(np.real(s * np.trace(A) - t * np.trace(B)))
+    lengths = np.sum(np.abs(X) ** 2, axis=0)
+    by_length = np.argsort(-lengths)
+    common, rest = by_length[: D.shape[1]], by_length[D.shape[1]:]
+    if common.size and np.min(lengths[common]) * tols.rank_tol * trace < 1.0:
+        return None
+    rest = rest[np.argsort(np.abs(mu[rest]), kind="stable")]
+    null, fin = rest[:null_dims], rest[null_dims:]
+    b_norm = float(np.linalg.norm(B))
+    if null.size and np.max(np.abs(mu[null])) * trace > tols.rank_tol * b_norm:
+        return None
+    if np.sum(mu[fin] > 0) != np.sum(j > 0):
+        return None
+    x = X[:, fin] - D @ (D.conj().T @ X[:, fin])
+    typed = _typed_solve(s, t, mu[fin], x, tols)
+    if typed is None:
+        return None
+    lam, sign, x = typed
+    v = (R.conj().T @ x) / np.sum(np.abs(R) ** 2, axis=0)[:, None]
+    return _cholesky_fields(lam, sign, sign / np.sum(np.abs(v) ** 2, axis=0), x)
+
+
+def _cholesky_fields(lam, sign, forms, X):
+    """The fields of ``PairAnalysis`` from the typed ones to ``route`` of a
+    finite part solved by Cholesky, its directions X in the pair's coordinates."""
+    plus, none = sign > 0, np.zeros(len(lam), dtype=bool)
+    typed = _by_type(plus, lam, forms, none, ~none, np.hstack([X[:, plus], X[:, ~plus]]))
+    return *typed, (), False, (), "frame-cholesky"
 
 
 def _by_type(plus, values, forms, jordan, owns, T):
@@ -286,13 +453,10 @@ def _finite_spectrum(A, j, F, tols):
     coordinates into the pair's, where the directions are returned.
     Returns the fields of ``PairAnalysis`` from the typed ones to ``route``.
     """
-    solved = _definite_spectrum(A, np.diag(j), tols)
+    solved, _ = _definite_spectrum(A, np.diag(j), tols)
     if solved is not None:
-        lam, sign, X = solved
-        plus, D, none = sign > 0, F @ X, np.zeros(len(lam), dtype=bool)
-        forms = sign / np.sum(np.abs(X) ** 2, axis=0)
-        typed = _by_type(plus, lam, forms, none, ~none, np.hstack([D[:, plus], D[:, ~plus]]))
-        return *typed, (), False, (), "frame-cholesky"
+        lam, sign, X, _ = solved
+        return _cholesky_fields(lam, sign, sign / np.sum(np.abs(X) ** 2, axis=0), F @ X)
     # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
     scale = float(np.linalg.norm(A)) or 1.0
     w, Z = np.linalg.eig(j[:, None] * A)
@@ -336,7 +500,9 @@ class PairAnalysis:
 
     ``route`` names how the pencil was solved: "pair-cholesky",
     "frame-cholesky" or "eig", and None for a chained pair or B = 0, which
-    have no finite part to solve.  On the pair route B is nonsingular and
+    have no finite part to solve.  ``crawford_bound`` is a lower bound on
+    the Crawford number min over unit z of |z^H (A + iB) z| on the pair
+    route, read off its Cholesky factor, and None on every other route.  On the pair route B is nonsingular and
     never decomposed: ``b_frame`` holds the typed directions themselves,
     the +1 columns ascending in value, then the -1 columns, so ``pos_dirs``
     and ``neg_dirs`` are its column slices, with ``j`` their signs and
@@ -377,6 +543,7 @@ class PairAnalysis:
     isotropic_defect: bool
     blocks: tuple
     route: str | None  # "pair-cholesky", "frame-cholesky", "eig"; None: chained or B = 0
+    crawford_bound: float | None  # gamma(A, B) >= this on "pair-cholesky", else None
 
     @property
     def R(self) -> np.ndarray:
@@ -449,32 +616,34 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     once, drops the common nullspace of A and B and splits off the rest of
     N(B).  A common null vector of A and B lies in N(B), so with N an
     orthonormal basis of N(B) the common nullspace is N times the null space
-    of A N.  N is rotated only when a direction is dropped.  Raises
-    NonFiniteError when the finite part overflows: the entries of Ã grow
-    like |A| over the smallest nonzero |eigenvalue| of B.
+    of A N.  N is rotated only when a direction is dropped.  When the pair's
+    own Cholesky passed but B failed the nonsingularity certificate, the
+    finite part is read off that solve (``_kept_spectrum``) rather than
+    solved again.  Raises NonFiniteError when the finite part overflows: the
+    entries of Ã grow like |A| over the smallest nonzero |eigenvalue| of B.
     """
     A = pair.A.entries
     # "A vanishes on N(B)" relative to A alone: no scale of B or of the pair moves it.
     null_tol = tols.rank_tol * float(np.linalg.norm(A))
-    solved = _definite_spectrum(A, pair.B.entries, tols)
+    solved, rejected = _definite_spectrum(A, pair.B.entries, tols)
     if solved is not None:
-        lam, sign, X = solved
+        lam, sign, X, crawford = solved
         plus, none = sign > 0, np.zeros(len(lam), dtype=bool)
         W, j = np.hstack([X[:, plus], X[:, ~plus]]), np.concatenate([sign[plus], sign[~plus]])
         M = W.conj().T @ A @ W
         return PairAnalysis(
             tols, pair, 0, Inertia(int(np.sum(plus)), 0, int(np.sum(~plus))), W, j, null_tol,
             np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(j))), (M + M.conj().T) / 2.0,
-            *_by_type(plus, lam, sign, none, ~none, W), (), False, (), "pair-cholesky",
+            *_by_type(plus, lam, sign, none, ~none, W), (), False, (), "pair-cholesky", crawford,
         )
     R, N, j = eigh_frame(pair.B.entries, tols)
-    deflated = 0
+    deflated, D = 0, N[:, :0]
     if N.shape[1]:
         _, s, Vh = np.linalg.svd(A @ N, full_matrices=False)
         live = int(np.sum(s > null_tol))
         deflated = N.shape[1] - live
         if deflated:
-            N = N @ Vh[:live].conj().T
+            N, D = N @ Vh[:live].conj().T, N @ Vh[live:].conj().T
     W = np.hstack([R, N])
     K, d_inf, Q_inf, A_fin = np.zeros((0, len(j))), np.zeros(0), np.zeros((0, 0)), None
     # Overflow in forming Ã is reported once, below, not as numpy warnings.
@@ -500,7 +669,12 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
         untyped = _by_type(none, np.zeros(0), np.zeros(0), none, none, W[:, :0])
         spectrum = *untyped, (), K is None, (), None
     else:
-        spectrum = _finite_spectrum(A_fin, j, F, tols)
+        # A pair-coordinate solve that B's certificate rejected is read, not repeated.
+        spectrum = None
+        if rejected is not None:
+            spectrum = _kept_spectrum(rejected, A, pair.B.entries, j, R, D, N.shape[1], tols)
+        if spectrum is None:
+            spectrum = _finite_spectrum(A_fin, j, F, tols)
     return PairAnalysis(
-        tols, pair, deflated, b_inertia, W, j, null_tol, d_inf, Q_inf, K, A_fin, *spectrum
+        tols, pair, deflated, b_inertia, W, j, null_tol, d_inf, Q_inf, K, A_fin, *spectrum, None
     )

@@ -8,7 +8,8 @@ rule on the typed value lists, and lam_min(A - t*B) by a direct eigenvalue
 solve, and the typed spectrum of a pair with nonsingular B by the B-frame
 route alone, and the typing of ``_cluster`` by a loop over its clusters and
 entries, and the definiteness report of a finite part with every admitted
-side confirmed by an eigensolve.  They are not part of the library.
+side confirmed by an eigensolve, and the Crawford number of a definite pair
+by a search over angles.  They are not part of the library.
 """
 
 from __future__ import annotations
@@ -191,3 +192,25 @@ def cluster_entries(w, Z, G, tols, scale):
         if len(iso) % 2:
             entries.append((mu, iso[-1] >= 0, iso[-1], False, None))
     return entries
+
+
+def crawford_number(pair: MatrixPair, grid: int = 720) -> float:
+    """The Crawford number of a definite pair by brute force over the angle.
+
+    gamma(A, B) = min over unit z of |z^H (A + iB) z| = max over theta of
+    lam_min(cos(theta)·A + sin(theta)·B) for a definite pair.  The maximum
+    over ``grid`` equally spaced angles is refined on a 201-point grid one
+    step either side of the best; being a maximum over sample angles, the
+    result is at most gamma.
+    """
+    A, B = pair.A.entries, pair.B.entries
+
+    def lam_min(thetas):
+        M = np.cos(thetas)[:, None, None] * A + np.sin(thetas)[:, None, None] * B
+        return np.linalg.eigvalsh(M)[:, 0]
+
+    step = 2.0 * np.pi / grid
+    thetas = np.arange(grid) * step
+    coarse = lam_min(thetas)
+    best = thetas[int(np.argmax(coarse))]
+    return float(max(np.max(coarse), np.max(lam_min(best + np.linspace(-step, step, 201)))))

@@ -240,13 +240,18 @@ def unwitnessed(rows):
     return f"no witness by reason {dict(by_reason)}; by rotation message {dict(by_rotation)}"
 
 
-def routes(rows):
-    """How the pairs of each scale label were solved: route -> count, over
-    the pair and the hat pair of every problem that was analysed."""
+def route_counts(rows):
+    """How the pairs of each scale label were solved: label -> {route: count},
+    over the pair and the hat pair of every problem that was analysed."""
     out = {}
     for label in ("", *SCALES):
         count = Counter(str(r) for row in rows for r in row[label].get("routes", ()))
-        out[label or "unscaled"] = dict(sorted(count.items())) or "not recorded"
+        out[label or "unscaled"] = dict(sorted(count.items()))
+    return out
+
+
+def routes(rows):
+    out = {label: count or "not recorded" for label, count in route_counts(rows).items()}
     return f"routes {out}"
 
 

@@ -17,6 +17,7 @@ from pencil_tracemin.matcore import load_problem, matrix_to_json, save_problem
 from pencil_tracemin.tracemin import ExcludedCase, FeasibleSampler, PropernessReport, _objective
 
 from conftest import count_eigen_kernels, golden_hat_matrix, pencil_solves
+from reference import crawford_number
 
 
 def write_problem(path, A, B, Ah, Bh):
@@ -99,6 +100,23 @@ def test_analyze_solves_the_pencil_once(tmp_path, capsys, monkeypatch, A, B, eig
     assert len(rep["typed_spectrum"]["pos"]) + len(rep["typed_spectrum"]["neg"]) == int(
         np.sum(np.diag(B) != 0)
     )
+
+
+def test_analyze_prints_the_crawford_bound(tmp_path, capsys):
+    # A pair solved in its own coordinates prints a lower bound on its
+    # Crawford number; one that falls back to its B-frame prints null.
+    for B, route in ((np.diag([1.0, -1.0, 2.0]), "pair-cholesky"),
+                     (np.diag([1.0, 0.0, -2.0]), "frame-cholesky")):
+        path = str(tmp_path / "pair.json")
+        pair, _ = pt.random_congruence(pt.pair_from_arrays(np.diag([1.0, 3.0, -1.0]), B), 2, 4.0)
+        pt.matcore.save_pair(path, pair)
+        code, rep = run_json(capsys, ["--json", "analyze", path])
+        assert code == 0 and rep["typed_spectrum"]["route"] == route
+        bound = rep["typed_spectrum"]["crawford_bound"]
+        if route == "pair-cholesky":
+            assert 0.0 < bound <= crawford_number(pair)
+        else:
+            assert bound is None
 
 
 def test_minimize_solves_each_pencil_once(golden_file, tmp_path, capsys, monkeypatch):

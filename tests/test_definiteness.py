@@ -212,8 +212,11 @@ def test_intervals_hold_inside_and_fail_outside():
         # or both fail, and the lower end is returned.
         ([[3.0, 0.5], [0.5, 2.0]], 2.0 - 0.5 * np.sqrt(2.0), 0),
         ([[-3.0, 0.5], [0.5, 2.0]], -3.0 - 0.5 * np.sqrt(2.0), 0),
+        # min d + e = -1 + 2*sqrt(2) leaves Weyl's interval undecided, but
+        # lam_min <= min d = -1 already fails the test.
+        ([[-1.0, 2.0], [2.0, 3.0]], -1.0 - 2.0 * np.sqrt(2.0), 0),
     ],
-    ids=["undecided", "holds", "fails"],
+    ids=["undecided", "holds", "fails", "fails-by-min-d"],
 )
 def test_lam_min_reads_a_decided_diagonal(monkeypatch, H, expected, solves):
     calls = count_eigen_kernels(monkeypatch)

@@ -12,6 +12,7 @@ from pencil_tracemin.spectral import (
     INF_PLUS,
     _by_type,
     _cluster,
+    _compression_cut,
     analyze_pair,
 )
 
@@ -21,8 +22,8 @@ from pencil_tracemin.genpairs import BlockSpec, assemble
 from conftest import (
     count_eigen_kernels, diag_problem, golden_hat_matrix, k2_pair, rand_hermitian, spectral_norm,
 )
-from reference import b_frame_spectrum, cluster_entries, deflate_common_nullspace
-from test_tracemin import _criterion_7_problems
+from reference import b_frame_spectrum, cluster_entries, crawford_number, deflate_common_nullspace
+from test_tracemin import _criterion_7_problems, _equal_inertia_sweep
 
 
 def block_diag(*blocks):
@@ -336,10 +337,9 @@ def test_definite_pair_with_a_cluster_goes_to_eig(monkeypatch):
 
 
 def test_definite_pair_under_an_ill_conditioned_congruence_keeps_its_types(monkeypatch):
-    # The shift is read off the diagonal of the pair, and then of its finite
-    # part, which a congruence of condition 1e4 can make a poor guide: then
-    # both Cholesky fail and the pair takes the eig route (seeds 0, 1 and 4).
-    # Either way the types hold.
+    # The shift is read off the diagonal of the pair, which a congruence of
+    # condition 1e4 makes a poor guide; the 2x2 compressions then cut the
+    # shift interval, and no seed takes the eig route.  Either way the types hold.
     pos, neg = [1.0, 1.5, 2.0], [-1.0, -0.5]
     routes = {}
     for seed in range(6):
@@ -352,7 +352,82 @@ def test_definite_pair_under_an_ill_conditioned_congruence_keeps_its_types(monke
             assert owns.all() and dirs.shape[1] == len(values)
             for d in dirs.T:
                 assert np.real(d.conj() @ pair.B.entries @ d) == pytest.approx(sign, abs=1e-6)
-    assert [s for s, r in routes.items() if r != "eig"] == [2, 3, 5], routes
+    assert [s for s, r in routes.items() if r != "eig"] == [0, 1, 2, 3, 4, 5], routes
+
+
+def test_definite_pairs_of_an_ill_conditioned_congruence_take_no_eig(monkeypatch):
+    # A congruence of condition 1e4 defeats the diagonal shift; the 2x2
+    # compressions cut its interval to a shift that passes, so no eig runs.
+    for seed in range(10):
+        pair = _definite_pair([1.0, 1.5, 2.0], [-1.0, -0.5], seed, 1e4)
+        a, calls, route = _solved(monkeypatch, pair)
+        assert route != "eig" and "eig" not in calls, (seed, calls)
+
+
+def test_compression_cut_keeps_a_definite_shift_and_scales():
+    # Every 2x2 compression of a definite s*A - t*B is positive definite, so
+    # the cut keeps the definite interval; it scales with A and inversely with B.
+    for seed in range(10):
+        pair = _definite_pair([1.0, 1.5, 2.0], [-1.0, -0.5], seed, 1e4)
+        A, B = pair.A.entries, pair.B.entries
+        a, b = np.real(A.diagonal()), np.real(B.diagonal())
+        lo = np.max(a[b < 0] / b[b < 0], initial=-np.inf)
+        hi = np.min(a[b > 0] / b[b > 0], initial=np.inf)
+        cut = _compression_cut(A, B, 1.0, lo, hi)
+        # The pencil is definite exactly for -0.5 < t < 1.
+        assert lo <= cut[0] <= -0.5 + 1e-9 and 1.0 - 1e-9 <= cut[1] <= hi, (seed, cut)
+        scaled = _compression_cut(8.0 * A, 0.25 * B, 1.0, 32.0 * lo, 32.0 * hi)
+        np.testing.assert_allclose(scaled, 32.0 * np.array(cut), rtol=1e-12)
+
+
+def test_crawford_bound_is_below_the_crawford_number():
+    # On the pair route gamma(A, B) >= 1 / (|L^-1|_F^2 sqrt(1 + t^2)), from
+    # the factor the solve already has; every other route records None.
+    pairs = [_definite_pair([1.0, 1.5, 2.0], [-1.0, -0.5], seed, cond)
+             for cond in (6.0, 1e4) for seed in range(10)]
+    pairs += [p for cap in (1e2, 1e4) for prob, _ in _equal_inertia_sweep(cap, 30)
+              for p in (prob.pair, prob.hat_pair)]
+    bounded = 0
+    for pair in pairs:
+        a = analyze_pair(pair)
+        if a.route != "pair-cholesky":
+            assert a.crawford_bound is None
+            continue
+        assert 0.0 < a.crawford_bound <= crawford_number(pair), a.crawford_bound
+        bounded += 1
+    assert bounded >= 100, bounded
+
+
+@pytest.mark.parametrize("A, B, passes", [
+    (np.diag([1.0, 3.0, -1.0]), np.diag([1.0, 0.0, -2.0]), True),
+    (np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 0.0, -2.0]), False),
+], ids=["singular", "shared_null"])
+def test_rejected_pair_solve_types_the_finite_part(monkeypatch, A, B, passes):
+    # A definite pair with singular B passes the pair-coordinate Cholesky and
+    # fails the nonsingularity certificate; the B-frame route reads the finite
+    # part off that solve instead of solving again, with the types, values,
+    # b_forms and frame of the route that solves the finite part itself.  With
+    # a shared null vector s*A - t*B is singular, and its Cholesky passes or
+    # fails by roundoff; when it passes, its solve is read the same way.
+    pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), 2, 4.0)
+    kept, read = [], pt.spectral._kept_spectrum
+
+    def recorded(*args):
+        kept.append(read(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(pt.spectral, "_kept_spectrum", recorded)
+    a, lam, jd, res_a, res_b = diagonal_frame(pair)
+    monkeypatch.setattr(pt.spectral, "_kept_spectrum", lambda *args: None)
+    fresh = analyze_pair(pair)
+    monkeypatch.undo()
+    assert (kept and kept[0] is not None) or not passes, kept
+    assert a.route == fresh.route == "frame-cholesky"
+    np.testing.assert_allclose(a.pos_values, fresh.pos_values, rtol=1e-12)
+    np.testing.assert_allclose(a.neg_values, fresh.neg_values, rtol=1e-12)
+    np.testing.assert_allclose(a.pos_b_forms, fresh.pos_b_forms, rtol=1e-10)
+    np.testing.assert_allclose(a.neg_b_forms, fresh.neg_b_forms, rtol=1e-10)
+    assert max(res_a, res_b) <= 1e-12 * np.linalg.norm(lam)
 
 
 def test_close_eigenvalues_stay_distinct_on_the_cholesky_route(monkeypatch):
@@ -383,7 +458,7 @@ def test_route_and_typed_values_scale_with_a(monkeypatch, factor):
         routes.append(route)
         for got, want in ((a.pos_values, base.pos_values), (a.neg_values, base.neg_values)):
             np.testing.assert_allclose(got, factor * want, rtol=1e-12, atol=0)
-    assert routes == ["frame-cholesky", "pair-cholesky"] * 2 + ["eig"]
+    assert routes == ["pair-cholesky"] * 4 + ["eig"]
 
 
 def _diverge_certify_pairs():
@@ -415,7 +490,7 @@ def test_pair_route_matches_the_b_frame_route():
         got = np.concatenate([a.pos_values, a.neg_values])
         want = np.concatenate([pos, neg])
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-    assert routes.count("pair-cholesky") == 449
+    assert routes.count("pair-cholesky") == 483
 
 
 @pytest.mark.parametrize("ratio, route, inertia", [

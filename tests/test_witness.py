@@ -46,7 +46,7 @@ def test_mixed_sign_slope_value():
 def test_infimum_witness_kernel_count(monkeypatch, n):
     # build_witness reads the frames infimum built: one pencil solve per pair,
     # a Cholesky and its eigh as both pairs are definite, and no other eigh
-    # than B's where a pair falls back to its B-frame (the pair at n = 40).
+    # than B's where a pair falls back to its B-frame (none here).
     # The definiteness confirmation reads a pair-route Ã off its diagonal, so
     # only a B-frame pair's admitted side runs an eigvalsh.
     rng = np.random.default_rng(n)
@@ -62,9 +62,10 @@ def test_infimum_witness_kernel_count(monkeypatch, n):
     assert pencil_solves(calls) == 2, calls
     assert calls.count("eig") == 0, calls
     assert calls.count("eigh") <= 4, calls
-    # At n = 40 the pair's diagonal shift fails its Cholesky, and it falls back.
+    # At n = 40 the pair's diagonal shift fails its Cholesky, and the shift
+    # from its 2x2 compressions passes.
     routes = [res.analysis.route, res.hat_analysis.route]
-    assert routes == (["pair-cholesky"] * 2 if n == 20 else ["frame-cholesky", "pair-cholesky"])
+    assert routes == ["pair-cholesky"] * 2
     assert calls.count("eigh") == 2 + routes.count("frame-cholesky"), calls
     assert calls.count("eigvalsh") == routes.count("frame-cholesky"), calls
     assert fam.kind == MIXED_SIGN_SLOPE
