@@ -17,13 +17,14 @@ one evaluation of lam_min(Ã - t*J) on the finite part (Ã, J) of the
 the Frobenius norm of the rest of H, Weyl's inequality puts lam_min(H) in
 [min d - e, min d + e], and lam_min(H) <= min d; when min d - e or min d
 decides the test, the evaluation is the lower end min d - e, with no
-eigensolve, and otherwise it is eigvalsh(H)[0].  On the pair route Ã = diag(j * value) up to roundoff, so
-the diagonal decides every side there.  A chained pair or B = 0 makes no
-such evaluation, and its report carries the tolerance psd_tol *
-``MatrixPair.scale``.  A Jordan eigenvalue sits in both lists (the two-copy
-convention of ``PairAnalysis``), which pins the interval to that value;
-the confirming lam_min there decides whether the pair is semidefinite at
-it, which the spectrum itself does not say.  A pair's verdict is
+eigensolve, and otherwise it is eigvalsh(H)[0].  On the pair route
+Ã = diag(j * value) up to roundoff, so the diagonal decides every side
+there.  A chained pair or B = 0 makes no such evaluation, and its report
+carries the tolerance psd_tol * ``MatrixPair.scale``.  A Jordan
+eigenvalue sits in both lists (the two-copy convention of
+``PairAnalysis``), which pins the interval to that value; the confirming
+lam_min there decides whether the pair is semidefinite at it, which the
+spectrum itself does not say.  A pair's verdict is
 ``analysis_definiteness(analyze_pair(pair))``.
 """
 

@@ -229,7 +229,9 @@ def _pencil_solve(A, B):
                 continue
             L = _factor(A, B, s, _shift(lo, hi, margin))
             if L is None:
-                L = _factor(A, B, s, _shift(*_compression_cut(A, B, s, lo, hi), margin))
+                cut = _compression_cut(A, B, s, lo, hi)
+                # An uncut interval would give the shift that just failed.
+                L = _factor(A, B, s, _shift(*cut, margin)) if cut != (lo, hi) else None
             if L is not None:
                 L, t = L
                 Li = np.linalg.inv(L)

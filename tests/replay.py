@@ -267,7 +267,7 @@ def eigvalsh_calls(rows):
 def compare(old, new):
     """Every difference between two replays (lists of rows), one line each."""
     if [r["trial"] for r in old] != [r["trial"] for r in new]:
-        raise ValueError("the two replays replay different problems")
+        raise ValueError("the two records replay different problems")
     return [
         f"trial {ro['trial']} [{label or 'unscaled'}] {line}"
         for ro, rn in zip(old, new)
