@@ -1,8 +1,9 @@
 """Command-line front end: JSON matrix files in, JSON reports out.
 
 Exit codes: 0 success; 2 invalid input (malformed JSON or matrix object,
-non-square or non-finite matrix, or a file path that cannot be read or
-written, such as a missing file or a directory); 3 not Hermitian; 4 infimum is
+non-square or non-finite matrix, a file path that cannot be read or
+written, such as a missing file or a directory, or a verify spread whose
+samples, traces or residuals are not finite); 3 not Hermitian; 4 infimum is
 -infinity (verdict still printed); 5 empty feasible set; 6 minimizer not
 attainable; 7 no witness constructible; 8 certification failed; 9 a dense
 kernel (LAPACK eigen/QR/SVD) failed, or its eigenvalues were too inaccurate
@@ -45,6 +46,8 @@ from .spectral import analyze_pair
 from .tracemin import (
     NEG_INFINITE,
     FeasibleSampler,
+    _constraint_gap,
+    _max_feasibility_residual,
     _objective,
     feasibility_residual,
     infimum,
@@ -241,6 +244,12 @@ def cmd_witness(args) -> int:
     return _emit(report, args, EXIT_OK, lines)
 
 
+def _finite_samples(spread, *values) -> None:
+    """ValueError, naming the spread, unless every sampled value is finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError(f"spread {spread} overflows: a sampled trace or residual is not finite")
+
+
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be a positive integer, got {args.samples}")
@@ -253,19 +262,24 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     block = max(1, SAMPLE_BLOCK_ENTRIES // problem.n**2)
     traces, residuals = [], []
-    for start in range(0, args.samples, block):
-        X = sampler.sample(args.spread, rng, min(block, args.samples - start))
-        traces.append(_objective(problem, X))
-        residuals.append(feasibility_residual(problem, X))
-    traces = np.concatenate(traces)
-    worst_residual = float(np.max(np.concatenate(residuals)))
-    stats = {
-        "samples": args.samples,
-        "spread": args.spread,
-        "min_trace": float(np.min(traces)),
-        "mean_trace": float(np.mean(traces)),
-        "max_feasibility_residual": worst_residual,
-    }
+    # Samples of a large spread can overflow; the finiteness checks report
+    # that in place of numpy's warnings, and before an SVD meets a NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, args.samples, block):
+            X = sampler.sample(args.spread, rng, min(block, args.samples - start))
+            traces.append(_objective(problem, X))
+            gaps = _constraint_gap(problem, X)
+            _finite_samples(args.spread, traces[-1], gaps)
+            residuals.append(_max_feasibility_residual(gaps))
+        traces = np.concatenate(traces)
+        stats = {
+            "samples": args.samples,
+            "spread": args.spread,
+            "min_trace": float(np.min(traces)),
+            "mean_trace": float(np.mean(traces)),
+            "max_feasibility_residual": float(np.max(residuals)),
+        }
+    _finite_samples(args.spread, stats["mean_trace"], stats["max_feasibility_residual"])
     if result.value is not None:
         gap = float(np.min(traces)) - result.value
         stats["gap"] = gap

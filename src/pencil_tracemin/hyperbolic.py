@@ -12,7 +12,12 @@ Sampling reads one Generator in order: ``size=K`` makes
 ``sample_j_unitary``/``sample_feasible`` return a (K, ...) stack equal to K
 successive single draws (each W, then V+, then V-), from one
 ``standard_normal`` call, one stacked QR per unitary factor and one stacked
-eigh per square root (see ``matcore.complex_normal``).
+eigh per J-unitary (see ``matcore.complex_normal``).  That eigh is taken on
+the smaller side: with S = W, or W^H when W has more rows than columns, and
+I + S S^H = U diag(c) U^H (c >= 1), the square root on S's side is
+U diag(sqrt c) U^H and the other is I + V diag(1/(1 + sqrt c)) V^H with
+V = S^H U, which is f(S^H S) = I + S^H h(S S^H) S for f(x) = sqrt(1 + x) and
+h(x) = 1/(1 + sqrt(1 + x)): nothing cancels.
 """
 
 from __future__ import annotations
@@ -36,19 +41,26 @@ def _blockdiag(P, M):
     return out
 
 
-def _psd_sqrt(M):
+def _polar_middle(W, source="W"):
+    """The Hermitian polar block [[sqrt(I + W W^H), W], [W^H, sqrt(I + W^H W)]],
+    both square roots from one eigh on the smaller side (module docstring).
+    ValueError, naming ``source``, when I + S S^H is not finite."""
+    Wh = _ct(W)
+    flip = W.shape[-2] > W.shape[-1]
+    S, Sh = (Wh, W) if flip else (W, Wh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.eye(S.shape[-2]) + S @ Sh
+    if not np.all(np.isfinite(G)):
+        raise ValueError(f"{source} makes I + W W^H overflow")
     try:
-        vals, vecs = np.linalg.eigh((M + _ct(M)) / 2.0)
+        c, U = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
         raise KernelFailureError(str(exc)) from exc
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ _ct(vecs)
-
-
-def _polar_middle(W):
-    npl, nmi = W.shape[-2:]
-    Wh = _ct(W)
-    top = _psd_sqrt(np.eye(npl) + W @ Wh)
-    bot = _psd_sqrt(np.eye(nmi) + Wh @ W)
+    root = np.sqrt(np.clip(c, 1.0, None))
+    near = (U * root[..., None, :]) @ _ct(U)
+    V = Sh @ U
+    far = np.eye(S.shape[-1]) + (V / (1.0 + root)[..., None, :]) @ _ct(V)
+    top, bot = (far, near) if flip else (near, far)
     return np.block([[top, W], [Wh, bot]])
 
 
@@ -62,15 +74,18 @@ def sample_j_unitary(n_plus: int, n_minus: int, spread: float, rng, size=None) -
     """Draw a random J-unitary, J = diag(I_{n_plus}, -I_{n_minus}): W with
     independent entries of scale ``spread``, Haar unitary factors.
     Deterministic given the generator state; ``size=K`` gives a (K, n, n)
-    stack, the K draws that successive calls would make."""
+    stack, the K draws that successive calls would make.  ValueError, naming
+    the spread, when a draw's I + W W^H is not finite."""
     if n_plus < 0 or n_minus < 0 or n_plus + n_minus < 1:
         raise ValueError(f"signature counts must be >= 0, sum >= 1; got {n_plus}, {n_minus}")
     if not 0 <= spread < np.inf:
         raise ValueError(f"spread must be finite and nonnegative, got {spread}")
     npl, nmi = n_plus, n_minus
     W, Z_plus, Z_minus = complex_normal(rng, (npl, nmi), (npl, npl), (nmi, nmi), size=size)
-    W = spread * W / np.sqrt(2.0)
-    return polar_from_W(W, unitary_factor(Z_plus), unitary_factor(Z_minus))
+    with np.errstate(over="ignore"):
+        W = spread * W / np.sqrt(2.0)
+    middle = _polar_middle(W, f"spread {spread}")
+    return middle @ _blockdiag(unitary_factor(Z_plus), unitary_factor(Z_minus))
 
 
 def sample_feasible(ib: Inertia, ibh: Inertia, spread: float, rng, size=None) -> np.ndarray:

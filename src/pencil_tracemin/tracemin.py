@@ -343,12 +343,39 @@ def _objective(problem: ProblemInstance, X: np.ndarray):
     return _per_matrix(np.real(np.sum(P * (A @ X).swapaxes(-1, -2), axis=(-2, -1))))
 
 
-def feasibility_residual(problem: ProblemInstance, X: np.ndarray):
-    """||Bhat X^H B X - I||_2; an array of residuals for a stack of X."""
+def _constraint_gap(problem: ProblemInstance, X: np.ndarray) -> np.ndarray:
+    """Bhat X^H B X - I, for one X or each of a stack."""
     B = problem.pair.B.entries
     Bh = problem.hat_pair.B.entries
-    G = Bh @ X.conj().swapaxes(-1, -2) @ B @ X - np.eye(problem.nhat)
-    return _per_matrix(np.linalg.norm(G, 2, axis=(-2, -1)))
+    return Bh @ X.conj().swapaxes(-1, -2) @ B @ X - np.eye(problem.nhat)
+
+
+def feasibility_residual(problem: ProblemInstance, X: np.ndarray):
+    """||Bhat X^H B X - I||_2; an array of residuals for a stack of X."""
+    return _per_matrix(np.linalg.norm(_constraint_gap(problem, X), 2, axis=(-2, -1)))
+
+
+def _max_feasibility_residual(G: np.ndarray) -> float:
+    """The largest ||G_k||_2 of a stack G of constraint gaps
+    ``_constraint_gap(problem, X)``, equal to ``np.max(feasibility_residual(
+    problem, X))``, with the SVD run only on the samples their norm bounds
+    leave undecided.
+
+    The Frobenius norm of a sample's G bounds ||G||_2 from above and its
+    largest column or row 2-norm bounds it from below.  A sample whose upper
+    bound falls short of the largest lower bound by more than the roundoff
+    margin 1e-10 cannot hold the maximum.  A NaN bound keeps its sample, and
+    one NaN makes every sample a candidate, so a NaN stack reaches the SVD
+    whole, as in ``feasibility_residual``.  The bounds square |G|, so they
+    overflow to inf before ||G||_2 does; an inf bound only keeps samples.
+    """
+    with np.errstate(over="ignore"):
+        P = G.real**2 + G.imag**2
+        col, row = P.sum(axis=-2), P.sum(axis=-1)
+        upper = np.sqrt(col.sum(axis=-1))
+        lower = np.sqrt(np.maximum(col.max(axis=-1), row.max(axis=-1)))
+    undecided = ~(upper < np.max(lower) * (1.0 - 1e-10))
+    return float(np.max(np.linalg.norm(G[undecided], 2, axis=(-2, -1))))
 
 
 def _feasible_point(big: PairAnalysis, hat: PairAnalysis) -> np.ndarray:

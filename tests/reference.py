@@ -9,7 +9,8 @@ solve, and the typed spectrum of a pair with nonsingular B by the B-frame
 route alone, and the typing of ``_cluster`` by a loop over its clusters and
 entries, and the definiteness report of a finite part with every admitted
 side confirmed by an eigensolve, and the Crawford number of a definite pair
-by a search over angles.  They are not part of the library.
+by a search over angles, and the hyperbolic polar block with each square
+root from its own eigh.  They are not part of the library.
 """
 
 from __future__ import annotations
@@ -214,3 +215,17 @@ def crawford_number(pair: MatrixPair, grid: int = 720) -> float:
     coarse = lam_min(thetas)
     best = thetas[int(np.argmax(coarse))]
     return float(max(np.max(coarse), np.max(lam_min(best + np.linspace(-step, step, 201)))))
+
+
+def two_root_polar_middle(W: np.ndarray) -> np.ndarray:
+    """The Hermitian polar block [[sqrt(I + W W^H), W], [W^H, sqrt(I + W^H W)]]
+    of a matrix or stack W, each square root from an eigh of its own side."""
+    Wh = W.conj().swapaxes(-1, -2)
+
+    def psd_sqrt(M):
+        vals, vecs = np.linalg.eigh((M + M.conj().swapaxes(-1, -2)) / 2.0)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+    top = psd_sqrt(np.eye(W.shape[-2]) + W @ Wh)
+    bot = psd_sqrt(np.eye(W.shape[-1]) + Wh @ W)
+    return np.block([[top, W], [Wh, bot]])

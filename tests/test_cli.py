@@ -545,7 +545,8 @@ def test_verify_kernel_calls_independent_of_sample_count(golden_file, capsys, mo
         counts.append({name: calls.count(name) for name in ("qr", "eigh", "svd")})
         monkeypatch.undo()
     assert counts[0] == counts[1], counts
-    assert counts[0]["qr"] == 2, counts
+    # Two pair-route solves and one eigh for the J-unitary's square roots.
+    assert counts[0]["qr"] == 2 and counts[0]["eigh"] == 3, counts
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -572,12 +573,38 @@ def test_verify_accepts_seed_beyond_uint32(golden_file, capsys):
     assert rep["sampling"]["min_trace"] == pytest.approx(_objective(problem, X), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("spread", ["nan", "inf", "-1"])
-def test_verify_rejects_bad_spread(golden_file, capsys, spread):
-    code = main(["verify", golden_file, "--samples", "5", "--spread", spread])
+@pytest.mark.parametrize(
+    "spread, a_scale, b_diag, bh_diag",
+    [
+        ("nan", 1.0, (1.0, -1.0), (1.0, -1.0)),
+        ("inf", 1.0, (1.0, -1.0), (1.0, -1.0)),
+        ("-1", 1.0, (1.0, -1.0), (1.0, -1.0)),
+        ("1e200", 1.0, (1.0, -1.0), (1.0, -1.0)),
+        ("1e120", 1e100, (1.0, -1.0), (1.0, -1.0)),
+        ("1e152", 1.0, (1e4, -1e4), (1e-4, -1e4)),
+    ],
+    ids=["nan", "inf", "-1", "1e200", "trace_overflow", "residual_overflow"],
+)
+def test_verify_rejects_bad_spread(tmp_path, capsys, spread, a_scale, b_diag, bh_diag):
+    # 1e200 overflows I + W W^H in the sampler.  With A scaled by 1e100,
+    # spread 1e120 draws finite samples whose traces overflow; with B and
+    # Bhat scaled apart, spread 1e152 draws finite samples and traces whose
+    # constraint gaps overflow.  Each time the report is one line naming the
+    # spread, with no numpy warning.
+    path = str(tmp_path / "golden.json")
+    write_problem(
+        path,
+        a_scale * np.diag([1.0, 2.0]),
+        np.diag(b_diag),
+        golden_hat_matrix(),
+        np.diag(bh_diag),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", path, "--samples", "5", "--spread", spread])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and "spread" in err
+    assert err.startswith("error: ") and "spread" in err and err.count("\n") == 1
 
 
 def test_malformed_seed_variable_is_bad_input(tmp_path, capsys, monkeypatch):

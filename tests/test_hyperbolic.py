@@ -3,6 +3,7 @@ import pytest
 
 from pencil_tracemin.errors import EmptyFeasibleSetError
 from pencil_tracemin.hyperbolic import (
+    _polar_middle,
     polar_from_W,
     sample_feasible,
     sample_j_unitary,
@@ -10,6 +11,7 @@ from pencil_tracemin.hyperbolic import (
 from pencil_tracemin.matcore import Inertia
 
 from conftest import rand_hermitian
+from reference import two_root_polar_middle
 
 
 def signature(npl, nmi):
@@ -44,6 +46,22 @@ def test_polar_random_residual():
     W = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     X = polar_from_W(W, haar_unitary(3, rng), haar_unitary(2, rng))
     assert j_residual(X, 3, 2) <= 1e-10 * 5
+
+
+@pytest.mark.parametrize("spread", [0.0, 1.0, 2.0, 10.0, 1e3])
+@pytest.mark.parametrize("npl, nmi", [(3, 2), (2, 3), (4, 4), (0, 3), (3, 0), (1, 6), (6, 1)])
+def test_polar_block_matches_two_root_reference(npl, nmi, spread):
+    # Both square roots from one eigh on the smaller side agree with one eigh
+    # per side, and the block stays J-unitary, to roundoff in 1 + |W|_2^2.
+    rng = np.random.default_rng(npl * 10 + nmi)
+    W = spread * (rng.standard_normal((40, npl, nmi)) + 1j * rng.standard_normal((40, npl, nmi)))
+    M = _polar_middle(W)
+    scale = 1.0 + np.linalg.norm(W, 2, axis=(-2, -1)) ** 2 if npl and nmi else np.ones(40)
+    diff = np.linalg.norm(M - two_root_polar_middle(W), 2, axis=(-2, -1))
+    assert np.all(diff <= 1e-14 * scale)
+    J = signature(npl, nmi)
+    resid = np.linalg.norm(M.conj().swapaxes(-1, -2) @ J @ M - J, 2, axis=(-2, -1))
+    assert np.all(resid <= 1e-14 * scale**2)
 
 
 def test_sample_spread_zero_is_block_unitary():

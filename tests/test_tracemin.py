@@ -827,3 +827,83 @@ def test_stacked_sample_prefix_and_split(make):
     rng = np.random.default_rng(29)
     split = np.concatenate([sampler.sample(1.7, rng, 7), sampler.sample(1.7, rng, 5)])
     np.testing.assert_array_equal(split, whole)
+
+
+def _max_outcome(residual, G):
+    """``residual(G)``, or the exception the SVD raises."""
+    try:
+        return residual(G)
+    except np.linalg.LinAlgError as exc:
+        return type(exc), str(exc)
+
+
+def _full_max(G):
+    return float(np.max(np.linalg.norm(G, 2, axis=(-2, -1))))
+
+
+def _golden_like():
+    return pt.problem_from_arrays(
+        np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), golden_hat_matrix(), np.diag([1.0, -1.0])
+    )
+
+
+@pytest.mark.parametrize(
+    "make, spread, size",
+    [
+        (_golden_like, 1.0, 200),
+        (_golden_like, 2.0, 200),
+        (_golden_like, 10.0, 37),
+        (lambda: diag_problem([0.5, 2.0], [1.0, 3.0], [0.8], [0.6], scramble=(5, 6)), 2.0, 200),
+        (lambda: diag_problem([0.5, 1.0, 2.0], [0.7, 1.5], [0.3, 0.9], [0.4], scramble=(7, 8)), 3.0, 200),
+        (_golden_like, 2.0, 1),
+        (_golden_like, 0.0, 50),
+        (lambda: diag_problem([0.5, 2.0], [1.0, 3.0], [0.8], [0.6], scramble=(5, 6)), 0.0, 50),
+    ],
+    ids=["golden-1", "golden-2", "golden-10", "nhat_below_n", "nhat_below_n-3x5", "one_sample",
+         "spread_zero", "spread_zero-nhat_below_n"],
+)
+def test_screened_max_residual_is_exact(make, spread, size):
+    # The norm screen only skips SVDs: the largest residual is the per-sample
+    # maximum of the same stack, bit for bit.
+    prob = make()
+    sampler = pt.FeasibleSampler(prob)
+    for seed in range(5):
+        X = sampler.sample(spread, np.random.default_rng(seed), size)
+        G = pt.tracemin._constraint_gap(prob, X)
+        full = float(np.max(pt.feasibility_residual(prob, X)))
+        assert full == _full_max(G)
+        assert pt.tracemin._max_feasibility_residual(G) == full
+
+
+@pytest.mark.parametrize(
+    "entry, in_x",
+    [(np.nan, True), (np.nan, False), (np.inf, False), (complex(np.inf, np.nan), False)],
+    ids=["nan_sample", "nan", "inf", "inf_nan"],
+)
+def test_screened_max_residual_keeps_nonfinite_samples(entry, in_x):
+    # A NaN in one sample's G makes the SVD raise and an inf makes it return
+    # NaN; the screened maximum raises or propagates in the same way.
+    prob = _golden_like()
+    X = pt.FeasibleSampler(prob).sample(2.0, np.random.default_rng(8), 6)
+    if in_x:
+        X[3, 0, 0] = entry
+    G = pt.tracemin._constraint_gap(prob, X)
+    if not in_x:
+        G[3, 1, 0] = entry
+    full = _max_outcome(_full_max, G)
+    screened = _max_outcome(pt.tracemin._max_feasibility_residual, G)
+    if isinstance(full, float):
+        assert np.isnan(full) and np.isnan(screened)
+    else:
+        assert screened == full
+
+
+def test_screened_max_residual_margin_covers_rounding():
+    # Two rank-one G of one 2-norm up to an ulp: the bounds, rounded one way,
+    # rank the first higher and the SVD, rounded another, the second.  The
+    # screen's margin keeps both, so the maximum is still the SVD's.
+    a = np.array([-1.446 + 1.787j, -0.206 + 1.289j])
+    G = np.zeros((2, 2, 2), dtype=complex)
+    G[0, :, 0] = a
+    G[1] = G[0] * (1.0 - 2.0**-52)
+    assert pt.tracemin._max_feasibility_residual(G) == _full_max(G)
