@@ -208,7 +208,7 @@ def cmd_minimize(args) -> int:
     X, achieved = minimizer(problem, result)
     residual = feasibility_residual(problem, X)
     with open(args.out_file, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(X), fh)
+        fh.write(json.dumps(matrix_to_json(X)))
     report["minimizer"] = {
         "achieved": achieved,
         "feasibility_residual": residual,

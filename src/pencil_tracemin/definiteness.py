@@ -13,14 +13,17 @@ eigenvalues exclude both verdicts.  The endpoints may cross by ``psd_tol``
 relative to their size.  Each interval the spectrum admits is confirmed by
 one evaluation of lam_min(Ã - t*J) on the finite part (Ã, J) of the
 ``PairAnalysis`` at an interior shift: the side holds iff it is >=
--psd_tol * (1 + |Ã|_F + |J|_F).  With d the diagonal of H = Ã - t*J and e
-the Frobenius norm of the rest of H, Weyl's inequality puts lam_min(H) in
-[min d - e, min d + e], and lam_min(H) <= min d; when min d - e or min d
-decides the test, the evaluation is the lower end min d - e, with no
-eigensolve, and otherwise it is eigvalsh(H)[0].  On the pair route
-Ã = diag(j * value) up to roundoff, so the diagonal decides every side
-there.  A chained pair or B = 0 makes no such evaluation, and its report
-carries the tolerance psd_tol * ``MatrixPair.scale``.  A Jordan
+-psd_tol * (1 + |Ã|_F + |J|_F), where |J|_F = sqrt(m) at order m.  With d
+the diagonal of H = Ã - t*J and e the Frobenius norm of the rest of H,
+Weyl's inequality puts lam_min(H) in [min d - e, min d + e], and
+lam_min(H) <= min d; when min d - e or min d decides the test, the
+evaluation is the lower end min d - e, with no eigensolve, and otherwise it
+is eigvalsh(H)[0].  The shift t*J is diagonal, so e is the norm of the
+off-diagonal part of Ã, taken once per pair, and each side screens the
+vector d = Re diag(Ã) - t*j; H itself is formed only for an eigvalsh.  On
+the pair route Ã = diag(j * value) up to roundoff, so the diagonal decides
+every side there.  A chained pair or B = 0 makes no such evaluation, and
+its report carries the tolerance psd_tol * ``MatrixPair.scale``.  A Jordan
 eigenvalue sits in both lists (the two-copy convention of
 ``PairAnalysis``), which pins the interval to that value; the confirming
 lam_min there decides whether the pair is semidefinite at it, which the
@@ -89,21 +92,21 @@ def _confirmed_side(lam_min, lower, upper, tols, tol):
     return ((lo, hi) if f >= -tol else None), shift, f
 
 
-def _lam_min(H: np.ndarray, tol: float) -> float:
+def _lam_min(d: np.ndarray, e: float, shifted, tol: float) -> float:
     """lam_min(H) for the test lam_min(H) >= -tol, read off the diagonal when it decides.
 
-    With d = Re diag(H) and e = |H - diag(d)|_F, Weyl's inequality puts
-    lam_min(H) in [min d - e, min d + e], and lam_min(H) <= min d, the
-    Rayleigh quotient of a unit vector.  When min d - e >= -tol the test
-    holds, and when min d < -tol it fails; either way the lower end
-    min d - e is returned, with no eigensolve.  Otherwise this is
-    eigvalsh(H)[0].
+    d = Re diag(H) and e = |H - diag(d)|_F; ``shifted()`` forms H.  Weyl's
+    inequality puts lam_min(H) in [min d - e, min d + e], and lam_min(H) <=
+    min d, the Rayleigh quotient of a unit vector.  When min d - e >= -tol
+    the test holds, and when min d < -tol it fails; either way the lower end
+    min d - e is returned, with no eigensolve and H never formed.  Otherwise
+    this is eigvalsh(H)[0].  A shift t*J moves only the diagonal of H, so
+    the caller takes e once per pair, not once per shift.
     """
-    d = np.real(np.diagonal(H))
-    low, e = float(np.min(d)), float(np.linalg.norm(H - np.diag(d)))
+    low = float(np.min(d))
     if low - e >= -tol or low < -tol:
         return low - e
-    return float(eigvalsh(H)[0])
+    return float(eigvalsh(shifted())[0])
 
 
 def _definiteness_from_spectrum(analysis: PairAnalysis) -> DefinitenessReport:
@@ -114,19 +117,25 @@ def _definiteness_from_spectrum(analysis: PairAnalysis) -> DefinitenessReport:
     Makes at most two eigenvalue solves, one per side that the spectrum
     admits and the diagonal of its shifted Ã leaves undecided
     (``_lam_min``).  On the pair route Ã is diagonal up to roundoff, so the
-    diagonal decides.
+    diagonal decides.  The off-diagonal norm e is the same at every shift
+    and for both sides, and is taken once.
     """
-    A, J, tols = analysis.A_fin, np.diag(analysis.j), analysis.tols
-    tol = tols.psd_tol * (1.0 + float(np.linalg.norm(A) + np.linalg.norm(J)))
+    A, j, tols = analysis.A_fin, analysis.j, analysis.tols
+    # |J|_F = sqrt(m): each entry of j is +1 or -1.
+    tol = tols.psd_tol * (1.0 + float(np.linalg.norm(A) + np.sqrt(len(j))))
     if analysis.has_complex:
         return DefinitenessReport(False, False, None, None, tolerance=tol)
+    a = np.real(np.diagonal(A))
+    off = A.copy()
+    np.fill_diagonal(off, 0.0)
+    e = float(np.linalg.norm(off))
     pos, neg = analysis.pos_values, analysis.neg_values
     psd_itv, psd_t, psd_f = _confirmed_side(
-        lambda t: _lam_min(A - t * J, tol), neg, pos, tols, tol
+        lambda t: _lam_min(a - t * j, e, lambda: A - t * np.diag(j), tol), neg, pos, tols, tol
     )
     # A - t*J <= 0 iff t*J - A >= 0: the NSD side swaps the lists.
     nsd_itv, nsd_t, nsd_f = _confirmed_side(
-        lambda t: _lam_min(t * J - A, tol), pos, neg, tols, tol
+        lambda t: _lam_min(t * j - a, e, lambda: t * np.diag(j) - A, tol), pos, neg, tols, tol
     )
     return DefinitenessReport(
         is_psd_pair=psd_itv is not None,

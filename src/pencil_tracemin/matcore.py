@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -47,10 +48,12 @@ DEFAULT_TOLS = ToleranceSet()
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """Dense complex Hermitian matrix, stored symmetrized."""
+    """Dense complex Hermitian matrix, stored symmetrized, with the Frobenius
+    norm ``fro`` of those entries, which ``validate_hermitian`` takes once."""
 
     entries: np.ndarray
     herm_residual: float
+    fro: float
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -96,7 +99,7 @@ class MatrixPair:
     @property
     def scale(self) -> float:
         """1 + |A|_F + |B|_F: the size that absolute tolerances on the pair multiply."""
-        return 1.0 + float(np.linalg.norm(self.A.entries) + np.linalg.norm(self.B.entries))
+        return 1.0 + (self.A.fro + self.B.fro)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +154,7 @@ def validate_hermitian(raw, herm_tol: float = DEFAULT_TOLS.herm_tol) -> Hermitia
         raise NotHermitianError(
             f"Hermiticity residual {residual:.3e} exceeds herm_tol * max|M| = {threshold:.3e}"
         )
-    return HermitianMatrix(entries=sym, herm_residual=residual)
+    return HermitianMatrix(entries=sym, herm_residual=residual, fro=size)
 
 
 def pair_from_arrays(A, B, herm_tol: float = DEFAULT_TOLS.herm_tol) -> MatrixPair:
@@ -280,7 +283,8 @@ def paired_columns(ib: Inertia, ibh: Inertia) -> np.ndarray:
 def matrix_to_json(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=complex)
     n, m = M.shape
-    obj = {"n": int(n), "entries": [[float(z.real), float(z.imag)] for z in M.reshape(-1)]}
+    entries = np.ascontiguousarray(M).reshape(-1).view(float).reshape(-1, 2).tolist()
+    obj = {"n": int(n), "entries": entries}
     if n != m:
         obj["m"] = int(m)
     return obj
@@ -307,11 +311,16 @@ def matrix_from_json(obj) -> np.ndarray:
         parts = [(re, im) for re, im in obj["entries"]]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"matrix 'entries' must be [re, im] pairs ({exc})") from exc
-    for k, (re, im) in enumerate(parts):
-        if not (_is_number(re) and _is_number(im)):
-            raise ValueError(f"matrix 'entries'[{k}] must be two numbers, got [{re!r}, {im!r}]")
+    reals = list(chain.from_iterable(parts))  # re, im, re, im, ...
+    # One pass over the types; the entry that fails is looked for only on failure.
+    if not set(map(type, reals)) <= {int, float}:
+        for k, (re, im) in enumerate(parts):
+            if not (_is_number(re) and _is_number(im)):
+                raise ValueError(
+                    f"matrix 'entries'[{k}] must be two numbers, got [{re!r}, {im!r}]"
+                )
     try:
-        flat = np.array([complex(re, im) for re, im in parts], dtype=complex)
+        flat = np.array(reals, dtype=float).view(complex)
     except OverflowError as exc:
         raise ValueError(f"matrix 'entries' hold an integer too large for a float ({exc})") from exc
     if flat.size != n * m:
@@ -341,7 +350,7 @@ def load_problem(path, tols: ToleranceSet = DEFAULT_TOLS) -> ProblemInstance:
 def save_pair(path, pair: MatrixPair) -> None:
     obj = {"A": matrix_to_json(pair.A.entries), "B": matrix_to_json(pair.B.entries)}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        fh.write(json.dumps(obj))
 
 
 def save_problem(path, problem: ProblemInstance) -> None:
@@ -352,4 +361,4 @@ def save_problem(path, problem: ProblemInstance) -> None:
         "Bhat": matrix_to_json(problem.hat_pair.B.entries),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        fh.write(json.dumps(obj))

@@ -72,6 +72,7 @@ leaves no finite part: the spectrum of a chained pair is untyped
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,6 +169,16 @@ def _factor(A, B, s, t):
         return None
 
 
+@lru_cache(maxsize=32)
+def _upper_pairs(n):
+    """(i, k, flat) of the n(n-1)/2 index pairs i < k, flat = i·n + k, read-only."""
+    i, k = np.triu_indices(n, 1)
+    flat = i * n + k
+    for x in (i, k, flat):
+        x.setflags(write=False)
+    return i, k, flat
+
+
 def _compression_cut(A, B, s, lo, hi):
     """The diagonal interval (lo, hi) of s·A - t·B cut to the shifts t at
     which every 2x2 principal compression is positive definite, as (lo, hi).
@@ -183,12 +194,13 @@ def _compression_cut(A, B, s, lo, hi):
     """
     # Roots are infinite where c2 = 0 and NaN where the entries overflow.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        i, k = np.triu_indices(len(A), 1)
+        i, k, flat = _upper_pairs(len(A))
         a, b = np.real(A.diagonal()), np.real(B.diagonal())
-        aik, bik = A[i, k], B[i, k]
-        c2 = b[i] * b[k] - np.abs(bik) ** 2 + 0.0  # + 0.0 turns -0.0 into +0.0
-        c1 = -s * (a[i] * b[k] + a[k] * b[i] - 2.0 * np.real(aik * np.conj(bik)))
-        c0 = a[i] * a[k] - np.abs(aik) ** 2
+        aik, bik = A.take(flat), B.take(flat)
+        ai, ak, bi, bk = a.take(i), a.take(k), b.take(i), b.take(k)
+        c2 = bi * bk - np.abs(bik) ** 2 + 0.0  # + 0.0 turns -0.0 into +0.0
+        c1 = -s * (ai * bk + ak * bi - 2.0 * np.real(aik * np.conj(bik)))
+        c0 = ai * ak - np.abs(aik) ** 2
         disc = c1 * c1 - 4.0 * c2 * c0
         # The stable pair of roots; where c2 = 0 one is infinite and the other -c0/c1.
         q = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c1))
@@ -204,7 +216,30 @@ def _compression_cut(A, B, s, lo, hi):
     return float(np.fmax.reduce(low, initial=lo)), float(np.fmin.reduce(high, initial=hi))
 
 
-def _pencil_solve(A, B):
+# Order at and below which ``_tri_inv`` calls the general inverse.
+TRI_INV_BASE = 32
+
+
+def _tri_inv(L):
+    """The inverse of a nonsingular lower triangular L, by 2x2 block recursion.
+
+    inv([[L11, 0], [L21, L22]]) = [[L11⁻¹, 0], [-L22⁻¹·L21·L11⁻¹, L22⁻¹]]:
+    two half-order inverses and two products, where the general LU inverse
+    would factor the whole of L again.  At order ``TRI_INV_BASE`` and below
+    the LU inverse is the cheaper.
+    """
+    n = len(L)
+    if n <= TRI_INV_BASE:
+        return np.linalg.inv(L)
+    h = n // 2
+    L11i, L22i = _tri_inv(L[:h, :h]), _tri_inv(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h], out[h:, h:] = L11i, L22i
+    out[h:, :h] = -L22i @ (L[h:, :h] @ L11i)
+    return out
+
+
+def _pencil_solve(A, B, a_norm):
     """One Cholesky s·A - t·B = L L^H and one eigh L⁻¹ B L⁻ᴴ = Y diag(μ) Y^H.
 
     Returns (s, t, μ, X) with X = L⁻ᴴ Y, so X^H (s·A - t·B) X = I and
@@ -216,16 +251,19 @@ def _pencil_solve(A, B):
     is the whole line, the interval is cut by the 2x2 principal
     compressions (``_compression_cut``) and one more Cholesky is tried at a
     shift inside what is left.  A pair that passes the first Cholesky pays
-    nothing for the cut.
+    nothing for the cut.  ``a_norm`` is |A|_F, which sets the margin of a
+    half-line shift.  L⁻¹ is triangular and taken by ``_tri_inv``.
     """
     a, b = np.real(A.diagonal()), np.real(B.diagonal())
-    margin = (float(np.linalg.norm(A)) or 1.0) / (float(np.max(np.abs(b))) or 1.0)
+    margin = (a_norm or 1.0) / (float(np.max(np.abs(b))) or 1.0)
     # A ratio may overflow; the Cholesky at an infinite shift then fails.
     with np.errstate(over="ignore"):
+        below, above = b < 0, b > 0
+        low, high, free = a[below] / b[below], a[above] / b[above], a[b == 0]
         for s in (1.0, -1.0):
-            lo = float(np.max(s * a[b < 0] / b[b < 0], initial=-np.inf))
-            hi = float(np.min(s * a[b > 0] / b[b > 0], initial=np.inf))
-            if not lo < hi or np.any(s * a[b == 0] <= 0):
+            lo = float(np.max(s * low, initial=-np.inf))
+            hi = float(np.min(s * high, initial=np.inf))
+            if not lo < hi or np.any(s * free <= 0):
                 continue
             L = _factor(A, B, s, _shift(lo, hi, margin))
             if L is None:
@@ -234,7 +272,7 @@ def _pencil_solve(A, B):
                 L = _factor(A, B, s, _shift(*cut, margin)) if cut != (lo, hi) else None
             if L is not None:
                 L, t = L
-                Li = np.linalg.inv(L)
+                Li = _tri_inv(L)
                 mu, Y = np.linalg.eigh(Li @ B @ Li.conj().T)
                 return s, t, mu, Li.conj().T @ Y
     return None
@@ -263,8 +301,9 @@ def _typed_solve(s, t, mu, X, tols):
     return lam, np.sign(mu), X[:, order] / np.sqrt(np.abs(mu))
 
 
-def _definite_spectrum(A, B, tols):
-    """Solve a definite pencil (A, B) by one Cholesky and one eigh.
+def _definite_spectrum(A, B, tols, a_norm, b_norm):
+    """Solve a definite pencil (A, B) by one Cholesky and one eigh; a_norm and
+    b_norm are |A|_F and |B|_F, which the caller already holds.
 
     The pencil is definite when s·A - t·B is positive definite for a sign s
     and a shift t; then it has real eigenvalues and no Jordan block, and
@@ -321,12 +360,12 @@ def _definite_spectrum(A, B, tols):
     of ``_pencil_solve`` when B failed the certificate, which the B-frame
     route reads instead of solving again (``_kept_spectrum``), else None.
     """
-    solve = _pencil_solve(A, B)
+    solve = _pencil_solve(A, B, a_norm)
     if solve is None:
         return None, None
     s, t, mu, X = solve
     li2 = float(np.sum(np.abs(X) ** 2))  # |L⁻¹|_F², as Y is unitary
-    if np.min(np.abs(mu)) <= tols.rank_tol * float(np.linalg.norm(B)) * li2:
+    if np.min(np.abs(mu)) <= tols.rank_tol * b_norm * li2:
         return None, solve
     typed = _typed_solve(s, t, mu, X, tols)
     if typed is None:
@@ -334,7 +373,7 @@ def _definite_spectrum(A, B, tols):
     return (*typed, 1.0 / (li2 * float(np.hypot(1.0, t)))), None
 
 
-def _kept_spectrum(solve, A, B, j, R, D, null_dims, tols):
+def _kept_spectrum(solve, A, B, j, R, D, null_dims, tols, b_norm):
     """The finite part's typed spectrum read off a pair-coordinate solve whose
     B failed the nonsingularity certificate, or None to solve it anew.
 
@@ -353,7 +392,7 @@ def _kept_spectrum(solve, A, B, j, R, D, null_dims, tols):
     part's directions, less their component in D; their μ must have the
     signs of j and pass ``_typed_solve``.  Each b_form is that of the unit
     eigenvector in B's eigenvector frame, sign μ / |v|², v = (R^H R)⁻¹ R^H x,
-    as on the route that solves the finite part itself.
+    as on the route that solves the finite part itself.  b_norm is |B|_F.
     """
     s, t, mu, X = solve
     trace = float(np.real(s * np.trace(A) - t * np.trace(B)))
@@ -364,7 +403,6 @@ def _kept_spectrum(solve, A, B, j, R, D, null_dims, tols):
         return None
     rest = rest[np.argsort(np.abs(mu[rest]), kind="stable")]
     null, fin = rest[:null_dims], rest[null_dims:]
-    b_norm = float(np.linalg.norm(B))
     if null.size and np.max(np.abs(mu[null])) * trace > tols.rank_tol * b_norm:
         return None
     if np.sum(mu[fin] > 0) != np.sum(j > 0):
@@ -444,8 +482,9 @@ def _conjugate_blocks(A, w, Z, G, cidx, tols):
     return blocks
 
 
-def _finite_spectrum(A, j, F, tols):
-    """The typed spectrum of the finite part (Ã, J), J = diag(j), of nonzero order.
+def _finite_spectrum(A, j, F, tols, a_norm):
+    """The typed spectrum of the finite part (Ã, J), J = diag(j), of nonzero
+    order, with a_norm = |Ã|_F.
 
     A definite pair is solved by one Cholesky and one Hermitian eigensolve
     (``_definite_spectrum`` in B-frame coordinates), each b_form that of the
@@ -455,12 +494,13 @@ def _finite_spectrum(A, j, F, tols):
     coordinates into the pair's, where the directions are returned.
     Returns the fields of ``PairAnalysis`` from the typed ones to ``route``.
     """
-    solved, _ = _definite_spectrum(A, np.diag(j), tols)
+    # |J|_F = sqrt(m), as each entry of j is +1 or -1.
+    solved, _ = _definite_spectrum(A, np.diag(j), tols, a_norm, float(np.sqrt(len(j))))
     if solved is not None:
         lam, sign, X, _ = solved
         return _cholesky_fields(lam, sign, sign / np.sum(np.abs(X) ** 2, axis=0), F @ X)
     # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
-    scale = float(np.linalg.norm(A)) or 1.0
+    scale = a_norm or 1.0
     w, Z = np.linalg.eig(j[:, None] * A)
     G = Z.conj().T @ (j[:, None] * Z)  # every B-form the typing reads
     typed, cidx = _cluster(w, F @ Z, G, tols, scale)
@@ -626,12 +666,14 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     """
     A = pair.A.entries
     # "A vanishes on N(B)" relative to A alone: no scale of B or of the pair moves it.
-    null_tol = tols.rank_tol * float(np.linalg.norm(A))
-    solved, rejected = _definite_spectrum(A, pair.B.entries, tols)
+    null_tol = tols.rank_tol * pair.A.fro
+    solved, rejected = _definite_spectrum(A, pair.B.entries, tols, pair.A.fro, pair.B.fro)
     if solved is not None:
         lam, sign, X, crawford = solved
         plus, none = sign > 0, np.zeros(len(lam), dtype=bool)
-        W, j = np.hstack([X[:, plus], X[:, ~plus]]), np.concatenate([sign[plus], sign[~plus]])
+        # The +1 columns, then the -1 columns, each in ascending order.
+        order = np.argsort(~plus, kind="stable")
+        W, j = X[:, order], sign[order]
         M = W.conj().T @ A @ W
         return PairAnalysis(
             tols, pair, 0, Inertia(int(np.sum(plus)), 0, int(np.sum(~plus))), W, j, null_tol,
@@ -659,7 +701,8 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
             F = R + N @ K
             M = R.conj().T @ A @ F
             A_fin = (M + M.conj().T) / 2.0
-            if not np.isfinite(np.linalg.norm(A_fin)):
+            fin_norm = float(np.linalg.norm(A_fin))
+            if not np.isfinite(fin_norm):
                 raise NonFiniteError(
                     "the finite part of the pair overflows: A is too large for "
                     "the smallest nonzero eigenvalue of B"
@@ -674,9 +717,11 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
         # A pair-coordinate solve that B's certificate rejected is read, not repeated.
         spectrum = None
         if rejected is not None:
-            spectrum = _kept_spectrum(rejected, A, pair.B.entries, j, R, D, N.shape[1], tols)
+            spectrum = _kept_spectrum(
+                rejected, A, pair.B.entries, j, R, D, N.shape[1], tols, pair.B.fro
+            )
         if spectrum is None:
-            spectrum = _finite_spectrum(A_fin, j, F, tols)
+            spectrum = _finite_spectrum(A_fin, j, F, tols, fin_norm)
     return PairAnalysis(
         tols, pair, deflated, b_inertia, W, j, null_tol, d_inf, Q_inf, K, A_fin, *spectrum, None
     )

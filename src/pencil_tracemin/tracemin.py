@@ -18,7 +18,7 @@ import numpy as np
 from .definiteness import _definiteness_from_spectrum, _with_infinite_sign
 from .errors import NotAttainableError, TypeCountError
 from .hyperbolic import sample_feasible
-from .matcore import ProblemInstance, check_inertias, paired_columns
+from .matcore import HermitianMatrix, ProblemInstance, check_inertias, paired_columns
 from .spectral import INF_MIXED, PairAnalysis, analyze_pair
 
 # Types of a typed eigenvalue
@@ -107,32 +107,33 @@ def check_excluded(problem: ProblemInstance):
     muhat*trace(B^{-1} A).
     """
     tols = problem.tolerances
-    A, B = problem.pair.A.entries, problem.pair.B.entries
-    Ah, Bh = problem.hat_pair.A.entries, problem.hat_pair.B.entries
+    pair, hat = problem.pair, problem.hat_pair
 
-    # Frobenius norms, as in MatrixPair.scale: no eigensolve.  Relative to
-    # Bhat, since scaling Ahat and Bhat together leaves the infimum unchanged.
-    if np.linalg.norm(Ah) <= tols.rank_tol * np.linalg.norm(Bh):
+    # Frobenius norms, as in MatrixPair.scale, kept from validation: no
+    # eigensolve.  Relative to Bhat, since scaling Ahat and Bhat together
+    # leaves the infimum unchanged.
+    if hat.A.fro <= tols.rank_tol * hat.B.fro:
         return ExcludedCase("AhatZero", 0.0)
 
-    mu = _proportional(A, B, tols.rank_tol)
+    mu = _proportional(pair.A, pair.B, tols.rank_tol)
     if mu is not None:
-        const = mu * float(np.real(np.trace(np.linalg.solve(Bh, Ah))))
+        const = mu * float(np.real(np.trace(np.linalg.solve(hat.B.entries, hat.A.entries))))
         return ExcludedCase("AEqualsMuB", const, mu)
-    muh = _proportional(Ah, Bh, tols.rank_tol) if problem.n == problem.nhat else None
+    muh = _proportional(hat.A, hat.B, tols.rank_tol) if problem.n == problem.nhat else None
     if muh is not None:
-        const = muh * float(np.real(np.trace(np.linalg.solve(B, A))))
+        const = muh * float(np.real(np.trace(np.linalg.solve(pair.B.entries, pair.A.entries))))
         return ExcludedCase("AhatEqualsMuhatBhat", const, muh)
     return None
 
 
-def _proportional(M: np.ndarray, N: np.ndarray, tol: float) -> float | None:
+def _proportional(M: HermitianMatrix, N: HermitianMatrix, tol: float) -> float | None:
     """The least-squares mu with M = mu*N, if it holds to ``tol`` relative to |M|_F."""
-    denom = np.linalg.norm(N) ** 2
+    denom = N.fro ** 2
     if denom == 0:
         return None
-    mu = float(np.real(np.vdot(N, M)) / denom)
-    return mu if np.linalg.norm(M - mu * N) <= tol * max(np.linalg.norm(M), 1e-300) else None
+    mu = float(np.real(np.vdot(N.entries, M.entries)) / denom)
+    residual = np.linalg.norm(M.entries - mu * N.entries)
+    return mu if residual <= tol * max(M.fro, 1e-300) else None
 
 
 def _properness(pos, neg, pad_plus, pad_minus, tols) -> PropernessReport:

@@ -36,7 +36,7 @@ pair with Jordan or chained structure gets no rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
@@ -172,27 +172,31 @@ def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
         L.append(big_dirs[:, big_cols[: len(hat_cols)]])
         R.append(hat_dirs[:, hat_cols])
 
-    d_cosh = np.zeros((problem.n, problem.nhat), dtype=complex)
-    d_sinh = np.zeros_like(d_cosh)
+    # d_cosh and d_sinh take the k <= 2 rotated hat directions: n x k by k x nhat.
+    cosh_cols, sinh_cols, rotated = [], [], []
     p_dir, m_dir = big[0][:, p], big[1][:, m]
     for hat_dirs, hat_col, cosh_dir, sinh_dir, a_cosh, a_sinh in (
         (hat[0], phat, p_dir, m_dir, 1.0, u), (hat[1], mhat, m_dir, p_dir, w, w * u.conjugate())
     ):
         if hat_col is not None:
-            hd = hat_dirs[:, hat_col]
-            L.append(a_cosh * cosh_dir)
-            R.append(hd)
-            d_cosh += a_cosh * np.outer(cosh_dir, hd.conj())
-            d_sinh += a_sinh * np.outer(sinh_dir, hd.conj())
+            rotated.append(hat_dirs[:, hat_col])
+            cosh_cols.append(a_cosh * cosh_dir)
+            sinh_cols.append(a_sinh * sinh_dir)
+    L += cosh_cols
+    R += rotated
+    Hr = np.array(rotated, dtype=complex).reshape(-1, problem.nhat).conj()
+    d_cosh, d_sinh = (np.array(cols, dtype=complex).reshape(-1, problem.n).T @ Hr
+                      for cols in (cosh_cols, sinh_cols))
 
     x_base = np.column_stack(L) @ np.column_stack(R).conj().T
     return _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh)
 
 
 def _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh):
-    """The WitnessFamily of these parts; its offset is the trace at t = 0."""
-    family = WitnessFamily(kind, float(slope), 0.0, sigma_map, x_base, d_cosh, d_sinh, problem)
-    return replace(family, offset=evaluate_witness(family, 0.0)[1])
+    """The WitnessFamily of these parts; its offset is the trace at t = 0,
+    where X(0) = x_base."""
+    offset = _objective(problem, x_base)
+    return WitnessFamily(kind, float(slope), offset, sigma_map, x_base, d_cosh, d_sinh, problem)
 
 
 def _gap_extremes(xs, ys, nx, ny):
@@ -238,10 +242,15 @@ def _planes(blocks, pos, neg, pads=(0, 0)):
 
 def _sides(analysis):
     """The +1 and the -1 side of a pair: each the values of its typed entries that own a
-    direction, and the matrix of its directions, those then one of each conjugate block."""
+    direction, and the matrix of its directions, those then one of each conjugate block
+    (the typed directions themselves when there is no block)."""
     a = analysis
-    pos = a.pos_values[a.pos_owns], np.column_stack([a.pos_dirs, *(b[0] for b in a.blocks)])
-    neg = a.neg_values[a.neg_owns], np.column_stack([a.neg_dirs, *(b[1] for b in a.blocks)])
+
+    def dirs(typed, side):
+        return np.column_stack([typed, *(b[side] for b in a.blocks)]) if a.blocks else typed
+
+    pos = a.pos_values[a.pos_owns], dirs(a.pos_dirs, 0)
+    neg = a.neg_values[a.neg_owns], dirs(a.neg_dirs, 1)
     return pos, neg
 
 

@@ -51,16 +51,31 @@ def diag_problem(big_pos, big_neg, hat_pos, hat_neg, scramble=None, cap=6.0):
     return pt.problem_from_arrays(A, B, Ah, Bh)
 
 
+class KernelCalls(list):
+    """The names of the kernel calls in order, and in ``inv_orders`` the
+    order of the matrix that each ``inv`` inverted."""
+
+    def __init__(self):
+        super().__init__()
+        self.inv_orders = []
+
+    def clear(self):
+        super().clear()
+        self.inv_orders.clear()
+
+
 def count_eigen_kernels(monkeypatch):
-    """Record the name of every numpy eigvalsh/eigh/eig/qr/svd/cholesky call from now on.
+    """Record the name of every numpy eigvalsh/eigh/eig/qr/svd/cholesky/inv call from now on.
 
     numpy's ``svd`` is counted in the module that defines it too, so the SVD
     that ``np.linalg.norm(X, 2)`` runs is counted.  A Cholesky that fails
     (the matrix is not positive definite) is recorded as "cholesky failed".
+    Returns a :class:`KernelCalls`, which also keeps the order of each
+    matrix that ``inv`` inverted.
     """
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    calls = []
-    names = ("eigvalsh", "eigh", "eig", "qr", "svd", "cholesky")
+    calls = KernelCalls()
+    names = ("eigvalsh", "eigh", "eig", "qr", "svd", "cholesky", "inv")
     for owner, name in [(np.linalg, name) for name in names] + [(impl, "svd")]:
         fn = getattr(owner, name)
 
@@ -71,6 +86,8 @@ def count_eigen_kernels(monkeypatch):
                 calls.append(f"{_name} failed")
                 raise
             calls.append(_name)
+            if _name == "inv":
+                calls.inv_orders.append(np.shape(args[0])[-1])
             return out
 
         monkeypatch.setattr(owner, name, counted)

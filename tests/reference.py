@@ -8,7 +8,8 @@ rule on the typed value lists, and lam_min(A - t*B) by a direct eigenvalue
 solve, and the typed spectrum of a pair with nonsingular B by the B-frame
 route alone, and the typing of ``_cluster`` by a loop over its clusters and
 entries, and the definiteness report of a finite part with every admitted
-side confirmed by an eigensolve, and the Crawford number of a definite pair
+side confirmed by an eigensolve or screened as a dense matrix at its shift,
+and the Crawford number of a definite pair
 by a search over angles, and the hyperbolic polar block with each square
 root from its own eigh.  They are not part of the library.
 """
@@ -133,6 +134,32 @@ def eigvalsh_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
     )
 
 
+def per_shift_definiteness(analysis: PairAnalysis) -> DefinitenessReport:
+    """``definiteness._definiteness_from_spectrum`` with each side screened
+    as a dense matrix at its shift: H = Ã - t*J or t*J - Ã, its diagonal d
+    and the norm e of H - diag(d) taken afresh at every shift, and
+    eigvalsh(H) only where Weyl's interval [min d - e, min d + e] leaves
+    the side undecided."""
+    A, J, tols = analysis.A_fin, np.diag(analysis.j), analysis.tols
+    tol = tols.psd_tol * (1.0 + float(np.linalg.norm(A) + np.linalg.norm(J)))
+    if analysis.has_complex:
+        return DefinitenessReport(False, False, None, None, tolerance=tol)
+
+    def lam_min(H):
+        d = np.real(np.diagonal(H))
+        low, e = float(np.min(d)), float(np.linalg.norm(H - np.diag(d)))
+        if low - e >= -tol or low < -tol:
+            return low - e
+        return float(eigvalsh(H)[0])
+
+    pos, neg = analysis.pos_values, analysis.neg_values
+    psd = _confirmed_side(lambda t: lam_min(A - t * J), neg, pos, tols, tol)
+    nsd = _confirmed_side(lambda t: lam_min(t * J - A), pos, neg, tols, tol)
+    return DefinitenessReport(
+        psd[0] is not None, nsd[0] is not None, psd[0], nsd[0], *psd[1:], *nsd[1:], tol
+    )
+
+
 def b_frame_spectrum(pair: MatrixPair, tols=DEFAULT_TOLS):
     """The (pos, neg) typed values of a pair with nonsingular B, solved in B-frame coordinates:
     eigh(B) = (d, V), R = V |d|^(-1/2) (+1 columns, then -1), and the typed
@@ -141,7 +168,8 @@ def b_frame_spectrum(pair: MatrixPair, tols=DEFAULT_TOLS):
     order = np.argsort(-np.sign(d), kind="stable")
     R = V[:, order] / np.sqrt(np.abs(d[order]))
     M = R.conj().T @ pair.A.entries @ R
-    pos, neg, *_ = _finite_spectrum((M + M.conj().T) / 2.0, np.sign(d[order]), R, tols)
+    M = (M + M.conj().T) / 2.0
+    pos, neg, *_ = _finite_spectrum(M, np.sign(d[order]), R, tols, float(np.linalg.norm(M)))
     return pos, neg
 
 

@@ -14,7 +14,7 @@ from pencil_tracemin.spectral import analyze_pair
 
 import replay
 from conftest import count_eigen_kernels, diag_problem, pencil_solves, rand_hermitian, spectral_norm
-from reference import eigvalsh_definiteness, lambda_min_shift
+from reference import eigvalsh_definiteness, lambda_min_shift, per_shift_definiteness
 from test_tracemin import _criterion_7_problems
 
 
@@ -219,20 +219,28 @@ def test_intervals_hold_inside_and_fail_outside():
     ids=["undecided", "holds", "fails", "fails-by-min-d"],
 )
 def test_lam_min_reads_a_decided_diagonal(monkeypatch, H, expected, solves):
+    H = np.array(H)
+    d = np.real(np.diagonal(H))
+    e = float(np.linalg.norm(H - np.diag(d)))
     calls = count_eigen_kernels(monkeypatch)
-    assert _lam_min(np.array(H), 1e-12) == pytest.approx(expected, abs=1e-12)
+    assert _lam_min(d, e, lambda: H, 1e-12) == pytest.approx(expected, abs=1e-12)
     assert calls.count("eigvalsh") == solves, calls
+
+
+def _criterion_7_pairs():
+    """Every pair of the criterion-7 problems and of their scaled replay copies."""
+    for prob in _criterion_7_problems():
+        for a, ahat in [(1.0, 1.0), *replay.SCALES.values()]:
+            copy = replay.scaled(prob, a, ahat)
+            yield copy.pair
+            yield copy.hat_pair
 
 
 def _screened_pairs():
     """Every pair of the criterion-7 problems and of their scaled replay
     copies, then both pairs of six diverge-certify-shaped problems (mixed
     signs, scrambled typed frames) at n = 20, 40 and 80."""
-    for prob in _criterion_7_problems():
-        for a, ahat in [(1.0, 1.0), *replay.SCALES.values()]:
-            copy = replay.scaled(prob, a, ahat)
-            yield copy.pair
-            yield copy.hat_pair
+    yield from _criterion_7_pairs()
     for n in (20, 40, 80):
         for seed in (n, n + 1):
             rng = np.random.default_rng(seed)
@@ -277,3 +285,17 @@ def test_diagonal_screen_matches_eigvalsh_confirmation(monkeypatch):
     # Ã is diagonal to roundoff on the pair route: its diagonal decides every side.
     assert sides["pair-cholesky"] > 4000 and solves["pair-cholesky"] == 0, (sides, solves)
     assert solves["frame-cholesky"] + solves["eig"] > 0, (sides, solves)
+
+
+def test_shift_free_screen_matches_the_per_shift_screen():
+    # The off-diagonal norm taken once per pair, and each side screened on
+    # its diagonal vector, give the report that screening the dense shifted
+    # matrix at each shift gave, bit for bit.
+    compared = 0
+    for pair in _criterion_7_pairs():
+        a = analyze_pair(pair)
+        if a.route is None:  # chained or B = 0: no finite part to confirm
+            continue
+        assert _definiteness_from_spectrum(a) == per_shift_definiteness(a)
+        compared += 1
+    assert compared > 3000, compared

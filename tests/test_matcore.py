@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -180,6 +181,83 @@ def test_matrix_from_json_names_the_bad_field(obj, field):
     # fields were checked.
     with pytest.raises(ValueError, match=re.escape(field)):
         matrix_from_json(obj)
+
+
+def _exception_text(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the message of whatever Python raises
+        return str(exc)
+    raise AssertionError("no exception")
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[True, 0]], "matrix 'entries'[0] must be two numbers, got [True, 0]"),
+        ([[1.0, 0.0], ["1.5", 0.0]], "matrix 'entries'[1] must be two numbers, got ['1.5', 0.0]"),
+        ([[1.0, 0.0], [0.0, None]], "matrix 'entries'[1] must be two numbers, got [0.0, None]"),
+        ([[1.0, 0.0, 2.0], [0.0, 0.0]], "matrix 'entries' must be [re, im] pairs ({})".format(
+            _exception_text(lambda: [(re, im) for re, im in [[1.0, 0.0, 2.0]]]))),
+        ([[10**400, 0], [0.0, 0.0]],
+         "matrix 'entries' hold an integer too large for a float ({})".format(
+             _exception_text(lambda: float(10**400)))),
+    ],
+    ids=["true", "string", "null", "three-items", "huge-int"],
+)
+def test_matrix_from_json_rejection_messages(entries, message):
+    # The vectorized read reports the entry at fault as the per-entry loop did.
+    with pytest.raises(ValueError) as info:
+        matrix_from_json({"n": 2, "m": 1, "entries": entries})
+    assert str(info.value) == message
+
+
+def test_matrix_from_json_reads_ints_and_floats_exactly():
+    entries = [[1, -0.0], [2**70 + 1, 1e-310], [-3, 1e300], [0.1, -(2**64) - 3]]
+    M = matrix_from_json({"n": 2, "entries": entries})
+    assert M.dtype == complex and M.shape == (2, 2)
+    np.testing.assert_array_equal(M.reshape(-1), [complex(re, im) for re, im in entries])
+    assert np.signbit(M[0, 0].imag)
+
+
+def test_hermitian_matrix_keeps_its_frobenius_norm():
+    rng = np.random.default_rng(8)
+    for n, scale in ((1, 1.0), (3, 1e-150), (8, 1e150), (20, 1.0)):
+        H = pt.validate_hermitian(rand_hermitian(rng, n, scale))
+        assert H.fro == np.linalg.norm(H.entries)
+    A, B = pt.validate_hermitian(rand_hermitian(rng, 4)), pt.validate_hermitian(np.eye(4))
+    pair = pt.MatrixPair(A, B)
+    assert pair.scale == 1.0 + float(np.linalg.norm(A.entries) + np.linalg.norm(B.entries))
+
+
+def _dumped_the_python_way(obj):
+    """json.dump's bytes, through the pure-Python encoder, with each entry
+    converted one at a time."""
+    def matrix(M):
+        return {"n": M.shape[0], "entries": [[float(z.real), float(z.imag)] for z in M.reshape(-1)]}
+
+    out = io.StringIO()
+    json.dump({k: matrix(M) for k, M in obj.items()}, out)
+    return out.getvalue().encode("utf-8")
+
+
+def test_save_problem_writes_the_bytes_of_json_dump(tmp_path):
+    # -0.0, a subnormal and a huge entry: the C encoder prints them as
+    # json.dump did.  Such a matrix's norm overflows, so validate_hermitian
+    # would refuse it; the instance is built directly.
+    M = np.array([[-0.0, 1e-310 + 1e300j], [1e-310 - 1e300j, 1e300]])
+    H = pt.matcore.HermitianMatrix(M, 0.0, np.inf)
+    K = pt.validate_hermitian(np.array([[2.0, 0.5 - 1e-310j], [0.5 + 1e-310j, -0.0]]))
+    prob = pt.ProblemInstance(pair=pt.MatrixPair(H, K), hat_pair=pt.MatrixPair(K, H))
+    path = tmp_path / "problem.json"
+    pt.matcore.save_problem(path, prob)
+    expected = {"A": M, "B": K.entries, "Ahat": K.entries, "Bhat": M}
+    assert path.read_bytes() == _dumped_the_python_way(expected)
+    pt.matcore.save_pair(path, prob.pair)
+    assert path.read_bytes() == _dumped_the_python_way({"A": M, "B": K.entries})
+    # A transposed (non-contiguous) matrix is written in row-major order.
+    assert matrix_to_json(M.T) == matrix_to_json(np.ascontiguousarray(M.T))
+    assert matrix_to_json(M.T)["entries"][1] == [1e-310, -1e300]
 
 
 def test_pair_and_problem_files(tmp_path):

@@ -10,9 +10,12 @@ from pencil_tracemin.spectral import (
     INF_MIXED,
     INF_NONE,
     INF_PLUS,
+    TRI_INV_BASE,
     _by_type,
     _cluster,
     _compression_cut,
+    _tri_inv,
+    _upper_pairs,
     analyze_pair,
 )
 
@@ -378,6 +381,33 @@ def test_compression_cut_keeps_a_definite_shift_and_scales():
         assert lo <= cut[0] <= -0.5 + 1e-9 and 1.0 - 1e-9 <= cut[1] <= hi, (seed, cut)
         scaled = _compression_cut(8.0 * A, 0.25 * B, 1.0, 32.0 * lo, 32.0 * hi)
         np.testing.assert_allclose(scaled, 32.0 * np.array(cut), rtol=1e-12)
+
+
+def test_compression_cut_indices_are_cached_read_only():
+    i, k, flat = _upper_pairs(7)
+    assert _upper_pairs(7)[2] is flat
+    np.testing.assert_array_equal(np.stack([i, k]), np.triu_indices(7, 1))
+    np.testing.assert_array_equal(flat, 7 * i + k)
+    for x in (i, k, flat):
+        with pytest.raises(ValueError):
+            x[0] = 1
+
+
+@pytest.mark.parametrize(
+    "n", sorted({1, 2, 80, TRI_INV_BASE - 1, TRI_INV_BASE, TRI_INV_BASE + 1, 2 * TRI_INV_BASE})
+)
+def test_triangular_inverse_matches_the_lu_inverse(n):
+    # The block recursion inverts a Cholesky factor as the general inverse
+    # does, to roundoff, and keeps it lower triangular above the base size.
+    rng = np.random.default_rng(n)
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    L = np.linalg.cholesky(Z @ Z.conj().T + n * np.eye(n))
+    Li, ref = _tri_inv(L), np.linalg.inv(L)
+    assert Li.shape == (n, n) and Li.dtype == L.dtype
+    np.testing.assert_allclose(Li, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+    np.testing.assert_allclose(Li @ L, np.eye(n), rtol=0, atol=1e-13)
+    if n > TRI_INV_BASE:
+        assert not np.any(np.triu(Li, 1))
 
 
 def test_crawford_bound_is_below_the_crawford_number():

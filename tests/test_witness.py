@@ -7,6 +7,7 @@ import pencil_tracemin as pt
 from pencil_tracemin.cli import EXIT_NO_WITNESS, main
 from pencil_tracemin.errors import CertificationFailedError, NoWitnessConstructibleError
 from pencil_tracemin.genpairs import BlockSpec, assemble, block
+from pencil_tracemin.spectral import TRI_INV_BASE
 from pencil_tracemin.tracemin import FINITE, NEG_INFINITE, infimum
 from pencil_tracemin.witness import (
     COMPLEX_BLOCK_SLOPE,
@@ -68,6 +69,9 @@ def test_infimum_witness_kernel_count(monkeypatch, n):
     assert routes == ["pair-cholesky"] * 2
     assert calls.count("eigh") == 2 + routes.count("frame-cholesky"), calls
     assert calls.count("eigvalsh") == routes.count("frame-cholesky"), calls
+    # Each solve inverts its triangular factor by block recursion: no
+    # general inverse of an order above the recursion's base size.
+    assert 0 < max(calls.inv_orders) <= TRI_INV_BASE, calls.inv_orders
     assert fam.kind == MIXED_SIGN_SLOPE
     _trend_ok(fam, ts=(0.0, 1.0, 10.0))
 
