@@ -93,11 +93,11 @@ def _interval(itv):
 
 def _spectrum_obj(analysis):
     typed = lambda *arrays: [
-        dict(zip(("value", "b_form", "jordan_pair"), e)) for e in zip(*(a.tolist() for a in arrays))
+        dict(zip(("value", "jordan_pair"), e)) for e in zip(*(a.tolist() for a in arrays))
     ]
     return {
-        "pos": typed(analysis.pos_values, analysis.pos_b_forms, analysis.pos_jordan),
-        "neg": typed(analysis.neg_values, analysis.neg_b_forms, analysis.neg_jordan),
+        "pos": typed(analysis.pos_values, analysis.pos_jordan),
+        "neg": typed(analysis.neg_values, analysis.neg_jordan),
         "deflated_dims": analysis.deflated_dims,
         "infinite_definite_sign": analysis.infinite_sign,
         "complex_values": [[z.real, z.imag] for z in analysis.complex_values],

@@ -20,14 +20,7 @@ from .matcore import Inertia, MatrixPair, pair_from_arrays, random_congruence
 
 def K_block(p: int, tau: complex) -> np.ndarray:
     """Anti-triangular p x p block: tau on the anti-diagonal, ones just below."""
-    K = np.zeros((p, p), dtype=complex)
-    for i in range(p):
-        for j in range(p):
-            if i + j == p - 1:
-                K[i, j] = tau
-            elif i + j == p:
-                K[i, j] = 1.0
-    return K
+    return tau * F_block(p) + np.eye(p, k=1)[::-1]
 
 
 def F_block(p: int) -> np.ndarray:

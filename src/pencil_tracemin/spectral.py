@@ -24,9 +24,9 @@ eigenvalues of A there, the coupling K that eliminates it from the range of
 B, and the finite part Ã as an array, posed in B-frame coordinates, (Ã, J)
 with J = diag(+1.., -1..).  ``_finite_spectrum`` solves it by one of two
 routes into the typed spectrum, arrays for each type (the ascending values,
-their B-forms, a Jordan mask and one matrix of the directions the entries
-own), and a tuple of 2x2 blocks for the conjugate eigenvalue pairs.  A
-definite finite part takes the same Cholesky solve in B-frame coordinates
+a Jordan mask and one matrix of the directions the entries own), and a
+tuple of 2x2 blocks for the conjugate eigenvalue pairs.  A definite finite
+part takes the same Cholesky solve in B-frame coordinates
 ("frame-cholesky"), or, when the pair's own Cholesky passed and only B's
 nonsingularity certificate failed (B singular, A definite on N(B), perhaps
 a common nullspace), is read off that solve's columns, so the pencil is
@@ -98,9 +98,9 @@ def _cluster(w, Z, G, tols, scale):
     block that roundoff splits further, up to type_tol * scale, are still
     real and share a cluster: their columns of G vanish to sqrt(type_tol).
     Each cluster C is typed by the inertia of G[C, C], a cluster of one by
-    its diagonal entry, all at once; its isotropic directions (|b_form| <=
-    type_tol) pair up at its value as Jordan copies of both types, and an odd
-    one left over takes its b_form's sign; neither owns a direction.
+    its diagonal entry, all at once; its isotropic directions (B-form within
+    type_tol of zero) pair up at its value as Jordan copies of both types, and
+    an odd one left over takes its B-form's sign; neither owns a direction.
     Returns (typed, complex indices), typed the arguments of ``_by_type``:
     clusters ascending, each its directions in eigh order, then its copies.
     """
@@ -135,13 +135,12 @@ def _cluster(w, Z, G, tols, scale):
         values[start:end] = float(np.mean(vals[start:end]))
         forms[start:end] = g[order]
         X[:, start:end] = (X[:, start:end] @ U)[:, order]
-    forms[jordan] = 0.0
     owns = np.abs(forms) > tols.type_tol
     plus = forms >= 0
     plus[jordan] = np.arange(np.sum(jordan)) % 2 == 0  # one copy of each type, positive first
     D = X[:, owns] / np.sqrt(np.abs(forms[owns]))
     T = np.hstack([D[:, plus[owns]], D[:, ~plus[owns]]])
-    return (plus, values, forms, jordan, owns, T), cidx
+    return (plus, values, jordan, owns, T), cidx
 
 
 def _shift(lo, hi, margin):
@@ -373,26 +372,24 @@ def _definite_spectrum(A, B, tols, a_norm, b_norm):
     return (*typed, 1.0 / (li2 * float(np.hypot(1.0, t)))), None
 
 
-def _kept_spectrum(solve, A, B, j, R, D, null_dims, tols, b_norm):
+def _kept_spectrum(solve, A, B, j, D, null_dims, tols, b_norm):
     """The finite part's typed spectrum read off a pair-coordinate solve whose
     B failed the nonsingularity certificate, or None to solve it anew.
 
     ``solve`` = (s, t, μ, X) of ``_pencil_solve`` on the pair, X^H M X = I
-    for M = s·A - t·B, X^H B X = diag(μ).  The B-frame route has found B's
-    frame R (R^H B R = J = diag(j)), the ``null_dims`` directions of N(B)
-    that it keeps and the orthonormal columns D of the common nullspace of
-    A and B that it drops.  Then M >= 0 vanishes on D, and is definite on
-    the rest, where A is definite of sign s on N(B); so the columns of X
-    split into three sets.  The len(D) longest nearly annihilate M: the
+    for M = s·A - t·B, X^H B X = diag(μ).  The B-frame route has found the
+    signs j of B's frame, the ``null_dims`` directions of N(B) that it keeps
+    and the orthonormal columns D of the common nullspace of A and B that it
+    drops.  Then M >= 0 vanishes on D, and is definite on the rest, where A
+    is definite of sign s on N(B); so the columns of X split into three
+    sets.  The len(D) longest nearly annihilate M: the
     M-form 1 / |x|² of their unit direction is at most rank_tol·tr M, and
     tr M = |L|_F² >= |M|_2.  Of the others, the ``null_dims`` of least |μ|
     span N(B): B x = μ·L Y e_k, so |B z| <= |μ|·tr M for their unit z, which
     must be at most rank_tol·|B|_F.  The rest are M-orthogonal to N(B), as
     the finite frame R + N K of the split is, so they are the finite
     part's directions, less their component in D; their μ must have the
-    signs of j and pass ``_typed_solve``.  Each b_form is that of the unit
-    eigenvector in B's eigenvector frame, sign μ / |v|², v = (R^H R)⁻¹ R^H x,
-    as on the route that solves the finite part itself.  b_norm is |B|_F.
+    signs of j and pass ``_typed_solve``.  b_norm is |B|_F.
     """
     s, t, mu, X = solve
     trace = float(np.real(s * np.trace(A) - t * np.trace(B)))
@@ -411,26 +408,28 @@ def _kept_spectrum(solve, A, B, j, R, D, null_dims, tols, b_norm):
     typed = _typed_solve(s, t, mu[fin], x, tols)
     if typed is None:
         return None
-    lam, sign, x = typed
-    v = (R.conj().T @ x) / np.sum(np.abs(R) ** 2, axis=0)[:, None]
-    return _cholesky_fields(lam, sign, sign / np.sum(np.abs(v) ** 2, axis=0), x)
+    return _cholesky_fields(*typed, "frame-cholesky")[0]
 
 
-def _cholesky_fields(lam, sign, forms, X):
+def _cholesky_fields(lam, sign, X, route):
     """The fields of ``PairAnalysis`` from the typed ones to ``route`` of a
-    finite part solved by Cholesky, its directions X in the pair's coordinates."""
+    pencil solved by Cholesky: values lam ascending, of types ``sign``, and
+    directions X in the pair's coordinates.  The directions are gathered
+    once, the +1 columns, then the -1 columns, each ascending in value.
+    Returns (fields, those directions, their signs)."""
     plus, none = sign > 0, np.zeros(len(lam), dtype=bool)
-    typed = _by_type(plus, lam, forms, none, ~none, np.hstack([X[:, plus], X[:, ~plus]]))
-    return *typed, (), False, (), "frame-cholesky"
+    order = np.argsort(~plus, kind="stable")
+    T = X[:, order]
+    return (*_by_type(plus, lam, none, ~none, T), (), False, (), route), T, sign[order]
 
 
-def _by_type(plus, values, forms, jordan, owns, T):
+def _by_type(plus, values, jordan, owns, T):
     """The typed fields of ``PairAnalysis`` (pos_* before neg_* of each) from
     entries in one ascending order, ``plus`` marking the positive ones; T
     holds the directions of the positive entries that ``owns`` marks, then
     of the negative ones, so each type's are a slice of T."""
     k = int(np.sum(plus & owns))
-    return (*(x[side] for x in (values, forms, jordan) for side in (plus, ~plus)),
+    return (*(x[side] for x in (values, jordan) for side in (plus, ~plus)),
             T[:, :k], T[:, k:], owns[plus], owns[~plus])
 
 
@@ -487,10 +486,9 @@ def _finite_spectrum(A, j, F, tols, a_norm):
     order, with a_norm = |Ã|_F.
 
     A definite pair is solved by one Cholesky and one Hermitian eigensolve
-    (``_definite_spectrum`` in B-frame coordinates), each b_form that of the
-    unit eigenvector, sign μ / |x|².  Any other, or a definite one that its
-    guard sends on, by one standard eigensolve of J·Ã, as J² = I: J Ã z =
-    λJz iff Ã z = λJz, typed by ``_cluster``.  F maps the finite part's
+    (``_definite_spectrum`` in B-frame coordinates).  Any other, or a
+    definite one that its guard sends on, by one standard eigensolve of J·Ã,
+    as J² = I: J Ã z = λJz iff Ã z = λJz, typed by ``_cluster``.  F maps the finite part's
     coordinates into the pair's, where the directions are returned.
     Returns the fields of ``PairAnalysis`` from the typed ones to ``route``.
     """
@@ -498,7 +496,7 @@ def _finite_spectrum(A, j, F, tols, a_norm):
     solved, _ = _definite_spectrum(A, np.diag(j), tols, a_norm, float(np.sqrt(len(j))))
     if solved is not None:
         lam, sign, X, _ = solved
-        return _cholesky_fields(lam, sign, sign / np.sum(np.abs(X) ** 2, axis=0), F @ X)
+        return _cholesky_fields(lam, sign, F @ X, "frame-cholesky")[0]
     # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
     scale = a_norm or 1.0
     w, Z = np.linalg.eig(j[:, None] * A)
@@ -506,7 +504,7 @@ def _finite_spectrum(A, j, F, tols, a_norm):
     typed, cidx = _cluster(w, F @ Z, G, tols, scale)
     blocks = _conjugate_blocks(A, w, Z, G, cidx, tols)
     blocks = tuple((F @ c1, F @ c2, alpha, beta) for c1, c2, alpha, beta in blocks)
-    _, _, _, jordan, owns, _ = typed
+    _, _, jordan, owns, _ = typed
     complex_values = tuple(complex(z) for z in w[cidx])
     return *_by_type(*typed), complex_values, bool(np.any(~owns & ~jordan)), blocks, "eig"
 
@@ -527,10 +525,10 @@ class PairAnalysis:
     chained: no such elimination exists, and ``K`` and ``A_fin`` are None.
 
     The typed spectrum is part of the record, as arrays for each type,
-    pos_* and neg_*: the ascending ``values`` of the finite part, their
-    ``b_forms``, a ``jordan`` mask of the Jordan copies (a Jordan block gives
-    one of each type), an ``owns`` mask of the entries that own a direction,
-    and ``dirs``, whose columns are those directions in entry order, in
+    pos_* and neg_*: the ascending ``values`` of the finite part, a
+    ``jordan`` mask of the Jordan copies (a Jordan block gives one of each
+    type), an ``owns`` mask of the entries that own a direction, and
+    ``dirs``, whose columns are those directions in entry order, in
     ``pair``'s coordinates without the deflated directions.  A Jordan copy
     owns none, nor does an odd isotropic direction left over in a cluster,
     which sets ``isotropic_defect``, as does a chained pair, whose spectrum
@@ -544,20 +542,13 @@ class PairAnalysis:
     "frame-cholesky" or "eig", and None for a chained pair or B = 0, which
     have no finite part to solve.  ``crawford_bound`` is a lower bound on
     the Crawford number min over unit z of |z^H (A + iB) z| on the pair
-    route, read off its Cholesky factor, and None on every other route.  On the pair route B is nonsingular and
-    never decomposed: ``b_frame`` holds the typed directions themselves,
-    the +1 columns ascending in value, then the -1 columns, so ``pos_dirs``
-    and ``neg_dirs`` are its column slices, with ``j`` their signs and
-    ``b_inertia`` the count of each; there is no null part (``d_inf`` empty,
-    ``K`` of no rows, so ``finite_frame()`` is ``b_frame``); and ``A_fin`` =
-    W^H A W is diag(j · value) up to roundoff.
-
-    No library code reads a b_form.  On the pair route it is the B-form of
-    the B-normalized direction, exactly +1 or -1.  On the other routes it is
-    the B-form of the unit eigenvector x in B's eigenvector frame: sign μ /
-    |x|² on "frame-cholesky"; on "eig" the diagonal entry of G = Z^H J Z for
-    a cluster of one, an eigenvalue of G[C, C] for a larger cluster C, and 0
-    for a Jordan copy.
+    route, read off its Cholesky factor, and None on every other route.  On
+    the pair route B is nonsingular and never decomposed: ``b_frame`` holds
+    the typed directions themselves, the +1 columns ascending in value, then
+    the -1 columns, so ``pos_dirs`` and ``neg_dirs`` are its column slices,
+    with ``j`` their signs and ``b_inertia`` the count of each; there is no
+    null part (``d_inf`` empty, ``K`` of no rows, so ``finite_frame()`` is
+    ``b_frame``); and ``A_fin`` = W^H A W is diag(j · value) up to roundoff.
     """
 
     tols: ToleranceSet
@@ -573,8 +564,6 @@ class PairAnalysis:
     A_fin: np.ndarray | None
     pos_values: np.ndarray
     neg_values: np.ndarray
-    pos_b_forms: np.ndarray
-    neg_b_forms: np.ndarray
     pos_jordan: np.ndarray
     neg_jordan: np.ndarray
     pos_dirs: np.ndarray  # n x (number of entries that own a direction)
@@ -670,15 +659,12 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     solved, rejected = _definite_spectrum(A, pair.B.entries, tols, pair.A.fro, pair.B.fro)
     if solved is not None:
         lam, sign, X, crawford = solved
-        plus, none = sign > 0, np.zeros(len(lam), dtype=bool)
-        # The +1 columns, then the -1 columns, each in ascending order.
-        order = np.argsort(~plus, kind="stable")
-        W, j = X[:, order], sign[order]
+        spectrum, W, j = _cholesky_fields(lam, sign, X, "pair-cholesky")
         M = W.conj().T @ A @ W
+        n_plus = int(np.sum(j > 0))
         return PairAnalysis(
-            tols, pair, 0, Inertia(int(np.sum(plus)), 0, int(np.sum(~plus))), W, j, null_tol,
-            np.zeros(0), np.zeros((0, 0)), np.zeros((0, len(j))), (M + M.conj().T) / 2.0,
-            *_by_type(plus, lam, sign, none, ~none, W), (), False, (), "pair-cholesky", crawford,
+            tols, pair, 0, Inertia(n_plus, 0, len(j) - n_plus), W, j, null_tol, np.zeros(0),
+            np.zeros((0, 0)), np.zeros((0, len(j))), (M + M.conj().T) / 2.0, *spectrum, crawford,
         )
     R, N, j = eigh_frame(pair.B.entries, tols)
     deflated, D = 0, N[:, :0]
@@ -711,14 +697,14 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     b_inertia = Inertia(n_plus, pair.n - len(j), len(j) - n_plus)
     if K is None or not len(j):  # chained, or B = 0: no finite part to solve
         none = np.zeros(0, dtype=bool)
-        untyped = _by_type(none, np.zeros(0), np.zeros(0), none, none, W[:, :0])
+        untyped = _by_type(none, np.zeros(0), none, none, W[:, :0])
         spectrum = *untyped, (), K is None, (), None
     else:
         # A pair-coordinate solve that B's certificate rejected is read, not repeated.
         spectrum = None
         if rejected is not None:
             spectrum = _kept_spectrum(
-                rejected, A, pair.B.entries, j, R, D, N.shape[1], tols, pair.B.fro
+                rejected, A, pair.B.entries, j, D, N.shape[1], tols, pair.B.fro
             )
         if spectrum is None:
             spectrum = _finite_spectrum(A_fin, j, F, tols, fin_norm)

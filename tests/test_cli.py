@@ -62,13 +62,12 @@ def test_analyze_golden_pair(tmp_path, capsys):
     assert set(rep["definiteness"]) == {f.name for f in fields(DefinitenessReport)}
     assert rep["typed_spectrum"]["pos"][0]["value"] == pytest.approx(1.0, abs=1e-9)
     assert rep["typed_spectrum"]["neg"][0]["value"] == pytest.approx(-2.0, abs=1e-9)
-    # A definite pair with nonsingular B is solved in its own coordinates,
-    # where each b_form is that of a B-normalized direction: exactly +1 or -1.
+    # A definite pair with nonsingular B is solved in its own coordinates.
     assert rep["typed_spectrum"]["route"] == "pair-cholesky"
-    for key, sign in (("pos", 1.0), ("neg", -1.0)):
+    for key in ("pos", "neg"):
         for entry in rep["typed_spectrum"][key]:
-            assert set(entry) == {"value", "b_form", "jordan_pair"}
-            assert entry["b_form"] == sign and entry["jordan_pair"] is False
+            assert set(entry) == {"value", "jordan_pair"}
+            assert entry["jordan_pair"] is False
 
 
 @pytest.mark.parametrize(
@@ -145,8 +144,7 @@ def test_analyze_jordan_pair(tmp_path, capsys):
     # A Jordan pair at the boundary shift of a PSD pair, two opposite Jordan
     # blocks at one value, which leave the pair neither PSD nor NSD, and a
     # Jordan block beside a value of each type: the isotropic copies pair up
-    # either way, each of b_form 0, and on the eig route every other b_form
-    # has the sign of its type.
+    # either way, on the eig route, as one Jordan copy of each type.
     path = str(tmp_path / "pair.json")
     boundary = pt.pair_from_arrays(
         np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -167,16 +165,11 @@ def test_analyze_jordan_pair(tmp_path, capsys):
         assert rep["definiteness"]["is_psd_pair"] is psd
         assert rep["definiteness"]["is_nsd_pair"] is False
         assert rep["typed_spectrum"]["pos"][0]["jordan_pair"] is True
-        assert rep["typed_spectrum"]["pos"][0]["b_form"] == 0.0
         assert rep["typed_spectrum"]["pos"][0]["value"] == pytest.approx(value, abs=1e-7)
         assert rep["typed_spectrum"]["route"] == "eig"
-        for key, sign in (("pos", 1.0), ("neg", -1.0)):
+        for key in ("pos", "neg"):
             for entry in rep["typed_spectrum"][key]:
-                assert set(entry) == {"value", "b_form", "jordan_pair"}
-                if entry["jordan_pair"]:
-                    assert entry["b_form"] == 0.0
-                else:
-                    assert np.sign(entry["b_form"]) == sign
+                assert set(entry) == {"value", "jordan_pair"}
 
 
 def test_analyze_malformed_file(tmp_path, capsys):

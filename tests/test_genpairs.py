@@ -17,6 +17,15 @@ from pencil_tracemin.spectral import INF_COUPLED, analyze_pair
 def test_templates():
     np.testing.assert_array_equal(K_block(2, 0.3), [[0.0, 0.3], [0.3, 1.0]])
     np.testing.assert_array_equal(F_block(3), [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    # K_block: tau where i + j = p - 1, one where i + j = p, zero elsewhere.
+    for p in (1, 3, 5):
+        i, j = np.indices((p, p))
+        for tau in (-0.7, 0.4 - 1.5j):
+            K = K_block(p, tau)
+            assert K.dtype == complex
+            np.testing.assert_array_equal(
+                K, np.where(i + j == p - 1, tau, np.where(i + j == p, 1.0, 0.0))
+            )
 
 
 def test_block_tr1():

@@ -58,10 +58,9 @@ def diagonal_frame(pair):
 
 
 def typed_values(a):
-    """The typed values of an analysis, with their b_forms, Jordan and ownership
-    flags, as lists that equality compares (directions aside)."""
-    typed = (a.pos_values, a.pos_b_forms, a.pos_jordan, a.pos_owns,
-             a.neg_values, a.neg_b_forms, a.neg_jordan, a.neg_owns)
+    """The typed values of an analysis, with their Jordan and ownership flags,
+    as lists that equality compares (directions aside)."""
+    typed = (a.pos_values, a.pos_jordan, a.pos_owns, a.neg_values, a.neg_jordan, a.neg_owns)
     return [x.tolist() for x in typed], a.complex_values
 
 
@@ -435,8 +434,8 @@ def test_crawford_bound_is_below_the_crawford_number():
 def test_rejected_pair_solve_types_the_finite_part(monkeypatch, A, B, passes):
     # A definite pair with singular B passes the pair-coordinate Cholesky and
     # fails the nonsingularity certificate; the B-frame route reads the finite
-    # part off that solve instead of solving again, with the types, values,
-    # b_forms and frame of the route that solves the finite part itself.  With
+    # part off that solve instead of solving again, with the types, values
+    # and frame of the route that solves the finite part itself.  With
     # a shared null vector s*A - t*B is singular, and its Cholesky passes or
     # fails by roundoff; when it passes, its solve is read the same way.
     pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), 2, 4.0)
@@ -455,8 +454,6 @@ def test_rejected_pair_solve_types_the_finite_part(monkeypatch, A, B, passes):
     assert a.route == fresh.route == "frame-cholesky"
     np.testing.assert_allclose(a.pos_values, fresh.pos_values, rtol=1e-12)
     np.testing.assert_allclose(a.neg_values, fresh.neg_values, rtol=1e-12)
-    np.testing.assert_allclose(a.pos_b_forms, fresh.pos_b_forms, rtol=1e-10)
-    np.testing.assert_allclose(a.neg_b_forms, fresh.neg_b_forms, rtol=1e-10)
     assert max(res_a, res_b) <= 1e-12 * np.linalg.norm(lam)
 
 
@@ -714,7 +711,7 @@ def test_cluster_types_as_the_per_entry_loop_does():
     # On every eig-route pair of the criterion-7 problems and of Jordan,
     # repeated, conjugate and odd-isotropic assemblies, the typed arrays hold
     # exactly the entries a loop over clusters and entries builds: the same
-    # values, types, b_forms and flags in the same order, and the same
+    # values, types and flags in the same order, and the same
     # directions, bit for bit.  A Jordan block beside a simple eigenvalue at
     # its value makes one cluster of a direction and two copies.
     specs = [[_tr(2, 0.3, 1), _tr(1, 1.5, 1), _tr(1, -0.7, -1)], [_tr(3, 0.5, 1)],
@@ -739,9 +736,8 @@ def test_cluster_types_as_the_per_entry_loop_does():
         entries = cluster_entries(w, Z, G, a.tols, scale)
         for k, positive in ((0, True), (1, False)):
             want = [e for e in entries if e[1] is positive]
-            values, forms, flags, dirs, owns = got[k], got[2 + k], got[4 + k], got[6 + k], got[8 + k]
+            values, flags, dirs, owns = got[k], got[2 + k], got[4 + k], got[6 + k]
             assert values.tolist() == [e[0] for e in want]
-            assert forms.tolist() == [e[2] for e in want]
             assert flags.tolist() == [e[3] for e in want]
             assert owns.tolist() == [e[4] is not None for e in want]
             cols = [e[4] for e in want if e[4] is not None]
