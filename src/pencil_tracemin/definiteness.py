@@ -33,7 +33,8 @@ spectrum itself does not say.  A pair's verdict is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,16 +76,16 @@ def _confirmed_side(lam_min, lower, upper, tols, tol):
     ``lower`` and ``upper`` is nonempty: a real spectrum of nonzero B has a
     typed value.
     """
-    lo = float(np.max(lower)) if lower.size else -np.inf
-    hi = float(np.min(upper)) if upper.size else np.inf
-    ends = [abs(x) for x in (lo, hi) if np.isfinite(x)]
+    lo = float(lower.max(initial=-np.inf))
+    hi = float(upper.min(initial=np.inf))
+    ends = [abs(x) for x in (lo, hi) if math.isfinite(x)]
     if lo > hi + tols.psd_tol * (1.0 + max(ends, default=0.0)):
         return None, None, None
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
-    if np.isfinite(lo) and np.isfinite(hi):
+    if math.isfinite(lo) and math.isfinite(hi):
         shift = 0.5 * (lo + hi)
-    elif np.isfinite(lo):
+    elif math.isfinite(lo):
         shift = lo + 1.0 + abs(lo)
     else:
         shift = hi - 1.0 - abs(hi)
@@ -103,7 +104,7 @@ def _lam_min(d: np.ndarray, e: float, shifted, tol: float) -> float:
     this is eigvalsh(H)[0].  A shift t*J moves only the diagonal of H, so
     the caller takes e once per pair, not once per shift.
     """
-    low = float(np.min(d))
+    low = float(d.min())
     if low - e >= -tol or low < -tol:
         return low - e
     return float(eigvalsh(shifted())[0])
@@ -122,12 +123,12 @@ def _definiteness_from_spectrum(analysis: PairAnalysis) -> DefinitenessReport:
     """
     A, j, tols = analysis.A_fin, analysis.j, analysis.tols
     # |J|_F = sqrt(m): each entry of j is +1 or -1.
-    tol = tols.psd_tol * (1.0 + float(np.linalg.norm(A) + np.sqrt(len(j))))
+    tol = tols.psd_tol * (1.0 + float(np.linalg.norm(A) + math.sqrt(len(j))))
     if analysis.has_complex:
         return DefinitenessReport(False, False, None, None, tolerance=tol)
-    a = np.real(np.diagonal(A))
+    a = A.diagonal().real
     off = A.copy()
-    np.fill_diagonal(off, 0.0)
+    off.flat[:: len(off) + 1] = 0.0
     e = float(np.linalg.norm(off))
     pos, neg = analysis.pos_values, analysis.neg_values
     psd_itv, psd_t, psd_f = _confirmed_side(
@@ -177,11 +178,15 @@ def _with_infinite_sign(analysis: PairAnalysis, rep: DefinitenessReport):
     sign = analysis.infinite_sign
     psd = rep.is_psd_pair and sign in (INF_NONE, INF_PLUS)
     nsd = rep.is_nsd_pair and sign in (INF_NONE, INF_MINUS)
-    return replace(
-        rep,
+    return DefinitenessReport(
         is_psd_pair=psd,
         is_nsd_pair=nsd,
         psd_interval=rep.psd_interval if psd else None,
         nsd_interval=rep.nsd_interval if nsd else None,
+        psd_shift=rep.psd_shift,
+        psd_lam_min=rep.psd_lam_min,
+        nsd_shift=rep.nsd_shift,
+        nsd_lam_min=rep.nsd_lam_min,
+        tolerance=rep.tolerance,
     )
 

@@ -71,6 +71,7 @@ leaves no finite part: the spectrum of a chained pair is untyped
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -149,11 +150,11 @@ def _shift(lo, hi, margin):
     |end| + margin."""
     if not lo < hi:
         return None
-    if np.isfinite(lo) and np.isfinite(hi):
+    if math.isfinite(lo) and math.isfinite(hi):
         return 0.5 * (lo + hi)
-    if np.isfinite(lo):
+    if math.isfinite(lo):
         return lo + abs(lo) + margin
-    if np.isfinite(hi):
+    if math.isfinite(hi):
         return hi - abs(hi) - margin
     return None
 
@@ -253,16 +254,16 @@ def _pencil_solve(A, B, a_norm):
     nothing for the cut.  ``a_norm`` is |A|_F, which sets the margin of a
     half-line shift.  L⁻¹ is triangular and taken by ``_tri_inv``.
     """
-    a, b = np.real(A.diagonal()), np.real(B.diagonal())
-    margin = (a_norm or 1.0) / (float(np.max(np.abs(b))) or 1.0)
+    a, b = A.diagonal().real, B.diagonal().real
+    margin = (a_norm or 1.0) / (float(abs(b).max()) or 1.0)
     # A ratio may overflow; the Cholesky at an infinite shift then fails.
     with np.errstate(over="ignore"):
         below, above = b < 0, b > 0
         low, high, free = a[below] / b[below], a[above] / b[above], a[b == 0]
         for s in (1.0, -1.0):
-            lo = float(np.max(s * low, initial=-np.inf))
-            hi = float(np.min(s * high, initial=np.inf))
-            if not lo < hi or np.any(s * free <= 0):
+            lo = float((s * low).max(initial=-np.inf))
+            hi = float((s * high).min(initial=np.inf))
+            if not lo < hi or (s * free <= 0).any():
                 continue
             L = _factor(A, B, s, _shift(lo, hi, margin))
             if L is None:
@@ -272,35 +273,55 @@ def _pencil_solve(A, B, a_norm):
             if L is not None:
                 L, t = L
                 Li = _tri_inv(L)
-                mu, Y = np.linalg.eigh(Li @ B @ Li.conj().T)
-                return s, t, mu, Li.conj().T @ Y
+                LiH = Li.conj().T
+                mu, Y = np.linalg.eigh(Li @ B @ LiH)
+                return s, t, mu, LiH @ Y
     return None
 
 
-def _typed_solve(s, t, mu, X, tols):
-    """The typed columns of a pencil solve, or None when a guard sends it on.
+def _typed_fields(s, t, mu, X, tols, route, F=None):
+    """The fields of ``PairAnalysis`` from the typed ones to ``route`` of a
+    pencil solve (s, t, μ, X), or None when a guard sends the solve on.
 
     With λ = s·(t + 1/μ) the guards reject an eigenvalue within
     sqrt(type_tol)·(|λ|_2 + |t|) of s·t, since |λ - s·t| = 1/|μ|, and two
     eigenvalues within the cluster rule's type_tol·max|λ| + rank_tol·|λ|_2.
-    Returns (λ, sign μ, X / sqrt|μ|), ascending in λ.
+    Each λ has type sign μ and the direction x / sqrt|μ| for its column x
+    of X, mapped by F into the pair's coordinates when F is given.  The
+    directions are gathered from X once, the +1 columns, then the -1
+    columns, each ascending in λ: the ascending order and the stable sort
+    by sign are composed into one permutation, and each type's values and
+    directions are slices.  Returns (fields, those directions, their
+    signs).
     """
     # A value may overflow; the first guard then rejects it.
     with np.errstate(over="ignore"):
         lam = s * (t + 1.0 / mu)
-        scale = float(np.linalg.norm(lam))
+        scale = math.sqrt(lam @ lam)
+        am = abs(mu)
         # |λ - s·t| = 1/|μ|: the eigenvalue nearest the shift has the largest |μ|.
-        if np.max(np.abs(mu)) * np.sqrt(tols.type_tol) * (scale + abs(t)) >= 1.0:
+        if am.max() * math.sqrt(tols.type_tol) * (scale + abs(t)) >= 1.0:
             return None
-        order = np.argsort(lam)
-        lam, mu = lam[order], mu[order]
-        gap = tols.type_tol * float(np.max(np.abs(lam))) + tols.rank_tol * scale
-        if np.any(np.diff(lam) <= gap):
+        order = lam.argsort()
+        lam = lam[order]
+        gap = tols.type_tol * float(abs(lam).max()) + tols.rank_tol * scale
+        if (lam[1:] - lam[:-1] <= gap).any():
             return None
-    return lam, np.sign(mu), X[:, order] / np.sqrt(np.abs(mu))
+    plus = mu[order] > 0
+    by_sign = (~plus).argsort(kind="stable")
+    perm = order[by_sign]
+    T = X[:, perm] / np.sqrt(am[perm])
+    if F is not None:
+        T = F @ T
+    lam, k, m = lam[by_sign], int(plus.sum()), len(lam)
+    # No Jordan copy, and every entry owns its direction.
+    jordan = np.zeros(m, dtype=bool)
+    owns = ~jordan
+    fields = (lam[:k], lam[k:], jordan[:k], jordan[k:], T[:, :k], T[:, k:], owns[:k], owns[k:])
+    return (*fields, (), False, (), route), T, np.sign(mu[perm])
 
 
-def _definite_spectrum(A, B, tols, a_norm, b_norm):
+def _definite_spectrum(A, B, tols, a_norm, b_norm, route, F=None):
     """Solve a definite pencil (A, B) by one Cholesky and one eigh; a_norm and
     b_norm are |A|_F and |B|_F, which the caller already holds.
 
@@ -341,7 +362,7 @@ def _definite_spectrum(A, B, tols, a_norm, b_norm):
     eigenvalue is σ_min(L)² >= 1 / |L⁻¹|_F², so γ >= 1 / (|L⁻¹|_F² ·
     sqrt(1 + t²)), at no cost.
 
-    The guards (``_typed_solve``) are stated in the frame X that the solve
+    The guards (``_typed_fields``) are stated in the frame X that the solve
     builds: there the finite part X^H A X = diag(sign μ · λ) has Frobenius
     norm |λ|_2 in whichever coordinates the routine ran, and every B-form
     is exactly ±1.  The solve is sent on when it shows a case that
@@ -354,19 +375,21 @@ def _definite_spectrum(A, B, tols, a_norm, b_norm):
     B, with no ``1 +`` floor, so neither the route nor the types depend on
     how the pair is scaled.
 
-    Returns (typed, rejected).  typed is (λ, sign μ, X, γ bound), ascending
-    in λ, the columns of X the directions, or None.  rejected is the solve
-    of ``_pencil_solve`` when B failed the certificate, which the B-frame
-    route reads instead of solving again (``_kept_spectrum``), else None.
+    Returns (typed, rejected).  typed is (fields, directions, signs, γ
+    bound), the first three those of ``_typed_fields`` to ``route``, with F
+    mapping the directions into the pair's coordinates, or None.  rejected
+    is the solve of ``_pencil_solve`` when B failed the certificate, which
+    the B-frame route reads instead of solving again (``_kept_spectrum``),
+    else None.
     """
     solve = _pencil_solve(A, B, a_norm)
     if solve is None:
         return None, None
     s, t, mu, X = solve
-    li2 = float(np.sum(np.abs(X) ** 2))  # |L⁻¹|_F², as Y is unitary
-    if np.min(np.abs(mu)) <= tols.rank_tol * b_norm * li2:
+    li2 = float(np.vdot(X, X).real)  # |L⁻¹|_F², as Y is unitary
+    if abs(mu).min() <= tols.rank_tol * b_norm * li2:
         return None, solve
-    typed = _typed_solve(s, t, mu, X, tols)
+    typed = _typed_fields(s, t, mu, X, tols, route, F)
     if typed is None:
         return None, None
     return (*typed, 1.0 / (li2 * float(np.hypot(1.0, t)))), None
@@ -389,7 +412,7 @@ def _kept_spectrum(solve, A, B, j, D, null_dims, tols, b_norm):
     must be at most rank_tol·|B|_F.  The rest are M-orthogonal to N(B), as
     the finite frame R + N K of the split is, so they are the finite
     part's directions, less their component in D; their μ must have the
-    signs of j and pass ``_typed_solve``.  b_norm is |B|_F.
+    signs of j and pass the guards of ``_typed_fields``.  b_norm is |B|_F.
     """
     s, t, mu, X = solve
     trace = float(np.real(s * np.trace(A) - t * np.trace(B)))
@@ -405,22 +428,8 @@ def _kept_spectrum(solve, A, B, j, D, null_dims, tols, b_norm):
     if np.sum(mu[fin] > 0) != np.sum(j > 0):
         return None
     x = X[:, fin] - D @ (D.conj().T @ X[:, fin])
-    typed = _typed_solve(s, t, mu[fin], x, tols)
-    if typed is None:
-        return None
-    return _cholesky_fields(*typed, "frame-cholesky")[0]
-
-
-def _cholesky_fields(lam, sign, X, route):
-    """The fields of ``PairAnalysis`` from the typed ones to ``route`` of a
-    pencil solved by Cholesky: values lam ascending, of types ``sign``, and
-    directions X in the pair's coordinates.  The directions are gathered
-    once, the +1 columns, then the -1 columns, each ascending in value.
-    Returns (fields, those directions, their signs)."""
-    plus, none = sign > 0, np.zeros(len(lam), dtype=bool)
-    order = np.argsort(~plus, kind="stable")
-    T = X[:, order]
-    return (*_by_type(plus, lam, none, ~none, T), (), False, (), route), T, sign[order]
+    typed = _typed_fields(s, t, mu[fin], x, tols, "frame-cholesky")
+    return None if typed is None else typed[0]
 
 
 def _by_type(plus, values, jordan, owns, T):
@@ -428,9 +437,10 @@ def _by_type(plus, values, jordan, owns, T):
     entries in one ascending order, ``plus`` marking the positive ones; T
     holds the directions of the positive entries that ``owns`` marks, then
     of the negative ones, so each type's are a slice of T."""
-    k = int(np.sum(plus & owns))
-    return (*(x[side] for x in (values, jordan) for side in (plus, ~plus)),
-            T[:, :k], T[:, k:], owns[plus], owns[~plus])
+    minus = ~plus
+    k = int((plus & owns).sum())
+    return (values[plus], values[minus], jordan[plus], jordan[minus],
+            T[:, :k], T[:, k:], owns[plus], owns[minus])
 
 
 def _conjugate_blocks(A, w, Z, G, cidx, tols):
@@ -493,10 +503,11 @@ def _finite_spectrum(A, j, F, tols, a_norm):
     Returns the fields of ``PairAnalysis`` from the typed ones to ``route``.
     """
     # |J|_F = sqrt(m), as each entry of j is +1 or -1.
-    solved, _ = _definite_spectrum(A, np.diag(j), tols, a_norm, float(np.sqrt(len(j))))
+    solved, _ = _definite_spectrum(
+        A, np.diag(j), tols, a_norm, math.sqrt(len(j)), "frame-cholesky", F
+    )
     if solved is not None:
-        lam, sign, X, _ = solved
-        return _cholesky_fields(lam, sign, F @ X, "frame-cholesky")[0]
+        return solved[0]
     # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
     scale = a_norm or 1.0
     w, Z = np.linalg.eig(j[:, None] * A)
@@ -656,12 +667,13 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     A = pair.A.entries
     # "A vanishes on N(B)" relative to A alone: no scale of B or of the pair moves it.
     null_tol = tols.rank_tol * pair.A.fro
-    solved, rejected = _definite_spectrum(A, pair.B.entries, tols, pair.A.fro, pair.B.fro)
+    solved, rejected = _definite_spectrum(
+        A, pair.B.entries, tols, pair.A.fro, pair.B.fro, "pair-cholesky"
+    )
     if solved is not None:
-        lam, sign, X, crawford = solved
-        spectrum, W, j = _cholesky_fields(lam, sign, X, "pair-cholesky")
+        spectrum, W, j, crawford = solved
         M = W.conj().T @ A @ W
-        n_plus = int(np.sum(j > 0))
+        n_plus = len(spectrum[0])
         return PairAnalysis(
             tols, pair, 0, Inertia(n_plus, 0, len(j) - n_plus), W, j, null_tol, np.zeros(0),
             np.zeros((0, 0)), np.zeros((0, len(j))), (M + M.conj().T) / 2.0, *spectrum, crawford,

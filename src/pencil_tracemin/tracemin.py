@@ -11,6 +11,7 @@ congruent-diagonalizable, and diagnose the divergence mechanism otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,8 +132,9 @@ def _proportional(M: HermitianMatrix, N: HermitianMatrix, tol: float) -> float |
     denom = N.fro ** 2
     if denom == 0:
         return None
-    mu = float(np.real(np.vdot(N.entries, M.entries)) / denom)
-    residual = np.linalg.norm(M.entries - mu * N.entries)
+    mu = float(np.vdot(N.entries, M.entries).real / denom)
+    R = M.entries - mu * N.entries
+    residual = math.sqrt(np.vdot(R, R).real)
     return mu if residual <= tol * max(M.fro, 1e-300) else None
 
 
@@ -336,12 +338,13 @@ def _per_matrix(values: np.ndarray):
 def _objective(problem: ProblemInstance, X: np.ndarray):
     """trace(Ahat X^H A X); an array of traces for a (K, n, nhat) stack of X.
 
-    Summed as sum((Ahat X^H) * (A X)^T): two products, no third for the trace.
+    Summed as sum(conj(X) * (A X Ahat)), since trace(X^H M) is the sum of
+    conj(X) * M: two products, no third for the trace and no transposed
+    copy of X.  A stack takes them sample by sample.
     """
     A = problem.pair.A.entries
     Ah = problem.hat_pair.A.entries
-    P = Ah @ X.conj().swapaxes(-1, -2)
-    return _per_matrix(np.real(np.sum(P * (A @ X).swapaxes(-1, -2), axis=(-2, -1))))
+    return _per_matrix((X.conj() * (A @ X @ Ah)).sum(axis=(-2, -1)).real)
 
 
 def _constraint_gap(problem: ProblemInstance, X: np.ndarray) -> np.ndarray:
@@ -352,8 +355,9 @@ def _constraint_gap(problem: ProblemInstance, X: np.ndarray) -> np.ndarray:
 
 
 def feasibility_residual(problem: ProblemInstance, X: np.ndarray):
-    """||Bhat X^H B X - I||_2; an array of residuals for a stack of X."""
-    return _per_matrix(np.linalg.norm(_constraint_gap(problem, X), 2, axis=(-2, -1)))
+    """||Bhat X^H B X - I||_2, the first (largest) singular value; an array
+    of residuals for a stack of X."""
+    return _per_matrix(np.linalg.svd(_constraint_gap(problem, X), compute_uv=False)[..., 0])
 
 
 def _max_feasibility_residual(G: np.ndarray) -> float:
@@ -376,7 +380,7 @@ def _max_feasibility_residual(G: np.ndarray) -> float:
         upper = np.sqrt(col.sum(axis=-1))
         lower = np.sqrt(np.maximum(col.max(axis=-1), row.max(axis=-1)))
     undecided = ~(upper < np.max(lower) * (1.0 - 1e-10))
-    return float(np.max(np.linalg.norm(G[undecided], 2, axis=(-2, -1))))
+    return float(np.linalg.svd(G[undecided], compute_uv=False)[:, 0].max())
 
 
 def _feasible_point(big: PairAnalysis, hat: PairAnalysis) -> np.ndarray:

@@ -82,8 +82,8 @@ def _sigma(family: WitnessFamily, t: float) -> float:
     if family.sigma_map == SIGMA_SQUARE:
         return float(t) ** 2
     # sigma^2 (1 + sigma^2) = t^4  =>  exact quadratic trend for the rotation
-    q = 0.5 * (np.sqrt(1.0 + 4.0 * t**4) - 1.0)
-    return float(np.sqrt(q))
+    q = 0.5 * (math.sqrt(1.0 + 4.0 * t**4) - 1.0)
+    return math.sqrt(q)
 
 
 def evaluate_witness(family: WitnessFamily, t: float):
@@ -91,7 +91,7 @@ def evaluate_witness(family: WitnessFamily, t: float):
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative")
     s = _sigma(family, t)
-    X = family.x_base + (np.sqrt(1.0 + s * s) - 1.0) * family.d_cosh + s * family.d_sinh
+    X = family.x_base + (math.sqrt(1.0 + s * s) - 1.0) * family.d_cosh + s * family.d_sinh
     return X, _objective(family.problem, X)
 
 
@@ -129,7 +129,7 @@ def certify_unbounded(
     if family.slope >= 0:
         raise CertificationFailedError("family has nonnegative slope")
     need = threshold - family.offset
-    t_star = 0.0 if need >= 0 else float(np.sqrt(need / family.slope))
+    t_star = 0.0 if need >= 0 else math.sqrt(need / family.slope)
     t = t_star * T_STAR_MARGIN + T_FLOOR
     for _ in range(T_TRIES):
         if t > t_max:
@@ -159,36 +159,38 @@ def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
     ``big`` and ``hat`` are the (+1 directions, -1 directions) matrices of
     each pair and ``rot`` is (p, m, phat, mhat, u, w), as in
     ``_rotation_witness``: columns of those matrices (phat or mhat is None
-    for a padded hat value).  The other hat columns map, in order, to the
-    unreserved big columns of the same type.
+    for a padded hat value).  x_base = X(0) = L R^H, with R the hat
+    directions, the +1 columns then the -1 columns, and L their images in
+    the same order: phat maps to p and mhat to w m, by the phase conj(w) on
+    mhat's column of R, and the other hat columns map, in order, onto the
+    unreserved big columns of the same type.  On the plane, the rotation
+    maps the columns (phat, mhat) of R to (p, m) times [[c, s conj(u)],
+    [s u, c]], so d_cosh and d_sinh are (p, m) times the identity and
+    [[0, conj(u)], [u, 0]] against those of the two columns that exist.
     """
     p, m, phat, mhat, u, w = rot
-    L, R = [], []  # x_base = L R^H, big directions against hat directions
+    images = []
     for hat_dirs, big_dirs, hat_col, big_col in zip(hat, big, (phat, mhat), (p, m)):
-        hat_cols = np.delete(np.arange(hat_dirs.shape[1]), [] if hat_col is None else hat_col)
-        big_cols = np.delete(np.arange(big_dirs.shape[1]), big_col)
-        if len(hat_cols) > len(big_cols):
+        cols = [k for k in range(big_dirs.shape[1]) if k != big_col]
+        if hat_dirs.shape[1] - (hat_col is not None) > len(cols):
             raise NoWitnessConstructibleError("insufficient directions for assignment")
-        L.append(big_dirs[:, big_cols[: len(hat_cols)]])
-        R.append(hat_dirs[:, hat_cols])
-
-    # d_cosh and d_sinh take the k <= 2 rotated hat directions: n x k by k x nhat.
-    cosh_cols, sinh_cols, rotated = [], [], []
-    p_dir, m_dir = big[0][:, p], big[1][:, m]
-    for hat_dirs, hat_col, cosh_dir, sinh_dir, a_cosh, a_sinh in (
-        (hat[0], phat, p_dir, m_dir, 1.0, u), (hat[1], mhat, m_dir, p_dir, w, w * u.conjugate())
-    ):
         if hat_col is not None:
-            rotated.append(hat_dirs[:, hat_col])
-            cosh_cols.append(a_cosh * cosh_dir)
-            sinh_cols.append(a_sinh * sinh_dir)
-    L += cosh_cols
-    R += rotated
-    Hr = np.array(rotated, dtype=complex).reshape(-1, problem.nhat).conj()
-    d_cosh, d_sinh = (np.array(cols, dtype=complex).reshape(-1, problem.n).T @ Hr
-                      for cols in (cosh_cols, sinh_cols))
+            cols.insert(hat_col, big_col)
+        images.append(big_dirs[:, cols[: hat_dirs.shape[1]]])
+    R = np.concatenate(hat, axis=1)
+    present, rotated = [], []  # columns of the plane (p, m) and those of R rotated onto them
+    for k, (col, start) in enumerate(zip((phat, mhat), (0, hat[0].shape[1]))):
+        if col is not None:
+            present.append(k)
+            rotated.append(start + col)
+    if mhat is not None:
+        R[:, rotated[-1]] *= w.conjugate()
+    x_base = np.concatenate(images, axis=1) @ R.conj().T
 
-    x_base = np.column_stack(L) @ np.column_stack(R).conj().T
+    plane = np.concatenate((big[0][:, [p]], big[1][:, [m]]), axis=1)
+    Hr = R[:, rotated].conj().T
+    d_cosh = plane[:, present] @ Hr
+    d_sinh = (plane[:, ::-1] * (u, u.conjugate()))[:, present] @ Hr
     return _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh)
 
 
@@ -210,8 +212,8 @@ def _gap_extremes(xs, ys, nx, ny):
     """
     ends = []
     for a, b in ((xs[:nx], ys), (xs, ys[:ny])):
-        if len(a) and len(b):
-            ends += [(np.argmin(a), np.argmax(b)), (np.argmax(a), np.argmin(b))]
+        if a.size and b.size:
+            ends += [(a.argmin(), b.argmax()), (a.argmax(), b.argmin())]
     gaps = [(float(xs[i] - ys[k]), int(i), int(k)) for i, k in ends]
     return (min(gaps, key=itemgetter(0)), max(gaps, key=itemgetter(0))) if gaps else ()
 
@@ -228,7 +230,7 @@ def _planes(blocks, pos, neg, pads=(0, 0)):
     plane is steeper.
     """
     n_pos, n_neg = len(pos), len(neg)
-    pos, neg = (np.concatenate([v, np.zeros(k)]) for v, k in zip((pos, neg), pads))
+    pos, neg = (np.concatenate([v, np.zeros(k)]) if k else v for v, k in zip((pos, neg), pads))
     planes = [
         (i if i < n_pos else None, k if k < n_neg else None, float(pos[i]), 0j, -float(neg[k]))
         for _, i, k in _gap_extremes(pos, neg, n_pos, n_neg)

@@ -1,0 +1,94 @@
+"""A ratchet on the Python-level calls the library makes per operation.
+
+The kernel-count tests see every LAPACK call, but not the wrappers,
+temporaries and small numpy calls around them, which set the latency at
+small orders.  ``library_calls`` counts, with ``sys.setprofile``, every
+call event whose caller frame is in ``pencil_tracemin`` and every call of a
+builtin (``c_call``) made from such a frame: the calls the library makes,
+not those numpy makes inside itself.  The counts repeat exactly from run to
+run for a given interpreter and numpy.  Each budget is the count measured
+when it was set (Python 3.11, numpy 2.4) plus 5 %.  A change that adds work
+without adding a kernel call fails here; one that removes calls lowers the
+budget to its new count plus 5 %.
+"""
+
+import contextlib
+import io
+import os
+import sys
+
+import numpy as np
+import pytest
+
+import pencil_tracemin as pt
+from pencil_tracemin.cli import main
+from pencil_tracemin.matcore import save_problem
+from pencil_tracemin.tracemin import infimum
+from pencil_tracemin.witness import build_witness, certify_unbounded
+
+from conftest import diag_problem, golden_hat_matrix
+
+PACKAGE = os.path.dirname(pt.__file__) + os.sep
+
+
+def library_calls(operation):
+    """The calls made from library frames while ``operation()`` runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            caller = frame.f_back
+            if caller is not None and caller.f_code.co_filename.startswith(PACKAGE):
+                count += 1
+        elif event == "c_call" and frame.f_code.co_filename.startswith(PACKAGE):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        operation()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def within_budget(operation, budget):
+    """The call count of ``operation``'s second run, after one to warm caches;
+    the two runs make the same calls."""
+    first = library_calls(operation)
+    count = library_calls(operation)
+    assert count == first
+    assert count <= budget, f"{count} calls, budget {budget}"
+
+
+@pytest.mark.parametrize("n, budget", [(20, 420), (80, 470)])
+def test_mixed_sign_chain_budget(n, budget):
+    # infimum -> build_witness -> certify_unbounded on the mixed-sign problem
+    # of test_infimum_witness_kernel_count, both pairs on the pair route.
+    rng = np.random.default_rng(n)
+    npl, nmi = n // 2, n - n // 2
+    prob = diag_problem(
+        rng.uniform(0.5, 2.0, npl), rng.uniform(-2.0, -0.5, nmi),
+        -rng.uniform(0.5, 2.0, npl), rng.uniform(0.5, 2.0, nmi), scramble=(n, n + 1),
+    )
+
+    def chain():
+        family = build_witness(prob, infimum(prob))
+        certify_unbounded(family, -1e6, 1e4)
+
+    within_budget(chain, budget)
+
+
+def test_verify_budget(tmp_path):
+    # `cli verify` of the golden problem with 200 samples, one stacked block.
+    path = str(tmp_path / "golden.json")
+    save_problem(path, pt.problem_from_arrays(
+        np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), golden_hat_matrix(), np.diag([1.0, -1.0])
+    ))
+
+    def verify():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--json", "verify", path, "--samples", "200"]) == 0
+
+    within_budget(verify, 662)

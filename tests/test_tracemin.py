@@ -817,6 +817,30 @@ def test_stacked_sample_matches_per_generator_draw(make):
         assert residuals[k] <= 1e-8 and pt.feasibility_residual(prob, X) <= 1e-8
 
 
+@pytest.mark.parametrize("n, nhat", [(2, 1), (20, 13), (80, 57)])
+def test_products_give_one_x_what_they_give_a_one_sample_stack(n, nhat):
+    # The objective and the constraint gap of one X equal those of the same X
+    # passed as a stack of one, and those of the products as written.
+    rng = np.random.default_rng(n)
+    pair = pt.pair_from_arrays(rand_hermitian(rng, n), rand_hermitian(rng, n))
+    hat = pt.pair_from_arrays(rand_hermitian(rng, nhat), rand_hermitian(rng, nhat))
+    prob = pt.ProblemInstance(pair=pair, hat_pair=hat)
+    X = rng.standard_normal((n, nhat)) + 1j * rng.standard_normal((n, nhat))
+    Xh = X.conj().T
+    trace = pt.tracemin._objective(prob, X)
+    stacked = pt.tracemin._objective(prob, X[None])
+    reference = np.trace(hat.A.entries @ Xh @ pair.A.entries @ X).real
+    assert isinstance(trace, float) and stacked.shape == (1,)
+    for value in (trace, stacked[0]):
+        assert abs(value - reference) <= 1e-13 * abs(reference)
+    gap = pt.tracemin._constraint_gap(prob, X)
+    stacked = pt.tracemin._constraint_gap(prob, X[None])
+    reference = hat.B.entries @ Xh @ pair.B.entries @ X - np.eye(nhat)
+    assert gap.shape == (nhat, nhat) and stacked.shape == (1, nhat, nhat)
+    for value in (gap, stacked[0]):
+        assert np.linalg.norm(value - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
 @stacked_problems
 def test_stacked_sample_prefix_and_split(make):
     # Sample k does not depend on how many samples are drawn, nor on where a

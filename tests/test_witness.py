@@ -13,11 +13,15 @@ from pencil_tracemin.witness import (
     COMPLEX_BLOCK_SLOPE,
     INFINITE_BLOCK_RAY,
     MIXED_SIGN_SLOPE,
+    SIGMA_IDENTITY,
     T_GROWTH,
+    _finish_family,
+    _gap_extremes,
     build_witness,
     certify_unbounded,
     evaluate_witness,
 )
+from pencil_tracemin.witness import _sides as side_matrices
 
 from conftest import count_eigen_kernels, diag_problem, k2_pair, pencil_solves
 
@@ -87,6 +91,79 @@ def _sides(analysis):
 def _padded(typed, count):
     """(value, is_real) items of a hat list padded with zeros to ``count``."""
     return [(v, True) for _, v in typed] + [(0.0, False)] * (count - len(typed))
+
+
+def test_gap_extremes_takes_the_first_of_tied_items():
+    xs, ys = np.array([1.0, 3.0, 3.0, 1.0]), np.array([2.0, 0.0, 2.0, 0.0])
+    assert _gap_extremes(xs, ys, 4, 4) == ((-1.0, 0, 0), (3.0, 1, 1))
+
+
+@pytest.mark.parametrize("xs, ys, nx, ny, want", [
+    # A padded zero on the x side gives the least gap, one on the y side the greatest.
+    ([2.0, 0.0], [1.0, 0.0], 1, 1, ((-1.0, 1, 0), (2.0, 0, 1))),
+    # Only the y side is padded: a real x meets a padded zero.
+    ([-1.0, 4.0], [0.5, 0.0, 0.0], 2, 1, ((-1.5, 0, 0), (4.0, 1, 1))),
+    # Only the x side is padded, and every real y lies above its zeros.
+    ([0.0, 0.0], [1.0, 2.0], 0, 2, ((-2.0, 0, 1), (-1.0, 0, 0))),
+])
+def test_gap_extremes_pairs_padded_zeros_with_real_items(xs, ys, nx, ny, want):
+    xs, ys = np.array(xs), np.array(ys)
+    got = _gap_extremes(xs, ys, nx, ny)
+    assert got == want
+    # Brute force over the pairs with a real item on at least one side.
+    gaps = [xs[i] - ys[k] for i in range(len(xs)) for k in range(len(ys)) if i < nx or k < ny]
+    assert (got[0][0], got[1][0]) == (min(gaps), max(gaps))
+
+
+@pytest.mark.parametrize("xs, ys, nx, ny", [
+    ([0.0, 0.0], [0.0], 0, 0),  # two padded zeros make no gap
+    ([], [1.0, 2.0], 0, 2),
+    ([1.0], [], 1, 0),
+])
+def test_gap_extremes_is_empty_without_a_gap(xs, ys, nx, ny):
+    assert _gap_extremes(np.array(xs), np.array(ys), nx, ny) == ()
+
+
+def _assignment_problem():
+    """A mixed-sign problem with nhat < n, whose pairs' +1/-1 direction matrices
+    are returned as (problem, big, hat)."""
+    prob = diag_problem([1.0, 2.0, 3.0], [-1.0, -2.0], [-1.5, -0.5], [2.5], scramble=(3, 4))
+    res = infimum(prob)
+    big = tuple(d for _, d in side_matrices(res.analysis))
+    hat = tuple(d for _, d in side_matrices(res.hat_analysis))
+    return prob, big, hat
+
+
+@pytest.mark.parametrize("rot", [
+    (2, 1, 1, 0, 1.0, -1.0),  # both hat columns rotate; the phase w on mhat's image
+    (0, 1, None, 0, 1.0, 1.0),  # a padded +1 hat value: every +1 hat column is static
+])
+def test_finish_family_base_is_the_static_assignment(rot):
+    # x_base = L R^H: the hat columns, +1 then -1 and each in order, against
+    # their images; phat maps to p and mhat to w m, and the other hat columns
+    # map in order onto the big columns of their type that p and m leave.
+    prob, big, hat = _assignment_problem()
+    p, m, phat, mhat, u, w = rot
+    images, R = [], np.hstack(hat)
+    for big_dirs, hat_dirs, big_col, hat_col in zip(big, hat, (p, m), (phat, mhat)):
+        free = iter(k for k in range(big_dirs.shape[1]) if k != big_col)
+        images += [big_dirs[:, big_col if c == hat_col else next(free)] for c in range(hat_dirs.shape[1])]
+    R[:, hat[0].shape[1] + mhat] *= np.conj(w)
+    L = np.column_stack(images)
+    fam = _finish_family(MIXED_SIGN_SLOPE, prob, big, hat, rot, -1.0, SIGMA_IDENTITY)
+    assert np.array_equal(fam.x_base, L @ R.conj().T)
+    X, _ = evaluate_witness(fam, 0.0)
+    assert np.array_equal(X, fam.x_base)
+    assert fam.offset == pt.tracemin._objective(prob, fam.x_base)
+
+
+def test_finish_family_needs_a_big_column_for_each_static_hat_column():
+    # Four +1 hat columns, one of them rotated onto p, leave three static ones
+    # for the two +1 big columns that p does not take.
+    prob, big, hat = _assignment_problem()
+    hat = (np.hstack([hat[0], hat[0]]), hat[1])
+    with pytest.raises(NoWitnessConstructibleError, match="^insufficient directions for assignment$"):
+        _finish_family(MIXED_SIGN_SLOPE, prob, big, hat, (0, 0, 0, 0, 1.0, 1.0), -1.0, SIGMA_IDENTITY)
 
 
 def test_mixed_sign_slope_matches_brute_force():
