@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import eigvalsh
-from .spectral import INF_MINUS, INF_NONE, INF_PLUS, PairAnalysis
+from .spectral import INF_MINUS, INF_NONE, INF_PLUS, PairAnalysis, _shift
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,13 @@ class DefinitenessReport:
 def _confirmed_side(lam_min, lower, upper, tols, tol):
     """Interval [max lower, min upper] of shifts t with lam_min(t) >= 0, confirmed at one shift.
 
-    Returns (interval or None, confirming shift, lam_min there); the shift and
-    lam_min are None when the endpoints are out of order.  At least one of
-    ``lower`` and ``upper`` is nonempty: a real spectrum of nonzero B has a
-    typed value.
+    Endpoints crossed within psd_tol collapse to their midpoint, which is
+    then the shift; any other interval is confirmed at ``spectral._shift``
+    with margin 1.  Returns (interval or None, confirming shift, lam_min
+    there); the shift and lam_min are None when the endpoints are out of
+    order.  At least one of ``lower`` and ``upper`` is nonempty: a real
+    spectrum of nonzero B has a typed value, so the interval is never the
+    whole line.
     """
     lo = float(lower.max(initial=-np.inf))
     hi = float(upper.min(initial=np.inf))
@@ -83,12 +86,7 @@ def _confirmed_side(lam_min, lower, upper, tols, tol):
         return None, None, None
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
-    if math.isfinite(lo) and math.isfinite(hi):
-        shift = 0.5 * (lo + hi)
-    elif math.isfinite(lo):
-        shift = lo + 1.0 + abs(lo)
-    else:
-        shift = hi - 1.0 - abs(hi)
+    shift = lo if lo == hi else _shift(lo, hi, 1.0)
     f = lam_min(shift)
     return ((lo, hi) if f >= -tol else None), shift, f
 

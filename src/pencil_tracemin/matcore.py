@@ -347,18 +347,16 @@ def load_problem(path, tols: ToleranceSet = DEFAULT_TOLS) -> ProblemInstance:
     )
 
 
-def save_pair(path, pair: MatrixPair) -> None:
-    obj = {"A": matrix_to_json(pair.A.entries), "B": matrix_to_json(pair.B.entries)}
+def _save_matrices(path, names, matrices):
+    obj = {k: matrix_to_json(M.entries) for k, M in zip(names, matrices)}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj))
+
+
+def save_pair(path, pair: MatrixPair) -> None:
+    _save_matrices(path, ("A", "B"), (pair.A, pair.B))
 
 
 def save_problem(path, problem: ProblemInstance) -> None:
-    obj = {
-        "A": matrix_to_json(problem.pair.A.entries),
-        "B": matrix_to_json(problem.pair.B.entries),
-        "Ahat": matrix_to_json(problem.hat_pair.A.entries),
-        "Bhat": matrix_to_json(problem.hat_pair.B.entries),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj))
+    pair, hat = problem.pair, problem.hat_pair
+    _save_matrices(path, ("A", "B", "Ahat", "Bhat"), (pair.A, pair.B, hat.A, hat.B))

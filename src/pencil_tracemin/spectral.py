@@ -87,6 +87,12 @@ INF_MIXED = "mixed"
 INF_COUPLED = "coupled"
 
 
+def _apart(vals, type_tol, floor):
+    """The cluster rule on ascending values: whether each two neighbours lie
+    apart, their gap above type_tol·max|value| + floor."""
+    return vals[1:] - vals[:-1] > type_tol * float(abs(vals).max(initial=0.0)) + floor
+
+
 def _cluster(w, Z, G, tols, scale):
     """Cluster the real eigenvalues w of J·Ã and type each cluster.
 
@@ -102,26 +108,26 @@ def _cluster(w, Z, G, tols, scale):
     its diagonal entry, all at once; its isotropic directions (B-form within
     type_tol of zero) pair up at its value as Jordan copies of both types, and
     an odd one left over takes its B-form's sign; neither owns a direction.
-    Returns (typed, complex indices), typed the arguments of ``_by_type``:
-    clusters ascending, each its directions in eigh order, then its copies.
+    The Jordan-column test, max|G[:, k]| <= sqrt(type_tol), is taken once per
+    column, and both splits read it.
+    Returns (typed, complex indices), typed the leading arguments of
+    ``_by_type``: clusters ascending, each its directions in eigh order, then
+    its copies.
     """
     floor, split_tol = tols.rank_tol * scale, tols.type_tol * scale
-    root = np.sqrt(tols.type_tol)
+    null_col = np.max(np.abs(G), axis=0) <= np.sqrt(tols.type_tol)
     im = np.abs(w.imag)
     real = im <= tols.type_tol * np.abs(w) + floor
     split = np.flatnonzero(~real & (im <= split_tol))
-    if split.size:
-        real[split] = np.max(np.abs(G[:, split]), axis=0) <= root
+    real[split] = null_col[split]
     cidx = np.flatnonzero(~real)
     ridx = np.flatnonzero(real)
     ridx = ridx[np.argsort(w[ridx].real)]
     vals = w[ridx].real
-    gaps = np.diff(vals)
-    apart = gaps > tols.type_tol * float(np.max(np.abs(vals), initial=0.0)) + floor
-    near = np.flatnonzero(apart & (gaps <= split_tol))
-    if near.size:
-        jordan = np.max(np.abs(G[:, ridx]), axis=0) <= root
-        apart[near] = ~(jordan[near] & jordan[near + 1])
+    apart = _apart(vals, tols.type_tol, floor)
+    near = np.flatnonzero(apart & (vals[1:] - vals[:-1] <= split_tol))
+    null_col = null_col[ridx]
+    apart[near] = ~(null_col[near] & null_col[near + 1])
     # A cluster's entries take its places in vals; a larger one is rewritten from its eigh.
     X, forms = Z[:, ridx], np.real(G.diagonal()[ridx])
     values, jordan = vals.copy(), np.zeros(len(vals), dtype=bool)
@@ -147,7 +153,8 @@ def _cluster(w, Z, G, tols, scale):
 def _shift(lo, hi, margin):
     """A shift inside the interval (lo, hi), or None when it is empty or the
     whole line: its midpoint, or beyond the finite end of a half-line by
-    |end| + margin."""
+    |end| + margin.  The shift rule of both the pencil solve and the
+    definiteness confirmation (margin 1)."""
     if not lo < hi:
         return None
     if math.isfinite(lo) and math.isfinite(hi):
@@ -290,9 +297,8 @@ def _typed_fields(s, t, mu, X, tols, route, F=None):
     of X, mapped by F into the pair's coordinates when F is given.  The
     directions are gathered from X once, the +1 columns, then the -1
     columns, each ascending in λ: the ascending order and the stable sort
-    by sign are composed into one permutation, and each type's values and
-    directions are slices.  Returns (fields, those directions, their
-    signs).
+    by sign are composed into one permutation.  Returns (fields, those
+    directions, their signs), the fields those of ``_by_type``.
     """
     # A value may overflow; the first guard then rejects it.
     with np.errstate(over="ignore"):
@@ -304,21 +310,16 @@ def _typed_fields(s, t, mu, X, tols, route, F=None):
             return None
         order = lam.argsort()
         lam = lam[order]
-        gap = tols.type_tol * float(abs(lam).max()) + tols.rank_tol * scale
-        if (lam[1:] - lam[:-1] <= gap).any():
+        if not _apart(lam, tols.type_tol, tols.rank_tol * scale).all():
             return None
     plus = mu[order] > 0
-    by_sign = (~plus).argsort(kind="stable")
-    perm = order[by_sign]
+    perm = order[(~plus).argsort(kind="stable")]
     T = X[:, perm] / np.sqrt(am[perm])
     if F is not None:
         T = F @ T
-    lam, k, m = lam[by_sign], int(plus.sum()), len(lam)
     # No Jordan copy, and every entry owns its direction.
-    jordan = np.zeros(m, dtype=bool)
-    owns = ~jordan
-    fields = (lam[:k], lam[k:], jordan[:k], jordan[k:], T[:, :k], T[:, k:], owns[:k], owns[k:])
-    return (*fields, (), False, (), route), T, np.sign(mu[perm])
+    jordan = np.zeros(len(lam), dtype=bool)
+    return _by_type(plus, lam, jordan, ~jordan, T, route=route), T, np.sign(mu[perm])
 
 
 def _definite_spectrum(A, B, tols, a_norm, b_norm, route, F=None):
@@ -432,15 +433,17 @@ def _kept_spectrum(solve, A, B, j, D, null_dims, tols, b_norm):
     return None if typed is None else typed[0]
 
 
-def _by_type(plus, values, jordan, owns, T):
-    """The typed fields of ``PairAnalysis`` (pos_* before neg_* of each) from
-    entries in one ascending order, ``plus`` marking the positive ones; T
-    holds the directions of the positive entries that ``owns`` marks, then
-    of the negative ones, so each type's are a slice of T."""
+def _by_type(plus, values, jordan, owns, T, complex_values=(), defect=False, blocks=(),
+             route=None):
+    """The 12 fields of ``PairAnalysis`` from ``pos_values`` to ``route``, the
+    typed ones (pos_* before neg_* of each) from entries in one ascending
+    order, ``plus`` marking the positive ones; T holds the directions of the
+    positive entries that ``owns`` marks, then of the negative ones, so each
+    type's are a slice of T.  Every route's fields are assembled here."""
     minus = ~plus
     k = int((plus & owns).sum())
     return (values[plus], values[minus], jordan[plus], jordan[minus],
-            T[:, :k], T[:, k:], owns[plus], owns[minus])
+            T[:, :k], T[:, k:], owns[plus], owns[minus], complex_values, defect, blocks, route)
 
 
 def _conjugate_blocks(A, w, Z, G, cidx, tols):
@@ -485,6 +488,10 @@ def _conjugate_blocks(A, w, Z, G, cidx, tols):
             c1, c2 = (x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0)
             alpha = float(np.real(c1.conj() @ (A @ c1)))
             beta = float(np.imag(c2.conj() @ (A @ c1)))
+            # With Ã x = conj(λ) J x, Ã y = λ J y (Im λ > 0) and y^H J x = 1,
+            # x^H Ã x = y^H Ã y = 0 and y^H Ã x = conj(λ), so c2^H Ã c1 =
+            # (λ - conj(λ)) / 2 = i Im λ: beta > 0 exactly, and only
+            # roundoff can flip its sign.
             if beta < 0:
                 c2, beta = -c2, -beta
             blocks.append((c1, c2, alpha, beta))
@@ -500,7 +507,7 @@ def _finite_spectrum(A, j, F, tols, a_norm):
     definite one that its guard sends on, by one standard eigensolve of J·Ã,
     as J² = I: J Ã z = λJz iff Ã z = λJz, typed by ``_cluster``.  F maps the finite part's
     coordinates into the pair's, where the directions are returned.
-    Returns the fields of ``PairAnalysis`` from the typed ones to ``route``.
+    Returns the 12 fields of ``_by_type``.
     """
     # |J|_F = sqrt(m), as each entry of j is +1 or -1.
     solved, _ = _definite_spectrum(
@@ -517,7 +524,7 @@ def _finite_spectrum(A, j, F, tols, a_norm):
     blocks = tuple((F @ c1, F @ c2, alpha, beta) for c1, c2, alpha, beta in blocks)
     _, _, jordan, owns, _ = typed
     complex_values = tuple(complex(z) for z in w[cidx])
-    return *_by_type(*typed), complex_values, bool(np.any(~owns & ~jordan)), blocks, "eig"
+    return _by_type(*typed, complex_values, bool(np.any(~owns & ~jordan)), blocks, "eig")
 
 
 @dataclass(frozen=True, eq=False)
@@ -709,8 +716,7 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     b_inertia = Inertia(n_plus, pair.n - len(j), len(j) - n_plus)
     if K is None or not len(j):  # chained, or B = 0: no finite part to solve
         none = np.zeros(0, dtype=bool)
-        untyped = _by_type(none, np.zeros(0), none, none, W[:, :0])
-        spectrum = *untyped, (), K is None, (), None
+        spectrum = _by_type(none, np.zeros(0), none, none, W[:, :0], defect=K is None)
     else:
         # A pair-coordinate solve that B's certificate rejected is read, not repeated.
         spectrum = None

@@ -25,9 +25,15 @@ Builders read the ``PairAnalysis`` objects that ``infimum`` carries on its
 result: its typed values, the directions its typed entries and conjugate
 blocks own, named by their column in the +1 or the -1 side's matrix, and
 its B-frame; no pair is analysed again.  The ray builders, which run only
-where B has a null direction, take Bhat's eigenvector frame (``eigh_frame``)
-instead of the hat pair's, so their slope does not depend on the route
-that solved the hat pair.  A Jordan copy or a chained conjugate
+where B has a null direction, pair a unit direction of a hat frame with a
+null direction of B, so their slope is measured in that frame.  They take
+Bhat's eigenvector frame Th (``eigh_frame``, square, as Bhat is
+nonsingular) instead of the hat pair's typed one: its columns are
+orthogonal, so the slope does not depend on the route that solved the hat
+pair, while the typed frame of a definite hat pair can be far from
+orthogonal, and the chained family, whose residual sits at its roundoff
+floor, certifies worse there.  Only the ray builder forms the hat A-form
+Th^H Ahat Th.  A Jordan copy or a chained conjugate
 group owns no direction, so the rotation uses only the typed and block
 planes there are, and it needs a direction for every hat dimension: a hat
 pair with Jordan or chained structure gets no rotation.
@@ -48,6 +54,7 @@ from .spectral import eigh_frame
 from .tracemin import (
     NEG_INFINITE,
     InfimumResult,
+    _checked,
     _objective,
     feasibility_residual,
 )
@@ -313,29 +320,15 @@ def _ray_family(problem, slope, x_base, u, v, sigma_map):
     return _family(INFINITE_BLOCK_RAY, problem, slope, sigma_map, x_base, d_cosh, d_sinh)
 
 
-def _hat_frame(problem, hat):
-    """(Th, Th^H Ahat Th): Bhat's B-frame of orthogonal columns (``eigh_frame``).
-
-    A ray or chain family pairs a unit direction of the hat's frame with a
-    null direction of B, so its slope is measured in that frame.  This one
-    has orthogonal columns and does not depend on the route that solved the
-    hat pair.  The typed frame of a definite hat pair can be far from
-    orthogonal, and the chained family, whose residual sits at its roundoff
-    floor, certifies worse there.  Bhat is nonsingular, so Th is square.
-    """
-    Th, _, _ = eigh_frame(problem.hat_pair.B.entries, hat.tols)
-    M = Th.conj().T @ problem.hat_pair.A.entries @ Th
-    return Th, (M + M.conj().T) / 2.0
-
-
 def _ray_witness(problem, big, hat):
     if not big.has_infinite or big.coupled:
         raise NoWitnessConstructibleError("no diagonal infinite structure")
 
     # R + N K is A-orthogonal to N(B), so the ray adds no cross term.
-    Th, A_hat = _hat_frame(problem, hat)
+    Th, _, _ = eigh_frame(problem.hat_pair.B.entries, hat.tols)
     X0 = big.finite_frame()[:, paired_columns(big.b_inertia, hat.b_inertia)] @ Th.conj().T
-    lam_hat, Wh = np.linalg.eigh(A_hat)
+    M = Th.conj().T @ problem.hat_pair.A.entries @ Th
+    lam_hat, Wh = np.linalg.eigh((M + M.conj().T) / 2.0)
 
     # slope = sign(d_inf[i]) * lam_hat[k], least at a pairing of extremes.
     signs = np.sign(big.d_inf)
@@ -364,7 +357,7 @@ def _chain_witness(problem, big, hat):
     A = big.pair.A.entries
     Ah = problem.hat_pair.A.entries
     Wc = big.b_frame[:, paired_columns(big.b_inertia, hat.b_inertia)]
-    Th, _ = _hat_frame(problem, hat)
+    Th, _, _ = eigh_frame(problem.hat_pair.B.entries, hat.tols)
     M = Th.conj().T @ Ah
     best = None
     for i in cand:
@@ -392,12 +385,15 @@ def build_witness(problem: ProblemInstance, infimum_diag: InfimumResult) -> Witn
     once where its structure is absent, and several may apply at once, so
     the steepest family is kept and the certification threshold is reached
     at the smallest t.  The family is gated by the tolerances its frames
-    were built under, those of the analyses on ``infimum_diag``.
+    were built under, those of the analyses on ``infimum_diag``.  Raises
+    ValueError when ``infimum_diag`` was not computed for ``problem``
+    (``tracemin._checked``), as ``minimizer`` does: its frames would be
+    mixed with another problem's matrices.
     """
+    big, hat = _checked(problem, infimum_diag).analysis, infimum_diag.hat_analysis
     if infimum_diag.verdict != NEG_INFINITE:
         raise NoWitnessConstructibleError("verdict is not NegInfinite")
 
-    big, hat = infimum_diag.analysis, infimum_diag.hat_analysis
     best = None
     errors = []
     for builder in (_rotation_witness, _ray_witness, _chain_witness):

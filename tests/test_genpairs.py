@@ -109,6 +109,14 @@ def test_invalid_specs():
         spec_from_json({"blocks": []})
 
 
+def test_spec_whose_kind_fails_its_own_comparison_is_invalid():
+    # A numpy array as kind makes the membership test of BlockSpec raise
+    # ValueError (an array's truth value is ambiguous), which spec_from_json
+    # reports as InvalidSpecError.
+    with pytest.raises(InvalidSpecError, match="truth value"):
+        spec_from_json({"blocks": [{"kind": np.array(["Tr", "Tc"])}]})
+
+
 def _random_specs(rng, max_order=10, semidefinite_bias=False):
     specs = []
     order = 0

@@ -457,6 +457,71 @@ def test_rejected_pair_solve_types_the_finite_part(monkeypatch, A, B, passes):
     assert max(res_a, res_b) <= 1e-12 * np.linalg.norm(lam)
 
 
+@pytest.mark.parametrize("A, B, deflated", [
+    (np.diag([100.0, 1.0, 0.99e-8]), np.diag([1.0, -1.0, -0.99e-10]), 1),
+    (np.diag([1.0, 1.0, 1.0, 1e6]), np.diag([1.0, -1.0, 5e-11, -1.2e-10]), 0),
+], ids=["common_not_null", "signs_disagree"])
+def test_kept_spectrum_declines_a_solve_it_cannot_read(monkeypatch, A, B, deflated):
+    # Both pairs pass the pair-coordinate Cholesky at t = 49.5 and t = 0 and
+    # fail B's nonsingularity certificate, and _kept_spectrum declines the
+    # solve, so the finite part is solved anew, as if nothing was kept.
+    # common_not_null: B's -0.99e-10 and A's 0.99e-8 on e3 are zero by the
+    # rank_tol rules, so e3 is a common null direction and is deflated; but
+    # M = A - 49.5 B has e3-form 0.99e-8 + 49.5 * 0.99e-10 = 1.48e-8 there,
+    # above rank_tol * tr M = 1.01e-8, so e3 is no M-null column.
+    # signs_disagree: 5e-11 is a zero of B, -1.2e-10 is not (rank_tol =
+    # 1e-10); the least |mu| is e4's, 1.2e-16, and e4 passes the null test
+    # |mu| * tr M <= rank_tol * |B|_F, so e3 is left with the finite
+    # columns and brings a second positive sign where j has one.
+    pair = pt.pair_from_arrays(A, B)
+    kept, read = [], pt.spectral._kept_spectrum
+
+    def recorded(*args):
+        kept.append(read(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(pt.spectral, "_kept_spectrum", recorded)
+    a = analyze_pair(pair)
+    monkeypatch.setattr(pt.spectral, "_kept_spectrum", lambda *args: None)
+    fresh = analyze_pair(pair)
+    monkeypatch.undo()
+    assert kept == [None]
+    assert a.deflated_dims == deflated and a.b_inertia.n_zero == 1
+    assert a.route == fresh.route
+    for name in ("pos_values", "neg_values", "pos_dirs", "neg_dirs"):
+        assert np.array_equal(getattr(a, name), getattr(fresh, name)), name
+
+
+def test_linked_conjugate_group_of_singular_block_is_skipped():
+    # A complex Jordan block Tc(2) at 0.4 + 0.9i: eig splits each of its two
+    # copies by roundoff into nearly parallel eigenvectors, whose cross forms
+    # M are roundoff-sized, and so is every singular value of M.  At the
+    # default type_tol they link nothing, and no group forms.  Where the
+    # least singular value of M is below its least entry, a type_tol between
+    # the two links every entry into one group of equal sides, which the SVD
+    # shows to be a Jordan block: it is skipped, and no conjugate block is
+    # kept.  A type_tol below the least singular value keeps both copies as
+    # blocks.  The scrambles whose roundoff gives such an M are searched for.
+    found = 0
+    for seed in range(40):
+        pair, _ = assemble([BlockSpec("Tc", p=2, alpha=0.4, beta=0.9)], scramble_seed=seed,
+                           conditioning_cap=4.0)
+        a = analyze_pair(pair)
+        assert a.route == "eig" and len(a.complex_values) == 4 and not a.blocks
+        w, Z = np.linalg.eig(a.j[:, None] * a.A_fin)
+        G = Z.conj().T @ (a.j[:, None] * Z)
+        M = G[np.ix_(w.imag > 0, w.imag < 0)]
+        least, entry = np.linalg.svd(M, compute_uv=False)[-1], float(np.abs(M).min())
+        assert np.abs(M).max() <= 1e-6
+        if not least < entry:
+            continue
+        linked = analyze_pair(pair, pt.ToleranceSet(type_tol=(least + entry) / 2.0))
+        assert len(linked.complex_values) == 4 and not linked.blocks
+        assert len(analyze_pair(pair, pt.ToleranceSet(type_tol=least / 2.0)).blocks) == 2
+        found += 1
+    assert found >= 1, found
+
+
 def test_close_eigenvalues_stay_distinct_on_the_cholesky_route(monkeypatch):
     # 80 eigenvalues of both types, two of them 5e-7 apart: above the cluster
     # gap type_tol * max|lam| + rank_tol * |Ã|_F, so the definite solve keeps them.

@@ -72,6 +72,15 @@ def test_excluded_ahat_equals_muhat_bhat():
 
 
 
+def test_zero_b_is_no_excluded_case():
+    # B = 0 makes A = mu*B impossible: _proportional has no least-squares mu
+    # to offer (|B|_F = 0), and with Ahat not proportional to Bhat nothing is
+    # excluded.
+    prob = pt.problem_from_arrays(np.diag([1.0, 2.0]), np.zeros((2, 2)), np.diag([0.5, 0.3]),
+                                  np.diag([1.0, -1.0]))
+    assert check_excluded(prob) is None
+
+
 @pytest.mark.parametrize("rel", [3e-10, 8e-10])
 def test_nearly_proportional_a_takes_the_general_path(rel):
     # A = 2B off by rel (relative): beyond rank_tol = 1e-10, so no AEqualsMuB

@@ -587,6 +587,26 @@ def test_no_witness_for_a_finite_verdict():
         build_witness(prob, res)
 
 
+def test_witness_refuses_an_infimum_of_another_problem():
+    # build_witness reads the frames of the result's analyses; for another
+    # problem's result it would mix them with this problem's matrices (a
+    # family with feasibility residual 9.7e5 here) and certify nothing.  It
+    # refuses the result, as minimizer and FeasibleSampler do.
+    p1 = pt.problem_from_arrays(np.diag([1.0, 2.0]), np.diag([1.0, -1.0]),
+                                np.diag([-1.0, -1.0]), np.diag([1.0, -1.0]))
+    p2 = pt.problem_from_arrays(np.diag([3.0, 5.0]), np.diag([2.0, -1.0]),
+                                np.diag([-2.0, -0.5]), np.diag([1.0, -4.0]))
+    res = infimum(p1)
+    assert res.verdict == NEG_INFINITE
+    with pytest.raises(ValueError, match="not computed for this problem"):
+        build_witness(p2, res)
+    # A result of a finite verdict is refused for the mismatch first.
+    with pytest.raises(ValueError, match="not computed for this problem"):
+        build_witness(p2, infimum(diag_problem([1.0], [-2.0], [1.0], [-2.0])))
+    family = build_witness(p1, res)
+    assert certify_unbounded(family, -1e6, 1e4).feas_residual <= 1e-6
+
+
 def test_witness_not_constructible_for_pure_jordan():
     # Improper instance whose big pair has only coincident two-copy values:
     # the builder has no strict gap to drive a slope.
