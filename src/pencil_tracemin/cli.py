@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, fields
 
@@ -351,6 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_file")
 
     p = sub.add_parser("witness", help="certify a -infinity verdict")
+    # "--threshold -1e6" is a number, not an option: on Python 3.11 argparse's
+    # own negative-number pattern takes no exponent.
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.add_argument("problem_file")
     p.add_argument("--threshold", type=float, default=-1e6)
     p.add_argument("--tmax", type=float, default=1e4)

@@ -21,13 +21,13 @@ evaluation is the lower end min d - e, with no eigensolve, and otherwise it
 is eigvalsh(H)[0].  The shift t*J is diagonal, so e is the norm of the
 off-diagonal part of Ã, taken once per pair, and each side screens the
 vector d = Re diag(Ã) - t*j; H itself is formed only for an eigvalsh.  On
-the pair route Ã = diag(j * value) up to roundoff, so the diagonal decides
-every side there.  A chained pair or B = 0 makes no such evaluation, and
-its report carries the tolerance psd_tol * ``MatrixPair.scale``.  A Jordan
-eigenvalue sits in both lists (the two-copy convention of
-``PairAnalysis``), which pins the interval to that value; the confirming
-lam_min there decides whether the pair is semidefinite at it, which the
-spectrum itself does not say.  A pair's verdict is
+the pair route Ã is diag(j * value) exactly, read off the typed values, so
+e = 0 and the diagonal decides every side there.  A chained pair or B = 0
+makes no such evaluation, and its report carries the tolerance psd_tol *
+``MatrixPair.scale``.  A Jordan eigenvalue sits in both lists (the two-copy
+convention of ``PairAnalysis``), which pins the interval to that value; the
+confirming lam_min there decides whether the pair is semidefinite at it,
+which the spectrum itself does not say.  A pair's verdict is
 ``analysis_definiteness(analyze_pair(pair))``.
 """
 
@@ -115,7 +115,7 @@ def _definiteness_from_spectrum(analysis: PairAnalysis) -> DefinitenessReport:
 
     Makes at most two eigenvalue solves, one per side that the spectrum
     admits and the diagonal of its shifted Ã leaves undecided
-    (``_lam_min``).  On the pair route Ã is diagonal up to roundoff, so the
+    (``_lam_min``).  On the pair route Ã is exactly diagonal, e = 0, so the
     diagonal decides.  The off-diagonal norm e is the same at every shift
     and for both sides, and is taken once.
     """

@@ -566,7 +566,9 @@ class PairAnalysis:
     the -1 columns, so ``pos_dirs`` and ``neg_dirs`` are its column slices,
     with ``j`` their signs and ``b_inertia`` the count of each; there is no
     null part (``d_inf`` empty, ``K`` of no rows, so ``finite_frame()`` is
-    ``b_frame``); and ``A_fin`` = W^H A W is diag(j · value) up to roundoff.
+    ``b_frame``); and ``A_fin`` is diag(j · value), which W^H A W equals by
+    construction: it is read off the typed values, as a complex diagonal,
+    with no product of A.
     """
 
     tols: ToleranceSet
@@ -678,12 +680,11 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
         A, pair.B.entries, tols, pair.A.fro, pair.B.fro, "pair-cholesky"
     )
     if solved is not None:
-        spectrum, W, j, crawford = solved
-        M = W.conj().T @ A @ W
-        n_plus = len(spectrum[0])
+        (pos, neg, *typed), W, j, crawford = solved
         return PairAnalysis(
-            tols, pair, 0, Inertia(n_plus, 0, len(j) - n_plus), W, j, null_tol, np.zeros(0),
-            np.zeros((0, 0)), np.zeros((0, len(j))), (M + M.conj().T) / 2.0, *spectrum, crawford,
+            tols, pair, 0, Inertia(len(pos), 0, len(neg)), W, j, null_tol, np.zeros(0),
+            np.zeros((0, 0)), np.zeros((0, len(j))), np.diag(np.concatenate([pos, -neg]) + 0j),
+            pos, neg, *typed, crawford,
         )
     R, N, j = eigh_frame(pair.B.entries, tols)
     deflated, D = 0, N[:, :0]

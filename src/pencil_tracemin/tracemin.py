@@ -128,8 +128,11 @@ def check_excluded(problem: ProblemInstance):
 
 
 def _proportional(M: HermitianMatrix, N: HermitianMatrix, tol: float) -> float | None:
-    """The least-squares mu with M = mu*N, if it holds to ``tol`` relative to |M|_F."""
-    denom = N.fro ** 2
+    """The least-squares mu with M = mu*N, if it holds to ``tol`` relative to |M|_F.
+
+    Its denominator |N|_F² is summed like its numerator, not squared from the
+    rounded |N|_F, so an exactly proportional pair gets its exact ratio."""
+    denom = np.vdot(N.entries, N.entries).real
     if denom == 0:
         return None
     mu = float(np.vdot(N.entries, M.entries).real / denom)

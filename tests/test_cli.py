@@ -441,6 +441,22 @@ def test_witness_tmax_too_small(tmp_path, capsys):
     assert main(["--json", "witness", path, "--threshold", "-1", "--tmax", "0"]) == 8
 
 
+@pytest.mark.parametrize("threshold", ["-1e6", "-2.5e3"])
+def test_witness_reads_a_negative_threshold_with_an_exponent(tmp_path, capsys, threshold):
+    # The plain form, as the usage line shows it, not only "--threshold=-1e6".
+    path = str(tmp_path / "mixed.json")
+    write_problem(
+        path,
+        np.diag([1.0, 2.0]),
+        np.diag([1.0, -1.0]),
+        np.diag([-1.0, -2.0]),
+        np.diag([1.0, -1.0]),
+    )
+    code, rep = run_json(capsys, ["--json", "witness", path, "--threshold", threshold])
+    assert code == 0
+    assert rep["witness"]["certification"]["threshold"] == float(threshold)
+
+
 @pytest.mark.parametrize("flags", [
     ["--threshold", "nan"], ["--threshold=-inf"],
     ["--tmax", "nan"], ["--tmax", "inf"], ["--tmax", "-1"],

@@ -299,3 +299,19 @@ def test_shift_free_screen_matches_the_per_shift_screen():
         assert _definiteness_from_spectrum(a) == per_shift_definiteness(a)
         compared += 1
     assert compared > 3000, compared
+
+
+def test_pair_route_finite_part_is_its_typed_values():
+    # On the pair route the typed frame W has W^H A W = diag(j · value) by
+    # construction, so A_fin is that diagonal exactly, in W's column order,
+    # and complex like every other route's.
+    compared = 0
+    for pair in _criterion_7_pairs():
+        a = analyze_pair(pair)
+        if a.route != "pair-cholesky":
+            continue
+        assert a.A_fin.dtype == complex
+        expected = np.diag(np.concatenate([a.pos_values, -a.neg_values]))
+        assert np.array_equal(a.A_fin.real, expected) and not a.A_fin.imag.any()
+        compared += 1
+    assert compared > 2000, compared

@@ -71,6 +71,21 @@ def test_excluded_ahat_equals_muhat_bhat():
     assert exc.constant == pytest.approx(-6.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("A, B, Ahat, Bhat, which, mu, value", [
+    (np.diag([2.0, -2.0]), np.diag([1.0, -1.0]), [[3.0]], [[1.0]], "AEqualsMuB", 2.0, 6.0),
+    (np.diag([1.0, 3.0]), np.diag([1.0, -1.0]), np.diag([2.0, -2.0]), np.diag([1.0, -1.0]),
+     "AhatEqualsMuhatBhat", 2.0, -4.0),
+    (0.5 * np.eye(3), np.eye(3), np.diag([1.0, 2.0]), np.eye(2), "AEqualsMuB", 0.5, 1.5),
+], ids=["a_is_2b", "ahat_is_2bhat", "a_is_half_b"])
+def test_exactly_proportional_pair_gets_the_exact_ratio(A, B, Ahat, Bhat, which, mu, value):
+    # |N|_F² summed, not squared from the rounded |N|_F: the ratio, and so
+    # the constant, come out exact.
+    prob = pt.problem_from_arrays(A, B, np.array(Ahat), np.array(Bhat))
+    exc = check_excluded(prob)
+    assert (exc.which, exc.mu, exc.constant) == (which, mu, value)
+    res = infimum(prob)
+    assert res.verdict == EXCLUDED_CONSTANT and res.value == value
+
 
 def test_zero_b_is_no_excluded_case():
     # B = 0 makes A = mu*B impossible: _proportional has no least-squares mu
