@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 2 invalid input (malformed JSON or matrix object,
 non-square or non-finite matrix, a file path that cannot be read or
-written, such as a missing file or a directory, or a verify spread whose
-samples, traces or residuals are not finite); 3 not Hermitian; 4 infimum is
+written, such as a missing file or a directory, a verify spread whose
+samples, traces or residuals are not finite, or a witness trace beyond the
+floats); 3 not Hermitian; 4 infimum is
 -infinity (verdict still printed); 5 empty feasible set; 6 minimizer not
 attainable; 7 no witness constructible; 8 certification failed; 9 a dense
 kernel (LAPACK eigen/QR/SVD) failed, or its eigenvalues were too inaccurate
@@ -362,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="Monte-Carlo feasible sampling check")
     p.add_argument("problem_file")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--spread", type=float, default=1.0)
+    p.add_argument(
+        "--spread", type=float, default=1.0,
+        help="sample scale: each hyperbolic angle's sinh and N(B) entry is spread x |normal|",
+    )
 
     p = sub.add_parser("gen", help="generate a pair from canonical block specs")
     p.add_argument("spec_file")

@@ -11,7 +11,8 @@ class NotSquareError(PencilError):
 
 class NonFiniteError(PencilError):
     """Raw matrix input holds a NaN or infinite entry, or entries so large that
-    its Frobenius norm overflows."""
+    its Frobenius norm overflows; or a computed result (a finite part, a
+    witness trace) is beyond the floats."""
 
 
 class NotHermitianError(PencilError):

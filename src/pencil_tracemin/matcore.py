@@ -210,23 +210,39 @@ def random_congruence(pair: MatrixPair, seed, conditioning_cap: float = 10.0):
     return pair_from_arrays(A2, B2, herm_tol=np.inf), Y
 
 
-def complex_normal(rng, *shapes, size=None) -> list:
-    """Complex standard normal arrays of the given shapes, drawn in order from
-    one Generator, each taking its real then its imaginary parts as separate
-    draws would.
+def standard_normals(rng, m: int, size=None) -> np.ndarray:
+    """m standard normals per sample from one Generator, as an (m, K) array
+    whose column k holds sample k's, or (m, 1) for ``size=None``.
 
-    ``size=K`` gives (K, *shape) stacks from one ``rng.standard_normal((K, m))``
-    call, row k holding sample k's draws in the order of one call: the stacks
-    equal, bit for bit, K successive calls with ``size=None``."""
+    ``size=K`` makes one ``rng.standard_normal((K, m))`` call, so the K
+    columns equal, bit for bit, K successive calls with ``size=None``."""
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be one numpy.random.Generator, got {type(rng).__name__}")
+    g = rng.standard_normal(m if size is None else (size, m))
+    return g[:, None] if size is None else np.ascontiguousarray(g.T)
+
+
+def complex_blocks(g: np.ndarray, at: int, count: int, length: int) -> np.ndarray:
+    """``count`` blocks of ``length`` complex normals read from row ``at`` of
+    the (m, K) ``standard_normals`` array g, each block as ``length`` rows of
+    real parts and then ``length`` of imaginary parts: a (count, length, K)
+    array."""
+    parts = g[at : at + 2 * count * length].reshape(count, 2, length, g.shape[1])
+    return parts[:, 0] + 1j * parts[:, 1]
+
+
+def complex_normal(rng, *shapes, size=None) -> list:
+    """Complex standard normal arrays of the given shapes, drawn in order from
+    one ``standard_normals`` call, one ``complex_blocks`` block each.
+
+    ``size=K`` gives (K, *shape) stacks equal, bit for bit, to K successive
+    calls with ``size=None``."""
     sizes = [math.prod(shape) for shape in shapes]
-    total = 2 * sum(sizes)
-    g = rng.standard_normal(total if size is None else (size, total))
+    g = standard_normals(rng, 2 * sum(sizes), size)
     out, at = [], 0
     for shape, m in zip(shapes, sizes):
-        z = g[..., at : at + m] + 1j * g[..., at + m : at + 2 * m]
-        out.append(z.reshape(g.shape[:-1] + tuple(shape)))
+        z = np.moveaxis(complex_blocks(g, at, 1, m)[0], -1, 0).reshape((g.shape[1], *shape))
+        out.append(z[0] if size is None else z)
         at += 2 * m
     return out
 
@@ -237,7 +253,11 @@ def haar_unitary(n: int, rng) -> np.ndarray:
 
 
 def unitary_factor(Z: np.ndarray) -> np.ndarray:
-    """Q of the QR of each complex Gaussian Z, with R's diagonal phases fixed: Haar."""
+    """Q of the QR of each complex Gaussian Z, with R's diagonal phases fixed: Haar.
+
+    It serves one large matrix (``random_congruence``), where LAPACK's QR is
+    fastest; a stack of small factors pays a LAPACK call per matrix, so the
+    sampler builds its own from reflectors (``hyperbolic._haar_factors``)."""
     try:
         Q, R = np.linalg.qr(Z)
     except np.linalg.LinAlgError as exc:

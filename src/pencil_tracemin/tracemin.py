@@ -394,14 +394,17 @@ def _feasible_point(big: PairAnalysis, hat: PairAnalysis) -> np.ndarray:
 class FeasibleSampler:
     """Draw random feasible points; the congruence frames are built once.
 
-    A sample is left @ Xs @ right: ``left`` holds the +1 and -1 columns of
-    B's frame, ``right`` is Bhat's frame conjugate-transposed, and Xs is the
-    ``sample_feasible`` draw for the inertias ``ib`` of B and ``ibh`` of
-    Bhat, whose counts fix J and Jhat.  The frames are read off ``result``,
-    the ``infimum`` of ``problem``, when it is given (as in ``minimizer``),
-    and off a fresh analysis of both pairs otherwise.  ``sample`` reads one
-    Generator in order; ``size=K`` gives a (K, n, nhat) stack equal to K
-    successive single samples."""
+    A sample is left @ Xs @ right: ``left`` is B's frame, its +1 and -1
+    columns and then its null columns, which span N(B) but for the
+    directions deflated as common null vectors of A and B (those move
+    neither the trace nor the constraint); ``right`` is Bhat's frame
+    conjugate-transposed; and Xs is the ``sample_feasible`` draw for the
+    inertias ``ib`` of B and ``ibh`` of Bhat, whose counts fix J and Jhat,
+    with one Gaussian row, scaled by the spread, per null column.  The
+    frames are read off ``result``, the ``infimum`` of ``problem``, when it
+    is given (as in ``minimizer``), and off a fresh analysis of both pairs
+    otherwise.  ``sample`` reads one Generator in order; ``size=K`` gives a
+    (K, n, nhat) stack equal to K successive single samples."""
 
     def __init__(self, problem: ProblemInstance, result: InfimumResult | None = None):
         if result is None:
@@ -409,10 +412,11 @@ class FeasibleSampler:
         else:
             big, hat = _checked(problem, result).analysis, result.hat_analysis
         self.ib, self.ibh = big.b_inertia, hat.b_inertia
-        self.left = big.b_frame[:, : self.ib.rank]
+        self.left = big.b_frame
         self.right = hat.b_frame.conj().T
 
     def sample(self, spread: float, rng, size=None) -> np.ndarray:
-        Xs = sample_feasible(self.ib, self.ibh, spread, rng, size)
+        null_dims = self.left.shape[1] - self.ib.rank
+        Xs = sample_feasible(self.ib, self.ibh, spread, rng, size, null_dims)
         return self.left @ Xs @ self.right
 

@@ -48,7 +48,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import CertificationFailedError, NoWitnessConstructibleError
+from .errors import CertificationFailedError, NonFiniteError, NoWitnessConstructibleError
 from .matcore import ProblemInstance, paired_columns
 from .spectral import eigh_frame
 from .tracemin import (
@@ -94,12 +94,25 @@ def _sigma(family: WitnessFamily, t: float) -> float:
 
 
 def evaluate_witness(family: WitnessFamily, t: float):
-    """Materialize X(t) and return (X, trace value); t must be finite and nonnegative."""
+    """Materialize X(t) and return (X, trace value); t must be finite and nonnegative.
+
+    NonFiniteError, naming t, when sigma(t), X(t) or the trace is beyond the
+    floats: a trace below -1.8e308, or sigma^2 overflowing in the cosh
+    coefficient sqrt(1 + sigma^2) - 1, from sigma = 1.3e154, where the trace
+    of a family of unit slope overflows too.
+    """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative")
-    s = _sigma(family, t)
-    X = family.x_base + (math.sqrt(1.0 + s * s) - 1.0) * family.d_cosh + s * family.d_sinh
-    return X, _objective(family.problem, X)
+    try:
+        s = _sigma(family, t)
+    except OverflowError:
+        s = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = family.x_base + (math.sqrt(1.0 + s * s) - 1.0) * family.d_cosh + s * family.d_sinh
+        trace = _objective(family.problem, X)
+    if not math.isfinite(trace):
+        raise NonFiniteError(f"the witness trace at t = {t!r} is not a finite float")
+    return X, trace
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ entries, and the definiteness report of a finite part with every admitted
 side confirmed by an eigensolve or screened as a dense matrix at its shift,
 and the Crawford number of a definite pair
 by a search over angles, and the hyperbolic polar block with each square
-root from its own eigh.  They are not part of the library.
+root from its own eigh, and a J-unitary in hyperbolic CS form from dense
+Householder reflectors, one sample at a time.  They are not part of the
+library.
 """
 
 from __future__ import annotations
@@ -257,3 +259,36 @@ def two_root_polar_middle(W: np.ndarray) -> np.ndarray:
     top = psd_sqrt(np.eye(W.shape[-2]) + W @ Wh)
     bot = psd_sqrt(np.eye(W.shape[-1]) + Wh @ W)
     return np.block([[top, W], [Wh, bot]])
+
+
+def householder_haar(vectors) -> np.ndarray:
+    """The unitary H_0 (1 + H_1) ... (I_{m-1} + H_{m-1}) diag(-phi_0, ...,
+    -phi_{m-1}) of complex vectors x_0, ..., x_{m-1} of lengths m, ..., 1,
+    "+" the direct sum, H_j = I - 2 v v^H / (v^H v) for v = x_j + phi_j
+    |x_j| e_1 and phi_j = x_j[0] / |x_j[0]|: one dense reflector matrix at
+    a time."""
+    m = len(vectors)
+    U = np.eye(m, dtype=complex)
+    for j, x in enumerate(vectors):
+        v = np.array(x, dtype=complex)
+        v[0] += x[0] / abs(x[0]) * np.linalg.norm(x)
+        H = np.eye(m, dtype=complex)
+        H[j:, j:] -= 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+        U = U @ H
+    return U @ np.diag([-x[0] / abs(x[0]) for x in vectors])
+
+
+def cs_j_unitary(sinh, P, Q, V_plus, V_minus) -> np.ndarray:
+    """diag(P, Q) H(theta) diag(V+, V-), H(theta) holding cosh and sinh of
+    theta_k on the planes (k, n+ + k) and the identity elsewhere."""
+    p, q = len(P), len(Q)
+    H = np.eye(p + q)
+    for k, s in enumerate(sinh):
+        c = np.sqrt(1.0 + s * s)
+        H[k, k] = H[p + k, p + k] = c
+        H[k, p + k] = H[p + k, k] = s
+    left = np.zeros((p + q, p + q), dtype=complex)
+    right = np.zeros((p + q, p + q), dtype=complex)
+    left[:p, :p], left[p:, p:] = P, Q
+    right[:p, :p], right[p:, p:] = V_plus, V_minus
+    return left @ H @ right

@@ -80,15 +80,33 @@ def test_mixed_sign_chain_budget(n, budget):
     within_budget(chain, budget)
 
 
-def test_verify_budget(tmp_path):
-    # `cli verify` of the golden problem with 200 samples, one stacked block.
-    path = str(tmp_path / "golden.json")
-    save_problem(path, pt.problem_from_arrays(
-        np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), golden_hat_matrix(), np.diag([1.0, -1.0])
-    ))
-
+def _verify(path):
     def verify():
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["--json", "verify", path, "--samples", "200"]) == 0
 
-    within_budget(verify, 662)
+    return verify
+
+
+def test_verify_budget(tmp_path):
+    # `cli verify` of the golden problem with 200 samples, one stacked block.
+    # Its J-unitaries have order 1 + 1, so the draw runs no reflector loop.
+    path = str(tmp_path / "golden.json")
+    save_problem(path, pt.problem_from_arrays(
+        np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), golden_hat_matrix(), np.diag([1.0, -1.0])
+    ))
+    within_budget(_verify(path), 654)
+
+
+def test_verify_budget_order_8(tmp_path):
+    # `cli verify` with 200 samples on an equal-inertia problem of order 8,
+    # nhat = 8, both pairs on the pair route: four Haar factors of order 4
+    # per draw, each through the reflector loop.
+    rng = np.random.default_rng(8)
+    prob = diag_problem(
+        rng.uniform(0.5, 2.0, 4), rng.uniform(-2.0, -0.5, 4),
+        rng.uniform(0.5, 2.0, 4), rng.uniform(-2.0, -0.5, 4), scramble=(8, 9),
+    )
+    path = str(tmp_path / "order8.json")
+    save_problem(path, prob)
+    within_budget(_verify(path), 691)

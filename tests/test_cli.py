@@ -519,7 +519,7 @@ def test_verify_seed_reproducible(golden_file, capsys):
 # default_rng(3), in the typed frames of the two definite pairs.
 @pytest.mark.parametrize(
     "spread, min_trace, mean_trace",
-    [("1.0", 1.4332961651090237, 4.336654057544431), ("2.0", 1.4905439733168122, 13.10397554305844)],
+    [("1.0", 1.4364000127024028, 4.198867413168647), ("2.0", 1.502959363690326, 12.552828965555301)],
     ids=["spread-1.0", "spread-2.0"],
 )
 def test_verify_golden_figures_pinned(golden_file, capsys, spread, min_trace, mean_trace):
@@ -552,10 +552,11 @@ def test_verify_kernel_calls_independent_of_sample_count(golden_file, capsys, mo
         capsys.readouterr()
         assert code == 0
         counts.append({name: calls.count(name) for name in ("qr", "eigh", "svd")})
+        counts[-1]["solves"] = pencil_solves(calls)
         monkeypatch.undo()
     assert counts[0] == counts[1], counts
-    # Two pair-route solves and one eigh for the J-unitary's square roots.
-    assert counts[0]["qr"] == 2 and counts[0]["eigh"] == 3, counts
+    # The two pair-route solves make every eigh; the draws make no QR and no eigh.
+    assert counts[0]["qr"] == 0 and counts[0]["eigh"] == counts[0]["solves"] == 2, counts
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -589,14 +590,16 @@ def test_verify_accepts_seed_beyond_uint32(golden_file, capsys):
         ("inf", 1.0, (1.0, -1.0), (1.0, -1.0)),
         ("-1", 1.0, (1.0, -1.0), (1.0, -1.0)),
         ("1e200", 1.0, (1.0, -1.0), (1.0, -1.0)),
+        ("1.7e308", 1.0, (1.0, -1.0), (1.0, -1.0)),
         ("1e120", 1e100, (1.0, -1.0), (1.0, -1.0)),
         ("1e152", 1.0, (1e4, -1e4), (1e-4, -1e4)),
     ],
-    ids=["nan", "inf", "-1", "1e200", "trace_overflow", "residual_overflow"],
+    ids=["nan", "inf", "-1", "1e200", "draw_overflow", "trace_overflow", "residual_overflow"],
 )
 def test_verify_rejects_bad_spread(tmp_path, capsys, spread, a_scale, b_diag, bh_diag):
-    # 1e200 overflows I + W W^H in the sampler.  With A scaled by 1e100,
-    # spread 1e120 draws finite samples whose traces overflow; with B and
+    # Spread 1.7e308 overflows cosh theta + sinh theta in the sampler, and
+    # 1e200 draws finite samples whose traces overflow.  With A scaled by
+    # 1e100, spread 1e120 draws finite samples whose traces overflow; with B and
     # Bhat scaled apart, spread 1e152 draws finite samples and traces whose
     # constraint gaps overflow.  Each time the report is one line naming the
     # spread, with no numpy warning.
@@ -659,21 +662,18 @@ def test_infimum_type_count_mismatch_exit_code(golden_file, capsys, monkeypatch)
     assert err.startswith("error: ") and "typed values" in err
 
 
-@pytest.mark.parametrize("stacked_only", [True, False], ids=["sampler", "every_call"])
-def test_verify_kernel_failure_exit_code(golden_file, capsys, monkeypatch, stacked_only):
-    # A LAPACK failure exits with its own code and a one-line message.
-    eigh = np.linalg.eigh
+@pytest.mark.parametrize("kernel", ["eigh", "svd"], ids=["every_call", "residual_svd"])
+def test_verify_kernel_failure_exit_code(golden_file, capsys, monkeypatch, kernel):
+    # A LAPACK failure, in the pencil solves' eigh or in the SVD of the
+    # worst residual, exits with its own code and a one-line message.
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
 
-    def failing(a, *args, **kwargs):
-        if stacked_only and np.ndim(a) < 3:
-            return eigh(a, *args, **kwargs)
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(np.linalg, kernel, failing)
     code = main(["verify", golden_file, "--samples", "20"])
     err = capsys.readouterr().err
     assert code == 9
-    assert err.startswith("error: ") and "did not converge" in err
+    assert err.startswith("error: ") and "did not converge" in err and err.count("\n") == 1
 
 
 def test_gen_analyze_round_trip(tmp_path, capsys):

@@ -1,17 +1,21 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from pencil_tracemin.errors import EmptyFeasibleSetError
 from pencil_tracemin.hyperbolic import (
+    _haar_factors,
     _polar_middle,
     polar_from_W,
     sample_feasible,
     sample_j_unitary,
 )
-from pencil_tracemin.matcore import Inertia
+from pencil_tracemin.matcore import Inertia, paired_columns
 
-from conftest import rand_hermitian
-from reference import two_root_polar_middle
+from conftest import count_eigen_kernels, rand_hermitian
+from reference import cs_j_unitary, householder_haar, two_root_polar_middle
 
 
 def signature(npl, nmi):
@@ -136,23 +140,45 @@ def test_stacked_j_unitaries_match_per_generator_draws(npl, nmi):
         assert j_residual(stack[k], npl, nmi) <= 1e-9
 
 
-def test_stacked_draw_keeps_the_single_generator_stream():
-    # One draw per generator reads W (real, then imaginary), then the Gaussians
-    # of V+, then those of V-: the order of separate standard_normal calls.
-    from pencil_tracemin.matcore import complex_normal, haar_unitary
+@pytest.mark.parametrize("npl, nmi", [(6, 1), (5, 5), (1, 6), (12, 3)])
+@pytest.mark.parametrize("size", [1, 2, 7, 40])
+def test_stacked_draws_equal_single_draws_bit_for_bit(npl, nmi, size):
+    # At orders that run the reflector loop several times, a stack of any
+    # size is exactly the draws of successive calls.
+    stack = sample_j_unitary(npl, nmi, 1.3, np.random.default_rng(6), size=size)
+    rng = np.random.default_rng(6)
+    for k in range(size):
+        np.testing.assert_array_equal(sample_j_unitary(npl, nmi, 1.3, rng), stack[k])
 
+
+def _named_vectors(z, m):
+    """The vectors of lengths m, m-1, ..., 1 that one Haar factor reads from z."""
+    starts = np.cumsum([0] + list(range(m, 0, -1)))
+    return [z[starts[j] : starts[j + 1]] for j in range(m)]
+
+
+def test_stacked_draw_keeps_the_single_generator_stream():
+    # One draw per generator reads the plane Gaussians g (real, then
+    # imaginary), then the Gaussians of P, V+, Q and V-, each as
+    # complex_normal reads one array: the order of separate standard_normal
+    # calls.  sinh theta_k = spread |g_k| / sqrt(2), since these g_k have
+    # E|g_k|^2 = 2, and each factor comes from its own vectors.
+    from pencil_tracemin.matcore import complex_normal
+
+    npl, nmi, spread = 2, 3, 1.3
     rng = np.random.default_rng(44)
-    W = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    V_plus = haar_unitary(2, rng)
-    V_minus = haar_unitary(3, rng)
+    g, zP, zVp, zQ, zVm = complex_normal(rng, (2,), (3,), (3,), (6,), (6,))
+    P, V_plus = (householder_haar(_named_vectors(z, npl)) for z in (zP, zVp))
+    Q, V_minus = (householder_haar(_named_vectors(z, nmi)) for z in (zQ, zVm))
+    reference = cs_j_unitary(spread * np.abs(g) / np.sqrt(2.0), P, Q, V_plus, V_minus)
     np.testing.assert_allclose(
-        sample_j_unitary(2, 3, 1.0, np.random.default_rng(44)),
-        polar_from_W(W / np.sqrt(2.0), V_plus, V_minus),
-        rtol=0,
-        atol=1e-13,
+        sample_j_unitary(npl, nmi, spread, np.random.default_rng(44)), reference, rtol=0, atol=1e-13
     )
-    (Z,) = complex_normal(np.random.default_rng(44), (2, 3), size=1)
-    np.testing.assert_array_equal(Z[0], W)
+    # The next draw starts where the first one's Gaussians end.
+    assert np.array_equal(
+        sample_j_unitary(npl, nmi, spread, rng),
+        sample_j_unitary(npl, nmi, spread, np.random.default_rng(44), size=2)[1],
+    )
 
 
 @pytest.mark.parametrize("spread", [-1.0, np.nan, np.inf])
@@ -167,13 +193,119 @@ def test_signature_counts_must_be_nonnegative_and_nonempty(npl, nmi):
         sample_j_unitary(npl, nmi, 1.0, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("kernel", ["qr", "eigh"])
-def test_sampler_kernel_failure_is_typed(monkeypatch, kernel):
+@pytest.mark.parametrize("npl, nmi", [(3, 0), (0, 2), (2, 3), (1, 1), (4, 4)])
+def test_draw_makes_no_lapack_call(monkeypatch, npl, nmi):
+    # The CS draw is elementwise numpy: there is no kernel left to fail.
+    calls = count_eigen_kernels(monkeypatch)
+    for size in (None, 5):
+        sample_j_unitary(npl, nmi, 1.0, np.random.default_rng(1), size=size)
+        sample_feasible(Inertia(npl, 2, nmi), Inertia(min(npl, 1), 0, min(nmi, 1)), 1.0,
+                        np.random.default_rng(1), size=size, null_dims=2)
+    assert calls == [], calls
+
+
+SIGNATURES = [(1, 0), (0, 1), (3, 0), (0, 2), (1, 1), (2, 3), (3, 2), (4, 4), (1, 6), (6, 1)]
+
+
+@pytest.mark.parametrize("spread", [0.0, 1.0, 5.0, 1e3])
+@pytest.mark.parametrize("npl, nmi", SIGNATURES)
+def test_cs_draw_is_j_unitary(npl, nmi, spread):
+    # ||G^H J G - J||_2 <= 1e-12 ||G||_2^2 for every draw of a stack.
+    G = sample_j_unitary(npl, nmi, spread, np.random.default_rng(npl * 10 + nmi), size=50)
+    J = signature(npl, nmi)
+    resid = np.linalg.norm(G.conj().swapaxes(-1, -2) @ J @ G - J, 2, axis=(-2, -1))
+    assert np.all(resid <= 1e-12 * np.linalg.norm(G, 2, axis=(-2, -1)) ** 2)
+
+
+def test_haar_factor_matches_dense_reflectors_and_is_unitary():
+    rng = np.random.default_rng(9)
+    for m in (1, 2, 3, 5):
+        shape = (3, m * (m + 1) // 2, 4)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        U = _haar_factors(x, m)
+        for f in range(3):
+            for k in range(4):
+                ref = householder_haar(_named_vectors(x[f, :, k], m))
+                assert np.linalg.norm(U[f, :, :, k] - ref) <= 1e-14 * m
+                assert np.linalg.norm(ref.conj().T @ ref - np.eye(m)) <= 1e-14 * m
+                # The first column is x_0 / |x_0|.
+                x0 = x[f, :m, k]
+                assert np.linalg.norm(U[f, :, 0, k] - x0 / np.linalg.norm(x0)) <= 1e-15 * m
+
+
+def test_haar_factor_trace_moment():
+    # For a Haar unitary of any order, E|tr U|^2 = 1.  20 000 draws at
+    # order 3 put the mean within 5 standard errors of 1.
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((1, 6, 20000)) + 1j * rng.standard_normal((1, 6, 20000))
+    U = _haar_factors(x, 3)[0]
+    t2 = np.abs(np.trace(U, axis1=0, axis2=1)) ** 2
+    assert abs(t2.mean() - 1.0) <= 5.0 * t2.std() / np.sqrt(t2.size)
+
+
+def test_one_plane_keeps_the_polar_draws_law():
+    # With n+ = n- = 1, |G_12| = sinh theta = spread |g|, g the first complex
+    # Gaussian of the draw scaled to E|g|^2 = 1: the law of |W| in the polar
+    # draw W = spread z / sqrt(2).  |g|^2 is exponential with mean 1.
+    from pencil_tracemin.matcore import complex_normal
+
+    spread, K = 2.5, 20000
+    G = sample_j_unitary(1, 1, spread, np.random.default_rng(3), size=K)
+    (g,) = complex_normal(np.random.default_rng(3), (1,), size=1)
+    assert abs(G[0, 0, 1]) == pytest.approx(spread * abs(g[0, 0]) / np.sqrt(2.0), rel=1e-14)
+    e = np.sort(np.abs(G[:, 0, 1]) ** 2 / spread**2)
+    # Kolmogorov-Smirnov distance to 1 - exp(-x); 1.95 / sqrt(K) is its 0.1 % point.
+    cdf = 1.0 - np.exp(-e)
+    grid = np.arange(1, K + 1) / K
+    assert max(np.max(grid - cdf), np.max(cdf - grid + 1.0 / K)) <= 1.95 / np.sqrt(K)
+
+
+def test_overflowing_spread_is_a_value_error():
+    # cosh theta + sinh theta bounds every entry and partial sum of G: below
+    # overflow the draw is finite, with no numpy warning; at overflow the
+    # ValueError names the spread.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = sample_j_unitary(2, 2, 1e300, np.random.default_rng(0), size=4)
+        assert np.all(np.isfinite(G))
+        with pytest.raises(ValueError, match=re.escape("spread 1.7e+308 overflows")):
+            sample_j_unitary(2, 2, 1.7e308, np.random.default_rng(0), size=4)
+        # With no hyperbolic plane, the null-space rows are what overflows.
+        with pytest.raises(ValueError, match=re.escape("spread 1.7e+308 overflows")):
+            sample_feasible(Inertia(2, 1, 0), Inertia(1, 0, 0), 1.7e308,
+                            np.random.default_rng(0), size=4, null_dims=1)
+
+
+def test_null_rows_follow_the_j_unitary_in_each_row():
+    # sample_feasible's null-space rows are Gaussians scaled by the spread,
+    # read after the J-unitary's in the same row: its first rows are the
+    # paired columns of the same draw, and a stack equals single draws.
+    ib, ibh, spread = Inertia(2, 3, 1), Inertia(1, 0, 1), 1.5
+    X = sample_feasible(ib, ibh, spread, np.random.default_rng(4), size=6, null_dims=3)
+    assert X.shape == (6, 6, 2)
+    rng = np.random.default_rng(4)
+    for k in range(6):
+        one = sample_feasible(ib, ibh, spread, rng, null_dims=3)
+        np.testing.assert_array_equal(one, X[k])
+    G = sample_j_unitary(2, 1, spread, np.random.default_rng(4))
+    np.testing.assert_array_equal(X[0, :3], G[:, paired_columns(ib, ibh)])
+    J = np.diag([1.0, 1.0, -1.0, 0.0, 0.0, 0.0])
+    form = X.conj().swapaxes(-1, -2) @ J @ X
+    np.testing.assert_allclose(form, np.broadcast_to(np.diag([1.0, -1.0]), form.shape), atol=1e-12)
+    assert np.all(np.abs(X[:, 3:]) > 0)
+
+
+def test_polar_block_failures_are_typed(monkeypatch):
+    # polar_from_W keeps its own eigh: an overflowing W is a ValueError and a
+    # LAPACK failure a KernelFailureError.
     from pencil_tracemin.errors import KernelFailureError
+
+    with pytest.raises(ValueError, match="overflow"):
+        polar_from_W(np.full((2, 1), 1e200), np.eye(2), np.eye(1))
 
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(np.linalg, kernel, failing)
-    with pytest.raises(KernelFailureError):
-        sample_j_unitary(2, 1, 1.0, np.random.default_rng(1), size=3)
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(KernelFailureError, match="did not converge"):
+        polar_from_W(np.ones((2, 1)), np.eye(2), np.eye(1))

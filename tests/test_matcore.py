@@ -135,6 +135,19 @@ def test_random_congruence_deterministic():
     np.testing.assert_array_equal(out1.A.entries, out2.A.entries)
 
 
+def test_random_congruence_qr_failure_is_typed(monkeypatch):
+    # random_congruence keeps LAPACK's QR for its one Haar unitary.
+    from pencil_tracemin.errors import KernelFailureError
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    pair = pt.pair_from_arrays(np.eye(3), np.diag([1.0, -1.0, 2.0]))
+    monkeypatch.setattr(np.linalg, "qr", failing)
+    with pytest.raises(KernelFailureError, match="did not converge"):
+        pt.random_congruence(pair, 7, 10.0)
+
+
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(2)
     M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

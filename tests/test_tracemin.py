@@ -810,8 +810,13 @@ stacked_problems = pytest.mark.parametrize(
         lambda: diag_problem([], [1.0, 2.0], [], [0.4, 0.9], scramble=(3, 4)),
         lambda: diag_problem([0.5, 2.0], [1.0, 3.0], [0.8], [0.6], scramble=(5, 6)),
         _singular_b_problem,
+        # Unitary factors of order 5 and 6, so the reflector loop runs.
+        lambda: diag_problem(np.linspace(0.5, 2.0, 6), np.linspace(1.0, 3.0, 5),
+                             np.linspace(0.4, 1.2, 4), [0.6, 0.9, 1.3], scramble=(11, 12)),
+        lambda: diag_problem(np.linspace(0.5, 2.0, 5), np.linspace(1.0, 3.0, 5),
+                             np.linspace(0.4, 1.2, 5), np.linspace(0.6, 1.8, 5), scramble=(13, 14)),
     ],
-    ids=["n_minus_zero", "n_plus_zero", "nhat_below_n", "singular_B"],
+    ids=["n_minus_zero", "n_plus_zero", "nhat_below_n", "singular_B", "n11_nhat7", "n10_equal"],
 )
 
 
@@ -875,6 +880,26 @@ def test_stacked_sample_prefix_and_split(make):
     rng = np.random.default_rng(29)
     split = np.concatenate([sampler.sample(1.7, rng, 7), sampler.sample(1.7, rng, 5)])
     np.testing.assert_array_equal(split, whole)
+
+
+def test_samples_reach_the_null_space_of_singular_b():
+    # With B singular, a sample adds N Y to the J-unitary's columns, N the
+    # null columns of B's frame and Y Gaussian scaled by the spread: every
+    # sample has a component in N(B) and stays feasible, and a stack equals
+    # the single draws.
+    prob = _singular_b_problem()
+    sampler = pt.FeasibleSampler(prob)
+    stack = sampler.sample(1.7, np.random.default_rng(31), 40)
+    vals, vecs = np.linalg.eigh(prob.pair.B.entries)
+    null = vecs[:, np.abs(vals) <= 1e-10 * np.max(np.abs(vals))]
+    assert null.shape[1] == 1
+    size = np.linalg.norm(stack, axis=(-2, -1))
+    assert np.all(np.linalg.norm(null.conj().T @ stack, axis=(-2, -1)) >= 1e-3 * size)
+    scale = np.linalg.norm(prob.hat_pair.B.entries, 2) * np.linalg.norm(prob.pair.B.entries, 2)
+    assert np.all(pt.feasibility_residual(prob, stack) <= 1e-9 * scale * size**2)
+    rng = np.random.default_rng(31)
+    for k in range(40):
+        np.testing.assert_array_equal(sampler.sample(1.7, rng), stack[k])
 
 
 def _max_outcome(residual, G):

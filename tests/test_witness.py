@@ -1,3 +1,5 @@
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +7,11 @@ import pytest
 
 import pencil_tracemin as pt
 from pencil_tracemin.cli import EXIT_NO_WITNESS, main
-from pencil_tracemin.errors import CertificationFailedError, NoWitnessConstructibleError
+from pencil_tracemin.errors import (
+    CertificationFailedError,
+    NonFiniteError,
+    NoWitnessConstructibleError,
+)
 from pencil_tracemin.genpairs import BlockSpec, assemble, block
 from pencil_tracemin.spectral import TRI_INV_BASE
 from pencil_tracemin.tracemin import FINITE, NEG_INFINITE, infimum
@@ -14,6 +20,7 @@ from pencil_tracemin.witness import (
     INFINITE_BLOCK_RAY,
     MIXED_SIGN_SLOPE,
     SIGMA_IDENTITY,
+    SIGMA_SQUARE,
     T_GROWTH,
     _finish_family,
     _gap_extremes,
@@ -577,6 +584,34 @@ def test_evaluate_witness_rejects_negative_t():
     for t in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             evaluate_witness(fam, t)
+
+
+def _mixed_sign_golden_family():
+    prob = pt.problem_from_arrays(
+        np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), np.diag([-1.0, -2.0]), np.diag([1.0, -1.0])
+    )
+    family = build_witness(prob, infimum(prob))
+    assert family.kind == MIXED_SIGN_SLOPE and family.sigma_map == SIGMA_IDENTITY
+    return family
+
+
+def test_evaluate_witness_far_out_is_finite_or_a_typed_error():
+    # A trace beyond the floats is a NonFiniteError naming t, never a NaN,
+    # an infinity or a numpy warning: at t = 1e154 the trace -9e308 overflows,
+    # and from 1.3e154 so does sigma^2 in the cosh coefficient.
+    family = _mixed_sign_golden_family()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, trace = evaluate_witness(family, 1e150)
+        assert np.all(np.isfinite(X))
+        want = family.slope * 1e300 + family.offset
+        assert abs(trace - want) <= 1e-12 * abs(want)
+        for t in (1e154, 1e155, 1e200):
+            with pytest.raises(NonFiniteError, match=re.escape(f"t = {t!r}")):
+                evaluate_witness(family, t)
+        square = replace(family, sigma_map=SIGMA_SQUARE)
+        with pytest.raises(NonFiniteError):
+            evaluate_witness(square, 1e160)
 
 
 def test_no_witness_for_a_finite_verdict():
