@@ -23,11 +23,7 @@ from .matcore import (
 )
 from .definiteness import DefinitenessReport, analysis_definiteness
 from .spectral import PairAnalysis, analyze_pair
-from .hyperbolic import (
-    polar_from_W,
-    sample_feasible,
-    sample_j_unitary,
-)
+from .hyperbolic import sample_feasible, sample_j_unitary
 from .genpairs import BlockSpec, GroundTruth, assemble, block
 from .tracemin import (
     ExcludedCase,

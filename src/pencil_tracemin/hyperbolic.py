@@ -1,10 +1,9 @@
-"""J-unitary matrices: hyperbolic polar and CS forms, and feasible sampling.
+"""J-unitary matrices in hyperbolic CS form, and feasible sampling.
 
 With J = diag(I_{n+}, -I_{n-}), a matrix X is J-unitary when X^H J X = J.
-Every such X factors as a Hermitian hyperbolic polar part, parametrized by an
-arbitrary n+ x n- block W, times a block-diagonal unitary, and, in the
-hyperbolic CS form, as diag(P, Q) H(theta) diag(V+, V-), with P, V+ unitary
-of order n+, Q, V- unitary of order n-, and H(theta) equal to
+Every such X factors, in the hyperbolic CS form, as
+diag(P, Q) H(theta) diag(V+, V-), with P, V+ unitary of order n+, Q, V-
+unitary of order n-, and H(theta) equal to
 [[cosh theta_k, sinh theta_k], [sinh theta_k, cosh theta_k]] on the planes
 (k, n+ + k), k < min(n+, n-), and to the identity elsewhere (Higham,
 *J-orthogonal matrices: properties and generation*, SIAM Review 45, 2003).
@@ -12,22 +11,14 @@ A signature is given by its counts n+, n-, or by the ``matcore.Inertia`` of
 B, whose nonzero counts are the signature of B's frame; the columns of a
 J-unitary that ``matcore.paired_columns`` selects are a feasible point.
 
-``polar_from_W`` assembles the polar form.  Both square roots of its block
-come from one eigh on the smaller side: with S = W, or W^H when W has more
-rows than columns, and I + S S^H = U diag(c) U^H (c >= 1), the square root
-on S's side is U diag(sqrt c) U^H and the other is
-I + V diag(1/(1 + sqrt c)) V^H with V = S^H U, which is
-f(S^H S) = I + S^H h(S S^H) S for f(x) = sqrt(1 + x) and
-h(x) = 1/(1 + sqrt(1 + x)): nothing cancels.
-
-``sample_j_unitary`` draws the CS form, with no LAPACK call.  Each sinh
+``sample_feasible`` draws the CS form, with no LAPACK call.  Each sinh
 theta_k is spread * |g_k|, g_k complex normal with E|g_k|^2 = 1, and each of
 P, V+, Q, V- is a Haar unitary built from Householder reflectors of
 independent complex Gaussian vectors (Stewart, SIAM J. Numer. Anal. 17,
 1980; ``_haar_factors``).  One draw reads ``standard_normal`` once, in this
 order: the g_k (real parts, then imaginary parts), then the Gaussians of P,
-V+, Q and V- (each a ``matcore.complex_blocks`` block); ``sample_feasible``
-reads the Gaussians of its null-space rows after them, in the same call.
+V+, Q and V- (each a ``matcore.complex_blocks`` block), then those of the
+null-space rows, in the same call.
 ``size=K`` reads one (K, m) block whose row k holds draw k, so a stack
 equals K successive single draws.  The stack is assembled with the sample
 index last, so every numpy call acts elementwise on whole stacks of
@@ -41,50 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import KernelFailureError
 from .matcore import Inertia, check_inertias, complex_blocks, paired_columns, standard_normals
-
-
-def _ct(M):
-    """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return M.conj().swapaxes(-1, -2)
-
-
-def _blockdiag(P, M):
-    n1, n2 = P.shape[-1], M.shape[-1]
-    out = np.zeros(P.shape[:-2] + (n1 + n2, n1 + n2), dtype=complex)
-    out[..., :n1, :n1] = P
-    out[..., n1:, n1:] = M
-    return out
-
-
-def _polar_middle(W):
-    """The Hermitian polar block [[sqrt(I + W W^H), W], [W^H, sqrt(I + W^H W)]],
-    both square roots from one eigh on the smaller side (module docstring).
-    ValueError when I + S S^H is not finite."""
-    Wh = _ct(W)
-    flip = W.shape[-2] > W.shape[-1]
-    S, Sh = (Wh, W) if flip else (W, Wh)
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = np.eye(S.shape[-2]) + S @ Sh
-    if not np.all(np.isfinite(G)):
-        raise ValueError("W makes I + W W^H overflow")
-    try:
-        c, U = np.linalg.eigh(G)
-    except np.linalg.LinAlgError as exc:
-        raise KernelFailureError(str(exc)) from exc
-    root = np.sqrt(np.clip(c, 1.0, None))
-    near = (U * root[..., None, :]) @ _ct(U)
-    V = Sh @ U
-    far = np.eye(S.shape[-1]) + (V / (1.0 + root)[..., None, :]) @ _ct(V)
-    top, bot = (far, near) if flip else (near, far)
-    return np.block([[top, W], [Wh, bot]])
-
-
-def polar_from_W(W: np.ndarray, V_plus: np.ndarray, V_minus: np.ndarray) -> np.ndarray:
-    """Assemble the J-unitary matrix with polar block W and unitary factors V+-."""
-    W = np.atleast_2d(np.asarray(W, dtype=complex))
-    return _polar_middle(W) @ _blockdiag(np.asarray(V_plus), np.asarray(V_minus))
 
 
 def _haar_normals(m: int) -> int:
@@ -185,29 +133,19 @@ def _cs_draw(g, n_plus, n_minus, spread):
     return np.moveaxis(G, -1, 0)
 
 
-def sample_j_unitary(n_plus: int, n_minus: int, spread: float, rng, size=None) -> np.ndarray:
-    """Draw a random J-unitary, J = diag(I_{n_plus}, -I_{n_minus}), in
-    hyperbolic CS form: sinh theta_k = spread * |g_k| and Haar unitary
-    factors (module docstring).  Deterministic given the generator state;
-    ``size=K`` gives a (K, n, n) stack, the K draws that successive calls
-    would make.  ValueError, naming the spread, when a draw's
-    cosh theta + sinh theta is not finite."""
-    m = _draw_size(n_plus, n_minus, spread)
-    g = standard_normals(rng, m, size)
-    G = _cs_draw(g, n_plus, n_minus, spread)
-    return np.ascontiguousarray(G[0] if size is None else G)
-
-
 def sample_feasible(
     ib: Inertia, ibh: Inertia, spread: float, rng, size=None, null_dims: int = 0
 ) -> np.ndarray:
     """Sample X ((rank B + null_dims) x nhat) with X^H diag(J, 0) X = Jhat,
     J and Jhat the signatures of the inertias ``ib`` of B and ``ibh`` of
-    Bhat: the columns of a ``sample_j_unitary`` draw that ``paired_columns``
-    selects, over ``null_dims`` rows of complex Gaussians scaled by
-    ``spread`` as the g_k are, read after the J-unitary's in the same
-    ``standard_normal`` call.  ``size=K`` gives a (K, rank B + null_dims,
-    nhat) stack.  Raises EmptyFeasibleSetError where ``check_inertias`` does."""
+    Bhat: the columns that ``paired_columns`` selects of a random J-unitary
+    in hyperbolic CS form, sinh theta_k = spread * |g_k| and Haar unitary
+    factors (module docstring), over ``null_dims`` rows of complex Gaussians
+    scaled by ``spread`` as the g_k are.  Deterministic given the generator
+    state; ``size=K`` gives a (K, rank B + null_dims, nhat) stack, the K
+    draws that successive calls would make.  Raises EmptyFeasibleSetError
+    where ``check_inertias`` does, and ValueError, naming the spread, when a
+    draw's cosh theta + sinh theta or a null-space entry is not finite."""
     check_inertias(ib, ibh)
     m = _draw_size(ib.n_plus, ib.n_minus, spread)
     nhat = ibh.rank
@@ -221,3 +159,10 @@ def sample_feasible(
             raise ValueError(f"spread {spread} overflows: a null-space entry is not finite")
         G = np.concatenate([G, np.moveaxis(Y, -1, 0)], axis=1)
     return np.ascontiguousarray(G[0] if size is None else G)
+
+
+def sample_j_unitary(n_plus: int, n_minus: int, spread: float, rng, size=None) -> np.ndarray:
+    """A random J-unitary, J = diag(I_{n_plus}, -I_{n_minus}): the
+    ``sample_feasible`` draw with B and Bhat both of that signature."""
+    signature = Inertia(n_plus, 0, n_minus)
+    return sample_feasible(signature, signature, spread, rng, size)

@@ -25,10 +25,17 @@ from .errors import (
 
 @dataclass(frozen=True)
 class ToleranceSet:
-    """Numerical tolerances used throughout the pipeline (relative where noted).
+    """Numerical tolerances used throughout the pipeline, and the rule each decides.
 
-    No library code reads ``feas_tol`` (``--tol-feas``); the benchmark harness
-    reads it as the bound on a minimizer's feasibility residual.
+    herm_tol: M is Hermitian when max|M - M^H| <= herm_tol * max|M|.  rank_tol:
+    the zero rule, an eigenvalue d is zero when |d| <= rank_tol * max|d|
+    (``eigen_signs``), so a B or Bhat whose condition number exceeds about
+    1/rank_tol is read as singular; times a pair's size it is also the floor of
+    "A vanishes on N(B)" and of the cluster rule.  psd_tol: a side holds when
+    lam_min(Ã - t*J) >= -psd_tol * (1 + |Ã|_F + |J|_F) at an admitted shift t.
+    type_tol: eigenvalues are real, cluster, or are isotropic within type_tol
+    relative to the spectrum.  feas_tol (``--tol-feas``): no library code reads
+    it; the benchmark harness bounds a minimizer's feasibility residual by it.
     """
 
     herm_tol: float = 1e-10
@@ -231,40 +238,22 @@ def complex_blocks(g: np.ndarray, at: int, count: int, length: int) -> np.ndarra
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-def complex_normal(rng, *shapes, size=None) -> list:
-    """Complex standard normal arrays of the given shapes, drawn in order from
-    one ``standard_normals`` call, one ``complex_blocks`` block each.
-
-    ``size=K`` gives (K, *shape) stacks equal, bit for bit, to K successive
-    calls with ``size=None``."""
-    sizes = [math.prod(shape) for shape in shapes]
-    g = standard_normals(rng, 2 * sum(sizes), size)
-    out, at = [], 0
-    for shape, m in zip(shapes, sizes):
-        z = np.moveaxis(complex_blocks(g, at, 1, m)[0], -1, 0).reshape((g.shape[1], *shape))
-        out.append(z[0] if size is None else z)
-        at += 2 * m
-    return out
-
-
 def haar_unitary(n: int, rng) -> np.ndarray:
-    """Haar-distributed unitary of order n, drawn from one Generator."""
-    return unitary_factor(*complex_normal(rng, (n, n)))
-
-
-def unitary_factor(Z: np.ndarray) -> np.ndarray:
-    """Q of the QR of each complex Gaussian Z, with R's diagonal phases fixed: Haar.
+    """Haar-distributed unitary of order n, drawn from one Generator: the Q of
+    the QR of an n x n complex Gaussian matrix (one ``complex_blocks`` block,
+    row-major), with R's diagonal phases fixed.
 
     It serves one large matrix (``random_congruence``), where LAPACK's QR is
     fastest; a stack of small factors pays a LAPACK call per matrix, so the
     sampler builds its own from reflectors (``hyperbolic._haar_factors``)."""
+    Z = complex_blocks(standard_normals(rng, 2 * n * n), 0, 1, n * n).reshape(n, n)
     try:
         Q, R = np.linalg.qr(Z)
     except np.linalg.LinAlgError as exc:
         raise KernelFailureError(str(exc)) from exc
-    d = np.diagonal(R, axis1=-2, axis2=-1).copy()
+    d = np.diagonal(R).copy()
     d[d == 0] = 1.0
-    return Q * (d / np.abs(d))[..., None, :]
+    return Q * (d / np.abs(d))
 
 
 def check_inertias(ib: Inertia, ibh: Inertia) -> None:
@@ -272,10 +261,14 @@ def check_inertias(ib: Inertia, ibh: Inertia) -> None:
     its inertia fits inside the inertia ib of B: then, and only then, some X
     has Bhat X^H B X = I."""
     if ibh.n_zero > 0:
-        raise EmptyFeasibleSetError("Bhat is singular; the constraint has no solution")
+        raise EmptyFeasibleSetError(
+            "Bhat is judged singular by the zero rule |d| <= rank_tol * max|d| on its"
+            " eigenvalues d; the constraint has no solution"
+        )
     if ibh.n_plus > ib.n_plus or ibh.n_minus > ib.n_minus:
         raise EmptyFeasibleSetError(
-            f"inertia of Bhat {ibh.as_tuple()} exceeds inertia of B {ib.as_tuple()}"
+            f"inertia of Bhat {ibh.as_tuple()} exceeds inertia of B {ib.as_tuple()} "
+            "(an eigenvalue d is zero by the zero rule |d| <= rank_tol * max|d|)"
         )
 
 

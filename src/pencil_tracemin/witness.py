@@ -88,8 +88,9 @@ def _sigma(family: WitnessFamily, t: float) -> float:
         return float(t)
     if family.sigma_map == SIGMA_SQUARE:
         return float(t) ** 2
-    # sigma^2 (1 + sigma^2) = t^4  =>  exact quadratic trend for the rotation
-    q = 0.5 * (math.sqrt(1.0 + 4.0 * t**4) - 1.0)
+    # sigma^2 (1 + sigma^2) = t^4  =>  exact quadratic trend for the rotation;
+    # q = (sqrt(1 + 4 t^4) - 1) / 2 in a form that does not cancel at small t.
+    q = 2.0 * t**4 / (1.0 + math.hypot(1.0, 2.0 * t * t))
     return math.sqrt(q)
 
 

@@ -10,9 +10,9 @@ route alone, and the typing of ``_cluster`` by a loop over its clusters and
 entries, and the definiteness report of a finite part with every admitted
 side confirmed by an eigensolve or screened as a dense matrix at its shift,
 and the Crawford number of a definite pair
-by a search over angles, and the hyperbolic polar block with each square
-root from its own eigh, and a J-unitary in hyperbolic CS form from dense
-Householder reflectors, one sample at a time.  They are not part of the
+by a search over angles, and a J-unitary in hyperbolic CS form from dense
+Householder reflectors, one sample at a time, and a Haar unitary by the
+formula ``matcore.haar_unitary`` is pinned to.  They are not part of the
 library.
 """
 
@@ -247,20 +247,6 @@ def crawford_number(pair: MatrixPair, grid: int = 720) -> float:
     return float(max(np.max(coarse), np.max(lam_min(best + np.linspace(-step, step, 201)))))
 
 
-def two_root_polar_middle(W: np.ndarray) -> np.ndarray:
-    """The Hermitian polar block [[sqrt(I + W W^H), W], [W^H, sqrt(I + W^H W)]]
-    of a matrix or stack W, each square root from an eigh of its own side."""
-    Wh = W.conj().swapaxes(-1, -2)
-
-    def psd_sqrt(M):
-        vals, vecs = np.linalg.eigh((M + M.conj().swapaxes(-1, -2)) / 2.0)
-        return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-
-    top = psd_sqrt(np.eye(W.shape[-2]) + W @ Wh)
-    bot = psd_sqrt(np.eye(W.shape[-1]) + Wh @ W)
-    return np.block([[top, W], [Wh, bot]])
-
-
 def householder_haar(vectors) -> np.ndarray:
     """The unitary H_0 (1 + H_1) ... (I_{m-1} + H_{m-1}) diag(-phi_0, ...,
     -phi_{m-1}) of complex vectors x_0, ..., x_{m-1} of lengths m, ..., 1,
@@ -292,3 +278,16 @@ def cs_j_unitary(sinh, P, Q, V_plus, V_minus) -> np.ndarray:
     left[:p, :p], left[p:, p:] = P, Q
     right[:p, :p], right[p:, p:] = V_plus, V_minus
     return left @ H @ right
+
+
+def qr_haar_unitary(n: int, rng) -> np.ndarray:
+    """The Haar unitary of order n that ``matcore.haar_unitary`` draws: 2n^2
+    standard normals, the real parts of an n x n matrix Z, row-major, then its
+    imaginary parts; Q of LAPACK's QR of Z, each column times the phase of R's
+    diagonal entry (1 where that entry is 0)."""
+    g = rng.standard_normal(2 * n * n)
+    Z = (g[: n * n] + 1j * g[n * n :]).reshape(n, n)
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R).copy()
+    d[d == 0] = 1.0
+    return Q * (d / np.abs(d))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -252,6 +253,20 @@ def test_infimum_finite_part_that_overflows(tmp_path, capsys):
         assert main(["infimum", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite part" in err and err.count("\n") == 1
+
+
+def test_ill_conditioned_bhat_is_read_as_singular_by_the_zero_rule(tmp_path, capsys):
+    # cond(Bhat) = 1e11 passes 1/rank_tol: 1e-11 counts as zero, and the
+    # error names the rule that decided it, in the library and the CLI.
+    A, B, Ahat, Bhat = np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), np.eye(2), np.diag([1.0, 1e-11])
+    rule = "the zero rule |d| <= rank_tol * max|d|"
+    with pytest.raises(pt.errors.EmptyFeasibleSetError, match=re.escape(rule)):
+        pt.infimum(pt.problem_from_arrays(A, B, Ahat, Bhat))
+    path = str(tmp_path / "singular_bhat.json")
+    write_problem(path, A, B, Ahat, Bhat)
+    assert main(["infimum", path]) == cli.EXIT_EMPTY_FEASIBLE == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: Bhat is judged singular") and rule in err
 
 
 def test_infinite_tolerance_flag_is_invalid_input(golden_file, capsys):

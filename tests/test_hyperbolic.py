@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 
 from pencil_tracemin.errors import EmptyFeasibleSetError
-from pencil_tracemin.hyperbolic import (
-    _haar_factors,
-    _polar_middle,
-    polar_from_W,
-    sample_feasible,
-    sample_j_unitary,
-)
-from pencil_tracemin.matcore import Inertia, paired_columns
+from pencil_tracemin.hyperbolic import _haar_factors, sample_feasible, sample_j_unitary
+from pencil_tracemin.matcore import Inertia, complex_blocks, paired_columns, standard_normals
 
 from conftest import count_eigen_kernels, rand_hermitian
-from reference import cs_j_unitary, householder_haar, two_root_polar_middle
+from reference import cs_j_unitary, householder_haar
 
 
 def signature(npl, nmi):
@@ -27,45 +21,6 @@ def j_residual(X, npl, nmi):
     """||X^H J X - J||_2: how far X is from J-unitary."""
     J = signature(npl, nmi)
     return float(np.linalg.norm(X.conj().T @ J @ X - J, 2))
-
-
-def test_polar_identity():
-    X = polar_from_W(np.zeros((2, 1)), np.eye(2), np.eye(1))
-    np.testing.assert_allclose(X, np.eye(3), atol=1e-14)
-
-
-def test_polar_1x1_algebraic_identity():
-    s = 0.8
-    X = polar_from_W(np.array([[s]]), np.eye(1), np.eye(1))
-    expected = np.array([[np.sqrt(1 + s * s), s], [s, np.sqrt(1 + s * s)]])
-    np.testing.assert_allclose(X, expected, atol=1e-15)
-    # (1 + s^2) - s^2 = 1 exactly.
-    assert j_residual(X, 1, 1) <= 1e-14
-
-
-def test_polar_random_residual():
-    rng = np.random.default_rng(5)
-    from pencil_tracemin.matcore import haar_unitary
-
-    W = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    X = polar_from_W(W, haar_unitary(3, rng), haar_unitary(2, rng))
-    assert j_residual(X, 3, 2) <= 1e-10 * 5
-
-
-@pytest.mark.parametrize("spread", [0.0, 1.0, 2.0, 10.0, 1e3])
-@pytest.mark.parametrize("npl, nmi", [(3, 2), (2, 3), (4, 4), (0, 3), (3, 0), (1, 6), (6, 1)])
-def test_polar_block_matches_two_root_reference(npl, nmi, spread):
-    # Both square roots from one eigh on the smaller side agree with one eigh
-    # per side, and the block stays J-unitary, to roundoff in 1 + |W|_2^2.
-    rng = np.random.default_rng(npl * 10 + nmi)
-    W = spread * (rng.standard_normal((40, npl, nmi)) + 1j * rng.standard_normal((40, npl, nmi)))
-    M = _polar_middle(W)
-    scale = 1.0 + np.linalg.norm(W, 2, axis=(-2, -1)) ** 2 if npl and nmi else np.ones(40)
-    diff = np.linalg.norm(M - two_root_polar_middle(W), 2, axis=(-2, -1))
-    assert np.all(diff <= 1e-14 * scale)
-    J = signature(npl, nmi)
-    resid = np.linalg.norm(M.conj().swapaxes(-1, -2) @ J @ M - J, 2, axis=(-2, -1))
-    assert np.all(resid <= 1e-14 * scale**2)
 
 
 def test_sample_spread_zero_is_block_unitary():
@@ -159,15 +114,17 @@ def _named_vectors(z, m):
 
 def test_stacked_draw_keeps_the_single_generator_stream():
     # One draw per generator reads the plane Gaussians g (real, then
-    # imaginary), then the Gaussians of P, V+, Q and V-, each as
-    # complex_normal reads one array: the order of separate standard_normal
-    # calls.  sinh theta_k = spread |g_k| / sqrt(2), since these g_k have
-    # E|g_k|^2 = 2, and each factor comes from its own vectors.
-    from pencil_tracemin.matcore import complex_normal
-
+    # imaginary), then the Gaussians of P, V+, Q and V-, each one
+    # complex_blocks block of one standard_normals array: the order of
+    # separate standard_normal calls.  sinh theta_k = spread |g_k| / sqrt(2),
+    # since these g_k have E|g_k|^2 = 2, and each factor comes from its own
+    # vectors.
     npl, nmi, spread = 2, 3, 1.3
     rng = np.random.default_rng(44)
-    g, zP, zVp, zQ, zVm = complex_normal(rng, (2,), (3,), (3,), (6,), (6,))
+    lengths = (2, 3, 3, 6, 6)
+    z = standard_normals(rng, 2 * sum(lengths))
+    starts = 2 * np.cumsum((0,) + lengths[:-1])
+    g, zP, zVp, zQ, zVm = (complex_blocks(z, at, 1, m)[0, :, 0] for at, m in zip(starts, lengths))
     P, V_plus = (householder_haar(_named_vectors(z, npl)) for z in (zP, zVp))
     Q, V_minus = (householder_haar(_named_vectors(z, nmi)) for z in (zQ, zVm))
     reference = cs_j_unitary(spread * np.abs(g) / np.sqrt(2.0), P, Q, V_plus, V_minus)
@@ -245,14 +202,13 @@ def test_haar_factor_trace_moment():
 
 def test_one_plane_keeps_the_polar_draws_law():
     # With n+ = n- = 1, |G_12| = sinh theta = spread |g|, g the first complex
-    # Gaussian of the draw scaled to E|g|^2 = 1: the law of |W| in the polar
-    # draw W = spread z / sqrt(2).  |g|^2 is exponential with mean 1.
-    from pencil_tracemin.matcore import complex_normal
-
+    # Gaussian of the draw scaled to E|g|^2 = 1: the law of |W| in a
+    # hyperbolic polar draw W = spread z / sqrt(2).  |g|^2 is exponential
+    # with mean 1.
     spread, K = 2.5, 20000
     G = sample_j_unitary(1, 1, spread, np.random.default_rng(3), size=K)
-    (g,) = complex_normal(np.random.default_rng(3), (1,), size=1)
-    assert abs(G[0, 0, 1]) == pytest.approx(spread * abs(g[0, 0]) / np.sqrt(2.0), rel=1e-14)
+    g = complex_blocks(standard_normals(np.random.default_rng(3), 2), 0, 1, 1)[0, 0, 0]
+    assert abs(G[0, 0, 1]) == pytest.approx(spread * abs(g) / np.sqrt(2.0), rel=1e-14)
     e = np.sort(np.abs(G[:, 0, 1]) ** 2 / spread**2)
     # Kolmogorov-Smirnov distance to 1 - exp(-x); 1.95 / sqrt(K) is its 0.1 % point.
     cdf = 1.0 - np.exp(-e)
@@ -294,18 +250,3 @@ def test_null_rows_follow_the_j_unitary_in_each_row():
     np.testing.assert_allclose(form, np.broadcast_to(np.diag([1.0, -1.0]), form.shape), atol=1e-12)
     assert np.all(np.abs(X[:, 3:]) > 0)
 
-
-def test_polar_block_failures_are_typed(monkeypatch):
-    # polar_from_W keeps its own eigh: an overflowing W is a ValueError and a
-    # LAPACK failure a KernelFailureError.
-    from pencil_tracemin.errors import KernelFailureError
-
-    with pytest.raises(ValueError, match="overflow"):
-        polar_from_W(np.full((2, 1), 1e200), np.eye(2), np.eye(1))
-
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", failing)
-    with pytest.raises(KernelFailureError, match="did not converge"):
-        polar_from_W(np.ones((2, 1)), np.eye(2), np.eye(1))

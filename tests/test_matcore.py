@@ -12,9 +12,10 @@ from pencil_tracemin.errors import (
     NotHermitianError,
     NotSquareError,
 )
-from pencil_tracemin.matcore import complex_normal, matrix_from_json, matrix_to_json
+from pencil_tracemin.matcore import haar_unitary, matrix_from_json, matrix_to_json, standard_normals
 
 from conftest import rand_hermitian
+from reference import qr_haar_unitary
 
 
 def test_validate_real_diagonal():
@@ -133,6 +134,19 @@ def test_random_congruence_deterministic():
     out2, Y2 = pt.random_congruence(pair, 7, 10.0)
     np.testing.assert_array_equal(Y1, Y2)
     np.testing.assert_array_equal(out1.A.entries, out2.A.entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+@pytest.mark.parametrize("seed", [0, 11, 2**32 - 1])
+def test_haar_unitary_is_pinned_bit_for_bit(n, seed):
+    # random_congruence and every genpairs scramble read this draw: a change
+    # to its stream or its formula would move them all.
+    rng = np.random.default_rng(seed)
+    U = haar_unitary(n, rng)
+    ref_rng = np.random.default_rng(seed)
+    np.testing.assert_array_equal(U, qr_haar_unitary(n, ref_rng))
+    # The generator is left where the reference left it.
+    assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_random_congruence_qr_failure_is_typed(monkeypatch):
@@ -307,27 +321,30 @@ def test_check_feasibility():
         pt.infimum(too_much_minus)
 
 
-def _assert_stack_is_successive_draws(seed, shapes, size):
-    """complex_normal's size=K stacks equal K successive single draws, bit for bit."""
+def _assert_stack_is_successive_draws(seed, m, size):
+    """standard_normals' size=K stacks equal K successive single draws, bit for bit."""
     rng = np.random.default_rng(seed)
-    refs = [complex_normal(rng, *shapes) for _ in range(size)]
-    stacks = complex_normal(np.random.default_rng(seed), *shapes, size=size)
-    assert len(stacks) == len(shapes)
-    for got, shape, ref in zip(stacks, shapes, zip(*refs)):
-        assert got.shape == (size, *shape)
-        assert np.array_equal(got, np.stack(ref))
+    refs = [standard_normals(rng, m) for _ in range(size)]
+    stack = standard_normals(np.random.default_rng(seed), m, size)
+    assert stack.shape == (m, size)
+    assert np.array_equal(stack, np.hstack(refs))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
 def test_key_streams_are_default_rng_streams(seed):
     # One stack of 1000 reads default_rng(seed)'s stream as 1000 single draws do.
-    _assert_stack_is_successive_draws(seed, ((2, 3), (4,)), 1000)
+    _assert_stack_is_successive_draws(seed, 20, 1000)
 
 
 @pytest.mark.parametrize("width", [1, 4, 6])
 def test_key_streams_of_other_widths(width):
-    # Other row widths, with an empty side: a (0, 2) shape draws nothing.
-    _assert_stack_is_successive_draws(width, ((0, 2), (width,), (2, width)), 300)
+    # Other row widths, and an empty one, which draws nothing.
+    _assert_stack_is_successive_draws(width, 6 * width, 300)
+    _assert_stack_is_successive_draws(width, 0, 300)
+    rng = np.random.default_rng(width)
+    standard_normals(rng, 0, 300)
+    fresh = standard_normals(np.random.default_rng(width), width)
+    assert np.array_equal(standard_normals(rng, width), fresh)
 
 
 @pytest.mark.parametrize(
@@ -346,4 +363,4 @@ def test_key_streams_of_other_widths(width):
 def test_keys_outside_the_reproduced_form_are_rejected(keys):
     # Only one Generator is a source of draws: key arrays, lists and ints are refused.
     with pytest.raises(ValueError, match="numpy.random.Generator"):
-        complex_normal(keys, (2, 2))
+        standard_normals(keys, 8)

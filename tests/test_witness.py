@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -20,10 +21,12 @@ from pencil_tracemin.witness import (
     INFINITE_BLOCK_RAY,
     MIXED_SIGN_SLOPE,
     SIGMA_IDENTITY,
+    SIGMA_QUARTIC,
     SIGMA_SQUARE,
     T_GROWTH,
     _finish_family,
     _gap_extremes,
+    _sigma,
     build_witness,
     certify_unbounded,
     evaluate_witness,
@@ -612,6 +615,16 @@ def test_evaluate_witness_far_out_is_finite_or_a_typed_error():
         square = replace(family, sigma_map=SIGMA_SQUARE)
         with pytest.raises(NonFiniteError):
             evaluate_witness(square, 1e160)
+
+
+def test_quartic_sigma_keeps_its_trend_at_small_t():
+    # sigma sqrt(1 + sigma^2) = t^2 to 4 ulp of t^2 at every scale: the
+    # trend stays exactly quadratic down to t = 1e-6, where the cancelling
+    # form (sqrt(1 + 4 t^4) - 1) / 2 gave sigma = 0.
+    quartic = replace(_mixed_sign_golden_family(), sigma_map=SIGMA_QUARTIC)
+    for t in np.geomspace(1e-6, 1e3, 451):
+        s = _sigma(quartic, float(t))
+        assert abs(s * math.sqrt(1.0 + s * s) - t * t) <= 4 * np.spacing(t * t), t
 
 
 def test_no_witness_for_a_finite_verdict():
