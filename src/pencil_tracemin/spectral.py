@@ -491,9 +491,8 @@ def _conjugate_blocks(A, w, Z, G, cidx, tols):
             # With Ã x = conj(λ) J x, Ã y = λ J y (Im λ > 0) and y^H J x = 1,
             # x^H Ã x = y^H Ã y = 0 and y^H Ã x = conj(λ), so c2^H Ã c1 =
             # (λ - conj(λ)) / 2 = i Im λ: beta > 0 exactly, and only
-            # roundoff can flip its sign.
-            if beta < 0:
-                c2, beta = -c2, -beta
+            # roundoff can flip its sign, which the sign of c2 takes back.
+            c2, beta = math.copysign(1.0, beta) * c2, abs(beta)
             blocks.append((c1, c2, alpha, beta))
     return blocks
 

@@ -11,7 +11,8 @@ holds up to roundoff growing like (1 + t^2) * eps, or like t^4 * eps for
 the chained ``InfiniteBlockRay`` (sigma = t^2).  Three builders:
 
 * ``_rotation_witness`` - a hyperbolic rotation of a (+1, -1) plane of the
-  big pair against one of the hat pair's (zero-padded when nhat < rank B).
+  big pair against one of the hat pair's, zero-padded when nhat < rank B:
+  each padded hat value is a zero column of the hat directions.
   A plane is two real directions of opposite type or a 2x2
   conjugate-eigenvalue block; the family is a ``ComplexBlockSlope`` when a
   block takes part and a ``MixedSignSlope`` otherwise.
@@ -44,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
 
 import numpy as np
 
@@ -179,39 +179,34 @@ def _finish_family(kind, problem, big, hat, rot, slope, sigma_map):
 
     ``big`` and ``hat`` are the (+1 directions, -1 directions) matrices of
     each pair and ``rot`` is (p, m, phat, mhat, u, w), as in
-    ``_rotation_witness``: columns of those matrices (phat or mhat is None
-    for a padded hat value).  x_base = X(0) = L R^H, with R the hat
+    ``_rotation_witness``: columns of those matrices, where a padded hat
+    value is a zero column.  x_base = X(0) = L R^H, with R the hat
     directions, the +1 columns then the -1 columns, and L their images in
     the same order: phat maps to p and mhat to w m, by the phase conj(w) on
     mhat's column of R, and the other hat columns map, in order, onto the
     unreserved big columns of the same type.  On the plane, the rotation
     maps the columns (phat, mhat) of R to (p, m) times [[c, s conj(u)],
     [s u, c]], so d_cosh and d_sinh are (p, m) times the identity and
-    [[0, conj(u)], [u, 0]] against those of the two columns that exist.
+    [[0, conj(u)], [u, 0]] against those two columns.  A zero column of R
+    adds nothing to any of the three.
     """
     p, m, phat, mhat, u, w = rot
     images = []
     for hat_dirs, big_dirs, hat_col, big_col in zip(hat, big, (phat, mhat), (p, m)):
         cols = [k for k in range(big_dirs.shape[1]) if k != big_col]
-        if hat_dirs.shape[1] - (hat_col is not None) > len(cols):
+        if hat_dirs.shape[1] - 1 > len(cols):
             raise NoWitnessConstructibleError("insufficient directions for assignment")
-        if hat_col is not None:
-            cols.insert(hat_col, big_col)
+        cols.insert(hat_col, big_col)
         images.append(big_dirs[:, cols[: hat_dirs.shape[1]]])
     R = np.concatenate(hat, axis=1)
-    present, rotated = [], []  # columns of the plane (p, m) and those of R rotated onto them
-    for k, (col, start) in enumerate(zip((phat, mhat), (0, hat[0].shape[1]))):
-        if col is not None:
-            present.append(k)
-            rotated.append(start + col)
-    if mhat is not None:
-        R[:, rotated[-1]] *= w.conjugate()
+    mcol = hat[0].shape[1] + mhat
+    R[:, mcol] *= w.conjugate()
     x_base = np.concatenate(images, axis=1) @ R.conj().T
 
     plane = np.concatenate((big[0][:, [p]], big[1][:, [m]]), axis=1)
-    Hr = R[:, rotated].conj().T
-    d_cosh = plane[:, present] @ Hr
-    d_sinh = (plane[:, ::-1] * (u, u.conjugate()))[:, present] @ Hr
+    Hr = R[:, [phat, mcol]].conj().T
+    d_cosh = plane @ Hr
+    d_sinh = (plane[:, ::-1] * (u, u.conjugate())) @ Hr
     return _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh)
 
 
@@ -222,59 +217,45 @@ def _family(kind, problem, slope, sigma_map, x_base, d_cosh, d_sinh):
     return WitnessFamily(kind, float(slope), offset, sigma_map, x_base, d_cosh, d_sinh, problem)
 
 
-def _gap_extremes(xs, ys, nx, ny):
-    """The least and the greatest gap xs[i] - ys[k] over two value arrays
-    whose first nx and ny items are real and the rest padded zeros.
-
-    A pair of two padded zeros is no gap.  Every other pair has a real item
-    on one side, so each extreme pairs an extreme real item of one array
-    with an extreme item of the other, the first of tied ones.  Returns
-    ((gap, i, k) least, (gap, i, k) greatest), or () when no pair forms a gap.
-    """
-    ends = []
-    for a, b in ((xs[:nx], ys), (xs, ys[:ny])):
-        if a.size and b.size:
-            ends += [(a.argmin(), b.argmax()), (a.argmax(), b.argmin())]
-    gaps = [(float(xs[i] - ys[k]), int(i), int(k)) for i, k in ends]
-    return (min(gaps, key=itemgetter(0)), max(gaps, key=itemgetter(0))) if gaps else ()
-
-
-def _planes(blocks, pos, neg, pads=(0, 0)):
+def _planes(blocks, pos, neg):
     """Candidate planes (p, m, a, b, d) of one pair, with A-form [[a, b], [conj b, d]].
 
-    p and m are columns of the +1 and -1 sides: those of the typed values
-    ``pos`` and ``neg``, then one per conjugate block; a padded zero (the
-    ``pads`` of each side, after its values) has column None.  The planes are
-    the real pairs of least and greatest gap, A-form diag(value_p, -value_m),
-    and the conjugate block of largest beta, [[alpha, -i beta], [i beta,
-    -alpha]]: a slope is linear in the gap a + d and in beta, so no other
-    plane is steeper.
+    p and m are columns of the +1 and -1 sides of ``_sides``: those of the
+    (padded) typed values ``pos`` and ``neg``, then one per conjugate block.
+    The planes are the real pairs of least and greatest gap, A-form
+    diag(value_p, -value_m), and the conjugate block of largest beta,
+    [[alpha, -i beta], [i beta, -alpha]]: a slope is linear in the gap a + d
+    and in beta, so no other plane is steeper.  A pair of two padded zeros
+    (zero columns) has gap 0 and rotates nothing.  It is an extreme only
+    when every other gap lies on one side of 0, and then the opposite
+    extreme, of larger size, makes a product at least as negative with
+    every big gap and every block, so it never sets the steepest slope.
     """
-    n_pos, n_neg = len(pos), len(neg)
-    pos, neg = (np.concatenate([v, np.zeros(k)]) if k else v for v, k in zip((pos, neg), pads))
-    planes = [
-        (i if i < n_pos else None, k if k < n_neg else None, float(pos[i]), 0j, -float(neg[k]))
-        for _, i, k in _gap_extremes(pos, neg, n_pos, n_neg)
-    ]
+    planes = []
+    if pos.size and neg.size:
+        planes = [(int(i), int(k), float(pos[i]), 0j, -float(neg[k]))
+                  for i, k in ((pos.argmin(), neg.argmax()), (pos.argmax(), neg.argmin()))]
     if blocks:
         i = max(range(len(blocks)), key=lambda b: blocks[b][3])
         _, _, alpha, beta = blocks[i]
-        planes.append((n_pos + i, n_neg + i, alpha, -1j * beta, -alpha))
+        planes.append((len(pos) + i, len(neg) + i, alpha, -1j * beta, -alpha))
     return planes
 
 
-def _sides(analysis):
+def _sides(analysis, pads=(0, 0)):
     """The +1 and the -1 side of a pair: each the values of its typed entries that own a
-    direction, and the matrix of its directions, those then one of each conjugate block
-    (the typed directions themselves when there is no block)."""
+    direction, then ``pads`` zeros, and the matrix of its directions, those then a zero
+    column per padded zero, then one column of each conjugate block."""
     a = analysis
 
-    def dirs(typed, side):
-        return np.column_stack([typed, *(b[side] for b in a.blocks)]) if a.blocks else typed
+    def side(values, typed, k, pad):
+        if pad or a.blocks:
+            values = np.concatenate([values, np.zeros(pad)])
+            typed = np.column_stack([typed, np.zeros((len(typed), pad)), *(b[k] for b in a.blocks)])
+        return values, typed
 
-    pos = a.pos_values[a.pos_owns], dirs(a.pos_dirs, 0)
-    neg = a.neg_values[a.neg_owns], dirs(a.neg_dirs, 1)
-    return pos, neg
+    return (side(a.pos_values[a.pos_owns], a.pos_dirs, 0, pads[0]),
+            side(a.neg_values[a.neg_owns], a.neg_dirs, 1, pads[1]))
 
 
 PHASES = (1.0, 1j, -1.0, -1j)
@@ -296,15 +277,15 @@ def _rotation_witness(problem, big_a, hat_a):
     bh = 0 not on w, so the phases are searched on a block's side alone.
     """
     (big_pos, big_plus), (big_neg, big_minus) = _sides(big_a)
-    (hat_pos, hat_plus), (hat_neg, hat_minus) = _sides(hat_a)
-    if hat_plus.shape[1] + hat_minus.shape[1] < problem.nhat:
+    hat_cols = [d.shape[1] + len(hat_a.blocks) for d in (hat_a.pos_dirs, hat_a.neg_dirs)]
+    if sum(hat_cols) < problem.nhat:
         raise NoWitnessConstructibleError("hat Jordan or chained structure has no frame column")
     # The hat pair zero-padded to the inertia of B: each +1 (-1) direction the
     # big pair has beyond the hat's adds a hat value 0 of that type.
-    pads = [max(0, b.shape[1] - h.shape[1])
-            for b, h in ((big_plus, hat_plus), (big_minus, hat_minus))]
+    pads = [max(0, b.shape[1] - h) for b, h in zip((big_plus, big_minus), hat_cols)]
+    (hat_pos, hat_plus), (hat_neg, hat_minus) = _sides(hat_a, pads)
     big_planes = _planes(big_a.blocks, big_pos, big_neg)
-    hat_planes = _planes(hat_a.blocks, hat_pos, hat_neg, pads)
+    hat_planes = _planes(hat_a.blocks, hat_pos, hat_neg)
 
     best = None
     for (p, m, a, b, d), (phat, mhat, ah, bh, dh) in product(big_planes, hat_planes):

@@ -62,7 +62,7 @@ def within_budget(operation, budget):
     assert count <= budget, f"{count} calls, budget {budget}"
 
 
-@pytest.mark.parametrize("n, budget", [(20, 420), (80, 470)])
+@pytest.mark.parametrize("n, budget", [(20, 412), (80, 462)])
 def test_mixed_sign_chain_budget(n, budget):
     # infimum -> build_witness -> certify_unbounded on the mixed-sign problem
     # of test_infimum_witness_kernel_count, both pairs on the pair route.

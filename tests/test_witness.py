@@ -25,7 +25,7 @@ from pencil_tracemin.witness import (
     SIGMA_SQUARE,
     T_GROWTH,
     _finish_family,
-    _gap_extremes,
+    _planes,
     _sigma,
     build_witness,
     certify_unbounded,
@@ -103,37 +103,6 @@ def _padded(typed, count):
     return [(v, True) for _, v in typed] + [(0.0, False)] * (count - len(typed))
 
 
-def test_gap_extremes_takes_the_first_of_tied_items():
-    xs, ys = np.array([1.0, 3.0, 3.0, 1.0]), np.array([2.0, 0.0, 2.0, 0.0])
-    assert _gap_extremes(xs, ys, 4, 4) == ((-1.0, 0, 0), (3.0, 1, 1))
-
-
-@pytest.mark.parametrize("xs, ys, nx, ny, want", [
-    # A padded zero on the x side gives the least gap, one on the y side the greatest.
-    ([2.0, 0.0], [1.0, 0.0], 1, 1, ((-1.0, 1, 0), (2.0, 0, 1))),
-    # Only the y side is padded: a real x meets a padded zero.
-    ([-1.0, 4.0], [0.5, 0.0, 0.0], 2, 1, ((-1.5, 0, 0), (4.0, 1, 1))),
-    # Only the x side is padded, and every real y lies above its zeros.
-    ([0.0, 0.0], [1.0, 2.0], 0, 2, ((-2.0, 0, 1), (-1.0, 0, 0))),
-])
-def test_gap_extremes_pairs_padded_zeros_with_real_items(xs, ys, nx, ny, want):
-    xs, ys = np.array(xs), np.array(ys)
-    got = _gap_extremes(xs, ys, nx, ny)
-    assert got == want
-    # Brute force over the pairs with a real item on at least one side.
-    gaps = [xs[i] - ys[k] for i in range(len(xs)) for k in range(len(ys)) if i < nx or k < ny]
-    assert (got[0][0], got[1][0]) == (min(gaps), max(gaps))
-
-
-@pytest.mark.parametrize("xs, ys, nx, ny", [
-    ([0.0, 0.0], [0.0], 0, 0),  # two padded zeros make no gap
-    ([], [1.0, 2.0], 0, 2),
-    ([1.0], [], 1, 0),
-])
-def test_gap_extremes_is_empty_without_a_gap(xs, ys, nx, ny):
-    assert _gap_extremes(np.array(xs), np.array(ys), nx, ny) == ()
-
-
 def _assignment_problem():
     """A mixed-sign problem with nhat < n, whose pairs' +1/-1 direction matrices
     are returned as (problem, big, hat)."""
@@ -146,7 +115,7 @@ def _assignment_problem():
 
 @pytest.mark.parametrize("rot", [
     (2, 1, 1, 0, 1.0, -1.0),  # both hat columns rotate; the phase w on mhat's image
-    (0, 1, None, 0, 1.0, 1.0),  # a padded +1 hat value: every +1 hat column is static
+    (0, 1, 2, 0, 1.0, 1.0),  # phat is a padded +1 hat value, a zero column
 ])
 def test_finish_family_base_is_the_static_assignment(rot):
     # x_base = L R^H: the hat columns, +1 then -1 and each in order, against
@@ -154,6 +123,8 @@ def test_finish_family_base_is_the_static_assignment(rot):
     # map in order onto the big columns of their type that p and m leave.
     prob, big, hat = _assignment_problem()
     p, m, phat, mhat, u, w = rot
+    # A phat past the +1 hat columns names a padded value: zero columns up to it.
+    hat = (np.hstack([hat[0], np.zeros((prob.nhat, phat + 1 - hat[0].shape[1]))]), hat[1])
     images, R = [], np.hstack(hat)
     for big_dirs, hat_dirs, big_col, hat_col in zip(big, hat, (p, m), (phat, mhat)):
         free = iter(k for k in range(big_dirs.shape[1]) if k != big_col)
@@ -174,6 +145,26 @@ def test_finish_family_needs_a_big_column_for_each_static_hat_column():
     hat = (np.hstack([hat[0], hat[0]]), hat[1])
     with pytest.raises(NoWitnessConstructibleError, match="^insufficient directions for assignment$"):
         _finish_family(MIXED_SIGN_SLOPE, prob, big, hat, (0, 0, 0, 0, 1.0, 1.0), -1.0, SIGMA_IDENTITY)
+
+
+def test_padded_pair_is_the_greatest_hat_gap_but_not_the_steepest():
+    # Hat values -0.5 | 0.5 padded to the inertia (3, 2) of B: +1 side
+    # (-0.5, 0, 0), -1 side (0.5, 0).  Every gap with a real value is
+    # negative, so the two padded zeros (gap 0) are the greatest gap.  The
+    # least hat gap -1 against the greatest big gap 3 - (-2) = 5 still sets
+    # the slope -5.
+    prob = diag_problem([1.0, 2.0, 3.0], [-1.0, -2.0], [-0.5], [0.5], scramble=(3, 4))
+    res = infimum(prob)
+    assert res.reason == "MixedSigns"
+    (pos, _), (neg, _) = side_matrices(res.hat_analysis, (2, 1))
+    least, greatest = _planes(res.hat_analysis.blocks, pos, neg)
+    assert least[:2] == (0, 0) and least[2] + least[4] == pytest.approx(-1.0, rel=1e-12)
+    assert greatest[:2] == (1, 1) and greatest[2] + greatest[4] == 0.0
+    fam = build_witness(prob, res)
+    assert fam.kind == MIXED_SIGN_SLOPE
+    assert fam.slope == pytest.approx(-5.0, rel=1e-12)
+    assert certify_unbounded(fam, -1e6, 1e4).feas_residual <= 1e-6
+    _trend_ok(fam)
 
 
 def test_mixed_sign_slope_matches_brute_force():
