@@ -27,12 +27,9 @@ routes into the typed spectrum, arrays for each type (the ascending values,
 a Jordan mask and one matrix of the directions the entries own), and a
 tuple of 2x2 blocks for the conjugate eigenvalue pairs.  A definite finite
 part takes the same Cholesky solve in B-frame coordinates
-("frame-cholesky"), or, when the pair's own Cholesky passed and only B's
-nonsingularity certificate failed (B singular, A definite on N(B), perhaps
-a common nullspace), is read off that solve's columns, so the pencil is
-solved once (``_kept_spectrum``).  Every other one, and a definite one
-whose guard finds an eigenvalue at the shift or two eigenvalues that would
-cluster, takes one standard eigensolve of J·Ã (the library's only
+("frame-cholesky").  Every other one, and a definite one whose guard
+finds an eigenvalue at the shift or two eigenvalues that would cluster,
+takes one standard eigensolve of J·Ã (the library's only
 ``numpy.linalg.eig``, route "eig"), as J² = I makes it selfadjoint in
 [x, y] = y^H J x, and ``_cluster`` types it.  These directions, with the
 null directions of B, form a congruence frame (the canonical form of
@@ -286,7 +283,7 @@ def _pencil_solve(A, B, a_norm):
     return None
 
 
-def _typed_fields(s, t, mu, X, tols, route, F=None):
+def _typed_fields(s, t, mu, X, tols, F=None):
     """The fields of ``PairAnalysis`` from the typed ones to ``route`` of a
     pencil solve (s, t, μ, X), or None when a guard sends the solve on.
 
@@ -294,7 +291,8 @@ def _typed_fields(s, t, mu, X, tols, route, F=None):
     sqrt(type_tol)·(|λ|_2 + |t|) of s·t, since |λ - s·t| = 1/|μ|, and two
     eigenvalues within the cluster rule's type_tol·max|λ| + rank_tol·|λ|_2.
     Each λ has type sign μ and the direction x / sqrt|μ| for its column x
-    of X, mapped by F into the pair's coordinates when F is given.  The
+    of X, mapped by F into the pair's coordinates when F is given, which
+    makes the route "frame-cholesky" ("pair-cholesky" without F).  The
     directions are gathered from X once, the +1 columns, then the -1
     columns, each ascending in λ: the ascending order and the stable sort
     by sign are composed into one permutation.  Returns (fields, those
@@ -319,10 +317,11 @@ def _typed_fields(s, t, mu, X, tols, route, F=None):
         T = F @ T
     # No Jordan copy, and every entry owns its direction.
     jordan = np.zeros(len(lam), dtype=bool)
+    route = "pair-cholesky" if F is None else "frame-cholesky"
     return _by_type(plus, lam, jordan, ~jordan, T, route=route), T, np.sign(mu[perm])
 
 
-def _definite_spectrum(A, B, tols, a_norm, b_norm, route, F=None):
+def _definite_spectrum(A, B, tols, a_norm, b_norm, F=None):
     """Solve a definite pencil (A, B) by one Cholesky and one eigh; a_norm and
     b_norm are |A|_F and |B|_F, which the caller already holds.
 
@@ -376,61 +375,22 @@ def _definite_spectrum(A, B, tols, a_norm, b_norm, route, F=None):
     B, with no ``1 +`` floor, so neither the route nor the types depend on
     how the pair is scaled.
 
-    Returns (typed, rejected).  typed is (fields, directions, signs, γ
-    bound), the first three those of ``_typed_fields`` to ``route``, with F
-    mapping the directions into the pair's coordinates, or None.  rejected
-    is the solve of ``_pencil_solve`` when B failed the certificate, which
-    the B-frame route reads instead of solving again (``_kept_spectrum``),
-    else None.
+    Returns (fields, directions, signs, γ bound), the first three those of
+    ``_typed_fields``, with F mapping the directions into the pair's
+    coordinates, or None when no shift passes its Cholesky, B fails the
+    certificate or a guard sends the solve on.
     """
     solve = _pencil_solve(A, B, a_norm)
     if solve is None:
-        return None, None
+        return None
     s, t, mu, X = solve
     li2 = float(np.vdot(X, X).real)  # |L⁻¹|_F², as Y is unitary
     if abs(mu).min() <= tols.rank_tol * b_norm * li2:
-        return None, solve
-    typed = _typed_fields(s, t, mu, X, tols, route, F)
+        return None
+    typed = _typed_fields(s, t, mu, X, tols, F)
     if typed is None:
-        return None, None
-    return (*typed, 1.0 / (li2 * float(np.hypot(1.0, t)))), None
-
-
-def _kept_spectrum(solve, A, B, j, D, null_dims, tols, b_norm):
-    """The finite part's typed spectrum read off a pair-coordinate solve whose
-    B failed the nonsingularity certificate, or None to solve it anew.
-
-    ``solve`` = (s, t, μ, X) of ``_pencil_solve`` on the pair, X^H M X = I
-    for M = s·A - t·B, X^H B X = diag(μ).  The B-frame route has found the
-    signs j of B's frame, the ``null_dims`` directions of N(B) that it keeps
-    and the orthonormal columns D of the common nullspace of A and B that it
-    drops.  Then M >= 0 vanishes on D, and is definite on the rest, where A
-    is definite of sign s on N(B); so the columns of X split into three
-    sets.  The len(D) longest nearly annihilate M: the
-    M-form 1 / |x|² of their unit direction is at most rank_tol·tr M, and
-    tr M = |L|_F² >= |M|_2.  Of the others, the ``null_dims`` of least |μ|
-    span N(B): B x = μ·L Y e_k, so |B z| <= |μ|·tr M for their unit z, which
-    must be at most rank_tol·|B|_F.  The rest are M-orthogonal to N(B), as
-    the finite frame R + N K of the split is, so they are the finite
-    part's directions, less their component in D; their μ must have the
-    signs of j and pass the guards of ``_typed_fields``.  b_norm is |B|_F.
-    """
-    s, t, mu, X = solve
-    trace = float(np.real(s * np.trace(A) - t * np.trace(B)))
-    lengths = np.sum(np.abs(X) ** 2, axis=0)
-    by_length = np.argsort(-lengths)
-    common, rest = by_length[: D.shape[1]], by_length[D.shape[1]:]
-    if common.size and np.min(lengths[common]) * tols.rank_tol * trace < 1.0:
         return None
-    rest = rest[np.argsort(np.abs(mu[rest]), kind="stable")]
-    null, fin = rest[:null_dims], rest[null_dims:]
-    if null.size and np.max(np.abs(mu[null])) * trace > tols.rank_tol * b_norm:
-        return None
-    if np.sum(mu[fin] > 0) != np.sum(j > 0):
-        return None
-    x = X[:, fin] - D @ (D.conj().T @ X[:, fin])
-    typed = _typed_fields(s, t, mu[fin], x, tols, "frame-cholesky")
-    return None if typed is None else typed[0]
+    return (*typed, 1.0 / (li2 * float(np.hypot(1.0, t))))
 
 
 def _by_type(plus, values, jordan, owns, T, complex_values=(), defect=False, blocks=(),
@@ -509,9 +469,7 @@ def _finite_spectrum(A, j, F, tols, a_norm):
     Returns the 12 fields of ``_by_type``.
     """
     # |J|_F = sqrt(m), as each entry of j is +1 or -1.
-    solved, _ = _definite_spectrum(
-        A, np.diag(j), tols, a_norm, math.sqrt(len(j)), "frame-cholesky", F
-    )
+    solved = _definite_spectrum(A, np.diag(j), tols, a_norm, math.sqrt(len(j)), F)
     if solved is not None:
         return solved[0]
     # Ã = 0 has every eigenvalue at exactly zero; any positive scale will do.
@@ -666,18 +624,16 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
     once, drops the common nullspace of A and B and splits off the rest of
     N(B).  A common null vector of A and B lies in N(B), so with N an
     orthonormal basis of N(B) the common nullspace is N times the null space
-    of A N.  N is rotated only when a direction is dropped.  When the pair's
-    own Cholesky passed but B failed the nonsingularity certificate, the
-    finite part is read off that solve (``_kept_spectrum``) rather than
-    solved again.  Raises NonFiniteError when the finite part overflows: the
-    entries of Ã grow like |A| over the smallest nonzero |eigenvalue| of B.
+    of A N.  N is rotated only when a direction is dropped.  The finite part
+    is solved in B-frame coordinates, also when the pair's own Cholesky
+    passed and only B failed the nonsingularity certificate.  Raises
+    NonFiniteError when the finite part overflows: the entries of Ã grow
+    like |A| over the smallest nonzero |eigenvalue| of B.
     """
     A = pair.A.entries
     # "A vanishes on N(B)" relative to A alone: no scale of B or of the pair moves it.
     null_tol = tols.rank_tol * pair.A.fro
-    solved, rejected = _definite_spectrum(
-        A, pair.B.entries, tols, pair.A.fro, pair.B.fro, "pair-cholesky"
-    )
+    solved = _definite_spectrum(A, pair.B.entries, tols, pair.A.fro, pair.B.fro)
     if solved is not None:
         (pos, neg, *typed), W, j, crawford = solved
         return PairAnalysis(
@@ -686,13 +642,13 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
             pos, neg, *typed, crawford,
         )
     R, N, j = eigh_frame(pair.B.entries, tols)
-    deflated, D = 0, N[:, :0]
+    deflated = 0
     if N.shape[1]:
         _, s, Vh = np.linalg.svd(A @ N, full_matrices=False)
         live = int(np.sum(s > null_tol))
         deflated = N.shape[1] - live
         if deflated:
-            N, D = N @ Vh[:live].conj().T, N @ Vh[live:].conj().T
+            N = N @ Vh[:live].conj().T
     W = np.hstack([R, N])
     K, d_inf, Q_inf, A_fin = np.zeros((0, len(j))), np.zeros(0), np.zeros((0, 0)), None
     # Overflow in forming Ã is reported once, below, not as numpy warnings.
@@ -718,14 +674,7 @@ def analyze_pair(pair: MatrixPair, tols: ToleranceSet = DEFAULT_TOLS) -> PairAna
         none = np.zeros(0, dtype=bool)
         spectrum = _by_type(none, np.zeros(0), none, none, W[:, :0], defect=K is None)
     else:
-        # A pair-coordinate solve that B's certificate rejected is read, not repeated.
-        spectrum = None
-        if rejected is not None:
-            spectrum = _kept_spectrum(
-                rejected, A, pair.B.entries, j, D, N.shape[1], tols, pair.B.fro
-            )
-        if spectrum is None:
-            spectrum = _finite_spectrum(A_fin, j, F, tols, fin_norm)
+        spectrum = _finite_spectrum(A_fin, j, F, tols, fin_norm)
     return PairAnalysis(
         tols, pair, deflated, b_inertia, W, j, null_tol, d_inf, Q_inf, K, A_fin, *spectrum, None
     )

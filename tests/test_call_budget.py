@@ -80,6 +80,22 @@ def test_mixed_sign_chain_budget(n, budget):
     within_budget(chain, budget)
 
 
+@pytest.mark.parametrize("n, budget", [(6, 424), (20, 533)])
+def test_singular_b_infimum_budget(n, budget):
+    # infimum of a problem whose pair is definite with one zero in B: the
+    # pair's own Cholesky passes and B fails the nonsingularity certificate,
+    # so B is decomposed and the finite part takes the B-frame Cholesky route.
+    rng = np.random.default_rng(n)
+    npl, nmi = (n - 1) // 2, n - 1 - (n - 1) // 2
+    A, B = np.diag(rng.uniform(0.5, 2.0, n)), np.diag([1.0] * npl + [-1.0] * nmi + [0.0])
+    Ah, Bh = np.diag(rng.uniform(0.5, 2.0, n - 1)), np.diag([1.0] * npl + [-1.0] * nmi)
+    pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), n, 6.0)
+    hat, _ = pt.random_congruence(pt.pair_from_arrays(Ah, Bh), n + 1, 6.0)
+    prob = pt.ProblemInstance(pair=pair, hat_pair=hat)
+    assert pt.analyze_pair(pair).route == "frame-cholesky"
+    within_budget(lambda: infimum(prob), budget)
+
+
 def _verify(path):
     def verify():
         with contextlib.redirect_stdout(io.StringIO()):

@@ -83,18 +83,32 @@ def test_analyze_golden_pair(tmp_path, capsys):
 def test_analyze_solves_the_pencil_once(tmp_path, capsys, monkeypatch, A, B, eighs):
     # The typed spectrum and the definiteness block come from one analysis.
     # The definite pair with nonsingular B is solved in its own coordinates,
-    # with no eigh of B.  Otherwise B is decomposed once: the common null
-    # vector is found inside N(B), and A on N(B) takes one more eigh only
-    # when N(B) keeps a direction.  The pencil is solved once, by an eig or
-    # by a Cholesky and its eigh.
+    # with no eigh of B.  Otherwise, after the pair's own solve (its Cholesky
+    # may pass, but B fails the nonsingularity certificate), B is decomposed
+    # once: the common null vector is found inside N(B), A on N(B) takes one
+    # more eigh only when N(B) keeps a direction, and the finite part is
+    # solved once, by a Cholesky and its eigh.
     path = str(tmp_path / "pair.json")
     pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), 2, 4.0)
     pt.matcore.save_pair(path, pair)
     calls = count_eigen_kernels(monkeypatch)
+
+    def marked(*args, _fn=pt.spectral.eigh_frame):
+        calls.append("B frame")
+        return _fn(*args)
+
+    monkeypatch.setattr(pt.spectral, "eigh_frame", marked)
     code, rep = run_json(capsys, ["--json", "analyze", path])
     assert code == 0
-    assert pencil_solves(calls) == 1, calls
     assert calls.count("eigh") == eighs + calls.count("cholesky"), calls
+    if eighs:
+        at = calls.index("B frame")
+        assert calls[at + 1] == "eigh", calls
+        after = calls[at + 2:]
+        solves = [c for c in after if c in ("eigh", "eig", "cholesky", "cholesky failed")]
+        assert solves == ["eigh"] * (eighs - 1) + ["cholesky", "eigh"], calls
+    else:
+        assert pencil_solves(calls) == 1 and "B frame" not in calls, calls
     assert (rep["typed_spectrum"]["route"] == "pair-cholesky") == (eighs == 0)
     assert rep["is_psd_pair"] == rep["definiteness"]["is_psd_pair"]
     assert len(rep["typed_spectrum"]["pos"]) + len(rep["typed_spectrum"]["neg"]) == int(

@@ -427,69 +427,23 @@ def test_crawford_bound_is_below_the_crawford_number():
     assert bounded >= 100, bounded
 
 
-@pytest.mark.parametrize("A, B, passes", [
-    (np.diag([1.0, 3.0, -1.0]), np.diag([1.0, 0.0, -2.0]), True),
-    (np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 0.0, -2.0]), False),
+@pytest.mark.parametrize("A, B", [
+    (np.diag([1.0, 3.0, -1.0]), np.diag([1.0, 0.0, -2.0])),
+    (np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 0.0, -2.0])),
 ], ids=["singular", "shared_null"])
-def test_rejected_pair_solve_types_the_finite_part(monkeypatch, A, B, passes):
+def test_rejected_pair_solve_types_the_finite_part(A, B):
     # A definite pair with singular B passes the pair-coordinate Cholesky and
-    # fails the nonsingularity certificate; the B-frame route reads the finite
-    # part off that solve instead of solving again, with the types, values
-    # and frame of the route that solves the finite part itself.  With
-    # a shared null vector s*A - t*B is singular, and its Cholesky passes or
-    # fails by roundoff; when it passes, its solve is read the same way.
+    # fails the nonsingularity certificate (with a shared null vector s*A - t*B
+    # is singular, and its Cholesky passes or fails by roundoff); the finite
+    # part is then solved in B-frame coordinates, to the values 1 (type +1)
+    # and 0.5 (type -1) of the diagonal pair and a congruence frame that
+    # diagonalizes it.
     pair, _ = pt.random_congruence(pt.pair_from_arrays(A, B), 2, 4.0)
-    kept, read = [], pt.spectral._kept_spectrum
-
-    def recorded(*args):
-        kept.append(read(*args))
-        return kept[-1]
-
-    monkeypatch.setattr(pt.spectral, "_kept_spectrum", recorded)
     a, lam, jd, res_a, res_b = diagonal_frame(pair)
-    monkeypatch.setattr(pt.spectral, "_kept_spectrum", lambda *args: None)
-    fresh = analyze_pair(pair)
-    monkeypatch.undo()
-    assert (kept and kept[0] is not None) or not passes, kept
-    assert a.route == fresh.route == "frame-cholesky"
-    np.testing.assert_allclose(a.pos_values, fresh.pos_values, rtol=1e-12)
-    np.testing.assert_allclose(a.neg_values, fresh.neg_values, rtol=1e-12)
+    assert a.route == "frame-cholesky"
+    np.testing.assert_allclose(a.pos_values, [1.0], rtol=1e-12)
+    np.testing.assert_allclose(a.neg_values, [0.5], rtol=1e-12)
     assert max(res_a, res_b) <= 1e-12 * np.linalg.norm(lam)
-
-
-@pytest.mark.parametrize("A, B, deflated", [
-    (np.diag([100.0, 1.0, 0.99e-8]), np.diag([1.0, -1.0, -0.99e-10]), 1),
-    (np.diag([1.0, 1.0, 1.0, 1e6]), np.diag([1.0, -1.0, 5e-11, -1.2e-10]), 0),
-], ids=["common_not_null", "signs_disagree"])
-def test_kept_spectrum_declines_a_solve_it_cannot_read(monkeypatch, A, B, deflated):
-    # Both pairs pass the pair-coordinate Cholesky at t = 49.5 and t = 0 and
-    # fail B's nonsingularity certificate, and _kept_spectrum declines the
-    # solve, so the finite part is solved anew, as if nothing was kept.
-    # common_not_null: B's -0.99e-10 and A's 0.99e-8 on e3 are zero by the
-    # rank_tol rules, so e3 is a common null direction and is deflated; but
-    # M = A - 49.5 B has e3-form 0.99e-8 + 49.5 * 0.99e-10 = 1.48e-8 there,
-    # above rank_tol * tr M = 1.01e-8, so e3 is no M-null column.
-    # signs_disagree: 5e-11 is a zero of B, -1.2e-10 is not (rank_tol =
-    # 1e-10); the least |mu| is e4's, 1.2e-16, and e4 passes the null test
-    # |mu| * tr M <= rank_tol * |B|_F, so e3 is left with the finite
-    # columns and brings a second positive sign where j has one.
-    pair = pt.pair_from_arrays(A, B)
-    kept, read = [], pt.spectral._kept_spectrum
-
-    def recorded(*args):
-        kept.append(read(*args))
-        return kept[-1]
-
-    monkeypatch.setattr(pt.spectral, "_kept_spectrum", recorded)
-    a = analyze_pair(pair)
-    monkeypatch.setattr(pt.spectral, "_kept_spectrum", lambda *args: None)
-    fresh = analyze_pair(pair)
-    monkeypatch.undo()
-    assert kept == [None]
-    assert a.deflated_dims == deflated and a.b_inertia.n_zero == 1
-    assert a.route == fresh.route
-    for name in ("pos_values", "neg_values", "pos_dirs", "neg_dirs"):
-        assert np.array_equal(getattr(a, name), getattr(fresh, name)), name
 
 
 def test_linked_conjugate_group_of_singular_block_is_skipped():
@@ -585,19 +539,29 @@ def test_pair_route_matches_the_b_frame_route():
     assert routes.count("pair-cholesky") == 483
 
 
-@pytest.mark.parametrize("ratio, route, inertia", [
-    (5e-11, "frame-cholesky", pt.Inertia(1, 1, 0)),
-    (1e-9, "pair-cholesky", pt.Inertia(2, 0, 0)),
-], ids=["below-rank_tol", "above-rank_tol"])
-def test_pair_route_keeps_the_zero_rule_of_b(ratio, route, inertia):
-    # The eigenvalue ratio of B = diag(1, ratio) is below rank_tol, or above it.
-    # The pair is definite either way, but below it B counts as singular: the
+@pytest.mark.parametrize("A, B, route, inertia, deflated", [
+    (np.diag([1.0, -1.0]), np.diag([1.0, 5e-11]), "frame-cholesky", pt.Inertia(1, 1, 0), 0),
+    (np.diag([1.0, -1.0]), np.diag([1.0, 1e-9]), "pair-cholesky", pt.Inertia(2, 0, 0), 0),
+    (np.diag([100.0, 1.0, 0.99e-8]), np.diag([1.0, -1.0, -0.99e-10]), "frame-cholesky",
+     pt.Inertia(1, 1, 1), 1),
+    (np.diag([1.0, 1.0, 1.0, 1e6]), np.diag([1.0, -1.0, 5e-11, -1.2e-10]), "eig",
+     pt.Inertia(1, 1, 2), 0),
+], ids=["below-rank_tol", "above-rank_tol", "common_not_null", "signs_disagree"])
+def test_pair_route_keeps_the_zero_rule_of_b(A, B, route, inertia, deflated):
+    # B's eigenvalue ratios lie below rank_tol, or above it.  Each pair is
+    # definite, but where one lies below, B counts as singular: the
     # nonsingularity certificate of the pair route fails, and the B-frame
     # route splits off N(B), as the inertia of B alone says.
-    pair = pt.pair_from_arrays(np.diag([1.0, -1.0]), np.diag([1.0, ratio]))
+    # common_not_null: B's -0.99e-10 and A's 0.99e-8 on e3 are zero by the
+    # rank_tol rules, so e3 is a common null direction and is deflated.
+    # signs_disagree: 5e-11 is a zero of B, -1.2e-10 is not (rank_tol = 1e-10);
+    # the finite part's values 1 and -1 lie within the cluster gap of a
+    # spectrum that reaches -8.3e15, so a guard sends its solve to eig.
+    pair = pt.pair_from_arrays(A, B)
     a = analyze_pair(pair)
     assert a.route == route
     assert a.b_inertia == pt.inertia(pair.B) == inertia
+    assert a.deflated_dims == deflated
 
 def test_split_infinite_classification():
     tols = pt.ToleranceSet()
