@@ -48,8 +48,6 @@ from .spectral import analyze_pair
 from .tracemin import (
     NEG_INFINITE,
     FeasibleSampler,
-    _constraint_gap,
-    _max_feasibility_residual,
     _objective,
     feasibility_residual,
     infimum,
@@ -265,14 +263,14 @@ def cmd_verify(args) -> int:
     block = max(1, SAMPLE_BLOCK_ENTRIES // problem.n**2)
     traces, residuals = [], []
     # Samples of a large spread can overflow; the finiteness checks report
-    # that in place of numpy's warnings, and before an SVD meets a NaN.
+    # that in place of numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, args.samples, block):
             X = sampler.sample(args.spread, rng, min(block, args.samples - start))
             traces.append(_objective(problem, X))
-            gaps = _constraint_gap(problem, X)
-            _finite_samples(args.spread, traces[-1], gaps)
-            residuals.append(_max_feasibility_residual(gaps))
+            residual = feasibility_residual(problem, X)
+            _finite_samples(args.spread, traces[-1], residual)
+            residuals.append(np.max(residual))
         traces = np.concatenate(traces)
         stats = {
             "samples": args.samples,

@@ -358,32 +358,19 @@ def _constraint_gap(problem: ProblemInstance, X: np.ndarray) -> np.ndarray:
 
 
 def feasibility_residual(problem: ProblemInstance, X: np.ndarray):
-    """||Bhat X^H B X - I||_2, the first (largest) singular value; an array
-    of residuals for a stack of X."""
-    return _per_matrix(np.linalg.svd(_constraint_gap(problem, X), compute_uv=False)[..., 0])
+    """||Bhat X^H B X - I||_F; an array of residuals for a stack of X.
 
-
-def _max_feasibility_residual(G: np.ndarray) -> float:
-    """The largest ||G_k||_2 of a stack G of constraint gaps
-    ``_constraint_gap(problem, X)``, equal to ``np.max(feasibility_residual(
-    problem, X))``, with the SVD run only on the samples their norm bounds
-    leave undecided.
-
-    The Frobenius norm of a sample's G bounds ||G||_2 from above and its
-    largest column or row 2-norm bounds it from below.  A sample whose upper
-    bound falls short of the largest lower bound by more than the roundoff
-    margin 1e-10 cannot hold the maximum.  A NaN bound keeps its sample, and
-    one NaN makes every sample a candidate, so a NaN stack reaches the SVD
-    whole, as in ``feasibility_residual``.  The bounds square |G|, so they
-    overflow to inf before ||G||_2 does; an inf bound only keeps samples.
+    The Frobenius norm bounds the 2-norm from above, by at most sqrt(nhat)
+    times it.  Each gap is divided by its largest |entry| before its squares
+    are summed, so a finite gap gives a finite residual where the plain sum
+    of squares would overflow.  A zero gap gives 0.0, and a NaN or inf entry
+    a non-finite residual, with no numpy warning.
     """
-    with np.errstate(over="ignore"):
-        P = G.real**2 + G.imag**2
-        col, row = P.sum(axis=-2), P.sum(axis=-1)
-        upper = np.sqrt(col.sum(axis=-1))
-        lower = np.sqrt(np.maximum(col.max(axis=-1), row.max(axis=-1)))
-    undecided = ~(upper < np.max(lower) * (1.0 - 1e-10))
-    return float(np.linalg.svd(G[undecided], compute_uv=False)[:, 0].max())
+    G = _constraint_gap(problem, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.abs(G).max(axis=(-2, -1))
+        unit = np.where(scale > 0, scale, 1.0)
+        return _per_matrix(unit * np.linalg.norm(G / unit[..., None, None], axis=(-2, -1)))
 
 
 def _feasible_point(big: PairAnalysis, hat: PairAnalysis) -> np.ndarray:

@@ -118,6 +118,13 @@ def evaluate_witness(family: WitnessFamily, t: float):
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """A witness family certified at its parameter ``t``.
+
+    ``trace_value`` is trace(Ahat X^H A X) at X(t), at most ``threshold``.
+    ``feas_residual`` is ``feasibility_residual`` at X(t): the Frobenius
+    norm ||Bhat X^H B X - I||_F, an upper bound on the 2-norm.
+    """
+
     t: float
     trace_value: float
     feas_residual: float

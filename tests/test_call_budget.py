@@ -111,7 +111,7 @@ def test_verify_budget(tmp_path):
     save_problem(path, pt.problem_from_arrays(
         np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), golden_hat_matrix(), np.diag([1.0, -1.0])
     ))
-    within_budget(_verify(path), 654)
+    within_budget(_verify(path), 646)
 
 
 def test_verify_budget_order_8(tmp_path):
@@ -125,4 +125,23 @@ def test_verify_budget_order_8(tmp_path):
     )
     path = str(tmp_path / "order8.json")
     save_problem(path, prob)
-    within_budget(_verify(path), 691)
+    within_budget(_verify(path), 684)
+
+
+def test_minimize_budget(tmp_path):
+    # `cli minimize` on a problem of order 20, nhat = 10, whose pairs are
+    # both definite and on the pair route: infimum, the minimizer's
+    # directions, its residual and the written X.
+    rng = np.random.default_rng(20)
+    prob = diag_problem(
+        rng.uniform(1.0, 2.0, 10), rng.uniform(-2.0, -1.0, 10),
+        rng.uniform(0.5, 1.0, 5), rng.uniform(-1.0, -0.5, 5), scramble=(20, 21),
+    )
+    path, out = str(tmp_path / "order20.json"), str(tmp_path / "x.json")
+    save_problem(path, prob)
+
+    def minimize():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--json", "minimize", path, out]) == 0
+
+    within_budget(minimize, 627)

@@ -584,8 +584,10 @@ def test_verify_kernel_calls_independent_of_sample_count(golden_file, capsys, mo
         counts[-1]["solves"] = pencil_solves(calls)
         monkeypatch.undo()
     assert counts[0] == counts[1], counts
-    # The two pair-route solves make every eigh; the draws make no QR and no eigh.
+    # The two pair-route solves make every eigh; the draws make no QR and no
+    # eigh, and the residuals no SVD.
     assert counts[0]["qr"] == 0 and counts[0]["eigh"] == counts[0]["solves"] == 2, counts
+    assert counts[0]["svd"] == 0, counts
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -691,10 +693,10 @@ def test_infimum_type_count_mismatch_exit_code(golden_file, capsys, monkeypatch)
     assert err.startswith("error: ") and "typed values" in err
 
 
-@pytest.mark.parametrize("kernel", ["eigh", "svd"], ids=["every_call", "residual_svd"])
+@pytest.mark.parametrize("kernel", ["eigh"], ids=["every_call"])
 def test_verify_kernel_failure_exit_code(golden_file, capsys, monkeypatch, kernel):
-    # A LAPACK failure, in the pencil solves' eigh or in the SVD of the
-    # worst residual, exits with its own code and a one-line message.
+    # A LAPACK failure in the pencil solves' eigh exits with its own code and
+    # a one-line message.
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 

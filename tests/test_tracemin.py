@@ -902,18 +902,6 @@ def test_samples_reach_the_null_space_of_singular_b():
         np.testing.assert_array_equal(sampler.sample(1.7, rng), stack[k])
 
 
-def _max_outcome(residual, G):
-    """``residual(G)``, or the exception the SVD raises."""
-    try:
-        return residual(G)
-    except np.linalg.LinAlgError as exc:
-        return type(exc), str(exc)
-
-
-def _full_max(G):
-    return float(np.max(np.linalg.norm(G, 2, axis=(-2, -1))))
-
-
 def _golden_like():
     return pt.problem_from_arrays(
         np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), golden_hat_matrix(), np.diag([1.0, -1.0])
@@ -935,17 +923,23 @@ def _golden_like():
     ids=["golden-1", "golden-2", "golden-10", "nhat_below_n", "nhat_below_n-3x5", "one_sample",
          "spread_zero", "spread_zero-nhat_below_n"],
 )
-def test_screened_max_residual_is_exact(make, spread, size):
-    # The norm screen only skips SVDs: the largest residual is the per-sample
-    # maximum of the same stack, bit for bit.
+def test_feasibility_residual_is_the_frobenius_norm(make, spread, size):
+    # Each sample's residual is ||G||_F of its gap G, whatever stack it is
+    # read from, and lies between ||G||_2 and sqrt(nhat) times it.
     prob = make()
     sampler = pt.FeasibleSampler(prob)
     for seed in range(5):
         X = sampler.sample(spread, np.random.default_rng(seed), size)
         G = pt.tracemin._constraint_gap(prob, X)
-        full = float(np.max(pt.feasibility_residual(prob, X)))
-        assert full == _full_max(G)
-        assert pt.tracemin._max_feasibility_residual(G) == full
+        residuals = pt.feasibility_residual(prob, X)
+        assert residuals.shape == (size,)
+        for k in range(size):
+            one = pt.feasibility_residual(prob, X[k])
+            assert isinstance(one, float)
+            assert one == pt.feasibility_residual(prob, X[k : k + 1])[0] == residuals[k]
+            frobenius, two = np.linalg.norm(G[k]), np.linalg.norm(G[k], 2)
+            assert abs(one - frobenius) <= 1e-15 * frobenius
+            assert two * (1.0 - 1e-14) <= one <= np.sqrt(prob.nhat) * two * (1.0 + 1e-14)
 
 
 @pytest.mark.parametrize(
@@ -953,30 +947,33 @@ def test_screened_max_residual_is_exact(make, spread, size):
     [(np.nan, True), (np.nan, False), (np.inf, False), (complex(np.inf, np.nan), False)],
     ids=["nan_sample", "nan", "inf", "inf_nan"],
 )
-def test_screened_max_residual_keeps_nonfinite_samples(entry, in_x):
-    # A NaN in one sample's G makes the SVD raise and an inf makes it return
-    # NaN; the screened maximum raises or propagates in the same way.
+def test_feasibility_residual_of_a_nonfinite_gap_is_nonfinite(monkeypatch, entry, in_x):
+    # A NaN or inf in one sample's G makes that residual non-finite, with no
+    # exception and no warning, and leaves the others as they were.
     prob = _golden_like()
     X = pt.FeasibleSampler(prob).sample(2.0, np.random.default_rng(8), 6)
+    finite = pt.feasibility_residual(prob, X)
     if in_x:
         X[3, 0, 0] = entry
-    G = pt.tracemin._constraint_gap(prob, X)
-    if not in_x:
-        G[3, 1, 0] = entry
-    full = _max_outcome(_full_max, G)
-    screened = _max_outcome(pt.tracemin._max_feasibility_residual, G)
-    if isinstance(full, float):
-        assert np.isnan(full) and np.isnan(screened)
     else:
-        assert screened == full
+        G = pt.tracemin._constraint_gap(prob, X)
+        G[3, 1, 0] = entry
+        monkeypatch.setattr(pt.tracemin, "_constraint_gap", lambda problem, X: G)
+    residuals = pt.feasibility_residual(prob, X)
+    assert not np.isfinite(residuals[3])
+    np.testing.assert_array_equal(np.delete(residuals, 3), np.delete(finite, 3))
 
 
-def test_screened_max_residual_margin_covers_rounding():
-    # Two rank-one G of one 2-norm up to an ulp: the bounds, rounded one way,
-    # rank the first higher and the SVD, rounded another, the second.  The
-    # screen's margin keeps both, so the maximum is still the SVD's.
-    a = np.array([-1.446 + 1.787j, -0.206 + 1.289j])
-    G = np.zeros((2, 2, 2), dtype=complex)
-    G[0, :, 0] = a
-    G[1] = G[0] * (1.0 - 2.0**-52)
-    assert pt.tracemin._max_feasibility_residual(G) == _full_max(G)
+def test_feasibility_residual_of_a_huge_gap_is_finite():
+    # Gap entries of about 1e200 square beyond the floats; the residual,
+    # summed relative to the largest entry, stays finite.  A zero gap gives 0.
+    prob = _golden_like()
+    X = 1e100 * pt.FeasibleSampler(prob).sample(2.0, np.random.default_rng(9), 4)
+    G = pt.tracemin._constraint_gap(prob, X)
+    assert np.all(np.abs(G).max(axis=(-2, -1)) >= 1e199)
+    residuals = pt.feasibility_residual(prob, X)
+    assert np.all(np.isfinite(residuals))
+    for k in range(4):
+        reference = 1e200 * np.linalg.norm(G[k] / 1e200)
+        assert abs(residuals[k] - reference) <= 1e-15 * reference
+    assert pt.feasibility_residual(prob, np.eye(2)) == 0.0

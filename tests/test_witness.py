@@ -88,6 +88,9 @@ def test_infimum_witness_kernel_count(monkeypatch, n):
     assert 0 < max(calls.inv_orders) <= TRI_INV_BASE, calls.inv_orders
     assert fam.kind == MIXED_SIGN_SLOPE
     _trend_ok(fam, ts=(0.0, 1.0, 10.0))
+    # The certificate's residual is a Frobenius norm: no SVD.
+    certify_unbounded(fam, -1e6, 1e4)
+    assert calls.count("svd") == 0, calls
 
 
 def _sides(analysis):
