@@ -338,23 +338,41 @@ def _per_matrix(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def _times_fixed(S: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """S @ M for a matrix or a (K, r, c) stack S and a fixed (c, d) matrix M.
+
+    A complex stack whose samples have two or more rows is one GEMM on its
+    stacked (K*r, c) rows, which gives each sample the bits of its own
+    product.  Any other input is S @ M: numpy sends a one-row product to
+    gemv, and real dgemm picks its kernel by the matrix shape, so their flat
+    form changes bits.
+    """
+    if S.ndim == 3 and S.shape[1] >= 2 and np.result_type(S, M) == np.complex128:
+        K, r, c = S.shape
+        return (S.reshape(K * r, c) @ M).reshape(K, r, M.shape[-1])
+    return S @ M
+
+
 def _objective(problem: ProblemInstance, X: np.ndarray):
     """trace(Ahat X^H A X); an array of traces for a (K, n, nhat) stack of X.
 
     Summed as sum(conj(X) * (A X Ahat)), since trace(X^H M) is the sum of
     conj(X) * M: two products, no third for the trace and no transposed
-    copy of X.  A stack takes them sample by sample.
+    copy of X.  The fixed right factor Ahat is one GEMM on the stacked rows
+    of complex samples with two or more rows (``_times_fixed``); the left
+    factor A stays per sample, since its flat form changes bits.
     """
     A = problem.pair.A.entries
     Ah = problem.hat_pair.A.entries
-    return _per_matrix((X.conj() * (A @ X @ Ah)).sum(axis=(-2, -1)).real)
+    return _per_matrix((X.conj() * _times_fixed(A @ X, Ah)).sum(axis=(-2, -1)).real)
 
 
 def _constraint_gap(problem: ProblemInstance, X: np.ndarray) -> np.ndarray:
-    """Bhat X^H B X - I, for one X or each of a stack."""
+    """Bhat X^H B X - I, for one X or each of a stack; B, the fixed right
+    factor, is multiplied as in ``_objective``."""
     B = problem.pair.B.entries
     Bh = problem.hat_pair.B.entries
-    return Bh @ X.conj().swapaxes(-1, -2) @ B @ X - np.eye(problem.nhat)
+    return _times_fixed(Bh @ X.conj().swapaxes(-1, -2), B) @ X - np.eye(problem.nhat)
 
 
 def feasibility_residual(problem: ProblemInstance, X: np.ndarray):
@@ -391,7 +409,8 @@ class FeasibleSampler:
     frames are read off ``result``, the ``infimum`` of ``problem``, when it
     is given (as in ``minimizer``), and off a fresh analysis of both pairs
     otherwise.  ``sample`` reads one Generator in order; ``size=K`` gives a
-    (K, n, nhat) stack equal to K successive single samples."""
+    (K, n, nhat) stack equal to K successive single samples.  ``right`` is
+    multiplied as in ``_objective``: one GEMM on the stacked rows."""
 
     def __init__(self, problem: ProblemInstance, result: InfimumResult | None = None):
         if result is None:
@@ -405,5 +424,5 @@ class FeasibleSampler:
     def sample(self, spread: float, rng, size=None) -> np.ndarray:
         null_dims = self.left.shape[1] - self.ib.rank
         Xs = sample_feasible(self.ib, self.ibh, spread, rng, size, null_dims)
-        return self.left @ Xs @ self.right
+        return _times_fixed(self.left @ Xs, self.right)
 

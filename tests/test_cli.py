@@ -17,7 +17,7 @@ from pencil_tracemin.genpairs import assemble, spec_from_json
 from pencil_tracemin.matcore import load_problem, matrix_to_json, save_problem
 from pencil_tracemin.tracemin import ExcludedCase, FeasibleSampler, PropernessReport, _objective
 
-from conftest import count_eigen_kernels, golden_hat_matrix, pencil_solves
+from conftest import count_eigen_kernels, diag_problem, golden_hat_matrix, pencil_solves
 from reference import crawford_number
 
 
@@ -570,6 +570,35 @@ def test_verify_output_independent_of_block_split(golden_file, capsys, monkeypat
     code, split = run_json(capsys, argv)
     assert code == 0
     assert split["sampling"] == whole["sampling"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # The equal-inertia problem of order 8 of the order-8 verify budget.
+        lambda rng: diag_problem(
+            rng.uniform(0.5, 2.0, 4), rng.uniform(-2.0, -0.5, 4),
+            rng.uniform(0.5, 2.0, 4), rng.uniform(-2.0, -0.5, 4), scramble=(8, 9),
+        ),
+        # nhat = 1: the gap's one-row Bhat X^H samples take B sample by sample,
+        # while the sampler's and the objective's right factors are one GEMM.
+        lambda rng: diag_problem([0.5, 2.0, 3.0], [1.0, 1.5, 2.5], [0.8], [], scramble=(23, 24)),
+    ],
+    ids=["order_8", "nhat_1"],
+)
+def test_verify_output_independent_of_block_split_at_larger_shapes(tmp_path, capsys, monkeypatch, make):
+    prob = make(np.random.default_rng(8))
+    path = str(tmp_path / "problem.json")
+    save_problem(path, prob)
+    argv = ["--json", "--seed", "5", "verify", path, "--samples", "20", "--spread", "2.0"]
+    code, whole = run_json(capsys, argv)
+    assert code == 0
+    # Blocks of seven samples (7 + 7 + 6), then of one sample each.
+    for per_block in (7, 1):
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK_ENTRIES", per_block * prob.n**2)
+        code, split = run_json(capsys, argv)
+        assert code == 0
+        assert split["sampling"] == whole["sampling"]
 
 
 def test_verify_kernel_calls_independent_of_sample_count(golden_file, capsys, monkeypatch):

@@ -803,21 +803,19 @@ def _singular_b_problem():
     return pt.ProblemInstance(pair=pair, hat_pair=hat.hat_pair)
 
 
-stacked_problems = pytest.mark.parametrize(
-    "make",
-    [
-        lambda: diag_problem([0.5, 1.0, 2.0], [], [0.3, 0.7, 1.1], [], scramble=(1, 2)),
-        lambda: diag_problem([], [1.0, 2.0], [], [0.4, 0.9], scramble=(3, 4)),
-        lambda: diag_problem([0.5, 2.0], [1.0, 3.0], [0.8], [0.6], scramble=(5, 6)),
-        _singular_b_problem,
-        # Unitary factors of order 5 and 6, so the reflector loop runs.
-        lambda: diag_problem(np.linspace(0.5, 2.0, 6), np.linspace(1.0, 3.0, 5),
-                             np.linspace(0.4, 1.2, 4), [0.6, 0.9, 1.3], scramble=(11, 12)),
-        lambda: diag_problem(np.linspace(0.5, 2.0, 5), np.linspace(1.0, 3.0, 5),
-                             np.linspace(0.4, 1.2, 5), np.linspace(0.6, 1.8, 5), scramble=(13, 14)),
-    ],
-    ids=["n_minus_zero", "n_plus_zero", "nhat_below_n", "singular_B", "n11_nhat7", "n10_equal"],
-)
+_STACKED = [
+    lambda: diag_problem([0.5, 1.0, 2.0], [], [0.3, 0.7, 1.1], [], scramble=(1, 2)),
+    lambda: diag_problem([], [1.0, 2.0], [], [0.4, 0.9], scramble=(3, 4)),
+    lambda: diag_problem([0.5, 2.0], [1.0, 3.0], [0.8], [0.6], scramble=(5, 6)),
+    _singular_b_problem,
+    # Unitary factors of order 5 and 6, so the reflector loop runs.
+    lambda: diag_problem(np.linspace(0.5, 2.0, 6), np.linspace(1.0, 3.0, 5),
+                         np.linspace(0.4, 1.2, 4), [0.6, 0.9, 1.3], scramble=(11, 12)),
+    lambda: diag_problem(np.linspace(0.5, 2.0, 5), np.linspace(1.0, 3.0, 5),
+                         np.linspace(0.4, 1.2, 5), np.linspace(0.6, 1.8, 5), scramble=(13, 14)),
+]
+_STACKED_IDS = ["n_minus_zero", "n_plus_zero", "nhat_below_n", "singular_B", "n11_nhat7", "n10_equal"]
+stacked_problems = pytest.mark.parametrize("make", _STACKED, ids=_STACKED_IDS)
 
 
 @stacked_problems
@@ -868,6 +866,53 @@ def test_products_give_one_x_what_they_give_a_one_sample_stack(n, nhat):
     assert gap.shape == (nhat, nhat) and stacked.shape == (1, nhat, nhat)
     for value in (gap, stacked[0]):
         assert np.linalg.norm(value - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 200])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_times_fixed_matches_per_sample_products(dtype, K):
+    # Each sample gets the bits of its own product, on the stacked-rows GEMM
+    # and on the guarded inputs alike.  Complex one-row samples with c = 2, 3
+    # or 5 and real two-row samples with c = 17 or 18 change bits when
+    # flattened, so they fail here unless the guards send them to S @ M.
+    rng = np.random.default_rng(K)
+
+    def draw(*shape):
+        if dtype is float:
+            return rng.standard_normal(shape)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    shapes = [(r, c, d) for r in (1, 2, 3, 8) for c in (1, 4, 8) for d in (1, 3, 8)]
+    shapes += [(1, c, 3) for c in (2, 3, 5)] + [(2, c, 3) for c in (17, 18)]
+    for r, c, d in shapes:
+        S, M = draw(K, r, c), draw(c, d)
+        expected = np.array([S[k] @ M for k in range(K)])
+        assert np.array_equal(pt.tracemin._times_fixed(S, M), expected), (r, c, d)
+        assert np.array_equal(pt.tracemin._times_fixed(S[0], M), S[0] @ M), (r, c, d)
+
+
+@pytest.mark.parametrize("K", [1, 2, 12, 200])
+@pytest.mark.parametrize(
+    "make",
+    _STACKED + [
+        lambda: diag_problem([0.5, 2.0], [1.0], [0.8], [], scramble=(21, 22)),
+        lambda: diag_problem([0.5, 2.0, 3.0], [1.0, 1.5, 2.5], [0.8], [], scramble=(23, 24)),
+    ],
+    ids=_STACKED_IDS + ["n3_nhat1", "n6_nhat1"],
+)
+def test_stacked_values_are_the_single_values_exactly(make, K):
+    # Sample k of a stack gets the very trace, gap and residual that it gets
+    # alone.  With nhat = 1 the gap's Bhat X^H samples have one row, so the
+    # fixed factor B is multiplied sample by sample.
+    prob = make()
+    X = pt.FeasibleSampler(prob).sample(1.7, np.random.default_rng(37), K)
+    traces = pt.tracemin._objective(prob, X)
+    gaps = pt.tracemin._constraint_gap(prob, X)
+    residuals = pt.feasibility_residual(prob, X)
+    for k in range(K):
+        assert traces[k] == pt.tracemin._objective(prob, X[k])
+        assert np.array_equal(gaps[k], pt.tracemin._constraint_gap(prob, X[k]))
+        assert residuals[k] == pt.feasibility_residual(prob, X[k])
 
 
 @stacked_problems
