@@ -8,7 +8,7 @@ with sigma = sigma(t) one of three maps and d_cosh, d_sinh sums of at most
 two rank-one terms.  Each builder returns a family whose trace trend is
 exactly slope * t^2 + offset with slope < 0, while Bhat X(t)^H B X(t) = I
 holds up to roundoff growing like (1 + t^2) * eps, or like t^4 * eps for
-the chained ``InfiniteBlockRay`` (sigma = t^2).  Three builders:
+the chained ``InfiniteBlockRay`` (sigma = t^2).  Two builders:
 
 * ``_rotation_witness`` - a hyperbolic rotation of a (+1, -1) plane of the
   big pair against one of the hat pair's, zero-padded when nhat < rank B:
@@ -16,24 +16,24 @@ the chained ``InfiniteBlockRay`` (sigma = t^2).  Three builders:
   A plane is two real directions of opposite type or a 2x2
   conjugate-eigenvalue block; the family is a ``ComplexBlockSlope`` when a
   block takes part and a ``MixedSignSlope`` otherwise.
-* ``_ray_witness``, ``_chain_witness`` - an ``InfiniteBlockRay``: scaling
-  either a B-null direction against an adverse eigendirection of the hat
-  objective (diagonal infinite structure), or a chained null direction
-  whose coupling into the finite part drives the cross term (2x2 chained
-  structure).
+* ``_ray_witness`` - an ``InfiniteBlockRay``, on the branch that the
+  analysis's ``coupled`` flag picks: scaling a B-null direction against an
+  adverse eigendirection of the hat objective (diagonal infinite
+  structure), or moving along a chained null direction whose coupling into
+  the finite part drives the cross term (2x2 chained structure).
 
 Builders read the ``PairAnalysis`` objects that ``infimum`` carries on its
 result: its typed values, the directions its typed entries and conjugate
 blocks own, named by their column in the +1 or the -1 side's matrix, and
-its B-frame; no pair is analysed again.  The ray builders, which run only
-where B has a null direction, pair a unit direction of a hat frame with a
-null direction of B, so their slope is measured in that frame.  They take
+its B-frame; no pair is analysed again.  The ray builder, which runs only
+where B has a null direction, pairs a unit direction of a hat frame with a
+null direction of B, so its slope is measured in that frame.  It takes
 Bhat's eigenvector frame Th (``eigh_frame``, square, as Bhat is
 nonsingular) instead of the hat pair's typed one: its columns are
 orthogonal, so the slope does not depend on the route that solved the hat
 pair, while the typed frame of a definite hat pair can be far from
 orthogonal, and the chained family, whose residual sits at its roundoff
-floor, certifies worse there.  Only the ray builder forms the hat A-form
+floor, certifies worse there.  Only its diagonal branch forms the hat A-form
 Th^H Ahat Th.  A Jordan copy or a chained conjugate
 group owns no direction, so the rotation uses only the typed and block
 planes there are, and it needs a direction for every hat dimension: a hat
@@ -315,69 +315,60 @@ def _rotation_witness(problem, big_a, hat_a):
     return _finish_family(kind, problem, big, hat, rot, slope, sigma_map)
 
 
-def _ray_family(problem, slope, x_base, u, v, sigma_map):
-    """The family X(t) = x_base + sigma(t) u v^H through a null direction of B."""
-    d_sinh = np.outer(u, v.conj())
-    d_cosh = np.zeros_like(d_sinh)
-    return _family(INFINITE_BLOCK_RAY, problem, slope, sigma_map, x_base, d_cosh, d_sinh)
-
-
 def _ray_witness(problem, big, hat):
-    if not big.has_infinite or big.coupled:
-        raise NoWitnessConstructibleError("no diagonal infinite structure")
-
-    # R + N K is A-orthogonal to N(B), so the ray adds no cross term.
-    Th, _, _ = eigh_frame(problem.hat_pair.B.entries, hat.tols)
-    X0 = big.finite_frame()[:, paired_columns(big.b_inertia, hat.b_inertia)] @ Th.conj().T
-    M = Th.conj().T @ problem.hat_pair.A.entries @ Th
-    lam_hat, Wh = np.linalg.eigh((M + M.conj().T) / 2.0)
-
-    # slope = sign(d_inf[i]) * lam_hat[k], least at a pairing of extremes.
-    signs = np.sign(big.d_inf)
-    slope, i, k = min(
-        (float(signs[i] * lam_hat[k]), int(i), int(k))
-        for i in (np.argmin(signs), np.argmax(signs))
-        for k in (np.argmin(lam_hat), np.argmax(lam_hat))
-    )
-    if slope >= -big.tols.type_tol * (1.0 + float(np.max(np.abs(lam_hat)))):
-        raise NoWitnessConstructibleError("infinite block is sign-compatible")
-    u, v = big.null_frame()[:, i], Th @ Wh[:, k]
-    return _ray_family(problem, slope, X0, u, v, SIGMA_IDENTITY)
-
-
-def _chain_witness(problem, big, hat):
+    """X(t) = x_base + sigma(t) u v^H, u a null direction of B and v a unit
+    direction of Bhat's frame Th; chained (sigma = t^2) when ``big.coupled``."""
     if not big.has_infinite:
-        raise NoWitnessConstructibleError("no infinite structure to chain against")
-    cand = np.flatnonzero(np.abs(big.d_inf) <= big.null_tol)
-    if not cand.size:
-        raise NoWitnessConstructibleError("no A-null direction in the B-nullspace")
-
-    # X0 pairs hat B-frame direction k with a big one, w_k; moving along a
-    # chained null direction z changes the trace at the rate 2 Re(r v) with
-    # r = sum_k (z^H A w_k) (row k of Th^H Ah).  A phase on w_k keeps X0
-    # feasible, so each term is turned to add to the largest one.
-    A = big.pair.A.entries
+        raise NoWitnessConstructibleError("no infinite structure")
     Ah = problem.hat_pair.A.entries
-    Wc = big.b_frame[:, paired_columns(big.b_inertia, hat.b_inertia)]
     Th, _, _ = eigh_frame(problem.hat_pair.B.entries, hat.tols)
+    cols = paired_columns(big.b_inertia, hat.b_inertia)
     M = Th.conj().T @ Ah
-    best = None
-    for i in cand:
-        z = big.N @ big.Q_inf[:, i]
-        terms = (z.conj() @ A @ Wc)[:, None] * M
-        largest = terms[np.argmax(np.linalg.norm(terms, axis=1))]
-        phases = np.exp(1j * np.angle(terms.conj() @ largest))
-        r = phases @ terms
-        norm_r = float(np.linalg.norm(r))
-        if best is None or norm_r > best[0]:
-            best = (norm_r, z, r, phases)
-    norm_r, z, r, phases = best
-    X0_d = (Wc * phases) @ Th.conj().T
-    scale = 1.0 + float(np.linalg.norm(Ah))
-    if norm_r <= big.tols.type_tol * scale:
-        raise NoWitnessConstructibleError("coupling does not reach the objective")
-    u, v = z, -r.conj() / norm_r
-    return _ray_family(problem, -2.0 * norm_r, X0_d, u, v, SIGMA_SQUARE)
+    if big.coupled:
+        # x_base pairs hat B-frame direction k with a big one, w_k; moving along
+        # a chained null direction z changes the trace at the rate 2 Re(r v)
+        # with r = sum_k (z^H A w_k) (row k of Th^H Ah).  A phase on w_k keeps
+        # x_base feasible, so each term is turned to add to the largest one.
+        A = big.pair.A.entries
+        Wc = big.b_frame[:, cols]
+        best = None
+        for i in np.flatnonzero(np.abs(big.d_inf) <= big.null_tol):
+            z = big.N @ big.Q_inf[:, i]
+            terms = (z.conj() @ A @ Wc)[:, None] * M
+            largest = terms[np.argmax(np.linalg.norm(terms, axis=1))]
+            phases = np.exp(1j * np.angle(terms.conj() @ largest))
+            r = phases @ terms
+            norm_r = float(np.linalg.norm(r))
+            if best is None or norm_r > best[0]:
+                best = (norm_r, z, r, phases)
+        norm_r, z, r, phases = best
+        x_base = (Wc * phases) @ Th.conj().T
+        scale = 1.0 + float(np.linalg.norm(Ah))
+        if norm_r <= big.tols.type_tol * scale:
+            raise NoWitnessConstructibleError("coupling does not reach the objective")
+        slope, sigma_map = -2.0 * norm_r, SIGMA_SQUARE
+        u, v = z, -r.conj() / norm_r
+    else:
+        # R + N K is A-orthogonal to N(B), so the ray adds no cross term.
+        x_base = big.finite_frame()[:, cols] @ Th.conj().T
+        H = M @ Th
+        lam_hat, Wh = np.linalg.eigh((H + H.conj().T) / 2.0)
+
+        # slope = sign(d_inf[i]) * lam_hat[k], least at a pairing of extremes.
+        signs = np.sign(big.d_inf)
+        slope, i, k = min(
+            (float(signs[i] * lam_hat[k]), int(i), int(k))
+            for i in (np.argmin(signs), np.argmax(signs))
+            for k in (np.argmin(lam_hat), np.argmax(lam_hat))
+        )
+        if slope >= -big.tols.type_tol * (1.0 + float(np.max(np.abs(lam_hat)))):
+            raise NoWitnessConstructibleError("infinite block is sign-compatible")
+        sigma_map = SIGMA_IDENTITY
+        u, v = big.null_frame()[:, i], Th @ Wh[:, k]
+    d_sinh = np.outer(u, v.conj())
+    return _family(
+        INFINITE_BLOCK_RAY, problem, slope, sigma_map, x_base, np.zeros_like(d_sinh), d_sinh
+    )
 
 
 def build_witness(problem: ProblemInstance, infimum_diag: InfimumResult) -> WitnessFamily:
@@ -398,7 +389,7 @@ def build_witness(problem: ProblemInstance, infimum_diag: InfimumResult) -> Witn
 
     best = None
     errors = []
-    for builder in (_rotation_witness, _ray_witness, _chain_witness):
+    for builder in (_rotation_witness, _ray_witness):
         try:
             fam = builder(problem, big, hat)
         except NoWitnessConstructibleError as exc:

@@ -6,8 +6,9 @@ random permutation congruence P^T (A, B) P of each pair relabels the
 coordinates and changes nothing of the problem, so the verdict, reason,
 attainability and value must stay, and so must the witness kind (or the
 exception raised) and its slope.  The slope of a chained ray is left out:
-``_chain_witness`` tries the basis vectors of the A-null part of N(B) one
-at a time, and that basis is arbitrary when it has more than one vector.
+the chained branch of ``_ray_witness`` tries the basis vectors of the
+A-null part of N(B) one at a time, and that basis is arbitrary when it has
+more than one vector.
 """
 
 import numpy as np

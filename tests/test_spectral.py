@@ -800,3 +800,38 @@ def test_records_holding_arrays_compare_by_identity():
     for first, second in zip(records(), records()):
         assert first == first and first != second
         assert len({first, second, first}) == 2
+
+
+# Open defects of the pair analysis, each pinned on a fixed input; each test
+# passes once the ROADMAP item named in its reason fixes it.
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: _cluster merges 1 and -1 beside -8.3e15, as type_tol*max|value| "
+    "= 8.3e8 exceeds their gap (ROADMAP item 8)"
+))
+def test_cluster_keeps_unit_values_apart_beside_a_huge_one():
+    a = analyze_pair(pt.pair_from_arrays(
+        np.diag([1.0, 1.0, 1.0, 1e6]), np.diag([1.0, -1.0, 5e-11, -1.2e-10])
+    ))
+    assert a.pos_values == pytest.approx([1.0])
+    assert a.neg_values == pytest.approx([-1e6 / 1.2e-10, -1.0])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: s*(t + 1/mu) cancels for a shift far from a small eigenvalue, "
+    "1.99999994 for 2 (ROADMAP item 5)"
+))
+def test_value_beside_a_tiny_b_entry_is_accurate():
+    a = analyze_pair(pt.pair_from_arrays(np.diag([2.0, 0.5]), np.diag([1.0, 1e-9])))
+    assert min(a.pos_values) == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: a real Jordan block of order 3 is split by roundoff into "
+    "complex eigenvalues (ROADMAP item 20)"
+))
+@pytest.mark.parametrize("seed", range(5))
+def test_real_jordan_block_of_order_3_has_no_complex_values(seed):
+    pair, _ = assemble([BlockSpec("Tr", p=3, alpha=0.5, eta=1)], seed, conditioning_cap=4.0)
+    assert analyze_pair(pair).complex_values == ()

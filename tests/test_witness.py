@@ -26,6 +26,8 @@ from pencil_tracemin.witness import (
     T_GROWTH,
     _finish_family,
     _planes,
+    _ray_witness,
+    _rotation_witness,
     _sigma,
     build_witness,
     certify_unbounded,
@@ -485,6 +487,31 @@ def test_infinite_ray_mixed():
     assert fam.kind == INFINITE_BLOCK_RAY
     assert fam.slope == pytest.approx(-0.5, abs=1e-10)
     _trend_ok(fam)
+
+
+@pytest.mark.parametrize("a_plus, kind, slope", [
+    (1.2, INFINITE_BLOCK_RAY, -2.0),
+    (3.0, MIXED_SIGN_SLOPE, -3.0),
+])
+def test_steeper_of_rotation_and_ray_is_kept(a_plus, kind, slope):
+    # Big finite values (a_plus, 1) with the +1 null direction of A = 1; hat
+    # values (0.5, 2).  The rotation's slope is (0.5 - 2)(a_plus - 1), the
+    # ray's +1 * (-2): -0.3 or -3 against -2.
+    prob = pt.problem_from_arrays(
+        np.diag([a_plus, -1.0, 1.0]), np.diag([1.0, -1.0, 0.0]),
+        np.diag([0.5, -2.0]), np.diag([1.0, -1.0]),
+    )
+    res = infimum(prob)
+    assert (res.reason, res.reason_detail) == ("MixedSigns", "infinite-orientation")
+    fam = build_witness(prob, res)
+    assert fam.kind == kind
+    assert fam.slope == pytest.approx(slope, rel=1e-12)
+    big, hat = res.analysis, res.hat_analysis
+    assert fam.slope == min(b(prob, big, hat).slope for b in (_rotation_witness, _ray_witness))
+    _trend_ok(fam)
+    cert = certify_unbounded(fam, -1e6, 1e4)
+    assert cert.trace_value <= -1e6
+    assert cert.feas_residual <= 1e-9
 
 
 def test_chained_block_witness():
