@@ -3,7 +3,15 @@
 Every Hermitian pair is congruent to a direct sum of five block families;
 assembling known blocks and scrambling with a controlled congruence yields
 test pencils whose spectra, definiteness, and diagonalizability are known
-analytically.
+analytically.  The labels follow from two rules of the canonical form:
+
+- each block's B is, up to a permutation, +-F_q beside some zero directions,
+  so its inertia is that of +-F_q, and a real block Tr(p) gives its p copies
+  of alpha the types of eta * F_p (one copy at p = 1, one of each type for a
+  Jordan pair);
+- a side that no block rules out holds when max(neg) <= min(pos) (positive
+  semidefinite) or max(pos) <= min(neg) (negative semidefinite), an empty
+  list reading -inf or +inf.
 """
 
 from __future__ import annotations
@@ -93,19 +101,15 @@ def _f_inertia(p: int, eta: int) -> tuple:
     return (plus, 0, minus) if eta > 0 else (minus, 0, plus)
 
 
+# B of each block is eta * F_q, q = c * p + d, beside z zero directions:
+# kind -> (c, d, z).
+_B_FORM = {"To": (0, 0, 1), "Ts": (2, 0, 1), "Tinf": (1, -1, 1), "Tc": (2, 0, 0), "Tr": (1, 0, 0)}
+
+
 def _block_b_inertia(spec: BlockSpec) -> tuple:
-    p, eta = spec.p, spec.eta
-    if spec.kind == "To":
-        return (0, 1, 0)
-    if spec.kind == "Ts":
-        return (p, 1, p)
-    if spec.kind == "Tinf":
-        # eta*K_p(0) is eta*F_{p-1} bordered by a zero row/column.
-        pl, _, mi = _f_inertia(p - 1, eta) if p > 1 else (0, 0, 0)
-        return (pl, 1, mi)
-    if spec.kind == "Tc":
-        return (p, 0, p)
-    return _f_inertia(p, eta)
+    c, d, zeros = _B_FORM[spec.kind]
+    plus, _, minus = _f_inertia(c * spec.p + d, spec.eta)
+    return (plus, zeros, minus)
 
 
 @dataclass(frozen=True)
@@ -124,11 +128,7 @@ class GroundTruth:
 
 def _truth(specs) -> GroundTruth:
     pos, neg, jordan, cvals, inf_signs = [], [], [], [], []
-    lo, hi = -np.inf, np.inf  # admissible shift interval for PSD
-    lo_n, hi_n = -np.inf, np.inf  # for NSD
-    psd_possible = True
-    nsd_possible = True
-    diag = True
+    psd_possible = nsd_possible = diag = True
     coupled = False
     ip = iz = im = 0
 
@@ -136,60 +136,36 @@ def _truth(specs) -> GroundTruth:
         bp, bz, bm = _block_b_inertia(spec)
         ip, iz, im = ip + bp, iz + bz, im + bm
         p, eta, a = spec.p, spec.eta, spec.alpha
-        if spec.kind == "To":
-            continue
-        if spec.kind == "Ts":
-            psd_possible = nsd_possible = False
-            diag = False
+        if spec.kind == "Ts" or (spec.kind == "Tinf" and p > 1):
+            psd_possible = nsd_possible = diag = False
             coupled = True
         elif spec.kind == "Tinf":
-            if p == 1:
-                inf_signs.append(eta)
-                if eta > 0:
-                    nsd_possible = False
-                else:
-                    psd_possible = False
+            inf_signs.append(eta)
+            if eta > 0:
+                nsd_possible = False
             else:
-                psd_possible = nsd_possible = False
-                diag = False
-                coupled = True
+                psd_possible = False
         elif spec.kind == "Tc":
             psd_possible = nsd_possible = False
-            if p > 1:
-                diag = False
+            diag = diag and p == 1
             cvals.extend([complex(a, spec.beta), complex(a, -spec.beta)] * p)
-        else:  # Tr
-            if p == 1:
-                if eta > 0:
-                    pos.append(a)
-                    hi = min(hi, a)  # A - lam0 B >= 0 needs lam0 <= a
-                    lo_n = max(lo_n, a)
-                else:
-                    neg.append(a)
-                    lo = max(lo, a)
-                    hi_n = min(hi_n, a)
-            elif p == 2:
+        elif spec.kind == "Tr":
+            # The p copies of alpha carry the types of eta * F_p.
+            pos.extend([a] * bp)
+            neg.extend([a] * bm)
+            if p == 2:  # a Jordan pair, one copy of each type
                 diag = False
                 jordan.append(a)
-                pos.append(a)
-                neg.append(a)
                 if eta > 0:
-                    lo, hi = max(lo, a), min(hi, a)  # pins lam0 = a
                     nsd_possible = False
                 else:
-                    lo_n, hi_n = max(lo_n, a), min(hi_n, a)
                     psd_possible = False
-            else:
-                psd_possible = nsd_possible = False
-                diag = False
-                # Tr(p>=3) contributes p copies of alpha in chained structure;
-                # typed counts follow the inertia of eta*F_p.
-                fp, _, fm = _f_inertia(p, eta)
-                pos.extend([a] * fp)
-                neg.extend([a] * fm)
+            elif p > 2:
+                psd_possible = nsd_possible = diag = False
 
-    psd = psd_possible and lo <= hi
-    nsd = nsd_possible and lo_n <= hi_n
+    # A - t B >= 0 needs every negative-type value <= t <= every positive-type one.
+    psd = psd_possible and max(neg, default=-math.inf) <= min(pos, default=math.inf)
+    nsd = nsd_possible and max(pos, default=-math.inf) <= min(neg, default=math.inf)
     return GroundTruth(
         inertia_B=Inertia(ip, iz, im),
         pos=tuple(sorted(pos)),

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from itertools import chain
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,15 +35,17 @@ class ToleranceSet:
     "A vanishes on N(B)" and of the cluster rule.  psd_tol: a side holds when
     lam_min(Ã - t*J) >= -psd_tol * (1 + |Ã|_F + |J|_F) at an admitted shift t.
     type_tol: eigenvalues are real, cluster, or are isotropic within type_tol
-    relative to the spectrum.  feas_tol (``--tol-feas``): no library code reads
-    it; the benchmark harness bounds a minimizer's feasibility residual by it.
+    relative to the spectrum.
     """
 
     herm_tol: float = 1e-10
     rank_tol: float = 1e-10
     psd_tol: float = 1e-8
     type_tol: float = 1e-7
-    feas_tol: float = 1e-8
+    # Not a field: no library code reads it, and it is no CLI flag.  The
+    # benchmark harness still reads it as the bound on a minimizer's
+    # feasibility residual, so it stays until the harness has its own.
+    feas_tol: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         for f in fields(self):

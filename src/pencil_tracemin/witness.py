@@ -343,7 +343,7 @@ def _ray_witness(problem, big, hat):
                 best = (norm_r, z, r, phases)
         norm_r, z, r, phases = best
         x_base = (Wc * phases) @ Th.conj().T
-        scale = 1.0 + float(np.linalg.norm(Ah))
+        scale = 1.0 + problem.hat_pair.A.fro
         if norm_r <= big.tols.type_tol * scale:
             raise NoWitnessConstructibleError("coupling does not reach the objective")
         slope, sigma_map = -2.0 * norm_r, SIGMA_SQUARE

@@ -837,6 +837,16 @@ def test_tolerance_defaults_are_the_tolerance_set(golden_file, capsys):
     assert rep["tolerances"] == asdict(pt.ToleranceSet())
 
 
+def test_feas_tol_is_a_constant_not_a_tolerance(golden_file, capsys):
+    # No library code reads feas_tol; the benchmark harness reads its value.
+    assert pt.ToleranceSet().feas_tol == 1e-8
+    with pytest.raises(TypeError):
+        pt.ToleranceSet(feas_tol=1.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["--tol-feas", "1e-8", "infimum", golden_file])
+    assert exc.value.code == 2
+
+
 def test_minimize_excluded_constant(tmp_path, capsys):
     # A = 2B: any feasible point achieves the constant objective.
     path = str(tmp_path / "excluded.json")

@@ -7,6 +7,8 @@ from pencil_tracemin.genpairs import (
     BlockSpec,
     F_block,
     K_block,
+    _block_b_inertia,
+    _truth,
     assemble,
     block,
     spec_from_json,
@@ -95,6 +97,51 @@ def test_inertia_additivity():
     pair, truth = assemble(kinds, scramble_seed=9, conditioning_cap=3.0)
     assert pt.inertia(pair.B).as_tuple() == truth.inertia_B.as_tuple()
 
+
+
+@pytest.mark.parametrize("kind", ["To", "Ts", "Tinf", "Tc", "Tr"])
+def test_block_b_inertia_is_the_inertia_of_the_canonical_b(kind):
+    for p in range(1, 6):
+        for eta in (1, -1):
+            spec = BlockSpec(kind, p=p, alpha=0.5, beta=1.0, eta=eta)
+            assert _block_b_inertia(spec) == pt.inertia(block(spec).B).as_tuple(), spec
+
+
+def _tr(p, eta, alpha):
+    return BlockSpec("Tr", p=p, alpha=alpha, eta=eta)
+
+
+# Derived by hand from the two rules: a Tr block's p copies of alpha carry the
+# types of eta * F_p, and a side holds when no block rules it out and
+# max(neg) <= min(pos) (psd) or max(pos) <= min(neg) (nsd).
+_A, _B = 0.5, 0.2
+EDGE_CASES = [
+    # specs, pos, neg, jordan_values, psd, nsd, diagonalizable, coupled
+    ([_tr(1, 1, _A), _tr(1, -1, _A)], (_A,), (_A,), (), True, True, True, False),
+    ([_tr(2, 1, _A)], (_A,), (_A,), (_A,), True, False, False, False),
+    ([_tr(2, -1, _A)], (_A,), (_A,), (_A,), False, True, False, False),
+    ([_tr(2, 1, _A), _tr(1, 1, _B)], (_B, _A), (_A,), (_A,), False, False, False, False),
+    ([_tr(2, -1, _A), _tr(1, 1, _B)], (_B, _A), (_A,), (_A,), False, True, False, False),
+    ([_tr(3, 1, _A)], (_A, _A), (_A,), (), False, False, False, False),
+    ([_tr(3, -1, _A)], (_A,), (_A, _A), (), False, False, False, False),
+    ([BlockSpec("Tinf", eta=1), _tr(1, 1, _A)], (_A,), (), (), True, False, True, False),
+    ([BlockSpec("Tinf", eta=-1), _tr(1, 1, _A)], (_A,), (), (), False, True, True, False),
+    ([BlockSpec("Tinf", p=2)], (), (), (), False, False, False, True),
+    ([BlockSpec("Ts")], (), (), (), False, False, False, True),
+    ([BlockSpec("Tc", alpha=_A, beta=1.0)], (), (), (), False, False, True, False),
+    ([BlockSpec("Tc", p=2, alpha=_A, beta=1.0)], (), (), (), False, False, False, False),
+    ([BlockSpec("To")], (), (), (), True, True, True, False),
+]
+
+
+@pytest.mark.parametrize("specs, pos, neg, jordan, psd, nsd, diag, coupled", EDGE_CASES)
+def test_truth_at_the_edges_of_the_semidefinite_interval(
+    specs, pos, neg, jordan, psd, nsd, diag, coupled
+):
+    truth = _truth(specs)
+    assert (truth.pos, truth.neg, truth.jordan_values) == (pos, neg, jordan)
+    assert (truth.psd, truth.nsd) == (psd, nsd)
+    assert (truth.diagonalizable, truth.coupled) == (diag, coupled)
 
 def test_invalid_specs():
     with pytest.raises(InvalidSpecError):

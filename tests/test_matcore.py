@@ -84,7 +84,7 @@ def test_validate_rejects_entries_whose_norm_overflows():
         pt.validate_hermitian([[1e308, 0.0], [0.0, 1.0]])
 
 
-@pytest.mark.parametrize("field", ["herm_tol", "rank_tol", "psd_tol", "type_tol", "feas_tol"])
+@pytest.mark.parametrize("field", ["herm_tol", "rank_tol", "psd_tol", "type_tol"])
 def test_tolerances_must_be_finite(field):
     with pytest.raises(ValueError, match="finite and strictly positive"):
         pt.ToleranceSet(**{field: np.inf})
